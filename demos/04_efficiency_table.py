@@ -21,7 +21,6 @@ for model in ("ar1", "ma1"):
         nu=100,
         t_len=30,
         replicates=40,
-        mc_b=200,
         seed=2024,
     )
     rows = run_experiment(cfg, workers=2)

@@ -46,6 +46,7 @@ from .wishart import (
     precision_derivative,
     wishart_context,
     wishart_sensitivity,
+    wishart_variability,
 )
 from .inference import (
     EstimateRecord,
@@ -54,6 +55,7 @@ from .inference import (
     are,
     fisher_information,
     fit,
+    godambe_analytic,
     godambe_empirical,
     godambe_montecarlo,
 )
@@ -99,12 +101,14 @@ __all__ = [
     "precision_derivative",
     "wishart_context",
     "wishart_sensitivity",
+    "wishart_variability",
     "EstimateRecord",
     "GodambeComponents",
     "InfoMethod",
     "are",
     "fisher_information",
     "fit",
+    "godambe_analytic",
     "godambe_empirical",
     "godambe_montecarlo",
     "ConfigError",

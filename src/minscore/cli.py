@@ -68,8 +68,10 @@ def _build_parser() -> _ArgumentParser:
     p_fit.add_argument("--estimator", required=True,
                        choices=[k.value for k in EstimatorKind])
     p_fit.add_argument("--mc-b", type=int, default=500,
-                       help="Monte Carlo draws for the Wishart sd")
-    p_fit.add_argument("--seed", type=int, default=0)
+                       help="accepted for compatibility; no sd uses Monte Carlo draws "
+                            "(the hyv-wishart sd is exact)")
+    p_fit.add_argument("--seed", type=int, default=0,
+                       help="accepted for compatibility; fitting draws no random numbers")
     p_fit.add_argument("--out", default=None, help="write the record here instead of stdout")
 
     p_tab = sub.add_parser("table",
@@ -80,13 +82,15 @@ def _build_parser() -> _ArgumentParser:
     p_tab.add_argument("--nu", type=int)
     p_tab.add_argument("--t", type=int)
     p_tab.add_argument("--replicates", type=int)
-    p_tab.add_argument("--mc-b", type=int)
+    p_tab.add_argument("--mc-b", type=int,
+                       help="accepted and validated for compatibility; affects no table output")
     p_tab.add_argument("--seed", type=int)
     p_tab.add_argument("--estimators",
                        help="comma-separated subset of full,pairwise,hyv,hyv-wishart")
     p_tab.add_argument("--out", help="report CSV path")
     p_tab.add_argument("--svg", default=None, help="optional efficiency chart path")
-    p_tab.add_argument("--workers", type=int, default=1)
+    p_tab.add_argument("--workers", type=int, default=None,
+                       help="worker threads (default 1)")
 
     sub.add_parser("check",
                    help="run the built-in consistency oracles")
@@ -166,7 +170,7 @@ def _table_config(args) -> tuple[ExperimentConfig, str | None, int]:
         out_path=pick(args.out, "out", str, None),
     )
     svg = pick(args.svg, "svg", str, None)
-    workers = pick(args.workers if args.workers != 1 else None, "workers", int, 1)
+    workers = pick(args.workers, "workers", int, 1)
     if cfg.out_path is None:
         raise ConfigError("table needs an output path (--out or out= in the config file)")
     if workers < 1:
@@ -197,14 +201,14 @@ def _cmd_fit(args) -> int:
         raise ConfigError(f"cannot read data file {args.data!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"cannot parse data file {args.data!r}: {exc}") from exc
+    if not np.all(np.isfinite(y)):
+        raise ConfigError(f"data file {args.data!r} contains non-finite values (NaN or inf)")
     kind = EstimatorKind(args.estimator)
-    seed_root = np.random.SeedSequence(args.seed)
     sd_mle = None
     if kind is not EstimatorKind.FULL_ML:
         baseline = fit(y, EstimatorKind.FULL_ML, args.model)
         sd_mle = baseline.sd
-    record = fit(y, kind, args.model, sd_mle=sd_mle, mc_draws=args.mc_b,
-                 seed=np.random.default_rng(seed_root))
+    record = fit(y, kind, args.model, sd_mle=sd_mle)
     if kind is EstimatorKind.FULL_ML and record.sd is not None:
         record = dataclasses.replace(record, are=1.0)
     text = FIT_HEADER + "\n" + _record_line(record) + "\n"

@@ -6,8 +6,9 @@ Godambe information G = K^2 / J, and the estimator's asymptotic standard
 deviation is 1 / sqrt(nu * G).
 
 The Wishart estimator's score acts on the pooled statistic S = Y'Y rather
-than series by series; its raw gradient variance is rescaled by nu here (see
-:func:`godambe_montecarlo`) so the one sd formula applies to all four kinds.
+than series by series; its raw gradient variance, exact in closed form (see
+:func:`godambe_analytic`), is rescaled by nu so the one sd formula applies to
+all four kinds.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ from .scores import (
     ar1_pairwise_closed_form,
     score_per_series,
 )
-from .wishart import SEARCH_BOUNDS, hw_estimate, hw_grad_samples, wishart_sensitivity
+from .wishart import (
+    SEARCH_BOUNDS,
+    hw_estimate,
+    hw_grad_samples,
+    wishart_sensitivity,
+    wishart_variability,
+)
 
 __all__ = [
     "InfoMethod",
@@ -33,6 +40,7 @@ __all__ = [
     "EstimateRecord",
     "godambe_empirical",
     "godambe_montecarlo",
+    "godambe_analytic",
     "fisher_information",
     "are",
     "fit",
@@ -87,6 +95,21 @@ def _components(g: np.ndarray, h: np.ndarray, method: InfoMethod) -> GodambeComp
     return GodambeComponents(j_hat=j_hat, k_hat=k_hat, g_hat=k_hat**2 / j_hat, method=method)
 
 
+def _wishart_components(
+    j_total: float, k_total: float, nu: int, method: InfoMethod
+) -> GodambeComponents:
+    # J of the pooled gradient is multiplied by nu so that
+    # sd = 1 / sqrt(nu * g_hat) holds for the Wishart estimator too
+    if j_total <= _DEGENERATE_RATIO * k_total**2:
+        raise DegenerateDataError("Wishart score gradients are numerically zero")
+    return GodambeComponents(
+        j_hat=nu * j_total,
+        k_hat=k_total,
+        g_hat=k_total**2 / (nu * j_total),
+        method=method,
+    )
+
+
 def godambe_empirical(
     series, kind: EstimatorKind, model: str, theta_hat: float
 ) -> GodambeComponents:
@@ -123,7 +146,9 @@ def godambe_montecarlo(
     For the Wishart kind each draw is a whole nu-series sum-of-squares matrix
     (``nu`` required): J is the mean squared score gradient over draws, K is
     the deterministic sensitivity, and J is multiplied by nu so that
-    ``sd = 1 / sqrt(nu * g_hat)`` holds for this estimator too.
+    ``sd = 1 / sqrt(nu * g_hat)`` holds for this estimator too.  Fitting uses
+    :func:`godambe_analytic` for that kind; the Wishart draws here are its
+    reference.
     """
     kind = EstimatorKind(kind)
     model = canonical_model(model)
@@ -133,15 +158,11 @@ def godambe_montecarlo(
         if nu is None:
             raise ValueError("the Wishart kind needs nu (series per draw)")
         grads = hw_grad_samples(model, theta_hat, nu, t_len, n_draws, seed)
-        j_total = float(np.mean(grads * grads))
-        k_total = wishart_sensitivity(model, theta_hat, t_len)
-        if j_total <= _DEGENERATE_RATIO * k_total**2:
-            raise DegenerateDataError("Wishart score gradients are numerically zero")
-        return GodambeComponents(
-            j_hat=nu * j_total,
-            k_hat=k_total,
-            g_hat=k_total**2 / (nu * j_total),
-            method=InfoMethod.MONTE_CARLO,
+        return _wishart_components(
+            float(np.mean(grads * grads)),
+            wishart_sensitivity(model, theta_hat, t_len),
+            nu,
+            InfoMethod.MONTE_CARLO,
         )
     draws = sample_series(model, theta_hat, n_draws, t_len, seed)
 
@@ -151,6 +172,23 @@ def godambe_montecarlo(
     g = num_grad(per_series, theta_hat)
     h = num_hess(per_series, theta_hat)
     return _components(g, h, InfoMethod.MONTE_CARLO)
+
+
+def godambe_analytic(model: str, theta_hat: float, *, t_len: int, nu: int) -> GodambeComponents:
+    """Exact J and K of the Wishart score equation at theta_hat, no simulation.
+
+    J is the exact inverse-Wishart variance of the pooled gradient
+    (:func:`~minscore.wishart.wishart_variability`, needs nu >= T + 4) and K
+    the deterministic sensitivity; J is scaled by nu as in
+    :func:`godambe_montecarlo`.
+    """
+    model = canonical_model(model)
+    return _wishart_components(
+        wishart_variability(model, theta_hat, nu, t_len),
+        wishart_sensitivity(model, theta_hat, t_len),
+        nu,
+        InfoMethod.ANALYTIC,
+    )
 
 
 def fisher_information(
@@ -186,10 +224,17 @@ def are(sd_mle: float, sd_est: float) -> float:
     return (sd_mle / sd_est) ** 2
 
 
-def _default_method(kind: EstimatorKind) -> InfoMethod:
+def _sd_method(kind: EstimatorKind, info_method: InfoMethod | None) -> InfoMethod:
+    # the Wishart sd is exact; the per-series kinds estimate theirs from data
+    # (empirical) or from draws at the estimate (Monte Carlo)
     if kind is EstimatorKind.HYV_WISHART:
-        return InfoMethod.MONTE_CARLO
-    return InfoMethod.EMPIRICAL
+        allowed = (InfoMethod.ANALYTIC,)
+    else:
+        allowed = (InfoMethod.EMPIRICAL, InfoMethod.MONTE_CARLO)
+    method = allowed[0] if info_method is None else InfoMethod(info_method)
+    if method not in allowed:
+        raise ValueError(f"the {kind} sd does not support the {method.value} method")
+    return method
 
 
 def fit(
@@ -210,14 +255,17 @@ def fit(
     The AR(1) pairwise estimate is the closed form; the Wishart estimate
     minimizes the pooled score; everything else minimizes the summed
     per-series objective over ``bounds``.  The sd uses the empirical Godambe
-    information except for the Wishart kind, which uses ``mc_draws`` Monte
-    Carlo draws seeded by ``seed``.  Estimates at the search boundary are
-    flagged and get no sd.  ``are`` is filled when ``sd_mle`` is supplied.
+    information by default, or with ``info_method=MONTE_CARLO`` ``mc_draws``
+    draws seeded by ``seed``; the Wishart kind always uses its exact
+    information (:func:`godambe_analytic`), which needs nu >= T + 4.
+    Estimates at the search boundary are flagged and get no sd.  ``are`` is
+    filled when ``sd_mle`` is supplied.
     """
     kind = EstimatorKind(kind)
     model = canonical_model(model)
     y = np.atleast_2d(np.asarray(series, dtype=float))
-    nu = y.shape[0]
+    nu, t_len = y.shape
+    method = _sd_method(kind, info_method)
 
     if kind is EstimatorKind.PAIRWISE_ML and model == "ar1":
         estimate, _ = ar1_pairwise_closed_form(y)
@@ -237,13 +285,10 @@ def fit(
     if boundary or not compute_sd:
         return EstimateRecord(kind, float(estimate), None, None, boundary)
 
-    method = InfoMethod(info_method) if info_method is not None else _default_method(kind)
-    if kind is EstimatorKind.HYV_WISHART:
-        comps = godambe_montecarlo(
-            model, estimate, kind, mc_draws, seed, t_len=y.shape[1], nu=nu
-        )
+    if method is InfoMethod.ANALYTIC:
+        comps = godambe_analytic(model, estimate, t_len=t_len, nu=nu)
     elif method is InfoMethod.MONTE_CARLO:
-        comps = godambe_montecarlo(model, estimate, kind, mc_draws, seed, t_len=y.shape[1])
+        comps = godambe_montecarlo(model, estimate, kind, mc_draws, seed, t_len=t_len)
     else:
         comps = godambe_empirical(y, kind, model, estimate)
     sd = comps.sd(nu)

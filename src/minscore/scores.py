@@ -39,6 +39,7 @@ __all__ = [
     "ma1_hyvarinen",
     "score_per_series",
     "total_score",
+    "min_series_length",
 ]
 
 
@@ -227,6 +228,20 @@ def score_per_series(series, kind: EstimatorKind, model: str, theta: float):
     if kind is EstimatorKind.PAIRWISE_ML:
         return -ma1_pairwise_loglik(series, params)
     return ma1_hyvarinen(series, params)
+
+
+# the series lengths the evaluators above check, where more than 1 is needed
+_MIN_SERIES_LENGTH = {
+    ("ar1", EstimatorKind.FULL_ML): 2,
+    ("ar1", EstimatorKind.PAIRWISE_ML): 2,
+    ("ar1", EstimatorKind.HYV_UNIVARIATE): 3,
+    ("ma1", EstimatorKind.PAIRWISE_ML): 2,
+}
+
+
+def min_series_length(kind: EstimatorKind, model: str) -> int:
+    """Shortest series length the estimator's objective accepts for the model."""
+    return _MIN_SERIES_LENGTH.get((canonical_model(model), EstimatorKind(kind)), 1)
 
 
 def total_score(series, kind: EstimatorKind, model: str, theta: float) -> float:

@@ -64,6 +64,20 @@ def _check_wishart_gradient() -> None:
         assert abs(analytic - fd) <= 1e-4 * max(1.0, abs(fd)), (analytic, fd)
 
 
+def _check_wishart_variability() -> None:
+    # T = 1: the gradient is c * phi / S plus a constant, with
+    # S = chi2_nu / (1 - phi^2), whose inverse-chi-square variance is exact
+    for nu in (5, 30):
+        exact = wishart.wishart_variability("ar1", 0.6, nu, 1)
+        scalar = 0.36 * 0.64**2 / (2.0 * (nu - 4))
+        assert abs(exact - scalar) <= 1e-12 * scalar, (nu, exact, scalar)
+    for model in ("ar1", "ma1"):
+        g2 = wishart.hw_grad_samples(model, 0.4, nu=30, t_len=6, n_draws=4000, seed=13) ** 2
+        se = np.std(g2, ddof=1) / np.sqrt(len(g2))
+        exact = wishart.wishart_variability(model, 0.4, 30, 6)
+        assert abs(np.mean(g2) - exact) <= 4 * se, (model, float(np.mean(g2)), exact)
+
+
 def _check_pairwise_closed_form() -> None:
     y = models.sample_ar1(models.params_for("ar1", 0.5), 200, 50, seed=123)
     phi_hat, sigma2_hat = scores.ar1_pairwise_closed_form(y)
@@ -97,6 +111,8 @@ CHECKS = (
     ("closed-form Hyvarinen scores match generic Gaussian form", _check_hyvarinen_closed_forms),
     ("AR(1) Wishart sensitivity matches brute-force sum", _check_wishart_sensitivity),
     ("Wishart score gradient matches finite differences", _check_wishart_gradient),
+    ("exact Wishart variability matches inverse chi-square and Monte Carlo",
+     _check_wishart_variability),
     ("pairwise closed form matches numeric argmax", _check_pairwise_closed_form),
     ("samplers are seed-deterministic", _check_sampler_determinism),
     ("scalar minimizer finds quadratic minimum", _check_minimizer),

@@ -19,7 +19,7 @@ import numpy as np
 
 from .inference import EstimateRecord, fit
 from .models import canonical_model, sample_series
-from .scores import EstimatorKind
+from .scores import EstimatorKind, min_series_length
 
 __all__ = ["ExperimentConfig", "ReportRow", "ConfigError", "run_experiment"]
 
@@ -64,18 +64,27 @@ class ExperimentConfig:
                 raise ConfigError(f"grid value {value} is outside the open interval (-1, 1)")
         if self.nu < 1 or self.t_len < 1:
             raise ConfigError(f"nu and t must be positive, got nu={self.nu}, t={self.t_len}")
+        for kind in _fit_kinds(self):
+            need = min_series_length(kind, self.model)
+            if self.t_len < need:
+                raise ConfigError(
+                    f"the {kind} estimator on {self.model} needs t >= {need}, got t={self.t_len}"
+                )
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
         if self.mc_b < 1:
             raise ConfigError(f"mc-b must be positive, got {self.mc_b}")
         if EstimatorKind.HYV_WISHART in self.estimators:
-            if self.nu < self.t_len + 2:
-                raise ConfigError(
-                    f"the Wishart estimator needs nu >= t + 2; got nu={self.nu}, t={self.t_len}"
-                )
+            # mc-b no longer sets any table output (the Wishart sd is exact);
+            # its bounds are kept so that existing configurations validate as before
             if self.mc_b < 50:
                 raise ConfigError(
-                    f"the Wishart sd needs mc-b >= 50 Monte Carlo draws, got {self.mc_b}"
+                    f"mc-b must be >= 50 when hyv-wishart is requested, got {self.mc_b}"
+                )
+            # the exact Wishart sd is finite only from T + 4 series on
+            if self.nu < self.t_len + 4:
+                raise ConfigError(
+                    f"the Wishart sd needs nu >= t + 4; got nu={self.nu}, t={self.t_len}"
                 )
         if not self.estimators:
             raise ConfigError("at least one estimator must be requested")
@@ -125,14 +134,10 @@ def _fit_kinds(cfg: ExperimentConfig) -> tuple[EstimatorKind, ...]:
 
 def _one_replicate(cfg, theta0, grid_index, rep_index, kinds):
     root = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(grid_index, rep_index))
-    sample_seed, mc_seed = root.spawn(2)
+    # the data come from the first spawned child, as in the reference tables
+    (sample_seed,) = root.spawn(1)
     y = sample_series(cfg.model, theta0, cfg.nu, cfg.t_len, sample_seed)
-    records = {}
-    for kind in kinds:
-        records[kind] = fit(
-            y, kind, cfg.model, mc_draws=cfg.mc_b, seed=np.random.default_rng(mc_seed)
-        )
-    return records
+    return {kind: fit(y, kind, cfg.model) for kind in kinds}
 
 
 def run_experiment(

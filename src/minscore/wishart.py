@@ -15,7 +15,9 @@ in the scalar dependence parameter is
 
 The sensitivity of that estimating equation is the deterministic quantity
 ``K = 0.25 * sum_{i,j} (d lam^{ji} / d lambda)^2``, which for AR(1) collapses
-to the closed form in :func:`k_analytic_ar1`.
+to the closed form in :func:`k_analytic_ar1`.  The derivative is linear in
+S^{-1}, which is inverse-Wishart, so its variance is exact as well
+(:func:`wishart_variability`).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "hw_grad_samples",
     "k_analytic_ar1",
     "wishart_sensitivity",
+    "wishart_variability",
     "hw_estimate",
 ]
 
@@ -172,6 +175,31 @@ def wishart_sensitivity(model: str, lam: float, t_len: int) -> float:
     """
     dprec = precision_derivative(model, lam, t_len)
     return float(0.25 * np.sum(dprec * dprec))
+
+
+def wishart_variability(model: str, lam: float, nu: int, t_len: int) -> float:
+    """Exact variance of :func:`hw_grad` at lam when S is Wishart at lam.
+
+    The gradient is ``-c/2 * tr(D S^{-1})`` plus a constant, with D the
+    precision derivative, and S^{-1} is inverse-Wishart with scale
+    Psi = :func:`scale_precision`.  Its second moments (von Rosen 1988,
+    Scand. J. Statist. 15) give, with n = nu and p = T,
+
+        c^2/4 * [2 a^2 + 2 (n-p-1) b] / ((n-p) (n-p-1)^2 (n-p-3)),
+
+    ``a = tr(D Psi)`` and ``b = tr(D Psi D Psi)``; the gradient has mean zero,
+    so this is also its mean square.  Finite only for nu >= T + 4.
+    """
+    if nu < t_len + 4:
+        raise ValueError(
+            f"the Wishart sd needs nu >= T + 4; got nu={nu}, T={t_len}"
+        )
+    c = 0.5 * (nu - t_len - 1)
+    d_psi = precision_derivative(model, lam, t_len) @ scale_precision(model, lam, t_len)
+    a = float(np.trace(d_psi))
+    b = float(np.sum(d_psi * d_psi.T))
+    m = nu - t_len
+    return c * c / 4.0 * (2.0 * a * a + 2.0 * (m - 1) * b) / (m * (m - 1) ** 2 * (m - 3))
 
 
 def hw_grad_samples(

@@ -38,6 +38,7 @@ from minscore import (
 from minscore.cli import cli_main
 
 SEED = 20260808
+NU = 200
 T_LEN = 50
 
 AR_GRID = (-0.9, -0.5, 0.0, 0.5, 0.9)
@@ -69,7 +70,7 @@ KINDS = ("full", "pairwise", "hyv", "hyv-wishart")
 @pytest.fixture(scope="module")
 def ar1_study():
     cfg = ExperimentConfig(
-        model="ar1", param_grid=AR_GRID, nu=200, t_len=T_LEN,
+        model="ar1", param_grid=AR_GRID, nu=NU, t_len=T_LEN,
         replicates=200, mc_b=500, seed=SEED,
     )
     start = time.perf_counter()
@@ -80,7 +81,7 @@ def ar1_study():
 @pytest.fixture(scope="module")
 def ma1_study():
     cfg = ExperimentConfig(
-        model="ma1", param_grid=MA_GRID, nu=200, t_len=T_LEN,
+        model="ma1", param_grid=MA_GRID, nu=NU, t_len=T_LEN,
         replicates=200, mc_b=500, seed=SEED,
     )
     start = time.perf_counter()
@@ -150,6 +151,28 @@ def exact_efficiency(model, kind, theta, t_len=T_LEN):
     return sensitivity**2 / (variability * fisher)
 
 
+def exact_wishart_efficiency(model, theta, nu=NU, t_len=T_LEN):
+    """Exact asymptotic efficiency of the Wishart score estimator against full ML.
+
+    Its pooled gradient is ``-c/2 tr(D S^-1)`` plus a constant, with
+    ``D = -P S' P`` the derivative of the precision P and ``c = (nu-T-1)/2``;
+    S^-1 is inverse-Wishart with scale P, so J follows from its second moments
+    (von Rosen 1988), ``K = tr(D D) / 4``, and the efficiency is
+    ``K^2 / (nu J I)``.
+    """
+    cov, dcov = stationary_covariance(model, theta, t_len)
+    prec = np.linalg.inv(cov)
+    dprec = -prec @ dcov @ prec
+    c = 0.5 * (nu - t_len - 1)
+    m = nu - t_len
+    a = np.trace(dprec @ prec)
+    b = np.trace(dprec @ prec @ dprec @ prec)
+    variability = c**2 / 4 * (2 * a**2 + 2 * (m - 1) * b) / (m * (m - 1) ** 2 * (m - 3))
+    sensitivity = np.trace(dprec @ dprec) / 4
+    fisher = 0.5 * np.trace(prec @ dcov @ prec @ dcov)
+    return sensitivity**2 / (nu * variability * fisher)
+
+
 def test_criterion_1_ar1_table(ar1_study):
     rows, _, elapsed = ar1_study
     rmap = row_map(rows)
@@ -211,8 +234,9 @@ def test_criterion_3_qualitative_crossover(ar1_study, ma1_study):
 
 
 def test_reference_targets_match_exact_efficiency():
-    # every per-series reference ARE lies within its own tolerance of the
-    # exact efficiency; the Wishart score is not a per-series quadratic form
+    # every reference ARE lies within its own tolerance of the exact
+    # efficiency: per-series quadratic forms for pairwise and hyv, the
+    # inverse-Wishart variance for hyv-wishart (at nu = NU series)
     checks = []
     h = 1e-6
     for model, theta in (("ar1", 0.5), ("ma1", 0.5)):
@@ -236,6 +260,12 @@ def test_reference_targets_match_exact_efficiency():
                 checks.append((f"{model} {kind} target at {theta:+.1f}",
                                abs(target - eff) <= tol,
                                f"target {target} vs exact {eff:.4f} +/- {tol}"))
+        targets, tol = targets_by_kind["hyv-wishart"]
+        for theta, target in targets.items():
+            eff = exact_wishart_efficiency(model, theta)
+            checks.append((f"{model} hyv-wishart target at {theta:+.1f}",
+                           abs(target - eff) <= tol,
+                           f"target {target} vs exact {eff:.4f} +/- {tol}"))
     for theta in (-0.9, 0.9):
         eff = round(exact_efficiency("ma1", "hyv", theta), 4)
         target = MA_TARGETS["hyv"][0][theta]

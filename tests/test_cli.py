@@ -73,6 +73,25 @@ class TestFit:
         ])
         assert code == 1
 
+    def test_non_finite_data_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text("0.1,0.2,0.3\n0.4,nan,0.6\n0.7,0.8,inf\n")
+        code = cli_main(["fit", "--data", str(data), "--model", "ar1", "--estimator", "full"])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_wishart_sd_below_bound_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        assert cli_main([
+            "simulate", "--model", "ar1", "--param", "0.3", "--nu", "13",
+            "--t", "10", "--seed", "4", "--out", str(data),
+        ]) == 0
+        code = cli_main([
+            "fit", "--data", str(data), "--model", "ar1", "--estimator", "hyv-wishart",
+        ])
+        assert code == 1
+        assert "nu >= T + 4" in capsys.readouterr().err
+
     def test_output_file_and_baseline_are(self, tmp_path):
         data = tmp_path / "data.csv"
         cli_main([
@@ -105,6 +124,43 @@ class TestTable:
         ])
         assert code == 1
         assert "(-1, 1)" in capsys.readouterr().err
+
+    def test_wishart_sd_below_bound_exits_1(self, tmp_path, capsys):
+        code = cli_main([
+            "table", "--model", "ma1", "--grid", "0.3", "--nu", "9", "--t", "6",
+            "--replicates", "2", "--out", str(tmp_path / "t.csv"),
+        ])
+        assert code == 1
+        assert "nu >= t + 4" in capsys.readouterr().err
+
+    def test_series_too_short_exits_1_names_bound(self, tmp_path, capsys):
+        code = cli_main([
+            "table", "--model", "ar1", "--grid", "0.3", "--nu", "20", "--t", "2",
+            "--replicates", "3", "--estimators", "hyv", "--out", str(tmp_path / "t.csv"),
+        ])
+        assert code == 1
+        assert "t >= 3" in capsys.readouterr().err
+
+    def test_workers_flag_overrides_config_file(self, tmp_path, monkeypatch):
+        import minscore.cli as cli
+
+        used = []
+        real = cli.run_experiment
+
+        def spy(cfg, workers=1):
+            used.append(workers)
+            return real(cfg, workers=workers)
+
+        monkeypatch.setattr(cli, "run_experiment", spy)
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(
+            "model = ar1\ngrid = 0.3\nnu = 20\nt = 5\nreplicates = 2\n"
+            "estimators = full\nworkers = 4\n"
+            f"out = {tmp_path / 't.csv'}\n"
+        )
+        assert cli_main(["table", "--config", str(cfg)]) == 0
+        assert cli_main(["table", "--config", str(cfg), "--workers", "1"]) == 0
+        assert used == [4, 1]
 
     def test_byte_identical_reruns_and_workers(self, tmp_path):
         paths = [tmp_path / f"t{i}.csv" for i in range(3)]

@@ -11,6 +11,7 @@ from minscore import (
     are,
     fisher_information,
     fit,
+    godambe_analytic,
     godambe_empirical,
     godambe_montecarlo,
     k_analytic_ar1,
@@ -222,6 +223,31 @@ class TestFit:
         y = sample_ar1(params_for("ar1", 0.2), 10, 30, seed=61)
         with pytest.raises(ValueError):
             fit(y, EstimatorKind.HYV_WISHART, "ar1")
+
+    def test_wishart_sd_is_exact(self):
+        y = sample_ma1(params_for("ma1", 0.3), 60, 12, seed=65)
+        record = fit(y, EstimatorKind.HYV_WISHART, "ma1")
+        comps = godambe_analytic("ma1", record.estimate, t_len=12, nu=60)
+        assert comps.method is InfoMethod.ANALYTIC
+        assert record.sd == comps.sd(60)
+        # the Monte Carlo reference at many draws agrees to a few percent
+        mc = godambe_montecarlo("ma1", record.estimate, EstimatorKind.HYV_WISHART,
+                                8000, seed=66, t_len=12, nu=60)
+        assert abs(mc.sd(60) / record.sd - 1.0) < 0.05
+
+    def test_wishart_sd_needs_four_extra_series(self):
+        # the point estimate needs nu >= T + 2, its sd nu >= T + 4
+        y = sample_ar1(params_for("ar1", 0.2), 13, 10, seed=67)
+        assert not fit(y, EstimatorKind.HYV_WISHART, "ar1", compute_sd=False).boundary_flag
+        with pytest.raises(ValueError, match=r"nu >= T \+ 4"):
+            fit(y, EstimatorKind.HYV_WISHART, "ar1")
+
+    def test_sd_method_must_suit_the_kind(self):
+        y = sample_ar1(params_for("ar1", 0.2), 30, 8, seed=68)
+        with pytest.raises(ValueError, match="montecarlo"):
+            fit(y, EstimatorKind.HYV_WISHART, "ar1", info_method=InfoMethod.MONTE_CARLO)
+        with pytest.raises(ValueError, match="analytic"):
+            fit(y, EstimatorKind.FULL_ML, "ar1", info_method=InfoMethod.ANALYTIC)
 
     def test_godambe_sd_predicts_sampling_scatter(self):
         # across replicates the spread of estimates matches the mean reported

@@ -29,6 +29,7 @@ from minscore import (
     score_per_series,
     total_score,
 )
+from minscore.scores import min_series_length
 
 
 def fd_hyvarinen(y, log_density, h=1e-4):
@@ -329,6 +330,17 @@ class TestTotalScore:
     def test_wishart_kind_rejected(self):
         with pytest.raises(ValueError):
             total_score(np.zeros((3, 4)), EstimatorKind.HYV_WISHART, "ar1", 0.1)
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    @pytest.mark.parametrize("kind", [EstimatorKind.FULL_ML, EstimatorKind.PAIRWISE_ML,
+                                      EstimatorKind.HYV_UNIVARIATE])
+    def test_min_series_length_is_what_the_objective_accepts(self, model, kind):
+        need = min_series_length(kind, model)
+        y = np.random.default_rng(20).standard_normal((3, need + 1))
+        assert np.all(np.isfinite(score_per_series(y[:, :need], kind, model, 0.3)))
+        if need > 1:
+            with pytest.raises(ValueError, match=f">= {need}"):
+                score_per_series(y[:, :need - 1], kind, model, 0.3)
 
 
 class TestPropriety:

@@ -18,6 +18,7 @@ from minscore import (
     sum_of_squares,
     wishart_context,
     wishart_sensitivity,
+    wishart_variability,
 )
 from minscore.wishart import WishartContext, scale_precision
 
@@ -176,6 +177,34 @@ class TestSensitivity:
             k_analytic_ar1(1.0, 10)
         with pytest.raises(ValueError):
             k_analytic_ar1(0.5, 1)
+
+
+class TestVariability:
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    @pytest.mark.parametrize("theta", [-0.5, 0.0, 0.5])
+    def test_matches_monte_carlo(self, model, theta):
+        # exact mean square of the gradient vs 4000 seeded Wishart draws,
+        # within 4 Monte Carlo standard errors
+        nu, t_len = 40, 10
+        g2 = hw_grad_samples(model, theta, nu=nu, t_len=t_len, n_draws=4000, seed=70) ** 2
+        se = np.std(g2, ddof=1) / np.sqrt(len(g2))
+        exact = wishart_variability(model, theta, nu, t_len)
+        assert abs(np.mean(g2) - exact) <= 4 * se, (np.mean(g2), exact, se)
+
+    @pytest.mark.parametrize("nu", [5, 8, 30])
+    @pytest.mark.parametrize("phi", [-0.8, 0.3])
+    def test_scalar_case_is_inverse_chi_square(self, nu, phi):
+        # T = 1: S = chi2_nu / psi with psi = 1 - phi^2, so 1/S has variance
+        # 2 psi^2 / ((nu-2)^2 (nu-4)); the gradient is -c/2 * D / S with
+        # D = -2 phi and c = (nu-2)/2, giving phi^2 psi^2 / (2 (nu-4))
+        psi = 1.0 - phi**2
+        expected = phi**2 * psi**2 / (2.0 * (nu - 4))
+        npt.assert_allclose(wishart_variability("ar1", phi, nu, 1), expected, rtol=1e-12)
+
+    def test_needs_four_extra_dof(self):
+        assert wishart_variability("ar1", 0.3, 14, 10) > 0
+        with pytest.raises(ValueError, match=r"nu >= T \+ 4"):
+            wishart_variability("ar1", 0.3, 13, 10)
 
 
 class TestEstimate:
