@@ -67,11 +67,6 @@ def _build_parser() -> _ArgumentParser:
     p_fit.add_argument("--model", required=True, choices=["ar1", "ma1"])
     p_fit.add_argument("--estimator", required=True,
                        choices=[k.value for k in EstimatorKind])
-    p_fit.add_argument("--mc-b", type=int, default=500,
-                       help="accepted for compatibility; no sd uses Monte Carlo draws "
-                            "(the hyv-wishart sd is exact)")
-    p_fit.add_argument("--seed", type=int, default=0,
-                       help="accepted for compatibility; fitting draws no random numbers")
     p_fit.add_argument("--out", default=None, help="write the record here instead of stdout")
 
     p_tab = sub.add_parser("table",

@@ -59,8 +59,23 @@ class DegenerateDataError(ValueError):
     """Data carries no information for the requested estimate."""
 
 
-def _as_series(y, min_t: int) -> np.ndarray:
+# shortest series each objective accepts, where more than 1 is needed
+_MIN_SERIES_LENGTH = {
+    ("ar1", EstimatorKind.FULL_ML): 2,
+    ("ar1", EstimatorKind.PAIRWISE_ML): 2,
+    ("ar1", EstimatorKind.HYV_UNIVARIATE): 3,
+    ("ma1", EstimatorKind.PAIRWISE_ML): 2,
+}
+
+
+def min_series_length(kind: EstimatorKind, model: str) -> int:
+    """Shortest series length the estimator's objective accepts for the model."""
+    return _MIN_SERIES_LENGTH.get((canonical_model(model), EstimatorKind(kind)), 1)
+
+
+def _as_series(y, model: str | None = None, kind: EstimatorKind | None = None) -> np.ndarray:
     y = np.asarray(y, dtype=float)
+    min_t = _MIN_SERIES_LENGTH.get((model, kind), 1)
     if y.ndim not in (1, 2):
         raise ValueError(f"expected a (T,) or (nu, T) array, got shape {y.shape}")
     if y.shape[-1] < min_t:
@@ -70,7 +85,7 @@ def _as_series(y, min_t: int) -> np.ndarray:
 
 def ar1_full_loglik(y, params: Ar1Params):
     """Exact stationary AR(1) log-likelihood (additive constants dropped)."""
-    y = _as_series(y, 2)
+    y = _as_series(y, "ar1", EstimatorKind.FULL_ML)
     t_len = y.shape[-1]
     d = y - params.mu
     q_all = np.sum(d * d, axis=-1)
@@ -87,7 +102,7 @@ def ar1_full_loglik(y, params: Ar1Params):
 def ar1_pairwise_loglik(y, params: Ar1Params):
     """Consecutive pairwise AR(1) log-likelihood: sum of the T-1 bivariate
     Gaussian log-densities of adjacent pairs (constants dropped)."""
-    y = _as_series(y, 2)
+    y = _as_series(y, "ar1", EstimatorKind.PAIRWISE_ML)
     t_len = y.shape[-1]
     d = y - params.mu
     paired = np.sum(d[..., 1:] ** 2, axis=-1) + np.sum(d[..., :-1] ** 2, axis=-1)
@@ -109,7 +124,7 @@ def ar1_pairwise_closed_form(series) -> tuple[float, float]:
     Boundary values ``|phi_hat| >= 1`` are returned as-is; callers decide how
     to flag them.  Raises :class:`DegenerateDataError` when every pair is zero.
     """
-    y = np.atleast_2d(_as_series(series, 2))
+    y = np.atleast_2d(_as_series(series, "ar1", EstimatorKind.PAIRWISE_ML))
     nu, t_len = y.shape
     cross = float(np.sum(y[:, 1:] * y[:, :-1]))
     paired = float(np.sum(y[:, 1:] ** 2) + np.sum(y[:, :-1] ** 2))
@@ -130,7 +145,7 @@ def gaussian_hyvarinen(y, precision, mu: float = 0.0):
     prec = np.asarray(precision, dtype=float)
     if prec.ndim != 2 or prec.shape[0] != prec.shape[1]:
         raise ValueError(f"precision must be square, got shape {prec.shape}")
-    y = _as_series(y, 1)
+    y = _as_series(y)
     if y.shape[-1] != prec.shape[0]:
         raise ValueError(
             f"dimension mismatch: series length {y.shape[-1]} vs precision {prec.shape[0]}"
@@ -147,7 +162,7 @@ def ar1_hyvarinen(y, params: Ar1Params):
     residuals ``d_1 - phi d_2`` and ``d_T - phi d_{T-1}``, each squared over
     ``2 sigma2^2``, minus ``(2 + (T-2)(1+phi^2)) / sigma2``.
     """
-    y = _as_series(y, 3)
+    y = _as_series(y, "ar1", EstimatorKind.HYV_UNIVARIATE)
     t_len = y.shape[-1]
     d = y - params.mu
     interior = (1.0 + params.phi**2) * d[..., 1:-1] - params.phi * (d[..., :-2] + d[..., 2:])
@@ -165,7 +180,7 @@ def ma1_full_loglik(y, params: Ma1Params):
     The log-determinant comes from a Cholesky factor of the covariance; the
     quadratic form uses the closed-form precision matrix.
     """
-    y = _as_series(y, 1)
+    y = _as_series(y, "ma1", EstimatorKind.FULL_ML)
     t_len = y.shape[-1]
     omega = ma1_covariance(params, t_len)
     try:
@@ -185,7 +200,7 @@ def ma1_pairwise_loglik(y, params: Ma1Params):
     and covariance sigma2*alpha; the pair determinant is
     sigma2^2 * (1 + alpha^2 + alpha^4).
     """
-    y = _as_series(y, 2)
+    y = _as_series(y, "ma1", EstimatorKind.PAIRWISE_ML)
     t_len = y.shape[-1]
     a = params.alpha
     denom = 1.0 + a**2 + a**4
@@ -202,7 +217,7 @@ def ma1_pairwise_loglik(y, params: Ma1Params):
 
 def ma1_hyvarinen(y, params: Ma1Params):
     """MA(1) Hyvarinen score via the closed-form precision matrix."""
-    y = _as_series(y, 1)
+    y = _as_series(y, "ma1", EstimatorKind.HYV_UNIVARIATE)
     return gaussian_hyvarinen(y, ma1_precision(params, y.shape[-1]), params.mu)
 
 
@@ -228,20 +243,6 @@ def score_per_series(series, kind: EstimatorKind, model: str, theta: float):
     if kind is EstimatorKind.PAIRWISE_ML:
         return -ma1_pairwise_loglik(series, params)
     return ma1_hyvarinen(series, params)
-
-
-# the series lengths the evaluators above check, where more than 1 is needed
-_MIN_SERIES_LENGTH = {
-    ("ar1", EstimatorKind.FULL_ML): 2,
-    ("ar1", EstimatorKind.PAIRWISE_ML): 2,
-    ("ar1", EstimatorKind.HYV_UNIVARIATE): 3,
-    ("ma1", EstimatorKind.PAIRWISE_ML): 2,
-}
-
-
-def min_series_length(kind: EstimatorKind, model: str) -> int:
-    """Shortest series length the estimator's objective accepts for the model."""
-    return _MIN_SERIES_LENGTH.get((canonical_model(model), EstimatorKind(kind)), 1)
 
 
 def total_score(series, kind: EstimatorKind, model: str, theta: float) -> float:
