@@ -191,7 +191,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     try:
-        y = np.atleast_2d(np.loadtxt(args.data, delimiter=",", dtype=float))
+        y = np.loadtxt(args.data, delimiter=",", dtype=float, ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read data file {args.data!r}: {exc}") from exc
     except ValueError as exc:

@@ -24,6 +24,7 @@ from .scores import (
     DegenerateDataError,
     EstimatorKind,
     ar1_pairwise_closed_form,
+    min_series_length,
     score_per_series,
 )
 from .wishart import (
@@ -257,8 +258,9 @@ def fit(
     per-series objective over ``bounds``.  The sd uses the empirical Godambe
     information by default, or with ``info_method=MONTE_CARLO`` ``mc_draws``
     draws seeded by ``seed``; the Wishart kind always uses its exact
-    information (:func:`godambe_analytic`), which needs nu >= T + 4.
-    Estimates at the search boundary are flagged and get no sd.  ``are`` is
+    information (:func:`godambe_analytic`), which needs nu >= T + 4.  Series
+    shorter than :func:`~minscore.scores.min_series_length` (T >= 2 for every
+    estimator) are rejected.  Estimates at the search boundary are flagged and get no sd.  ``are`` is
     filled when ``sd_mle`` is supplied.
     """
     kind = EstimatorKind(kind)
@@ -266,6 +268,11 @@ def fit(
     y = np.atleast_2d(np.asarray(series, dtype=float))
     nu, t_len = y.shape
     method = _sd_method(kind, info_method)
+    need = min_series_length(kind, model)
+    if t_len < need:
+        raise ValueError(
+            f"the {kind} estimator on {model} needs series length >= {need}, got {t_len}"
+        )
 
     if kind is EstimatorKind.PAIRWISE_ML and model == "ar1":
         estimate, _ = ar1_pairwise_closed_form(y)

@@ -20,6 +20,7 @@ __all__ = [
     "ar1_precision",
     "ma1_covariance",
     "ma1_precision",
+    "ma1_geometric_sums",
     "sample_ar1",
     "sample_ma1",
     "sample_series",
@@ -128,17 +129,26 @@ def ma1_precision(params: Ma1Params, t_len: int) -> np.ndarray:
 
     Entry (i, j) for j >= i (1-based) is
     ``(-alpha)**(j-i) * g[i-1] * g[T-j] / (g[T] * sigma2)`` where
-    ``g[k] = 1 + alpha**2 + ... + alpha**(2k)``; the lower triangle follows by
-    symmetry.  The geometric sums are accumulated term by term, which stays
-    stable as ``|alpha|`` approaches 1.
+    ``g[k] = 1 + alpha**2 + ... + alpha**(2k)`` (:func:`ma1_geometric_sums`);
+    the lower triangle follows by symmetry.
     """
     t_len = _check_t(t_len, 1)
-    a = params.alpha
-    g = np.cumsum(np.power(a * a, np.arange(t_len + 1)))
+    g = ma1_geometric_sums(params.alpha, t_len)
     idx = np.arange(t_len)
     lo = np.minimum.outer(idx, idx)
     hi = np.maximum.outer(idx, idx)
-    return np.power(-a, hi - lo) * g[lo] * g[t_len - 1 - hi] / (g[t_len] * params.sigma2)
+    powers = np.power(-params.alpha, idx)
+    return powers[hi - lo] * g[lo] * g[t_len - 1 - hi] / (g[t_len] * params.sigma2)
+
+
+def ma1_geometric_sums(alpha: float, t_len: int) -> np.ndarray:
+    """``g[k] = 1 + alpha**2 + ... + alpha**(2k)`` for ``k = 0, ..., t_len``.
+
+    ``g[t_len]`` is the determinant of the unit-variance MA(1) covariance of
+    length ``t_len``; the sums are accumulated term by term, which stays
+    stable as ``|alpha|`` approaches 1.
+    """
+    return np.cumsum(np.power(alpha * alpha, np.arange(t_len + 1)))
 
 
 def _generator(seed) -> np.random.Generator:

@@ -16,15 +16,9 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import solveh_banded
 
-from .models import (
-    Ar1Params,
-    Ma1Params,
-    canonical_model,
-    ma1_covariance,
-    ma1_precision,
-    params_for,
-)
+from .models import Ar1Params, Ma1Params, canonical_model, ma1_geometric_sums, params_for
 
 __all__ = [
     "EstimatorKind",
@@ -59,23 +53,22 @@ class DegenerateDataError(ValueError):
     """Data carries no information for the requested estimate."""
 
 
-# shortest series each objective accepts, where more than 1 is needed
-_MIN_SERIES_LENGTH = {
-    ("ar1", EstimatorKind.FULL_ML): 2,
-    ("ar1", EstimatorKind.PAIRWISE_ML): 2,
-    ("ar1", EstimatorKind.HYV_UNIVARIATE): 3,
-    ("ma1", EstimatorKind.PAIRWISE_ML): 2,
-}
+# Every estimator needs T >= 2: at T = 1 the law depends on phi or alpha only
+# through its square, so the sign is not identified.  Longer minimums:
+_MIN_SERIES_LENGTH = {("ar1", EstimatorKind.HYV_UNIVARIATE): 3}
+_MIN_IDENTIFIED_LENGTH = 2
 
 
 def min_series_length(kind: EstimatorKind, model: str) -> int:
-    """Shortest series length the estimator's objective accepts for the model."""
-    return _MIN_SERIES_LENGTH.get((canonical_model(model), EstimatorKind(kind)), 1)
+    """Shortest series length the estimator accepts for the model."""
+    key = (canonical_model(model), EstimatorKind(kind))
+    return _MIN_SERIES_LENGTH.get(key, _MIN_IDENTIFIED_LENGTH)
 
 
 def _as_series(y, model: str | None = None, kind: EstimatorKind | None = None) -> np.ndarray:
+    # without a model, any length is accepted (the generic Gaussian score)
     y = np.asarray(y, dtype=float)
-    min_t = _MIN_SERIES_LENGTH.get((model, kind), 1)
+    min_t = 1 if model is None else _MIN_SERIES_LENGTH.get((model, kind), _MIN_IDENTIFIED_LENGTH)
     if y.ndim not in (1, 2):
         raise ValueError(f"expected a (T,) or (nu, T) array, got shape {y.shape}")
     if y.shape[-1] < min_t:
@@ -177,20 +170,27 @@ def ar1_hyvarinen(y, params: Ar1Params):
 def ma1_full_loglik(y, params: Ma1Params):
     """MA(1) log-likelihood ``-0.5 log|Omega| - 0.5 (y-mu) Omega^{-1} (y-mu)'``.
 
-    The log-determinant comes from a Cholesky factor of the covariance; the
-    quadratic form uses the closed-form precision matrix.
+    O(T) per series, with no dense T x T matrix: the log-determinant is the
+    closed form ``T log(sigma2) + log(g[T])`` with ``g`` from
+    :func:`~minscore.models.ma1_geometric_sums`, and the quadratic form comes
+    from one banded solve of the tridiagonal covariance for all series at once.
     """
     y = _as_series(y, "ma1", EstimatorKind.FULL_ML)
     t_len = y.shape[-1]
-    omega = ma1_covariance(params, t_len)
+    d = y - params.mu
+    logdet = t_len * np.log(params.sigma2) + np.log(ma1_geometric_sums(params.alpha, t_len)[-1])
+    return -0.5 * logdet - 0.5 * np.sum(d * _ma1_solve(d, params), axis=-1)
+
+
+def _ma1_solve(d: np.ndarray, params: Ma1Params) -> np.ndarray:
+    # Omega^{-1} d row by row, from the 2 x T upper band of the covariance
+    band = np.empty((2, d.shape[-1]))
+    band[0] = params.sigma2 * params.alpha  # band[0, 0] is not read
+    band[1] = params.sigma2 * (1.0 + params.alpha**2)
     try:
-        chol = np.linalg.cholesky(omega)
+        return solveh_banded(band, d.T, check_finite=False).T
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"MA(1) covariance is not positive definite: {exc}") from exc
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    d = y - params.mu
-    quad = np.sum((d @ ma1_precision(params, t_len)) * d, axis=-1)
-    return -0.5 * logdet - 0.5 * quad
 
 
 def ma1_pairwise_loglik(y, params: Ma1Params):
@@ -216,9 +216,17 @@ def ma1_pairwise_loglik(y, params: Ma1Params):
 
 
 def ma1_hyvarinen(y, params: Ma1Params):
-    """MA(1) Hyvarinen score via the closed-form precision matrix."""
+    """MA(1) Hyvarinen score ``0.5 ||P (y-mu)||^2 - tr(P)`` with ``P = Omega^{-1}``.
+
+    ``P (y-mu)`` comes from the banded solve of :func:`ma1_full_loglik` and the
+    trace from the closed-form diagonal of the precision,
+    ``tr(P) = sum_i g[i-1] g[T-i] / (g[T] sigma2)``; O(T) per series.
+    """
     y = _as_series(y, "ma1", EstimatorKind.HYV_UNIVARIATE)
-    return gaussian_hyvarinen(y, ma1_precision(params, y.shape[-1]), params.mu)
+    x = _ma1_solve(y - params.mu, params)
+    g = ma1_geometric_sums(params.alpha, y.shape[-1])
+    trace = np.sum(g[:-1] * g[-2::-1]) / (g[-1] * params.sigma2)
+    return 0.5 * np.sum(x * x, axis=-1) - trace
 
 
 def score_per_series(series, kind: EstimatorKind, model: str, theta: float):

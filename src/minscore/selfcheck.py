@@ -2,7 +2,7 @@
 
 Each check recomputes a quantity through an independent route (dense
 inversion, finite differences, brute-force summation, closed-form argmax) and
-compares.  Everything here runs in a few seconds.
+compares.  Everything here runs in under a second.
 """
 
 from __future__ import annotations
@@ -43,6 +43,25 @@ def _check_hyvarinen_closed_forms() -> None:
             direct = scores.ma1_hyvarinen(y, ma)
             generic = scores.gaussian_hyvarinen(y, models.ma1_precision(ma, t_len))
             assert np.max(np.abs(direct - generic)) < 1e-8
+
+
+def _check_ma1_banded_objectives() -> None:
+    # the O(T) MA(1) objectives against dense slogdet/solve and the dense
+    # precision, at a long series and |alpha| near the invertibility bound
+    rng = np.random.default_rng(17)
+    t_len = 200
+    for alpha in (-0.999, 0.999):
+        ma = models.Ma1Params(0.3, 1.7, alpha)
+        y = ma.mu + rng.standard_normal((4, t_len))
+        d = y - ma.mu
+        cov = models.ma1_covariance(ma, t_len)
+        quad = np.sum(d * np.linalg.solve(cov, d.T).T, axis=1)
+        full = -0.5 * np.linalg.slogdet(cov)[1] - 0.5 * quad
+        hyv = scores.gaussian_hyvarinen(y, models.ma1_precision(ma, t_len), ma.mu)
+        for got, dense in ((scores.ma1_full_loglik(y, ma), full),
+                           (scores.ma1_hyvarinen(y, ma), hyv)):
+            err = np.max(np.abs(got - dense)) / np.max(np.abs(dense))
+            assert err < 1e-10, f"banded MA(1) objective off by {err} (relative) at alpha={alpha}"
 
 
 def _check_wishart_sensitivity() -> None:
@@ -109,6 +128,7 @@ def _check_minimizer() -> None:
 CHECKS = (
     ("precision matrices invert covariances", _check_precision_identity),
     ("closed-form Hyvarinen scores match generic Gaussian form", _check_hyvarinen_closed_forms),
+    ("banded MA(1) objectives match dense linear algebra", _check_ma1_banded_objectives),
     ("AR(1) Wishart sensitivity matches brute-force sum", _check_wishart_sensitivity),
     ("Wishart score gradient matches finite differences", _check_wishart_gradient),
     ("exact Wishart variability matches inverse chi-square and Monte Carlo",

@@ -12,6 +12,7 @@ results; aggregation happens in replicate order.
 
 from __future__ import annotations
 
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -147,10 +148,12 @@ def run_experiment(
 ):
     """Run the full study; returns one report row per grid value x estimator.
 
-    Individual replicate failures are tolerated up to 10% per grid point;
-    beyond that the study aborts.  With ``return_details=True`` also returns
-    the per-replicate estimates and sds keyed by (param, estimator), which the
-    property checks use.
+    Individual replicate failures are tolerated up to 10% per grid point, each
+    grid point with failures emitting one ``RuntimeWarning``; beyond that the
+    study aborts.  Both messages give the failure count and the first message
+    of each exception type, in replicate order.  With ``return_details=True``
+    also returns the per-replicate estimates and sds keyed by (param,
+    estimator), which the property checks use.
     """
     cfg.validate()
     kinds = _fit_kinds(cfg)
@@ -172,17 +175,23 @@ def run_experiment(
         else:
             outcomes = [replicate(r) for r in range(cfg.replicates)]
 
+        first_causes: dict[str, str] = {}
         for outcome in outcomes:
             if isinstance(outcome, Exception):
                 failures += 1
+                first_causes.setdefault(type(outcome).__name__, str(outcome))
                 continue
             for kind in kinds:
                 stats[kind].add(outcome[kind])
-        if failures > MAX_FAILURE_FRACTION * cfg.replicates:
-            raise RuntimeError(
+        if failures:
+            causes = "".join(f"; first {name}: {text}" for name, text in first_causes.items())
+            summary = (
                 f"{failures}/{cfg.replicates} replicates failed at "
-                f"{cfg.model} parameter {theta0}"
+                f"{cfg.model} parameter {theta0}{causes}"
             )
+            if failures > MAX_FAILURE_FRACTION * cfg.replicates:
+                raise RuntimeError(summary)
+            warnings.warn(summary, RuntimeWarning, stacklevel=2)
 
         cell_mle = stats[EstimatorKind.FULL_ML]
         if not cell_mle.sds:

@@ -3,7 +3,8 @@
 Studies use 200 replicates of nu=200 series of length T=50 with a fixed seed;
 tolerances around the reference values are widened accordingly.  Each
 criterion prints one PASS/FAIL line (run with ``pytest tests/test_acceptance.py
--v -s``).  The two shared studies take a few minutes combined.
+-v -s``).  The two shared studies take a few minutes combined; every test
+that uses them is marked ``slow``, so ``pytest -m "not slow"`` leaves them out.
 """
 
 import time
@@ -173,6 +174,7 @@ def exact_wishart_efficiency(model, theta, nu=NU, t_len=T_LEN):
     return sensitivity**2 / (nu * variability * fisher)
 
 
+@pytest.mark.slow
 def test_criterion_1_ar1_table(ar1_study):
     rows, _, elapsed = ar1_study
     rmap = row_map(rows)
@@ -197,6 +199,7 @@ def test_criterion_1_ar1_table(ar1_study):
     report("1: AR(1) table spot rows", checks)
 
 
+@pytest.mark.slow
 def test_criterion_2_ma1_table(ma1_study):
     rows, _, elapsed = ma1_study
     rmap = row_map(rows)
@@ -219,6 +222,7 @@ def test_criterion_2_ma1_table(ma1_study):
     report("2: MA(1) table spot rows", checks)
 
 
+@pytest.mark.slow
 def test_criterion_3_qualitative_crossover(ar1_study, ma1_study):
     ar_rows = row_map(ar1_study[0])
     ma_rows = row_map(ma1_study[0])
@@ -401,6 +405,7 @@ def test_criterion_6_cli_determinism(tmp_path):
     report("6: determinism", checks)
 
 
+@pytest.mark.slow
 class TestStudyInvariants:
     """Cross-checks on the shared studies (not numbered criteria)."""
 

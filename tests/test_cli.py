@@ -92,6 +92,16 @@ class TestFit:
         assert code == 1
         assert "nu >= T + 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model,estimator", [("ma1", "full"), ("ar1", "hyv-wishart")])
+    def test_one_column_file_exits_1_names_bound(self, tmp_path, capsys, model, estimator):
+        # one value per row is nu series of length 1, where the sign of the
+        # dependence parameter is not identified
+        data = tmp_path / "column.csv"
+        data.write_text("".join(f"{v}\n" for v in np.linspace(-1.0, 1.0, 20)))
+        code = cli_main(["fit", "--data", str(data), "--model", model, "--estimator", estimator])
+        assert code == 1
+        assert "length >= 2, got 1" in capsys.readouterr().err
+
     def test_output_file_and_baseline_are(self, tmp_path):
         data = tmp_path / "data.csv"
         cli_main([
@@ -140,6 +150,14 @@ class TestTable:
         ])
         assert code == 1
         assert "t >= 3" in capsys.readouterr().err
+
+    def test_single_observation_series_exits_1_names_bound(self, tmp_path, capsys):
+        code = cli_main([
+            "table", "--model", "ma1", "--grid", "0.3", "--nu", "20", "--t", "1",
+            "--replicates", "3", "--estimators", "hyv", "--out", str(tmp_path / "t.csv"),
+        ])
+        assert code == 1
+        assert "t >= 2" in capsys.readouterr().err
 
     def test_workers_flag_overrides_config_file(self, tmp_path, monkeypatch):
         import minscore.cli as cli

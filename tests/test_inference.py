@@ -18,8 +18,10 @@ from minscore import (
     params_for,
     sample_ar1,
     sample_ma1,
+    sample_series,
     score_per_series,
 )
+from minscore.scores import min_series_length
 
 
 def per_series_moments(y, kind, model, theta):
@@ -234,6 +236,15 @@ class TestFit:
         mc = godambe_montecarlo("ma1", record.estimate, EstimatorKind.HYV_WISHART,
                                 8000, seed=66, t_len=12, nu=60)
         assert abs(mc.sd(60) / record.sd - 1.0) < 0.05
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_single_observation_series_rejected(self, model, kind):
+        # at T = 1 only theta**2 is identified; the Wishart estimate would
+        # otherwise be returned without error
+        y = sample_series(model, 0.3, 20, 1, seed=69)
+        with pytest.raises(ValueError, match=f">= {min_series_length(kind, model)}"):
+            fit(y, kind, model)
 
     def test_wishart_sd_needs_four_extra_series(self):
         # the point estimate needs nu >= T + 2, its sd nu >= T + 4

@@ -132,6 +132,19 @@ class TestMa1Precision:
         prec = ma1_precision(Ma1Params(0, 1, 0.6), 11)
         assert np.array_equal(prec, prec.T)
 
+    @pytest.mark.parametrize("t_len", [1, 2, 50, 200])
+    @pytest.mark.parametrize("alpha", [-0.999, -0.5, 0.0, 0.3, 0.9])
+    def test_equals_elementwise_power_formula(self, t_len, alpha):
+        # indexing the T powers of -alpha must give the same bits as raising
+        # -alpha to the whole lag matrix
+        a = alpha
+        g = np.cumsum(np.power(a * a, np.arange(t_len + 1)))
+        idx = np.arange(t_len)
+        lo = np.minimum.outer(idx, idx)
+        hi = np.maximum.outer(idx, idx)
+        expected = np.power(-a, hi - lo) * g[lo] * g[t_len - 1 - hi] / (g[t_len] * 1.3)
+        assert np.array_equal(ma1_precision(Ma1Params(0.2, 1.3, alpha), t_len), expected)
+
 
 class TestSamplers:
     def test_ar1_seed_determinism(self):

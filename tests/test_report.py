@@ -217,6 +217,49 @@ class TestRunExperiment:
         rows = run_experiment(cfg)
         assert rows[0].n_replicates == 19
 
+    def test_failure_messages_name_the_first_cause_of_each_type(self, monkeypatch):
+        import minscore.simulate as sim
+
+        real = sim._one_replicate
+
+        causes = {
+            2: RuntimeError("synthetic replicate failure 2"),
+            4: RuntimeError("synthetic replicate failure 4"),
+            6: ValueError("bad replicate 6"),
+            8: ValueError("bad replicate 8"),
+        }
+
+        def failing(cfg, theta0, grid_index, rep_index, kinds):
+            if rep_index in causes:
+                raise causes[rep_index]
+            return real(cfg, theta0, grid_index, rep_index, kinds)
+
+        monkeypatch.setattr(sim, "_one_replicate", failing)
+        cfg = ExperimentConfig(
+            model="ar1", param_grid=(0.2,), nu=20, t_len=5, replicates=20,
+            mc_b=50, seed=13, estimators=(EstimatorKind.FULL_ML,),
+        )
+        with pytest.raises(RuntimeError) as info:
+            run_experiment(cfg, workers=2)
+        assert str(info.value) == (
+            "4/20 replicates failed at ar1 parameter 0.2; "
+            "first RuntimeError: synthetic replicate failure 2; "
+            "first ValueError: bad replicate 6"
+        )
+        # up to 10% of failures are tolerated, with one warning per grid point
+        for rep_index in (4, 6, 8):
+            del causes[rep_index]
+        cfg.replicates = 10
+        cfg.param_grid = (0.2, 0.4)
+        with pytest.warns(RuntimeWarning) as caught:
+            rows = run_experiment(cfg)
+        assert [str(w.message) for w in caught] == [
+            f"1/10 replicates failed at ar1 parameter {theta}; "
+            "first RuntimeError: synthetic replicate failure 2"
+            for theta in (0.2, 0.4)
+        ]
+        assert [row.n_replicates for row in rows] == [9, 9]
+
     def test_widespread_failures_abort(self, monkeypatch):
         import minscore.simulate as sim
 

@@ -276,7 +276,7 @@ class TestMa1Hyvarinen:
         got = ma1_hyvarinen(np.full(4, 0.3), params)
         npt.assert_allclose(got, -np.trace(ma1_precision(params, 4)), rtol=1e-12)
 
-    @pytest.mark.parametrize("t_len", range(1, 21))
+    @pytest.mark.parametrize("t_len", range(2, 21))
     @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.5, 0.9])
     def test_matches_generic_gaussian_form(self, t_len, alpha):
         rng = np.random.default_rng(100 + t_len)
@@ -293,6 +293,35 @@ class TestMa1Hyvarinen:
         prec = ma1_precision(params, 4)
         oracle = fd_hyvarinen(y, lambda v: -0.5 * v @ prec @ v)
         npt.assert_allclose(ma1_hyvarinen(y, params), oracle, atol=1e-5)
+
+
+class TestMa1BandedObjectives:
+    """The O(T) MA(1) objectives against dense T x T linear algebra."""
+
+    @pytest.mark.parametrize("t_len", [2, 3, 50, 200])
+    @pytest.mark.parametrize("alpha", [-0.999, -0.9, 0.0, 0.5, 0.999])
+    def test_match_dense_forms(self, t_len, alpha):
+        params = Ma1Params(0.3, 1.7, alpha)
+        rng = np.random.default_rng(t_len)
+        y = params.mu + np.sqrt(params.sigma2) * rng.standard_normal((4, t_len))
+        d = y - params.mu
+        cov = ma1_covariance(params, t_len)
+        quad = np.sum(d * np.linalg.solve(cov, d.T).T, axis=1)
+        full = -0.5 * np.linalg.slogdet(cov)[1] - 0.5 * quad
+        hyv = gaussian_hyvarinen(y, ma1_precision(params, t_len), params.mu)
+        for got, dense in ((ma1_full_loglik(y, params), full), (ma1_hyvarinen(y, params), hyv)):
+            assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+    def test_solver_failure_is_a_value_error(self, monkeypatch):
+        import minscore.scores as sc
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("leading minor not positive definite")
+
+        monkeypatch.setattr(sc, "solveh_banded", singular)
+        for objective in (ma1_full_loglik, ma1_hyvarinen):
+            with pytest.raises(ValueError, match="not positive definite"):
+                objective(np.zeros((2, 4)), Ma1Params(0, 1, 0.5))
 
 
 class TestTotalScore:
