@@ -51,13 +51,10 @@ from .wishart import (
 from .inference import (
     EstimateRecord,
     GodambeComponents,
-    InfoMethod,
     are,
-    fisher_information,
     fit,
     godambe_analytic,
     godambe_empirical,
-    godambe_montecarlo,
 )
 from .simulate import ConfigError, ExperimentConfig, ReportRow, run_experiment
 from .report import CSV_HEADER, emit_are_svg, emit_csv
@@ -104,13 +101,10 @@ __all__ = [
     "wishart_variability",
     "EstimateRecord",
     "GodambeComponents",
-    "InfoMethod",
     "are",
-    "fisher_information",
     "fit",
     "godambe_analytic",
     "godambe_empirical",
-    "godambe_montecarlo",
     "ConfigError",
     "ExperimentConfig",
     "ReportRow",

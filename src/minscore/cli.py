@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .inference import EstimateRecord, fit
-from .models import params_for, sample_ar1, sample_ma1
+from .models import sample_series
 from .report import emit_are_svg, emit_csv
 from .scores import EstimatorKind
 from .selfcheck import run_checks
@@ -180,9 +180,7 @@ def _record_line(record: EstimateRecord) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    params = params_for(args.model, args.param)
-    sampler = sample_ar1 if args.model == "ar1" else sample_ma1
-    y = sampler(params, args.nu, args.t, args.seed)
+    y = sample_series(args.model, args.param, args.nu, args.t, args.seed)
     lines = [",".join(f"{v:.17g}" for v in row) for row in y]
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -63,8 +63,9 @@ class ExperimentConfig:
         for value in self.param_grid:
             if not -1.0 < value < 1.0:
                 raise ConfigError(f"grid value {value} is outside the open interval (-1, 1)")
-        if self.nu < 1 or self.t_len < 1:
-            raise ConfigError(f"nu and t must be positive, got nu={self.nu}, t={self.t_len}")
+        if self.nu < 2:
+            raise ConfigError(f"every sd needs nu >= 2 series; got nu={self.nu}")
+        # t >= 2 for every estimator, so this also rejects t < 1
         for kind in _fit_kinds(self):
             need = min_series_length(kind, self.model)
             if self.t_len < need:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from minscore import sample_series
 from minscore.cli import cli_main
 
 TABLE_ARGS = [
@@ -35,6 +36,16 @@ class TestSimulate:
                 "--t", "8", "--seed", "11", "--out", str(path),
             ]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("model,param", [("ar1", 0.5), ("ma1", -0.4)])
+    def test_values_are_sample_series(self, tmp_path, model, param):
+        out = tmp_path / "series.csv"
+        assert cli_main([
+            "simulate", "--model", model, "--param", str(param), "--nu", "6",
+            "--t", "9", "--seed", "8", "--out", str(out),
+        ]) == 0
+        written = np.loadtxt(out, delimiter=",", ndmin=2)
+        assert np.array_equal(written, sample_series(model, param, 6, 9, 8))
 
     def test_bad_param_exits_1(self, tmp_path, capsys):
         code = cli_main([
@@ -158,6 +169,19 @@ class TestTable:
         ])
         assert code == 1
         assert "t >= 2" in capsys.readouterr().err
+
+    def test_single_series_exits_1_before_fitting(self, tmp_path, capsys, monkeypatch):
+        import minscore.simulate as sim
+
+        fitted = []
+        monkeypatch.setattr(sim, "_one_replicate", lambda *args: fitted.append(args))
+        code = cli_main([
+            "table", "--model", "ar1", "--grid", "0.5", "--nu", "1", "--t", "5",
+            "--replicates", "3", "--estimators", "full", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 1
+        assert "nu >= 2" in capsys.readouterr().err
+        assert fitted == []
 
     def test_workers_flag_overrides_config_file(self, tmp_path, monkeypatch):
         import minscore.cli as cli

@@ -1,4 +1,4 @@
-"""Godambe estimation, Fisher information, relative efficiency and fit."""
+"""Godambe estimation, its Monte Carlo references, relative efficiency and fit."""
 
 import numpy as np
 import numpy.testing as npt
@@ -7,19 +7,18 @@ import pytest
 from minscore import (
     DegenerateDataError,
     EstimatorKind,
-    InfoMethod,
     are,
-    fisher_information,
     fit,
     godambe_analytic,
     godambe_empirical,
-    godambe_montecarlo,
+    hw_grad_samples,
     k_analytic_ar1,
     params_for,
     sample_ar1,
     sample_ma1,
     sample_series,
     score_per_series,
+    wishart_sensitivity,
 )
 from minscore.scores import min_series_length
 
@@ -81,17 +80,18 @@ class TestGodambeEmpirical:
 
 
 class TestGodambeMonteCarlo:
+    """Per-series components from fresh draws at theta go through
+    godambe_empirical; Wishart ones from hw_grad_samples and the sensitivity."""
+
     def test_agrees_with_empirical(self):
         # within 3 combined MC standard errors, component by component
         theta0 = 0.5
         nu = 3000
         y = sample_ar1(params_for("ar1", theta0), nu, 30, seed=45)
         emp = godambe_empirical(y, EstimatorKind.HYV_UNIVARIATE, "ar1", theta0)
-        mc = godambe_montecarlo(
-            "ar1", theta0, EstimatorKind.HYV_UNIVARIATE, nu, seed=46, t_len=30
-        )
-        g_emp, k_emp = per_series_moments(y, EstimatorKind.HYV_UNIVARIATE, "ar1", theta0)
         draws = sample_ar1(params_for("ar1", theta0), nu, 30, seed=46)
+        mc = godambe_empirical(draws, EstimatorKind.HYV_UNIVARIATE, "ar1", theta0)
+        g_emp, k_emp = per_series_moments(y, EstimatorKind.HYV_UNIVARIATE, "ar1", theta0)
         g_mc, k_mc = per_series_moments(draws, EstimatorKind.HYV_UNIVARIATE, "ar1", theta0)
         se_j = np.sqrt(np.var(g_emp**2, ddof=1) / nu + np.var(g_mc**2, ddof=1) / nu)
         se_k = np.sqrt(np.var(k_emp, ddof=1) / nu + np.var(k_mc, ddof=1) / nu)
@@ -99,67 +99,45 @@ class TestGodambeMonteCarlo:
         assert abs(emp.k_hat - mc.k_hat) < 3 * se_k
 
     def test_wishart_k_is_analytic(self):
-        comps = godambe_montecarlo(
-            "ar1", 0.5, EstimatorKind.HYV_WISHART, 500, seed=47, t_len=50, nu=200
-        )
-        npt.assert_allclose(comps.k_hat, k_analytic_ar1(0.5, 50), rtol=1e-12)
-        assert abs(comps.k_hat - 36.5) < 0.5
+        k_hat = wishart_sensitivity("ar1", 0.5, 50)
+        npt.assert_allclose(k_hat, k_analytic_ar1(0.5, 50), rtol=1e-12)
+        assert abs(k_hat - 36.5) < 0.5
 
     def test_wishart_sd_normalization(self):
         # sd via 1/sqrt(nu*g) equals sqrt(Var of the pooled gradient)/K
         nu, t_len = 200, 50
-        comps = godambe_montecarlo(
-            "ar1", 0.0, EstimatorKind.HYV_WISHART, 500, seed=48, t_len=t_len, nu=nu
-        )
+        comps = godambe_analytic("ar1", 0.0, t_len=t_len, nu=nu)
         j_total = comps.j_hat / nu
         npt.assert_allclose(comps.sd(nu), np.sqrt(j_total) / comps.k_hat, rtol=1e-12)
         # Table value 0.0117 at phi=0 with generous MC allowance (B=500)
-        assert abs(comps.sd(nu) - 0.0117) < 0.0012
+        grads = hw_grad_samples("ar1", 0.0, nu, t_len, 500, seed=48)
+        mc_sd = np.sqrt(np.mean(grads**2)) / wishart_sensitivity("ar1", 0.0, t_len)
+        assert abs(mc_sd - 0.0117) < 0.0012
 
     def test_law_of_large_numbers(self):
-        small = godambe_montecarlo(
-            "ar1", 0.3, EstimatorKind.HYV_WISHART, 50, seed=49, t_len=10, nu=40
-        )
-        big = godambe_montecarlo(
-            "ar1", 0.3, EstimatorKind.HYV_WISHART, 5000, seed=49, t_len=10, nu=40
-        )
-        huge = godambe_montecarlo(
-            "ar1", 0.3, EstimatorKind.HYV_WISHART, 20000, seed=50, t_len=10, nu=40
-        )
-        assert abs(big.j_hat - huge.j_hat) < abs(small.j_hat - huge.j_hat)
+        def j_hat(n_draws, seed):
+            grads = hw_grad_samples("ar1", 0.3, 40, 10, n_draws, seed)
+            return np.mean(grads**2)
 
-    def test_needs_wishart_nu(self):
-        with pytest.raises(ValueError):
-            godambe_montecarlo("ar1", 0.3, EstimatorKind.HYV_WISHART, 100, seed=0, t_len=10)
-
-    def test_minimum_draws(self):
-        with pytest.raises(ValueError):
-            godambe_montecarlo("ar1", 0.3, EstimatorKind.FULL_ML, 10, seed=0, t_len=10)
+        small, big, huge = j_hat(50, 49), j_hat(5000, 49), j_hat(20000, 50)
+        assert abs(big - huge) < abs(small - huge)
 
 
 class TestFisherInformation:
+    """Fisher information is the Godambe information of the log-score
+    (J = K = I), here estimated from draws at theta0."""
+
     def test_ar1_at_zero(self):
         # I = T - 1 = 49 per series; sd at nu=200 is 1/sqrt(200*49) = 0.0101
-        info = fisher_information("ar1", 0.0, t_len=50, n_draws=4000, seed=51)
+        y = sample_series("ar1", 0.0, 4000, 50, seed=51)
+        info = godambe_empirical(y, EstimatorKind.FULL_ML, "ar1", 0.0).g_hat
         assert abs(1.0 / np.sqrt(200 * info) - 0.0101) < 0.0005
         assert abs(info - 49.0) < 3.0
 
     def test_ma1_at_zero(self):
-        info = fisher_information("ma1", 0.0, t_len=50, n_draws=4000, seed=52)
+        y = sample_series("ma1", 0.0, 4000, 50, seed=52)
+        info = godambe_empirical(y, EstimatorKind.FULL_ML, "ma1", 0.0).g_hat
         assert abs(1.0 / np.sqrt(200 * info) - 0.0101) < 0.0005
-
-    def test_methods_agree(self):
-        emp = fisher_information("ar1", 0.5, InfoMethod.EMPIRICAL,
-                                 t_len=30, n_draws=3000, seed=53)
-        mc = fisher_information("ar1", 0.5, InfoMethod.MONTE_CARLO,
-                                t_len=30, n_draws=3000, seed=54)
-        # I ~ 40 at these sizes; 3 combined SEs is roughly 3*I*sqrt(2*2/n)
-        combined = 3 * emp * np.sqrt(4.0 / 3000)
-        assert abs(emp - mc) < combined
-
-    def test_analytic_method_rejected(self):
-        with pytest.raises(ValueError):
-            fisher_information("ar1", 0.0, InfoMethod.ANALYTIC, t_len=10)
 
 
 class TestAre:
@@ -203,10 +181,10 @@ class TestFit:
         record = fit(y, EstimatorKind.FULL_ML, "ar1")
         self_rel = are(record.sd, record.sd)
         assert self_rel == 1.0
-        # routed through the Monte Carlo Godambe path instead
-        mc = fit(y, EstimatorKind.FULL_ML, "ar1", info_method=InfoMethod.MONTE_CARLO,
-                 mc_draws=4000, seed=59)
-        assert abs(are(record.sd, mc.sd) - 1.0) < 0.05
+        # the Godambe sd from 4000 fresh draws at the estimate agrees
+        draws = sample_series("ar1", record.estimate, 4000, 30, seed=59)
+        mc = godambe_empirical(draws, EstimatorKind.FULL_ML, "ar1", record.estimate)
+        assert abs(are(record.sd, mc.sd(400)) - 1.0) < 0.05
 
     def test_boundary_flag_from_closed_form(self):
         y = np.tile([1.0, 1.0, 1.0], (3, 1))
@@ -230,12 +208,18 @@ class TestFit:
         y = sample_ma1(params_for("ma1", 0.3), 60, 12, seed=65)
         record = fit(y, EstimatorKind.HYV_WISHART, "ma1")
         comps = godambe_analytic("ma1", record.estimate, t_len=12, nu=60)
-        assert comps.method is InfoMethod.ANALYTIC
         assert record.sd == comps.sd(60)
         # the Monte Carlo reference at many draws agrees to a few percent
-        mc = godambe_montecarlo("ma1", record.estimate, EstimatorKind.HYV_WISHART,
-                                8000, seed=66, t_len=12, nu=60)
-        assert abs(mc.sd(60) / record.sd - 1.0) < 0.05
+        grads = hw_grad_samples("ma1", record.estimate, 60, 12, 8000, seed=66)
+        mc_sd = np.sqrt(np.mean(grads**2)) / wishart_sensitivity("ma1", record.estimate, 12)
+        assert abs(mc_sd / record.sd - 1.0) < 0.05
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    @pytest.mark.parametrize("kind", ["full", "pairwise", "hyv"])
+    def test_per_series_sd_is_empirical(self, model, kind):
+        y = sample_series(model, 0.4, 60, 12, seed=70)
+        record = fit(y, kind, model)
+        assert record.sd == godambe_empirical(y, kind, model, record.estimate).sd(60)
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     @pytest.mark.parametrize("kind", list(EstimatorKind))
@@ -252,13 +236,6 @@ class TestFit:
         assert not fit(y, EstimatorKind.HYV_WISHART, "ar1", compute_sd=False).boundary_flag
         with pytest.raises(ValueError, match=r"nu >= T \+ 4"):
             fit(y, EstimatorKind.HYV_WISHART, "ar1")
-
-    def test_sd_method_must_suit_the_kind(self):
-        y = sample_ar1(params_for("ar1", 0.2), 30, 8, seed=68)
-        with pytest.raises(ValueError, match="montecarlo"):
-            fit(y, EstimatorKind.HYV_WISHART, "ar1", info_method=InfoMethod.MONTE_CARLO)
-        with pytest.raises(ValueError, match="analytic"):
-            fit(y, EstimatorKind.FULL_ML, "ar1", info_method=InfoMethod.ANALYTIC)
 
     def test_godambe_sd_predicts_sampling_scatter(self):
         # across replicates the spread of estimates matches the mean reported
@@ -293,8 +270,6 @@ class TestUnbiasedEstimatingEquations:
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     @pytest.mark.parametrize("theta0", [0.0, 0.5, -0.5])
     def test_wishart_kind(self, model, theta0):
-        from minscore import hw_grad_samples
-
         grads = hw_grad_samples(model, theta0, nu=50, t_len=10, n_draws=1000, seed=64)
         se = np.std(grads, ddof=1) / np.sqrt(len(grads))
         assert abs(np.mean(grads)) < 5 * se

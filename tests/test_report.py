@@ -189,6 +189,19 @@ class TestRunExperiment:
             estimators=(EstimatorKind.FULL_ML,),
         ).validate()
 
+    @pytest.mark.parametrize("nu", [0, 1])
+    def test_config_needs_two_series(self, nu):
+        # every sd averages over series, so a one-series study could only fail
+        with pytest.raises(ConfigError, match="nu >= 2"):
+            ExperimentConfig(
+                model="ar1", param_grid=(0.5,), nu=nu, t_len=5,
+                estimators=(EstimatorKind.FULL_ML,),
+            ).validate()
+        ExperimentConfig(
+            model="ar1", param_grid=(0.5,), nu=2, t_len=5,
+            estimators=(EstimatorKind.FULL_ML,),
+        ).validate()
+
     def test_details_returned_on_request(self):
         cfg = ExperimentConfig(
             model="ar1", param_grid=(0.2,), nu=25, t_len=6, replicates=5,
