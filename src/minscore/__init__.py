@@ -14,6 +14,8 @@ from .models import (
     ar1_covariance,
     ar1_precision,
     ma1_covariance,
+    ma1_eigenvalues,
+    ma1_eigenvectors,
     ma1_precision,
     params_for,
     sample_ar1,
@@ -21,7 +23,7 @@ from .models import (
     sample_series,
     sum_of_squares,
 )
-from .optimize import MinimizationError, minimize_scalar, num_grad, num_hess
+from .optimize import MinimizationError, minimize_scalar
 from .scores import (
     DegenerateDataError,
     EstimatorKind,
@@ -34,6 +36,7 @@ from .scores import (
     ma1_hyvarinen,
     ma1_pairwise_loglik,
     score_per_series,
+    series_objective,
     total_score,
 )
 from .wishart import (
@@ -67,6 +70,8 @@ __all__ = [
     "ar1_covariance",
     "ar1_precision",
     "ma1_covariance",
+    "ma1_eigenvalues",
+    "ma1_eigenvectors",
     "ma1_precision",
     "params_for",
     "sample_ar1",
@@ -75,8 +80,6 @@ __all__ = [
     "sum_of_squares",
     "MinimizationError",
     "minimize_scalar",
-    "num_grad",
-    "num_hess",
     "DegenerateDataError",
     "EstimatorKind",
     "ar1_full_loglik",
@@ -88,6 +91,7 @@ __all__ = [
     "ma1_hyvarinen",
     "ma1_pairwise_loglik",
     "score_per_series",
+    "series_objective",
     "total_score",
     "WishartContext",
     "hw_estimate",

@@ -6,7 +6,8 @@ Godambe information G = K^2 / J, and the estimator's asymptotic standard
 deviation is 1 / sqrt(nu * G).
 
 Each estimator has one sd route.  The per-series kinds estimate J and K
-from the observed series (:func:`godambe_empirical`).  The Wishart
+from the observed series (:func:`godambe_empirical`), using the exact
+per-series gradients and second derivatives of their objectives.  The Wishart
 estimator's score acts on the pooled statistic S = Y'Y rather than series by
 series; its raw gradient variance, exact in closed form
 (:func:`godambe_analytic`), is rescaled by nu so the one sd formula applies
@@ -20,13 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import canonical_model
-from .optimize import num_grad, num_hess, minimize_scalar
+from .optimize import minimize_scalar
 from .scores import (
     DegenerateDataError,
     EstimatorKind,
     ar1_pairwise_closed_form,
     min_series_length,
-    score_per_series,
+    series_objective,
 )
 from .wishart import (
     SEARCH_BOUNDS,
@@ -80,20 +81,20 @@ def godambe_empirical(
     series, kind: EstimatorKind, model: str, theta_hat: float
 ) -> GodambeComponents:
     """Empirical J and K: per-series squared gradients and second derivatives
-    of the objective, averaged over the observed series at theta_hat."""
+    of the objective, averaged over the observed series at theta_hat.
+
+    Both derivatives are exact, from the series' sufficient statistics
+    (:func:`~minscore.scores.series_objective`).
+    """
     kind = EstimatorKind(kind)
     if kind is EstimatorKind.HYV_WISHART:
         raise ValueError("empirical per-series estimation does not apply to the Wishart score")
     y = np.atleast_2d(np.asarray(series, dtype=float))
     if y.shape[0] < 2:
         raise ValueError(f"need at least 2 series, got {y.shape[0]}")
-
-    def per_series(theta: float) -> np.ndarray:
-        return score_per_series(y, kind, model, theta)
-
-    g = num_grad(per_series, theta_hat)
+    g, h = series_objective(y, kind, model).derivatives(theta_hat)
     j_hat = float(np.mean(g * g))
-    k_hat = float(np.mean(num_hess(per_series, theta_hat)))
+    k_hat = float(np.mean(h))
     if not np.isfinite(j_hat) or j_hat <= _DEGENERATE_RATIO * k_hat**2:
         raise DegenerateDataError(
             "score variability is numerically zero; data carry no sampling variance"
@@ -144,9 +145,11 @@ def fit(
     the empirical Godambe information (:func:`godambe_empirical`); the Wishart
     kind uses its exact information (:func:`godambe_analytic`), which needs
     nu >= T + 4.  Series shorter than
-    :func:`~minscore.scores.min_series_length` (T >= 2 for every estimator)
-    are rejected.  Estimates at the search boundary are flagged and get no
-    sd.  ``are`` is filled when ``sd_mle`` is supplied.
+    :func:`~minscore.scores.min_series_length` (T >= 2 for every estimator),
+    fewer than 2 series when the sd is wanted, and fewer than T + 2 series
+    for the Wishart estimate are rejected before any minimization.  Estimates
+    at the search boundary are flagged and get no sd.  ``are`` is filled when
+    ``sd_mle`` is supplied.
     """
     kind = EstimatorKind(kind)
     model = canonical_model(model)
@@ -157,6 +160,15 @@ def fit(
         raise ValueError(
             f"the {kind} estimator on {model} needs series length >= {need}, got {t_len}"
         )
+    if compute_sd and nu < 2:
+        raise ValueError(f"every sd needs nu >= 2 series; got nu={nu}")
+    if kind is EstimatorKind.HYV_WISHART:
+        extra = 4 if compute_sd else 2
+        if nu < t_len + extra:
+            what = "sd" if compute_sd else "score"
+            raise ValueError(
+                f"the Wishart {what} needs nu >= T + {extra}; got nu={nu}, T={t_len}"
+            )
 
     if kind is EstimatorKind.PAIRWISE_ML and model == "ar1":
         estimate, _ = ar1_pairwise_closed_form(y)
@@ -166,10 +178,7 @@ def fit(
         boundary = _at_edge(estimate, bounds, tol)
     else:
         estimate = minimize_scalar(
-            lambda theta: float(np.sum(score_per_series(y, kind, model, theta))),
-            bounds[0],
-            bounds[1],
-            tol=tol,
+            series_objective(y, kind, model).total, bounds[0], bounds[1], tol=tol
         )
         boundary = _at_edge(estimate, bounds, tol)
 

@@ -1,13 +1,23 @@
 """Stationary AR(1) and MA(1) models: parameter containers, covariance and
-precision matrices, and replicated-series sampling.
+precision matrices, the MA(1) spectrum, and replicated-series sampling.
 
 All matrix builders return plain dense ``numpy`` arrays that are exactly
 symmetric as stored.  Samplers are pure functions of ``(params, seed)`` so
 replicate-level parallelism is reproducible.
+
+Every MA(1) covariance of length T is tridiagonal Toeplitz, so one fixed
+orthogonal basis, the DST-I sine basis (:func:`ma1_eigenvectors`),
+diagonalizes all of them; only the eigenvalues (:func:`ma1_eigenvalues`)
+depend on alpha.  The objectives built on these carry their parameter
+dependence as *jets*: arrays whose leading axis holds a value and its first
+and second derivatives in the dependence parameter, combined by the private
+``_jet_*`` helpers here, so the estimators get exact derivatives without
+finite differences.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +31,8 @@ __all__ = [
     "ma1_covariance",
     "ma1_precision",
     "ma1_geometric_sums",
+    "ma1_eigenvectors",
+    "ma1_eigenvalues",
     "sample_ar1",
     "sample_ma1",
     "sample_series",
@@ -149,6 +161,107 @@ def ma1_geometric_sums(alpha: float, t_len: int) -> np.ndarray:
     stable as ``|alpha|`` approaches 1.
     """
     return np.cumsum(np.power(alpha * alpha, np.arange(t_len + 1)))
+
+
+@functools.lru_cache(maxsize=16)
+def _half_angle_sin2(t_len: int) -> np.ndarray:
+    # sin^2(k pi / (2 (T + 1))) for k = 1..T; reversed, the same array holds
+    # cos^2 of those half angles without cancellation
+    k = np.arange(1, t_len + 1)
+    s2 = np.sin(k * (np.pi / (2 * (t_len + 1)))) ** 2
+    s2.flags.writeable = False
+    return s2
+
+
+@functools.lru_cache(maxsize=16)
+def ma1_eigenvectors(t_len: int) -> np.ndarray:
+    """DST-I basis ``U[j, k] = sqrt(2/(T+1)) sin(jk pi/(T+1))``, j, k = 1..T.
+
+    ``U`` is symmetric and orthogonal and diagonalizes every MA(1) covariance
+    of length T: ``Omega = U diag(lambda) U`` with ``lambda`` from
+    :func:`ma1_eigenvalues`.  Cached per length and read-only, so threads
+    share it safely.
+    """
+    t_len = _check_t(t_len, 1)
+    k = np.arange(1, t_len + 1)
+    u = np.sqrt(2.0 / (t_len + 1)) * np.sin(np.outer(k, k) * (np.pi / (t_len + 1)))
+    u.flags.writeable = False
+    return u
+
+
+def ma1_eigenvalues(alpha: float, t_len: int, order: int = 0) -> np.ndarray:
+    """Jet (``order + 1`` rows) of the unit-variance MA(1) covariance
+    eigenvalues ``lambda_k = 1 + alpha^2 + 2 alpha cos(k pi/(T+1))``.
+
+    Each eigenvalue is summed from non-negative terms,
+    ``(1 - |alpha|)^2 + 4 |alpha| sin^2`` or ``cos^2`` of the half angle, so
+    nothing cancels as ``|alpha| -> 1``.  Derivatives in alpha:
+    ``2 (alpha + cos(k pi/(T+1)))`` and 2.
+    """
+    s2 = _half_angle_sin2(_check_t(t_len, 1))
+    c2 = s2[::-1]
+    a = abs(alpha)
+    rows = [(1.0 - a) ** 2 + 4.0 * a * (s2 if alpha < 0 else c2)]
+    if order >= 1:
+        rows.append(2.0 * (alpha + (c2 - s2)))
+    if order >= 2:
+        rows.append(np.full(t_len, 2.0))
+    return np.array(rows)
+
+
+def _power_jets(x: float, order: int, degree: int = 4) -> np.ndarray:
+    """``(order + 1, degree + 1)`` array: row r holds ``d^r/dx^r x**j`` for
+    j = 0..degree, so ``_power_jets(x, r) @ c`` is the jet of the polynomial
+    with coefficients ``c`` (lowest power first)."""
+    j = np.arange(degree + 1)
+    rows = [x ** j]
+    if order >= 1:
+        rows.append(j * x ** np.maximum(j - 1, 0))
+    if order >= 2:
+        rows.append(j * (j - 1) * x ** np.maximum(j - 2, 0))
+    return np.array(rows)
+
+
+def _jet_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Jet of the product of two jets (Leibniz rule)."""
+    rows = [a[0] * b[0]]
+    if len(a) > 1:
+        rows.append(a[1] * b[0] + a[0] * b[1])
+    if len(a) > 2:
+        rows.append(a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2])
+    return np.array(rows)
+
+
+def _chain(x: np.ndarray, f: list) -> np.ndarray:
+    # jet of g(x) from the jet x and f[r] = g^(r)(x[0])
+    rows = [f[0]]
+    if len(x) > 1:
+        rows.append(f[1] * x[1])
+    if len(x) > 2:
+        rows.append(f[2] * x[1] ** 2 + f[1] * x[2])
+    return np.array(rows)
+
+
+def _jet_power(x: np.ndarray, p: int) -> np.ndarray:
+    """Jet of ``x**p`` for a jet ``x``."""
+    x0 = x[0]
+    f = [x0**p]
+    if len(x) > 1:
+        f.append(p * x0 ** (p - 1))
+    if len(x) > 2:
+        f.append(p * (p - 1) * x0 ** (p - 2))
+    return _chain(x, f)
+
+
+def _jet_log(x: np.ndarray) -> np.ndarray:
+    """Jet of ``log(x)`` for a positive jet ``x``."""
+    x0 = x[0]
+    f = [np.log(x0)]
+    if len(x) > 1:
+        f.append(1.0 / x0)
+    if len(x) > 2:
+        f.append(-f[1] ** 2)
+    return _chain(x, f)
 
 
 def _generator(seed) -> np.random.Generator:

@@ -1,4 +1,4 @@
-"""Scalar minimization and central-difference derivatives.
+"""Bounded scalar minimization.
 
 The minimizer seeds a bounded Brent refinement with a coarse grid scan; the
 grid guards against the mild multimodality of the MA(1) objectives at large
@@ -12,11 +12,7 @@ from typing import Callable
 import numpy as np
 from scipy import optimize as sp_optimize
 
-__all__ = ["MinimizationError", "minimize_scalar", "num_grad", "num_hess"]
-
-_EPS = float(np.finfo(float).eps)
-GRAD_STEP = _EPS ** (1.0 / 3.0)
-HESS_STEP = _EPS**0.25
+__all__ = ["MinimizationError", "minimize_scalar"]
 
 
 class MinimizationError(RuntimeError):
@@ -58,33 +54,3 @@ def minimize_scalar(
     if not np.isfinite(f_star) or f_star > fs[best]:
         return float(xs[best])
     return x_star
-
-
-def num_grad(f: Callable[[float], np.ndarray], x: float, h: float | None = None):
-    """Central-difference first derivative ``(f(x+h) - f(x-h)) / (2h)``.
-
-    ``f`` may return a scalar or an array (differentiated elementwise).  The
-    default step is ``eps**(1/3) * max(1, |x|)``.
-    """
-    if h is None:
-        h = GRAD_STEP * max(1.0, abs(x))
-    with np.errstate(invalid="ignore"):
-        grad = (np.asarray(f(x + h), dtype=float) - np.asarray(f(x - h), dtype=float)) / (2.0 * h)
-    if not np.all(np.isfinite(grad)):
-        raise ValueError(f"non-finite derivative evaluation near x={x}")
-    return grad
-
-
-def num_hess(f: Callable[[float], np.ndarray], x: float, h: float | None = None):
-    """Central-difference second derivative ``(f(x+h) - 2 f(x) + f(x-h)) / h^2``
-    with default step ``eps**(1/4) * max(1, |x|)``."""
-    if h is None:
-        h = HESS_STEP * max(1.0, abs(x))
-    fp = np.asarray(f(x + h), dtype=float)
-    f0 = np.asarray(f(x), dtype=float)
-    fm = np.asarray(f(x - h), dtype=float)
-    with np.errstate(invalid="ignore"):
-        hess = (fp - 2.0 * f0 + fm) / (h * h)
-    if not np.all(np.isfinite(hess)):
-        raise ValueError(f"non-finite second-derivative evaluation near x={x}")
-    return hess

@@ -14,7 +14,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .scores import EstimatorKind
-from .simulate import ReportRow
+from .simulate import ReportRow, format_float as _fmt
 
 __all__ = ["CSV_HEADER", "emit_csv", "emit_are_svg"]
 
@@ -28,10 +28,6 @@ _COLORS = {
 }
 
 _ARE_MAX = 1.1
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.6g}"
 
 
 def _sorted_rows(rows) -> list[ReportRow]:

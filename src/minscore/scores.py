@@ -5,6 +5,24 @@ orientation (higher is better); Hyvarinen scores are losses (lower is better).
 :func:`score_per_series` and :func:`total_score` put everything on a common
 minimization footing by negating the log-likelihoods.
 
+Every objective is a Gaussian quadratic form in the series, so each series
+enters only through a few sufficient statistics, and its value in
+minimization orientation is ``stats @ coef(theta) + const(theta)``:
+
+- AR(1), every kind, and MA(1) pairwise: five lag sums of each series (all
+  squares, interior squares, lag-1 and lag-2 products and the two boundary
+  lag-1 products); the coefficients are polynomials in phi (degree 4 for
+  ``hyv``) or, for MA(1) pairwise, ratios of polynomials in alpha.
+- MA(1) full and ``hyv``: the squared coordinates ``z = y U`` of each series
+  in the DST-I basis that diagonalizes every MA(1) covariance
+  (:func:`~minscore.models.ma1_eigenvectors`); with eigenvalues ``lambda``,
+  full is ``0.5 * sum(z^2/lambda + log lambda)`` and ``hyv`` is
+  ``0.5 * sum(z^2/lambda^2) - sum(1/lambda)``, O(T) per series and theta.
+
+:func:`series_objective` reduces the series once; its total and the
+per-series first and second derivatives at any theta then cost no pass over
+the data, and the derivatives are exact (jets, see :mod:`minscore.models`).
+
 Every evaluator accepts a single series of shape (T,) or a stack of series of
 shape (nu, T) and broadcasts over the leading axis.  Additive constants are
 dropped exactly where the closed-form displays drop them, so objective values
@@ -13,16 +31,28 @@ are comparable within one estimator but not across estimators.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
-from .models import Ar1Params, Ma1Params, canonical_model, ma1_geometric_sums, params_for
+from .models import (
+    Ar1Params,
+    Ma1Params,
+    _jet_log,
+    _jet_power,
+    _jet_product,
+    _power_jets,
+    canonical_model,
+    ma1_eigenvalues,
+    ma1_eigenvectors,
+    params_for,
+)
 
 __all__ = [
     "EstimatorKind",
     "DegenerateDataError",
+    "SeriesObjective",
     "ar1_full_loglik",
     "ar1_pairwise_loglik",
     "ar1_pairwise_closed_form",
@@ -32,6 +62,7 @@ __all__ = [
     "ma1_pairwise_loglik",
     "ma1_hyvarinen",
     "score_per_series",
+    "series_objective",
     "total_score",
     "min_series_length",
 ]
@@ -76,35 +107,138 @@ def _as_series(y, model: str | None = None, kind: EstimatorKind | None = None) -
     return y
 
 
+# Lag-sum coefficients, rows = powers 0..4 of the parameter, columns = the
+# statistics of _lag_sums.  AR(1): full 0.5 (q0 + phi^2 q_int) - phi c1 and
+# pairwise 0.5 (q0 + q_int) - phi c1, so the pair sum of squares is q0 + q_int;
+# hyv is half the residual sum of squares ||P y||^2 (see ar1_hyvarinen),
+# expanded: 0.5 (1+phi^2) q0 + 0.5 (phi^4 + 3 phi^2) q_int - 2 phi (1+phi^2) c1
+# + phi^2 c2 + phi^3 e_b.  MA(1) pairwise: the numerator of
+# (0.5 (1+alpha^2) (q0 + q_int) - alpha c1) / (1 + alpha^2 + alpha^4).
+_LAG_COEF = {
+    ("ar1", EstimatorKind.FULL_ML): np.array(
+        [[0.5, 0, 0, 0, 0], [0, 0, -1, 0, 0], [0, 0.5, 0, 0, 0], [0] * 5, [0] * 5]),
+    ("ar1", EstimatorKind.PAIRWISE_ML): np.array(
+        [[0.5, 0.5, 0, 0, 0], [0, 0, -1, 0, 0], [0] * 5, [0] * 5, [0] * 5]),
+    ("ar1", EstimatorKind.HYV_UNIVARIATE): np.array(
+        [[0.5, 0, 0, 0, 0], [0, 0, -2, 0, 0], [0.5, 1.5, 0, 1, 0], [0, 0, -2, 0, 1], [0, 0.5, 0, 0, 0]]),
+    ("ma1", EstimatorKind.PAIRWISE_ML): np.array(
+        [[0.5, 0.5, 0, 0, 0], [0, 0, -1, 0, 0], [0.5, 0.5, 0, 0, 0], [0] * 5, [0] * 5]),
+}
+_ONE_MINUS_SQUARE = np.array([1.0, 0.0, -1.0, 0.0, 0.0])
+_MA1_PAIR_DET = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+
+
+def _lag_sums(d: np.ndarray) -> np.ndarray:
+    # q0 = sum d_t^2, q_int = sum over t = 2..T-1 of d_t^2, c1 = sum d_t d_{t-1},
+    # c2 = sum d_t d_{t-2}, e_b = d_1 d_2 + d_{T-1} d_T
+    def dot(a, b):
+        return np.einsum("...t,...t->...", a, b)
+
+    return np.stack([
+        dot(d, d),
+        dot(d[..., 1:-1], d[..., 1:-1]),
+        dot(d[..., 1:], d[..., :-1]),
+        dot(d[..., 2:], d[..., :-2]),
+        d[..., 0] * d[..., 1] + d[..., -2] * d[..., -1],
+    ], axis=-1)
+
+
+def _spectral(model: str, kind: EstimatorKind) -> bool:
+    return model == "ma1" and kind in (EstimatorKind.FULL_ML, EstimatorKind.HYV_UNIVARIATE)
+
+
+def _series_stats(y, kind: EstimatorKind, model: str) -> np.ndarray:
+    # sufficient statistics of each series for the objective: shape (m,) for
+    # one series, (nu, m) for a stack
+    if kind is EstimatorKind.HYV_WISHART:
+        raise ValueError("the Wishart score is not a per-series objective; see minscore.wishart")
+    y = _as_series(y, model, kind)
+    if _spectral(model, kind):
+        z = y @ ma1_eigenvectors(y.shape[-1])
+        return z * z
+    return _lag_sums(y)
+
+
+def _terms(kind: EstimatorKind, model: str, t_len: int, theta: float, order: int = 0):
+    # jets (coef, const) of one series' objective, minimization orientation,
+    # mu = 0 and sigma2 = 1: row r (order + 1 rows) is the r-th theta
+    # derivative, so the objective's r-th derivative is stats @ coef[r] + const[r]
+    if _spectral(model, kind):
+        lam = ma1_eigenvalues(theta, t_len, order)
+        if kind is EstimatorKind.FULL_ML:
+            return 0.5 * _jet_power(lam, -1), 0.5 * _jet_log(lam).sum(axis=-1)
+        return 0.5 * _jet_power(lam, -2), -_jet_power(lam, -1).sum(axis=-1)
+    x = _power_jets(theta, order)
+    coef = x @ _LAG_COEF[model, kind]
+    if model == "ma1":
+        det = x @ _MA1_PAIR_DET
+        return (_jet_product(coef, _jet_power(det, -1)[:, None]),
+                0.5 * (t_len - 1) * _jet_log(det))
+    if kind is EstimatorKind.HYV_UNIVARIATE:
+        # the trace of the precision, 2 + (T-2) (1 + phi^2)
+        return coef, -(x @ np.array([t_len, 0.0, t_len - 2.0, 0.0, 0.0]))
+    pairs = 1 if kind is EstimatorKind.FULL_ML else t_len - 1
+    return coef, -0.5 * pairs * _jet_log(x @ _ONE_MINUS_SQUARE)
+
+
+@dataclass(frozen=True)
+class SeriesObjective:
+    """A per-series objective reduced to the sufficient statistics of its
+    series (see :func:`series_objective`); no method reads the series."""
+
+    kind: EstimatorKind
+    model: str
+    t_len: int
+    stats: np.ndarray  # (nu, m)
+    pooled: np.ndarray  # (m,), summed over the series
+
+    def total(self, theta: float) -> float:
+        """Sum of the per-series objectives at theta."""
+        coef, const = _terms(self.kind, self.model, self.t_len, theta)
+        return float(self.pooled @ coef[0] + len(self.stats) * const[0])
+
+    def derivatives(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
+        """Exact first and second theta-derivatives of each series' objective."""
+        coef, const = _terms(self.kind, self.model, self.t_len, theta, order=2)
+        return self.stats @ coef[1] + const[1], self.stats @ coef[2] + const[2]
+
+
+def series_objective(series, kind: EstimatorKind, model: str) -> SeriesObjective:
+    """Reduce a (nu, T) series matrix, or one series, to its sufficient
+    statistics for the objective (one pass over the data)."""
+    kind = EstimatorKind(kind)
+    model = canonical_model(model)
+    stats = np.atleast_2d(_series_stats(series, kind, model))
+    t_len = np.shape(series)[-1]
+    return SeriesObjective(kind, model, t_len, stats, np.sum(stats, axis=0))
+
+
+def _evaluate(y, params, model: str, kind: EstimatorKind):
+    # objective of series y under params, minimization orientation; sigma2
+    # rescales the statistics and adds the log-determinant of the scale
+    y = np.asarray(y, dtype=float)
+    theta = params.phi if model == "ar1" else params.alpha
+    stats = _series_stats(y - params.mu, kind, model) / params.sigma2
+    coef, const = _terms(kind, model, y.shape[-1], theta)
+    value = stats @ coef[0] + const[0]
+    if kind is EstimatorKind.HYV_UNIVARIATE:
+        return value / params.sigma2
+    dims = y.shape[-1] if kind is EstimatorKind.FULL_ML else 2 * (y.shape[-1] - 1)
+    return value + 0.5 * dims * np.log(params.sigma2)
+
+
 def ar1_full_loglik(y, params: Ar1Params):
-    """Exact stationary AR(1) log-likelihood (additive constants dropped)."""
-    y = _as_series(y, "ar1", EstimatorKind.FULL_ML)
-    t_len = y.shape[-1]
-    d = y - params.mu
-    q_all = np.sum(d * d, axis=-1)
-    q_interior = np.sum(d[..., 1:-1] ** 2, axis=-1)
-    cross = np.sum(d[..., 1:] * d[..., :-1], axis=-1)
-    quad = q_all + params.phi**2 * q_interior - 2.0 * params.phi * cross
-    return (
-        -quad / (2.0 * params.sigma2)
-        - 0.5 * t_len * np.log(params.sigma2)
-        + 0.5 * np.log1p(-params.phi**2)
-    )
+    """Exact stationary AR(1) log-likelihood (additive constants dropped):
+    ``-(q0 + phi^2 q_int - 2 phi c1) / (2 sigma2) - T/2 log sigma2
+    + 0.5 log(1 - phi^2)`` with the lag sums q0 (all squares), q_int (interior
+    squares) and c1 (lag-1 products) of ``y - mu``."""
+    return -_evaluate(y, params, "ar1", EstimatorKind.FULL_ML)
 
 
 def ar1_pairwise_loglik(y, params: Ar1Params):
     """Consecutive pairwise AR(1) log-likelihood: sum of the T-1 bivariate
     Gaussian log-densities of adjacent pairs (constants dropped)."""
-    y = _as_series(y, "ar1", EstimatorKind.PAIRWISE_ML)
-    t_len = y.shape[-1]
-    d = y - params.mu
-    paired = np.sum(d[..., 1:] ** 2, axis=-1) + np.sum(d[..., :-1] ** 2, axis=-1)
-    cross = np.sum(d[..., 1:] * d[..., :-1], axis=-1)
-    return (
-        -(paired - 2.0 * params.phi * cross) / (2.0 * params.sigma2)
-        - (t_len - 1) * np.log(params.sigma2)
-        + 0.5 * (t_len - 1) * np.log1p(-params.phi**2)
-    )
+    return -_evaluate(y, params, "ar1", EstimatorKind.PAIRWISE_ML)
 
 
 def ar1_pairwise_closed_form(series) -> tuple[float, float]:
@@ -153,44 +287,21 @@ def ar1_hyvarinen(y, params: Ar1Params):
     Equals :func:`gaussian_hyvarinen` with the tridiagonal AR(1) precision:
     interior residuals ``(1+phi^2) d_t - phi (d_{t-1} + d_{t+1})`` and boundary
     residuals ``d_1 - phi d_2`` and ``d_T - phi d_{T-1}``, each squared over
-    ``2 sigma2^2``, minus ``(2 + (T-2)(1+phi^2)) / sigma2``.
+    ``2 sigma2^2``, minus ``(2 + (T-2)(1+phi^2)) / sigma2``; the squares are
+    expanded into a degree-4 polynomial in phi of the lag sums.
     """
-    y = _as_series(y, "ar1", EstimatorKind.HYV_UNIVARIATE)
-    t_len = y.shape[-1]
-    d = y - params.mu
-    interior = (1.0 + params.phi**2) * d[..., 1:-1] - params.phi * (d[..., :-2] + d[..., 2:])
-    lo = d[..., 0] - params.phi * d[..., 1]
-    hi = d[..., -1] - params.phi * d[..., -2]
-    ssq = np.sum(interior * interior, axis=-1) + lo * lo + hi * hi
-    return ssq / (2.0 * params.sigma2**2) - (
-        2.0 + (t_len - 2) * (1.0 + params.phi**2)
-    ) / params.sigma2
+    return _evaluate(y, params, "ar1", EstimatorKind.HYV_UNIVARIATE)
 
 
 def ma1_full_loglik(y, params: Ma1Params):
     """MA(1) log-likelihood ``-0.5 log|Omega| - 0.5 (y-mu) Omega^{-1} (y-mu)'``.
 
-    O(T) per series, with no dense T x T matrix: the log-determinant is the
-    closed form ``T log(sigma2) + log(g[T])`` with ``g`` from
-    :func:`~minscore.models.ma1_geometric_sums`, and the quadratic form comes
-    from one banded solve of the tridiagonal covariance for all series at once.
+    O(T) per series once it is rotated into the DST-I basis, with no dense
+    T x T solve: ``-0.5 sum(z^2/lambda + log lambda)`` in the unit-variance
+    eigenvalues ``lambda`` (:func:`~minscore.models.ma1_eigenvalues`), with
+    ``z = (y - mu) U / sqrt(sigma2)``, minus ``T/2 log sigma2``.
     """
-    y = _as_series(y, "ma1", EstimatorKind.FULL_ML)
-    t_len = y.shape[-1]
-    d = y - params.mu
-    logdet = t_len * np.log(params.sigma2) + np.log(ma1_geometric_sums(params.alpha, t_len)[-1])
-    return -0.5 * logdet - 0.5 * np.sum(d * _ma1_solve(d, params), axis=-1)
-
-
-def _ma1_solve(d: np.ndarray, params: Ma1Params) -> np.ndarray:
-    # Omega^{-1} d row by row, from the 2 x T upper band of the covariance
-    band = np.empty((2, d.shape[-1]))
-    band[0] = params.sigma2 * params.alpha  # band[0, 0] is not read
-    band[1] = params.sigma2 * (1.0 + params.alpha**2)
-    try:
-        return solveh_banded(band, d.T, check_finite=False).T
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"MA(1) covariance is not positive definite: {exc}") from exc
+    return -_evaluate(y, params, "ma1", EstimatorKind.FULL_ML)
 
 
 def ma1_pairwise_loglik(y, params: Ma1Params):
@@ -200,33 +311,17 @@ def ma1_pairwise_loglik(y, params: Ma1Params):
     and covariance sigma2*alpha; the pair determinant is
     sigma2^2 * (1 + alpha^2 + alpha^4).
     """
-    y = _as_series(y, "ma1", EstimatorKind.PAIRWISE_ML)
-    t_len = y.shape[-1]
-    a = params.alpha
-    denom = 1.0 + a**2 + a**4
-    d = y - params.mu
-    paired = np.sum(d[..., 1:] ** 2, axis=-1) + np.sum(d[..., :-1] ** 2, axis=-1)
-    cross = np.sum(d[..., 1:] * d[..., :-1], axis=-1)
-    quad = (paired * (1.0 + a**2) - 2.0 * a * cross) / denom
-    return (
-        -quad / (2.0 * params.sigma2)
-        - 0.5 * (t_len - 1) * np.log(denom)
-        - (t_len - 1) * np.log(params.sigma2)
-    )
+    return -_evaluate(y, params, "ma1", EstimatorKind.PAIRWISE_ML)
 
 
 def ma1_hyvarinen(y, params: Ma1Params):
     """MA(1) Hyvarinen score ``0.5 ||P (y-mu)||^2 - tr(P)`` with ``P = Omega^{-1}``.
 
-    ``P (y-mu)`` comes from the banded solve of :func:`ma1_full_loglik` and the
-    trace from the closed-form diagonal of the precision,
-    ``tr(P) = sum_i g[i-1] g[T-i] / (g[T] sigma2)``; O(T) per series.
+    In the DST-I basis ``P`` is diagonal with entries ``1/(sigma2 lambda)``:
+    ``(0.5 sum(z^2/lambda^2) - sum(1/lambda)) / sigma2`` with
+    ``z = (y - mu) U / sqrt(sigma2)``; O(T) per series once rotated.
     """
-    y = _as_series(y, "ma1", EstimatorKind.HYV_UNIVARIATE)
-    x = _ma1_solve(y - params.mu, params)
-    g = ma1_geometric_sums(params.alpha, y.shape[-1])
-    trace = np.sum(g[:-1] * g[-2::-1]) / (g[-1] * params.sigma2)
-    return 0.5 * np.sum(x * x, axis=-1) - trace
+    return _evaluate(y, params, "ma1", EstimatorKind.HYV_UNIVARIATE)
 
 
 def score_per_series(series, kind: EstimatorKind, model: str, theta: float):
@@ -235,22 +330,8 @@ def score_per_series(series, kind: EstimatorKind, model: str, theta: float):
     Log-likelihood kinds are negated so that every estimator minimizes.  The
     Wishart score is not a per-series sum and is rejected here.
     """
-    kind = EstimatorKind(kind)
     model = canonical_model(model)
-    if kind is EstimatorKind.HYV_WISHART:
-        raise ValueError("the Wishart score is not a per-series objective; see minscore.wishart")
-    params = params_for(model, theta)
-    if model == "ar1":
-        if kind is EstimatorKind.FULL_ML:
-            return -ar1_full_loglik(series, params)
-        if kind is EstimatorKind.PAIRWISE_ML:
-            return -ar1_pairwise_loglik(series, params)
-        return ar1_hyvarinen(series, params)
-    if kind is EstimatorKind.FULL_ML:
-        return -ma1_full_loglik(series, params)
-    if kind is EstimatorKind.PAIRWISE_ML:
-        return -ma1_pairwise_loglik(series, params)
-    return ma1_hyvarinen(series, params)
+    return _evaluate(series, params_for(model, theta), model, EstimatorKind(kind))
 
 
 def total_score(series, kind: EstimatorKind, model: str, theta: float) -> float:

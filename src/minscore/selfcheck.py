@@ -45,9 +45,10 @@ def _check_hyvarinen_closed_forms() -> None:
             assert np.max(np.abs(direct - generic)) < 1e-8
 
 
-def _check_ma1_banded_objectives() -> None:
-    # the O(T) MA(1) objectives against dense slogdet/solve and the dense
-    # precision, at a long series and |alpha| near the invertibility bound
+def _check_ma1_spectral_objectives() -> None:
+    # the O(T) MA(1) objectives of the DST-I basis against dense slogdet/solve
+    # and the dense precision, at a long series and |alpha| near the
+    # invertibility bound
     rng = np.random.default_rng(17)
     t_len = 200
     for alpha in (-0.999, 0.999):
@@ -61,7 +62,28 @@ def _check_ma1_banded_objectives() -> None:
         for got, dense in ((scores.ma1_full_loglik(y, ma), full),
                            (scores.ma1_hyvarinen(y, ma), hyv)):
             err = np.max(np.abs(got - dense)) / np.max(np.abs(dense))
-            assert err < 1e-10, f"banded MA(1) objective off by {err} (relative) at alpha={alpha}"
+            assert err < 1e-10, f"spectral MA(1) objective off by {err} (relative) at alpha={alpha}"
+
+
+def _check_exact_derivatives() -> None:
+    # per-series first and second derivatives of MA(1) hyv near the bound
+    # against central differences, Richardson-extrapolated from steps h, h/2
+    y = models.sample_ma1(models.params_for("ma1", 0.9), 4, 50, seed=19)
+    theta, h = 0.9, 1e-3
+
+    def f(th):
+        return scores.score_per_series(y, "hyv", "ma1", th)
+
+    def d1(step):
+        return (f(theta + step) - f(theta - step)) / (2 * step)
+
+    def d2(step):
+        return (f(theta + step) - 2 * f(theta) + f(theta - step)) / step**2
+
+    grad, hess = scores.series_objective(y, "hyv", "ma1").derivatives(theta)
+    for exact, diff in ((grad, (4 * d1(h / 2) - d1(h)) / 3), (hess, (4 * d2(h / 2) - d2(h)) / 3)):
+        err = np.max(np.abs(exact - diff)) / np.max(np.abs(exact))
+        assert err < 1e-7, f"exact derivative off by {err} (relative) from differences"
 
 
 def _check_wishart_sensitivity() -> None:
@@ -128,7 +150,8 @@ def _check_minimizer() -> None:
 CHECKS = (
     ("precision matrices invert covariances", _check_precision_identity),
     ("closed-form Hyvarinen scores match generic Gaussian form", _check_hyvarinen_closed_forms),
-    ("banded MA(1) objectives match dense linear algebra", _check_ma1_banded_objectives),
+    ("spectral MA(1) objectives match dense linear algebra", _check_ma1_spectral_objectives),
+    ("exact objective derivatives match central differences", _check_exact_derivatives),
     ("AR(1) Wishart sensitivity matches brute-force sum", _check_wishart_sensitivity),
     ("Wishart score gradient matches finite differences", _check_wishart_gradient),
     ("exact Wishart variability matches inverse chi-square and Monte Carlo",

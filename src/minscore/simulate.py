@@ -34,6 +34,11 @@ ALL_ESTIMATORS = (
 MAX_FAILURE_FRACTION = 0.10
 
 
+def format_float(value: float) -> str:
+    """A float as the report prints it, to 6 significant digits."""
+    return f"{value:.6g}"
+
+
 class ConfigError(ValueError):
     """An experiment configuration violates its invariants."""
 
@@ -60,9 +65,17 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.param_grid:
             raise ConfigError("param_grid must contain at least one value")
+        printed = set()
         for value in self.param_grid:
             if not -1.0 < value < 1.0:
                 raise ConfigError(f"grid value {value} is outside the open interval (-1, 1)")
+            # rows are told apart only by the printed param_true
+            if format_float(value) in printed:
+                raise ConfigError(
+                    f"grid value {value} repeats {format_float(value)} at the report's "
+                    "6 significant digits"
+                )
+            printed.add(format_float(value))
         if self.nu < 2:
             raise ConfigError(f"every sd needs nu >= 2 series; got nu={self.nu}")
         # t >= 2 for every estimator, so this also rejects t < 1

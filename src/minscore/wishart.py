@@ -13,6 +13,14 @@ in the scalar dependence parameter is
 
     -0.5 * sum_{i,j} (c * s^{ji} - 0.5 * lam^{ji}) * d lam^{ji} / d lambda.
 
+Expanding the square, the score is ``-(c/2) <S^{-1}, P> + ||P||_F^2 / 8`` plus
+a term free of lambda, with ``P`` the scale precision, so S enters through a
+few statistics of S^{-1} computed once per fit (:class:`WishartContext`):
+for AR(1) its trace, interior-diagonal sum and first off-diagonal sum, for
+MA(1) the diagonal of ``U S^{-1} U`` in the DST-I basis that diagonalizes P.
+Each evaluation then costs O(1) (AR) or O(T) (MA), and the derivatives are
+exact.
+
 The sensitivity of that estimating equation is the deterministic quantity
 ``K = 0.25 * sum_{i,j} (d lam^{ji} / d lambda)^2``, which for AR(1) collapses
 to the closed form in :func:`k_analytic_ar1`.  The derivative is linear in
@@ -28,8 +36,13 @@ import numpy as np
 from scipy import linalg as sp_linalg
 
 from .models import (
+    _jet_power,
+    _jet_product,
+    _power_jets,
     ar1_precision,
     canonical_model,
+    ma1_eigenvalues,
+    ma1_eigenvectors,
     ma1_precision,
     params_for,
     sample_series,
@@ -51,20 +64,27 @@ __all__ = [
     "hw_estimate",
 ]
 
-MA_DERIVATIVE_STEP = 1e-6
-
 SEARCH_BOUNDS = (-0.999, 0.999)
 
 
 @dataclass(frozen=True)
 class WishartContext:
     """Immutable bundle of degrees of freedom, dimension, cached S inverse and
-    the model mapping the scalar parameter to the scale matrix."""
+    the model mapping the scalar parameter to the scale matrix.
+
+    ``stats`` and ``offset`` are derived from S inverse on construction:
+    ``stats`` are what the score contracts with the scale precision (AR(1):
+    trace, interior-diagonal sum and first off-diagonal sum; MA(1): the
+    diagonal of ``U S^{-1} U``), and ``offset`` is the part of the score free
+    of lam.  The score and its exact gradient read only these.
+    """
 
     nu: int
     t_len: int
     s_inv: np.ndarray = field(repr=False)
     model: str
+    stats: np.ndarray = field(init=False, repr=False)
+    offset: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.nu < self.t_len + 2:
@@ -73,6 +93,10 @@ class WishartContext:
             )
         if self.s_inv.shape != (self.t_len, self.t_len):
             raise ValueError(f"S inverse must be {self.t_len}x{self.t_len}")
+        c = self.half_dof
+        offset = 0.5 * c * c * np.sum(self.s_inv**2) - c * np.sum(np.diag(self.s_inv) ** 2)
+        object.__setattr__(self, "stats", _precision_stats(self.s_inv, self.model))
+        object.__setattr__(self, "offset", float(offset))
 
     @property
     def half_dof(self) -> float:
@@ -113,11 +137,11 @@ def scale_precision(model: str, lam: float, t_len: int) -> np.ndarray:
 
 
 def precision_derivative(model: str, lam: float, t_len: int) -> np.ndarray:
-    """Elementwise derivative of :func:`scale_precision` in lam.
+    """Elementwise derivative of :func:`scale_precision` in lam, analytic.
 
-    Analytic for AR(1) (off-diagonals -1, interior diagonal 2*lam, corner
-    diagonal 0); central finite differences for MA(1), where no closed form is
-    used, with step ``1e-6 * max(1, |lam|)``.
+    AR(1): off-diagonals -1, interior diagonal 2*lam, corner diagonal 0.
+    MA(1): ``U diag(d(1/lambda_k)/d lam) U`` in the DST-I basis, which equals
+    ``-P Omega' P`` with ``Omega'`` tridiagonal ``(1, 2 lam, 1)``.
     """
     model = canonical_model(model)
     if model == "ar1":
@@ -130,31 +154,67 @@ def precision_derivative(model: str, lam: float, t_len: int) -> np.ndarray:
         inner = np.arange(1, t_len - 1)
         deriv[inner, inner] = 2.0 * lam
         return deriv
-    h = MA_DERIVATIVE_STEP * max(1.0, abs(lam))
-    upper = scale_precision("ma1", lam + h, t_len)
-    lower = scale_precision("ma1", lam - h, t_len)
-    return (upper - lower) / (2.0 * h)
+    u = ma1_eigenvectors(t_len)
+    return (u * _jet_power(ma1_eigenvalues(lam, t_len, 1), -1)[1]) @ u
+
+
+def _precision_stats(s_inv: np.ndarray, model: str) -> np.ndarray:
+    # statistics of a symmetric matrix M with <M, P(lam)> = stats @ coef(lam)
+    if model == "ma1":
+        u = ma1_eigenvectors(len(s_inv))
+        return np.sum(u * (s_inv @ u), axis=0)  # diag(U M U)
+    diag = np.diag(s_inv)
+    # the interior sum is the trace minus both ends, which is -M[0, 0] at
+    # T = 1, where the scale precision is 1 - lam^2
+    return np.array([diag.sum(), diag.sum() - diag[0] - diag[-1], np.trace(s_inv, 1)])
+
+
+# <M, P(phi)> = trace + phi^2 * interior - 2 phi * off-diagonal, by power of phi
+_AR1_PRECISION_COEF = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -2.0], [0.0, 1.0, 0.0]])
+
+
+def _score_terms(model: str, lam: float, t_len: int, order: int):
+    # jets of coef(lam) and of ||P(lam)||_F^2
+    if model == "ma1":
+        p = _jet_power(ma1_eigenvalues(lam, t_len, order), -1)  # eigenvalues of P
+        return p, _jet_product(p, p).sum(axis=-1)
+    x = _power_jets(lam, order)
+    # the AR(1) precision has diagonal 1 + lam^2 i_t, with i_t = 1 inside,
+    # 0 at the two ends and -1 when T = 1, and off-diagonal -lam
+    norm = x @ np.array([t_len, 0.0, 4.0 * t_len - 6.0, 0.0, abs(t_len - 2.0)])
+    return x[:, :3] @ _AR1_PRECISION_COEF, norm
 
 
 def hw_score(ctx: WishartContext, lam: float) -> float:
     """Wishart Hyvarinen score at dependence parameter lam."""
-    c = ctx.half_dof
-    lam_prec = scale_precision(ctx.model, lam, ctx.t_len)
-    resid = c * ctx.s_inv - 0.5 * lam_prec
-    return float(0.5 * np.sum(resid * resid) - c * np.sum(np.diag(ctx.s_inv) ** 2))
+    coef, norm = _score_terms(ctx.model, lam, ctx.t_len, 0)
+    return float(ctx.offset - 0.5 * ctx.half_dof * (ctx.stats @ coef[0]) + 0.125 * norm[0])
 
 
 def hw_grad(ctx: WishartContext, lam: float, dprec: np.ndarray | None = None) -> float:
     """Derivative of :func:`hw_score` in lam.
 
-    ``dprec`` may supply a precomputed elementwise derivative of the scale
-    precision; by default it comes from :func:`precision_derivative`.
+    ``dprec`` may supply an elementwise derivative of the scale precision to
+    contract the dense residual ``c S^{-1} - P/2`` with; by default the exact
+    derivative comes from the statistics of the context.
     """
-    if dprec is None:
-        dprec = precision_derivative(ctx.model, lam, ctx.t_len)
     c = ctx.half_dof
-    resid = c * ctx.s_inv - 0.5 * scale_precision(ctx.model, lam, ctx.t_len)
-    return float(-0.5 * np.sum(resid * dprec))
+    if dprec is not None:
+        resid = c * ctx.s_inv - 0.5 * scale_precision(ctx.model, lam, ctx.t_len)
+        return float(-0.5 * np.sum(resid * dprec))
+    coef, norm = _score_terms(ctx.model, lam, ctx.t_len, 1)
+    return float(-0.5 * c * (ctx.stats @ coef[1]) + 0.125 * norm[1])
+
+
+def _derivative_traces(model: str, lam: float, t_len: int) -> tuple[float, float, float]:
+    # tr(D P), tr(D P D P) and ||D||_F^2, with P = scale_precision and D its derivative
+    if model == "ma1":
+        p = _jet_power(ma1_eigenvalues(lam, t_len, 1), -1)  # eigenvalues of P and of D
+        dp = p[1] * p[0]
+        return float(np.sum(dp)), float(dp @ dp), float(p[1] @ p[1])
+    deriv = precision_derivative(model, lam, t_len)
+    d_psi = deriv @ scale_precision(model, lam, t_len)
+    return float(np.trace(d_psi)), float(np.sum(d_psi * d_psi.T)), float(np.sum(deriv * deriv))
 
 
 def k_analytic_ar1(phi: float, t_len: int) -> float:
@@ -173,8 +233,7 @@ def wishart_sensitivity(model: str, lam: float, t_len: int) -> float:
     Exact expectation of the second derivative of the score; reduces to
     :func:`k_analytic_ar1` for the AR(1) model.
     """
-    dprec = precision_derivative(model, lam, t_len)
-    return float(0.25 * np.sum(dprec * dprec))
+    return 0.25 * _derivative_traces(canonical_model(model), lam, t_len)[2]
 
 
 def wishart_variability(model: str, lam: float, nu: int, t_len: int) -> float:
@@ -195,9 +254,7 @@ def wishart_variability(model: str, lam: float, nu: int, t_len: int) -> float:
             f"the Wishart sd needs nu >= T + 4; got nu={nu}, T={t_len}"
         )
     c = 0.5 * (nu - t_len - 1)
-    d_psi = precision_derivative(model, lam, t_len) @ scale_precision(model, lam, t_len)
-    a = float(np.trace(d_psi))
-    b = float(np.sum(d_psi * d_psi.T))
+    a, b, _ = _derivative_traces(canonical_model(model), lam, t_len)
     m = nu - t_len
     return c * c / 4.0 * (2.0 * a * a + 2.0 * (m - 1) * b) / (m * (m - 1) ** 2 * (m - 3))
 

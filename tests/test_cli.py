@@ -103,6 +103,24 @@ class TestFit:
         assert code == 1
         assert "nu >= T + 4" in capsys.readouterr().err
 
+    def test_wishart_bound_fails_before_any_fitting(self, tmp_path, capsys, monkeypatch):
+        import minscore.inference as inference
+
+        data = tmp_path / "data.csv"
+        assert cli_main([
+            "simulate", "--model", "ar1", "--param", "0.3", "--nu", "12",
+            "--t", "10", "--seed", "4", "--out", str(data),
+        ]) == 0
+        minimized = []
+        monkeypatch.setattr(inference, "minimize_scalar", lambda *a, **k: minimized.append(a))
+        monkeypatch.setattr(inference, "hw_estimate", lambda *a, **k: minimized.append(a))
+        code = cli_main([
+            "fit", "--data", str(data), "--model", "ar1", "--estimator", "hyv-wishart",
+        ])
+        assert code == 1
+        assert "nu >= T + 4" in capsys.readouterr().err
+        assert minimized == []
+
     @pytest.mark.parametrize("model,estimator", [("ma1", "full"), ("ar1", "hyv-wishart")])
     def test_one_column_file_exits_1_names_bound(self, tmp_path, capsys, model, estimator):
         # one value per row is nu series of length 1, where the sign of the
@@ -169,6 +187,16 @@ class TestTable:
         ])
         assert code == 1
         assert "t >= 2" in capsys.readouterr().err
+
+    def test_repeated_grid_value_exits_1_without_csv(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = cli_main([
+            "table", "--model", "ar1", "--grid", "0.5,0.50000001", "--nu", "20", "--t", "10",
+            "--replicates", "2", "--estimators", "full,pairwise", "--out", str(out),
+        ])
+        assert code == 1
+        assert "grid value 0.50000001 repeats 0.5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_series_exits_1_before_fitting(self, tmp_path, capsys, monkeypatch):
         import minscore.simulate as sim

@@ -237,6 +237,24 @@ class TestFit:
         with pytest.raises(ValueError, match=r"nu >= T \+ 4"):
             fit(y, EstimatorKind.HYV_WISHART, "ar1")
 
+    @pytest.mark.parametrize("kind,nu,compute_sd,bound", [
+        ("full", 1, True, "nu >= 2"),
+        ("hyv-wishart", 11, False, r"nu >= T \+ 2"),
+        ("hyv-wishart", 13, True, r"nu >= T \+ 4"),
+    ])
+    def test_series_count_checked_before_minimizing(self, monkeypatch, kind, nu,
+                                                    compute_sd, bound):
+        import minscore.inference as inference
+
+        def never(*args, **kwargs):
+            raise AssertionError("minimized before the bounds were checked")
+
+        monkeypatch.setattr(inference, "minimize_scalar", never)
+        monkeypatch.setattr(inference, "hw_estimate", never)
+        y = sample_ar1(params_for("ar1", 0.2), nu, 10, seed=68)
+        with pytest.raises(ValueError, match=bound):
+            fit(y, kind, "ar1", compute_sd=compute_sd)
+
     def test_godambe_sd_predicts_sampling_scatter(self):
         # across replicates the spread of estimates matches the mean reported
         # asymptotic sd within 15%

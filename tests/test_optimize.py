@@ -1,4 +1,4 @@
-"""Scalar minimizer and central-difference derivatives."""
+"""Scalar minimizer, and a hand derivative against the exact objective gradient."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,9 @@ from minscore import (
     EstimatorKind,
     MinimizationError,
     minimize_scalar,
-    num_grad,
-    num_hess,
     params_for,
     sample_ar1,
+    series_objective,
     total_score,
 )
 
@@ -53,24 +52,6 @@ class TestMinimizeScalar:
 
 
 class TestDerivatives:
-    def test_square(self):
-        assert abs(num_grad(lambda x: x * x, 2.0) - 4.0) <= 1e-6
-        assert abs(num_hess(lambda x: x * x, 2.0) - 2.0) <= 1e-4
-
-    def test_exponential(self):
-        assert abs(num_grad(np.exp, 0.0) - 1.0) <= 1e-6
-
-    @pytest.mark.parametrize("x0", [-1.5, 0.2, 3.0])
-    def test_polynomial(self, x0):
-        poly = lambda x: 2 * x**3 - x**2 + 0.5 * x - 4
-        assert abs(num_grad(poly, x0) - (6 * x0**2 - 2 * x0 + 0.5)) <= 1e-6 * max(1, x0**2)
-        assert abs(num_hess(poly, x0) - (12 * x0 - 2)) <= 1e-4 * max(1, abs(x0))
-
-    def test_vector_valued(self):
-        f = lambda x: np.array([x * x, np.sin(x)])
-        grad = num_grad(f, 0.5)
-        np.testing.assert_allclose(grad, [1.0, np.cos(0.5)], atol=1e-6)
-
     def test_hyvarinen_gradient_matches_hand_derivative(self):
         # hand differentiation of the closed-form AR(1) score in phi at sigma2=1:
         # dH/dphi = sum_interior r_t (2 phi d_t - d_{t-1} - d_{t+1})
@@ -91,11 +72,6 @@ class TestDerivatives:
                 - 2 * phi * (len(y) - 2)
             )
 
-        from minscore import ar1_hyvarinen
-
-        numeric = num_grad(lambda p: ar1_hyvarinen(y, params_for("ar1", p)), phi)
-        assert abs(numeric - closed_form_grad(y, phi)) < 1e-5
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            num_grad(lambda x: float("inf"), 0.0)
+        objective = series_objective(y, EstimatorKind.HYV_UNIVARIATE, "ar1")
+        grad, _ = objective.derivatives(phi)
+        assert abs(grad[0] - closed_form_grad(y, phi)) < 1e-12

@@ -189,6 +189,14 @@ class TestRunExperiment:
             estimators=(EstimatorKind.FULL_ML,),
         ).validate()
 
+    @pytest.mark.parametrize("grid", [(0.5, 0.5), (0.5, 0.50000001), (-0.2, 0.3, -0.2)])
+    def test_config_rejects_grid_values_that_print_alike(self, grid):
+        # rows are told apart only by the 6-digit param_true
+        with pytest.raises(ConfigError, match=r"grid value .* repeats"):
+            ExperimentConfig(model="ar1", param_grid=grid, nu=20, t_len=10).validate()
+        ExperimentConfig(model="ar1", param_grid=(0.5, 0.500001), nu=20, t_len=10,
+                         estimators=(EstimatorKind.FULL_ML,)).validate()
+
     @pytest.mark.parametrize("nu", [0, 1])
     def test_config_needs_two_series(self, nu):
         # every sd averages over series, so a one-series study could only fail

@@ -27,6 +27,7 @@ from minscore import (
     sample_ar1,
     sample_ma1,
     score_per_series,
+    series_objective,
     total_score,
 )
 from minscore.scores import min_series_length
@@ -296,7 +297,8 @@ class TestMa1Hyvarinen:
 
 
 class TestMa1BandedObjectives:
-    """The O(T) MA(1) objectives against dense T x T linear algebra."""
+    """The O(T) MA(1) objectives, with mu and sigma2, against dense T x T
+    linear algebra."""
 
     @pytest.mark.parametrize("t_len", [2, 3, 50, 200])
     @pytest.mark.parametrize("alpha", [-0.999, -0.9, 0.0, 0.5, 0.999])
@@ -311,17 +313,6 @@ class TestMa1BandedObjectives:
         hyv = gaussian_hyvarinen(y, ma1_precision(params, t_len), params.mu)
         for got, dense in ((ma1_full_loglik(y, params), full), (ma1_hyvarinen(y, params), hyv)):
             assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
-
-    def test_solver_failure_is_a_value_error(self, monkeypatch):
-        import minscore.scores as sc
-
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("leading minor not positive definite")
-
-        monkeypatch.setattr(sc, "solveh_banded", singular)
-        for objective in (ma1_full_loglik, ma1_hyvarinen):
-            with pytest.raises(ValueError, match="not positive definite"):
-                objective(np.zeros((2, 4)), Ma1Params(0, 1, 0.5))
 
 
 class TestTotalScore:
@@ -414,3 +405,90 @@ class TestPropriety:
         ) / (2 * h)
         se = np.std(grads, ddof=1) / np.sqrt(nu)
         assert abs(np.mean(grads)) < 5 * se
+
+
+def dense_objective(y, kind, model, theta):
+    """Per-series objective (minimization orientation, mu = 0, sigma2 = 1)
+    from dense T x T or 2 x 2 linear algebra, independent of the statistics."""
+    t_len = y.shape[-1]
+    params = params_for(model, theta)
+    cov = (ar1_covariance if model == "ar1" else ma1_covariance)(params, t_len)
+    if kind is EstimatorKind.HYV_UNIVARIATE:
+        return gaussian_hyvarinen(y, np.linalg.inv(cov))
+    if kind is EstimatorKind.FULL_ML:
+        quad = np.sum(y * np.linalg.solve(cov, y.T).T, axis=-1)
+        return 0.5 * quad + 0.5 * np.linalg.slogdet(cov)[1]
+    pair = cov[:2, :2]
+    pairs = np.stack([y[:, :-1], y[:, 1:]], axis=-1)
+    quad = np.einsum("npi,ij,npj->n", pairs, np.linalg.inv(pair), pairs)
+    return 0.5 * quad + 0.5 * (t_len - 1) * np.linalg.slogdet(pair)[1]
+
+
+def richardson(f, theta, h):
+    """First and second central differences of f at theta, each
+    Richardson-extrapolated from steps h and h/2."""
+    def d1(step):
+        return (f(theta + step) - f(theta - step)) / (2 * step)
+
+    def d2(step):
+        return (f(theta + step) - 2 * f(theta) + f(theta - step)) / step**2
+
+    return (4 * d1(h / 2) - d1(h)) / 3, (4 * d2(h / 2) - d2(h)) / 3
+
+
+PER_SERIES_KINDS = [EstimatorKind.FULL_ML, EstimatorKind.PAIRWISE_ML,
+                    EstimatorKind.HYV_UNIVARIATE]
+ORACLE_THETAS = [-0.95, 0.0, 0.63, 0.95]
+
+
+class TestSufficientStatistics:
+    """Objectives evaluated from per-series statistics against dense oracles."""
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    @pytest.mark.parametrize("kind", PER_SERIES_KINDS)
+    def test_objectives_match_dense_references(self, model, kind):
+        for t_len in (min_series_length(kind, model), 50, 200):
+            y = sample_ar1(Ar1Params(0, 1, 0.5), 3, t_len, seed=t_len) if model == "ar1" \
+                else sample_ma1(Ma1Params(0, 1, 0.5), 3, t_len, seed=t_len)
+            for theta in ORACLE_THETAS:
+                got = score_per_series(y, kind, model, theta)
+                dense = dense_objective(y, kind, model, theta)
+                err = np.max(np.abs(got - dense)) / np.max(np.abs(dense))
+                assert err <= 1e-12, (t_len, theta, err)
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    @pytest.mark.parametrize("kind", PER_SERIES_KINDS)
+    def test_derivatives_match_richardson_differences(self, model, kind):
+        y = sample_ar1(Ar1Params(0, 1, 0.4), 5, 50, seed=3) if model == "ar1" \
+            else sample_ma1(Ma1Params(0, 1, 0.4), 5, 50, seed=3)
+        objective = series_objective(y, kind, model)
+        for theta in ORACLE_THETAS:
+            grad, hess = objective.derivatives(theta)
+            fd_grad, fd_hess = richardson(
+                lambda th: score_per_series(y, kind, model, th), theta, 1e-3)
+            assert np.max(np.abs(grad - fd_grad)) <= 1e-7 * np.max(np.abs(grad)), theta
+            assert np.max(np.abs(hess - fd_hess)) <= 1e-7 * np.max(np.abs(hess)), theta
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    @pytest.mark.parametrize("kind", PER_SERIES_KINDS)
+    def test_total_matches_total_score(self, model, kind):
+        y = sample_ma1(Ma1Params(0, 1, -0.3), 6, 9, seed=4)
+        objective = series_objective(y, kind, model)
+        for theta in (-0.7, 0.2):
+            npt.assert_allclose(objective.total(theta), total_score(y, kind, model, theta),
+                                rtol=1e-13)
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    @pytest.mark.parametrize("kind", PER_SERIES_KINDS)
+    def test_reads_only_the_statistics(self, model, kind):
+        # once reduced, the series can be overwritten: nothing reads them again
+        y = sample_ar1(Ar1Params(0, 1, 0.3), 4, 12, seed=5)
+        objective = series_objective(y, kind, model)
+        y[:] = np.nan
+        grad, hess = objective.derivatives(0.4)
+        assert np.isfinite(objective.total(0.4))
+        assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
+
+    def test_wishart_kind_rejected(self):
+        with pytest.raises(ValueError, match="not a per-series objective"):
+            series_objective(np.zeros((3, 4)), EstimatorKind.HYV_WISHART, "ma1")

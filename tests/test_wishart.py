@@ -255,3 +255,61 @@ class TestScalePrecision:
     def test_context_invariants(self):
         with pytest.raises(ValueError):
             WishartContext(nu=10, t_len=3, s_inv=np.eye(2), model="ar1")
+
+
+def dense_precision_derivative(model, lam, t_len):
+    """-P Omega' P from the dense covariance derivative (unit innovations)."""
+    prec = scale_precision(model, lam, t_len)
+    if model == "ar1":
+        lag = np.abs(np.subtract.outer(np.arange(t_len), np.arange(t_len)))
+        cov = lam**lag / (1 - lam**2)
+        dcov = (lag * lam ** np.maximum(lag - 1, 0) + 2 * lam * cov) / (1 - lam**2)
+    else:
+        dcov = 2 * lam * np.eye(t_len) + np.eye(t_len, k=1) + np.eye(t_len, k=-1)
+    return -prec @ dcov @ prec
+
+
+class TestDenseForms:
+    """The statistics-based Wishart terms against their dense T x T forms."""
+
+    @pytest.mark.parametrize("t_len", [1, 2, 10, 50])
+    @pytest.mark.parametrize("alpha", [-0.95, 0.0, 0.63, 0.95])
+    def test_ma_precision_derivative(self, t_len, alpha):
+        dense = dense_precision_derivative("ma1", alpha, t_len)
+        got = precision_derivative("ma1", alpha, t_len)
+        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    @pytest.mark.parametrize("t_len", [1, 2, 3, 10, 50])
+    @pytest.mark.parametrize("theta", [-0.95, 0.0, 0.63, 0.95])
+    def test_variability_and_sensitivity(self, model, t_len, theta):
+        nu = t_len + 20
+        d = dense_precision_derivative(model, theta, t_len)
+        d_psi = d @ scale_precision(model, theta, t_len)
+        a, b = np.trace(d_psi), np.trace(d_psi @ d_psi)
+        c, m = 0.5 * (nu - t_len - 1), nu - t_len
+        j = c * c / 4 * (2 * a * a + 2 * (m - 1) * b) / (m * (m - 1) ** 2 * (m - 3))
+        npt.assert_allclose(wishart_variability(model, theta, nu, t_len), j, rtol=1e-12)
+        npt.assert_allclose(wishart_sensitivity(model, theta, t_len), 0.25 * np.sum(d * d),
+                            rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    @pytest.mark.parametrize("t_len", [1, 2, 3, 10])
+    def test_score_and_gradient(self, model, t_len):
+        rng = np.random.default_rng(t_len)
+        nu = t_len + 6
+        ctx = make_ctx(sum_of_squares(rng.standard_normal((nu, t_len))), nu=nu, model=model)
+        c = ctx.half_dof
+        for lam in (-0.95, -0.3, 0.0, 0.63, 0.95):
+            resid = c * ctx.s_inv - 0.5 * scale_precision(model, lam, t_len)
+            dense = 0.5 * np.sum(resid * resid) - c * np.sum(np.diag(ctx.s_inv) ** 2)
+            npt.assert_allclose(hw_score(ctx, lam), dense, rtol=1e-12, atol=1e-12)
+            dense_grad = -0.5 * np.sum(resid * dense_precision_derivative(model, lam, t_len))
+            npt.assert_allclose(hw_grad(ctx, lam), dense_grad, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    def test_score_reads_only_the_statistics(self, model):
+        y = sample_ma1(params_for("ma1", 0.3), 20, 6, seed=14)
+        ctx = make_ctx(sum_of_squares(y), nu=20, model=model)
+        ctx.s_inv[:] = np.nan
+        assert np.isfinite(hw_score(ctx, 0.4)) and np.isfinite(hw_grad(ctx, 0.4))
