@@ -15,8 +15,8 @@ from .models import (
     ar1_precision,
     ma1_covariance,
     ma1_eigenvalues,
-    ma1_eigenvectors,
     ma1_precision,
+    ma1_sine_transform,
     params_for,
     sample_ar1,
     sample_ma1,
@@ -55,6 +55,7 @@ from .inference import (
     EstimateRecord,
     GodambeComponents,
     are,
+    check_sample_size,
     fit,
     godambe_analytic,
     godambe_empirical,
@@ -71,8 +72,8 @@ __all__ = [
     "ar1_precision",
     "ma1_covariance",
     "ma1_eigenvalues",
-    "ma1_eigenvectors",
     "ma1_precision",
+    "ma1_sine_transform",
     "params_for",
     "sample_ar1",
     "sample_ma1",
@@ -106,6 +107,7 @@ __all__ = [
     "EstimateRecord",
     "GodambeComponents",
     "are",
+    "check_sample_size",
     "fit",
     "godambe_analytic",
     "godambe_empirical",

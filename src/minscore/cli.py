@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .inference import EstimateRecord, are, fit
+from .inference import EstimateRecord, check_sample_size, fit
 from .models import sample_series
 from .report import emit_are_svg, emit_csv
 from .scores import EstimatorKind
@@ -197,14 +197,14 @@ def _cmd_fit(args) -> int:
     if not np.all(np.isfinite(y)):
         raise ConfigError(f"data file {args.data!r} contains non-finite values (NaN or inf)")
     kind = EstimatorKind(args.estimator)
-    # the requested estimator first, so that its bounds fail before any fitting
-    record = fit(y, kind, args.model)
-    if record.sd is not None:
-        baseline = record
-        if kind is not EstimatorKind.FULL_ML:
-            baseline = fit(y, EstimatorKind.FULL_ML, args.model)
-        if baseline.sd is not None:
-            record = dataclasses.replace(record, are=are(baseline.sd, record.sd))
+    # the requested estimator's bounds fail before the baseline is fitted
+    check_sample_size(kind, args.model, *y.shape)
+    sd_mle = None
+    if kind is not EstimatorKind.FULL_ML:
+        sd_mle = fit(y, EstimatorKind.FULL_ML, args.model).sd
+    record = fit(y, kind, args.model, sd_mle=sd_mle)
+    if kind is EstimatorKind.FULL_ML and record.sd is not None:
+        record = dataclasses.replace(record, are=1.0)
     text = FIT_HEADER + "\n" + _record_line(record) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:

@@ -25,6 +25,7 @@ from .optimize import minimize_scalar
 from .scores import (
     DegenerateDataError,
     EstimatorKind,
+    SeriesObjective,
     ar1_pairwise_closed_form,
     min_series_length,
     series_objective,
@@ -42,6 +43,7 @@ __all__ = [
     "godambe_empirical",
     "godambe_analytic",
     "are",
+    "check_sample_size",
     "fit",
 ]
 
@@ -83,16 +85,26 @@ def godambe_empirical(
     """Empirical J and K: per-series squared gradients and second derivatives
     of the objective, averaged over the observed series at theta_hat.
 
-    Both derivatives are exact, from the series' sufficient statistics
-    (:func:`~minscore.scores.series_objective`).
+    ``series`` is a (nu, T) matrix or its :class:`~minscore.scores.SeriesObjective`
+    for this kind and model, so a fit that already reduced its series does
+    not reduce them again.  Both derivatives are exact, from the series'
+    sufficient statistics.
     """
     kind = EstimatorKind(kind)
+    model = canonical_model(model)
     if kind is EstimatorKind.HYV_WISHART:
         raise ValueError("empirical per-series estimation does not apply to the Wishart score")
-    y = np.atleast_2d(np.asarray(series, dtype=float))
-    if y.shape[0] < 2:
-        raise ValueError(f"need at least 2 series, got {y.shape[0]}")
-    g, h = series_objective(y, kind, model).derivatives(theta_hat)
+    if isinstance(series, SeriesObjective):
+        if (series.kind, series.model) != (kind, model):
+            raise ValueError(
+                f"objective is for {series.kind} on {series.model}, not {kind} on {model}"
+            )
+        objective = series
+    else:
+        objective = series_objective(np.atleast_2d(series), kind, model)
+    if len(objective.stats) < 2:
+        raise ValueError(f"need at least 2 series, got {len(objective.stats)}")
+    g, h = objective.derivatives(theta_hat)
     j_hat = float(np.mean(g * g))
     k_hat = float(np.mean(h))
     if not np.isfinite(j_hat) or j_hat <= _DEGENERATE_RATIO * k_hat**2:
@@ -127,34 +139,15 @@ def are(sd_mle: float, sd_est: float) -> float:
     return (sd_mle / sd_est) ** 2
 
 
-def fit(
-    series,
-    kind: EstimatorKind,
-    model: str,
-    *,
-    sd_mle: float | None = None,
-    compute_sd: bool = True,
-    bounds: tuple[float, float] = SEARCH_BOUNDS,
-    tol: float = 1e-6,
-) -> EstimateRecord:
-    """Fit one estimator to a (nu, T) series matrix.
-
-    The AR(1) pairwise estimate is the closed form; the Wishart estimate
-    minimizes the pooled score; everything else minimizes the summed
-    per-series objective over ``bounds``.  The sd of a per-series kind uses
-    the empirical Godambe information (:func:`godambe_empirical`); the Wishart
-    kind uses its exact information (:func:`godambe_analytic`), which needs
-    nu >= T + 4.  Series shorter than
-    :func:`~minscore.scores.min_series_length` (T >= 2 for every estimator),
-    fewer than 2 series when the sd is wanted, and fewer than T + 2 series
-    for the Wishart estimate are rejected before any minimization.  Estimates
-    at the search boundary are flagged and get no sd.  ``are`` is filled when
-    ``sd_mle`` is supplied.
-    """
+def check_sample_size(
+    kind: EstimatorKind, model: str, nu: int, t_len: int, *, compute_sd: bool = True
+) -> None:
+    """Raise ``ValueError`` unless :func:`fit` can fit ``nu`` series of length
+    ``t_len``: series no shorter than :func:`~minscore.scores.min_series_length`
+    (T >= 2 for every estimator), at least 2 series when the sd is wanted,
+    and for the Wishart estimate at least T + 2 series, T + 4 with its sd."""
     kind = EstimatorKind(kind)
     model = canonical_model(model)
-    y = np.atleast_2d(np.asarray(series, dtype=float))
-    nu, t_len = y.shape
     need = min_series_length(kind, model)
     if t_len < need:
         raise ValueError(
@@ -170,17 +163,46 @@ def fit(
                 f"the Wishart {what} needs nu >= T + {extra}; got nu={nu}, T={t_len}"
             )
 
-    if kind is EstimatorKind.PAIRWISE_ML and model == "ar1":
-        estimate, _ = ar1_pairwise_closed_form(y)
-        boundary = not (bounds[0] < estimate < bounds[1])
-    elif kind is EstimatorKind.HYV_WISHART:
+
+def fit(
+    series,
+    kind: EstimatorKind,
+    model: str,
+    *,
+    sd_mle: float | None = None,
+    compute_sd: bool = True,
+    bounds: tuple[float, float] = SEARCH_BOUNDS,
+    tol: float = 1e-6,
+) -> EstimateRecord:
+    """Fit one estimator to a (nu, T) series matrix.
+
+    The AR(1) pairwise estimate is the closed form; the Wishart estimate
+    minimizes the pooled score; everything else minimizes the summed
+    per-series objective over ``bounds``, reducing the series once for both
+    the estimate and its sd.  The sd of a per-series kind uses the empirical
+    Godambe information (:func:`godambe_empirical`); the Wishart kind uses its
+    exact information (:func:`godambe_analytic`).  Sizes that
+    :func:`check_sample_size` rejects fail before any minimization.
+    Estimates at the search boundary are flagged and get no sd.  ``are`` is
+    filled when ``sd_mle`` is supplied.
+    """
+    kind = EstimatorKind(kind)
+    model = canonical_model(model)
+    y = np.atleast_2d(np.asarray(series, dtype=float))
+    nu, t_len = y.shape
+    check_sample_size(kind, model, nu, t_len, compute_sd=compute_sd)
+
+    if kind is EstimatorKind.HYV_WISHART:
         estimate = hw_estimate(y, model, bounds=bounds, tol=tol)
         boundary = _at_edge(estimate, bounds, tol)
     else:
-        estimate = minimize_scalar(
-            series_objective(y, kind, model).total, bounds[0], bounds[1], tol=tol
-        )
-        boundary = _at_edge(estimate, bounds, tol)
+        objective = series_objective(y, kind, model)
+        if kind is EstimatorKind.PAIRWISE_ML and model == "ar1":
+            estimate, _ = ar1_pairwise_closed_form(y)
+            boundary = not (bounds[0] < estimate < bounds[1])
+        else:
+            estimate = minimize_scalar(objective.total, bounds[0], bounds[1], tol=tol)
+            boundary = _at_edge(estimate, bounds, tol)
 
     if boundary or not compute_sd:
         return EstimateRecord(kind, float(estimate), None, None, boundary)
@@ -188,7 +210,7 @@ def fit(
     if kind is EstimatorKind.HYV_WISHART:
         comps = godambe_analytic(model, estimate, t_len=t_len, nu=nu)
     else:
-        comps = godambe_empirical(y, kind, model, estimate)
+        comps = godambe_empirical(objective, kind, model, estimate)
     sd = comps.sd(nu)
     rel_eff = are(sd_mle, sd) if sd_mle is not None else None
     return EstimateRecord(kind, float(estimate), float(sd), rel_eff, False)

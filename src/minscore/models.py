@@ -6,7 +6,7 @@ symmetric as stored.  Samplers are pure functions of ``(params, seed)`` so
 replicate-level parallelism is reproducible.
 
 Every MA(1) covariance of length T is tridiagonal Toeplitz, so one fixed
-orthogonal basis, the DST-I sine basis (:func:`ma1_eigenvectors`),
+orthogonal basis, the DST-I sine basis (:func:`ma1_sine_transform`),
 diagonalizes all of them; only the eigenvalues (:func:`ma1_eigenvalues`)
 depend on alpha.  The objectives built on these carry their parameter
 dependence as *jets*: arrays whose leading axis holds a value and its first
@@ -31,7 +31,7 @@ __all__ = [
     "ma1_covariance",
     "ma1_precision",
     "ma1_geometric_sums",
-    "ma1_eigenvectors",
+    "ma1_sine_transform",
     "ma1_eigenvalues",
     "sample_ar1",
     "sample_ma1",
@@ -173,20 +173,23 @@ def _half_angle_sin2(t_len: int) -> np.ndarray:
     return s2
 
 
-@functools.lru_cache(maxsize=16)
-def ma1_eigenvectors(t_len: int) -> np.ndarray:
-    """DST-I basis ``U[j, k] = sqrt(2/(T+1)) sin(jk pi/(T+1))``, j, k = 1..T.
+def ma1_sine_transform(x, axis: int = -1) -> np.ndarray:
+    """Orthonormal DST-I of ``x`` along ``axis``: ``x @ U`` for a length-T axis,
+    with ``U[j, k] = sqrt(2/(T+1)) sin(jk pi/(T+1))``, j, k = 1..T.
 
     ``U`` is symmetric and orthogonal and diagonalizes every MA(1) covariance
     of length T: ``Omega = U diag(lambda) U`` with ``lambda`` from
-    :func:`ma1_eigenvalues`.  Cached per length and read-only, so threads
-    share it safely.
+    :func:`ma1_eigenvalues`.  Computed from the FFT of the odd extension of
+    length 2(T+1), so it costs O(T log T) per row and never forms ``U``.
     """
-    t_len = _check_t(t_len, 1)
-    k = np.arange(1, t_len + 1)
-    u = np.sqrt(2.0 / (t_len + 1)) * np.sin(np.outer(k, k) * (np.pi / (t_len + 1)))
-    u.flags.writeable = False
-    return u
+    x = np.moveaxis(np.asarray(x, dtype=float), axis, -1)
+    t_len = _check_t(x.shape[-1], 1)
+    odd = np.zeros(x.shape[:-1] + (2 * (t_len + 1),))
+    odd[..., 1 : t_len + 1] = x
+    odd[..., t_len + 2 :] = -x[..., ::-1]
+    # the odd extension's DFT is -2i sum_j x_j sin(jk pi/(T+1))
+    z = np.fft.rfft(odd)[..., 1 : t_len + 1].imag * -np.sqrt(0.5 / (t_len + 1))
+    return np.moveaxis(z, -1, axis)
 
 
 def ma1_eigenvalues(alpha: float, t_len: int, order: int = 0) -> np.ndarray:

@@ -9,13 +9,17 @@ Every objective is a Gaussian quadratic form in the series, so each series
 enters only through a few sufficient statistics, and its value in
 minimization orientation is ``stats @ coef(theta) + const(theta)``:
 
-- AR(1), every kind, and MA(1) pairwise: five lag sums of each series (all
-  squares, interior squares, lag-1 and lag-2 products and the two boundary
-  lag-1 products); the coefficients are polynomials in phi (degree 4 for
-  ``hyv``) or, for MA(1) pairwise, ratios of polynomials in alpha.
+- AR(1), every kind: sums of squares and products of each series and of its
+  first (full, pairwise) or second (``hyv``) differences, ``d_t - d_{t-1}``
+  for phi >= 0 and ``d_t + d_{t-1}`` for phi < 0; the coefficients are
+  polynomials in ``u = 1 - |phi|`` (degree 4 for ``hyv``).  Each statistic
+  is at most the size of the objective as ``|phi| -> 1``, where plain lag sums
+  grow as ``1/(1 - phi^2)`` and would cancel.
+- MA(1) pairwise: three lag sums (all squares, interior squares and lag-1
+  products); the coefficients are ratios of polynomials in alpha.
 - MA(1) full and ``hyv``: the squared coordinates ``z = y U`` of each series
   in the DST-I basis that diagonalizes every MA(1) covariance
-  (:func:`~minscore.models.ma1_eigenvectors`); with eigenvalues ``lambda``,
+  (:func:`~minscore.models.ma1_sine_transform`); with eigenvalues ``lambda``,
   full is ``0.5 * sum(z^2/lambda + log lambda)`` and ``hyv`` is
   ``0.5 * sum(z^2/lambda^2) - sum(1/lambda)``, O(T) per series and theta.
 
@@ -45,7 +49,7 @@ from .models import (
     _power_jets,
     canonical_model,
     ma1_eigenvalues,
-    ma1_eigenvectors,
+    ma1_sine_transform,
     params_for,
 )
 
@@ -107,40 +111,70 @@ def _as_series(y, model: str | None = None, kind: EstimatorKind | None = None) -
     return y
 
 
-# Lag-sum coefficients, rows = powers 0..4 of the parameter, columns = the
-# statistics of _lag_sums.  AR(1): full 0.5 (q0 + phi^2 q_int) - phi c1 and
-# pairwise 0.5 (q0 + q_int) - phi c1, so the pair sum of squares is q0 + q_int;
-# hyv is half the residual sum of squares ||P y||^2 (see ar1_hyvarinen),
-# expanded: 0.5 (1+phi^2) q0 + 0.5 (phi^4 + 3 phi^2) q_int - 2 phi (1+phi^2) c1
-# + phi^2 c2 + phi^3 e_b.  MA(1) pairwise: the numerator of
-# (0.5 (1+alpha^2) (q0 + q_int) - alpha c1) / (1 + alpha^2 + alpha^4).
-_LAG_COEF = {
-    ("ar1", EstimatorKind.FULL_ML): np.array(
-        [[0.5, 0, 0, 0, 0], [0, 0, -1, 0, 0], [0, 0.5, 0, 0, 0], [0] * 5, [0] * 5]),
-    ("ar1", EstimatorKind.PAIRWISE_ML): np.array(
-        [[0.5, 0.5, 0, 0, 0], [0, 0, -1, 0, 0], [0] * 5, [0] * 5, [0] * 5]),
-    ("ar1", EstimatorKind.HYV_UNIVARIATE): np.array(
-        [[0.5, 0, 0, 0, 0], [0, 0, -2, 0, 0], [0.5, 1.5, 0, 1, 0], [0, 0, -2, 0, 1], [0, 0.5, 0, 0, 0]]),
-    ("ma1", EstimatorKind.PAIRWISE_ML): np.array(
-        [[0.5, 0.5, 0, 0, 0], [0, 0, -1, 0, 0], [0.5, 0.5, 0, 0, 0], [0] * 5, [0] * 5]),
-}
-_ONE_MINUS_SQUARE = np.array([1.0, 0.0, -1.0, 0.0, 0.0])
+# MA(1) pairwise: the numerator of
+# (0.5 (1+alpha^2) (q0 + q_int) - alpha c1) / (1 + alpha^2 + alpha^4), rows =
+# powers 0..4 of alpha, columns = the statistics of _lag_sums.
+_MA1_PAIR_COEF = np.array([[0.5, 0.5, 0], [0, 0, -1], [0.5, 0.5, 0], [0] * 3, [0] * 3])
 _MA1_PAIR_DET = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+
+# AR(1) objectives in u = 1 - s phi, with s = sign(phi); rows = powers 0..4 of
+# u, columns = the statistics of _ar1_sums for s = +1, then for s = -1.  Full
+# is half of P + 2 u Q + u^2 R + u (2 - u) D and pairwise half of
+# P + 2 u Q + 2 u R; hyv is half of u^4 A - 2 u^2 (1-u) B + (1-u)^2 C + u^2 E
+# + 2 u (1-u) F + (1-u)^2 G, the residual sum ||P y||^2 (see ar1_hyvarinen).
+_AR1_HALF_COEF = {
+    EstimatorKind.FULL_ML: 0.5 * np.array(
+        [[1, 0, 0, 0], [0, 2, 0, 2], [0, 0, 1, -1], [0] * 4, [0] * 4]),
+    EstimatorKind.PAIRWISE_ML: 0.5 * np.array(
+        [[1, 0, 0, 0], [0, 2, 2, 0], [0] * 4, [0] * 4, [0] * 4]),
+    EstimatorKind.HYV_UNIVARIATE: 0.5 * np.array([
+        [0, 0, 1, 0, 0, 1],
+        [0, 0, -2, 0, 2, -2],
+        [0, -2, 1, 1, -2, 1],
+        [0, 2, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0, 0],
+    ]),
+}
+_AR1_COEF = {
+    (kind, sign): np.concatenate([half, 0 * half] if sign > 0 else [0 * half, half], axis=1)
+    for kind, half in _AR1_HALF_COEF.items() for sign in (1, -1)
+}
+_TWO_U_MINUS_SQUARE = np.array([0.0, 2.0, -1.0, 0.0, 0.0])  # 1 - phi^2 = u (2 - u)
+
+
+def _dot(a, b):
+    return np.einsum("...t,...t->...", a, b)
 
 
 def _lag_sums(d: np.ndarray) -> np.ndarray:
-    # q0 = sum d_t^2, q_int = sum over t = 2..T-1 of d_t^2, c1 = sum d_t d_{t-1},
-    # c2 = sum d_t d_{t-2}, e_b = d_1 d_2 + d_{T-1} d_T
-    def dot(a, b):
-        return np.einsum("...t,...t->...", a, b)
+    # q0 = sum d_t^2, q_int = sum over t = 2..T-1 of d_t^2, c1 = sum d_t d_{t-1}
+    inner = d[..., 1:-1]
+    return np.stack([_dot(d, d), _dot(inner, inner), _dot(d[..., 1:], d[..., :-1])], axis=-1)
 
-    return np.stack([
-        dot(d, d),
-        dot(d[..., 1:-1], d[..., 1:-1]),
-        dot(d[..., 1:], d[..., :-1]),
-        dot(d[..., 2:], d[..., :-2]),
-        d[..., 0] * d[..., 1] + d[..., -2] * d[..., -1],
-    ], axis=-1)
+
+def _ar1_sums(d: np.ndarray, kind: EstimatorKind) -> np.ndarray:
+    # One half per sign s (+1 first).  With u = 1 - s phi, the innovations
+    # are d_t - phi d_{t-1} = e_t + s u d_{t-1}, e_t = d_t - s d_{t-1}, so full
+    # and pairwise read P = sum e_t^2, Q = sum e_t s d_{t-1}, R = sum over
+    # t < T of d_t^2 and D = d_1^2.  The residuals of P y are u^2 d_t - (1-u) h_t
+    # inside, h_t = s (d_{t-1} + d_{t+1}) - 2 d_t, and u d_t + (1-u) g_t at
+    # both ends, g_t = d_t - s d_(neighbour), so hyv reads the sums of d^2,
+    # d h and h^2 inside (A, B, C) and of d^2, d g and g^2 at the ends (E, F,
+    # G).  For s = sign(phi) no term outgrows the objective as |phi| -> 1,
+    # where plain lag sums grow as 1/(1 - phi^2) and cancel.
+    inner, ends, prev = d[..., 1:-1], d[..., [0, -1]], d[..., :-1]
+    halves = []
+    for s in (1.0, -1.0):
+        if kind is EstimatorKind.HYV_UNIVARIATE:
+            h = s * (d[..., :-2] + d[..., 2:]) - 2.0 * inner
+            g = ends - s * d[..., [1, -2]]
+            stats = [_dot(inner, inner), _dot(inner, h), _dot(h, h),
+                     _dot(ends, ends), _dot(ends, g), _dot(g, g)]
+        else:
+            e = d[..., 1:] - s * prev
+            stats = [_dot(e, e), s * _dot(e, prev), _dot(prev, prev), d[..., 0] ** 2]
+        halves.append(np.stack(stats, axis=-1))
+    return np.concatenate(halves, axis=-1)
 
 
 def _spectral(model: str, kind: EstimatorKind) -> bool:
@@ -154,8 +188,10 @@ def _series_stats(y, kind: EstimatorKind, model: str) -> np.ndarray:
         raise ValueError("the Wishart score is not a per-series objective; see minscore.wishart")
     y = _as_series(y, model, kind)
     if _spectral(model, kind):
-        z = y @ ma1_eigenvectors(y.shape[-1])
+        z = ma1_sine_transform(y)
         return z * z
+    if model == "ar1":
+        return _ar1_sums(y, kind)
     return _lag_sums(y)
 
 
@@ -168,17 +204,21 @@ def _terms(kind: EstimatorKind, model: str, t_len: int, theta: float, order: int
         if kind is EstimatorKind.FULL_ML:
             return 0.5 * _jet_power(lam, -1), 0.5 * _jet_log(lam).sum(axis=-1)
         return 0.5 * _jet_power(lam, -2), -_jet_power(lam, -1).sum(axis=-1)
-    x = _power_jets(theta, order)
-    coef = x @ _LAG_COEF[model, kind]
     if model == "ma1":
+        x = _power_jets(theta, order)
         det = x @ _MA1_PAIR_DET
-        return (_jet_product(coef, _jet_power(det, -1)[:, None]),
+        return (_jet_product(x @ _MA1_PAIR_COEF, _jet_power(det, -1)[:, None]),
                 0.5 * (t_len - 1) * _jet_log(det))
+    sign = 1 if theta >= 0 else -1
+    u = _power_jets(1.0 - sign * theta, order)
+    if sign > 0 and order:
+        u[1::2] *= -1.0  # the jets are in theta, and du/dtheta = -sign
+    coef = u @ _AR1_COEF[kind, sign]
     if kind is EstimatorKind.HYV_UNIVARIATE:
-        # the trace of the precision, 2 + (T-2) (1 + phi^2)
-        return coef, -(x @ np.array([t_len, 0.0, t_len - 2.0, 0.0, 0.0]))
+        # the trace of the precision, 2 + (T-2) (1 + phi^2), with 1 + phi^2 = 2 - 2u + u^2
+        return coef, -(u @ np.array([2.0 * t_len - 2.0, 4.0 - 2.0 * t_len, t_len - 2.0, 0, 0]))
     pairs = 1 if kind is EstimatorKind.FULL_ML else t_len - 1
-    return coef, -0.5 * pairs * _jet_log(x @ _ONE_MINUS_SQUARE)
+    return coef, -0.5 * pairs * _jet_log(u @ _TWO_U_MINUS_SQUARE)
 
 
 @dataclass(frozen=True)
@@ -231,7 +271,8 @@ def ar1_full_loglik(y, params: Ar1Params):
     """Exact stationary AR(1) log-likelihood (additive constants dropped):
     ``-(q0 + phi^2 q_int - 2 phi c1) / (2 sigma2) - T/2 log sigma2
     + 0.5 log(1 - phi^2)`` with the lag sums q0 (all squares), q_int (interior
-    squares) and c1 (lag-1 products) of ``y - mu``."""
+    squares) and c1 (lag-1 products) of ``y - mu``, evaluated from sums over
+    its first differences (see the module docstring)."""
     return -_evaluate(y, params, "ar1", EstimatorKind.FULL_ML)
 
 
@@ -288,7 +329,8 @@ def ar1_hyvarinen(y, params: Ar1Params):
     interior residuals ``(1+phi^2) d_t - phi (d_{t-1} + d_{t+1})`` and boundary
     residuals ``d_1 - phi d_2`` and ``d_T - phi d_{T-1}``, each squared over
     ``2 sigma2^2``, minus ``(2 + (T-2)(1+phi^2)) / sigma2``; the squares are
-    expanded into a degree-4 polynomial in phi of the lag sums.
+    expanded into a degree-4 polynomial in ``1 - |phi|`` of the sums of
+    squares and products of ``d`` and its second differences.
     """
     return _evaluate(y, params, "ar1", EstimatorKind.HYV_UNIVARIATE)
 

@@ -42,8 +42,8 @@ from .models import (
     ar1_precision,
     canonical_model,
     ma1_eigenvalues,
-    ma1_eigenvectors,
     ma1_precision,
+    ma1_sine_transform,
     params_for,
     sample_series,
     sum_of_squares,
@@ -154,15 +154,18 @@ def precision_derivative(model: str, lam: float, t_len: int) -> np.ndarray:
         inner = np.arange(1, t_len - 1)
         deriv[inner, inner] = 2.0 * lam
         return deriv
-    u = ma1_eigenvectors(t_len)
-    return (u * _jet_power(ma1_eigenvalues(lam, t_len, 1), -1)[1]) @ u
+    return _rotate_both(np.diag(_jet_power(ma1_eigenvalues(lam, t_len, 1), -1)[1]))
+
+
+def _rotate_both(m: np.ndarray) -> np.ndarray:
+    # U M U, with U the DST-I basis of ma1_sine_transform
+    return ma1_sine_transform(ma1_sine_transform(m, axis=0), axis=1)
 
 
 def _precision_stats(s_inv: np.ndarray, model: str) -> np.ndarray:
     # statistics of a symmetric matrix M with <M, P(lam)> = stats @ coef(lam)
     if model == "ma1":
-        u = ma1_eigenvectors(len(s_inv))
-        return np.sum(u * (s_inv @ u), axis=0)  # diag(U M U)
+        return np.diagonal(_rotate_both(s_inv)).copy()
     diag = np.diag(s_inv)
     # the interior sum is the trace minus both ends, which is -M[0, 0] at
     # T = 1, where the scale precision is 1 - lam^2
@@ -191,19 +194,11 @@ def hw_score(ctx: WishartContext, lam: float) -> float:
     return float(ctx.offset - 0.5 * ctx.half_dof * (ctx.stats @ coef[0]) + 0.125 * norm[0])
 
 
-def hw_grad(ctx: WishartContext, lam: float, dprec: np.ndarray | None = None) -> float:
-    """Derivative of :func:`hw_score` in lam.
-
-    ``dprec`` may supply an elementwise derivative of the scale precision to
-    contract the dense residual ``c S^{-1} - P/2`` with; by default the exact
-    derivative comes from the statistics of the context.
-    """
-    c = ctx.half_dof
-    if dprec is not None:
-        resid = c * ctx.s_inv - 0.5 * scale_precision(ctx.model, lam, ctx.t_len)
-        return float(-0.5 * np.sum(resid * dprec))
+def hw_grad(ctx: WishartContext, lam: float) -> float:
+    """Exact derivative of :func:`hw_score` in lam, from the statistics of
+    the context."""
     coef, norm = _score_terms(ctx.model, lam, ctx.t_len, 1)
-    return float(-0.5 * c * (ctx.stats @ coef[1]) + 0.125 * norm[1])
+    return float(-0.5 * ctx.half_dof * (ctx.stats @ coef[1]) + 0.125 * norm[1])
 
 
 def _derivative_traces(model: str, lam: float, t_len: int) -> tuple[float, float, float]:

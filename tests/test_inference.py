@@ -20,7 +20,7 @@ from minscore import (
     score_per_series,
     wishart_sensitivity,
 )
-from minscore.scores import min_series_length
+from minscore.scores import min_series_length, series_objective
 
 
 def per_series_moments(y, kind, model, theta):
@@ -71,6 +71,15 @@ class TestGodambeEmpirical:
     def test_needs_two_series(self):
         with pytest.raises(ValueError):
             godambe_empirical(np.zeros((1, 10)) + 1.0, EstimatorKind.FULL_ML, "ar1", 0.0)
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    def test_accepts_the_reduced_objective(self, model):
+        y = sample_series(model, 0.3, 40, 12, seed=44)
+        objective = series_objective(y, "hyv", model)
+        assert godambe_empirical(objective, "hyv", model, 0.3) == \
+            godambe_empirical(y, "hyv", model, 0.3)
+        with pytest.raises(ValueError, match="objective is for"):
+            godambe_empirical(objective, "full", model, 0.3)
 
     def test_invariant_g_formula(self):
         y = sample_ma1(params_for("ma1", 0.3), 500, 20, seed=44)
@@ -220,6 +229,21 @@ class TestFit:
         y = sample_series(model, 0.4, 60, 12, seed=70)
         record = fit(y, kind, model)
         assert record.sd == godambe_empirical(y, kind, model, record.estimate).sd(60)
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    @pytest.mark.parametrize("kind", ["full", "pairwise", "hyv"])
+    def test_each_series_reduced_once(self, monkeypatch, model, kind):
+        import minscore.inference as inference
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return series_objective(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "series_objective", counted)
+        record = fit(sample_series(model, 0.4, 60, 12, seed=70), kind, model)
+        assert record.sd is not None and len(calls) == 1
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     @pytest.mark.parametrize("kind", list(EstimatorKind))

@@ -11,7 +11,7 @@ from minscore import (
     ar1_precision,
     ma1_covariance,
     ma1_eigenvalues,
-    ma1_eigenvectors,
+    ma1_sine_transform,
     ma1_precision,
     params_for,
     sample_ar1,
@@ -231,15 +231,28 @@ class TestSumOfSquares:
 
 
 class TestMa1Spectrum:
+    @staticmethod
+    def dense_basis(t_len):
+        k = np.arange(1, t_len + 1)
+        return np.sqrt(2.0 / (t_len + 1)) * np.sin(np.outer(k, k) * np.pi / (t_len + 1))
+
+    @pytest.mark.parametrize("t_len", [1, 2, 7, 50, 201])
+    def test_transform_is_the_dense_basis(self, t_len):
+        u = self.dense_basis(t_len)
+        x = np.random.default_rng(t_len).standard_normal((3, t_len))
+        npt.assert_allclose(ma1_sine_transform(x), x @ u, atol=1e-13)
+        npt.assert_allclose(ma1_sine_transform(x.T, axis=0), (x @ u).T, atol=1e-13)
+        npt.assert_allclose(ma1_sine_transform(x[0]), x[0] @ u, atol=1e-13)
+
     @pytest.mark.parametrize("t_len", [1, 2, 7, 50])
     @pytest.mark.parametrize("alpha", [-0.999, -0.5, 0.0, 0.63, 0.999])
     def test_basis_diagonalizes_the_covariance(self, t_len, alpha):
-        u = ma1_eigenvectors(t_len)
+        u = ma1_sine_transform(np.eye(t_len))
         lam = ma1_eigenvalues(alpha, t_len)[0]
         npt.assert_allclose(u @ u, np.eye(t_len), atol=1e-13)
         npt.assert_allclose(u @ np.diag(lam) @ u, ma1_covariance(Ma1Params(0, 1, alpha), t_len),
                             atol=1e-13)
-        assert np.all(lam > 0) and not u.flags.writeable
+        assert np.all(lam > 0)
 
     def test_eigenvalue_derivatives(self):
         jet = ma1_eigenvalues(0.7, 9, order=2)
@@ -247,20 +260,3 @@ class TestMa1Spectrum:
         fd = (ma1_eigenvalues(0.7 + h, 9)[0] - ma1_eigenvalues(0.7 - h, 9)[0]) / (2 * h)
         npt.assert_allclose(jet[1], fd, atol=1e-8)
         npt.assert_array_equal(jet[2], 2.0)
-
-    def test_shared_basis_under_racing_threads(self):
-        # worker threads share the cached basis; racing to build it must give
-        # every thread the same read-only array
-        import sys
-        from concurrent.futures import ThreadPoolExecutor
-
-        ma1_eigenvectors.cache_clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                bases = list(pool.map(ma1_eigenvectors, [37] * 64, timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(np.array_equal(b, bases[0]) for b in bases)
-        assert not any(b.flags.writeable for b in bases)

@@ -492,3 +492,31 @@ class TestSufficientStatistics:
     def test_wishart_kind_rejected(self):
         with pytest.raises(ValueError, match="not a per-series objective"):
             series_objective(np.zeros((3, 4)), EstimatorKind.HYV_WISHART, "ma1")
+
+    @pytest.mark.parametrize("kind", PER_SERIES_KINDS)
+    @pytest.mark.parametrize("phi", [-0.995, 0.995])
+    def test_ar1_accurate_near_unit_root(self, kind, phi):
+        # near |phi| = 1 the plain lag sums grow as 1/(1 - phi^2) and their
+        # polynomial cancels to ~1e-13; the statistics used instead keep the
+        # quadratic part within a few ulp of its exact rational value
+        from fractions import Fraction
+
+        t_len = 30
+        y = sample_ar1(Ar1Params(0, 1, phi), 4, t_len, seed=8)
+        quad = (score_per_series(y, kind, "ar1", phi)
+                - score_per_series(np.zeros(t_len), kind, "ar1", phi))
+        p = Fraction(phi)
+        for got, row in zip(quad, y):
+            d = [Fraction(v) for v in row]
+            if kind is EstimatorKind.FULL_ML:
+                exact = sum((d[t] - p * d[t - 1]) ** 2 for t in range(1, t_len)) \
+                    + (1 - p * p) * d[0] ** 2
+            elif kind is EstimatorKind.PAIRWISE_ML:
+                exact = sum(d[t] ** 2 + d[t - 1] ** 2 - 2 * p * d[t] * d[t - 1]
+                            for t in range(1, t_len))
+            else:
+                resid = [(1 + p * p) * d[t] - p * (d[t - 1] + d[t + 1])
+                         for t in range(1, t_len - 1)]
+                exact = sum(r * r for r in resid + [d[0] - p * d[1], d[-1] - p * d[-2]])
+            exact /= 2
+            assert abs(float(Fraction(float(got)) - exact) / float(exact)) <= 1e-14
