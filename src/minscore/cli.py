@@ -194,11 +194,9 @@ def _cmd_fit(args) -> int:
         raise ConfigError(f"cannot read data file {args.data!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"cannot parse data file {args.data!r}: {exc}") from exc
-    if not np.all(np.isfinite(y)):
-        raise ConfigError(f"data file {args.data!r} contains non-finite values (NaN or inf)")
     kind = EstimatorKind(args.estimator)
     # the requested estimator's bounds fail before the baseline is fitted
-    check_sample_size(kind, args.model, *y.shape)
+    check_sample_size(kind, args.model, y)
     sd_mle = None
     if kind is not EstimatorKind.FULL_ML:
         sd_mle = fit(y, EstimatorKind.FULL_ML, args.model).sd

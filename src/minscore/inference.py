@@ -140,14 +140,19 @@ def are(sd_mle: float, sd_est: float) -> float:
 
 
 def check_sample_size(
-    kind: EstimatorKind, model: str, nu: int, t_len: int, *, compute_sd: bool = True
+    kind: EstimatorKind, model: str, series, *, compute_sd: bool = True
 ) -> None:
-    """Raise ``ValueError`` unless :func:`fit` can fit ``nu`` series of length
-    ``t_len``: series no shorter than :func:`~minscore.scores.min_series_length`
-    (T >= 2 for every estimator), at least 2 series when the sd is wanted,
-    and for the Wishart estimate at least T + 2 series, T + 4 with its sd."""
+    """Raise ``ValueError`` unless :func:`fit` can fit the (nu, T) series
+    matrix ``series``: finite values, series no shorter than
+    :func:`~minscore.scores.min_series_length` (T >= 2 for every estimator),
+    at least 2 series when the sd is wanted, and for the Wishart estimate at
+    least T + 2 series, T + 4 with its sd."""
     kind = EstimatorKind(kind)
     model = canonical_model(model)
+    y = np.atleast_2d(np.asarray(series, dtype=float))
+    if not np.all(np.isfinite(y)):
+        raise ValueError("series contain non-finite values (NaN or inf)")
+    nu, t_len = y.shape
     need = min_series_length(kind, model)
     if t_len < need:
         raise ValueError(
@@ -181,8 +186,9 @@ def fit(
     per-series objective over ``bounds``, reducing the series once for both
     the estimate and its sd.  The sd of a per-series kind uses the empirical
     Godambe information (:func:`godambe_empirical`); the Wishart kind uses its
-    exact information (:func:`godambe_analytic`).  Sizes that
-    :func:`check_sample_size` rejects fail before any minimization.
+    exact information (:func:`godambe_analytic`).  Data that
+    :func:`check_sample_size` rejects (non-finite values, too few or too short
+    series) fail before any minimization.
     Estimates at the search boundary are flagged and get no sd.  ``are`` is
     filled when ``sd_mle`` is supplied.
     """
@@ -190,7 +196,7 @@ def fit(
     model = canonical_model(model)
     y = np.atleast_2d(np.asarray(series, dtype=float))
     nu, t_len = y.shape
-    check_sample_size(kind, model, nu, t_len, compute_sd=compute_sd)
+    check_sample_size(kind, model, y, compute_sd=compute_sd)
 
     if kind is EstimatorKind.HYV_WISHART:
         estimate = hw_estimate(y, model, bounds=bounds, tol=tol)

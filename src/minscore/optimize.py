@@ -10,9 +10,11 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 __all__ = ["MinimizationError", "minimize_scalar"]
+
+_SQRT_EPS = np.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
 
 
 class MinimizationError(RuntimeError):
@@ -35,8 +37,8 @@ def minimize_scalar(
 
     Raises :class:`MinimizationError` if ``f`` is non-finite at every seed.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got ({lo}, {hi})")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite lo < hi, got ({lo}, {hi})")
     xs = np.linspace(lo, hi, grid_points + 2)[1:-1]
     fs = np.array([f(x) for x in xs], dtype=float)
     finite = np.isfinite(fs)
@@ -46,11 +48,73 @@ def minimize_scalar(
     best = int(np.argmin(fs))
     left = xs[best - 1] if best > 0 else lo
     right = xs[best + 1] if best < len(xs) - 1 else hi
-    result = sp_optimize.minimize_scalar(
-        f, bounds=(left, right), method="bounded", options={"xatol": tol}
-    )
-    x_star = float(result.x)
-    f_star = f(x_star)
+    x_star, f_star = _bounded_brent(f, left, right, tol)
     if not np.isfinite(f_star) or f_star > fs[best]:
         return float(xs[best])
-    return x_star
+    return float(x_star)
+
+
+def _bounded_brent(f, a, b, xatol: float, maxfun: int = 500):
+    """Brent's minimizer on [a, b] (Forsythe, Malcolm & Moler's ``fmin``):
+    golden-section steps, parabolic steps where they stay inside the bracket,
+    stopping once the bracket around the best point is within ``xatol`` or
+    after ``maxfun`` evaluations.  Returns the best point and its value.
+
+    Step for step SciPy's ``minimize_scalar(method="bounded")``, in the same
+    numpy scalar arithmetic, so the points passed to ``f`` and the point
+    returned are the same to the bit.
+    """
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    fx = fnfc = ffulc = f(xf)
+    num = 1
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > tol2 - 0.5 * (b - a) and num < maxfun:
+        golden = True
+        if np.abs(e) > tol1:
+            # parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + (xm - xf == 0))
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return xf, fx

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sp_linalg
 
 from .models import (
     _jet_power,
@@ -105,17 +104,20 @@ class WishartContext:
 
 
 def wishart_context(s, nu: int, model: str) -> WishartContext:
-    """Invert the sum-of-squares matrix once (symmetric factorization) and
-    cache it for repeated score evaluations."""
+    """Invert the sum-of-squares matrix once and cache it for repeated score
+    evaluations: ``S^{-1} = L^{-T} L^{-1}`` from the Cholesky factor
+    ``S = L L'``, symmetrized."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"S must be a square matrix, got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("sum-of-squares matrix contains non-finite values (NaN or inf)")
     t_len = s.shape[0]
     try:
-        chol = sp_linalg.cho_factor(s, lower=True)
-        s_inv = sp_linalg.cho_solve(chol, np.eye(t_len))
-    except (np.linalg.LinAlgError, sp_linalg.LinAlgError) as exc:
+        l_inv = np.linalg.inv(np.linalg.cholesky(s))
+    except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular sum-of-squares matrix: {exc}") from exc
+    s_inv = l_inv.T @ l_inv
     s_inv = 0.5 * (s_inv + s_inv.T)
     return WishartContext(nu=int(nu), t_len=t_len, s_inv=s_inv, model=canonical_model(model))
 

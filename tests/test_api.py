@@ -1,7 +1,12 @@
-"""The public names of the package and of each layer module."""
+"""The public names of the package and of each layer module, and what importing
+the package loads."""
 
+import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -23,3 +28,37 @@ def test_all_names_resolve_once(name):
     exported = module.__all__
     assert [n for n, count in Counter(exported).items() if count > 1] == []
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def _scipy_modules_after(code: str) -> tuple[list[str], str]:
+    # run ``code`` in a fresh interpreter and list the scipy modules it loaded
+    script = code + (
+        "\nimport sys"
+        "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = os.path.dirname(os.path.dirname(minscore.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout.splitlines()[-1]), done.stdout
+
+
+def test_import_loads_no_scipy():
+    modules, _ = _scipy_modules_after("import minscore, minscore.cli")
+    assert modules == []
+
+
+def test_check_command_loads_no_scipy():
+    # what ``python -m minscore check`` runs, with its exit code kept
+    modules, out = _scipy_modules_after(
+        "import runpy, sys\n"
+        "sys.argv = ['minscore', 'check']\n"
+        "try:\n"
+        "    runpy.run_module('minscore', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+    )
+    assert modules == []
+    assert "all" in out and "checks passed" in out

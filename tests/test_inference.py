@@ -254,6 +254,17 @@ class TestFit:
         with pytest.raises(ValueError, match=f">= {min_series_length(kind, model)}"):
             fit(y, kind, model)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_non_finite_data_rejected(self, kind, model, bad):
+        # one bad value once gave a NaN pairwise estimate, a MinimizationError
+        # for full and hyv, and a linear-algebra error for the Wishart score
+        y = sample_series(model, 0.3, 30, 10, seed=71)
+        y[4, 7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fit(y, kind, model)
+
     def test_wishart_sd_needs_four_extra_series(self):
         # the point estimate needs nu >= T + 2, its sd nu >= T + 4
         y = sample_ar1(params_for("ar1", 0.2), 13, 10, seed=67)

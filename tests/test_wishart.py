@@ -15,6 +15,7 @@ from minscore import (
     precision_derivative,
     sample_ar1,
     sample_ma1,
+    sample_series,
     sum_of_squares,
     wishart_context,
     wishart_sensitivity,
@@ -37,6 +38,13 @@ class TestContext:
     def test_singular_s_rejected(self):
         with pytest.raises(ValueError):
             wishart_context(np.zeros((2, 2)), nu=10, model="ar1")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_s_rejected(self, bad):
+        s = np.eye(3) * 5.0
+        s[1, 2] = s[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            wishart_context(s, nu=10, model="ar1")
 
     def test_s_inv_cached_and_symmetric(self):
         rng = np.random.default_rng(0)
@@ -313,3 +321,37 @@ class TestDenseForms:
         ctx = make_ctx(sum_of_squares(y), nu=20, model=model)
         ctx.s_inv[:] = np.nan
         assert np.isfinite(hw_score(ctx, 0.4)) and np.isfinite(hw_grad(ctx, 0.4))
+
+
+def gauss_jordan_inverse(s):
+    """Inverse by Gauss-Jordan elimination with partial pivoting in long double."""
+    a = np.array(s, dtype=np.longdouble)
+    inv = np.eye(len(a), dtype=np.longdouble)
+    for k in range(len(a)):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        a[[k, p]], inv[[k, p]] = a[[p, k]], inv[[p, k]]
+        inv[k] /= a[k, k]
+        a[k] /= a[k, k]
+        m = a[:, k].copy()
+        m[k] = 0
+        a -= np.outer(m, a[k])
+        inv -= np.outer(m, inv[k])
+    return inv
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                    reason="the oracle needs a long double wider than double")
+@pytest.mark.parametrize("model", ["ar1", "ma1"])
+@pytest.mark.parametrize("t_len", [1, 2, 10, 50])
+def test_s_inverse_against_extended_precision(model, t_len):
+    # worst error over the cases, in ulps of the largest entry of S^{-1}; the
+    # earlier LAPACK Cholesky solve (potrf/potrs) met the same bound on this
+    # grid: 2.0, 3.0, 17.1 and 52.4 ulps at T = 1, 2, 10 and 50
+    worst = 0.0
+    for theta in (-0.9, 0.0, 0.5, 0.9):
+        for seed in range(5):
+            s = sum_of_squares(sample_series(model, theta, 200, t_len, seed))
+            exact = gauss_jordan_inverse(s)
+            err = np.max(np.abs(wishart_context(s, nu=200, model=model).s_inv - exact))
+            worst = max(worst, float(err) / np.spacing(float(np.max(np.abs(exact)))))
+    assert worst <= min(2 * t_len + 1, 53)
