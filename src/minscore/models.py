@@ -12,7 +12,8 @@ depend on alpha.  The objectives built on these carry their parameter
 dependence as *jets*: arrays whose leading axis holds a value and its first
 and second derivatives in the dependence parameter, combined by the private
 ``_jet_*`` helpers here, so the estimators get exact derivatives without
-finite differences.
+finite differences.  The jets of an array of parameter values carry its
+shape after that leading axis, so one call covers a whole grid.
 """
 
 from __future__ import annotations
@@ -192,9 +193,10 @@ def ma1_sine_transform(x, axis: int = -1) -> np.ndarray:
     return np.moveaxis(z, -1, axis)
 
 
-def ma1_eigenvalues(alpha: float, t_len: int, order: int = 0) -> np.ndarray:
+def ma1_eigenvalues(alpha, t_len: int, order: int = 0) -> np.ndarray:
     """Jet (``order + 1`` rows) of the unit-variance MA(1) covariance
-    eigenvalues ``lambda_k = 1 + alpha^2 + 2 alpha cos(k pi/(T+1))``.
+    eigenvalues ``lambda_k = 1 + alpha^2 + 2 alpha cos(k pi/(T+1))``: shape
+    ``(order + 1, *alpha.shape, T)`` for a scalar or array ``alpha``.
 
     Each eigenvalue is summed from non-negative terms,
     ``(1 - |alpha|)^2 + 4 |alpha| sin^2`` or ``cos^2`` of the half angle, so
@@ -203,19 +205,26 @@ def ma1_eigenvalues(alpha: float, t_len: int, order: int = 0) -> np.ndarray:
     """
     s2 = _half_angle_sin2(_check_t(t_len, 1))
     c2 = s2[::-1]
-    a = abs(alpha)
-    rows = [(1.0 - a) ** 2 + 4.0 * a * (s2 if alpha < 0 else c2)]
+    alpha = np.asarray(alpha, dtype=float)
+    a = np.abs(alpha)
+    # for a scalar alpha, a is a numpy scalar and ** is libm pow, which can
+    # differ from an array's x * x in the last bit: scalars keep their bits
+    tail = ((1.0 - a) ** 2)[..., None]
+    alpha, a = alpha[..., None], a[..., None]
+    rows = [tail + 4.0 * a * np.where(alpha < 0, s2, c2)]
     if order >= 1:
         rows.append(2.0 * (alpha + (c2 - s2)))
     if order >= 2:
-        rows.append(np.full(t_len, 2.0))
+        rows.append(np.full(rows[0].shape, 2.0))
     return np.array(rows)
 
 
-def _power_jets(x: float, order: int, degree: int = 4) -> np.ndarray:
-    """``(order + 1, degree + 1)`` array: row r holds ``d^r/dx^r x**j`` for
-    j = 0..degree, so ``_power_jets(x, r) @ c`` is the jet of the polynomial
-    with coefficients ``c`` (lowest power first)."""
+def _power_jets(x, order: int, degree: int = 4) -> np.ndarray:
+    """``(order + 1, *x.shape, degree + 1)`` array for a scalar or array x:
+    row r holds ``d^r/dx^r x**j`` for j = 0..degree, so
+    ``_power_jets(x, r) @ c`` is the jet of the polynomial with coefficients
+    ``c`` (lowest power first)."""
+    x = np.asarray(x, dtype=float)[..., None]
     j = np.arange(degree + 1)
     rows = [x ** j]
     if order >= 1:

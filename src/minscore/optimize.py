@@ -2,7 +2,9 @@
 
 The minimizer seeds a bounded Brent refinement with a coarse grid scan; the
 grid guards against the mild multimodality of the MA(1) objectives at large
-coefficient values.
+coefficient values.  The objective evaluates the whole grid in one call, so
+a fit pays the per-call overhead of its objective once for the grid, not once
+per seed.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 
 __all__ = ["MinimizationError", "minimize_scalar"]
 
+GRID_POINTS = 64  # interior grid seeds of every minimization
 _SQRT_EPS = np.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
 
@@ -21,26 +24,29 @@ class MinimizationError(RuntimeError):
     """The objective could not be minimized on the requested interval."""
 
 
-def minimize_scalar(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-6,
-    grid_points: int = 64,
-) -> float:
+def minimize_scalar(f: Callable, lo: float, hi: float, tol: float = 1e-6) -> float:
     """Minimize a scalar function on the open interval (lo, hi).
 
-    Evaluates ``f`` on ``grid_points`` interior seeds, then refines the best
-    basin with bounded Brent search to absolute tolerance ``tol``.  For a
-    unimodal objective the result is within ``tol`` of the minimizer; for a
-    multimodal one it is a local minimizer of the best grid basin.
+    ``f`` is called once with the array of :data:`GRID_POINTS` interior
+    seeds and must return one value per seed, then with scalars only, as
+    bounded Brent search refines the best basin to absolute tolerance
+    ``tol``.  For a unimodal objective the result is within ``tol`` of the
+    minimizer; for a multimodal one it is a local minimizer of the best grid
+    basin.
 
-    Raises :class:`MinimizationError` if ``f`` is non-finite at every seed.
+    Raises ``ValueError`` if ``f`` does not return an array of the seeds'
+    shape (a scalar-only callable would otherwise scan a flat grid), and
+    :class:`MinimizationError` if ``f`` is non-finite at every seed.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"need finite lo < hi, got ({lo}, {hi})")
-    xs = np.linspace(lo, hi, grid_points + 2)[1:-1]
-    fs = np.array([f(x) for x in xs], dtype=float)
+    xs = np.linspace(lo, hi, GRID_POINTS + 2)[1:-1]
+    fs = np.asarray(f(xs), dtype=float)
+    if fs.shape != xs.shape:
+        raise ValueError(
+            f"the objective must return one value per grid seed: expected shape "
+            f"{xs.shape}, got {fs.shape}"
+        )
     finite = np.isfinite(fs)
     if not finite.any():
         raise MinimizationError("objective is non-finite at every grid seed")

@@ -26,6 +26,8 @@ minimization orientation is ``stats @ coef(theta) + const(theta)``:
 :func:`series_objective` reduces the series once; its total and the
 per-series first and second derivatives at any theta then cost no pass over
 the data, and the derivatives are exact (jets, see :mod:`minscore.models`).
+The total also takes an array of theta and evaluates all of it in one call,
+which is how the minimizer scans its grid.
 
 Every evaluator accepts a single series of shape (T,) or a stack of series of
 shape (nu, T) and broadcasts over the leading axis.  Additive constants are
@@ -195,10 +197,12 @@ def _series_stats(y, kind: EstimatorKind, model: str) -> np.ndarray:
     return _lag_sums(y)
 
 
-def _terms(kind: EstimatorKind, model: str, t_len: int, theta: float, order: int = 0):
+def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):
     # jets (coef, const) of one series' objective, minimization orientation,
     # mu = 0 and sigma2 = 1: row r (order + 1 rows) is the r-th theta
-    # derivative, so the objective's r-th derivative is stats @ coef[r] + const[r]
+    # derivative, so the objective's r-th derivative is stats @ coef[r] + const[r].
+    # An array theta adds its shape after the jet axis, so a whole grid of
+    # theta costs one call: coef[r] is then (*theta.shape, m).
     if _spectral(model, kind):
         lam = ma1_eigenvalues(theta, t_len, order)
         if kind is EstimatorKind.FULL_ML:
@@ -207,13 +211,14 @@ def _terms(kind: EstimatorKind, model: str, t_len: int, theta: float, order: int
     if model == "ma1":
         x = _power_jets(theta, order)
         det = x @ _MA1_PAIR_DET
-        return (_jet_product(x @ _MA1_PAIR_COEF, _jet_power(det, -1)[:, None]),
+        return (_jet_product(x @ _MA1_PAIR_COEF, _jet_power(det, -1)[..., None]),
                 0.5 * (t_len - 1) * _jet_log(det))
-    sign = 1 if theta >= 0 else -1
-    u = _power_jets(1.0 - sign * theta, order)
-    if sign > 0 and order:
-        u[1::2] *= -1.0  # the jets are in theta, and du/dtheta = -sign
-    coef = u @ _AR1_COEF[kind, sign]
+    negative = np.asarray(theta) < 0
+    u = _power_jets(1.0 - np.abs(theta), order)
+    if order:
+        # the jets are in theta, and du/dtheta = -sign(theta)
+        u[1::2] *= np.where(negative, 1.0, -1.0)[..., None]
+    coef = np.where(negative[..., None], u @ _AR1_COEF[kind, -1], u @ _AR1_COEF[kind, 1])
     if kind is EstimatorKind.HYV_UNIVARIATE:
         # the trace of the precision, 2 + (T-2) (1 + phi^2), with 1 + phi^2 = 2 - 2u + u^2
         return coef, -(u @ np.array([2.0 * t_len - 2.0, 4.0 - 2.0 * t_len, t_len - 2.0, 0, 0]))
@@ -232,10 +237,12 @@ class SeriesObjective:
     stats: np.ndarray  # (nu, m)
     pooled: np.ndarray  # (m,), summed over the series
 
-    def total(self, theta: float) -> float:
-        """Sum of the per-series objectives at theta."""
+    def total(self, theta):
+        """Sum of the per-series objectives at theta: a float for a scalar
+        theta, one value per entry for an array (a whole grid in one call)."""
         coef, const = _terms(self.kind, self.model, self.t_len, theta)
-        return float(self.pooled @ coef[0] + len(self.stats) * const[0])
+        value = coef[0] @ self.pooled + len(self.stats) * const[0]
+        return float(value) if np.ndim(theta) == 0 else value
 
     def derivatives(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         """Exact first and second theta-derivatives of each series' objective."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import models, scores, wishart
-from .optimize import minimize_scalar
+from .optimize import GRID_POINTS, minimize_scalar
 
 __all__ = ["run_checks"]
 
@@ -131,9 +131,24 @@ def _check_pairwise_closed_form() -> None:
         p = models.Ar1Params(0.0, sigma2, phi)
         return -float(np.sum(scores.ar1_pairwise_loglik(y, p)))
 
-    phi_num = minimize_scalar(profiled, -0.999, 0.999, tol=1e-8)
+    phi_num = minimize_scalar(np.vectorize(profiled, otypes=[float]), -0.999, 0.999, tol=1e-8)
     assert abs(phi_hat - phi_num) < 1e-4, (phi_hat, phi_num)
     assert abs(phi_hat - 0.5) < 0.05 and abs(sigma2_hat - 1.0) < 0.05
+
+
+def _check_batched_grid() -> None:
+    # the minimizer's grid in one call against one call per seed, for an AR
+    # and an MA objective and the Wishart score
+    grid = np.linspace(*wishart.SEARCH_BOUNDS, GRID_POINTS + 2)[1:-1]
+    y = models.sample_ma1(models.params_for("ma1", 0.6), 30, 20, seed=23)
+    ctx = wishart.wishart_context(models.sum_of_squares(y), nu=30, model="ma1")
+    for f in (scores.series_objective(y, "hyv", "ar1").total,
+              scores.series_objective(y, "full", "ma1").total,
+              lambda lam: wishart.hw_score(ctx, lam)):
+        batch, point = f(grid), np.array([f(x) for x in grid])
+        err = np.max(np.abs(batch - point)) / np.max(np.abs(point))
+        assert err < 1e-13, f"batched grid off by {err} (relative) from pointwise values"
+        assert np.argmin(batch) == np.argmin(point), "batched grid moved the best seed"
 
 
 def _check_sampler_determinism() -> None:
@@ -157,6 +172,7 @@ CHECKS = (
     ("exact Wishart variability matches inverse chi-square and Monte Carlo",
      _check_wishart_variability),
     ("pairwise closed form matches numeric argmax", _check_pairwise_closed_form),
+    ("batched grid matches pointwise objective values", _check_batched_grid),
     ("samplers are seed-deterministic", _check_sampler_determinism),
     ("scalar minimizer finds quadratic minimum", _check_minimizer),
 )

@@ -178,8 +178,9 @@ def _precision_stats(s_inv: np.ndarray, model: str) -> np.ndarray:
 _AR1_PRECISION_COEF = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -2.0], [0.0, 1.0, 0.0]])
 
 
-def _score_terms(model: str, lam: float, t_len: int, order: int):
-    # jets of coef(lam) and of ||P(lam)||_F^2
+def _score_terms(model: str, lam, t_len: int, order: int):
+    # jets of coef(lam) and of ||P(lam)||_F^2; an array lam adds its shape
+    # after the jet axis
     if model == "ma1":
         p = _jet_power(ma1_eigenvalues(lam, t_len, order), -1)  # eigenvalues of P
         return p, _jet_product(p, p).sum(axis=-1)
@@ -187,13 +188,15 @@ def _score_terms(model: str, lam: float, t_len: int, order: int):
     # the AR(1) precision has diagonal 1 + lam^2 i_t, with i_t = 1 inside,
     # 0 at the two ends and -1 when T = 1, and off-diagonal -lam
     norm = x @ np.array([t_len, 0.0, 4.0 * t_len - 6.0, 0.0, abs(t_len - 2.0)])
-    return x[:, :3] @ _AR1_PRECISION_COEF, norm
+    return x[..., :3] @ _AR1_PRECISION_COEF, norm
 
 
-def hw_score(ctx: WishartContext, lam: float) -> float:
-    """Wishart Hyvarinen score at dependence parameter lam."""
+def hw_score(ctx: WishartContext, lam):
+    """Wishart Hyvarinen score at dependence parameter lam: a float for a
+    scalar lam, one value per entry for an array (a whole grid in one call)."""
     coef, norm = _score_terms(ctx.model, lam, ctx.t_len, 0)
-    return float(ctx.offset - 0.5 * ctx.half_dof * (ctx.stats @ coef[0]) + 0.125 * norm[0])
+    value = ctx.offset - 0.5 * ctx.half_dof * (coef[0] @ ctx.stats) + 0.125 * norm[0]
+    return float(value) if np.ndim(lam) == 0 else value
 
 
 def hw_grad(ctx: WishartContext, lam: float) -> float:

@@ -57,7 +57,8 @@ class TestGodambeEmpirical:
         y = np.tile(rng.standard_normal(20), (3, 1))
         # at the shared per-series optimum every per-series gradient vanishes
         theta_hat = minimize_scalar(
-            lambda th: total_score(y, EstimatorKind.PAIRWISE_ML, "ar1", th),
+            np.vectorize(lambda th: total_score(y, EstimatorKind.PAIRWISE_ML, "ar1", th),
+                         otypes=[float]),
             -0.999, 0.999, tol=1e-12,
         )
         with pytest.raises(DegenerateDataError):
@@ -289,6 +290,35 @@ class TestFit:
         y = sample_ar1(params_for("ar1", 0.2), nu, 10, seed=68)
         with pytest.raises(ValueError, match=bound):
             fit(y, kind, "ar1", compute_sd=compute_sd)
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    def test_each_fit_evaluates_its_grid_in_one_call(self, monkeypatch, model):
+        # the objective gets the 64 grid seeds as one array, then Brent's
+        # scalars; a return to one call per seed would show up here
+        import minscore.inference as inference
+        import minscore.wishart as wishart
+
+        minimizations = []
+
+        def recording(minimize):
+            def wrapper(f, *args, **kwargs):
+                shapes = []
+                minimizations.append(shapes)
+                return minimize(lambda x: shapes.append(np.shape(x)) or f(x), *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(inference, "minimize_scalar", recording(inference.minimize_scalar))
+        monkeypatch.setattr(wishart, "minimize_scalar", recording(wishart.minimize_scalar))
+        y = sample_series(model, 0.4, 30, 8, seed=72)
+        for kind in EstimatorKind:
+            minimizations.clear()
+            fit(y, kind, model)
+            if (model, kind) == ("ar1", EstimatorKind.PAIRWISE_ML):
+                assert minimizations == []  # closed form
+                continue
+            [shapes] = minimizations
+            assert shapes[0] == (64,), kind
+            assert len(shapes) > 1 and set(shapes[1:]) == {()}, kind
 
     def test_godambe_sd_predicts_sampling_scatter(self):
         # across replicates the spread of estimates matches the mean reported

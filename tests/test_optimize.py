@@ -1,4 +1,5 @@
-"""Scalar minimizer, and a hand derivative against the exact objective gradient."""
+"""Scalar minimizer, its batched grid, and a hand derivative against the exact
+objective gradient."""
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from minscore import (
     total_score,
     wishart_context,
 )
-from minscore.optimize import _bounded_brent
+from minscore.optimize import GRID_POINTS, _bounded_brent
 from minscore.wishart import SEARCH_BOUNDS
 
 
@@ -36,7 +37,8 @@ class TestMinimizeScalar:
     def test_total_hyvarinen_objective(self):
         y = sample_ar1(params_for("ar1", 0.5), 200, 50, seed=30)
         x = minimize_scalar(
-            lambda th: total_score(y, EstimatorKind.HYV_UNIVARIATE, "ar1", th),
+            np.vectorize(lambda th: total_score(y, EstimatorKind.HYV_UNIVARIATE, "ar1", th),
+                         otypes=[float]),
             -0.999,
             0.999,
             tol=1e-6,
@@ -45,7 +47,7 @@ class TestMinimizeScalar:
 
     def test_all_grid_seeds_nonfinite(self):
         with pytest.raises(MinimizationError):
-            minimize_scalar(lambda t: float("nan"), -1.0, 1.0)
+            minimize_scalar(lambda t: np.full(np.shape(t), np.nan), -1.0, 1.0)
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):
@@ -56,9 +58,18 @@ class TestMinimizeScalar:
         with pytest.raises(ValueError):
             minimize_scalar(lambda t: t * t, lo, hi)
 
+    @pytest.mark.parametrize("f,got", [
+        (lambda t: float(np.sum((t - 0.3) ** 2)), r"\(\)"),  # scalar-only wrapper
+        (lambda t: np.zeros(3), r"\(3,\)"),
+        (lambda t: np.zeros((64, 1)), r"\(64, 1\)"),
+    ])
+    def test_objective_not_vectorized_fails_fast(self, f, got):
+        with pytest.raises(ValueError, match=rf"expected shape \(64,\), got {got}"):
+            minimize_scalar(f, -1.0, 1.0)
+
     def test_multimodal_returns_best_grid_basin(self):
         # two wells; the deeper one must win regardless of Brent's local basin
-        f = lambda t: min((t - 0.7) ** 2, (t + 0.6) ** 2 + 0.5)
+        f = lambda t: np.minimum((t - 0.7) ** 2, (t + 0.6) ** 2 + 0.5)
         x = minimize_scalar(f, -1.0, 1.0, tol=1e-8)
         assert abs(x - 0.7) < 1e-6
 
@@ -80,9 +91,9 @@ def assert_same_search(f, a, b, tol=1e-6):
     return ours, x_ours
 
 
-def grid_basin(f, lo, hi, grid_points=64):
+def grid_basin(f, lo, hi):
     # the bracket minimize_scalar hands to Brent: the best grid seed's neighbours
-    xs = np.linspace(lo, hi, grid_points + 2)[1:-1]
+    xs = np.linspace(lo, hi, GRID_POINTS + 2)[1:-1]
     best = int(np.argmin([f(x) for x in xs]))
     return (xs[best - 1] if best > 0 else lo), (xs[best + 1] if best < len(xs) - 1 else hi)
 
@@ -131,7 +142,45 @@ class TestBrentMatchesScipy:
         calls = []
         x = minimize_scalar(lambda t: calls.append(t) or f(t), *SEARCH_BOUNDS)
         brent, x_brent = assert_same_search(f, *grid_basin(f, *SEARCH_BOUNDS))
-        assert calls[64:] == brent and x == x_brent
+        assert calls[0].shape == (64,) and calls[1:] == brent and x == x_brent
+
+
+def assert_batch_matches_pointwise(f, thetas):
+    # one call on the array against one call per value: equal to rounding
+    # (1e-13 of the largest value), with the same best entry
+    batch = f(thetas)
+    point = np.array([f(x) for x in thetas])
+    assert isinstance(batch, np.ndarray) and batch.shape == thetas.shape
+    assert all(isinstance(v, float) for v in map(f, thetas[:3]))
+    assert np.max(np.abs(batch - point)) <= 1e-13 * np.max(np.abs(point))
+    assert np.argmin(batch) == np.argmin(point)
+
+
+# the minimizer's grid crosses the AR(1) sign switch at 0 and reaches +-0.97;
+# add 0 and the search bounds
+ORACLE_THETAS = np.concatenate([
+    np.linspace(*SEARCH_BOUNDS, GRID_POINTS + 2)[1:-1], [0.0, -0.999, 0.999],
+])
+
+
+class TestBatchedGrid:
+    """An array of theta evaluates in one call what the scalar path gives."""
+
+    @pytest.mark.parametrize("model,kind,t_len", [
+        (model, kind, t_len)
+        for model in ("ar1", "ma1") for kind in ("full", "pairwise", "hyv")
+        for t_len in (2, 3, 50, 201) if (model, kind, t_len) != ("ar1", "hyv", 2)
+    ])
+    def test_series_objective(self, model, kind, t_len):
+        y = sample_series(model, 0.6, 40, t_len, seed=t_len)
+        assert_batch_matches_pointwise(series_objective(y, kind, model).total, ORACLE_THETAS)
+
+    @pytest.mark.parametrize("t_len", [2, 3, 50, 201])
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    def test_wishart_score(self, model, t_len):
+        y = sample_series(model, -0.6, t_len + 10, t_len, seed=t_len)
+        ctx = wishart_context(sum_of_squares(y), nu=t_len + 10, model=model)
+        assert_batch_matches_pointwise(lambda lam: hw_score(ctx, lam), ORACLE_THETAS)
 
 
 class TestDerivatives:

@@ -140,7 +140,8 @@ class TestAr1PairwiseClosedForm:
                 np.sum(ar1_pairwise_loglik(y, Ar1Params(0.0, sigma2, phi)))
             )
 
-        phi_num = minimize_scalar(profiled_negative, -0.999, 0.999, tol=1e-9)
+        phi_num = minimize_scalar(np.vectorize(profiled_negative, otypes=[float]),
+                                  -0.999, 0.999, tol=1e-9)
         sigma2_num = (paired - 2 * phi_num * cross) / (2 * nu * (t_len - 1))
         phi_hat, sigma2_hat = ar1_pairwise_closed_form(y)
         assert abs(phi_hat - phi_num) < 1e-4
@@ -382,7 +383,8 @@ class TestPropriety:
         else:
             y = sample_ma1(params_for("ma1", theta0), 5000, 30, seed=20)
         theta_star = minimize_scalar(
-            lambda th: total_score(y, kind, model, th), -0.999, 0.999, tol=1e-7
+            np.vectorize(lambda th: total_score(y, kind, model, th), otypes=[float]),
+            -0.999, 0.999, tol=1e-7,
         )
         assert abs(theta_star - theta0) < 0.02
 
