@@ -47,6 +47,7 @@ from .wishart import (
     hw_score,
     k_analytic_ar1,
     precision_derivative,
+    wishart_components,
     wishart_context,
     wishart_sensitivity,
     wishart_variability,
@@ -54,11 +55,13 @@ from .wishart import (
 from .inference import (
     EstimateRecord,
     GodambeComponents,
+    SeriesReduction,
     are,
     check_sample_size,
     fit,
     godambe_analytic,
     godambe_empirical,
+    sample_size_error,
 )
 from .simulate import ConfigError, ExperimentConfig, ReportRow, run_experiment
 from .report import CSV_HEADER, emit_are_svg, emit_csv
@@ -101,16 +104,19 @@ __all__ = [
     "hw_score",
     "k_analytic_ar1",
     "precision_derivative",
+    "wishart_components",
     "wishart_context",
     "wishart_sensitivity",
     "wishart_variability",
     "EstimateRecord",
     "GodambeComponents",
+    "SeriesReduction",
     "are",
     "check_sample_size",
     "fit",
     "godambe_analytic",
     "godambe_empirical",
+    "sample_size_error",
     "ConfigError",
     "ExperimentConfig",
     "ReportRow",

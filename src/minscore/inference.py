@@ -16,6 +16,7 @@ to all four kinds.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,17 +34,18 @@ from .scores import (
 from .wishart import (
     SEARCH_BOUNDS,
     hw_estimate,
-    wishart_sensitivity,
-    wishart_variability,
+    wishart_components,
 )
 
 __all__ = [
     "GodambeComponents",
     "EstimateRecord",
+    "SeriesReduction",
     "godambe_empirical",
     "godambe_analytic",
     "are",
     "check_sample_size",
+    "sample_size_error",
     "fit",
 ]
 
@@ -77,6 +79,41 @@ class EstimateRecord:
     sd: float | None
     are: float | None
     boundary_flag: bool
+
+
+# kinds whose objectives read the statistics of another kind: AR(1) pairwise
+# reads the first differences of full, MA(1) hyv the DST-I squares of full
+_SHARED_STATS = {
+    ("ar1", EstimatorKind.PAIRWISE_ML): EstimatorKind.FULL_ML,
+    ("ma1", EstimatorKind.HYV_UNIVARIATE): EstimatorKind.FULL_ML,
+}
+
+
+class SeriesReduction:
+    """A (nu, T) series matrix that several estimators fit: its values are
+    checked to be finite once, and each family of sufficient statistics is
+    computed when a kind first reads it, then shared by every kind of the
+    family (AR(1) full and pairwise; MA(1) full and hyv).  The Wishart kind
+    alone reads S = Y'Y, which :func:`~minscore.wishart.hw_estimate` forms
+    from the checked series."""
+
+    def __init__(self, series):
+        y = np.atleast_2d(np.asarray(series, dtype=float))
+        if not np.all(np.isfinite(y)):
+            raise ValueError("series contain non-finite values (NaN or inf)")
+        self.series = y
+        self._families: dict = {}
+
+    def objective(self, kind: EstimatorKind, model: str) -> SeriesObjective:
+        """The :class:`SeriesObjective` of ``kind`` on ``model``, equal to
+        :func:`series_objective` of the series, from its family's statistics."""
+        kind = EstimatorKind(kind)
+        model = canonical_model(model)
+        family = _SHARED_STATS.get((model, kind), kind)
+        shared = self._families.get((model, family))
+        if shared is None:
+            shared = self._families[model, family] = series_objective(self.series, family, model)
+        return shared if shared.kind is kind else dataclasses.replace(shared, kind=kind)
 
 
 def godambe_empirical(
@@ -123,8 +160,7 @@ def godambe_analytic(model: str, theta_hat: float, *, t_len: int, nu: int) -> Go
     ``sd = 1 / sqrt(nu * g_hat)`` holds for this estimator too.
     """
     model = canonical_model(model)
-    j_total = wishart_variability(model, theta_hat, nu, t_len)
-    k_total = wishart_sensitivity(model, theta_hat, t_len)
+    j_total, k_total = wishart_components(model, theta_hat, nu, t_len)
     if j_total <= _DEGENERATE_RATIO * k_total**2:
         raise DegenerateDataError("Wishart score gradients are numerically zero")
     return GodambeComponents(
@@ -139,34 +175,47 @@ def are(sd_mle: float, sd_est: float) -> float:
     return (sd_mle / sd_est) ** 2
 
 
-def check_sample_size(
-    kind: EstimatorKind, model: str, series, *, compute_sd: bool = True
-) -> None:
-    """Raise ``ValueError`` unless :func:`fit` can fit the (nu, T) series
-    matrix ``series``: finite values, series no shorter than
+def sample_size_error(
+    kind: EstimatorKind, model: str, nu: int, t_len: int, *,
+    compute_sd: bool = True, t_name: str = "T",
+) -> str | None:
+    """The first bound of :func:`fit` that ``nu`` series of length ``t_len``
+    violate, or None; shape only.  Series no shorter than
     :func:`~minscore.scores.min_series_length` (T >= 2 for every estimator),
     at least 2 series when the sd is wanted, and for the Wishart estimate at
-    least T + 2 series, T + 4 with its sd."""
+    least T + 2 series, T + 4 with its sd.  The message calls the length
+    ``t_name``: ``T`` for data, ``t`` for a study configuration."""
     kind = EstimatorKind(kind)
     model = canonical_model(model)
-    y = np.atleast_2d(np.asarray(series, dtype=float))
-    if not np.all(np.isfinite(y)):
-        raise ValueError("series contain non-finite values (NaN or inf)")
-    nu, t_len = y.shape
     need = min_series_length(kind, model)
     if t_len < need:
-        raise ValueError(
-            f"the {kind} estimator on {model} needs series length >= {need}, got {t_len}"
-        )
+        wanted, got = ("series length", t_len) if t_name == "T" else (t_name, f"{t_name}={t_len}")
+        return f"the {kind} estimator on {model} needs {wanted} >= {need}, got {got}"
     if compute_sd and nu < 2:
-        raise ValueError(f"every sd needs nu >= 2 series; got nu={nu}")
+        return f"every sd needs nu >= 2 series; got nu={nu}"
     if kind is EstimatorKind.HYV_WISHART:
         extra = 4 if compute_sd else 2
         if nu < t_len + extra:
             what = "sd" if compute_sd else "score"
-            raise ValueError(
-                f"the Wishart {what} needs nu >= T + {extra}; got nu={nu}, T={t_len}"
-            )
+            return (f"the Wishart {what} needs nu >= {t_name} + {extra}; "
+                    f"got nu={nu}, {t_name}={t_len}")
+    return None
+
+
+def check_sample_size(
+    kind: EstimatorKind, model: str, series, *, compute_sd: bool = True
+) -> None:
+    """Raise ``ValueError`` unless :func:`fit` can fit the (nu, T) series
+    matrix ``series`` (or its :class:`SeriesReduction`):
+    finite values, and the bounds of :func:`sample_size_error`."""
+    nu, t_len = _reduction(series).series.shape
+    error = sample_size_error(kind, model, nu, t_len, compute_sd=compute_sd)
+    if error is not None:
+        raise ValueError(error)
+
+
+def _reduction(series) -> SeriesReduction:
+    return series if isinstance(series, SeriesReduction) else SeriesReduction(series)
 
 
 def fit(
@@ -181,8 +230,11 @@ def fit(
 ) -> EstimateRecord:
     """Fit one estimator to a (nu, T) series matrix.
 
-    The AR(1) pairwise estimate is the closed form; the Wishart estimate
-    minimizes the pooled score; everything else minimizes the summed
+    ``series`` may also be a :class:`SeriesReduction`, so
+    that the fits of several estimators to one dataset check its values once
+    and share the statistics they have in common; the result is the same to
+    the bit.  The AR(1) pairwise estimate is the closed form; the Wishart
+    estimate minimizes the pooled score; everything else minimizes the summed
     per-series objective over ``bounds``, reducing the series once for both
     the estimate and its sd.  The sd of a per-series kind uses the empirical
     Godambe information (:func:`godambe_empirical`); the Wishart kind uses its
@@ -194,15 +246,16 @@ def fit(
     """
     kind = EstimatorKind(kind)
     model = canonical_model(model)
-    y = np.atleast_2d(np.asarray(series, dtype=float))
+    reduction = _reduction(series)
+    check_sample_size(kind, model, reduction, compute_sd=compute_sd)
+    y = reduction.series
     nu, t_len = y.shape
-    check_sample_size(kind, model, y, compute_sd=compute_sd)
 
     if kind is EstimatorKind.HYV_WISHART:
         estimate = hw_estimate(y, model, bounds=bounds, tol=tol)
         boundary = _at_edge(estimate, bounds, tol)
     else:
-        objective = series_objective(y, kind, model)
+        objective = reduction.objective(kind, model)
         if kind is EstimatorKind.PAIRWISE_ML and model == "ar1":
             estimate, _ = ar1_pairwise_closed_form(y)
             boundary = not (bounds[0] < estimate < bounds[1])

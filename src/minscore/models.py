@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .optimize import GRID_POINTS
+
 __all__ = [
     "Ar1Params",
     "Ma1Params",
@@ -174,6 +176,26 @@ def _half_angle_sin2(t_len: int) -> np.ndarray:
     return s2
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_jets(terms, args: tuple, seeds: bytes) -> tuple:
+    # order-0 jets of the minimizer's grid, read-only as every caller shares them
+    jets = terms(*args, np.frombuffer(seeds))
+    for jet in jets:
+        jet.flags.writeable = False
+    return jets
+
+
+def _order0_jets(terms, args: tuple, theta) -> tuple:
+    """The order-0 jets ``terms(*args, theta)``.  For an array of
+    :data:`~minscore.optimize.GRID_POINTS` theta, such as the minimizer's
+    grid seeds, they come from a small cache keyed by ``terms``, ``args`` and
+    the seeds (so by the search bounds), since every fit of one (kind, model,
+    T) scans the same grid."""
+    if isinstance(theta, np.ndarray) and theta.shape == (GRID_POINTS,):
+        return _grid_jets(terms, args, np.asarray(theta, dtype=float).tobytes())
+    return terms(*args, theta)
+
+
 def ma1_sine_transform(x, axis: int = -1) -> np.ndarray:
     """Orthonormal DST-I of ``x`` along ``axis``: ``x @ U`` for a length-T axis,
     with ``U[j, k] = sqrt(2/(T+1)) sin(jk pi/(T+1))``, j, k = 1..T.
@@ -209,29 +231,41 @@ def ma1_eigenvalues(alpha, t_len: int, order: int = 0) -> np.ndarray:
     a = np.abs(alpha)
     # for a scalar alpha, a is a numpy scalar and ** is libm pow, which can
     # differ from an array's x * x in the last bit: scalars keep their bits
-    tail = ((1.0 - a) ** 2)[..., None]
-    alpha, a = alpha[..., None], a[..., None]
-    rows = [tail + 4.0 * a * np.where(alpha < 0, s2, c2)]
+    tail = (1.0 - a) ** 2
+    if alpha.ndim:
+        # an array of alpha puts the eigenvalue axis last
+        alpha, a, tail = alpha[..., None], a[..., None], tail[..., None]
+        half = np.where(alpha < 0, s2, c2)
+    else:
+        half = s2 if alpha < 0 else c2
+    rows = [tail + 4.0 * a * half]
     if order >= 1:
         rows.append(2.0 * (alpha + (c2 - s2)))
     if order >= 2:
         rows.append(np.full(rows[0].shape, 2.0))
-    return np.array(rows)
+    return _stack(rows)
 
 
-def _power_jets(x, order: int, degree: int = 4) -> np.ndarray:
-    """``(order + 1, *x.shape, degree + 1)`` array for a scalar or array x:
-    row r holds ``d^r/dx^r x**j`` for j = 0..degree, so
-    ``_power_jets(x, r) @ c`` is the jet of the polynomial with coefficients
-    ``c`` (lowest power first)."""
+def _stack(rows: list) -> np.ndarray:
+    # the jet of its rows; a one-row jet is a view, not a copy
+    return rows[0][None] if len(rows) == 1 else np.array(rows)
+
+
+_POWERS = np.arange(5)  # the powers 0..4 of every polynomial jet
+
+
+def _power_jets(x, order: int) -> np.ndarray:
+    """``(order + 1, *x.shape, 5)`` array for a scalar or array x: row r
+    holds ``d^r/dx^r x**j`` for j = 0..4, so ``_power_jets(x, r) @ c`` is
+    the jet of the quartic with coefficients ``c`` (lowest power first)."""
     x = np.asarray(x, dtype=float)[..., None]
-    j = np.arange(degree + 1)
+    j = _POWERS
     rows = [x ** j]
     if order >= 1:
         rows.append(j * x ** np.maximum(j - 1, 0))
     if order >= 2:
         rows.append(j * (j - 1) * x ** np.maximum(j - 2, 0))
-    return np.array(rows)
+    return _stack(rows)
 
 
 def _jet_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -241,7 +275,7 @@ def _jet_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         rows.append(a[1] * b[0] + a[0] * b[1])
     if len(a) > 2:
         rows.append(a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2])
-    return np.array(rows)
+    return _stack(rows)
 
 
 def _chain(x: np.ndarray, f: list) -> np.ndarray:
@@ -251,7 +285,7 @@ def _chain(x: np.ndarray, f: list) -> np.ndarray:
         rows.append(f[1] * x[1])
     if len(x) > 2:
         rows.append(f[2] * x[1] ** 2 + f[1] * x[2])
-    return np.array(rows)
+    return _stack(rows)
 
 
 def _jet_power(x: np.ndarray, p: int) -> np.ndarray:

@@ -9,6 +9,7 @@ per seed.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -16,8 +17,8 @@ import numpy as np
 __all__ = ["MinimizationError", "minimize_scalar"]
 
 GRID_POINTS = 64  # interior grid seeds of every minimization
-_SQRT_EPS = np.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 class MinimizationError(RuntimeError):
@@ -28,7 +29,7 @@ def minimize_scalar(f: Callable, lo: float, hi: float, tol: float = 1e-6) -> flo
     """Minimize a scalar function on the open interval (lo, hi).
 
     ``f`` is called once with the array of :data:`GRID_POINTS` interior
-    seeds and must return one value per seed, then with scalars only, as
+    seeds and must return one value per seed, then with floats only, as
     bounded Brent search refines the best basin to absolute tolerance
     ``tol``.  For a unimodal objective the result is within ``tol`` of the
     minimizer; for a multimodal one it is a local minimizer of the best grid
@@ -55,7 +56,7 @@ def minimize_scalar(f: Callable, lo: float, hi: float, tol: float = 1e-6) -> flo
     left = xs[best - 1] if best > 0 else lo
     right = xs[best + 1] if best < len(xs) - 1 else hi
     x_star, f_star = _bounded_brent(f, left, right, tol)
-    if not np.isfinite(f_star) or f_star > fs[best]:
+    if not math.isfinite(f_star) or f_star > fs[best]:
         return float(xs[best])
     return float(x_star)
 
@@ -66,20 +67,24 @@ def _bounded_brent(f, a, b, xatol: float, maxfun: int = 500):
     stopping once the bracket around the best point is within ``xatol`` or
     after ``maxfun`` evaluations.  Returns the best point and its value.
 
-    Step for step SciPy's ``minimize_scalar(method="bounded")``, in the same
-    numpy scalar arithmetic, so the points passed to ``f`` and the point
-    returned are the same to the bit.
+    Step for step SciPy's ``minimize_scalar(method="bounded")``.  The
+    bookkeeping runs on Python floats, whose +, -, *, /, abs and comparisons
+    are the same IEEE operations as SciPy's numpy scalars, so the points
+    passed to ``f`` and the point returned are the same to the bit.  Each
+    value of ``f`` is taken as a float, so ``f`` may return a numpy scalar or
+    a 0-d array.
     """
+    a, b, xatol = float(a), float(b), float(xatol)
     xf = nfc = fulc = a + _GOLDEN * (b - a)
-    fx = fnfc = ffulc = f(xf)
+    fx = fnfc = ffulc = float(f(xf))
     num = 1
     rat = e = 0.0
     xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
     tol2 = 2.0 * tol1
-    while np.abs(xf - xm) > tol2 - 0.5 * (b - a) and num < maxfun:
+    while abs(xf - xm) > tol2 - 0.5 * (b - a) and num < maxfun:
         golden = True
-        if np.abs(e) > tol1:
+        if abs(e) > tol1:
             # parabola through the three best points
             r = (xf - nfc) * (fx - ffulc)
             q = (xf - fulc) * (fx - fnfc)
@@ -87,20 +92,23 @@ def _bounded_brent(f, a, b, xatol: float, maxfun: int = 500):
             q = 2.0 * (q - r)
             if q > 0.0:
                 p = -p
-            q = np.abs(q)
+            q = abs(q)
             r = e
             e = rat
-            if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+            # |p| < |q r / 2| implies q != 0, so the division cannot raise
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
                 golden = False
                 rat = (p + 0.0) / q
                 x = xf + rat
                 if x - a < tol2 or b - x < tol2:
-                    rat = tol1 * (np.sign(xm - xf) + (xm - xf == 0))
+                    rat = tol1 if xm >= xf else -tol1
         if golden:
             e = (a if xf >= xm else b) - xf
             rat = _GOLDEN * e
-        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-        fu = f(x)
+        # a step of at least tol1, in the direction of rat (forward for 0)
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0.0 else xf - step
+        fu = float(f(x))
         num += 1
         if fu <= fx:
             if x >= xf:
@@ -121,6 +129,6 @@ def _bounded_brent(f, a, b, xatol: float, maxfun: int = 500):
             elif fu <= ffulc or fulc == xf or fulc == nfc:
                 fulc, ffulc = x, fu
         xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
     return xf, fx

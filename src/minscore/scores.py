@@ -48,6 +48,7 @@ from .models import (
     _jet_log,
     _jet_power,
     _jet_product,
+    _order0_jets,
     _power_jets,
     canonical_model,
     ma1_eigenvalues,
@@ -218,7 +219,10 @@ def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):
     if order:
         # the jets are in theta, and du/dtheta = -sign(theta)
         u[1::2] *= np.where(negative, 1.0, -1.0)[..., None]
-    coef = np.where(negative[..., None], u @ _AR1_COEF[kind, -1], u @ _AR1_COEF[kind, 1])
+    if negative.ndim:
+        coef = np.where(negative[..., None], u @ _AR1_COEF[kind, -1], u @ _AR1_COEF[kind, 1])
+    else:
+        coef = u @ _AR1_COEF[kind, -1 if negative else 1]
     if kind is EstimatorKind.HYV_UNIVARIATE:
         # the trace of the precision, 2 + (T-2) (1 + phi^2), with 1 + phi^2 = 2 - 2u + u^2
         return coef, -(u @ np.array([2.0 * t_len - 2.0, 4.0 - 2.0 * t_len, t_len - 2.0, 0, 0]))
@@ -240,9 +244,9 @@ class SeriesObjective:
     def total(self, theta):
         """Sum of the per-series objectives at theta: a float for a scalar
         theta, one value per entry for an array (a whole grid in one call)."""
-        coef, const = _terms(self.kind, self.model, self.t_len, theta)
+        coef, const = _order0_jets(_terms, (self.kind, self.model, self.t_len), theta)
         value = coef[0] @ self.pooled + len(self.stats) * const[0]
-        return float(value) if np.ndim(theta) == 0 else value
+        return value if isinstance(value, np.ndarray) else float(value)
 
     def derivatives(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         """Exact first and second theta-derivatives of each series' objective."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import models, scores, wishart
+from . import inference, models, scores, wishart
 from .optimize import GRID_POINTS, minimize_scalar
 
 __all__ = ["run_checks"]
@@ -151,6 +151,22 @@ def _check_batched_grid() -> None:
         assert np.argmin(batch) == np.argmin(point), "batched grid moved the best seed"
 
 
+def _check_shared_reductions() -> None:
+    # a tiny study's replicates fitted as the study fits them (one reduction
+    # shared by all kinds, grid jets from the cache) and kind by kind, each
+    # from the raw series with the grid cache emptied first
+    for model in ("ar1", "ma1"):
+        for seed in (0, 1):
+            y = models.sample_series(model, 0.5, 20, 8, seed)
+            reduction = inference.SeriesReduction(y)
+            for kind in scores.EstimatorKind:
+                shared = inference.fit(reduction, kind, model)
+                models._grid_jets.cache_clear()
+                alone = inference.fit(y, kind, model)
+                assert (shared.estimate, shared.sd) == (alone.estimate, alone.sd), (
+                    f"{model} {kind}: shared {shared} vs standalone {alone}")
+
+
 def _check_sampler_determinism() -> None:
     a = models.sample_ma1(models.params_for("ma1", 0.3), 8, 12, seed=99)
     b = models.sample_ma1(models.params_for("ma1", 0.3), 8, 12, seed=99)
@@ -173,6 +189,8 @@ CHECKS = (
      _check_wishart_variability),
     ("pairwise closed form matches numeric argmax", _check_pairwise_closed_form),
     ("batched grid matches pointwise objective values", _check_batched_grid),
+    ("shared reductions and cached grid jets match standalone fits",
+     _check_shared_reductions),
     ("samplers are seed-deterministic", _check_sampler_determinism),
     ("scalar minimizer finds quadratic minimum", _check_minimizer),
 )

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inference import EstimateRecord, fit
+from .inference import EstimateRecord, SeriesReduction, fit, sample_size_error
 from .models import canonical_model, sample_series
-from .scores import EstimatorKind, min_series_length
+from .scores import EstimatorKind
 
 __all__ = ["ExperimentConfig", "ReportRow", "ConfigError", "run_experiment"]
 
@@ -76,33 +76,24 @@ class ExperimentConfig:
                     "6 significant digits"
                 )
             printed.add(format_float(value))
-        if self.nu < 2:
-            raise ConfigError(f"every sd needs nu >= 2 series; got nu={self.nu}")
-        # t >= 2 for every estimator, so this also rejects t < 1
-        for kind in _fit_kinds(self):
-            need = min_series_length(kind, self.model)
-            if self.t_len < need:
-                raise ConfigError(
-                    f"the {kind} estimator on {self.model} needs t >= {need}, got t={self.t_len}"
-                )
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
         if self.mc_b < 1:
             raise ConfigError(f"mc-b must be positive, got {self.mc_b}")
-        if EstimatorKind.HYV_WISHART in self.estimators:
-            # mc-b no longer sets any table output (the Wishart sd is exact);
-            # its bounds are kept so that existing configurations validate as before
-            if self.mc_b < 50:
-                raise ConfigError(
-                    f"mc-b must be >= 50 when hyv-wishart is requested, got {self.mc_b}"
-                )
-            # the exact Wishart sd is finite only from T + 4 series on
-            if self.nu < self.t_len + 4:
-                raise ConfigError(
-                    f"the Wishart sd needs nu >= t + 4; got nu={self.nu}, t={self.t_len}"
-                )
+        # mc-b no longer sets any table output (the Wishart sd is exact); its
+        # bounds are kept so that existing configurations validate as before
+        if EstimatorKind.HYV_WISHART in self.estimators and self.mc_b < 50:
+            raise ConfigError(
+                f"mc-b must be >= 50 when hyv-wishart is requested, got {self.mc_b}"
+            )
         if not self.estimators:
             raise ConfigError("at least one estimator must be requested")
+        # the bounds fit checks on data; t >= 2 for every estimator, so this
+        # also rejects t < 1
+        for kind in _fit_kinds(self):
+            error = sample_size_error(kind, self.model, self.nu, self.t_len, t_name="t")
+            if error is not None:
+                raise ConfigError(error)
 
 
 @dataclass(frozen=True)
@@ -152,7 +143,9 @@ def _one_replicate(cfg, theta0, grid_index, rep_index, kinds):
     # the data come from the first spawned child, as in the reference tables
     (sample_seed,) = root.spawn(1)
     y = sample_series(cfg.model, theta0, cfg.nu, cfg.t_len, sample_seed)
-    return {kind: fit(y, kind, cfg.model) for kind in kinds}
+    # one reduction for every kind: each family of statistics is computed once
+    reduction = SeriesReduction(y)
+    return {kind: fit(reduction, kind, cfg.model) for kind in kinds}
 
 
 def run_experiment(
@@ -173,71 +166,70 @@ def run_experiment(
     kinds = _fit_kinds(cfg)
     rows: list[ReportRow] = []
     details: dict = {}
-    for grid_index, theta0 in enumerate(cfg.param_grid):
-        stats = {kind: _CellStats() for kind in kinds}
-        failures = 0
+    # one pool for the whole study; map yields in replicate order
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        run = pool.map if workers > 1 else map
+        for grid_index, theta0 in enumerate(cfg.param_grid):
+            stats = {kind: _CellStats() for kind in kinds}
+            failures = 0
 
-        def replicate(rep_index, _theta0=theta0, _gi=grid_index):
-            try:
-                return _one_replicate(cfg, _theta0, _gi, rep_index, kinds)
-            except Exception as exc:  # noqa: BLE001 - replicate isolation
-                return exc
+            def replicate(rep_index, _theta0=theta0, _gi=grid_index):
+                try:
+                    return _one_replicate(cfg, _theta0, _gi, rep_index, kinds)
+                except Exception as exc:  # noqa: BLE001 - replicate isolation
+                    return exc
 
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(replicate, range(cfg.replicates)))
-        else:
-            outcomes = [replicate(r) for r in range(cfg.replicates)]
+            outcomes = list(run(replicate, range(cfg.replicates)))
 
-        first_causes: dict[str, str] = {}
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                failures += 1
-                first_causes.setdefault(type(outcome).__name__, str(outcome))
-                continue
+            first_causes: dict[str, str] = {}
+            for outcome in outcomes:
+                if isinstance(outcome, Exception):
+                    failures += 1
+                    first_causes.setdefault(type(outcome).__name__, str(outcome))
+                    continue
+                for kind in kinds:
+                    stats[kind].add(outcome[kind])
+            if failures:
+                causes = "".join(f"; first {name}: {text}" for name, text in first_causes.items())
+                summary = (
+                    f"{failures}/{cfg.replicates} replicates failed at "
+                    f"{cfg.model} parameter {theta0}{causes}"
+                )
+                if failures > MAX_FAILURE_FRACTION * cfg.replicates:
+                    raise RuntimeError(summary)
+                warnings.warn(summary, RuntimeWarning, stacklevel=2)
+
+            cell_mle = stats[EstimatorKind.FULL_ML]
+            if not cell_mle.sds:
+                raise RuntimeError(f"no usable full-ML baseline at parameter {theta0}")
+            sd_mle = float(np.mean(cell_mle.sds))
             for kind in kinds:
-                stats[kind].add(outcome[kind])
-        if failures:
-            causes = "".join(f"; first {name}: {text}" for name, text in first_causes.items())
-            summary = (
-                f"{failures}/{cfg.replicates} replicates failed at "
-                f"{cfg.model} parameter {theta0}{causes}"
-            )
-            if failures > MAX_FAILURE_FRACTION * cfg.replicates:
-                raise RuntimeError(summary)
-            warnings.warn(summary, RuntimeWarning, stacklevel=2)
-
-        cell_mle = stats[EstimatorKind.FULL_ML]
-        if not cell_mle.sds:
-            raise RuntimeError(f"no usable full-ML baseline at parameter {theta0}")
-        sd_mle = float(np.mean(cell_mle.sds))
-        for kind in kinds:
-            cell = stats[kind]
-            if not cell.estimates:
-                raise RuntimeError(
-                    f"estimator {kind} produced no usable replicates at parameter {theta0}"
+                cell = stats[kind]
+                if not cell.estimates:
+                    raise RuntimeError(
+                        f"estimator {kind} produced no usable replicates at parameter {theta0}"
+                    )
+                mean_sd = float(np.mean(cell.sds))
+                rows.append(
+                    ReportRow(
+                        model=cfg.model,
+                        param_true=theta0,
+                        estimator=kind,
+                        mean_est=float(np.mean(cell.estimates)),
+                        mean_sd=mean_sd,
+                        are=1.0 if kind is EstimatorKind.FULL_ML else (sd_mle / mean_sd) ** 2,
+                        n_replicates=cell.n_total,
+                        n_boundary=cell.n_boundary,
+                        nu=cfg.nu,
+                        t_len=cfg.t_len,
+                        seed=cfg.seed,
+                    )
                 )
-            mean_sd = float(np.mean(cell.sds))
-            rows.append(
-                ReportRow(
-                    model=cfg.model,
-                    param_true=theta0,
-                    estimator=kind,
-                    mean_est=float(np.mean(cell.estimates)),
-                    mean_sd=mean_sd,
-                    are=1.0 if kind is EstimatorKind.FULL_ML else (sd_mle / mean_sd) ** 2,
-                    n_replicates=cell.n_total,
-                    n_boundary=cell.n_boundary,
-                    nu=cfg.nu,
-                    t_len=cfg.t_len,
-                    seed=cfg.seed,
-                )
-            )
-            if return_details:
-                details[(theta0, kind)] = (
-                    np.array(cell.estimates),
-                    np.array(cell.sds),
-                )
+                if return_details:
+                    details[(theta0, kind)] = (
+                        np.array(cell.estimates),
+                        np.array(cell.sds),
+                    )
     if return_details:
         return rows, details
     return rows

@@ -37,6 +37,7 @@ import numpy as np
 from .models import (
     _jet_power,
     _jet_product,
+    _order0_jets,
     _power_jets,
     ar1_precision,
     canonical_model,
@@ -60,6 +61,7 @@ __all__ = [
     "k_analytic_ar1",
     "wishart_sensitivity",
     "wishart_variability",
+    "wishart_components",
     "hw_estimate",
 ]
 
@@ -178,7 +180,7 @@ def _precision_stats(s_inv: np.ndarray, model: str) -> np.ndarray:
 _AR1_PRECISION_COEF = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -2.0], [0.0, 1.0, 0.0]])
 
 
-def _score_terms(model: str, lam, t_len: int, order: int):
+def _score_terms(model: str, t_len: int, lam, order: int = 0):
     # jets of coef(lam) and of ||P(lam)||_F^2; an array lam adds its shape
     # after the jet axis
     if model == "ma1":
@@ -194,15 +196,15 @@ def _score_terms(model: str, lam, t_len: int, order: int):
 def hw_score(ctx: WishartContext, lam):
     """Wishart Hyvarinen score at dependence parameter lam: a float for a
     scalar lam, one value per entry for an array (a whole grid in one call)."""
-    coef, norm = _score_terms(ctx.model, lam, ctx.t_len, 0)
+    coef, norm = _order0_jets(_score_terms, (ctx.model, ctx.t_len), lam)
     value = ctx.offset - 0.5 * ctx.half_dof * (coef[0] @ ctx.stats) + 0.125 * norm[0]
-    return float(value) if np.ndim(lam) == 0 else value
+    return value if isinstance(value, np.ndarray) else float(value)
 
 
 def hw_grad(ctx: WishartContext, lam: float) -> float:
     """Exact derivative of :func:`hw_score` in lam, from the statistics of
     the context."""
-    coef, norm = _score_terms(ctx.model, lam, ctx.t_len, 1)
+    coef, norm = _score_terms(ctx.model, ctx.t_len, lam, 1)
     return float(-0.5 * ctx.half_dof * (ctx.stats @ coef[1]) + 0.125 * norm[1])
 
 
@@ -249,14 +251,21 @@ def wishart_variability(model: str, lam: float, nu: int, t_len: int) -> float:
     ``a = tr(D Psi)`` and ``b = tr(D Psi D Psi)``; the gradient has mean zero,
     so this is also its mean square.  Finite only for nu >= T + 4.
     """
+    return wishart_components(model, lam, nu, t_len)[0]
+
+
+def wishart_components(model: str, lam: float, nu: int, t_len: int) -> tuple[float, float]:
+    """:func:`wishart_variability` and :func:`wishart_sensitivity` at lam,
+    from one computation of the precision-derivative traces they share."""
     if nu < t_len + 4:
         raise ValueError(
             f"the Wishart sd needs nu >= T + 4; got nu={nu}, T={t_len}"
         )
     c = 0.5 * (nu - t_len - 1)
-    a, b, _ = _derivative_traces(canonical_model(model), lam, t_len)
+    a, b, d2 = _derivative_traces(canonical_model(model), lam, t_len)
     m = nu - t_len
-    return c * c / 4.0 * (2.0 * a * a + 2.0 * (m - 1) * b) / (m * (m - 1) ** 2 * (m - 3))
+    j = c * c / 4.0 * (2.0 * a * a + 2.0 * (m - 1) * b) / (m * (m - 1) ** 2 * (m - 3))
+    return j, 0.25 * d2
 
 
 def hw_grad_samples(

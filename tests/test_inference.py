@@ -5,9 +5,13 @@ import numpy.testing as npt
 import pytest
 
 from minscore import (
+    ConfigError,
     DegenerateDataError,
     EstimatorKind,
+    ExperimentConfig,
+    SeriesReduction,
     are,
+    check_sample_size,
     fit,
     godambe_analytic,
     godambe_empirical,
@@ -17,6 +21,7 @@ from minscore import (
     sample_ar1,
     sample_ma1,
     sample_series,
+    sample_size_error,
     score_per_series,
     wishart_sensitivity,
 )
@@ -319,6 +324,41 @@ class TestFit:
             [shapes] = minimizations
             assert shapes[0] == (64,), kind
             assert len(shapes) > 1 and set(shapes[1:]) == {()}, kind
+
+    @pytest.mark.parametrize("t_len", [3, 50, 201])
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    def test_shared_reduction_fits_are_bit_identical(self, model, t_len):
+        # what a study does (one reduction, every kind in turn) against one
+        # fit per kind from the raw series
+        y = sample_series(model, 0.5, t_len + 9, t_len, seed=t_len)
+        reduction = SeriesReduction(y)
+        for kind in EstimatorKind:
+            shared, alone = fit(reduction, kind, model), fit(y, kind, model)
+            assert shared.sd is not None, kind
+            assert (shared.estimate, shared.sd) == (alone.estimate, alone.sd), kind
+
+    def test_reduction_checks_values_once(self):
+        y = sample_series("ma1", 0.3, 30, 10, seed=73)
+        y[2, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            SeriesReduction(y)
+
+    @pytest.mark.parametrize("kind,model,nu,t_len", [
+        ("hyv", "ar1", 20, 2),
+        ("full", "ma1", 20, 1),
+        ("full", "ar1", 1, 5),
+        ("hyv-wishart", "ma1", 9, 6),
+    ])
+    def test_study_config_and_data_share_the_bounds(self, kind, model, nu, t_len):
+        # one shape-only helper words the bound in t for a study, T for data
+        estimators = (EstimatorKind(kind),)
+        with pytest.raises(ConfigError) as study:
+            ExperimentConfig(model=model, param_grid=(0.3,), nu=nu, t_len=t_len,
+                             estimators=estimators).validate()
+        assert str(study.value) == sample_size_error(kind, model, nu, t_len, t_name="t")
+        with pytest.raises(ValueError) as data:
+            check_sample_size(kind, model, np.ones((nu, t_len)))
+        assert str(data.value) == sample_size_error(kind, model, nu, t_len)
 
     def test_godambe_sd_predicts_sampling_scatter(self):
         # across replicates the spread of estimates matches the mean reported

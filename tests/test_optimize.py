@@ -18,8 +18,10 @@ from minscore import (
     total_score,
     wishart_context,
 )
+from minscore.models import _order0_jets
 from minscore.optimize import GRID_POINTS, _bounded_brent
-from minscore.wishart import SEARCH_BOUNDS
+from minscore.scores import _terms
+from minscore.wishart import SEARCH_BOUNDS, _score_terms
 
 
 class TestMinimizeScalar:
@@ -129,6 +131,14 @@ class TestBrentMatchesScipy:
     def test_edge_cases(self, f, a, b):
         assert_same_search(f, a, b)
 
+    @pytest.mark.parametrize("value", [np.float64, np.asarray, float])
+    def test_objective_value_types(self, value):
+        # the search takes each value as a float: a numpy scalar, a 0-d array
+        # and a Python float give the same iterates
+        f = series_objective(sample_series("ma1", -0.6, 200, 50, 1), "hyv", "ma1").total
+        assert_same_search(lambda x: value(f(x)), *SEARCH_BOUNDS)
+        assert_same_search(lambda x: value(f(x)), *grid_basin(f, *SEARCH_BOUNDS))
+
     def test_tight_tolerance(self):
         y = sample_series("ma1", 0.3, 200, 50, 4)
         assert_same_search(series_objective(y, "hyv", "ma1").total, *SEARCH_BOUNDS, tol=1e-9)
@@ -181,6 +191,26 @@ class TestBatchedGrid:
         y = sample_series(model, -0.6, t_len + 10, t_len, seed=t_len)
         ctx = wishart_context(sum_of_squares(y), nu=t_len + 10, model=model)
         assert_batch_matches_pointwise(lambda lam: hw_score(ctx, lam), ORACLE_THETAS)
+
+
+class TestCachedGridJets:
+    """The minimizer's grid jets, cached per (kind, model, T, bounds), equal a
+    fresh evaluation to the bit and cannot be written to."""
+
+    @pytest.mark.parametrize("terms,args", [
+        (_terms, (EstimatorKind(kind), model, t_len))
+        for model in ("ar1", "ma1") for kind in ("full", "pairwise", "hyv")
+        for t_len in (3, 50, 201)
+    ] + [(_score_terms, (model, t_len)) for model in ("ar1", "ma1") for t_len in (3, 50)])
+    def test_equal_to_fresh_and_read_only(self, terms, args):
+        seeds = np.linspace(*SEARCH_BOUNDS, GRID_POINTS + 2)[1:-1]
+        cached = _order0_jets(terms, args, seeds)
+        fresh = terms(*args, seeds.copy())
+        for jet, reference in zip(cached, fresh, strict=True):
+            assert jet.shape == reference.shape and jet.tobytes() == reference.tobytes()
+            assert not jet.flags.writeable
+        # a second scan of the same grid reads the cache
+        assert all(a is b for a, b in zip(_order0_jets(terms, args, seeds), cached))
 
 
 class TestDerivatives:

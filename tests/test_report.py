@@ -173,6 +173,53 @@ class TestRunExperiment:
         assert all(row.n_boundary == 0 for row in rows)
         assert all(row.n_replicates == 20 for row in rows)
 
+    @pytest.mark.parametrize("model,kinds,reductions", [
+        # the DST-I rotation, once for full and hyv
+        ("ma1", ("full", "hyv"), ["ma1_sine_transform"]),
+        # first differences once for full and pairwise, second for hyv
+        ("ar1", ("full", "pairwise", "hyv"), ["_ar1_sums full", "_ar1_sums hyv"]),
+    ])
+    def test_replicate_reduces_each_family_once(self, monkeypatch, model, kinds, reductions):
+        import minscore.scores as scores
+        import minscore.simulate as sim
+
+        calls = []
+        real_dst, real_sums = scores.ma1_sine_transform, scores._ar1_sums
+
+        def dst(x, *args, **kwargs):
+            calls.append("ma1_sine_transform")
+            return real_dst(x, *args, **kwargs)
+
+        def sums(d, kind):
+            calls.append(f"_ar1_sums {kind}")
+            return real_sums(d, kind)
+
+        monkeypatch.setattr(scores, "ma1_sine_transform", dst)
+        monkeypatch.setattr(scores, "_ar1_sums", sums)
+        cfg = ExperimentConfig(model=model, param_grid=(0.4,), nu=20, t_len=8,
+                               replicates=1, estimators=kinds)
+        records = sim._one_replicate(cfg, 0.4, 0, 0, sim._fit_kinds(cfg))
+        assert set(records) == set(map(EstimatorKind, kinds))
+        assert calls == reductions
+
+    def test_one_thread_pool_per_study(self, monkeypatch):
+        import minscore.simulate as sim
+
+        pools = []
+
+        class Counted(sim.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", Counted)
+        cfg = ExperimentConfig(
+            model="ar1", param_grid=(-0.3, 0.2, 0.6), nu=20, t_len=6, replicates=3,
+            seed=13, estimators=(EstimatorKind.FULL_ML,),
+        )
+        assert run_experiment(cfg, workers=2) == run_experiment(cfg, workers=1)
+        assert len(pools) == 2  # one per study, not one per grid point
+
     def test_config_validation(self):
         with pytest.raises(ConfigError, match=r"\(-1, 1\)"):
             ExperimentConfig(model="ar1", param_grid=(1.5,)).validate()

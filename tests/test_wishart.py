@@ -6,6 +6,7 @@ import pytest
 
 from minscore import (
     ar1_covariance,
+    godambe_analytic,
     hw_estimate,
     hw_grad,
     hw_grad_samples,
@@ -17,6 +18,7 @@ from minscore import (
     sample_ma1,
     sample_series,
     sum_of_squares,
+    wishart_components,
     wishart_context,
     wishart_sensitivity,
     wishart_variability,
@@ -208,6 +210,22 @@ class TestVariability:
         psi = 1.0 - phi**2
         expected = phi**2 * psi**2 / (2.0 * (nu - 4))
         npt.assert_allclose(wishart_variability("ar1", phi, nu, 1), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("t_len", [1, 2, 50])
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    def test_components_share_one_set_of_traces(self, monkeypatch, model, t_len):
+        import minscore.wishart as wishart
+
+        j, k = wishart_components(model, 0.6, t_len + 6, t_len)
+        assert j == wishart_variability(model, 0.6, t_len + 6, t_len)
+        assert k == wishart_sensitivity(model, 0.6, t_len)
+        calls = []
+        real = wishart._derivative_traces
+        monkeypatch.setattr(wishart, "_derivative_traces",
+                            lambda *args: calls.append(args) or real(*args))
+        comps = godambe_analytic(model, 0.6, t_len=t_len, nu=t_len + 6)
+        assert (comps.j_hat, comps.k_hat) == ((t_len + 6) * j, k)
+        assert len(calls) == 1
 
     def test_needs_four_extra_dof(self):
         assert wishart_variability("ar1", 0.3, 14, 10) > 0
