@@ -40,7 +40,6 @@ from .scores import (
     total_score,
 )
 from .wishart import (
-    WishartContext,
     hw_estimate,
     hw_grad,
     hw_grad_samples,
@@ -97,7 +96,6 @@ __all__ = [
     "score_per_series",
     "series_objective",
     "total_score",
-    "WishartContext",
     "hw_estimate",
     "hw_grad",
     "hw_grad_samples",

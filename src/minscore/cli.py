@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .inference import EstimateRecord, check_sample_size, fit
+from .inference import EstimateRecord, SeriesReduction, check_sample_size, fit
 from .models import sample_series
 from .report import emit_are_svg, emit_csv
 from .scores import EstimatorKind
@@ -130,7 +130,7 @@ def _parse_estimators(text: str) -> tuple[EstimatorKind, ...]:
     return tuple(kinds)
 
 
-def _table_config(args) -> tuple[ExperimentConfig, str | None, int]:
+def _table_config(args) -> tuple[ExperimentConfig, str, str | None, int]:
     file_entries = _read_config_file(args.config) if args.config else {}
 
     def pick(flag_value, key, convert, default):
@@ -162,15 +162,15 @@ def _table_config(args) -> tuple[ExperimentConfig, str | None, int]:
         seed=pick(args.seed, "seed", int, 0),
         estimators=_parse_estimators(estimators_text) if estimators_text else
         tuple(EstimatorKind),
-        out_path=pick(args.out, "out", str, None),
     )
+    out = pick(args.out, "out", str, None)
     svg = pick(args.svg, "svg", str, None)
     workers = pick(args.workers, "workers", int, 1)
-    if cfg.out_path is None:
+    if out is None:
         raise ConfigError("table needs an output path (--out or out= in the config file)")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    return cfg, svg, workers
+    return cfg, out, svg, workers
 
 
 def _record_line(record: EstimateRecord) -> str:
@@ -195,12 +195,13 @@ def _cmd_fit(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"cannot parse data file {args.data!r}: {exc}") from exc
     kind = EstimatorKind(args.estimator)
-    # the requested estimator's bounds fail before the baseline is fitted
-    check_sample_size(kind, args.model, y)
+    # one reduction for both fits; the requested bounds fail before either
+    reduction = SeriesReduction(y)
+    check_sample_size(kind, args.model, reduction)
     sd_mle = None
     if kind is not EstimatorKind.FULL_ML:
-        sd_mle = fit(y, EstimatorKind.FULL_ML, args.model).sd
-    record = fit(y, kind, args.model, sd_mle=sd_mle)
+        sd_mle = fit(reduction, EstimatorKind.FULL_ML, args.model).sd
+    record = fit(reduction, kind, args.model, sd_mle=sd_mle)
     if kind is EstimatorKind.FULL_ML and record.sd is not None:
         record = dataclasses.replace(record, are=1.0)
     text = FIT_HEADER + "\n" + _record_line(record) + "\n"
@@ -213,9 +214,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    cfg, svg_path, workers = _table_config(args)
+    cfg, out_path, svg_path, workers = _table_config(args)
     rows = run_experiment(cfg, workers=workers)
-    emit_csv(rows, cfg.out_path)
+    emit_csv(rows, out_path)
     if svg_path:
         emit_are_svg(rows, svg_path)
     return 0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import canonical_model
+from .models import canonical_model, sum_of_squares
 from .optimize import minimize_scalar
 from .scores import (
     DegenerateDataError,
@@ -31,11 +31,7 @@ from .scores import (
     min_series_length,
     series_objective,
 )
-from .wishart import (
-    SEARCH_BOUNDS,
-    hw_estimate,
-    wishart_components,
-)
+from .wishart import SEARCH_BOUNDS, wishart_components, wishart_context
 
 __all__ = [
     "GodambeComponents",
@@ -93,9 +89,8 @@ class SeriesReduction:
     """A (nu, T) series matrix that several estimators fit: its values are
     checked to be finite once, and each family of sufficient statistics is
     computed when a kind first reads it, then shared by every kind of the
-    family (AR(1) full and pairwise; MA(1) full and hyv).  The Wishart kind
-    alone reads S = Y'Y, which :func:`~minscore.wishart.hw_estimate` forms
-    from the checked series."""
+    family (AR(1) full and pairwise; MA(1) full and hyv; the Wishart kind
+    reads S = Y'Y)."""
 
     def __init__(self, series):
         y = np.atleast_2d(np.asarray(series, dtype=float))
@@ -106,13 +101,18 @@ class SeriesReduction:
 
     def objective(self, kind: EstimatorKind, model: str) -> SeriesObjective:
         """The :class:`SeriesObjective` of ``kind`` on ``model``, equal to
-        :func:`series_objective` of the series, from its family's statistics."""
+        :func:`series_objective` of the series (or :func:`wishart_context` of
+        S), from its family's statistics."""
         kind = EstimatorKind(kind)
         model = canonical_model(model)
         family = _SHARED_STATS.get((model, kind), kind)
         shared = self._families.get((model, family))
         if shared is None:
-            shared = self._families[model, family] = series_objective(self.series, family, model)
+            if kind is EstimatorKind.HYV_WISHART:
+                shared = wishart_context(sum_of_squares(self.series), len(self.series), model)
+            else:
+                shared = series_objective(self.series, family, model)
+            self._families[model, family] = shared
         return shared if shared.kind is kind else dataclasses.replace(shared, kind=kind)
 
 
@@ -233,11 +233,11 @@ def fit(
     ``series`` may also be a :class:`SeriesReduction`, so
     that the fits of several estimators to one dataset check its values once
     and share the statistics they have in common; the result is the same to
-    the bit.  The AR(1) pairwise estimate is the closed form; the Wishart
-    estimate minimizes the pooled score; everything else minimizes the summed
-    per-series objective over ``bounds``, reducing the series once for both
-    the estimate and its sd.  The sd of a per-series kind uses the empirical
-    Godambe information (:func:`godambe_empirical`); the Wishart kind uses its
+    the bit.  The AR(1) pairwise estimate is the closed form; every other
+    estimate minimizes the kind's :class:`~minscore.scores.SeriesObjective`
+    over ``bounds``, reducing the data once for both the estimate and its
+    sd.  The sd of a per-series kind uses the empirical Godambe information
+    (:func:`godambe_empirical`); the Wishart kind uses its
     exact information (:func:`godambe_analytic`).  Data that
     :func:`check_sample_size` rejects (non-finite values, too few or too short
     series) fail before any minimization.
@@ -251,17 +251,13 @@ def fit(
     y = reduction.series
     nu, t_len = y.shape
 
-    if kind is EstimatorKind.HYV_WISHART:
-        estimate = hw_estimate(y, model, bounds=bounds, tol=tol)
-        boundary = _at_edge(estimate, bounds, tol)
+    objective = reduction.objective(kind, model)
+    if kind is EstimatorKind.PAIRWISE_ML and model == "ar1":
+        estimate, _ = ar1_pairwise_closed_form(y)
+        boundary = not (bounds[0] < estimate < bounds[1])
     else:
-        objective = reduction.objective(kind, model)
-        if kind is EstimatorKind.PAIRWISE_ML and model == "ar1":
-            estimate, _ = ar1_pairwise_closed_form(y)
-            boundary = not (bounds[0] < estimate < bounds[1])
-        else:
-            estimate = minimize_scalar(objective.total, bounds[0], bounds[1], tol=tol)
-            boundary = _at_edge(estimate, bounds, tol)
+        estimate = minimize_scalar(objective.total, bounds[0], bounds[1], tol=tol)
+        boundary = _at_edge(estimate, bounds, tol)
 
     if boundary or not compute_sd:
         return EstimateRecord(kind, float(estimate), None, None, boundary)

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimize import GRID_POINTS
-
 __all__ = [
     "Ar1Params",
     "Ma1Params",
@@ -174,26 +172,6 @@ def _half_angle_sin2(t_len: int) -> np.ndarray:
     s2 = np.sin(k * (np.pi / (2 * (t_len + 1)))) ** 2
     s2.flags.writeable = False
     return s2
-
-
-@functools.lru_cache(maxsize=8)
-def _grid_jets(terms, args: tuple, seeds: bytes) -> tuple:
-    # order-0 jets of the minimizer's grid, read-only as every caller shares them
-    jets = terms(*args, np.frombuffer(seeds))
-    for jet in jets:
-        jet.flags.writeable = False
-    return jets
-
-
-def _order0_jets(terms, args: tuple, theta) -> tuple:
-    """The order-0 jets ``terms(*args, theta)``.  For an array of
-    :data:`~minscore.optimize.GRID_POINTS` theta, such as the minimizer's
-    grid seeds, they come from a small cache keyed by ``terms``, ``args`` and
-    the seeds (so by the search bounds), since every fit of one (kind, model,
-    T) scans the same grid."""
-    if isinstance(theta, np.ndarray) and theta.shape == (GRID_POINTS,):
-        return _grid_jets(terms, args, np.asarray(theta, dtype=float).tobytes())
-    return terms(*args, theta)
 
 
 def ma1_sine_transform(x, axis: int = -1) -> np.ndarray:

@@ -1,13 +1,13 @@
-"""Per-series objective functions for the four estimators.
+"""Objective functions for the four estimators.
 
 Log-likelihoods (full and consecutive-pairwise) are returned in their natural
 orientation (higher is better); Hyvarinen scores are losses (lower is better).
-:func:`score_per_series` and :func:`total_score` put everything on a common
-minimization footing by negating the log-likelihoods.
+:func:`score_per_series` and :func:`total_score` put the three per-series
+kinds on a common minimization footing by negating the log-likelihoods.
 
-Every objective is a Gaussian quadratic form in the series, so each series
-enters only through a few sufficient statistics, and its value in
-minimization orientation is ``stats @ coef(theta) + const(theta)``:
+Every objective is a Gaussian quadratic form in the data, so the data enter
+only through a few sufficient statistics, and the value in minimization
+orientation is ``stats @ coef(theta) + const(theta)``:
 
 - AR(1), every kind: sums of squares and products of each series and of its
   first (full, pairwise) or second (``hyv``) differences, ``d_t - d_{t-1}``
@@ -22,12 +22,14 @@ minimization orientation is ``stats @ coef(theta) + const(theta)``:
   (:func:`~minscore.models.ma1_sine_transform`); with eigenvalues ``lambda``,
   full is ``0.5 * sum(z^2/lambda + log lambda)`` and ``hyv`` is
   ``0.5 * sum(z^2/lambda^2) - sum(1/lambda)``, O(T) per series and theta.
+- The Wishart score (``hyv-wishart``) is no sum over series: it reads one row
+  of statistics of S^{-1}, S = Y'Y (see :mod:`minscore.wishart`).
 
 :func:`series_objective` reduces the series once; its total and the
 per-series first and second derivatives at any theta then cost no pass over
 the data, and the derivatives are exact (jets, see :mod:`minscore.models`).
 The total also takes an array of theta and evaluates all of it in one call,
-which is how the minimizer scans its grid.
+which is how the minimizer scans its grid; the grid's jets are cached.
 
 Every evaluator accepts a single series of shape (T,) or a stack of series of
 shape (nu, T) and broadcasts over the leading axis.  Additive constants are
@@ -37,6 +39,7 @@ are comparable within one estimator but not across estimators.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,13 +51,13 @@ from .models import (
     _jet_log,
     _jet_power,
     _jet_product,
-    _order0_jets,
     _power_jets,
     canonical_model,
     ma1_eigenvalues,
     ma1_sine_transform,
     params_for,
 )
+from .optimize import GRID_POINTS
 
 __all__ = [
     "EstimatorKind",
@@ -144,6 +147,10 @@ _AR1_COEF = {
 }
 _TWO_U_MINUS_SQUARE = np.array([0.0, 2.0, -1.0, 0.0, 0.0])  # 1 - phi^2 = u (2 - u)
 
+# Wishart score on AR(1): <M, P(phi)> = trace + phi^2 * interior - 2 phi *
+# off-diagonal, rows = powers 0..2 of phi, columns = those statistics of M
+_AR1_PRECISION_COEF = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -2.0], [0.0, 1.0, 0.0]])
+
 
 def _dot(a, b):
     return np.einsum("...t,...t->...", a, b)
@@ -166,16 +173,19 @@ def _ar1_sums(d: np.ndarray, kind: EstimatorKind) -> np.ndarray:
     # G).  For s = sign(phi) no term outgrows the objective as |phi| -> 1,
     # where plain lag sums grow as 1/(1 - phi^2) and cancel.
     inner, ends, prev = d[..., 1:-1], d[..., [0, -1]], d[..., :-1]
+    hyv = kind is EstimatorKind.HYV_UNIVARIATE
+    # the sums free of s: A and E for hyv, R and D for full and pairwise
+    squares = (_dot(inner, inner), _dot(ends, ends)) if hyv else (_dot(prev, prev), d[..., 0] ** 2)
     halves = []
     for s in (1.0, -1.0):
-        if kind is EstimatorKind.HYV_UNIVARIATE:
+        if hyv:
             h = s * (d[..., :-2] + d[..., 2:]) - 2.0 * inner
             g = ends - s * d[..., [1, -2]]
-            stats = [_dot(inner, inner), _dot(inner, h), _dot(h, h),
-                     _dot(ends, ends), _dot(ends, g), _dot(g, g)]
+            stats = [squares[0], _dot(inner, h), _dot(h, h),
+                     squares[1], _dot(ends, g), _dot(g, g)]
         else:
             e = d[..., 1:] - s * prev
-            stats = [_dot(e, e), s * _dot(e, prev), _dot(prev, prev), d[..., 0] ** 2]
+            stats = [_dot(e, e), s * _dot(e, prev), *squares]
         halves.append(np.stack(stats, axis=-1))
     return np.concatenate(halves, axis=-1)
 
@@ -203,7 +213,17 @@ def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):
     # mu = 0 and sigma2 = 1: row r (order + 1 rows) is the r-th theta
     # derivative, so the objective's r-th derivative is stats @ coef[r] + const[r].
     # An array theta adds its shape after the jet axis, so a whole grid of
-    # theta costs one call: coef[r] is then (*theta.shape, m).
+    # theta costs one call: coef[r] is then (*theta.shape, m).  The Wishart
+    # coef gives <S^{-1}, P(theta)>, P the scale precision; const is ||P||_F^2 / 8.
+    if kind is EstimatorKind.HYV_WISHART:
+        if model == "ma1":
+            p = _jet_power(ma1_eigenvalues(theta, t_len, order), -1)  # eigenvalues of P
+            return p, 0.125 * _jet_product(p, p).sum(axis=-1)
+        x = _power_jets(theta, order)
+        # the AR(1) precision has diagonal 1 + theta^2 i_t, with i_t = 1
+        # inside, 0 at the two ends and -1 when T = 1, and off-diagonal -theta
+        norm = x @ np.array([t_len, 0.0, 4.0 * t_len - 6.0, 0.0, abs(t_len - 2.0)])
+        return x[..., :3] @ _AR1_PRECISION_COEF, 0.125 * norm
     if _spectral(model, kind):
         lam = ma1_eigenvalues(theta, t_len, order)
         if kind is EstimatorKind.FULL_ML:
@@ -230,28 +250,49 @@ def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):
     return coef, -0.5 * pairs * _jet_log(u @ _TWO_U_MINUS_SQUARE)
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_jets(args: tuple, seeds: bytes) -> tuple:
+    # order-0 jets of the minimizer's grid, read-only as every caller shares them
+    jets = _terms(*args, np.frombuffer(seeds))
+    for jet in jets:
+        jet.flags.writeable = False
+    return jets
+
+
+def _order0_jets(args: tuple, theta) -> tuple:
+    # _terms(*args, theta), cached for the grid of GRID_POINTS seeds that
+    # every fit of one (kind, model, T) on the same bounds scans
+    if isinstance(theta, np.ndarray) and theta.shape == (GRID_POINTS,):
+        return _grid_jets(args, np.asarray(theta, dtype=float).tobytes())
+    return _terms(*args, theta)
+
+
 @dataclass(frozen=True)
 class SeriesObjective:
-    """A per-series objective reduced to the sufficient statistics of its
-    series (see :func:`series_objective`); no method reads the series."""
+    """An objective reduced to sufficient statistics (:func:`series_objective`,
+    :func:`~minscore.wishart.wishart_context`); no method reads the data.  Row
+    i has r-th derivative ``scale * (stats[i] @ coef[r]) + const[r]`` and the
+    total adds ``offset``; per-series kinds keep ``offset = 0, scale = 1``."""
 
     kind: EstimatorKind
     model: str
     t_len: int
     stats: np.ndarray  # (nu, m)
-    pooled: np.ndarray  # (m,), summed over the series
+    pooled: np.ndarray  # (m,), summed over the rows
+    offset: float = 0.0
+    scale: float = 1.0
 
     def total(self, theta):
-        """Sum of the per-series objectives at theta: a float for a scalar
+        """Sum of the objectives of the rows at theta: a float for a scalar
         theta, one value per entry for an array (a whole grid in one call)."""
-        coef, const = _order0_jets(_terms, (self.kind, self.model, self.t_len), theta)
-        value = coef[0] @ self.pooled + len(self.stats) * const[0]
+        coef, const = _order0_jets((self.kind, self.model, self.t_len), theta)
+        value = self.offset + self.scale * (coef[0] @ self.pooled) + len(self.stats) * const[0]
         return value if isinstance(value, np.ndarray) else float(value)
 
     def derivatives(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        """Exact first and second theta-derivatives of each series' objective."""
+        """Exact first and second theta-derivatives of each row's objective."""
         coef, const = _terms(self.kind, self.model, self.t_len, theta, order=2)
-        return self.stats @ coef[1] + const[1], self.stats @ coef[2] + const[2]
+        return tuple(self.scale * (self.stats @ coef[r]) + const[r] for r in (1, 2))
 
 
 def series_objective(series, kind: EstimatorKind, model: str) -> SeriesObjective:

@@ -7,6 +7,8 @@ compares.  Everything here runs in under a second.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import inference, models, scores, wishart
@@ -105,6 +107,21 @@ def _check_wishart_gradient() -> None:
         assert abs(analytic - fd) <= 1e-4 * max(1.0, abs(fd)), (analytic, fd)
 
 
+def _check_wishart_dense() -> None:
+    # HW(S, Lambda) and its gradient from dense S^{-1}, precision and derivative
+    rng = np.random.default_rng(29)
+    for model, t_len, lam in itertools.product(("ar1", "ma1"), (2, 10), (-0.9, 0.0, 0.6)):
+        nu = t_len + 6
+        s = models.sum_of_squares(rng.standard_normal((nu, t_len)))
+        ctx = wishart.wishart_context(s, nu=nu, model=model)
+        s_inv, c = np.linalg.inv(s), 0.5 * (nu - t_len - 1)
+        resid = c * s_inv - 0.5 * wishart.scale_precision(model, lam, t_len)
+        dense = 0.5 * np.sum(resid * resid) - c * np.sum(np.diag(s_inv) ** 2)
+        grad = -0.5 * np.sum(resid * wishart.precision_derivative(model, lam, t_len))
+        for got, want in ((ctx.total(lam), dense), (ctx.derivatives(lam)[0][0], grad)):
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (model, t_len, lam, got, want)
+
+
 def _check_wishart_variability() -> None:
     # T = 1: the gradient is c * phi / S plus a constant, with
     # S = chi2_nu / (1 - phi^2), whose inverse-chi-square variance is exact
@@ -144,7 +161,7 @@ def _check_batched_grid() -> None:
     ctx = wishart.wishart_context(models.sum_of_squares(y), nu=30, model="ma1")
     for f in (scores.series_objective(y, "hyv", "ar1").total,
               scores.series_objective(y, "full", "ma1").total,
-              lambda lam: wishart.hw_score(ctx, lam)):
+              ctx.total):
         batch, point = f(grid), np.array([f(x) for x in grid])
         err = np.max(np.abs(batch - point)) / np.max(np.abs(point))
         assert err < 1e-13, f"batched grid off by {err} (relative) from pointwise values"
@@ -161,7 +178,7 @@ def _check_shared_reductions() -> None:
             reduction = inference.SeriesReduction(y)
             for kind in scores.EstimatorKind:
                 shared = inference.fit(reduction, kind, model)
-                models._grid_jets.cache_clear()
+                scores._grid_jets.cache_clear()
                 alone = inference.fit(y, kind, model)
                 assert (shared.estimate, shared.sd) == (alone.estimate, alone.sd), (
                     f"{model} {kind}: shared {shared} vs standalone {alone}")
@@ -185,6 +202,7 @@ CHECKS = (
     ("exact objective derivatives match central differences", _check_exact_derivatives),
     ("AR(1) Wishart sensitivity matches brute-force sum", _check_wishart_sensitivity),
     ("Wishart score gradient matches finite differences", _check_wishart_gradient),
+    ("Wishart objective matches its dense definition", _check_wishart_dense),
     ("exact Wishart variability matches inverse chi-square and Monte Carlo",
      _check_wishart_variability),
     ("pairwise closed form matches numeric argmax", _check_pairwise_closed_form),

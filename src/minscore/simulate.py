@@ -55,7 +55,6 @@ class ExperimentConfig:
     mc_b: int = 500
     seed: int = 0
     estimators: tuple[EstimatorKind, ...] = ALL_ESTIMATORS
-    out_path: str | None = None
 
     def __post_init__(self):
         self.model = canonical_model(self.model)

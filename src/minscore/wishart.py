@@ -15,11 +15,12 @@ in the scalar dependence parameter is
 
 Expanding the square, the score is ``-(c/2) <S^{-1}, P> + ||P||_F^2 / 8`` plus
 a term free of lambda, with ``P`` the scale precision, so S enters through a
-few statistics of S^{-1} computed once per fit (:class:`WishartContext`):
+few statistics of S^{-1} computed once per fit (:func:`wishart_context`):
 for AR(1) its trace, interior-diagonal sum and first off-diagonal sum, for
 MA(1) the diagonal of ``U S^{-1} U`` in the DST-I basis that diagonalizes P.
-Each evaluation then costs O(1) (AR) or O(T) (MA), and the derivatives are
-exact.
+The score is the ``hyv-wishart`` kind of the one sufficient-statistic
+objective of :mod:`minscore.scores`.  Each evaluation costs O(1) (AR) or O(T)
+(MA), and the derivatives are exact.
 
 The sensitivity of that estimating equation is the deterministic quantity
 ``K = 0.25 * sum_{i,j} (d lam^{ji} / d lambda)^2``, which for AR(1) collapses
@@ -30,15 +31,10 @@ S^{-1}, which is inverse-Wishart, so its variance is exact as well
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .models import (
     _jet_power,
-    _jet_product,
-    _order0_jets,
-    _power_jets,
     ar1_precision,
     canonical_model,
     ma1_eigenvalues,
@@ -49,9 +45,9 @@ from .models import (
     sum_of_squares,
 )
 from .optimize import minimize_scalar
+from .scores import EstimatorKind, SeriesObjective
 
 __all__ = [
-    "WishartContext",
     "wishart_context",
     "scale_precision",
     "precision_derivative",
@@ -68,60 +64,41 @@ __all__ = [
 SEARCH_BOUNDS = (-0.999, 0.999)
 
 
-@dataclass(frozen=True)
-class WishartContext:
-    """Immutable bundle of degrees of freedom, dimension, cached S inverse and
-    the model mapping the scalar parameter to the scale matrix.
-
-    ``stats`` and ``offset`` are derived from S inverse on construction:
-    ``stats`` are what the score contracts with the scale precision (AR(1):
-    trace, interior-diagonal sum and first off-diagonal sum; MA(1): the
-    diagonal of ``U S^{-1} U``), and ``offset`` is the part of the score free
-    of lam.  The score and its exact gradient read only these.
-    """
-
-    nu: int
-    t_len: int
-    s_inv: np.ndarray = field(repr=False)
-    model: str
-    stats: np.ndarray = field(init=False, repr=False)
-    offset: float = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.nu < self.t_len + 2:
-            raise ValueError(
-                f"Wishart score needs nu >= T + 2; got nu={self.nu}, T={self.t_len}"
-            )
-        if self.s_inv.shape != (self.t_len, self.t_len):
-            raise ValueError(f"S inverse must be {self.t_len}x{self.t_len}")
-        c = self.half_dof
-        offset = 0.5 * c * c * np.sum(self.s_inv**2) - c * np.sum(np.diag(self.s_inv) ** 2)
-        object.__setattr__(self, "stats", _precision_stats(self.s_inv, self.model))
-        object.__setattr__(self, "offset", float(offset))
-
-    @property
-    def half_dof(self) -> float:
-        """The constant (nu - T - 1) / 2 appearing throughout the score."""
-        return 0.5 * (self.nu - self.t_len - 1)
-
-
-def wishart_context(s, nu: int, model: str) -> WishartContext:
-    """Invert the sum-of-squares matrix once and cache it for repeated score
-    evaluations: ``S^{-1} = L^{-T} L^{-1}`` from the Cholesky factor
-    ``S = L L'``, symmetrized."""
+def wishart_context(s, nu: int, model: str) -> SeriesObjective:
+    """The Wishart score of the sum-of-squares matrix S of ``nu`` >= T + 2
+    series: a :class:`~minscore.scores.SeriesObjective` of kind
+    ``hyv-wishart`` holding the statistics of S^{-1} and, as its offset, the
+    part of the score free of lam; no T x T array is kept."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"S must be a square matrix, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError("sum-of-squares matrix contains non-finite values (NaN or inf)")
-    t_len = s.shape[0]
+    s_inv = _s_inverse(s)
+    nu, t_len, model = int(nu), s.shape[0], canonical_model(model)
+    if nu < t_len + 2:
+        raise ValueError(f"Wishart score needs nu >= T + 2; got nu={nu}, T={t_len}")
+    c = 0.5 * (nu - t_len - 1)
+    offset = 0.5 * c * c * np.sum(s_inv**2) - c * np.sum(np.diag(s_inv) ** 2)
+    # the statistics of S^{-1} with <S^{-1}, P(lam)> = stats @ coef(lam)
+    if model == "ma1":
+        stats = np.diagonal(_rotate_both(s_inv)).copy()
+    else:
+        # interior = trace - both ends, so -s^{11} at T = 1, where P = 1 - lam^2
+        diag = np.diag(s_inv)
+        stats = np.array([diag.sum(), diag.sum() - diag[0] - diag[-1], np.trace(s_inv, 1)])
+    return SeriesObjective(EstimatorKind.HYV_WISHART, model, t_len, stats[None], stats,
+                           offset=float(offset), scale=-0.5 * c)
+
+
+def _s_inverse(s: np.ndarray) -> np.ndarray:
+    # S^{-1} = L^{-T} L^{-1} from the Cholesky factor S = L L', symmetrized
     try:
         l_inv = np.linalg.inv(np.linalg.cholesky(s))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular sum-of-squares matrix: {exc}") from exc
     s_inv = l_inv.T @ l_inv
-    s_inv = 0.5 * (s_inv + s_inv.T)
-    return WishartContext(nu=int(nu), t_len=t_len, s_inv=s_inv, model=canonical_model(model))
+    return 0.5 * (s_inv + s_inv.T)
 
 
 def scale_precision(model: str, lam: float, t_len: int) -> np.ndarray:
@@ -166,46 +143,14 @@ def _rotate_both(m: np.ndarray) -> np.ndarray:
     return ma1_sine_transform(ma1_sine_transform(m, axis=0), axis=1)
 
 
-def _precision_stats(s_inv: np.ndarray, model: str) -> np.ndarray:
-    # statistics of a symmetric matrix M with <M, P(lam)> = stats @ coef(lam)
-    if model == "ma1":
-        return np.diagonal(_rotate_both(s_inv)).copy()
-    diag = np.diag(s_inv)
-    # the interior sum is the trace minus both ends, which is -M[0, 0] at
-    # T = 1, where the scale precision is 1 - lam^2
-    return np.array([diag.sum(), diag.sum() - diag[0] - diag[-1], np.trace(s_inv, 1)])
+def hw_score(ctx: SeriesObjective, lam):
+    """Wishart Hyvarinen score of a :func:`wishart_context` at lam, or at each entry of an array."""
+    return ctx.total(lam)
 
 
-# <M, P(phi)> = trace + phi^2 * interior - 2 phi * off-diagonal, by power of phi
-_AR1_PRECISION_COEF = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -2.0], [0.0, 1.0, 0.0]])
-
-
-def _score_terms(model: str, t_len: int, lam, order: int = 0):
-    # jets of coef(lam) and of ||P(lam)||_F^2; an array lam adds its shape
-    # after the jet axis
-    if model == "ma1":
-        p = _jet_power(ma1_eigenvalues(lam, t_len, order), -1)  # eigenvalues of P
-        return p, _jet_product(p, p).sum(axis=-1)
-    x = _power_jets(lam, order)
-    # the AR(1) precision has diagonal 1 + lam^2 i_t, with i_t = 1 inside,
-    # 0 at the two ends and -1 when T = 1, and off-diagonal -lam
-    norm = x @ np.array([t_len, 0.0, 4.0 * t_len - 6.0, 0.0, abs(t_len - 2.0)])
-    return x[..., :3] @ _AR1_PRECISION_COEF, norm
-
-
-def hw_score(ctx: WishartContext, lam):
-    """Wishart Hyvarinen score at dependence parameter lam: a float for a
-    scalar lam, one value per entry for an array (a whole grid in one call)."""
-    coef, norm = _order0_jets(_score_terms, (ctx.model, ctx.t_len), lam)
-    value = ctx.offset - 0.5 * ctx.half_dof * (coef[0] @ ctx.stats) + 0.125 * norm[0]
-    return value if isinstance(value, np.ndarray) else float(value)
-
-
-def hw_grad(ctx: WishartContext, lam: float) -> float:
-    """Exact derivative of :func:`hw_score` in lam, from the statistics of
-    the context."""
-    coef, norm = _score_terms(ctx.model, ctx.t_len, lam, 1)
-    return float(-0.5 * ctx.half_dof * (ctx.stats @ coef[1]) + 0.125 * norm[1])
+def hw_grad(ctx: SeriesObjective, lam: float) -> float:
+    """Exact derivative of :func:`hw_score` in lam."""
+    return float(ctx.derivatives(lam)[0][0])
 
 
 def _derivative_traces(model: str, lam: float, t_len: int) -> tuple[float, float, float]:
@@ -279,10 +224,10 @@ def hw_grad_samples(
 ) -> np.ndarray:
     """Score-equation gradients at lam over fresh Wishart draws.
 
-    Each draw is the sum-of-squares matrix of ``nu`` simulated series of
-    length ``t_len`` at parameter lam, reusing the model samplers so one RNG
-    path covers both fitting and variance estimation.  Returns an array of
-    ``n_draws`` gradient values.
+    Each draw is the sum-of-squares matrix of ``nu`` series of length
+    ``t_len`` simulated at parameter lam by the model samplers.  A Monte
+    Carlo check of :func:`wishart_variability`; no fit calls it.  Returns an
+    array of ``n_draws`` gradient values.
     """
     model = canonical_model(model)
     if nu < t_len + 2:
@@ -317,4 +262,4 @@ def hw_estimate(
     """
     y = np.atleast_2d(np.asarray(series, dtype=float))
     ctx = wishart_context(sum_of_squares(y), nu=y.shape[0], model=model)
-    return minimize_scalar(lambda lam: hw_score(ctx, lam), bounds[0], bounds[1], tol=tol)
+    return minimize_scalar(ctx.total, bounds[0], bounds[1], tol=tol)

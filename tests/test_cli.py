@@ -77,6 +77,34 @@ class TestFit:
         assert 0 < float(fields[3]) <= 1.2  # efficiency vs the full-ML baseline
         assert fields[4] == "0"
 
+    def test_fit_reduces_the_data_once(self, tmp_path, capsys, monkeypatch):
+        # the bounds check, the full-ML baseline and the hyv fit share one
+        # reduction, so the series are rotated into the DST-I basis once, and
+        # the record is that of standalone fits
+        import minscore.scores as scores
+        from minscore import EstimatorKind, fit
+        from minscore.cli import FIT_HEADER, _record_line
+
+        data = tmp_path / "data.csv"
+        assert cli_main([
+            "simulate", "--model", "ma1", "--param", "0.4", "--nu", "30",
+            "--t", "12", "--seed", "9", "--out", str(data),
+        ]) == 0
+        y = np.loadtxt(data, delimiter=",", ndmin=2)
+        sd_mle = fit(y, EstimatorKind.FULL_ML, "ma1").sd
+        expected = _record_line(fit(y, EstimatorKind.HYV_UNIVARIATE, "ma1", sd_mle=sd_mle))
+        calls = []
+        real_dst = scores.ma1_sine_transform
+
+        def dst(*args, **kwargs):
+            calls.append(args)
+            return real_dst(*args, **kwargs)
+
+        monkeypatch.setattr(scores, "ma1_sine_transform", dst)
+        assert cli_main(["fit", "--data", str(data), "--model", "ma1", "--estimator", "hyv"]) == 0
+        assert capsys.readouterr().out == f"{FIT_HEADER}\n{expected}\n"
+        assert len(calls) == 1
+
     def test_missing_file_exits_1(self, capsys):
         code = cli_main([
             "fit", "--data", "/no/such/file.csv", "--model", "ar1",
@@ -113,7 +141,6 @@ class TestFit:
         ]) == 0
         minimized = []
         monkeypatch.setattr(inference, "minimize_scalar", lambda *a, **k: minimized.append(a))
-        monkeypatch.setattr(inference, "hw_estimate", lambda *a, **k: minimized.append(a))
         code = cli_main([
             "fit", "--data", str(data), "--model", "ar1", "--estimator", "hyv-wishart",
         ])

@@ -15,6 +15,7 @@ from minscore import (
     fit,
     godambe_analytic,
     godambe_empirical,
+    hw_estimate,
     hw_grad_samples,
     k_analytic_ar1,
     params_for,
@@ -291,7 +292,6 @@ class TestFit:
             raise AssertionError("minimized before the bounds were checked")
 
         monkeypatch.setattr(inference, "minimize_scalar", never)
-        monkeypatch.setattr(inference, "hw_estimate", never)
         y = sample_ar1(params_for("ar1", 0.2), nu, 10, seed=68)
         with pytest.raises(ValueError, match=bound):
             fit(y, kind, "ar1", compute_sd=compute_sd)
@@ -301,7 +301,6 @@ class TestFit:
         # the objective gets the 64 grid seeds as one array, then Brent's
         # scalars; a return to one call per seed would show up here
         import minscore.inference as inference
-        import minscore.wishart as wishart
 
         minimizations = []
 
@@ -313,7 +312,6 @@ class TestFit:
             return wrapper
 
         monkeypatch.setattr(inference, "minimize_scalar", recording(inference.minimize_scalar))
-        monkeypatch.setattr(wishart, "minimize_scalar", recording(wishart.minimize_scalar))
         y = sample_series(model, 0.4, 30, 8, seed=72)
         for kind in EstimatorKind:
             minimizations.clear()
@@ -336,6 +334,15 @@ class TestFit:
             shared, alone = fit(reduction, kind, model), fit(y, kind, model)
             assert shared.sd is not None, kind
             assert (shared.estimate, shared.sd) == (alone.estimate, alone.sd), kind
+
+    @pytest.mark.parametrize("t_len", [3, 50])
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    def test_wishart_fit_is_the_wishart_estimate(self, model, t_len):
+        # the one minimize path of fit gives hw_estimate's estimate to the bit
+        y = sample_series(model, 0.5, t_len + 9, t_len, seed=t_len)
+        estimate = hw_estimate(y, model)
+        assert fit(y, EstimatorKind.HYV_WISHART, model).estimate == estimate
+        assert fit(SeriesReduction(y), EstimatorKind.HYV_WISHART, model).estimate == estimate
 
     def test_reduction_checks_values_once(self):
         y = sample_series("ma1", 0.3, 30, 10, seed=73)

@@ -18,10 +18,9 @@ from minscore import (
     total_score,
     wishart_context,
 )
-from minscore.models import _order0_jets
 from minscore.optimize import GRID_POINTS, _bounded_brent
-from minscore.scores import _terms
-from minscore.wishart import SEARCH_BOUNDS, _score_terms
+from minscore.scores import _order0_jets, _terms
+from minscore.wishart import SEARCH_BOUNDS
 
 
 class TestMinimizeScalar:
@@ -201,16 +200,17 @@ class TestCachedGridJets:
         (_terms, (EstimatorKind(kind), model, t_len))
         for model in ("ar1", "ma1") for kind in ("full", "pairwise", "hyv")
         for t_len in (3, 50, 201)
-    ] + [(_score_terms, (model, t_len)) for model in ("ar1", "ma1") for t_len in (3, 50)])
+    ] + [(_terms, (EstimatorKind.HYV_WISHART, model, t_len))
+         for model in ("ar1", "ma1") for t_len in (3, 50)])
     def test_equal_to_fresh_and_read_only(self, terms, args):
         seeds = np.linspace(*SEARCH_BOUNDS, GRID_POINTS + 2)[1:-1]
-        cached = _order0_jets(terms, args, seeds)
+        cached = _order0_jets(args, seeds)
         fresh = terms(*args, seeds.copy())
         for jet, reference in zip(cached, fresh, strict=True):
             assert jet.shape == reference.shape and jet.tobytes() == reference.tobytes()
             assert not jet.flags.writeable
         # a second scan of the same grid reads the cache
-        assert all(a is b for a, b in zip(_order0_jets(terms, args, seeds), cached))
+        assert all(a is b for a, b in zip(_order0_jets(args, seeds), cached))
 
 
 class TestDerivatives:

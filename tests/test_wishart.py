@@ -23,7 +23,7 @@ from minscore import (
     wishart_sensitivity,
     wishart_variability,
 )
-from minscore.wishart import WishartContext, scale_precision
+from minscore.wishart import _s_inverse, scale_precision
 
 
 def make_ctx(s, nu, model="ar1"):
@@ -48,34 +48,46 @@ class TestContext:
         with pytest.raises(ValueError, match="non-finite"):
             wishart_context(s, nu=10, model="ar1")
 
+    @pytest.mark.parametrize("s,message", [
+        (np.ones((2, 3)), "square"),
+        (np.full((3, 3), np.nan), "non-finite"),
+        (np.zeros((3, 3)), "singular"),
+        (np.eye(3), r"nu >= T \+ 2"),
+    ])
+    def test_checks_in_order(self, s, message):
+        # each S also fails every later check, since nu = 2 < T + 2
+        with pytest.raises(ValueError, match=message):
+            wishart_context(s, nu=2, model="ar1")
+
     def test_s_inv_cached_and_symmetric(self):
+        # the S^{-1} that wishart_context reduces to its statistics
         rng = np.random.default_rng(0)
         y = rng.standard_normal((12, 4))
-        ctx = make_ctx(sum_of_squares(y), nu=12)
-        npt.assert_allclose(ctx.s_inv @ sum_of_squares(y), np.eye(4), atol=1e-10)
-        assert np.array_equal(ctx.s_inv, ctx.s_inv.T)
+        s_inv = _s_inverse(sum_of_squares(y))
+        npt.assert_allclose(s_inv @ sum_of_squares(y), np.eye(4), atol=1e-10)
+        assert np.array_equal(s_inv, s_inv.T)
 
 
 class TestScalarCalculus:
     """T = 1, S = [[4]], nu = 10: closed-form behavior of the score."""
 
     @staticmethod
-    def hw_of_scale(ctx, scale):
+    def hw_of_scale(scale):
         # score as a function of the scale entry itself: the precision entry
-        # is 1/scale, so HW(scale) = -c*s11^2 + 0.5*(c*s11 - 1/(2*scale))^2
-        c = ctx.half_dof
-        s11 = ctx.s_inv[0, 0]
+        # is 1/scale, so HW(scale) = -c*s11^2 + 0.5*(c*s11 - 1/(2*scale))^2,
+        # with c = (nu - T - 1) / 2 = 4
+        c = 4.0
+        s11 = _s_inverse(np.array([[4.0]]))[0, 0]
         return -c * s11**2 + 0.5 * (c * s11 - 0.5 / scale) ** 2
 
     def test_value_and_minimizer_over_scale(self):
         # c = (nu-T-1)/2 = 4, s^{11} = 1/4: HW(scale) = -4/16 + 0.5*(1 - 1/(2*scale))^2,
         # minimized at scale = s/(nu-2) = 0.5 where it equals -0.25
-        ctx = make_ctx([[4.0]], nu=10)
         npt.assert_allclose(
-            self.hw_of_scale(ctx, 0.5), -4 / 16 + 0.5 * (1 - 1 / (2 * 0.5)) ** 2, rtol=1e-14
+            self.hw_of_scale(0.5), -4 / 16 + 0.5 * (1 - 1 / (2 * 0.5)) ** 2, rtol=1e-14
         )
         scales = np.linspace(0.05, 3.0, 59001)
-        best = scales[int(np.argmin(self.hw_of_scale(ctx, scales)))]
+        best = scales[int(np.argmin(self.hw_of_scale(scales)))]
         npt.assert_allclose(best, 0.5, atol=1e-4)
 
     def test_library_score_agrees_via_ar1_map(self):
@@ -84,7 +96,7 @@ class TestScalarCalculus:
         ctx = make_ctx([[4.0]], nu=10)
         for phi in (-0.7, 0.0, 0.6):
             npt.assert_allclose(
-                hw_score(ctx, phi), self.hw_of_scale(ctx, 1.0 / (1.0 - phi**2)), rtol=1e-12
+                hw_score(ctx, phi), self.hw_of_scale(1.0 / (1.0 - phi**2)), rtol=1e-12
             )
 
     def test_t1_estimate_matches_closed_form(self):
@@ -278,10 +290,6 @@ class TestScalePrecision:
         cov = ar1_covariance(params_for("ar1", 0.6), 1)
         npt.assert_allclose(scale_precision("ar1", 0.6, 1) @ cov, np.eye(1), atol=1e-12)
 
-    def test_context_invariants(self):
-        with pytest.raises(ValueError):
-            WishartContext(nu=10, t_len=3, s_inv=np.eye(2), model="ar1")
-
 
 def dense_precision_derivative(model, lam, t_len):
     """-P Omega' P from the dense covariance derivative (unit innovations)."""
@@ -324,20 +332,24 @@ class TestDenseForms:
     def test_score_and_gradient(self, model, t_len):
         rng = np.random.default_rng(t_len)
         nu = t_len + 6
-        ctx = make_ctx(sum_of_squares(rng.standard_normal((nu, t_len))), nu=nu, model=model)
-        c = ctx.half_dof
+        s = sum_of_squares(rng.standard_normal((nu, t_len)))
+        ctx = make_ctx(s, nu=nu, model=model)
+        c, s_inv = 0.5 * (nu - t_len - 1), _s_inverse(s)
         for lam in (-0.95, -0.3, 0.0, 0.63, 0.95):
-            resid = c * ctx.s_inv - 0.5 * scale_precision(model, lam, t_len)
-            dense = 0.5 * np.sum(resid * resid) - c * np.sum(np.diag(ctx.s_inv) ** 2)
+            resid = c * s_inv - 0.5 * scale_precision(model, lam, t_len)
+            dense = 0.5 * np.sum(resid * resid) - c * np.sum(np.diag(s_inv) ** 2)
             npt.assert_allclose(hw_score(ctx, lam), dense, rtol=1e-12, atol=1e-12)
             dense_grad = -0.5 * np.sum(resid * dense_precision_derivative(model, lam, t_len))
             npt.assert_allclose(hw_grad(ctx, lam), dense_grad, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     def test_score_reads_only_the_statistics(self, model):
+        # the context keeps no T x T array, not even as the base of a view,
+        # only O(T) statistics of S^{-1}
         y = sample_ma1(params_for("ma1", 0.3), 20, 6, seed=14)
         ctx = make_ctx(sum_of_squares(y), nu=20, model=model)
-        ctx.s_inv[:] = np.nan
+        for value in vars(ctx).values():
+            assert np.size(value) <= 6 and np.size(getattr(value, "base", None)) <= 6
         assert np.isfinite(hw_score(ctx, 0.4)) and np.isfinite(hw_grad(ctx, 0.4))
 
 
@@ -370,6 +382,6 @@ def test_s_inverse_against_extended_precision(model, t_len):
         for seed in range(5):
             s = sum_of_squares(sample_series(model, theta, 200, t_len, seed))
             exact = gauss_jordan_inverse(s)
-            err = np.max(np.abs(wishart_context(s, nu=200, model=model).s_inv - exact))
+            err = np.max(np.abs(_s_inverse(s) - exact))
             worst = max(worst, float(err) / np.spacing(float(np.max(np.abs(exact)))))
     assert worst <= min(2 * t_len + 1, 53)
