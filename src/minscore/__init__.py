@@ -23,7 +23,7 @@ from .models import (
     sample_series,
     sum_of_squares,
 )
-from .optimize import MinimizationError, minimize_scalar
+from .optimize import MinimizationError, minimize_lanes
 from .scores import (
     DegenerateDataError,
     EstimatorKind,
@@ -35,6 +35,7 @@ from .scores import (
     ma1_full_loglik,
     ma1_hyvarinen,
     ma1_pairwise_loglik,
+    objective_lanes,
     score_per_series,
     series_objective,
     total_score,
@@ -58,6 +59,7 @@ from .inference import (
     are,
     check_sample_size,
     fit,
+    fit_lanes,
     godambe_analytic,
     godambe_empirical,
     sample_size_error,
@@ -82,7 +84,7 @@ __all__ = [
     "sample_series",
     "sum_of_squares",
     "MinimizationError",
-    "minimize_scalar",
+    "minimize_lanes",
     "DegenerateDataError",
     "EstimatorKind",
     "ar1_full_loglik",
@@ -93,6 +95,7 @@ __all__ = [
     "ma1_full_loglik",
     "ma1_hyvarinen",
     "ma1_pairwise_loglik",
+    "objective_lanes",
     "score_per_series",
     "series_objective",
     "total_score",
@@ -112,6 +115,7 @@ __all__ = [
     "are",
     "check_sample_size",
     "fit",
+    "fit_lanes",
     "godambe_analytic",
     "godambe_empirical",
     "sample_size_error",

@@ -7,7 +7,8 @@ deviation is 1 / sqrt(nu * G).
 
 Each estimator has one sd route.  The per-series kinds estimate J and K
 from the observed series (:func:`godambe_empirical`), using the exact
-per-series gradients and second derivatives of their objectives.  The Wishart
+per-series gradients and second derivatives of their objectives; a fit reads
+them from the jets its minimization ends on.  The Wishart
 estimator's score acts on the pooled statistic S = Y'Y rather than series by
 series; its raw gradient variance, exact in closed form
 (:func:`godambe_analytic`), is rescaled by nu so the one sd formula applies
@@ -18,17 +19,20 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .models import canonical_model, sum_of_squares
-from .optimize import minimize_scalar
+from .optimize import MinimizationError, minimize_lanes
 from .scores import (
     DegenerateDataError,
     EstimatorKind,
     SeriesObjective,
+    _series_stats,
     ar1_pairwise_closed_form,
     min_series_length,
+    objective_lanes,
     series_objective,
 )
 from .wishart import SEARCH_BOUNDS, wishart_components, wishart_context
@@ -43,11 +47,13 @@ __all__ = [
     "check_sample_size",
     "sample_size_error",
     "fit",
+    "fit_lanes",
 ]
 
 # J below this fraction of K^2 means the per-series gradients all vanish at
 # theta_hat, i.e. the data cannot identify a sampling variance.
 _DEGENERATE_RATIO = 1e-8
+_DEGENERATE = "score variability is numerically zero; data carry no sampling variance"
 
 
 @dataclass(frozen=True)
@@ -90,13 +96,15 @@ class SeriesReduction:
     checked to be finite once, and each family of sufficient statistics is
     computed when a kind first reads it, then shared by every kind of the
     family (AR(1) full and pairwise; MA(1) full and hyv; the Wishart kind
-    reads S = Y'Y)."""
+    reads S = Y'Y).  :meth:`keep_statistics` computes the families a study
+    needs and then drops the series."""
 
     def __init__(self, series):
         y = np.atleast_2d(np.asarray(series, dtype=float))
         if not np.all(np.isfinite(y)):
             raise ValueError("series contain non-finite values (NaN or inf)")
         self.series = y
+        self.shape = y.shape
         self._families: dict = {}
 
     def objective(self, kind: EstimatorKind, model: str) -> SeriesObjective:
@@ -114,6 +122,43 @@ class SeriesReduction:
                 shared = series_objective(self.series, family, model)
             self._families[model, family] = shared
         return shared if shared.kind is kind else dataclasses.replace(shared, kind=kind)
+
+    def closed_form(self) -> float:
+        """The AR(1) pairwise estimate (:func:`ar1_pairwise_closed_form`)."""
+        if "closed form" not in self._families:
+            self._families["closed form"] = ar1_pairwise_closed_form(self.series)[0]
+        return self._families["closed form"]
+
+    def keep_statistics(self, kinds, model: str) -> None:
+        """Compute every family that ``kinds`` read on ``model`` (and the AR(1)
+        pairwise closed form), then drop the series.  If a family fails, the
+        series are kept, and the failure is raised again when its kind reads
+        it."""
+        try:
+            for kind in map(EstimatorKind, kinds):
+                self.objective(kind, model)
+                if _closed_form(kind, canonical_model(model)):
+                    self.closed_form()
+        except Exception:  # noqa: BLE001 - raised again by the reading kind
+            return
+        self.series = None
+
+
+def retained_floats(kinds, model: str, nu: int, t_len: int) -> int:
+    """Floats of statistics that a :class:`SeriesReduction` of ``nu`` series
+    of length ``t_len`` keeps for ``kinds`` after dropping its series."""
+    model = canonical_model(model)
+    total = 0
+    for family in {_SHARED_STATS.get((model, k), k) for k in map(EstimatorKind, kinds)}:
+        if family is EstimatorKind.HYV_WISHART:
+            total += t_len  # one row of S^{-1} statistics, at most T wide
+        else:
+            total += (nu + 1) * _series_stats(np.zeros(t_len), family, model).size
+    return total
+
+
+def _closed_form(kind: EstimatorKind, model: str) -> bool:
+    return kind is EstimatorKind.PAIRWISE_ML and model == "ar1"
 
 
 def godambe_empirical(
@@ -142,13 +187,18 @@ def godambe_empirical(
     if len(objective.stats) < 2:
         raise ValueError(f"need at least 2 series, got {len(objective.stats)}")
     g, h = objective.derivatives(theta_hat)
-    j_hat = float(np.mean(g * g))
-    k_hat = float(np.mean(h))
-    if not np.isfinite(j_hat) or j_hat <= _DEGENERATE_RATIO * k_hat**2:
-        raise DegenerateDataError(
-            "score variability is numerically zero; data carry no sampling variance"
-        )
-    return GodambeComponents(j_hat=j_hat, k_hat=k_hat, g_hat=k_hat**2 / j_hat)
+    [j_hat], [k_hat], [usable] = _moments(g[None], h[None])
+    if not usable:
+        raise DegenerateDataError(_DEGENERATE)
+    return GodambeComponents(j_hat=float(j_hat), k_hat=float(k_hat),
+                             g_hat=float(k_hat * k_hat / j_hat))
+
+
+def _moments(g: np.ndarray, h: np.ndarray) -> tuple:
+    # J and K of each row of (lanes, series) derivatives, and whether the
+    # row has a sampling variance; a row's bits do not depend on the others
+    j_hat, k_hat = np.mean(g * g, axis=-1), np.mean(h, axis=-1)
+    return j_hat, k_hat, np.isfinite(j_hat) & (j_hat > _DEGENERATE_RATIO * (k_hat * k_hat))
 
 
 def godambe_analytic(model: str, theta_hat: float, *, t_len: int, nu: int) -> GodambeComponents:
@@ -208,7 +258,7 @@ def check_sample_size(
     """Raise ``ValueError`` unless :func:`fit` can fit the (nu, T) series
     matrix ``series`` (or its :class:`SeriesReduction`):
     finite values, and the bounds of :func:`sample_size_error`."""
-    nu, t_len = _reduction(series).series.shape
+    nu, t_len = _reduction(series).shape
     error = sample_size_error(kind, model, nu, t_len, compute_sd=compute_sd)
     if error is not None:
         raise ValueError(error)
@@ -232,45 +282,110 @@ def fit(
 
     ``series`` may also be a :class:`SeriesReduction`, so
     that the fits of several estimators to one dataset check its values once
-    and share the statistics they have in common; the result is the same to
-    the bit.  The AR(1) pairwise estimate is the closed form; every other
-    estimate minimizes the kind's :class:`~minscore.scores.SeriesObjective`
-    over ``bounds``, reducing the data once for both the estimate and its
-    sd.  The sd of a per-series kind uses the empirical Godambe information
-    (:func:`godambe_empirical`); the Wishart kind uses its
-    exact information (:func:`godambe_analytic`).  Data that
-    :func:`check_sample_size` rejects (non-finite values, too few or too short
-    series) fail before any minimization.
-    Estimates at the search boundary are flagged and get no sd.  ``are`` is
-    filled when ``sd_mle`` is supplied.
+    and share the statistics they have in common.  This is the one-lane case
+    of :func:`fit_lanes` and gives the same bits as a fit of the same series
+    among others.  Data that :func:`check_sample_size` rejects (non-finite
+    values, too few or too short series) fail before any minimization, and
+    any other failure is raised as well.  ``are`` is filled when ``sd_mle``
+    is supplied.
+    """
+    [record] = fit_lanes([_reduction(series)], kind, model, compute_sd=compute_sd,
+                         bounds=bounds, tol=tol)
+    if isinstance(record, Exception):
+        raise record
+    if sd_mle is not None and record.sd is not None:
+        record = dataclasses.replace(record, are=are(sd_mle, record.sd))
+    return record
+
+
+def fit_lanes(
+    reductions: Sequence[SeriesReduction],
+    kind: EstimatorKind,
+    model: str,
+    *,
+    compute_sd: bool = True,
+    bounds: tuple[float, float] = SEARCH_BOUNDS,
+    tol: float = 1e-6,
+) -> list:
+    """Fit one estimator to each of several datasets of one shape at once.
+
+    Returns, per :class:`SeriesReduction`, its :class:`EstimateRecord` or the
+    exception that fitting it raised; one dataset's failure does not touch the
+    others, and no record depends on which datasets share the call.  The
+    AR(1) pairwise estimate is the closed form; every other estimate
+    minimizes the kind's :class:`~minscore.scores.SeriesObjective` over
+    ``bounds``, all datasets as lanes of one
+    :func:`~minscore.optimize.minimize_lanes`.  Estimates within ``4 tol``
+    of a bound are flagged and get no sd.  The sd of a per-series kind is
+    the empirical Godambe information from the per-series derivatives of the
+    jets the minimization ends on; the Wishart kind uses its exact
+    information (:func:`godambe_analytic`).
     """
     kind = EstimatorKind(kind)
     model = canonical_model(model)
-    reduction = _reduction(series)
-    check_sample_size(kind, model, reduction, compute_sd=compute_sd)
-    y = reduction.series
-    nu, t_len = y.shape
+    shapes = {r.shape for r in reductions}
+    if len(shapes) > 1:
+        raise ValueError("lanes need datasets of one shape (nu, T)")
+    error = sample_size_error(kind, model, *shapes.pop(), compute_sd=compute_sd) if shapes else None
+    if error is not None:
+        return [ValueError(error) for _ in reductions]
+    results: list = [None] * len(reductions)
+    live, objectives, closed = [], [], []
+    for i, reduction in enumerate(reductions):
+        try:
+            objectives.append(reduction.objective(kind, model))
+            if _closed_form(kind, model):
+                closed.append(reduction.closed_form())
+            live.append(i)
+        except Exception as exc:  # noqa: BLE001 - one dataset's failure
+            results[i] = exc
+    if not live:
+        return results
 
-    objective = reduction.objective(kind, model)
-    if kind is EstimatorKind.PAIRWISE_ML and model == "ar1":
-        estimate, _ = ar1_pairwise_closed_form(y)
-        boundary = not (bounds[0] < estimate < bounds[1])
+    lanes = objective_lanes(objectives)
+    if _closed_form(kind, model):
+        # the closed-form estimates, with the jets there for their sds
+        theta = np.array(closed)
+        boundary = ~((bounds[0] < theta) & (theta < bounds[1]))
+        coef = np.full((3, len(live), lanes.pooled.shape[1]), np.nan)
+        const = np.full((3, len(live)), np.nan)
+        if compute_sd and not boundary.all():
+            coef[:, ~boundary], const[:, ~boundary] = lanes.terms(theta[~boundary], 2)
+        failed = np.zeros(len(live), dtype=bool)
     else:
-        estimate = minimize_scalar(objective.total, bounds[0], bounds[1], tol=tol)
-        boundary = _at_edge(estimate, bounds, tol)
+        found = minimize_lanes(lanes, bounds[0], bounds[1])
+        theta, coef, const, failed = found.theta, found.coef, found.const, ~found.ok
+        margin = 4.0 * tol
+        boundary = (theta <= bounds[0] + margin) | (theta >= bounds[1] - margin)
 
-    if boundary or not compute_sd:
-        return EstimateRecord(kind, float(estimate), None, None, boundary)
-
+    need_sd = np.flatnonzero(~failed & ~boundary) if compute_sd else []
+    nu, t_len = reductions[0].shape
+    sds, errors = {}, {}
     if kind is EstimatorKind.HYV_WISHART:
-        comps = godambe_analytic(model, estimate, t_len=t_len, nu=nu)
-    else:
-        comps = godambe_empirical(objective, kind, model, estimate)
-    sd = comps.sd(nu)
-    rel_eff = are(sd_mle, sd) if sd_mle is not None else None
-    return EstimateRecord(kind, float(estimate), float(sd), rel_eff, False)
-
-
-def _at_edge(estimate: float, bounds: tuple[float, float], tol: float) -> bool:
-    margin = 4.0 * tol
-    return estimate <= bounds[0] + margin or estimate >= bounds[1] - margin
+        for j in need_sd:
+            try:
+                sds[j] = float(godambe_analytic(model, theta[j], t_len=t_len, nu=nu).sd(nu))
+            except Exception as exc:  # noqa: BLE001 - one dataset's failure
+                errors[j] = exc
+    elif len(need_sd):
+        # the per-series derivatives from the jets at each estimate, as
+        # SeriesObjective.derivatives takes them, then J and K of all lanes
+        g, h = (np.array([objectives[j].scale * (objectives[j].stats @ coef[r, j]) + const[r, j]
+                          for j in need_sd]) for r in (1, 2))
+        j_hat, k_hat, usable = _moments(g, h)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sd = 1.0 / np.sqrt(nu * (k_hat * k_hat / j_hat))
+        for n, j in enumerate(need_sd):
+            if usable[n]:
+                sds[j] = float(sd[n])
+            else:
+                errors[j] = DegenerateDataError(_DEGENERATE)
+    for j, i in enumerate(live):
+        if failed[j]:
+            results[i] = MinimizationError("objective is non-finite at every grid seed")
+        elif j in errors:
+            results[i] = errors[j]
+        else:
+            results[i] = EstimateRecord(kind, float(theta[j]), sds.get(j), None,
+                                        bool(boundary[j]))
+    return results

@@ -205,18 +205,13 @@ def ma1_eigenvalues(alpha, t_len: int, order: int = 0) -> np.ndarray:
     """
     s2 = _half_angle_sin2(_check_t(t_len, 1))
     c2 = s2[::-1]
-    alpha = np.asarray(alpha, dtype=float)
+    # the eigenvalue axis goes last; a scalar alpha takes the array path, so
+    # it gets the bits of the same alpha inside an array
+    alpha = np.asarray(alpha, dtype=float)[..., None]
     a = np.abs(alpha)
-    # for a scalar alpha, a is a numpy scalar and ** is libm pow, which can
-    # differ from an array's x * x in the last bit: scalars keep their bits
-    tail = (1.0 - a) ** 2
-    if alpha.ndim:
-        # an array of alpha puts the eigenvalue axis last
-        alpha, a, tail = alpha[..., None], a[..., None], tail[..., None]
-        half = np.where(alpha < 0, s2, c2)
-    else:
-        half = s2 if alpha < 0 else c2
-    rows = [tail + 4.0 * a * half]
+    gap = 1.0 - a
+    half = np.where(alpha < 0, s2, c2)
+    rows = [gap * gap + 4.0 * a * half]
     if order >= 1:
         rows.append(2.0 * (alpha + (c2 - s2)))
     if order >= 2:

@@ -1,134 +1,144 @@
-"""Bounded scalar minimization.
+"""Bounded scalar minimization of many objectives at once.
 
-The minimizer seeds a bounded Brent refinement with a coarse grid scan; the
-grid guards against the mild multimodality of the MA(1) objectives at large
-coefficient values.  The objective evaluates the whole grid in one call, so
-a fit pays the per-call overhead of its objective once for the grid, not once
-per seed.
+The objectives of a study's replicates differ only in their data, so they are
+minimized together as *lanes* (:class:`Lanes`): every lane is
+``offset + scale * (pooled . coef(theta)) + rows * const(theta)`` with its own
+pooled statistics and one shared jet function for ``coef`` and ``const``.  A
+coarse grid of :data:`GRID_POINTS` seeds, scanned for all lanes in one call,
+guards against the mild multimodality of the MA(1) objectives at large
+coefficient values; safeguarded Newton steps on the exact first and second
+derivatives then refine the best grid basin of every lane together
+(``rtsafe``, Press et al., *Numerical Recipes* 9.4).
+
+A lane's arithmetic does not depend on which other lanes share its call:
+every value and derivative is a product summed along the statistics axis,
+never a matrix product whose summation order could change with the number of
+lanes.  So one objective minimized alone gives the same bits as inside a
+batch.
 """
 
 from __future__ import annotations
 
-import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["MinimizationError", "minimize_scalar"]
+__all__ = ["Lanes", "LaneMinimum", "MinimizationError", "minimize_lanes"]
 
 GRID_POINTS = 64  # interior grid seeds of every minimization
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+MAX_STEPS = 100  # Newton or bisection steps per lane; bisection alone needs about 55
+GRID_FLOATS = 2**16  # products held at once by the grid scan (512 KB)
+_STOP = 1e-13  # a lane stops at |g| <= _STOP * |h|, a Newton step below 1e-13
 
 
 class MinimizationError(RuntimeError):
     """The objective could not be minimized on the requested interval."""
 
 
-def minimize_scalar(f: Callable, lo: float, hi: float, tol: float = 1e-6) -> float:
-    """Minimize a scalar function on the open interval (lo, hi).
+@dataclass(frozen=True)
+class Lanes:
+    """R scalar objectives of theta that share their parameter dependence.
 
-    ``f`` is called once with the array of :data:`GRID_POINTS` interior
-    seeds and must return one value per seed, then with floats only, as
-    bounded Brent search refines the best basin to absolute tolerance
-    ``tol``.  For a unimodal objective the result is within ``tol`` of the
-    minimizer; for a multimodal one it is a local minimizer of the best grid
-    basin.
+    ``terms(theta, order)`` returns the jets ``(coef, const)`` at an array
+    ``theta``: ``coef`` of shape ``(order + 1, *theta.shape, m)`` and
+    ``const`` of shape ``(order + 1, *theta.shape)``, row r the r-th
+    derivative.  Lane i then has r-th derivative
+    ``scale[i] * (pooled[i] . coef[r]) + rows[i] * const[r]`` and adds
+    ``offset[i]`` to its value.
+    """
 
-    Raises ``ValueError`` if ``f`` does not return an array of the seeds'
-    shape (a scalar-only callable would otherwise scan a flat grid), and
-    :class:`MinimizationError` if ``f`` is non-finite at every seed.
+    terms: Callable
+    pooled: np.ndarray  # (R, m)
+    offset: np.ndarray  # (R,)
+    scale: np.ndarray  # (R,)
+    rows: np.ndarray  # (R,)
+
+
+@dataclass(frozen=True)
+class LaneMinimum:
+    """Minimizers of the lanes and the order-2 jets there.  ``ok`` is False
+    for a lane that is non-finite at every grid seed; its entries are NaN."""
+
+    theta: np.ndarray  # (R,)
+    ok: np.ndarray  # (R,) bool
+    coef: np.ndarray  # (3, R, m)
+    const: np.ndarray  # (3, R)
+
+
+def minimize_lanes(lanes: Lanes, lo: float, hi: float) -> LaneMinimum:
+    """Minimize every lane on the open interval (lo, hi).
+
+    The grid seeds are scanned for all lanes in one call of ``terms``.  Each
+    lane then starts at its best seed x_b and keeps the bracket
+    [x_{b-1}, x_{b+1}] (the interval's ends for the outer seeds), which the
+    sign of its gradient narrows.  A lane takes the Newton step
+    ``theta - g/h`` where it stays strictly inside the bracket with h > 0, and
+    bisects the bracket otherwise; it stops once ``|g| <= 1e-13 |h|`` (so a
+    lane with g exactly 0 keeps its theta), once a step no longer moves it,
+    at a non-finite gradient, or after :data:`MAX_STEPS` steps.  A lane that
+    ends above its best grid value, or non-finite, returns that seed.  For a
+    unimodal objective the result is the stationary point to rounding; for a
+    multimodal one it is a local minimizer of the best grid basin.
+
+    Raises ``ValueError`` for a non-finite or empty interval, or when
+    ``terms`` does not return the grid's jet shapes.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"need finite lo < hi, got ({lo}, {hi})")
     xs = np.linspace(lo, hi, GRID_POINTS + 2)[1:-1]
-    fs = np.asarray(f(xs), dtype=float)
-    if fs.shape != xs.shape:
+    n_lanes, width = lanes.pooled.shape
+    coef, const = lanes.terms(xs, 0)
+    if np.shape(coef)[1:] != (GRID_POINTS, width) or np.shape(const)[1:] != (GRID_POINTS,):
         raise ValueError(
-            f"the objective must return one value per grid seed: expected shape "
-            f"{xs.shape}, got {fs.shape}"
+            f"the jets of the grid must have shapes (1, {GRID_POINTS}, {width}) and "
+            f"(1, {GRID_POINTS}), got {np.shape(coef)} and {np.shape(const)}"
         )
-    finite = np.isfinite(fs)
-    if not finite.any():
-        raise MinimizationError("objective is non-finite at every grid seed")
-    fs = np.where(finite, fs, np.inf)
-    best = int(np.argmin(fs))
-    left = xs[best - 1] if best > 0 else lo
-    right = xs[best + 1] if best < len(xs) - 1 else hi
-    x_star, f_star = _bounded_brent(f, left, right, tol)
-    if not math.isfinite(f_star) or f_star > fs[best]:
-        return float(xs[best])
-    return float(x_star)
+    # (R, GRID_POINTS) values, a chunk of lanes at a time
+    chunk = max(1, GRID_FLOATS // (GRID_POINTS * width))
+    fs = np.concatenate([_lane_jets(lanes, (slice(i, i + chunk), None), coef[0], const[0])
+                         for i in range(0, n_lanes, chunk)]) + lanes.offset[:, None]
+    fs = np.where(np.isfinite(fs), fs, np.inf)
+    best = np.argmin(fs, axis=1)
+    best_value = fs[np.arange(n_lanes), best]
+    ok = np.isfinite(best_value)
+    left = np.where(best > 0, xs[best - 1], lo)
+    right = np.where(best < GRID_POINTS - 1, xs[np.minimum(best + 1, GRID_POINTS - 1)], hi)
+    theta = np.where(ok, xs[best], np.nan)
+    jet_coef = np.full((3, n_lanes, width), np.nan)
+    jet_const = np.full((3, n_lanes), np.nan)
+    value = np.full(n_lanes, np.nan)
+
+    # the lanes still stepping, their iterates and brackets
+    index = np.flatnonzero(ok)
+    x, lft, rgt = theta[index], left[index], right[index]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(MAX_STEPS):
+            if not index.size:
+                break
+            c, k = lanes.terms(x, 2)
+            f, g, h = _lane_jets(lanes, index, c, k)
+            f += lanes.offset[index]
+            theta[index], value[index], jet_coef[:, index], jet_const[:, index] = x, f, c, k
+            lft = np.where(g < 0, x, lft)
+            rgt = np.where(g > 0, x, rgt)
+            newton = x - g / h
+            nxt = np.where((h > 0) & (lft < newton) & (newton < rgt), newton, 0.5 * (lft + rgt))
+            going = (np.abs(g) > _STOP * np.abs(h)) & (nxt != x)
+            index, x, lft, rgt = index[going], nxt[going], lft[going], rgt[going]
+
+    # the grid guard: a lane that ends above its best seed returns the seed
+    back = np.flatnonzero(ok & ~(value <= best_value))
+    if back.size:
+        theta[back] = xs[best[back]]
+        jet_coef[:, back], jet_const[:, back] = lanes.terms(theta[back], 2)
+    return LaneMinimum(theta, ok, jet_coef, jet_const)
 
 
-def _bounded_brent(f, a, b, xatol: float, maxfun: int = 500):
-    """Brent's minimizer on [a, b] (Forsythe, Malcolm & Moler's ``fmin``):
-    golden-section steps, parabolic steps where they stay inside the bracket,
-    stopping once the bracket around the best point is within ``xatol`` or
-    after ``maxfun`` evaluations.  Returns the best point and its value.
-
-    Step for step SciPy's ``minimize_scalar(method="bounded")``.  The
-    bookkeeping runs on Python floats, whose +, -, *, /, abs and comparisons
-    are the same IEEE operations as SciPy's numpy scalars, so the points
-    passed to ``f`` and the point returned are the same to the bit.  Each
-    value of ``f`` is taken as a float, so ``f`` may return a numpy scalar or
-    a 0-d array.
-    """
-    a, b, xatol = float(a), float(b), float(xatol)
-    xf = nfc = fulc = a + _GOLDEN * (b - a)
-    fx = fnfc = ffulc = float(f(xf))
-    num = 1
-    rat = e = 0.0
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a) and num < maxfun:
-        golden = True
-        if abs(e) > tol1:
-            # parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            # |p| < |q r / 2| implies q != 0, so the division cannot raise
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = _GOLDEN * e
-        # a step of at least tol1, in the direction of rat (forward for 0)
-        step = max(abs(rat), tol1)
-        x = xf + step if rat >= 0.0 else xf - step
-        fu = float(f(x))
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-    return xf, fx
+def _lane_jets(lanes: Lanes, index, coef, const):
+    # the jets of the lanes ``index`` without their offsets, each lane at its
+    # own theta (or, for index (slice, None), at every point of a grid): a
+    # product summed along the statistics axis, in one order whatever the
+    # number of lanes
+    dot = np.sum(lanes.pooled[index] * coef, axis=-1)
+    return lanes.scale[index] * dot + lanes.rows[index] * const

@@ -29,7 +29,11 @@ orientation is ``stats @ coef(theta) + const(theta)``:
 per-series first and second derivatives at any theta then cost no pass over
 the data, and the derivatives are exact (jets, see :mod:`minscore.models`).
 The total also takes an array of theta and evaluates all of it in one call,
-which is how the minimizer scans its grid; the grid's jets are cached.
+and :func:`objective_lanes` stacks the objectives of many datasets as the
+lanes of one minimization (:mod:`minscore.optimize`); the grid's jets are
+cached.  Every small contraction in the jets is a product summed along one
+axis (:func:`_contract`), so a theta's jets carry the same bits whatever the
+shape of the array it comes in.
 
 Every evaluator accepts a single series of shape (T,) or a stack of series of
 shape (nu, T) and broadcasts over the leading axis.  Additive constants are
@@ -57,7 +61,7 @@ from .models import (
     ma1_sine_transform,
     params_for,
 )
-from .optimize import GRID_POINTS
+from .optimize import GRID_POINTS, Lanes
 
 __all__ = [
     "EstimatorKind",
@@ -73,6 +77,7 @@ __all__ = [
     "ma1_hyvarinen",
     "score_per_series",
     "series_objective",
+    "objective_lanes",
     "total_score",
     "min_series_length",
 ]
@@ -156,6 +161,15 @@ def _dot(a, b):
     return np.einsum("...t,...t->...", a, b)
 
 
+def _contract(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # x @ c for x of shape (..., k) and c of shape (k,) or (k, m), summed
+    # along k in one order for every shape of x (a matrix product may change
+    # its summation order with the number of rows of x)
+    if c.ndim == 1:
+        return np.sum(x * c, axis=-1)
+    return np.sum(x[..., None, :] * c.T, axis=-1)
+
+
 def _lag_sums(d: np.ndarray) -> np.ndarray:
     # q0 = sum d_t^2, q_int = sum over t = 2..T-1 of d_t^2, c1 = sum d_t d_{t-1}
     inner = d[..., 1:-1]
@@ -222,8 +236,8 @@ def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):
         x = _power_jets(theta, order)
         # the AR(1) precision has diagonal 1 + theta^2 i_t, with i_t = 1
         # inside, 0 at the two ends and -1 when T = 1, and off-diagonal -theta
-        norm = x @ np.array([t_len, 0.0, 4.0 * t_len - 6.0, 0.0, abs(t_len - 2.0)])
-        return x[..., :3] @ _AR1_PRECISION_COEF, 0.125 * norm
+        norm = _contract(x, np.array([t_len, 0.0, 4.0 * t_len - 6.0, 0.0, abs(t_len - 2.0)]))
+        return _contract(x[..., :3], _AR1_PRECISION_COEF), 0.125 * norm
     if _spectral(model, kind):
         lam = ma1_eigenvalues(theta, t_len, order)
         if kind is EstimatorKind.FULL_ML:
@@ -231,23 +245,22 @@ def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):
         return 0.5 * _jet_power(lam, -2), -_jet_power(lam, -1).sum(axis=-1)
     if model == "ma1":
         x = _power_jets(theta, order)
-        det = x @ _MA1_PAIR_DET
-        return (_jet_product(x @ _MA1_PAIR_COEF, _jet_power(det, -1)[..., None]),
+        det = _contract(x, _MA1_PAIR_DET)
+        return (_jet_product(_contract(x, _MA1_PAIR_COEF), _jet_power(det, -1)[..., None]),
                 0.5 * (t_len - 1) * _jet_log(det))
     negative = np.asarray(theta) < 0
     u = _power_jets(1.0 - np.abs(theta), order)
     if order:
         # the jets are in theta, and du/dtheta = -sign(theta)
         u[1::2] *= np.where(negative, 1.0, -1.0)[..., None]
-    if negative.ndim:
-        coef = np.where(negative[..., None], u @ _AR1_COEF[kind, -1], u @ _AR1_COEF[kind, 1])
-    else:
-        coef = u @ _AR1_COEF[kind, -1 if negative else 1]
+    coef = np.where(negative[..., None], _contract(u, _AR1_COEF[kind, -1]),
+                    _contract(u, _AR1_COEF[kind, 1]))
     if kind is EstimatorKind.HYV_UNIVARIATE:
         # the trace of the precision, 2 + (T-2) (1 + phi^2), with 1 + phi^2 = 2 - 2u + u^2
-        return coef, -(u @ np.array([2.0 * t_len - 2.0, 4.0 - 2.0 * t_len, t_len - 2.0, 0, 0]))
+        trace = np.array([2.0 * t_len - 2.0, 4.0 - 2.0 * t_len, t_len - 2.0, 0, 0])
+        return coef, -_contract(u, trace)
     pairs = 1 if kind is EstimatorKind.FULL_ML else t_len - 1
-    return coef, -0.5 * pairs * _jet_log(u @ _TWO_U_MINUS_SQUARE)
+    return coef, -0.5 * pairs * _jet_log(_contract(u, _TWO_U_MINUS_SQUARE))
 
 
 @functools.lru_cache(maxsize=8)
@@ -267,12 +280,19 @@ def _order0_jets(args: tuple, theta) -> tuple:
     return _terms(*args, theta)
 
 
+def _lane_terms(args: tuple, theta, order: int) -> tuple:
+    # the jet function of objective_lanes: the cached grid for order 0
+    return _order0_jets(args, theta) if order == 0 else _terms(*args, theta, order)
+
+
 @dataclass(frozen=True)
 class SeriesObjective:
     """An objective reduced to sufficient statistics (:func:`series_objective`,
     :func:`~minscore.wishart.wishart_context`); no method reads the data.  Row
-    i has r-th derivative ``scale * (stats[i] @ coef[r]) + const[r]`` and the
-    total adds ``offset``; per-series kinds keep ``offset = 0, scale = 1``."""
+    i has r-th derivative ``scale * (stats[i] . coef[r]) + const[r]`` and the
+    total adds ``offset``; per-series kinds keep ``offset = 0, scale = 1``.
+    Both methods do the arithmetic of one lane of :func:`objective_lanes`, so
+    they give the values a fit sees to the bit."""
 
     kind: EstimatorKind
     model: str
@@ -285,14 +305,16 @@ class SeriesObjective:
     def total(self, theta):
         """Sum of the objectives of the rows at theta: a float for a scalar
         theta, one value per entry for an array (a whole grid in one call)."""
-        coef, const = _order0_jets((self.kind, self.model, self.t_len), theta)
-        value = self.offset + self.scale * (coef[0] @ self.pooled) + len(self.stats) * const[0]
-        return value if isinstance(value, np.ndarray) else float(value)
+        theta = np.asarray(theta, dtype=float)
+        coef, const = _order0_jets((self.kind, self.model, self.t_len), np.atleast_1d(theta))
+        value = (self.scale * np.sum(self.pooled * coef[0], axis=-1)
+                 + len(self.stats) * const[0] + self.offset)
+        return value if theta.ndim else float(value[0])
 
     def derivatives(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         """Exact first and second theta-derivatives of each row's objective."""
-        coef, const = _terms(self.kind, self.model, self.t_len, theta, order=2)
-        return tuple(self.scale * (self.stats @ coef[r]) + const[r] for r in (1, 2))
+        coef, const = _terms(self.kind, self.model, self.t_len, np.atleast_1d(float(theta)), 2)
+        return tuple(self.scale * (self.stats @ coef[r][0]) + const[r][0] for r in (1, 2))
 
 
 def series_objective(series, kind: EstimatorKind, model: str) -> SeriesObjective:
@@ -303,6 +325,21 @@ def series_objective(series, kind: EstimatorKind, model: str) -> SeriesObjective
     stats = np.atleast_2d(_series_stats(series, kind, model))
     t_len = np.shape(series)[-1]
     return SeriesObjective(kind, model, t_len, stats, np.sum(stats, axis=0))
+
+
+def objective_lanes(objectives) -> Lanes:
+    """The :class:`~minscore.optimize.Lanes` of :class:`SeriesObjective` s of
+    one kind, model and series length: lane i is ``objectives[i].total``."""
+    args = {(o.kind, o.model, o.t_len) for o in objectives}
+    if len(args) != 1:
+        raise ValueError(f"lanes need objectives of one kind, model and length, got {args}")
+    return Lanes(
+        functools.partial(_lane_terms, args.pop()),
+        np.stack([o.pooled for o in objectives]),
+        np.array([o.offset for o in objectives]),
+        np.array([o.scale for o in objectives]),
+        np.array([len(o.stats) for o in objectives], dtype=float),
+    )
 
 
 def _evaluate(y, params, model: str, kind: EstimatorKind):

@@ -11,8 +11,8 @@ import itertools
 
 import numpy as np
 
-from . import inference, models, scores, wishart
-from .optimize import GRID_POINTS, minimize_scalar
+from . import inference, models, scores, simulate, wishart
+from .optimize import GRID_POINTS, Lanes, minimize_lanes
 
 __all__ = ["run_checks"]
 
@@ -148,7 +148,13 @@ def _check_pairwise_closed_form() -> None:
         p = models.Ar1Params(0.0, sigma2, phi)
         return -float(np.sum(scores.ar1_pairwise_loglik(y, p)))
 
-    phi_num = minimize_scalar(np.vectorize(profiled, otypes=[float]), -0.999, 0.999, tol=1e-8)
+    f, step = np.vectorize(profiled, otypes=[float]), 1e-5
+
+    def jets(theta):  # central differences, an independent route
+        lo, mid, hi = f(theta - step), f(theta), f(theta + step)
+        return np.array([mid, (hi - lo) / (2 * step), (hi - 2 * mid + lo) / step**2])
+
+    phi_num = _minimize_scalar(jets, -0.999, 0.999)
     assert abs(phi_hat - phi_num) < 1e-4, (phi_hat, phi_num)
     assert abs(phi_hat - 0.5) < 0.05 and abs(sigma2_hat - 1.0) < 0.05
 
@@ -170,9 +176,22 @@ def _check_batched_grid() -> None:
 
 def _check_shared_reductions() -> None:
     # a tiny study's replicates fitted as the study fits them (one reduction
-    # shared by all kinds, grid jets from the cache) and kind by kind, each
-    # from the raw series with the grid cache emptied first
+    # shared by all kinds, grid jets from the cache, all replicates as lanes)
+    # and kind by kind, each from the raw series with the grid cache emptied
+    # first
     for model in ("ar1", "ma1"):
+        cfg = simulate.ExperimentConfig(model=model, param_grid=(-0.4, 0.5), nu=20, t_len=8,
+                                        replicates=3, seed=5)
+        _, details = simulate.run_experiment(cfg, return_details=True)
+        for grid_index, theta0 in enumerate(cfg.param_grid):
+            series = [simulate._sample_replicate(cfg, theta0, grid_index, rep)
+                      for rep in range(cfg.replicates)]
+            for kind in cfg.estimators:
+                scores._grid_jets.cache_clear()
+                alone = [inference.fit(y, kind, model) for y in series]
+                alone = [(r.estimate, r.sd) for r in alone if not r.boundary_flag]
+                study = list(zip(*details[theta0, kind]))
+                assert alone == study, f"{model} {kind} at {theta0}: {study} vs {alone} alone"
         for seed in (0, 1):
             y = models.sample_series(model, 0.5, 20, 8, seed)
             reduction = inference.SeriesReduction(y)
@@ -191,8 +210,19 @@ def _check_sampler_determinism() -> None:
 
 
 def _check_minimizer() -> None:
-    x = minimize_scalar(lambda t: (t - 0.3) ** 2, -1.0, 1.0, tol=1e-8)
+    x = _minimize_scalar(lambda t: np.array([(t - 0.3) ** 2, 2 * (t - 0.3), 2 + 0 * t]), -1.0, 1.0)
     assert abs(x - 0.3) < 1e-6, x
+
+
+def _minimize_scalar(jets, lo: float, hi: float) -> float:
+    # one lane whose jets(theta) are the value and first two derivatives of a
+    # scalar function: shape (3, *theta.shape)
+    def terms(theta, order):
+        return jets(theta)[: order + 1, ..., None], np.zeros((order + 1,) + np.shape(theta))
+
+    found = minimize_lanes(Lanes(terms, np.ones((1, 1)), np.zeros(1), np.ones(1), np.zeros(1)),
+                           lo, hi)
+    return float(found.theta[0])
 
 
 CHECKS = (
@@ -207,7 +237,7 @@ CHECKS = (
      _check_wishart_variability),
     ("pairwise closed form matches numeric argmax", _check_pairwise_closed_form),
     ("batched grid matches pointwise objective values", _check_batched_grid),
-    ("shared reductions and cached grid jets match standalone fits",
+    ("shared reductions, cached grid jets and study lanes match standalone fits",
      _check_shared_reductions),
     ("samplers are seed-deterministic", _check_sampler_determinism),
     ("scalar minimizer finds quadratic minimum", _check_minimizer),

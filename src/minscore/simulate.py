@@ -6,8 +6,14 @@ fits every requested estimator plus the full-likelihood baseline to each,
 and aggregates mean estimates and mean asymptotic sds.  Relative efficiency
 is computed from the aggregated mean sds with full ML as the baseline.
 
-Replicates use independently derived seeds, so worker threads never change
-results; aggregation happens in replicate order.
+Each replicate is sampled and reduced to its sufficient statistics on the
+worker threads, and its series are dropped.  Each estimator is then fitted to
+blocks of consecutive replicates at once, as the lanes of one minimization
+(:func:`~minscore.inference.fit_lanes`); a block spans grid points and holds
+as many replicates as :data:`RETAINED_FLOATS` floats of statistics allow.
+Replicates use independently derived seeds, the blocks depend on the
+configuration only and no lane's result depends on its block, so worker
+threads never change results; aggregation happens in replicate order.
 """
 
 from __future__ import annotations
@@ -18,7 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inference import EstimateRecord, SeriesReduction, fit, sample_size_error
+from .inference import (
+    EstimateRecord,
+    SeriesReduction,
+    fit_lanes,
+    retained_floats,
+    sample_size_error,
+)
 from .models import canonical_model, sample_series
 from .scores import EstimatorKind
 
@@ -32,6 +44,7 @@ ALL_ESTIMATORS = (
 )
 
 MAX_FAILURE_FRACTION = 0.10
+RETAINED_FLOATS = 2**20  # statistics of one block of replicates fitted together
 
 
 def format_float(value: float) -> str:
@@ -137,14 +150,34 @@ def _fit_kinds(cfg: ExperimentConfig) -> tuple[EstimatorKind, ...]:
     return tuple(kinds)
 
 
-def _one_replicate(cfg, theta0, grid_index, rep_index, kinds):
+def _sample_replicate(cfg, theta0, grid_index, rep_index) -> np.ndarray:
     root = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(grid_index, rep_index))
     # the data come from the first spawned child, as in the reference tables
     (sample_seed,) = root.spawn(1)
-    y = sample_series(cfg.model, theta0, cfg.nu, cfg.t_len, sample_seed)
-    # one reduction for every kind: each family of statistics is computed once
-    reduction = SeriesReduction(y)
-    return {kind: fit(reduction, kind, cfg.model) for kind in kinds}
+    return sample_series(cfg.model, theta0, cfg.nu, cfg.t_len, sample_seed)
+
+
+def _reduce_replicate(cfg, theta0, grid_index, rep_index, kinds) -> SeriesReduction:
+    # one reduction for every kind: each family of statistics is computed
+    # once, and only the statistics are kept
+    reduction = SeriesReduction(_sample_replicate(cfg, theta0, grid_index, rep_index))
+    reduction.keep_statistics(kinds, cfg.model)
+    return reduction
+
+
+def _fit_block(cfg, kinds, reduced: list) -> list:
+    # each replicate's records by kind, or the exception of its first failing
+    # kind (kinds in order, as one replicate fitted alone)
+    outcomes = list(reduced)
+    records: list[dict] = [{} for _ in outcomes]
+    for kind in kinds:
+        live = [i for i, o in enumerate(outcomes) if not isinstance(o, Exception)]
+        for i, record in zip(live, fit_lanes([outcomes[i] for i in live], kind, cfg.model)):
+            if isinstance(record, Exception):
+                outcomes[i] = record
+            else:
+                records[i][kind] = record
+    return [o if isinstance(o, Exception) else r for o, r in zip(outcomes, records)]
 
 
 def run_experiment(
@@ -163,72 +196,86 @@ def run_experiment(
     """
     cfg.validate()
     kinds = _fit_kinds(cfg)
+    jobs = [(theta0, grid_index, rep_index)
+            for grid_index, theta0 in enumerate(cfg.param_grid)
+            for rep_index in range(cfg.replicates)]
+    per_block = max(1, RETAINED_FLOATS // retained_floats(kinds, cfg.model, cfg.nu, cfg.t_len))
     rows: list[ReportRow] = []
     details: dict = {}
+    outcomes: list = []
+
+    def reduce(job):
+        try:
+            return _reduce_replicate(cfg, *job, kinds)
+        except Exception as exc:  # noqa: BLE001 - replicate isolation
+            return exc
+
+    done = 0  # grid points aggregated
     # one pool for the whole study; map yields in replicate order
     with ThreadPoolExecutor(max_workers=workers) as pool:
         run = pool.map if workers > 1 else map
-        for grid_index, theta0 in enumerate(cfg.param_grid):
-            stats = {kind: _CellStats() for kind in kinds}
-            failures = 0
-
-            def replicate(rep_index, _theta0=theta0, _gi=grid_index):
-                try:
-                    return _one_replicate(cfg, _theta0, _gi, rep_index, kinds)
-                except Exception as exc:  # noqa: BLE001 - replicate isolation
-                    return exc
-
-            outcomes = list(run(replicate, range(cfg.replicates)))
-
-            first_causes: dict[str, str] = {}
-            for outcome in outcomes:
-                if isinstance(outcome, Exception):
-                    failures += 1
-                    first_causes.setdefault(type(outcome).__name__, str(outcome))
-                    continue
-                for kind in kinds:
-                    stats[kind].add(outcome[kind])
-            if failures:
-                causes = "".join(f"; first {name}: {text}" for name, text in first_causes.items())
-                summary = (
-                    f"{failures}/{cfg.replicates} replicates failed at "
-                    f"{cfg.model} parameter {theta0}{causes}"
-                )
-                if failures > MAX_FAILURE_FRACTION * cfg.replicates:
-                    raise RuntimeError(summary)
-                warnings.warn(summary, RuntimeWarning, stacklevel=2)
-
-            cell_mle = stats[EstimatorKind.FULL_ML]
-            if not cell_mle.sds:
-                raise RuntimeError(f"no usable full-ML baseline at parameter {theta0}")
-            sd_mle = float(np.mean(cell_mle.sds))
-            for kind in kinds:
-                cell = stats[kind]
-                if not cell.estimates:
-                    raise RuntimeError(
-                        f"estimator {kind} produced no usable replicates at parameter {theta0}"
-                    )
-                mean_sd = float(np.mean(cell.sds))
-                rows.append(
-                    ReportRow(
-                        model=cfg.model,
-                        param_true=theta0,
-                        estimator=kind,
-                        mean_est=float(np.mean(cell.estimates)),
-                        mean_sd=mean_sd,
-                        are=1.0 if kind is EstimatorKind.FULL_ML else (sd_mle / mean_sd) ** 2,
-                        n_replicates=cell.n_total,
-                        n_boundary=cell.n_boundary,
-                        nu=cfg.nu,
-                        t_len=cfg.t_len,
-                        seed=cfg.seed,
-                    )
-                )
-                if return_details:
-                    details[(theta0, kind)] = (
-                        np.array(cell.estimates),
-                        np.array(cell.sds),
-                    )
+        for start in range(0, len(jobs), per_block):
+            reduced = list(run(reduce, jobs[start:start + per_block]))
+            outcomes.extend(_fit_block(cfg, kinds, reduced))
+            # aggregate every grid point whose replicates are all fitted
+            while len(outcomes) >= (done + 1) * cfg.replicates:
+                _aggregate(cfg, kinds, cfg.param_grid[done],
+                           outcomes[done * cfg.replicates:(done + 1) * cfg.replicates],
+                           rows, details if return_details else None)
+                done += 1
     if return_details:
         return rows, details
     return rows
+
+
+def _aggregate(cfg, kinds, theta0, outcomes, rows: list, details: dict | None) -> None:
+    # the rows of one grid point from its replicates' outcomes, in order
+    stats = {kind: _CellStats() for kind in kinds}
+    failures = 0
+    first_causes: dict[str, str] = {}
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            failures += 1
+            first_causes.setdefault(type(outcome).__name__, str(outcome))
+            continue
+        for kind in kinds:
+            stats[kind].add(outcome[kind])
+    if failures:
+        causes = "".join(f"; first {name}: {text}" for name, text in first_causes.items())
+        summary = (
+            f"{failures}/{cfg.replicates} replicates failed at "
+            f"{cfg.model} parameter {theta0}{causes}"
+        )
+        if failures > MAX_FAILURE_FRACTION * cfg.replicates:
+            raise RuntimeError(summary)
+        # stacklevel 3: the caller of run_experiment
+        warnings.warn(summary, RuntimeWarning, stacklevel=3)
+
+    cell_mle = stats[EstimatorKind.FULL_ML]
+    if not cell_mle.sds:
+        raise RuntimeError(f"no usable full-ML baseline at parameter {theta0}")
+    sd_mle = float(np.mean(cell_mle.sds))
+    for kind in kinds:
+        cell = stats[kind]
+        if not cell.estimates:
+            raise RuntimeError(
+                f"estimator {kind} produced no usable replicates at parameter {theta0}"
+            )
+        mean_sd = float(np.mean(cell.sds))
+        rows.append(
+            ReportRow(
+                model=cfg.model,
+                param_true=theta0,
+                estimator=kind,
+                mean_est=float(np.mean(cell.estimates)),
+                mean_sd=mean_sd,
+                are=1.0 if kind is EstimatorKind.FULL_ML else (sd_mle / mean_sd) ** 2,
+                n_replicates=cell.n_total,
+                n_boundary=cell.n_boundary,
+                nu=cfg.nu,
+                t_len=cfg.t_len,
+                seed=cfg.seed,
+            )
+        )
+        if details is not None:
+            details[(theta0, kind)] = (np.array(cell.estimates), np.array(cell.sds))

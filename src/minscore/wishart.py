@@ -44,8 +44,8 @@ from .models import (
     sample_series,
     sum_of_squares,
 )
-from .optimize import minimize_scalar
-from .scores import EstimatorKind, SeriesObjective
+from .optimize import MinimizationError, minimize_lanes
+from .scores import EstimatorKind, SeriesObjective, objective_lanes
 
 __all__ = [
     "wishart_context",
@@ -159,9 +159,17 @@ def _derivative_traces(model: str, lam: float, t_len: int) -> tuple[float, float
         p = _jet_power(ma1_eigenvalues(lam, t_len, 1), -1)  # eigenvalues of P and of D
         dp = p[1] * p[0]
         return float(np.sum(dp)), float(dp @ dp), float(p[1] @ p[1])
-    deriv = precision_derivative(model, lam, t_len)
-    d_psi = deriv @ scale_precision(model, lam, t_len)
-    return float(np.trace(d_psi)), float(np.sum(d_psi * d_psi.T)), float(np.sum(deriv * deriv))
+    # AR(1) in closed form: D has -1 off the diagonal and 2 lam inside it
+    lam2, t = lam * lam, t_len
+    if t == 1:  # P = 1 - lam^2, D = -2 lam
+        return -2.0 * lam * (1.0 - lam2), 4.0 * lam2 * (1.0 - lam2) ** 2, 4.0 * lam2
+    trace = 2.0 * lam * ((t - 2) * (1.0 + lam2) + (t - 1))
+    if t == 2:
+        square = 2.0 + 2.0 * lam2
+    else:
+        square = (2.0 * (t - 1) + (30 * t - 58) * lam2 + (34 * t - 78) * lam2 * lam2
+                  + 4.0 * (t - 2) * lam2**3)
+    return trace, square, 2.0 * (t - 1) + 4.0 * lam2 * (t - 2)
 
 
 def k_analytic_ar1(phi: float, t_len: int) -> float:
@@ -254,12 +262,15 @@ def hw_estimate(
     series,
     model: str,
     bounds: tuple[float, float] = SEARCH_BOUNDS,
-    tol: float = 1e-6,
 ) -> float:
-    """Minimize the Wishart score over the open dependence-parameter interval.
+    """Minimize the Wishart score over the open dependence-parameter interval
+    (:func:`~minscore.optimize.minimize_lanes`, one lane).
 
     The sum-of-squares matrix is formed once; requires at least T + 2 series.
     """
     y = np.atleast_2d(np.asarray(series, dtype=float))
     ctx = wishart_context(sum_of_squares(y), nu=y.shape[0], model=model)
-    return minimize_scalar(ctx.total, bounds[0], bounds[1], tol=tol)
+    found = minimize_lanes(objective_lanes([ctx]), bounds[0], bounds[1])
+    if not found.ok[0]:
+        raise MinimizationError("objective is non-finite at every grid seed")
+    return float(found.theta[0])

@@ -140,7 +140,7 @@ class TestFit:
             "--t", "10", "--seed", "4", "--out", str(data),
         ]) == 0
         minimized = []
-        monkeypatch.setattr(inference, "minimize_scalar", lambda *a, **k: minimized.append(a))
+        monkeypatch.setattr(inference, "minimize_lanes", lambda *a, **k: minimized.append(a))
         code = cli_main([
             "fit", "--data", str(data), "--model", "ar1", "--estimator", "hyv-wishart",
         ])
@@ -229,7 +229,7 @@ class TestTable:
         import minscore.simulate as sim
 
         fitted = []
-        monkeypatch.setattr(sim, "_one_replicate", lambda *args: fitted.append(args))
+        monkeypatch.setattr(sim, "_reduce_replicate", lambda *args: fitted.append(args))
         code = cli_main([
             "table", "--model", "ar1", "--grid", "0.5", "--nu", "1", "--t", "5",
             "--replicates", "3", "--estimators", "full", "--out", str(tmp_path / "x.csv"),

@@ -13,6 +13,7 @@ from minscore import (
     are,
     check_sample_size,
     fit,
+    fit_lanes,
     godambe_analytic,
     godambe_empirical,
     hw_estimate,
@@ -57,16 +58,13 @@ class TestGodambeEmpirical:
         assert abs(comps.sd(200) - 0.0101) < 0.0005
 
     def test_repeated_rows_are_degenerate(self):
-        from minscore import minimize_scalar, total_score
+        from minscore import minimize_lanes, objective_lanes
 
         rng = np.random.default_rng(42)
         y = np.tile(rng.standard_normal(20), (3, 1))
         # at the shared per-series optimum every per-series gradient vanishes
-        theta_hat = minimize_scalar(
-            np.vectorize(lambda th: total_score(y, EstimatorKind.PAIRWISE_ML, "ar1", th),
-                         otypes=[float]),
-            -0.999, 0.999, tol=1e-12,
-        )
+        objective = series_objective(y, EstimatorKind.PAIRWISE_ML, "ar1")
+        [theta_hat] = minimize_lanes(objective_lanes([objective]), -0.999, 0.999).theta
         with pytest.raises(DegenerateDataError):
             godambe_empirical(y, EstimatorKind.PAIRWISE_ML, "ar1", theta_hat)
 
@@ -291,27 +289,36 @@ class TestFit:
         def never(*args, **kwargs):
             raise AssertionError("minimized before the bounds were checked")
 
-        monkeypatch.setattr(inference, "minimize_scalar", never)
+        monkeypatch.setattr(inference, "minimize_lanes", never)
         y = sample_ar1(params_for("ar1", 0.2), nu, 10, seed=68)
         with pytest.raises(ValueError, match=bound):
             fit(y, kind, "ar1", compute_sd=compute_sd)
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     def test_each_fit_evaluates_its_grid_in_one_call(self, monkeypatch, model):
-        # the objective gets the 64 grid seeds as one array, then Brent's
-        # scalars; a return to one call per seed would show up here
+        # the jets are taken at the 64 grid seeds as one array, then at the
+        # one lane's Newton iterates; a return to one call per seed would
+        # show up here
+        import dataclasses
+
         import minscore.inference as inference
 
         minimizations = []
 
         def recording(minimize):
-            def wrapper(f, *args, **kwargs):
+            def wrapper(lanes, *args, **kwargs):
                 shapes = []
                 minimizations.append(shapes)
-                return minimize(lambda x: shapes.append(np.shape(x)) or f(x), *args, **kwargs)
+                terms = lanes.terms
+
+                def traced(x, order):
+                    shapes.append(np.shape(x))
+                    return terms(x, order)
+
+                return minimize(dataclasses.replace(lanes, terms=traced), *args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(inference, "minimize_scalar", recording(inference.minimize_scalar))
+        monkeypatch.setattr(inference, "minimize_lanes", recording(inference.minimize_lanes))
         y = sample_series(model, 0.4, 30, 8, seed=72)
         for kind in EstimatorKind:
             minimizations.clear()
@@ -321,7 +328,7 @@ class TestFit:
                 continue
             [shapes] = minimizations
             assert shapes[0] == (64,), kind
-            assert len(shapes) > 1 and set(shapes[1:]) == {()}, kind
+            assert len(shapes) > 1 and set(shapes[1:]) == {(1,)}, kind
 
     @pytest.mark.parametrize("t_len", [3, 50, 201])
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
@@ -343,6 +350,52 @@ class TestFit:
         estimate = hw_estimate(y, model)
         assert fit(y, EstimatorKind.HYV_WISHART, model).estimate == estimate
         assert fit(SeriesReduction(y), EstimatorKind.HYV_WISHART, model).estimate == estimate
+
+    @pytest.mark.parametrize("t_len", [3, 50, 201])
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    def test_lanes_are_bit_identical_in_any_block(self, model, kind, t_len):
+        # a study fits blocks of replicates as lanes; each replicate's record
+        # must not depend on the block: alone, in blocks of 2, 5 and 12, and
+        # in reversed order
+        reductions = [SeriesReduction(sample_series(model, theta, t_len + 9, t_len, seed))
+                      for seed, theta in enumerate(np.linspace(-0.95, 0.95, 12))]
+        alone = [fit_lanes([r], kind, model)[0] for r in reductions]
+        assert all(not isinstance(r, Exception) for r in alone), alone
+        for size in (2, 5, 12):
+            blocks = [fit_lanes(reductions[i:i + size], kind, model)
+                      for i in range(0, len(reductions), size)]
+            together = [record for block in blocks for record in block]
+            assert [(r.estimate, r.sd) for r in together] == [(r.estimate, r.sd) for r in alone]
+        backwards = fit_lanes(reductions[::-1], kind, model)[::-1]
+        assert [(r.estimate, r.sd) for r in backwards] == [(r.estimate, r.sd) for r in alone]
+
+    def test_one_lane_fails_alone(self):
+        # a failing dataset gives its exception; the others keep their records
+        good = [SeriesReduction(sample_series("ma1", 0.3, 30, 10, seed)) for seed in (1, 2)]
+        singular = SeriesReduction(np.ones((30, 10)))
+        records = fit_lanes([good[0], singular, good[1]], "hyv-wishart", "ma1")
+        assert isinstance(records[1], ValueError) and "singular" in str(records[1])
+        assert [records[0], records[2]] == [fit(r, "hyv-wishart", "ma1") for r in good]
+        with pytest.raises(ValueError, match="one shape"):
+            fit_lanes([good[0], SeriesReduction(np.ones((30, 9)))], "full", "ma1")
+
+    def test_reduction_keeps_statistics_only(self):
+        # a study drops the series once every family is computed; the fits
+        # then read the kept statistics.  A failing family keeps the series,
+        # and its kind raises the failure
+        y = sample_series("ar1", 0.3, 14, 10, seed=74)
+        reduction = SeriesReduction(y)
+        reduction.keep_statistics(list(EstimatorKind), "ar1")
+        assert reduction.series is None
+        for kind in EstimatorKind:
+            assert fit(reduction, kind, "ar1", compute_sd=False) == fit(
+                y, kind, "ar1", compute_sd=False)
+        singular = SeriesReduction(np.ones((14, 10)))
+        singular.keep_statistics(list(EstimatorKind), "ar1")
+        assert singular.series is not None
+        with pytest.raises(ValueError, match="singular"):
+            fit(singular, EstimatorKind.HYV_WISHART, "ar1")
 
     def test_reduction_checks_values_once(self):
         y = sample_series("ma1", 0.3, 30, 10, seed=73)

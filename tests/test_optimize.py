@@ -1,157 +1,158 @@
-"""Scalar minimizer, its batched grid, and a hand derivative against the exact
+"""The lane minimizer, its batched grid, and a hand derivative against the exact
 objective gradient."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from scipy import optimize as sp_optimize
 
+import numpy.testing as npt
+
 from minscore import (
     EstimatorKind,
-    MinimizationError,
+    SeriesReduction,
     hw_score,
-    minimize_scalar,
+    minimize_lanes,
+    objective_lanes,
     params_for,
     sample_ar1,
     sample_series,
     series_objective,
     sum_of_squares,
-    total_score,
     wishart_context,
 )
-from minscore.optimize import GRID_POINTS, _bounded_brent
+from minscore.optimize import GRID_POINTS, Lanes
 from minscore.scores import _order0_jets, _terms
 from minscore.wishart import SEARCH_BOUNDS
 
 
+def scalar_lanes(*functions):
+    """Lanes whose lane i is ``functions[i]``, a callable giving the value and
+    first two derivatives of a scalar function as an array (3, *theta.shape):
+    lane i reads column i of the shared jets."""
+    def terms(theta, order):
+        jets = np.stack([f(np.asarray(theta, dtype=float)) for f in functions], axis=-1)
+        return jets[: order + 1], np.zeros((order + 1,) + np.shape(theta))
+
+    n = len(functions)
+    return Lanes(terms, np.eye(n), np.zeros(n), np.ones(n), np.zeros(n))
+
+
+def quadratic(center, floor=0.0):
+    return lambda t: np.array([(t - center) ** 2 + floor, 2 * (t - center), 2 + 0 * t])
+
+
 class TestMinimizeScalar:
+    """Scalar objectives of theta minimized by the lane minimizer."""
+
     def test_quadratic(self):
-        x = minimize_scalar(lambda t: (t - 0.3) ** 2, -1.0, 1.0, tol=1e-6)
-        assert abs(x - 0.3) <= 1e-6
+        found = minimize_lanes(scalar_lanes(quadratic(0.3)), -1.0, 1.0)
+        assert abs(found.theta[0] - 0.3) <= 1e-12 and found.ok[0]
+
+    def test_lanes_are_independent(self):
+        # three lanes with different minimizers, each equal to its own run
+        centers = (-0.7, 0.05, 0.42)
+        together = minimize_lanes(scalar_lanes(*map(quadratic, centers)), -1.0, 1.0)
+        for i, center in enumerate(centers):
+            alone = minimize_lanes(scalar_lanes(quadratic(center)), -1.0, 1.0)
+            assert together.theta[i] == alone.theta[0]
+            assert abs(alone.theta[0] - center) <= 1e-12
 
     def test_cosine_matches_dense_grid(self):
         f = lambda t: np.cos(3 * t)
-        x = minimize_scalar(f, -1.0, 1.0, tol=1e-6)
+        jets = lambda t: np.array([np.cos(3 * t), -3 * np.sin(3 * t), -9 * np.cos(3 * t)])
+        x = minimize_lanes(scalar_lanes(jets), -1.0, 1.0).theta[0]
         dense = np.linspace(-1, 1, 400001)
         x_dense = dense[int(np.argmin(f(dense)))]
         assert abs(f(x) - f(x_dense)) < 1e-6
 
     def test_total_hyvarinen_objective(self):
         y = sample_ar1(params_for("ar1", 0.5), 200, 50, seed=30)
-        x = minimize_scalar(
-            np.vectorize(lambda th: total_score(y, EstimatorKind.HYV_UNIVARIATE, "ar1", th),
-                         otypes=[float]),
-            -0.999,
-            0.999,
-            tol=1e-6,
-        )
+        lanes = objective_lanes([series_objective(y, EstimatorKind.HYV_UNIVARIATE, "ar1")])
+        x = minimize_lanes(lanes, -0.999, 0.999).theta[0]
         assert abs(x - 0.5) < 0.05
 
     def test_all_grid_seeds_nonfinite(self):
-        with pytest.raises(MinimizationError):
-            minimize_scalar(lambda t: np.full(np.shape(t), np.nan), -1.0, 1.0)
+        # the lane fails alone; the other lane is still minimized
+        lanes = scalar_lanes(quadratic(0.1), quadratic(0.2))
+        found = minimize_lanes(dataclasses.replace(lanes, offset=np.array([np.nan, 0.0])),
+                               -1.0, 1.0)
+        assert list(found.ok) == [False, True]
+        assert np.isnan(found.theta[0]) and abs(found.theta[1] - 0.2) <= 1e-12
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):
-            minimize_scalar(lambda t: t * t, 1.0, -1.0)
+            minimize_lanes(scalar_lanes(quadratic(0.0)), 1.0, -1.0)
 
     @pytest.mark.parametrize("lo,hi", [(-np.inf, 1.0), (-1.0, np.nan)])
     def test_non_finite_interval(self, lo, hi):
         with pytest.raises(ValueError):
-            minimize_scalar(lambda t: t * t, lo, hi)
+            minimize_lanes(scalar_lanes(quadratic(0.0)), lo, hi)
 
-    @pytest.mark.parametrize("f,got", [
-        (lambda t: float(np.sum((t - 0.3) ** 2)), r"\(\)"),  # scalar-only wrapper
-        (lambda t: np.zeros(3), r"\(3,\)"),
-        (lambda t: np.zeros((64, 1)), r"\(64, 1\)"),
+    @pytest.mark.parametrize("jets,lo,hi,end", [
+        (lambda t: np.array([t, 1 + 0 * t, 0 * t]), 0.2, 0.7, 0.2),  # at the lower end
+        (lambda t: np.array([-t * t, -2 * t, -2 + 0 * t]), -0.3, 0.9, 0.9),  # at the upper end
     ])
-    def test_objective_not_vectorized_fails_fast(self, f, got):
-        with pytest.raises(ValueError, match=rf"expected shape \(64,\), got {got}"):
-            minimize_scalar(f, -1.0, 1.0)
+    def test_minimum_at_an_end(self, jets, lo, hi, end):
+        # no stationary point: bisection walks the bracket to the end
+        x = minimize_lanes(scalar_lanes(jets), lo, hi).theta[0]
+        assert abs(x - end) < 1e-12
+
+    def test_zero_gradient_keeps_theta(self):
+        # a lane whose gradient is exactly 0 at its best seed stays there
+        seeds = np.linspace(-1.0, 1.0, GRID_POINTS + 2)[1:-1]
+        found = minimize_lanes(scalar_lanes(quadratic(seeds[40])), -1.0, 1.0)
+        assert found.theta[0] == seeds[40]
+
+    def test_jets_at_the_minimum(self):
+        found = minimize_lanes(scalar_lanes(quadratic(0.3, floor=1.5)), -1.0, 1.0)
+        npt.assert_allclose(found.coef[:, 0, 0], [1.5, 0.0, 2.0], atol=1e-12)
+
+    @pytest.mark.parametrize("jets,got", [
+        # one value for the whole grid, a wrong length, an extra axis
+        (lambda t: np.zeros(3), r"\(1, 64, 1\) and \(1, 64\), got \(1, 1\)"),
+        (lambda t: np.zeros((3, 3)), r"got \(1, 3, 1\)"),
+        (lambda t: np.zeros((3, 64, 2)), r"got \(1, 64, 2, 1\)"),
+    ], ids=["scalar-only", "wrong-length", "extra-axis"])
+    def test_objective_not_vectorized_fails_fast(self, jets, got):
+        with pytest.raises(ValueError, match=got):
+            minimize_lanes(scalar_lanes(jets), -1.0, 1.0)
 
     def test_multimodal_returns_best_grid_basin(self):
-        # two wells; the deeper one must win regardless of Brent's local basin
-        f = lambda t: np.minimum((t - 0.7) ** 2, (t + 0.6) ** 2 + 0.5)
-        x = minimize_scalar(f, -1.0, 1.0, tol=1e-8)
-        assert abs(x - 0.7) < 1e-6
+        # two wells; the deeper one must win regardless of the local basin
+        def two_wells(t):
+            right, left = quadratic(0.7)(t), quadratic(-0.6, floor=0.5)(t)
+            return np.where(right[0] <= left[0], right, left)
+
+        for lanes in (scalar_lanes(two_wells), scalar_lanes(quadratic(0.0), two_wells)):
+            assert abs(minimize_lanes(lanes, -1.0, 1.0).theta[-1] - 0.7) < 1e-12
 
 
-def assert_same_search(f, a, b, tol=1e-6):
-    """Run this package's bounded Brent and SciPy's ``minimize_scalar(method=
-    "bounded")`` on [a, b]; both must pass ``f`` the same points and return
-    the same point and value.  Returns ours: the points and the result."""
-    ours, theirs = [], []
-    x_ours, f_ours = _bounded_brent(lambda x: ours.append(x) or f(x), a, b, tol)
-    res = sp_optimize.minimize_scalar(
-        lambda x: theirs.append(x) or f(x), bounds=(a, b), method="bounded",
-        options={"xatol": tol},
-    )
-    assert len(ours) == len(theirs)
-    assert np.array_equal(ours, theirs, equal_nan=True)
-    assert np.array_equal(x_ours, res.x, equal_nan=True)
-    assert np.array_equal(f_ours, res.fun, equal_nan=True)
-    return ours, x_ours
+class TestNewtonMatchesScipy:
+    """Every estimate is the stationary point of its objective: within 1e-6
+    of SciPy's bounded Brent at xatol 1e-10 on the same grid bracket, with
+    a gradient at most 1e-10 of the curvature."""
 
-
-def grid_basin(f, lo, hi):
-    # the bracket minimize_scalar hands to Brent: the best grid seed's neighbours
-    xs = np.linspace(lo, hi, GRID_POINTS + 2)[1:-1]
-    best = int(np.argmin([f(x) for x in xs]))
-    return (xs[best - 1] if best > 0 else lo), (xs[best + 1] if best < len(xs) - 1 else hi)
-
-
-class TestBrentMatchesScipy:
-    """The bounded Brent search reproduces SciPy's iterates to the bit."""
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("kind", ["full", "pairwise", "hyv"])
-    @pytest.mark.parametrize("model,theta", [("ar1", 0.5), ("ma1", -0.6)])
-    def test_series_objective(self, model, theta, kind, seed):
-        f = series_objective(sample_series(model, theta, 200, 50, seed), kind, model).total
-        assert_same_search(f, *SEARCH_BOUNDS)
-        assert_same_search(f, *grid_basin(f, *SEARCH_BOUNDS))
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("model,theta", [("ar1", -0.5), ("ma1", 0.9)])
-    def test_wishart_score(self, model, theta, seed):
-        ctx = wishart_context(sum_of_squares(sample_series(model, theta, 200, 50, seed)),
-                              nu=200, model=model)
-        f = lambda lam: hw_score(ctx, lam)
-        assert_same_search(f, *SEARCH_BOUNDS)
-        assert_same_search(f, *grid_basin(f, *SEARCH_BOUNDS))
-
-    @pytest.mark.parametrize("f,a,b", [
-        (lambda x: x, 0.2, 0.7),  # minimum at the lower end
-        (lambda x: -x * x, -0.3, 0.9),  # minimum at the upper end
-        (lambda x: 1.0, -1.0, 1.0),  # constant
-        (lambda x: float(np.floor(4 * abs(x - 0.3))), -1.0, 1.0),  # plateaus: tied values
-        (lambda x: np.nan if 0.1 < x < 0.3 else (x - 0.2) ** 2, -1.0, 1.0),
-        (lambda x: np.nan if x < 0.0 else (x - 0.5) ** 2, -1.0, 1.0),  # NaN at the start
-    ])
-    def test_edge_cases(self, f, a, b):
-        assert_same_search(f, a, b)
-
-    @pytest.mark.parametrize("value", [np.float64, np.asarray, float])
-    def test_objective_value_types(self, value):
-        # the search takes each value as a float: a numpy scalar, a 0-d array
-        # and a Python float give the same iterates
-        f = series_objective(sample_series("ma1", -0.6, 200, 50, 1), "hyv", "ma1").total
-        assert_same_search(lambda x: value(f(x)), *SEARCH_BOUNDS)
-        assert_same_search(lambda x: value(f(x)), *grid_basin(f, *SEARCH_BOUNDS))
-
-    def test_tight_tolerance(self):
-        y = sample_series("ma1", 0.3, 200, 50, 4)
-        assert_same_search(series_objective(y, "hyv", "ma1").total, *SEARCH_BOUNDS, tol=1e-9)
-
-    def test_evaluation_cap(self):
-        # xatol = 0 at a minimum in 0 never converges; both stop at 500 calls
-        assert len(assert_same_search(lambda x: abs(x), -1.0, 2.0, tol=0.0)[0]) == 500
-
-    def test_minimize_scalar_refines_the_grid_basin(self):
-        f = series_objective(sample_series("ar1", 0.3, 100, 20, 5), "hyv", "ar1").total
-        calls = []
-        x = minimize_scalar(lambda t: calls.append(t) or f(t), *SEARCH_BOUNDS)
-        brent, x_brent = assert_same_search(f, *grid_basin(f, *SEARCH_BOUNDS))
-        assert calls[0].shape == (64,) and calls[1:] == brent and x == x_brent
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    @pytest.mark.parametrize("model,theta", [("ar1", 0.5), ("ar1", -0.9), ("ma1", 0.9),
+                                             ("ma1", -0.4)])
+    def test_objectives(self, model, theta, kind):
+        seeds = np.linspace(*SEARCH_BOUNDS, GRID_POINTS + 2)[1:-1]
+        reductions = [SeriesReduction(sample_series(model, theta, 60, 20, seed))
+                      for seed in range(6)]
+        objectives = [r.objective(kind, model) for r in reductions]
+        found = minimize_lanes(objective_lanes(objectives), *SEARCH_BOUNDS)
+        for objective, x in zip(objectives, found.theta):
+            best = int(np.argmin(objective.total(seeds)))
+            bracket = (seeds[best - 1] if best > 0 else SEARCH_BOUNDS[0],
+                       seeds[best + 1] if best < GRID_POINTS - 1 else SEARCH_BOUNDS[1])
+            res = sp_optimize.minimize_scalar(objective.total, bounds=bracket,
+                                              method="bounded", options={"xatol": 1e-10})
+            assert abs(x - res.x) <= 1e-6
+            if min(x - SEARCH_BOUNDS[0], SEARCH_BOUNDS[1] - x) > 4e-6:  # not at a bound
+                g, h = (np.sum(d) for d in objective.derivatives(x))
+                assert abs(g) <= 1e-10 * abs(h)
 
 
 def assert_batch_matches_pointwise(f, thetas):

@@ -198,7 +198,8 @@ class TestRunExperiment:
         monkeypatch.setattr(scores, "_ar1_sums", sums)
         cfg = ExperimentConfig(model=model, param_grid=(0.4,), nu=20, t_len=8,
                                replicates=1, estimators=kinds)
-        records = sim._one_replicate(cfg, 0.4, 0, 0, sim._fit_kinds(cfg))
+        reduction = sim._reduce_replicate(cfg, 0.4, 0, 0, sim._fit_kinds(cfg))
+        [records] = sim._fit_block(cfg, sim._fit_kinds(cfg), [reduction])
         assert set(records) == set(map(EstimatorKind, kinds))
         assert calls == reductions
 
@@ -270,14 +271,14 @@ class TestRunExperiment:
     def test_scattered_failures_tolerated(self, monkeypatch):
         import minscore.simulate as sim
 
-        real = sim._one_replicate
+        real = sim._reduce_replicate
 
         def flaky(cfg, theta0, grid_index, rep_index, kinds):
             if rep_index == 3:
                 raise RuntimeError("synthetic replicate failure")
             return real(cfg, theta0, grid_index, rep_index, kinds)
 
-        monkeypatch.setattr(sim, "_one_replicate", flaky)
+        monkeypatch.setattr(sim, "_reduce_replicate", flaky)
         cfg = ExperimentConfig(
             model="ar1", param_grid=(0.2,), nu=20, t_len=5, replicates=20,
             mc_b=50, seed=12, estimators=(EstimatorKind.FULL_ML,),
@@ -288,7 +289,7 @@ class TestRunExperiment:
     def test_failure_messages_name_the_first_cause_of_each_type(self, monkeypatch):
         import minscore.simulate as sim
 
-        real = sim._one_replicate
+        real = sim._reduce_replicate
 
         causes = {
             2: RuntimeError("synthetic replicate failure 2"),
@@ -302,7 +303,7 @@ class TestRunExperiment:
                 raise causes[rep_index]
             return real(cfg, theta0, grid_index, rep_index, kinds)
 
-        monkeypatch.setattr(sim, "_one_replicate", failing)
+        monkeypatch.setattr(sim, "_reduce_replicate", failing)
         cfg = ExperimentConfig(
             model="ar1", param_grid=(0.2,), nu=20, t_len=5, replicates=20,
             mc_b=50, seed=13, estimators=(EstimatorKind.FULL_ML,),
@@ -331,14 +332,14 @@ class TestRunExperiment:
     def test_widespread_failures_abort(self, monkeypatch):
         import minscore.simulate as sim
 
-        real = sim._one_replicate
+        real = sim._reduce_replicate
 
         def broken(cfg, theta0, grid_index, rep_index, kinds):
             if rep_index < 5:
                 raise RuntimeError("synthetic replicate failure")
             return real(cfg, theta0, grid_index, rep_index, kinds)
 
-        monkeypatch.setattr(sim, "_one_replicate", broken)
+        monkeypatch.setattr(sim, "_reduce_replicate", broken)
         cfg = ExperimentConfig(
             model="ar1", param_grid=(0.2,), nu=20, t_len=5, replicates=20,
             mc_b=50, seed=13, estimators=(EstimatorKind.FULL_ML,),

@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import optimize as sp_optimize
 from scipy import stats
 
 from minscore import (
@@ -22,7 +23,8 @@ from minscore import (
     ma1_hyvarinen,
     ma1_pairwise_loglik,
     ma1_precision,
-    minimize_scalar,
+    minimize_lanes,
+    objective_lanes,
     params_for,
     sample_ar1,
     sample_ma1,
@@ -140,8 +142,8 @@ class TestAr1PairwiseClosedForm:
                 np.sum(ar1_pairwise_loglik(y, Ar1Params(0.0, sigma2, phi)))
             )
 
-        phi_num = minimize_scalar(np.vectorize(profiled_negative, otypes=[float]),
-                                  -0.999, 0.999, tol=1e-9)
+        phi_num = sp_optimize.minimize_scalar(profiled_negative, bounds=(-0.999, 0.999),
+                                              method="bounded", options={"xatol": 1e-9}).x
         sigma2_num = (paired - 2 * phi_num * cross) / (2 * nu * (t_len - 1))
         phi_hat, sigma2_hat = ar1_pairwise_closed_form(y)
         assert abs(phi_hat - phi_num) < 1e-4
@@ -382,10 +384,8 @@ class TestPropriety:
             y = sample_ar1(params_for("ar1", theta0), 5000, 30, seed=20)
         else:
             y = sample_ma1(params_for("ma1", theta0), 5000, 30, seed=20)
-        theta_star = minimize_scalar(
-            np.vectorize(lambda th: total_score(y, kind, model, th), otypes=[float]),
-            -0.999, 0.999, tol=1e-7,
-        )
+        lanes = objective_lanes([series_objective(y, kind, model)])
+        [theta_star] = minimize_lanes(lanes, -0.999, 0.999).theta
         assert abs(theta_star - theta0) < 0.02
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])

@@ -239,6 +239,19 @@ class TestVariability:
         assert (comps.j_hat, comps.k_hat) == ((t_len + 6) * j, k)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("t_len", [1, 2, 3, 50, 201])
+    def test_ar1_traces_closed_form(self, t_len):
+        # tr(D Psi), tr(D Psi D Psi) and ||D||^2 in closed form against the
+        # dense product of the precision and its derivative
+        import minscore.wishart as wishart
+
+        for phi in np.linspace(-0.999, 0.999, 37):
+            deriv = precision_derivative("ar1", phi, t_len)
+            d_psi = deriv @ scale_precision("ar1", phi, t_len)
+            dense = (np.trace(d_psi), np.sum(d_psi * d_psi.T), np.sum(deriv * deriv))
+            npt.assert_allclose(wishart._derivative_traces("ar1", phi, t_len), dense,
+                                rtol=1e-13, atol=1e-13)
+
     def test_needs_four_extra_dof(self):
         assert wishart_variability("ar1", 0.3, 14, 10) > 0
         with pytest.raises(ValueError, match=r"nu >= T \+ 4"):
