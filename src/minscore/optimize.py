@@ -89,11 +89,12 @@ def minimize_lanes(lanes: Lanes, lo: float, hi: float) -> LaneMinimum:
     xs = np.linspace(lo, hi, GRID_POINTS + 2)[1:-1]
     n_lanes, width = lanes.pooled.shape
     coef, const = lanes.terms(xs, 0)
-    if np.shape(coef)[1:] != (GRID_POINTS, width) or np.shape(const)[1:] != (GRID_POINTS,):
-        raise ValueError(
-            f"the jets of the grid must have shapes (1, {GRID_POINTS}, {width}) and "
-            f"(1, {GRID_POINTS}), got {np.shape(coef)} and {np.shape(const)}"
-        )
+    if np.shape(const)[1:] != (GRID_POINTS,):
+        raise ValueError(f"terms must be vectorized over theta: expected shape "
+                         f"({GRID_POINTS},), got {np.shape(const)[1:]}")
+    if np.shape(coef)[1:] != (GRID_POINTS, width):
+        raise ValueError(f"terms must be vectorized over theta: expected shape "
+                         f"({GRID_POINTS}, {width}), got {np.shape(coef)[1:]}")
     # (R, GRID_POINTS) values, a chunk of lanes at a time
     chunk = max(1, GRID_FLOATS // (GRID_POINTS * width))
     fs = np.concatenate([_lane_jets(lanes, (slice(i, i + chunk), None), coef[0], const[0])

@@ -22,7 +22,7 @@ from minscore import (
     sum_of_squares,
     wishart_context,
 )
-from minscore.optimize import GRID_POINTS, Lanes
+from minscore.optimize import GRID_POINTS, MAX_STEPS, Lanes
 from minscore.scores import _order0_jets, _terms
 from minscore.wishart import SEARCH_BOUNDS
 
@@ -109,15 +109,33 @@ class TestMinimizeScalar:
         found = minimize_lanes(scalar_lanes(quadratic(0.3, floor=1.5)), -1.0, 1.0)
         npt.assert_allclose(found.coef[:, 0, 0], [1.5, 0.0, 2.0], atol=1e-12)
 
+    @pytest.mark.parametrize("f,got", [
+        (lambda t: float(np.sum((t - 0.3) ** 2)), r"\(\)"),  # scalar-only wrapper
+        (lambda t: np.zeros(3), r"\(3,\)"),
+        (lambda t: np.zeros((64, 1)), r"\(64, 1\)"),
+    ])
+    def test_objective_not_vectorized_fails_fast(self, f, got):
+        # f gives the value of one lane; its derivatives are 0
+        def terms(theta, order):
+            value = np.asarray(f(theta), dtype=float)
+            rows = np.concatenate([value[None], np.zeros((order,) + value.shape)])
+            return np.zeros(rows.shape + (1,)), rows
+
+        lanes = Lanes(terms, np.zeros((1, 1)), np.zeros(1), np.ones(1), np.ones(1))
+        with pytest.raises(ValueError, match=rf"expected shape \(64,\), got {got}"):
+            minimize_lanes(lanes, -1.0, 1.0)
+
     @pytest.mark.parametrize("jets,got", [
-        # one value for the whole grid, a wrong length, an extra axis
-        (lambda t: np.zeros(3), r"\(1, 64, 1\) and \(1, 64\), got \(1, 1\)"),
-        (lambda t: np.zeros((3, 3)), r"got \(1, 3, 1\)"),
-        (lambda t: np.zeros((3, 64, 2)), r"got \(1, 64, 2, 1\)"),
-    ], ids=["scalar-only", "wrong-length", "extra-axis"])
-    def test_objective_not_vectorized_fails_fast(self, jets, got):
+        (lambda t: np.zeros((3, 64)), r"\(64, 1\), got \(64,\)"),  # no statistics axis
+        (lambda t: np.zeros((3, 64, 2)), r"\(64, 1\), got \(64, 2\)"),
+    ], ids=["no-statistics-axis", "wrong-width"])
+    def test_coefficients_not_vectorized_fails_fast(self, jets, got):
+        def terms(theta, order):
+            return jets(theta)[: order + 1], np.zeros((order + 1,) + np.shape(theta))
+
+        lanes = Lanes(terms, np.zeros((1, 1)), np.zeros(1), np.ones(1), np.ones(1))
         with pytest.raises(ValueError, match=got):
-            minimize_lanes(scalar_lanes(jets), -1.0, 1.0)
+            minimize_lanes(lanes, -1.0, 1.0)
 
     def test_multimodal_returns_best_grid_basin(self):
         # two wells; the deeper one must win regardless of the local basin
@@ -127,6 +145,76 @@ class TestMinimizeScalar:
 
         for lanes in (scalar_lanes(two_wells), scalar_lanes(quadratic(0.0), two_wells)):
             assert abs(minimize_lanes(lanes, -1.0, 1.0).theta[-1] - 0.7) < 1e-12
+
+
+def recorded_lanes(lanes, calls):
+    # the same lanes, appending (theta, order, jets) of every call of terms
+    def terms(theta, order):
+        jets = lanes.terms(theta, order)
+        calls.append((np.array(theta, copy=True), order, jets))
+        return jets
+
+    return dataclasses.replace(lanes, terms=terms)
+
+
+def grid_basin(f, lo, hi):
+    # the best grid seed of f and its bracket: the seed's neighbours
+    xs = np.linspace(lo, hi, GRID_POINTS + 2)[1:-1]
+    values = np.array([f(x) for x in xs])
+    best = int(np.argmin(np.where(np.isfinite(values), values, np.inf)))
+    return xs[best], ((xs[best - 1] if best > 0 else lo),
+                      (xs[best + 1] if best < len(xs) - 1 else hi))
+
+
+class TestBrentMatchesScipy:
+    """Edge cases of the lane minimizer, with SciPy's bounded Brent search on
+    the best seed's bracket as the reference."""
+
+    @pytest.mark.parametrize("f,a,b", [
+        (lambda x: np.array([x, 1 + 0 * x, 0 * x]), 0.2, 0.7),  # minimum at the lower end
+        (lambda x: np.array([-x * x, -2 * x, -2 + 0 * x]), -0.3, 0.9),  # at the upper end
+        (lambda x: np.array([1 + 0 * x, 0 * x, 0 * x]), -1.0, 1.0),  # constant
+        (lambda x: np.array([np.floor(4 * abs(x - 0.3)), 0 * x, 0 * x]), -1.0, 1.0),  # plateaus
+        (lambda x: np.where((0.1 < x) & (x < 0.3), np.nan, quadratic(0.2)(x)), -1.0, 1.0),
+        (lambda x: np.where(x < 0.0, np.nan, quadratic(0.5)(x)), -1.0, 1.0),  # NaN below 0
+    ])
+    def test_edge_cases(self, f, a, b):
+        value = lambda x: float(f(np.asarray(x))[0])
+        seed, bracket = grid_basin(value, a, b)
+        calls = []
+        x = minimize_lanes(recorded_lanes(scalar_lanes(f), calls), a, b).theta[0]
+        assert bracket[0] <= x <= bracket[1] and value(x) <= value(seed)
+        if all(np.isfinite(jets).all() for _, _, (jets, _) in calls[1:]):
+            res = sp_optimize.minimize_scalar(value, bounds=bracket, method="bounded",
+                                              options={"xatol": 1e-10})
+            assert value(x) <= res.fun + 1e-12
+        else:
+            # a lane that steps onto a non-finite value returns its best seed
+            assert x == seed
+
+    def test_evaluation_cap(self):
+        # |x| has h = 0, so every step bisects, and |g| = 1 never stops a lane:
+        # it stops after MAX_STEPS steps, the bracket of 0 narrowed by 2**-100
+        calls = []
+        jets = lambda t: np.array([np.abs(t), np.sign(t), 0 * t])
+        x = minimize_lanes(recorded_lanes(scalar_lanes(jets), calls), -1.0, 2.0).theta[0]
+        assert len(calls) == 1 + MAX_STEPS
+        assert [order for _, order, _ in calls] == [0] + [2] * MAX_STEPS
+        assert abs(x) <= 2.0**-100
+
+    def test_minimize_scalar_refines_the_grid_basin(self):
+        objective = series_objective(sample_series("ar1", 0.3, 100, 20, 5), "hyv", "ar1")
+        seed, bracket = grid_basin(objective.total, *SEARCH_BOUNDS)
+        calls = []
+        x = minimize_lanes(recorded_lanes(objective_lanes([objective]), calls),
+                           *SEARCH_BOUNDS).theta[0]
+        # one grid scan, then order-2 steps from the best seed inside its bracket
+        assert calls[0][0].shape == (GRID_POINTS,) and calls[0][1] == 0
+        assert calls[1][0].tolist() == [seed] and len(calls) > 2
+        assert all(order == 2 and bracket[0] <= t[0] <= bracket[1] for t, order, _ in calls[1:])
+        res = sp_optimize.minimize_scalar(objective.total, bounds=bracket, method="bounded",
+                                          options={"xatol": 1e-10})
+        assert abs(x - res.x) <= 1e-6 and objective.total(x) <= res.fun + 1e-12
 
 
 class TestNewtonMatchesScipy:
