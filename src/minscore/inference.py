@@ -54,6 +54,8 @@ __all__ = [
 # theta_hat, i.e. the data cannot identify a sampling variance.
 _DEGENERATE_RATIO = 1e-8
 _DEGENERATE = "score variability is numerically zero; data carry no sampling variance"
+# an estimate this close to a search bound is flagged as a boundary hit
+_EDGE_MARGIN = 4e-6
 
 
 @dataclass(frozen=True)
@@ -275,8 +277,6 @@ def fit(
     *,
     sd_mle: float | None = None,
     compute_sd: bool = True,
-    bounds: tuple[float, float] = SEARCH_BOUNDS,
-    tol: float = 1e-6,
 ) -> EstimateRecord:
     """Fit one estimator to a (nu, T) series matrix.
 
@@ -289,8 +289,7 @@ def fit(
     any other failure is raised as well.  ``are`` is filled when ``sd_mle``
     is supplied.
     """
-    [record] = fit_lanes([_reduction(series)], kind, model, compute_sd=compute_sd,
-                         bounds=bounds, tol=tol)
+    [record] = fit_lanes([_reduction(series)], kind, model, compute_sd=compute_sd)
     if isinstance(record, Exception):
         raise record
     if sd_mle is not None and record.sd is not None:
@@ -304,8 +303,6 @@ def fit_lanes(
     model: str,
     *,
     compute_sd: bool = True,
-    bounds: tuple[float, float] = SEARCH_BOUNDS,
-    tol: float = 1e-6,
 ) -> list:
     """Fit one estimator to each of several datasets of one shape at once.
 
@@ -314,9 +311,9 @@ def fit_lanes(
     others, and no record depends on which datasets share the call.  The
     AR(1) pairwise estimate is the closed form; every other estimate
     minimizes the kind's :class:`~minscore.scores.SeriesObjective` over
-    ``bounds``, all datasets as lanes of one
-    :func:`~minscore.optimize.minimize_lanes`.  Estimates within ``4 tol``
-    of a bound are flagged and get no sd.  The sd of a per-series kind is
+    :data:`~minscore.wishart.SEARCH_BOUNDS`, all datasets as lanes of one
+    :func:`~minscore.optimize.minimize_lanes`.  Estimates within 4e-6 of a
+    bound are flagged and get no sd.  The sd of a per-series kind is
     the empirical Godambe information from the per-series derivatives of the
     jets the minimization ends on; the Wishart kind uses its exact
     information (:func:`godambe_analytic`).
@@ -343,20 +340,20 @@ def fit_lanes(
         return results
 
     lanes = objective_lanes(objectives)
+    lo, hi = SEARCH_BOUNDS
     if _closed_form(kind, model):
         # the closed-form estimates, with the jets there for their sds
         theta = np.array(closed)
-        boundary = ~((bounds[0] < theta) & (theta < bounds[1]))
+        boundary = ~((lo < theta) & (theta < hi))
         coef = np.full((3, len(live), lanes.pooled.shape[1]), np.nan)
         const = np.full((3, len(live)), np.nan)
         if compute_sd and not boundary.all():
             coef[:, ~boundary], const[:, ~boundary] = lanes.terms(theta[~boundary], 2)
         failed = np.zeros(len(live), dtype=bool)
     else:
-        found = minimize_lanes(lanes, bounds[0], bounds[1])
+        found = minimize_lanes(lanes, lo, hi)
         theta, coef, const, failed = found.theta, found.coef, found.const, ~found.ok
-        margin = 4.0 * tol
-        boundary = (theta <= bounds[0] + margin) | (theta >= bounds[1] - margin)
+        boundary = (theta <= lo + _EDGE_MARGIN) | (theta >= hi - _EDGE_MARGIN)
 
     need_sd = np.flatnonzero(~failed & ~boundary) if compute_sd else []
     nu, t_len = reductions[0].shape
@@ -368,10 +365,10 @@ def fit_lanes(
             except Exception as exc:  # noqa: BLE001 - one dataset's failure
                 errors[j] = exc
     elif len(need_sd):
-        # the per-series derivatives from the jets at each estimate, as
-        # SeriesObjective.derivatives takes them, then J and K of all lanes
-        g, h = (np.array([objectives[j].scale * (objectives[j].stats @ coef[r, j]) + const[r, j]
-                          for j in need_sd]) for r in (1, 2))
+        # the per-series derivatives from the jets at each estimate, then J
+        # and K of all lanes
+        g, h = map(np.array, zip(*(objectives[j].jet_derivatives(coef[:, j], const[:, j])
+                                   for j in need_sd)))
         j_hat, k_hat, usable = _moments(g, h)
         with np.errstate(divide="ignore", invalid="ignore"):
             sd = 1.0 / np.sqrt(nu * (k_hat * k_hat / j_hat))

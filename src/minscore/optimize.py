@@ -74,12 +74,15 @@ def minimize_lanes(lanes: Lanes, lo: float, hi: float) -> LaneMinimum:
     [x_{b-1}, x_{b+1}] (the interval's ends for the outer seeds), which the
     sign of its gradient narrows.  A lane takes the Newton step
     ``theta - g/h`` where it stays strictly inside the bracket with h > 0, and
-    bisects the bracket otherwise; it stops once ``|g| <= 1e-13 |h|`` (so a
-    lane with g exactly 0 keeps its theta), once a step no longer moves it,
-    at a non-finite gradient, or after :data:`MAX_STEPS` steps.  A lane that
-    ends above its best grid value, or non-finite, returns that seed.  For a
-    unimodal objective the result is the stationary point to rounding; for a
-    multimodal one it is a local minimizer of the best grid basin.
+    bisects the bracket otherwise; a point where the value or a derivative is
+    not finite ends the bracket on its side of the last finite iterate, which
+    the lane keeps.  A lane stops once ``|g| <= 1e-13 |h|`` (so a lane with g
+    exactly 0 keeps its theta), once a step no longer moves it, or after
+    :data:`MAX_STEPS` steps, and returns its last finite iterate; one that
+    ends above its best grid value, or has no finite iterate, returns that
+    seed.  For a unimodal objective the result is the stationary point to
+    rounding; for a multimodal one it is a local minimizer of the best grid
+    basin.
 
     Raises ``ValueError`` for a non-finite or empty interval, or when
     ``terms`` does not return the grid's jet shapes.
@@ -120,15 +123,27 @@ def minimize_lanes(lanes: Lanes, lo: float, hi: float) -> LaneMinimum:
             c, k = lanes.terms(x, 2)
             f, g, h = _lane_jets(lanes, index, c, k)
             f += lanes.offset[index]
-            theta[index], value[index], jet_coef[:, index], jet_const[:, index] = x, f, c, k
-            lft = np.where(g < 0, x, lft)
-            rgt = np.where(g > 0, x, rgt)
+            finite = np.isfinite(f) & np.isfinite(g) & np.isfinite(h)
+            # a finite point is the lane's new iterate and the sign of g
+            # narrows its bracket; a non-finite one ends the bracket on its
+            # side of the last finite iterate
+            side = np.where(finite, g, x - theta[index])
+            lft = np.where(side < 0, x, lft)
+            rgt = np.where(side > 0, x, rgt)
+            if finite.all():
+                theta[index], value[index], jet_coef[:, index], jet_const[:, index] = x, f, c, k
+            else:
+                at = index[finite]
+                theta[at], value[at] = x[finite], f[finite]
+                jet_coef[:, at], jet_const[:, at] = c[:, finite], k[:, finite]
             newton = x - g / h
-            nxt = np.where((h > 0) & (lft < newton) & (newton < rgt), newton, 0.5 * (lft + rgt))
-            going = (np.abs(g) > _STOP * np.abs(h)) & (nxt != x)
+            nxt = np.where(finite & (h > 0) & (lft < newton) & (newton < rgt), newton,
+                           0.5 * (lft + rgt))
+            going = (~finite | (np.abs(g) > _STOP * np.abs(h))) & (nxt != x)
             index, x, lft, rgt = index[going], nxt[going], lft[going], rgt[going]
 
-    # the grid guard: a lane that ends above its best seed returns the seed
+    # the grid guard: a lane that ends above its best seed, or has no finite
+    # iterate, returns the seed
     back = np.flatnonzero(ok & ~(value <= best_value))
     if back.size:
         theta[back] = xs[best[back]]

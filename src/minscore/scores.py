@@ -274,7 +274,7 @@ def _grid_jets(args: tuple, seeds: bytes) -> tuple:
 
 def _order0_jets(args: tuple, theta) -> tuple:
     # _terms(*args, theta), cached for the grid of GRID_POINTS seeds that
-    # every fit of one (kind, model, T) on the same bounds scans
+    # every fit of one (kind, model, T) scans
     if isinstance(theta, np.ndarray) and theta.shape == (GRID_POINTS,):
         return _grid_jets(args, np.asarray(theta, dtype=float).tobytes())
     return _terms(*args, theta)
@@ -291,7 +291,7 @@ class SeriesObjective:
     :func:`~minscore.wishart.wishart_context`); no method reads the data.  Row
     i has r-th derivative ``scale * (stats[i] . coef[r]) + const[r]`` and the
     total adds ``offset``; per-series kinds keep ``offset = 0, scale = 1``.
-    Both methods do the arithmetic of one lane of :func:`objective_lanes`, so
+    The methods do the arithmetic of one lane of :func:`objective_lanes`, so
     they give the values a fit sees to the bit."""
 
     kind: EstimatorKind
@@ -314,7 +314,12 @@ class SeriesObjective:
     def derivatives(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         """Exact first and second theta-derivatives of each row's objective."""
         coef, const = _terms(self.kind, self.model, self.t_len, np.atleast_1d(float(theta)), 2)
-        return tuple(self.scale * (self.stats @ coef[r][0]) + const[r][0] for r in (1, 2))
+        return self.jet_derivatives(coef[:, 0], const[:, 0])
+
+    def jet_derivatives(self, coef: np.ndarray, const: np.ndarray):
+        """First and second derivatives of each row's objective from the
+        order-2 jets ``(coef, const)`` of one theta, of shapes (3, m) and (3,)."""
+        return tuple(self.scale * (self.stats @ coef[r]) + const[r] for r in (1, 2))
 
 
 def series_objective(series, kind: EstimatorKind, model: str) -> SeriesObjective:

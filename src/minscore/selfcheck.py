@@ -150,8 +150,11 @@ def _check_pairwise_closed_form() -> None:
 
     f, step = np.vectorize(profiled, otypes=[float]), 1e-5
 
-    def jets(theta):  # central differences, an independent route
-        lo, mid, hi = f(theta - step), f(theta), f(theta + step)
+    def jets(theta, order):  # central differences, an independent route
+        mid = f(theta)
+        if not order:  # the grid scan reads values only
+            return mid[None]
+        lo, hi = f(theta - step), f(theta + step)
         return np.array([mid, (hi - lo) / (2 * step), (hi - 2 * mid + lo) / step**2])
 
     phi_num = _minimize_scalar(jets, -0.999, 0.999)
@@ -210,15 +213,17 @@ def _check_sampler_determinism() -> None:
 
 
 def _check_minimizer() -> None:
-    x = _minimize_scalar(lambda t: np.array([(t - 0.3) ** 2, 2 * (t - 0.3), 2 + 0 * t]), -1.0, 1.0)
+    x = _minimize_scalar(lambda t, order: np.array([(t - 0.3) ** 2, 2 * (t - 0.3), 2 + 0 * t]),
+                         -1.0, 1.0)
     assert abs(x - 0.3) < 1e-6, x
 
 
 def _minimize_scalar(jets, lo: float, hi: float) -> float:
-    # one lane whose jets(theta) are the value and first two derivatives of a
-    # scalar function: shape (3, *theta.shape)
+    # one lane whose jets(theta, order) are the value and first ``order``
+    # derivatives of a scalar function (more rows are dropped)
     def terms(theta, order):
-        return jets(theta)[: order + 1, ..., None], np.zeros((order + 1,) + np.shape(theta))
+        return (jets(theta, order)[: order + 1, ..., None],
+                np.zeros((order + 1,) + np.shape(theta)))
 
     found = minimize_lanes(Lanes(terms, np.ones((1, 1)), np.zeros(1), np.ones(1), np.zeros(1)),
                            lo, hi)

@@ -261,16 +261,15 @@ def hw_grad_samples(
 def hw_estimate(
     series,
     model: str,
-    bounds: tuple[float, float] = SEARCH_BOUNDS,
 ) -> float:
     """Minimize the Wishart score over the open dependence-parameter interval
-    (:func:`~minscore.optimize.minimize_lanes`, one lane).
+    :data:`SEARCH_BOUNDS` (:func:`~minscore.optimize.minimize_lanes`, one lane).
 
     The sum-of-squares matrix is formed once; requires at least T + 2 series.
     """
     y = np.atleast_2d(np.asarray(series, dtype=float))
     ctx = wishart_context(sum_of_squares(y), nu=y.shape[0], model=model)
-    found = minimize_lanes(objective_lanes([ctx]), bounds[0], bounds[1])
+    found = minimize_lanes(objective_lanes([ctx]), *SEARCH_BOUNDS)
     if not found.ok[0]:
         raise MinimizationError("objective is non-finite at every grid seed")
     return float(found.theta[0])

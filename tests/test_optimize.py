@@ -177,20 +177,18 @@ class TestBrentMatchesScipy:
         (lambda x: np.array([np.floor(4 * abs(x - 0.3)), 0 * x, 0 * x]), -1.0, 1.0),  # plateaus
         (lambda x: np.where((0.1 < x) & (x < 0.3), np.nan, quadratic(0.2)(x)), -1.0, 1.0),
         (lambda x: np.where(x < 0.0, np.nan, quadratic(0.5)(x)), -1.0, 1.0),  # NaN below 0
+        (lambda x: np.where(x > -0.5, np.nan, quadratic(0.5)(x)), -1.0, 1.0),  # NaN above -0.5
     ])
     def test_edge_cases(self, f, a, b):
+        # a step onto a non-finite value ends the bracket there, and the lane
+        # keeps its last finite iterate: no worse than SciPy in every case
         value = lambda x: float(f(np.asarray(x))[0])
         seed, bracket = grid_basin(value, a, b)
-        calls = []
-        x = minimize_lanes(recorded_lanes(scalar_lanes(f), calls), a, b).theta[0]
+        x = minimize_lanes(scalar_lanes(f), a, b).theta[0]
         assert bracket[0] <= x <= bracket[1] and value(x) <= value(seed)
-        if all(np.isfinite(jets).all() for _, _, (jets, _) in calls[1:]):
-            res = sp_optimize.minimize_scalar(value, bounds=bracket, method="bounded",
-                                              options={"xatol": 1e-10})
-            assert value(x) <= res.fun + 1e-12
-        else:
-            # a lane that steps onto a non-finite value returns its best seed
-            assert x == seed
+        res = sp_optimize.minimize_scalar(value, bounds=bracket, method="bounded",
+                                          options={"xatol": 1e-10})
+        assert value(x) <= res.fun + 1e-12
 
     def test_evaluation_cap(self):
         # |x| has h = 0, so every step bisects, and |g| = 1 never stops a lane:
