@@ -11,9 +11,8 @@ import numpy as np
 from minscore import (
     EstimatorKind,
     gaussian_hyvarinen,
-    params_for,
     sample_series,
-    total_score,
+    series_objective,
 )
 
 TRUTH = 0.5
@@ -24,7 +23,7 @@ for model in ("ar1", "ma1"):
     print(f"\n{model} data generated at {TRUTH}; argmin of each objective over the grid:")
     for kind in (EstimatorKind.FULL_ML, EstimatorKind.PAIRWISE_ML,
                  EstimatorKind.HYV_UNIVARIATE):
-        values = [total_score(y, kind, model, float(t)) for t in GRID]
+        values = series_objective(y, kind, model).total(GRID)
         best = GRID[int(np.argmin(values))]
         print(f"  {kind.value:10s} -> {best:+.2f}")
 

@@ -4,22 +4,19 @@ With nu independent series, S = Y'Y is sufficient and Wishart-distributed;
 the score acts on S directly.  This demo traces the objective, fits the
 parameter, and forms the sandwich standard error from the closed-form
 sensitivity and the exact inverse-Wishart variability, checked against Monte
-Carlo draws.
+Carlo draws and against the sd that ``fit`` reports.
 """
 
 import numpy as np
 
 from minscore import (
-    hw_estimate,
-    hw_grad,
+    fit,
     hw_grad_samples,
-    hw_score,
-    k_analytic_ar1,
     params_for,
     sample_ar1,
     sum_of_squares,
+    wishart_components,
     wishart_context,
-    wishart_variability,
 )
 
 NU, T, PHI = 200, 50, 0.5
@@ -29,16 +26,17 @@ ctx = wishart_context(sum_of_squares(y), nu=NU, model="ar1")
 
 print(f"objective over phi (truth {PHI}):")
 for phi in (-0.5, 0.0, 0.3, 0.5, 0.7):
-    print(f"  phi={phi:+.1f}: HW={hw_score(ctx, phi):12.2f}  gradient={hw_grad(ctx, phi):+10.2f}")
+    grad = ctx.derivatives(phi)[0][0]
+    print(f"  phi={phi:+.1f}: HW={ctx.total(phi):12.2f}  gradient={grad:+10.2f}")
 
-phi_hat = hw_estimate(y, "ar1")
+record = fit(y, "hyv-wishart", "ar1")
+phi_hat = record.estimate
 print(f"\nfitted phi: {phi_hat:+.4f}")
 
-k = k_analytic_ar1(phi_hat, T)
-j = wishart_variability("ar1", phi_hat, NU, T)
+j, k = wishart_components("ar1", phi_hat, NU, T)
 grads = hw_grad_samples("ar1", phi_hat, NU, T, n_draws=500, seed=12)
 print(f"sensitivity K (closed form): {k:.2f}")
 print(f"variability J (exact): {j:.4f}")
 print(f"variability J (500 Monte Carlo draws, for comparison): {np.mean(grads**2):.4f}")
-print(f"sandwich sd = sqrt(J)/K = {np.sqrt(j) / k:.4f}")
+print(f"sandwich sd = sqrt(J)/K = {np.sqrt(j) / k:.4f} (fit reports {record.sd:.4f})")
 print("(compare: full-likelihood sd at this size is about 0.0087)")

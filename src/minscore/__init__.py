@@ -38,19 +38,12 @@ from .scores import (
     objective_lanes,
     score_per_series,
     series_objective,
-    total_score,
 )
 from .wishart import (
-    hw_estimate,
-    hw_grad,
     hw_grad_samples,
-    hw_score,
-    k_analytic_ar1,
     precision_derivative,
     wishart_components,
     wishart_context,
-    wishart_sensitivity,
-    wishart_variability,
 )
 from .inference import (
     EstimateRecord,
@@ -60,7 +53,6 @@ from .inference import (
     check_sample_size,
     fit,
     fit_lanes,
-    godambe_analytic,
     godambe_empirical,
     sample_size_error,
 )
@@ -98,17 +90,10 @@ __all__ = [
     "objective_lanes",
     "score_per_series",
     "series_objective",
-    "total_score",
-    "hw_estimate",
-    "hw_grad",
     "hw_grad_samples",
-    "hw_score",
-    "k_analytic_ar1",
     "precision_derivative",
     "wishart_components",
     "wishart_context",
-    "wishart_sensitivity",
-    "wishart_variability",
     "EstimateRecord",
     "GodambeComponents",
     "SeriesReduction",
@@ -116,7 +101,6 @@ __all__ = [
     "check_sample_size",
     "fit",
     "fit_lanes",
-    "godambe_analytic",
     "godambe_empirical",
     "sample_size_error",
     "ConfigError",

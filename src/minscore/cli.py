@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -189,11 +190,16 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     try:
-        y = np.loadtxt(args.data, delimiter=",", dtype=float, ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is rejected below, without numpy's warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            y = np.loadtxt(args.data, delimiter=",", dtype=float, ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read data file {args.data!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"cannot parse data file {args.data!r}: {exc}") from exc
+    if y.size == 0:
+        raise ConfigError(f"data file {args.data!r} holds no series")
     kind = EstimatorKind(args.estimator)
     # one reduction for both fits; the requested bounds fail before either
     reduction = SeriesReduction(y)

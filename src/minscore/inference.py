@@ -5,14 +5,13 @@ variability J = E[s^2] and sensitivity K = E[ds/dtheta] combine into the
 Godambe information G = K^2 / J, and the estimator's asymptotic standard
 deviation is 1 / sqrt(nu * G).
 
-Each estimator has one sd route.  The per-series kinds estimate J and K
+Every estimator has one sd route.  The per-series kinds estimate J and K
 from the observed series (:func:`godambe_empirical`), using the exact
 per-series gradients and second derivatives of their objectives; a fit reads
-them from the jets its minimization ends on.  The Wishart
-estimator's score acts on the pooled statistic S = Y'Y rather than series by
-series; its raw gradient variance, exact in closed form
-(:func:`godambe_analytic`), is rescaled by nu so the one sd formula applies
-to all four kinds.
+them from the jets its minimization ends on.  The Wishart estimator's score
+acts on the pooled statistic S = Y'Y rather than series by series; its J and
+K are exact in closed form (:func:`~minscore.wishart.wishart_components`),
+and J is rescaled by nu so the one sd formula applies to all four kinds.
 """
 
 from __future__ import annotations
@@ -35,14 +34,13 @@ from .scores import (
     objective_lanes,
     series_objective,
 )
-from .wishart import SEARCH_BOUNDS, wishart_components, wishart_context
+from .wishart import wishart_components, wishart_context
 
 __all__ = [
     "GodambeComponents",
     "EstimateRecord",
     "SeriesReduction",
     "godambe_empirical",
-    "godambe_analytic",
     "are",
     "check_sample_size",
     "sample_size_error",
@@ -50,6 +48,8 @@ __all__ = [
     "fit_lanes",
 ]
 
+# the open interval of the dependence parameter that every fit searches
+SEARCH_BOUNDS = (-0.999, 0.999)
 # J below this fraction of K^2 means the per-series gradients all vanish at
 # theta_hat, i.e. the data cannot identify a sampling variance.
 _DEGENERATE_RATIO = 1e-8
@@ -189,35 +189,16 @@ def godambe_empirical(
     if len(objective.stats) < 2:
         raise ValueError(f"need at least 2 series, got {len(objective.stats)}")
     g, h = objective.derivatives(theta_hat)
-    [j_hat], [k_hat], [usable] = _moments(g[None], h[None])
-    if not usable:
+    j_hat, k_hat = np.mean(g * g), np.mean(h)
+    if not _usable(j_hat, k_hat):
         raise DegenerateDataError(_DEGENERATE)
     return GodambeComponents(j_hat=float(j_hat), k_hat=float(k_hat),
                              g_hat=float(k_hat * k_hat / j_hat))
 
 
-def _moments(g: np.ndarray, h: np.ndarray) -> tuple:
-    # J and K of each row of (lanes, series) derivatives, and whether the
-    # row has a sampling variance; a row's bits do not depend on the others
-    j_hat, k_hat = np.mean(g * g, axis=-1), np.mean(h, axis=-1)
-    return j_hat, k_hat, np.isfinite(j_hat) & (j_hat > _DEGENERATE_RATIO * (k_hat * k_hat))
-
-
-def godambe_analytic(model: str, theta_hat: float, *, t_len: int, nu: int) -> GodambeComponents:
-    """Exact J and K of the Wishart score equation at theta_hat, no simulation.
-
-    J is the exact inverse-Wishart variance of the pooled gradient
-    (:func:`~minscore.wishart.wishart_variability`, needs nu >= T + 4) and K
-    the deterministic sensitivity.  J is multiplied by nu so that
-    ``sd = 1 / sqrt(nu * g_hat)`` holds for this estimator too.
-    """
-    model = canonical_model(model)
-    j_total, k_total = wishart_components(model, theta_hat, nu, t_len)
-    if j_total <= _DEGENERATE_RATIO * k_total**2:
-        raise DegenerateDataError("Wishart score gradients are numerically zero")
-    return GodambeComponents(
-        j_hat=nu * j_total, k_hat=k_total, g_hat=k_total**2 / (nu * j_total)
-    )
+def _usable(j_hat, k_hat):
+    # whether J is a sampling variance rather than numerically zero
+    return np.isfinite(j_hat) & (j_hat > _DEGENERATE_RATIO * (k_hat * k_hat))
 
 
 def are(sd_mle: float, sd_est: float) -> float:
@@ -234,8 +215,8 @@ def sample_size_error(
     """The first bound of :func:`fit` that ``nu`` series of length ``t_len``
     violate, or None; shape only.  Series no shorter than
     :func:`~minscore.scores.min_series_length` (T >= 2 for every estimator),
-    at least 2 series when the sd is wanted, and for the Wishart estimate at
-    least T + 2 series, T + 4 with its sd.  The message calls the length
+    at least 1 series, 2 when the sd is wanted, and for the Wishart estimate
+    at least T + 2 series, T + 4 with its sd.  The message calls the length
     ``t_name``: ``T`` for data, ``t`` for a study configuration."""
     kind = EstimatorKind(kind)
     model = canonical_model(model)
@@ -245,6 +226,8 @@ def sample_size_error(
         return f"the {kind} estimator on {model} needs {wanted} >= {need}, got {got}"
     if compute_sd and nu < 2:
         return f"every sd needs nu >= 2 series; got nu={nu}"
+    if nu < 1:
+        return f"every estimate needs nu >= 1 series; got nu={nu}"
     if kind is EstimatorKind.HYV_WISHART:
         extra = 4 if compute_sd else 2
         if nu < t_len + extra:
@@ -311,12 +294,12 @@ def fit_lanes(
     others, and no record depends on which datasets share the call.  The
     AR(1) pairwise estimate is the closed form; every other estimate
     minimizes the kind's :class:`~minscore.scores.SeriesObjective` over
-    :data:`~minscore.wishart.SEARCH_BOUNDS`, all datasets as lanes of one
+    :data:`SEARCH_BOUNDS`, all datasets as lanes of one
     :func:`~minscore.optimize.minimize_lanes`.  Estimates within 4e-6 of a
     bound are flagged and get no sd.  The sd of a per-series kind is
     the empirical Godambe information from the per-series derivatives of the
-    jets the minimization ends on; the Wishart kind uses its exact
-    information (:func:`godambe_analytic`).
+    jets the minimization ends on; the Wishart kind uses its exact J and K
+    (:func:`~minscore.wishart.wishart_components`), J scaled by nu.
     """
     kind = EstimatorKind(kind)
     model = canonical_model(model)
@@ -358,18 +341,18 @@ def fit_lanes(
     need_sd = np.flatnonzero(~failed & ~boundary) if compute_sd else []
     nu, t_len = reductions[0].shape
     sds, errors = {}, {}
-    if kind is EstimatorKind.HYV_WISHART:
-        for j in need_sd:
-            try:
-                sds[j] = float(godambe_analytic(model, theta[j], t_len=t_len, nu=nu).sd(nu))
-            except Exception as exc:  # noqa: BLE001 - one dataset's failure
-                errors[j] = exc
-    elif len(need_sd):
-        # the per-series derivatives from the jets at each estimate, then J
-        # and K of all lanes
-        g, h = map(np.array, zip(*(objectives[j].jet_derivatives(coef[:, j], const[:, j])
-                                   for j in need_sd)))
-        j_hat, k_hat, usable = _moments(g, h)
+    if len(need_sd):
+        if kind is EstimatorKind.HYV_WISHART:
+            j_hat, k_hat = np.array([wishart_components(model, theta[j], nu, t_len)
+                                     for j in need_sd]).T
+            j_hat = nu * j_hat
+        else:
+            # the per-series derivatives from the jets at each estimate, a
+            # (lanes, series) array whose rows do not depend on each other
+            g, h = map(np.array, zip(*(objectives[j].jet_derivatives(coef[:, j], const[:, j])
+                                       for j in need_sd)))
+            j_hat, k_hat = np.mean(g * g, axis=-1), np.mean(h, axis=-1)
+        usable = _usable(j_hat, k_hat)
         with np.errstate(divide="ignore", invalid="ignore"):
             sd = 1.0 / np.sqrt(nu * (k_hat * k_hat / j_hat))
         for n, j in enumerate(need_sd):

@@ -2,8 +2,8 @@
 
 Log-likelihoods (full and consecutive-pairwise) are returned in their natural
 orientation (higher is better); Hyvarinen scores are losses (lower is better).
-:func:`score_per_series` and :func:`total_score` put the three per-series
-kinds on a common minimization footing by negating the log-likelihoods.
+:func:`score_per_series` puts the three per-series kinds on a common
+minimization footing by negating the log-likelihoods.
 
 Every objective is a Gaussian quadratic form in the data, so the data enter
 only through a few sufficient statistics, and the value in minimization
@@ -78,7 +78,6 @@ __all__ = [
     "score_per_series",
     "series_objective",
     "objective_lanes",
-    "total_score",
     "min_series_length",
 ]
 
@@ -469,8 +468,3 @@ def score_per_series(series, kind: EstimatorKind, model: str, theta: float):
     model = canonical_model(model)
     return _evaluate(series, params_for(model, theta), model, EstimatorKind(kind))
 
-
-def total_score(series, kind: EstimatorKind, model: str, theta: float) -> float:
-    """Total empirical score: sum of per-series objectives over all rows."""
-    y = np.atleast_2d(np.asarray(series, dtype=float))
-    return float(np.sum(score_per_series(y, kind, model, theta)))

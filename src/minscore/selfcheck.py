@@ -88,12 +88,12 @@ def _check_exact_derivatives() -> None:
         assert err < 1e-7, f"exact derivative off by {err} (relative) from differences"
 
 
-def _check_wishart_sensitivity() -> None:
-    for t_len in (3, 10, 50):
-        for phi in (-0.8, 0.0, 0.5):
-            closed = wishart.k_analytic_ar1(phi, t_len)
-            brute = wishart.wishart_sensitivity("ar1", phi, t_len)
-            assert abs(closed - brute) < 1e-10, (closed, brute)
+def _check_wishart_k() -> None:
+    # K of the closed-form traces against the dense precision derivative
+    for model, t_len, lam in itertools.product(("ar1", "ma1"), (3, 10, 50), (-0.8, 0.0, 0.5)):
+        k = wishart.wishart_components(model, lam, t_len + 4, t_len)[1]
+        dense = 0.25 * np.sum(wishart.precision_derivative(model, lam, t_len) ** 2)
+        assert abs(k - dense) <= 1e-10 * max(1.0, dense), (model, t_len, lam, k, dense)
 
 
 def _check_wishart_gradient() -> None:
@@ -102,8 +102,8 @@ def _check_wishart_gradient() -> None:
     ctx = wishart.wishart_context(models.sum_of_squares(y), nu=20, model="ar1")
     for phi in (-0.5, 0.0, 0.5):
         step = 1e-5
-        fd = (wishart.hw_score(ctx, phi + step) - wishart.hw_score(ctx, phi - step)) / (2 * step)
-        analytic = wishart.hw_grad(ctx, phi)
+        fd = (ctx.total(phi + step) - ctx.total(phi - step)) / (2 * step)
+        analytic = ctx.derivatives(phi)[0][0]
         assert abs(analytic - fd) <= 1e-4 * max(1.0, abs(fd)), (analytic, fd)
 
 
@@ -122,17 +122,17 @@ def _check_wishart_dense() -> None:
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (model, t_len, lam, got, want)
 
 
-def _check_wishart_variability() -> None:
+def _check_wishart_j() -> None:
     # T = 1: the gradient is c * phi / S plus a constant, with
     # S = chi2_nu / (1 - phi^2), whose inverse-chi-square variance is exact
     for nu in (5, 30):
-        exact = wishart.wishart_variability("ar1", 0.6, nu, 1)
+        exact = wishart.wishart_components("ar1", 0.6, nu, 1)[0]
         scalar = 0.36 * 0.64**2 / (2.0 * (nu - 4))
         assert abs(exact - scalar) <= 1e-12 * scalar, (nu, exact, scalar)
     for model in ("ar1", "ma1"):
         g2 = wishart.hw_grad_samples(model, 0.4, nu=30, t_len=6, n_draws=4000, seed=13) ** 2
         se = np.std(g2, ddof=1) / np.sqrt(len(g2))
-        exact = wishart.wishart_variability(model, 0.4, 30, 6)
+        exact = wishart.wishart_components(model, 0.4, 30, 6)[0]
         assert abs(np.mean(g2) - exact) <= 4 * se, (model, float(np.mean(g2)), exact)
 
 
@@ -165,7 +165,7 @@ def _check_pairwise_closed_form() -> None:
 def _check_batched_grid() -> None:
     # the minimizer's grid in one call against one call per seed, for an AR
     # and an MA objective and the Wishart score
-    grid = np.linspace(*wishart.SEARCH_BOUNDS, GRID_POINTS + 2)[1:-1]
+    grid = np.linspace(*inference.SEARCH_BOUNDS, GRID_POINTS + 2)[1:-1]
     y = models.sample_ma1(models.params_for("ma1", 0.6), 30, 20, seed=23)
     ctx = wishart.wishart_context(models.sum_of_squares(y), nu=30, model="ma1")
     for f in (scores.series_objective(y, "hyv", "ar1").total,
@@ -235,11 +235,11 @@ CHECKS = (
     ("closed-form Hyvarinen scores match generic Gaussian form", _check_hyvarinen_closed_forms),
     ("spectral MA(1) objectives match dense linear algebra", _check_ma1_spectral_objectives),
     ("exact objective derivatives match central differences", _check_exact_derivatives),
-    ("AR(1) Wishart sensitivity matches brute-force sum", _check_wishart_sensitivity),
+    ("Wishart sensitivity matches dense precision derivative", _check_wishart_k),
     ("Wishart score gradient matches finite differences", _check_wishart_gradient),
     ("Wishart objective matches its dense definition", _check_wishart_dense),
     ("exact Wishart variability matches inverse chi-square and Monte Carlo",
-     _check_wishart_variability),
+     _check_wishart_j),
     ("pairwise closed form matches numeric argmax", _check_pairwise_closed_form),
     ("batched grid matches pointwise objective values", _check_batched_grid),
     ("shared reductions, cached grid jets and study lanes match standalone fits",

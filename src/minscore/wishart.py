@@ -23,10 +23,10 @@ objective of :mod:`minscore.scores`.  Each evaluation costs O(1) (AR) or O(T)
 (MA), and the derivatives are exact.
 
 The sensitivity of that estimating equation is the deterministic quantity
-``K = 0.25 * sum_{i,j} (d lam^{ji} / d lambda)^2``, which for AR(1) collapses
-to the closed form in :func:`k_analytic_ar1`.  The derivative is linear in
-S^{-1}, which is inverse-Wishart, so its variance is exact as well
-(:func:`wishart_variability`).
+``K = 0.25 * sum_{i,j} (d lam^{ji} / d lambda)^2``, which for AR(1) is
+``(T - 1 + 2 lam^2 (T - 2)) / 2``.  The derivative is linear in S^{-1},
+which is inverse-Wishart, so its variance J is exact as well; both come from
+:func:`wishart_components`.
 """
 
 from __future__ import annotations
@@ -42,26 +42,16 @@ from .models import (
     ma1_sine_transform,
     params_for,
     sample_series,
-    sum_of_squares,
 )
-from .optimize import MinimizationError, minimize_lanes
-from .scores import EstimatorKind, SeriesObjective, objective_lanes
+from .scores import EstimatorKind, SeriesObjective
 
 __all__ = [
     "wishart_context",
     "scale_precision",
     "precision_derivative",
-    "hw_score",
-    "hw_grad",
     "hw_grad_samples",
-    "k_analytic_ar1",
-    "wishart_sensitivity",
-    "wishart_variability",
     "wishart_components",
-    "hw_estimate",
 ]
-
-SEARCH_BOUNDS = (-0.999, 0.999)
 
 
 def wishart_context(s, nu: int, model: str) -> SeriesObjective:
@@ -143,16 +133,6 @@ def _rotate_both(m: np.ndarray) -> np.ndarray:
     return ma1_sine_transform(ma1_sine_transform(m, axis=0), axis=1)
 
 
-def hw_score(ctx: SeriesObjective, lam):
-    """Wishart Hyvarinen score of a :func:`wishart_context` at lam, or at each entry of an array."""
-    return ctx.total(lam)
-
-
-def hw_grad(ctx: SeriesObjective, lam: float) -> float:
-    """Exact derivative of :func:`hw_score` in lam."""
-    return float(ctx.derivatives(lam)[0][0])
-
-
 def _derivative_traces(model: str, lam: float, t_len: int) -> tuple[float, float, float]:
     # tr(D P), tr(D P D P) and ||D||_F^2, with P = scale_precision and D its derivative
     if model == "ma1":
@@ -172,44 +152,22 @@ def _derivative_traces(model: str, lam: float, t_len: int) -> tuple[float, float
     return trace, square, 2.0 * (t - 1) + 4.0 * lam2 * (t - 2)
 
 
-def k_analytic_ar1(phi: float, t_len: int) -> float:
-    """Closed-form sensitivity of the AR(1) Wishart score equation:
-    ``(T - 1 + 2 phi^2 (T - 2)) / 2``."""
-    if not abs(phi) < 1:
-        raise ValueError(f"stationarity requires |phi| < 1, got {phi}")
-    if t_len < 2:
-        raise ValueError(f"need T >= 2, got {t_len}")
-    return (t_len - 1 + 2.0 * phi**2 * (t_len - 2)) / 2.0
+def wishart_components(model: str, lam: float, nu: int, t_len: int) -> tuple[float, float]:
+    """Exact variability J and sensitivity K of the Wishart score equation at
+    lam when S is Wishart at lam, from one computation of the
+    precision-derivative traces they share.
 
-
-def wishart_sensitivity(model: str, lam: float, t_len: int) -> float:
-    """Sensitivity K = 0.25 * sum of squared precision-derivative entries.
-
-    Exact expectation of the second derivative of the score; reduces to
-    :func:`k_analytic_ar1` for the AR(1) model.
-    """
-    return 0.25 * _derivative_traces(canonical_model(model), lam, t_len)[2]
-
-
-def wishart_variability(model: str, lam: float, nu: int, t_len: int) -> float:
-    """Exact variance of :func:`hw_grad` at lam when S is Wishart at lam.
-
-    The gradient is ``-c/2 * tr(D S^{-1})`` plus a constant, with D the
-    precision derivative, and S^{-1} is inverse-Wishart with scale
+    K = 0.25 * ||D||_F^2, with D the precision derivative, is the expected
+    second derivative of the score.  The gradient is ``-c/2 * tr(D S^{-1})``
+    plus a constant, and S^{-1} is inverse-Wishart with scale
     Psi = :func:`scale_precision`.  Its second moments (von Rosen 1988,
     Scand. J. Statist. 15) give, with n = nu and p = T,
 
-        c^2/4 * [2 a^2 + 2 (n-p-1) b] / ((n-p) (n-p-1)^2 (n-p-3)),
+        J = c^2/4 * [2 a^2 + 2 (n-p-1) b] / ((n-p) (n-p-1)^2 (n-p-3)),
 
     ``a = tr(D Psi)`` and ``b = tr(D Psi D Psi)``; the gradient has mean zero,
-    so this is also its mean square.  Finite only for nu >= T + 4.
+    so J is also its mean square.  Finite only for nu >= T + 4.
     """
-    return wishart_components(model, lam, nu, t_len)[0]
-
-
-def wishart_components(model: str, lam: float, nu: int, t_len: int) -> tuple[float, float]:
-    """:func:`wishart_variability` and :func:`wishart_sensitivity` at lam,
-    from one computation of the precision-derivative traces they share."""
     if nu < t_len + 4:
         raise ValueError(
             f"the Wishart sd needs nu >= T + 4; got nu={nu}, T={t_len}"
@@ -234,7 +192,7 @@ def hw_grad_samples(
 
     Each draw is the sum-of-squares matrix of ``nu`` series of length
     ``t_len`` simulated at parameter lam by the model samplers.  A Monte
-    Carlo check of :func:`wishart_variability`; no fit calls it.  Returns an
+    Carlo check of the J of :func:`wishart_components`; no fit calls it.  Returns an
     array of ``n_draws`` gradient values.
     """
     model = canonical_model(model)
@@ -256,20 +214,3 @@ def hw_grad_samples(
         grads[done : done + n] = -0.5 * np.einsum("bij,ij->b", resid, dprec)
         done += n
     return grads
-
-
-def hw_estimate(
-    series,
-    model: str,
-) -> float:
-    """Minimize the Wishart score over the open dependence-parameter interval
-    :data:`SEARCH_BOUNDS` (:func:`~minscore.optimize.minimize_lanes`, one lane).
-
-    The sum-of-squares matrix is formed once; requires at least T + 2 series.
-    """
-    y = np.atleast_2d(np.asarray(series, dtype=float))
-    ctx = wishart_context(sum_of_squares(y), nu=y.shape[0], model=model)
-    found = minimize_lanes(objective_lanes([ctx]), *SEARCH_BOUNDS)
-    if not found.ok[0]:
-        raise MinimizationError("objective is non-finite at every grid seed")
-    return float(found.theta[0])

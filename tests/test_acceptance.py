@@ -3,7 +3,7 @@
 Studies use 200 replicates of nu=200 series of length T=50 with a fixed seed;
 tolerances around the reference values are widened accordingly.  Each
 criterion prints one PASS/FAIL line (run with ``pytest tests/test_acceptance.py
--v -s``).  The two shared studies take a few minutes combined; every test
+-v -s``).  The two shared studies take a few seconds combined; every test
 that uses them is marked ``slow``, so ``pytest -m "not slow"`` leaves them out.
 """
 
@@ -20,10 +20,7 @@ from minscore import (
     ar1_pairwise_closed_form,
     ar1_precision,
     gaussian_hyvarinen,
-    hw_grad,
     hw_grad_samples,
-    hw_score,
-    k_analytic_ar1,
     ma1_covariance,
     ma1_hyvarinen,
     ma1_precision,
@@ -34,6 +31,7 @@ from minscore import (
     sample_series,
     score_per_series,
     sum_of_squares,
+    wishart_components,
     wishart_context,
 )
 from minscore.cli import cli_main
@@ -314,16 +312,20 @@ def test_criterion_4_oracle_equivalences():
     checks.append(("precision matrices vs dense inversion",
                    worst <= 1e-10, f"max abs diff {worst:.2e}"))
 
-    # analytic AR(1) sensitivity vs brute-force quarter sum, 1e-10
+    # closed-form Wishart sensitivity vs brute-force quarter sum over the
+    # dense precision derivative, both models, 1e-10 relative to max(1, K):
+    # MA(1) K reaches 3.3e5 at T=50, where 1e-10 absolute is below 2 ulps
     worst = 0.0
-    for t_len in (2, 5, 10, 25, 50):
-        for phi in (-0.9, -0.3, 0.0, 0.3, 0.9):
-            dprec = precision_derivative("ar1", phi, t_len)
-            brute = 0.25 * float(sum(dprec[j, i] ** 2
-                                     for i in range(t_len) for j in range(t_len)))
-            worst = max(worst, abs(k_analytic_ar1(phi, t_len) - brute))
+    for model in ("ar1", "ma1"):
+        for t_len in (2, 5, 10, 25, 50):
+            for phi in (-0.9, -0.3, 0.0, 0.3, 0.9):
+                dprec = precision_derivative(model, phi, t_len)
+                brute = 0.25 * float(sum(dprec[j, i] ** 2
+                                         for i in range(t_len) for j in range(t_len)))
+                k = wishart_components(model, phi, t_len + 4, t_len)[1]
+                worst = max(worst, abs(k - brute) / max(1.0, brute))
     checks.append(("closed-form sensitivity vs brute-force double sum",
-                   worst <= 1e-10, f"max abs diff {worst:.2e}"))
+                   worst <= 1e-10, f"max rel diff {worst:.2e}"))
 
     # Wishart score gradient vs finite differences, 1e-4 relative
     rng = np.random.default_rng(2)
@@ -334,8 +336,8 @@ def test_criterion_4_oracle_equivalences():
             ctx = wishart_context(sum_of_squares(y), nu=t_len + 10, model=model)
             for theta in (-0.8, -0.4, 0.0, 0.4, 0.8):
                 h = 1e-6
-                fd = (hw_score(ctx, theta + h) - hw_score(ctx, theta - h)) / (2 * h)
-                rel = abs(hw_grad(ctx, theta) - fd) / max(1.0, abs(fd))
+                fd = (ctx.total(theta + h) - ctx.total(theta - h)) / (2 * h)
+                rel = abs(ctx.derivatives(theta)[0][0] - fd) / max(1.0, abs(fd))
                 worst = max(worst, rel)
     checks.append(("Wishart gradient vs finite differences",
                    worst <= 1e-4, f"max rel diff {worst:.2e}"))

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,18 @@ class TestFit:
             "--estimator", "full",
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_file_exits_1(self, tmp_path, capsys, text):
+        # an empty file once warned from numpy, then named the series-length
+        # bound for the (0, 1) matrix it read
+        data = tmp_path / "empty.csv"
+        data.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["fit", "--data", str(data), "--model", "ar1", "--estimator", "full"])
+        assert code == 1
+        assert "holds no series" in capsys.readouterr().err
 
     def test_non_finite_data_exits_1(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"

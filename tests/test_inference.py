@@ -14,19 +14,21 @@ from minscore import (
     check_sample_size,
     fit,
     fit_lanes,
-    godambe_analytic,
     godambe_empirical,
-    hw_estimate,
     hw_grad_samples,
-    k_analytic_ar1,
+    minimize_lanes,
+    objective_lanes,
     params_for,
     sample_ar1,
     sample_ma1,
     sample_series,
     sample_size_error,
     score_per_series,
-    wishart_sensitivity,
+    sum_of_squares,
+    wishart_components,
+    wishart_context,
 )
+from minscore.inference import SEARCH_BOUNDS
 from minscore.scores import min_series_length, series_objective
 
 
@@ -113,19 +115,22 @@ class TestGodambeMonteCarlo:
         assert abs(emp.k_hat - mc.k_hat) < 3 * se_k
 
     def test_wishart_k_is_analytic(self):
-        k_hat = wishart_sensitivity("ar1", 0.5, 50)
-        npt.assert_allclose(k_hat, k_analytic_ar1(0.5, 50), rtol=1e-12)
+        # AR(1): K = (T - 1 + 2 phi^2 (T - 2)) / 2
+        k_hat = wishart_components("ar1", 0.5, 200, 50)[1]
+        npt.assert_allclose(k_hat, (49 + 2 * 0.25 * 48) / 2, rtol=1e-12)
         assert abs(k_hat - 36.5) < 0.5
 
     def test_wishart_sd_normalization(self):
-        # sd via 1/sqrt(nu*g) equals sqrt(Var of the pooled gradient)/K
+        # the fitted sd, 1/sqrt(nu*g) with J scaled by nu, equals
+        # sqrt(Var of the pooled gradient)/K
         nu, t_len = 200, 50
-        comps = godambe_analytic("ar1", 0.0, t_len=t_len, nu=nu)
-        j_total = comps.j_hat / nu
-        npt.assert_allclose(comps.sd(nu), np.sqrt(j_total) / comps.k_hat, rtol=1e-12)
+        record = fit(sample_ar1(params_for("ar1", 0.0), nu, t_len, seed=47),
+                     EstimatorKind.HYV_WISHART, "ar1")
+        j_total, k_total = wishart_components("ar1", record.estimate, nu, t_len)
+        npt.assert_allclose(record.sd, np.sqrt(j_total) / k_total, rtol=1e-12)
         # Table value 0.0117 at phi=0 with generous MC allowance (B=500)
         grads = hw_grad_samples("ar1", 0.0, nu, t_len, 500, seed=48)
-        mc_sd = np.sqrt(np.mean(grads**2)) / wishart_sensitivity("ar1", 0.0, t_len)
+        mc_sd = np.sqrt(np.mean(grads**2)) / wishart_components("ar1", 0.0, nu, t_len)[1]
         assert abs(mc_sd - 0.0117) < 0.0012
 
     def test_law_of_large_numbers(self):
@@ -221,11 +226,11 @@ class TestFit:
     def test_wishart_sd_is_exact(self):
         y = sample_ma1(params_for("ma1", 0.3), 60, 12, seed=65)
         record = fit(y, EstimatorKind.HYV_WISHART, "ma1")
-        comps = godambe_analytic("ma1", record.estimate, t_len=12, nu=60)
-        assert record.sd == comps.sd(60)
+        j_total, k_total = wishart_components("ma1", record.estimate, 60, 12)
+        npt.assert_allclose(record.sd, np.sqrt(j_total) / k_total, rtol=1e-12)
         # the Monte Carlo reference at many draws agrees to a few percent
         grads = hw_grad_samples("ma1", record.estimate, 60, 12, 8000, seed=66)
-        mc_sd = np.sqrt(np.mean(grads**2)) / wishart_sensitivity("ma1", record.estimate, 12)
+        mc_sd = np.sqrt(np.mean(grads**2)) / k_total
         assert abs(mc_sd / record.sd - 1.0) < 0.05
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
@@ -258,6 +263,16 @@ class TestFit:
         y = sample_series(model, 0.3, 20, 1, seed=69)
         with pytest.raises(ValueError, match=f">= {min_series_length(kind, model)}"):
             fit(y, kind, model)
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_zero_series_rejected(self, model, kind):
+        # with no series, full, MA(1) pairwise and hyv once returned the
+        # first grid seed as the estimate, without a boundary flag
+        assert sample_size_error(kind, model, 0, 50, compute_sd=False) == (
+            "every estimate needs nu >= 1 series; got nu=0")
+        with pytest.raises(ValueError, match="nu >= 1"):
+            fit(np.zeros((0, 50)), kind, model, compute_sd=False)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
@@ -345,9 +360,11 @@ class TestFit:
     @pytest.mark.parametrize("t_len", [3, 50])
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     def test_wishart_fit_is_the_wishart_estimate(self, model, t_len):
-        # the one minimize path of fit gives hw_estimate's estimate to the bit
+        # the one minimize path of fit gives the lone minimum of the Wishart
+        # score to the bit
         y = sample_series(model, 0.5, t_len + 9, t_len, seed=t_len)
-        estimate = hw_estimate(y, model)
+        ctx = wishart_context(sum_of_squares(y), nu=t_len + 9, model=model)
+        estimate = float(minimize_lanes(objective_lanes([ctx]), *SEARCH_BOUNDS).theta[0])
         assert fit(y, EstimatorKind.HYV_WISHART, model).estimate == estimate
         assert fit(SeriesReduction(y), EstimatorKind.HYV_WISHART, model).estimate == estimate
 
@@ -379,6 +396,26 @@ class TestFit:
         assert [records[0], records[2]] == [fit(r, "hyv-wishart", "ma1") for r in good]
         with pytest.raises(ValueError, match="one shape"):
             fit_lanes([good[0], SeriesReduction(np.ones((30, 9)))], "full", "ma1")
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    def test_degenerate_wishart_lane_fails_alone(self, monkeypatch, model):
+        # the Wishart sd takes the one degeneracy test of every kind: a lane
+        # whose J is zero gets DegenerateDataError, the others their records
+        import minscore.inference as inference
+
+        reductions = [SeriesReduction(sample_series(model, 0.3, 30, 10, seed))
+                      for seed in (1, 2, 3)]
+        before = fit_lanes(reductions, "hyv-wishart", model)
+        real = inference.wishart_components
+
+        def zero_j_at_second(m, lam, nu, t_len):
+            j, k = real(m, lam, nu, t_len)
+            return (0.0, k) if lam == before[1].estimate else (j, k)
+
+        monkeypatch.setattr(inference, "wishart_components", zero_j_at_second)
+        after = fit_lanes(reductions, "hyv-wishart", model)
+        assert isinstance(after[1], DegenerateDataError)
+        assert [after[0], after[2]] == [before[0], before[2]]
 
     def test_reduction_keeps_statistics_only(self):
         # a study drops the series once every family is computed; the fits

@@ -12,7 +12,6 @@ import numpy.testing as npt
 from minscore import (
     EstimatorKind,
     SeriesReduction,
-    hw_score,
     minimize_lanes,
     objective_lanes,
     params_for,
@@ -24,7 +23,7 @@ from minscore import (
 )
 from minscore.optimize import GRID_POINTS, MAX_STEPS, Lanes
 from minscore.scores import _order0_jets, _terms
-from minscore.wishart import SEARCH_BOUNDS
+from minscore.inference import SEARCH_BOUNDS
 
 
 def scalar_lanes(*functions):
@@ -276,7 +275,7 @@ class TestBatchedGrid:
     def test_wishart_score(self, model, t_len):
         y = sample_series(model, -0.6, t_len + 10, t_len, seed=t_len)
         ctx = wishart_context(sum_of_squares(y), nu=t_len + 10, model=model)
-        assert_batch_matches_pointwise(lambda lam: hw_score(ctx, lam), ORACLE_THETAS)
+        assert_batch_matches_pointwise(ctx.total, ORACLE_THETAS)
 
 
 class TestCachedGridJets:

@@ -30,7 +30,6 @@ from minscore import (
     sample_ma1,
     score_per_series,
     series_objective,
-    total_score,
 )
 from minscore.scores import min_series_length
 
@@ -318,18 +317,23 @@ class TestMa1BandedObjectives:
             assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
+def objective_total(series, kind, model, theta):
+    """Total empirical score: the objective summed over all series."""
+    return series_objective(series, kind, model).total(theta)
+
+
 class TestTotalScore:
     def test_single_series_sign_convention(self):
         rng = np.random.default_rng(17)
         y = rng.standard_normal(6)
         params = params_for("ar1", 0.4)
         npt.assert_allclose(
-            total_score(y, EstimatorKind.FULL_ML, "ar1", 0.4),
+            objective_total(y, EstimatorKind.FULL_ML, "ar1", 0.4),
             -ar1_full_loglik(y, params),
             rtol=1e-14,
         )
         npt.assert_allclose(
-            total_score(y, EstimatorKind.HYV_UNIVARIATE, "ar1", 0.4),
+            objective_total(y, EstimatorKind.HYV_UNIVARIATE, "ar1", 0.4),
             ar1_hyvarinen(y, params),
             rtol=1e-14,
         )
@@ -339,8 +343,8 @@ class TestTotalScore:
         y = rng.standard_normal(6)
         stacked = np.tile(y, (3, 1))
         for kind in (EstimatorKind.FULL_ML, EstimatorKind.PAIRWISE_ML, EstimatorKind.HYV_UNIVARIATE):
-            one = total_score(y, kind, "ma1", 0.3)
-            npt.assert_allclose(total_score(stacked, kind, "ma1", 0.3), 3.0 * one, rtol=1e-12)
+            one = objective_total(y, kind, "ma1", 0.3)
+            npt.assert_allclose(objective_total(stacked, kind, "ma1", 0.3), 3.0 * one, rtol=1e-12)
 
     def test_matches_row_loop(self):
         rng = np.random.default_rng(19)
@@ -348,11 +352,11 @@ class TestTotalScore:
         for model in ("ar1", "ma1"):
             for kind in (EstimatorKind.FULL_ML, EstimatorKind.PAIRWISE_ML, EstimatorKind.HYV_UNIVARIATE):
                 brute = sum(float(score_per_series(row, kind, model, 0.25)) for row in y)
-                npt.assert_allclose(total_score(y, kind, model, 0.25), brute, atol=1e-12)
+                npt.assert_allclose(objective_total(y, kind, model, 0.25), brute, atol=1e-12)
 
     def test_wishart_kind_rejected(self):
         with pytest.raises(ValueError):
-            total_score(np.zeros((3, 4)), EstimatorKind.HYV_WISHART, "ar1", 0.1)
+            objective_total(np.zeros((3, 4)), EstimatorKind.HYV_WISHART, "ar1", 0.1)
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     @pytest.mark.parametrize("kind", [EstimatorKind.FULL_ML, EstimatorKind.PAIRWISE_ML,
@@ -474,11 +478,12 @@ class TestSufficientStatistics:
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     @pytest.mark.parametrize("kind", PER_SERIES_KINDS)
     def test_total_matches_total_score(self, model, kind):
+        # the total score: the per-series objectives summed over the rows
         y = sample_ma1(Ma1Params(0, 1, -0.3), 6, 9, seed=4)
         objective = series_objective(y, kind, model)
         for theta in (-0.7, 0.2):
-            npt.assert_allclose(objective.total(theta), total_score(y, kind, model, theta),
-                                rtol=1e-13)
+            npt.assert_allclose(objective.total(theta),
+                                np.sum(score_per_series(y, kind, model, theta)), rtol=1e-13)
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     @pytest.mark.parametrize("kind", PER_SERIES_KINDS)

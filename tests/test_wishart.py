@@ -6,12 +6,10 @@ import pytest
 
 from minscore import (
     ar1_covariance,
-    godambe_analytic,
-    hw_estimate,
-    hw_grad,
+    fit,
     hw_grad_samples,
-    hw_score,
-    k_analytic_ar1,
+    minimize_lanes,
+    objective_lanes,
     params_for,
     precision_derivative,
     sample_ar1,
@@ -20,14 +18,23 @@ from minscore import (
     sum_of_squares,
     wishart_components,
     wishart_context,
-    wishart_sensitivity,
-    wishart_variability,
 )
+from minscore.inference import SEARCH_BOUNDS
 from minscore.wishart import _s_inverse, scale_precision
 
 
 def make_ctx(s, nu, model="ar1"):
     return wishart_context(np.asarray(s, dtype=float), nu=nu, model=model)
+
+
+def grad(ctx, lam):
+    """Exact derivative of the Wishart score in lam."""
+    return ctx.derivatives(lam)[0][0]
+
+
+def estimate(y, model):
+    """The Wishart estimate, as :func:`fit` finds it without its sd."""
+    return fit(y, "hyv-wishart", model, compute_sd=False).estimate
 
 
 class TestContext:
@@ -91,22 +98,25 @@ class TestScalarCalculus:
         npt.assert_allclose(best, 0.5, atol=1e-4)
 
     def test_library_score_agrees_via_ar1_map(self):
-        # for T = 1 the AR(1) map gives scale 1/(1-phi^2); hw_score must equal
-        # the hand formula evaluated at that scale
+        # for T = 1 the AR(1) map gives scale 1/(1-phi^2); the score must
+        # equal the hand formula evaluated at that scale
         ctx = make_ctx([[4.0]], nu=10)
         for phi in (-0.7, 0.0, 0.6):
             npt.assert_allclose(
-                hw_score(ctx, phi), self.hw_of_scale(1.0 / (1.0 - phi**2)), rtol=1e-12
+                ctx.total(phi), self.hw_of_scale(1.0 / (1.0 - phi**2)), rtol=1e-12
             )
 
     def test_t1_estimate_matches_closed_form(self):
         # with s = sum of squares > nu - 2 the fitted AR(1) scale entry
-        # 1/(1 - phi_hat^2) equals s / (nu - 2)
+        # 1/(1 - phi_hat^2) equals s / (nu - 2); fit needs T >= 2, so the
+        # score is minimized directly
         rng = np.random.default_rng(1)
         y = 1.5 * rng.standard_normal((10, 1))
         s = float(np.sum(y * y))
         assert s > 8.0
-        phi_hat = hw_estimate(y, "ar1")
+        found = minimize_lanes(objective_lanes([make_ctx([[s]], nu=10)]), *SEARCH_BOUNDS)
+        assert found.ok[0]
+        phi_hat = float(found.theta[0])
         npt.assert_allclose(1.0 / (1.0 - phi_hat**2), s / 8.0, rtol=1e-5)
 
     def test_t1_gradient_zero_at_stationary_point(self):
@@ -115,7 +125,7 @@ class TestScalarCalculus:
         s = float(np.sum(y * y))
         phi_star = np.sqrt(1.0 - 8.0 / s)
         ctx = make_ctx([[s]], nu=10)
-        assert abs(hw_grad(ctx, float(phi_star))) < 1e-8
+        assert abs(grad(ctx, float(phi_star))) < 1e-8
 
 
 class TestSignSymmetry:
@@ -128,7 +138,7 @@ class TestSignSymmetry:
         s = sum_of_squares(y)
         ctx = make_ctx(s, nu=12)
         for phi in (0.2, 0.5, 0.8):
-            npt.assert_allclose(hw_score(ctx, phi), hw_score(ctx, -phi), rtol=1e-12)
+            npt.assert_allclose(ctx.total(phi), ctx.total(-phi), rtol=1e-12)
 
 
 class TestGradient:
@@ -138,8 +148,8 @@ class TestGradient:
         y = rng.standard_normal((20, 5))
         ctx = make_ctx(sum_of_squares(y), nu=20)
         h = 1e-5
-        fd = (hw_score(ctx, phi + h) - hw_score(ctx, phi - h)) / (2 * h)
-        assert abs(hw_grad(ctx, phi) - fd) <= 1e-4 * max(1.0, abs(fd))
+        fd = (ctx.total(phi + h) - ctx.total(phi - h)) / (2 * h)
+        assert abs(grad(ctx, phi) - fd) <= 1e-4 * max(1.0, abs(fd))
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     @pytest.mark.parametrize("t_len", [3, 5, 10])
@@ -149,8 +159,8 @@ class TestGradient:
         y = rng.standard_normal((t_len + 8, t_len))
         ctx = make_ctx(sum_of_squares(y), nu=t_len + 8, model=model)
         h = 1e-6
-        fd = (hw_score(ctx, theta + h) - hw_score(ctx, theta - h)) / (2 * h)
-        assert abs(hw_grad(ctx, theta) - fd) <= 1e-4 * max(1.0, abs(fd))
+        fd = (ctx.total(theta + h) - ctx.total(theta - h)) / (2 * h)
+        assert abs(grad(ctx, theta) - fd) <= 1e-4 * max(1.0, abs(fd))
 
     def test_unbiased_at_truth(self):
         # Monte Carlo mean of the score gradient at the true parameter is zero
@@ -165,11 +175,17 @@ class TestGradient:
         assert abs(np.mean(grads)) < 5 * se
 
 
+def sensitivity(model, lam, t_len):
+    """The K of :func:`wishart_components`, at the fewest series it accepts."""
+    return wishart_components(model, lam, t_len + 4, t_len)[1]
+
+
 class TestSensitivity:
     def test_closed_form_values(self):
-        assert k_analytic_ar1(0.5, 50) == (49 + 24) / 2
+        # AR(1): K = (T - 1 + 2 phi^2 (T - 2)) / 2
+        assert sensitivity("ar1", 0.5, 50) == (49 + 24) / 2
         for t_len in (2, 5, 17):
-            assert k_analytic_ar1(0.0, t_len) == (t_len - 1) / 2
+            assert sensitivity("ar1", 0.0, t_len) == (t_len - 1) / 2
 
     @pytest.mark.parametrize("t_len", [2, 3, 10, 25, 50])
     @pytest.mark.parametrize("phi", [-0.9, -0.3, 0.0, 0.3, 0.9])
@@ -180,8 +196,7 @@ class TestSensitivity:
             for j in range(t_len):
                 brute += dprec[j, i] ** 2
         brute *= 0.25
-        assert abs(k_analytic_ar1(phi, t_len) - brute) < 1e-10
-        assert abs(wishart_sensitivity("ar1", phi, t_len) - brute) < 1e-10
+        assert abs(sensitivity("ar1", phi, t_len) - brute) < 1e-10
 
     def test_ma_derivative_matches_finite_difference_of_entries(self):
         # the numeric derivative is itself central-difference based; compare
@@ -194,12 +209,6 @@ class TestSensitivity:
         ) / (2 * h)
         npt.assert_allclose(dprec, wide, atol=1e-6)
 
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            k_analytic_ar1(1.0, 10)
-        with pytest.raises(ValueError):
-            k_analytic_ar1(0.5, 1)
-
 
 class TestVariability:
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
@@ -210,7 +219,7 @@ class TestVariability:
         nu, t_len = 40, 10
         g2 = hw_grad_samples(model, theta, nu=nu, t_len=t_len, n_draws=4000, seed=70) ** 2
         se = np.std(g2, ddof=1) / np.sqrt(len(g2))
-        exact = wishart_variability(model, theta, nu, t_len)
+        exact = wishart_components(model, theta, nu, t_len)[0]
         assert abs(np.mean(g2) - exact) <= 4 * se, (np.mean(g2), exact, se)
 
     @pytest.mark.parametrize("nu", [5, 8, 30])
@@ -221,7 +230,7 @@ class TestVariability:
         # D = -2 phi and c = (nu-2)/2, giving phi^2 psi^2 / (2 (nu-4))
         psi = 1.0 - phi**2
         expected = phi**2 * psi**2 / (2.0 * (nu - 4))
-        npt.assert_allclose(wishart_variability("ar1", phi, nu, 1), expected, rtol=1e-12)
+        npt.assert_allclose(wishart_components("ar1", phi, nu, 1)[0], expected, rtol=1e-12)
 
     @pytest.mark.parametrize("t_len", [1, 2, 50])
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
@@ -229,15 +238,30 @@ class TestVariability:
         import minscore.wishart as wishart
 
         j, k = wishart_components(model, 0.6, t_len + 6, t_len)
-        assert j == wishart_variability(model, 0.6, t_len + 6, t_len)
-        assert k == wishart_sensitivity(model, 0.6, t_len)
         calls = []
         real = wishart._derivative_traces
         monkeypatch.setattr(wishart, "_derivative_traces",
                             lambda *args: calls.append(args) or real(*args))
-        comps = godambe_analytic(model, 0.6, t_len=t_len, nu=t_len + 6)
-        assert (comps.j_hat, comps.k_hat) == ((t_len + 6) * j, k)
+        assert wishart_components(model, 0.6, t_len + 6, t_len) == (j, k)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("t_len", [2, 50])
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    def test_fit_sd_is_sqrt_j_over_k(self, monkeypatch, model, t_len):
+        # a Wishart fit's sd is sqrt(J) / K of the pooled score, with both
+        # read from one computation of the traces
+        import minscore.wishart as wishart
+
+        nu = t_len + 6
+        y = sample_series(model, 0.6, nu, t_len, seed=t_len)
+        calls = []
+        real = wishart._derivative_traces
+        monkeypatch.setattr(wishart, "_derivative_traces",
+                            lambda *args: calls.append(args) or real(*args))
+        record = fit(y, "hyv-wishart", model)
+        assert len(calls) == 1
+        j, k = wishart_components(model, record.estimate, nu, t_len)
+        npt.assert_allclose(record.sd, np.sqrt(j) / k, rtol=1e-12)
 
     @pytest.mark.parametrize("t_len", [1, 2, 3, 50, 201])
     def test_ar1_traces_closed_form(self, t_len):
@@ -253,9 +277,9 @@ class TestVariability:
                                 rtol=1e-13, atol=1e-13)
 
     def test_needs_four_extra_dof(self):
-        assert wishart_variability("ar1", 0.3, 14, 10) > 0
+        assert wishart_components("ar1", 0.3, 14, 10)[0] > 0
         with pytest.raises(ValueError, match=r"nu >= T \+ 4"):
-            wishart_variability("ar1", 0.3, 13, 10)
+            wishart_components("ar1", 0.3, 13, 10)
 
 
 class TestEstimate:
@@ -263,21 +287,21 @@ class TestEstimate:
         y = sample_ar1(params_for("ar1", 0.5), 200, 50, seed=8)
         ctx = make_ctx(sum_of_squares(y), nu=200)
         grid = np.arange(-0.99, 0.99, 0.001)
-        vals = [hw_score(ctx, p) for p in grid]
+        vals = [ctx.total(p) for p in grid]
         best = grid[int(np.argmin(vals))]
         assert abs(best - 0.5) < 0.03
         # the bounded minimizer lands on the same optimum
-        assert abs(hw_estimate(y, "ar1") - best) < 1e-3
+        assert abs(estimate(y, "ar1") - best) < 1e-3
 
     def test_row_permutation_invariance(self):
         y = sample_ma1(params_for("ma1", 0.4), 30, 8, seed=9)
         shuffled = y[np.random.default_rng(10).permutation(30)]
-        npt.assert_allclose(hw_estimate(y, "ma1"), hw_estimate(shuffled, "ma1"), atol=1e-9)
+        npt.assert_allclose(estimate(y, "ma1"), estimate(shuffled, "ma1"), atol=1e-9)
 
     def test_refuses_small_nu(self):
         y = sample_ar1(params_for("ar1", 0.2), 8, 7, seed=11)
         with pytest.raises(ValueError):
-            hw_estimate(y, "ar1")
+            estimate(y, "ar1")
 
     def test_ar_mean_estimate_at_09(self):
         # mean over 200 replicates within 0.01 of 0.9
@@ -285,7 +309,7 @@ class TestEstimate:
         for rep in range(200):
             seed = np.random.SeedSequence(entropy=12, spawn_key=(rep,))
             y = sample_ar1(params_for("ar1", 0.9), 200, 50, seed)
-            estimates.append(hw_estimate(y, "ar1"))
+            estimates.append(estimate(y, "ar1"))
         assert abs(np.mean(estimates) - 0.9) < 0.01
 
     def test_ma_mean_estimate_at_zero(self):
@@ -293,7 +317,7 @@ class TestEstimate:
         for rep in range(200):
             seed = np.random.SeedSequence(entropy=13, spawn_key=(rep,))
             y = sample_ma1(params_for("ma1", 0.0), 200, 50, seed)
-            estimates.append(hw_estimate(y, "ma1"))
+            estimates.append(estimate(y, "ma1"))
         assert abs(np.mean(estimates)) < 0.005
 
 
@@ -336,9 +360,9 @@ class TestDenseForms:
         a, b = np.trace(d_psi), np.trace(d_psi @ d_psi)
         c, m = 0.5 * (nu - t_len - 1), nu - t_len
         j = c * c / 4 * (2 * a * a + 2 * (m - 1) * b) / (m * (m - 1) ** 2 * (m - 3))
-        npt.assert_allclose(wishart_variability(model, theta, nu, t_len), j, rtol=1e-12)
-        npt.assert_allclose(wishart_sensitivity(model, theta, t_len), 0.25 * np.sum(d * d),
-                            rtol=1e-12, atol=1e-15)
+        got_j, got_k = wishart_components(model, theta, nu, t_len)
+        npt.assert_allclose(got_j, j, rtol=1e-12)
+        npt.assert_allclose(got_k, 0.25 * np.sum(d * d), rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     @pytest.mark.parametrize("t_len", [1, 2, 3, 10])
@@ -351,9 +375,9 @@ class TestDenseForms:
         for lam in (-0.95, -0.3, 0.0, 0.63, 0.95):
             resid = c * s_inv - 0.5 * scale_precision(model, lam, t_len)
             dense = 0.5 * np.sum(resid * resid) - c * np.sum(np.diag(s_inv) ** 2)
-            npt.assert_allclose(hw_score(ctx, lam), dense, rtol=1e-12, atol=1e-12)
+            npt.assert_allclose(ctx.total(lam), dense, rtol=1e-12, atol=1e-12)
             dense_grad = -0.5 * np.sum(resid * dense_precision_derivative(model, lam, t_len))
-            npt.assert_allclose(hw_grad(ctx, lam), dense_grad, rtol=1e-12, atol=1e-12)
+            npt.assert_allclose(grad(ctx, lam), dense_grad, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     def test_score_reads_only_the_statistics(self, model):
@@ -363,7 +387,7 @@ class TestDenseForms:
         ctx = make_ctx(sum_of_squares(y), nu=20, model=model)
         for value in vars(ctx).values():
             assert np.size(value) <= 6 and np.size(getattr(value, "base", None)) <= 6
-        assert np.isfinite(hw_score(ctx, 0.4)) and np.isfinite(hw_grad(ctx, 0.4))
+        assert np.isfinite(ctx.total(0.4)) and np.isfinite(grad(ctx, 0.4))
 
 
 def gauss_jordan_inverse(s):
