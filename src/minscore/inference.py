@@ -28,7 +28,7 @@ from .scores import (
     DegenerateDataError,
     EstimatorKind,
     SeriesObjective,
-    _series_stats,
+    _terms,
     ar1_pairwise_closed_form,
     min_series_length,
     objective_lanes,
@@ -147,15 +147,14 @@ class SeriesReduction:
 
 
 def retained_floats(kinds, model: str, nu: int, t_len: int) -> int:
-    """Floats of statistics that a :class:`SeriesReduction` of ``nu`` series
-    of length ``t_len`` keeps for ``kinds`` after dropping its series."""
+    """Floats that a :class:`SeriesReduction` of ``nu`` series of length
+    ``t_len`` keeps for ``kinds`` after dropping its series, closed form included."""
     model = canonical_model(model)
-    total = 0
-    for family in {_SHARED_STATS.get((model, k), k) for k in map(EstimatorKind, kinds)}:
-        if family is EstimatorKind.HYV_WISHART:
-            total += t_len  # one row of S^{-1} statistics, at most T wide
-        else:
-            total += (nu + 1) * _series_stats(np.zeros(t_len), family, model).size
+    kinds = set(map(EstimatorKind, kinds))
+    total = sum(_closed_form(k, model) for k in kinds)
+    for family in {_SHARED_STATS.get((model, k), k) for k in kinds}:
+        width = _terms(family, model, t_len, 0.0)[0].shape[-1]
+        total += width if family is EstimatorKind.HYV_WISHART else (nu + 1) * width
     return total
 
 

@@ -6,14 +6,15 @@ symmetric as stored.  Samplers are pure functions of ``(params, seed)`` so
 replicate-level parallelism is reproducible.
 
 Every MA(1) covariance of length T is tridiagonal Toeplitz, so one fixed
-orthogonal basis, the DST-I sine basis (:func:`ma1_sine_transform`),
-diagonalizes all of them; only the eigenvalues (:func:`ma1_eigenvalues`)
-depend on alpha.  The objectives built on these carry their parameter
-dependence as *jets*: arrays whose leading axis holds a value and its first
-and second derivatives in the dependence parameter, combined by the private
-``_jet_*`` helpers here, so the estimators get exact derivatives without
-finite differences.  The jets of an array of parameter values carry its
-shape after that leading axis, so one call covers a whole grid.
+orthogonal basis, the DST-I sine basis, diagonalizes all of them; only the
+eigenvalues (:func:`ma1_eigenvalues`) depend on alpha.  Data are rotated into
+it (:func:`ma1_sine_transform`) by a cached T x T matrix when they hold at
+least T^2 floats, and by an FFT otherwise.  The objectives built on these
+carry their parameter dependence as *jets*: arrays whose leading axis holds
+a value and its first and second derivatives in the dependence parameter,
+combined by the private ``_jet_*`` helpers here, so the estimators get exact
+derivatives without finite differences.  The jets of an array of parameter
+values carry its shape after that leading axis, so one call covers a grid.
 """
 
 from __future__ import annotations
@@ -174,17 +175,30 @@ def _half_angle_sin2(t_len: int) -> np.ndarray:
     return s2
 
 
+@functools.lru_cache(maxsize=4)
+def _sine_basis(t_len: int) -> np.ndarray:
+    # U of ma1_sine_transform, read-only as every caller shares it
+    k = np.arange(1, t_len + 1)
+    jk = np.outer(k, k) % (2 * t_len + 2)  # exact, which keeps U orthogonal to rounding
+    u = np.sqrt(2.0 / (t_len + 1)) * np.sin(jk * (np.pi / (t_len + 1)))
+    u.flags.writeable = False
+    return u
+
+
 def ma1_sine_transform(x, axis: int = -1) -> np.ndarray:
     """Orthonormal DST-I of ``x`` along ``axis``: ``x @ U`` for a length-T axis,
     with ``U[j, k] = sqrt(2/(T+1)) sin(jk pi/(T+1))``, j, k = 1..T.
 
     ``U`` is symmetric and orthogonal and diagonalizes every MA(1) covariance
     of length T: ``Omega = U diag(lambda) U`` with ``lambda`` from
-    :func:`ma1_eigenvalues`.  Computed from the FFT of the odd extension of
-    length 2(T+1), so it costs O(T log T) per row and never forms ``U``.
+    :func:`ma1_eigenvalues`.  Input of at least T^2 floats is multiplied by a
+    cached ``U``, never larger than it; smaller input (one series, fewer than
+    T series) takes the FFT of the odd extension, O(T log T) per row.
     """
     x = np.moveaxis(np.asarray(x, dtype=float), axis, -1)
     t_len = _check_t(x.shape[-1], 1)
+    if x.size >= t_len * t_len:
+        return np.moveaxis(x @ _sine_basis(t_len), -1, axis)
     odd = np.zeros(x.shape[:-1] + (2 * (t_len + 1),))
     odd[..., 1 : t_len + 1] = x
     odd[..., t_len + 2 :] = -x[..., ::-1]

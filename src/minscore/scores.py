@@ -18,7 +18,8 @@ orientation is ``stats @ coef(theta) + const(theta)``:
 - MA(1) pairwise: three lag sums (all squares, interior squares and lag-1
   products); the coefficients are ratios of polynomials in alpha.
 - MA(1) full and ``hyv``: the squared coordinates ``z = y U`` of each series
-  in the DST-I basis that diagonalizes every MA(1) covariance
+  in the DST-I basis that diagonalizes every MA(1) covariance, one product
+  with a cached U for nu >= T series, else an FFT per series
   (:func:`~minscore.models.ma1_sine_transform`); with eigenvalues ``lambda``,
   full is ``0.5 * sum(z^2/lambda + log lambda)`` and ``hyv`` is
   ``0.5 * sum(z^2/lambda^2) - sum(1/lambda)``, O(T) per series and theta.

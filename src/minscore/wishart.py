@@ -64,7 +64,7 @@ def wishart_context(s, nu: int, model: str) -> SeriesObjective:
         raise ValueError(f"S must be a square matrix, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError("sum-of-squares matrix contains non-finite values (NaN or inf)")
-    s_inv = _s_inverse(s)
+    l_inv, s_inv = _inverses(s)
     nu, t_len, model = int(nu), s.shape[0], canonical_model(model)
     if nu < t_len + 2:
         raise ValueError(f"Wishart score needs nu >= T + 2; got nu={nu}, T={t_len}")
@@ -72,7 +72,8 @@ def wishart_context(s, nu: int, model: str) -> SeriesObjective:
     offset = 0.5 * c * c * np.sum(s_inv**2) - c * np.sum(np.diag(s_inv) ** 2)
     # the statistics of S^{-1} with <S^{-1}, P(lam)> = stats @ coef(lam)
     if model == "ma1":
-        stats = np.diagonal(_rotate_both(s_inv)).copy()
+        # diag(U S^{-1} U) = diag((L^{-1} U)' (L^{-1} U)), one rotation of L^{-1}
+        stats = np.sum(ma1_sine_transform(l_inv) ** 2, axis=0)
     else:
         # interior = trace - both ends, so -s^{11} at T = 1, where P = 1 - lam^2
         diag = np.diag(s_inv)
@@ -81,14 +82,18 @@ def wishart_context(s, nu: int, model: str) -> SeriesObjective:
                            offset=float(offset), scale=-0.5 * c)
 
 
-def _s_inverse(s: np.ndarray) -> np.ndarray:
-    # S^{-1} = L^{-T} L^{-1} from the Cholesky factor S = L L', symmetrized
+def _inverses(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # L^{-1} of the Cholesky factor S = L L', and S^{-1} = L^{-T} L^{-1} symmetrized
     try:
         l_inv = np.linalg.inv(np.linalg.cholesky(s))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular sum-of-squares matrix: {exc}") from exc
     s_inv = l_inv.T @ l_inv
-    return 0.5 * (s_inv + s_inv.T)
+    return l_inv, 0.5 * (s_inv + s_inv.T)
+
+
+def _s_inverse(s: np.ndarray) -> np.ndarray:
+    return _inverses(s)[1]
 
 
 def scale_precision(model: str, lam: float, t_len: int) -> np.ndarray:
@@ -125,12 +130,8 @@ def precision_derivative(model: str, lam: float, t_len: int) -> np.ndarray:
         inner = np.arange(1, t_len - 1)
         deriv[inner, inner] = 2.0 * lam
         return deriv
-    return _rotate_both(np.diag(_jet_power(ma1_eigenvalues(lam, t_len, 1), -1)[1]))
-
-
-def _rotate_both(m: np.ndarray) -> np.ndarray:
-    # U M U, with U the DST-I basis of ma1_sine_transform
-    return ma1_sine_transform(ma1_sine_transform(m, axis=0), axis=1)
+    d = np.diag(_jet_power(ma1_eigenvalues(lam, t_len, 1), -1)[1])
+    return ma1_sine_transform(ma1_sine_transform(d, axis=0), axis=1)  # U d U
 
 
 def _derivative_traces(model: str, lam: float, t_len: int) -> tuple[float, float, float]:

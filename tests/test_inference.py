@@ -28,7 +28,7 @@ from minscore import (
     wishart_components,
     wishart_context,
 )
-from minscore.inference import SEARCH_BOUNDS
+from minscore.inference import SEARCH_BOUNDS, retained_floats
 from minscore.scores import min_series_length, series_objective
 
 
@@ -433,6 +433,28 @@ class TestFit:
         assert singular.series is not None
         with pytest.raises(ValueError, match="singular"):
             fit(singular, EstimatorKind.HYV_WISHART, "ar1")
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    def test_retained_floats_are_the_kept_statistics(self, model):
+        # the block size of a study rests on this count: every float a
+        # reduction keeps after dropping its series, each buffer once
+        nu, t_len = 16, 9
+        y = sample_series(model, 0.3, nu, t_len, seed=75)
+        for mask in range(1, 16):
+            kinds = [k for i, k in enumerate(EstimatorKind) if mask >> i & 1]
+            reduction = SeriesReduction(y)
+            reduction.keep_statistics(kinds, model)
+            assert reduction.series is None
+            buffers, floats = {}, 0
+            for kept in reduction._families.values():
+                if isinstance(kept, float):  # the AR(1) pairwise closed form
+                    floats += 1
+                    continue
+                for array in (kept.stats, kept.pooled):
+                    while array.base is not None:
+                        array = array.base
+                    buffers[id(array)] = array.size
+            assert retained_floats(kinds, model, nu, t_len) == floats + sum(buffers.values())
 
     def test_reduction_checks_values_once(self):
         y = sample_series("ma1", 0.3, 30, 10, seed=73)

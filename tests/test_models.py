@@ -244,6 +244,52 @@ class TestMa1Spectrum:
         npt.assert_allclose(ma1_sine_transform(x.T, axis=0), (x @ u).T, atol=1e-13)
         npt.assert_allclose(ma1_sine_transform(x[0]), x[0] @ u, atol=1e-13)
 
+    @pytest.mark.parametrize("t_len", [3, 8, 50, 201])
+    @pytest.mark.parametrize("shape,dense", [
+        (lambda t: (t - 1, t), False),
+        (lambda t: (t, t), True),
+        (lambda t: (t,), False),
+        (lambda t: (2, (t + 1) // 2, t), True),
+        (lambda t: (2, (t - 1) // 2, t), False),
+    ], ids=["T-1 rows", "T rows", "one series", "3-D at T^2", "3-D below T^2"])
+    def test_size_rule(self, monkeypatch, t_len, shape, dense):
+        # the basis is used exactly when x holds at least T^2 floats, along
+        # either axis; both sides are the dense basis to rounding
+        import minscore.models as models
+
+        built = []
+        real_basis = models._sine_basis
+
+        def basis(t):
+            built.append(t)
+            return real_basis(t)
+
+        monkeypatch.setattr(models, "_sine_basis", basis)
+        x = np.random.default_rng(t_len).standard_normal(shape(t_len))
+        u = self.dense_basis(t_len)
+        npt.assert_allclose(ma1_sine_transform(x), x @ u, atol=1e-13)
+        npt.assert_allclose(ma1_sine_transform(np.moveaxis(x, -1, 0), axis=0),
+                            np.moveaxis(x @ u, -1, 0), atol=1e-13)
+        assert built == ([t_len] * 2 if dense else [])
+
+    @pytest.mark.parametrize("t_len", [2, 7, 50, 201])
+    def test_dense_and_fft_sides_agree(self, t_len):
+        # one (T, T) matrix takes the basis, each of its rows alone the FFT
+        x = np.random.default_rng(t_len + 1).standard_normal((t_len, t_len))
+        by_rows = np.array([ma1_sine_transform(row) for row in x])
+        npt.assert_allclose(ma1_sine_transform(x), by_rows, atol=1e-13)
+
+    def test_basis_cache_is_bounded_and_read_only(self):
+        import minscore.models as models
+
+        u = models._sine_basis(201)
+        assert not u.flags.writeable
+        assert models._sine_basis.cache_info().maxsize is not None
+        npt.assert_array_equal(u, u.T)
+        # with the sine arguments reduced mod 2(T+1) in integers, U is
+        # orthogonal to 7e-16 at T = 201; unreduced, it is off by 1e-14
+        npt.assert_allclose(u @ u, np.eye(201), atol=2e-15)
+
     @pytest.mark.parametrize("t_len", [1, 2, 7, 50])
     @pytest.mark.parametrize("alpha", [-0.999, -0.5, 0.0, 0.63, 0.999])
     def test_basis_diagonalizes_the_covariance(self, t_len, alpha):

@@ -1,7 +1,11 @@
 """CSV schema, SVG chart structure, and run_experiment aggregation."""
 
 import csv
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +206,27 @@ class TestRunExperiment:
         [records] = sim._fit_block(cfg, sim._fit_kinds(cfg), [reduction])
         assert set(records) == set(map(EstimatorKind, kinds))
         assert calls == reductions
+
+    @pytest.mark.parametrize("nu,estimators,loaded", [
+        (12, "full,pairwise,hyv,hyv-wishart", False),  # nu >= T: the cached basis
+        (6, "full,pairwise,hyv", True),  # nu < T: the FFT
+    ])
+    def test_fft_is_loaded_only_below_the_basis_size(self, nu, estimators, loaded):
+        # numpy loads numpy.fft on first use; a study whose series hold at
+        # least T^2 floats rotates them by the basis and never pays for it
+        code = (
+            "import sys, minscore\n"
+            f"cfg = minscore.ExperimentConfig(model='ma1', param_grid=(0.4,), nu={nu}, "
+            f"t_len=8, replicates=2, mc_b=50, seed=3, estimators='{estimators}'.split(','))\n"
+            "minscore.run_experiment(cfg)\n"
+            "print('numpy.fft' in sys.modules)\n"
+        )
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(loaded)]
 
     def test_one_thread_pool_per_study(self, monkeypatch):
         import minscore.simulate as sim
