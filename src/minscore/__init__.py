@@ -27,16 +27,9 @@ from .optimize import MinimizationError, minimize_lanes
 from .scores import (
     DegenerateDataError,
     EstimatorKind,
-    ar1_full_loglik,
-    ar1_hyvarinen,
     ar1_pairwise_closed_form,
-    ar1_pairwise_loglik,
     gaussian_hyvarinen,
-    ma1_full_loglik,
-    ma1_hyvarinen,
-    ma1_pairwise_loglik,
     objective_lanes,
-    score_per_series,
     series_objective,
 )
 from .wishart import (
@@ -47,13 +40,11 @@ from .wishart import (
 )
 from .inference import (
     EstimateRecord,
-    GodambeComponents,
     SeriesReduction,
     are,
     check_sample_size,
     fit,
     fit_lanes,
-    godambe_empirical,
     sample_size_error,
 )
 from .simulate import ConfigError, ExperimentConfig, ReportRow, run_experiment
@@ -79,29 +70,20 @@ __all__ = [
     "minimize_lanes",
     "DegenerateDataError",
     "EstimatorKind",
-    "ar1_full_loglik",
-    "ar1_hyvarinen",
     "ar1_pairwise_closed_form",
-    "ar1_pairwise_loglik",
     "gaussian_hyvarinen",
-    "ma1_full_loglik",
-    "ma1_hyvarinen",
-    "ma1_pairwise_loglik",
     "objective_lanes",
-    "score_per_series",
     "series_objective",
     "hw_grad_samples",
     "precision_derivative",
     "wishart_components",
     "wishart_context",
     "EstimateRecord",
-    "GodambeComponents",
     "SeriesReduction",
     "are",
     "check_sample_size",
     "fit",
     "fit_lanes",
-    "godambe_empirical",
     "sample_size_error",
     "ConfigError",
     "ExperimentConfig",

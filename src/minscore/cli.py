@@ -161,8 +161,8 @@ def _table_config(args) -> tuple[ExperimentConfig, str, str | None, int]:
         replicates=pick(args.replicates, "replicates", int, 200),
         mc_b=pick(args.mc_b, "mc_b", int, 500),
         seed=pick(args.seed, "seed", int, 0),
-        estimators=_parse_estimators(estimators_text) if estimators_text else
-        tuple(EstimatorKind),
+        estimators=tuple(EstimatorKind) if estimators_text is None else
+        _parse_estimators(estimators_text),
     )
     out = pick(args.out, "out", str, None)
     svg = pick(args.svg, "svg", str, None)

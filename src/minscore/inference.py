@@ -6,12 +6,12 @@ Godambe information G = K^2 / J, and the estimator's asymptotic standard
 deviation is 1 / sqrt(nu * G).
 
 Every estimator has one sd route.  The per-series kinds estimate J and K
-from the observed series (:func:`godambe_empirical`), using the exact
-per-series gradients and second derivatives of their objectives; a fit reads
-them from the jets its minimization ends on.  The Wishart estimator's score
-acts on the pooled statistic S = Y'Y rather than series by series; its J and
-K are exact in closed form (:func:`~minscore.wishart.wishart_components`),
-and J is rescaled by nu so the one sd formula applies to all four kinds.
+from the observed series, using the exact per-series gradients and second
+derivatives of their objectives, which a fit reads from the jets its
+minimization ends on.  The Wishart estimator's score acts on the pooled
+statistic S = Y'Y rather than series by series; its J and K are exact in
+closed form (:func:`~minscore.wishart.wishart_components`), and J is
+rescaled by nu so the one sd formula applies to all four kinds.
 """
 
 from __future__ import annotations
@@ -37,10 +37,8 @@ from .scores import (
 from .wishart import wishart_components, wishart_context
 
 __all__ = [
-    "GodambeComponents",
     "EstimateRecord",
     "SeriesReduction",
-    "godambe_empirical",
     "are",
     "check_sample_size",
     "sample_size_error",
@@ -56,20 +54,6 @@ _DEGENERATE_RATIO = 1e-8
 _DEGENERATE = "score variability is numerically zero; data carry no sampling variance"
 # an estimate this close to a search bound is flagged as a boundary hit
 _EDGE_MARGIN = 4e-6
-
-
-@dataclass(frozen=True)
-class GodambeComponents:
-    """Scalar variability (j_hat), sensitivity (k_hat) and Godambe information
-    (g_hat = k_hat^2 / j_hat), all per series."""
-
-    j_hat: float
-    k_hat: float
-    g_hat: float
-
-    def sd(self, nu: int) -> float:
-        """Asymptotic standard deviation for nu independent series."""
-        return 1.0 / np.sqrt(nu * self.g_hat)
 
 
 @dataclass(frozen=True)
@@ -160,39 +144,6 @@ def retained_floats(kinds, model: str, nu: int, t_len: int) -> int:
 
 def _closed_form(kind: EstimatorKind, model: str) -> bool:
     return kind is EstimatorKind.PAIRWISE_ML and model == "ar1"
-
-
-def godambe_empirical(
-    series, kind: EstimatorKind, model: str, theta_hat: float
-) -> GodambeComponents:
-    """Empirical J and K: per-series squared gradients and second derivatives
-    of the objective, averaged over the observed series at theta_hat.
-
-    ``series`` is a (nu, T) matrix or its :class:`~minscore.scores.SeriesObjective`
-    for this kind and model, so a fit that already reduced its series does
-    not reduce them again.  Both derivatives are exact, from the series'
-    sufficient statistics.
-    """
-    kind = EstimatorKind(kind)
-    model = canonical_model(model)
-    if kind is EstimatorKind.HYV_WISHART:
-        raise ValueError("empirical per-series estimation does not apply to the Wishart score")
-    if isinstance(series, SeriesObjective):
-        if (series.kind, series.model) != (kind, model):
-            raise ValueError(
-                f"objective is for {series.kind} on {series.model}, not {kind} on {model}"
-            )
-        objective = series
-    else:
-        objective = series_objective(np.atleast_2d(series), kind, model)
-    if len(objective.stats) < 2:
-        raise ValueError(f"need at least 2 series, got {len(objective.stats)}")
-    g, h = objective.derivatives(theta_hat)
-    j_hat, k_hat = np.mean(g * g), np.mean(h)
-    if not _usable(j_hat, k_hat):
-        raise DegenerateDataError(_DEGENERATE)
-    return GodambeComponents(j_hat=float(j_hat), k_hat=float(k_hat),
-                             g_hat=float(k_hat * k_hat / j_hat))
 
 
 def _usable(j_hat, k_hat):

@@ -300,6 +300,8 @@ def _jet_log(x: np.ndarray) -> np.ndarray:
 def _generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
 
 

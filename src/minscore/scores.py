@@ -1,9 +1,8 @@
 """Objective functions for the four estimators.
 
-Log-likelihoods (full and consecutive-pairwise) are returned in their natural
-orientation (higher is better); Hyvarinen scores are losses (lower is better).
-:func:`score_per_series` puts the three per-series kinds on a common
-minimization footing by negating the log-likelihoods.
+Every objective has mean 0 and unit innovation variance known and is a loss
+(lower is better): the full and consecutive-pairwise kinds are negated
+log-likelihoods, the other two Hyvarinen scores.
 
 Every objective is a Gaussian quadratic form in the data, so the data enter
 only through a few sufficient statistics, and the value in minimization
@@ -36,10 +35,10 @@ cached.  Every small contraction in the jets is a product summed along one
 axis (:func:`_contract`), so a theta's jets carry the same bits whatever the
 shape of the array it comes in.
 
-Every evaluator accepts a single series of shape (T,) or a stack of series of
-shape (nu, T) and broadcasts over the leading axis.  Additive constants are
-dropped exactly where the closed-form displays drop them, so objective values
-are comparable within one estimator but not across estimators.
+:func:`series_objective` accepts a single series of shape (T,) or a stack of
+series of shape (nu, T).  The log-likelihoods drop their ``log(2 pi)`` terms,
+so objective values are comparable within one estimator but not across
+estimators.
 """
 
 from __future__ import annotations
@@ -51,8 +50,6 @@ from enum import Enum
 import numpy as np
 
 from .models import (
-    Ar1Params,
-    Ma1Params,
     _jet_log,
     _jet_power,
     _jet_product,
@@ -60,7 +57,6 @@ from .models import (
     canonical_model,
     ma1_eigenvalues,
     ma1_sine_transform,
-    params_for,
 )
 from .optimize import GRID_POINTS, Lanes
 
@@ -68,15 +64,8 @@ __all__ = [
     "EstimatorKind",
     "DegenerateDataError",
     "SeriesObjective",
-    "ar1_full_loglik",
-    "ar1_pairwise_loglik",
     "ar1_pairwise_closed_form",
-    "ar1_hyvarinen",
     "gaussian_hyvarinen",
-    "ma1_full_loglik",
-    "ma1_pairwise_loglik",
-    "ma1_hyvarinen",
-    "score_per_series",
     "series_objective",
     "objective_lanes",
     "min_series_length",
@@ -132,7 +121,7 @@ _MA1_PAIR_DET = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
 # u, columns = the statistics of _ar1_sums for s = +1, then for s = -1.  Full
 # is half of P + 2 u Q + u^2 R + u (2 - u) D and pairwise half of
 # P + 2 u Q + 2 u R; hyv is half of u^4 A - 2 u^2 (1-u) B + (1-u)^2 C + u^2 E
-# + 2 u (1-u) F + (1-u)^2 G, the residual sum ||P y||^2 (see ar1_hyvarinen).
+# + 2 u (1-u) F + (1-u)^2 G, the residual sum ||P y||^2 of gaussian_hyvarinen.
 _AR1_HALF_COEF = {
     EstimatorKind.FULL_ML: 0.5 * np.array(
         [[1, 0, 0, 0], [0, 2, 0, 2], [0, 0, 1, -1], [0] * 4, [0] * 4]),
@@ -347,35 +336,6 @@ def objective_lanes(objectives) -> Lanes:
     )
 
 
-def _evaluate(y, params, model: str, kind: EstimatorKind):
-    # objective of series y under params, minimization orientation; sigma2
-    # rescales the statistics and adds the log-determinant of the scale
-    y = np.asarray(y, dtype=float)
-    theta = params.phi if model == "ar1" else params.alpha
-    stats = _series_stats(y - params.mu, kind, model) / params.sigma2
-    coef, const = _terms(kind, model, y.shape[-1], theta)
-    value = stats @ coef[0] + const[0]
-    if kind is EstimatorKind.HYV_UNIVARIATE:
-        return value / params.sigma2
-    dims = y.shape[-1] if kind is EstimatorKind.FULL_ML else 2 * (y.shape[-1] - 1)
-    return value + 0.5 * dims * np.log(params.sigma2)
-
-
-def ar1_full_loglik(y, params: Ar1Params):
-    """Exact stationary AR(1) log-likelihood (additive constants dropped):
-    ``-(q0 + phi^2 q_int - 2 phi c1) / (2 sigma2) - T/2 log sigma2
-    + 0.5 log(1 - phi^2)`` with the lag sums q0 (all squares), q_int (interior
-    squares) and c1 (lag-1 products) of ``y - mu``, evaluated from sums over
-    its first differences (see the module docstring)."""
-    return -_evaluate(y, params, "ar1", EstimatorKind.FULL_ML)
-
-
-def ar1_pairwise_loglik(y, params: Ar1Params):
-    """Consecutive pairwise AR(1) log-likelihood: sum of the T-1 bivariate
-    Gaussian log-densities of adjacent pairs (constants dropped)."""
-    return -_evaluate(y, params, "ar1", EstimatorKind.PAIRWISE_ML)
-
-
 def ar1_pairwise_closed_form(series) -> tuple[float, float]:
     """Closed-form pairwise estimates (phi_hat, sigma2_hat) with mu = 0 known.
 
@@ -414,58 +374,3 @@ def gaussian_hyvarinen(y, precision, mu: float = 0.0):
         )
     r = (y - mu) @ prec
     return 0.5 * np.sum(r * r, axis=-1) - np.trace(prec)
-
-
-def ar1_hyvarinen(y, params: Ar1Params):
-    """Closed-form AR(1) Hyvarinen score.
-
-    Equals :func:`gaussian_hyvarinen` with the tridiagonal AR(1) precision:
-    interior residuals ``(1+phi^2) d_t - phi (d_{t-1} + d_{t+1})`` and boundary
-    residuals ``d_1 - phi d_2`` and ``d_T - phi d_{T-1}``, each squared over
-    ``2 sigma2^2``, minus ``(2 + (T-2)(1+phi^2)) / sigma2``; the squares are
-    expanded into a degree-4 polynomial in ``1 - |phi|`` of the sums of
-    squares and products of ``d`` and its second differences.
-    """
-    return _evaluate(y, params, "ar1", EstimatorKind.HYV_UNIVARIATE)
-
-
-def ma1_full_loglik(y, params: Ma1Params):
-    """MA(1) log-likelihood ``-0.5 log|Omega| - 0.5 (y-mu) Omega^{-1} (y-mu)'``.
-
-    O(T) per series once it is rotated into the DST-I basis, with no dense
-    T x T solve: ``-0.5 sum(z^2/lambda + log lambda)`` in the unit-variance
-    eigenvalues ``lambda`` (:func:`~minscore.models.ma1_eigenvalues`), with
-    ``z = (y - mu) U / sqrt(sigma2)``, minus ``T/2 log sigma2``.
-    """
-    return -_evaluate(y, params, "ma1", EstimatorKind.FULL_ML)
-
-
-def ma1_pairwise_loglik(y, params: Ma1Params):
-    """Consecutive pairwise MA(1) log-likelihood (constants dropped).
-
-    Each adjacent pair is bivariate normal with variance sigma2*(1+alpha^2)
-    and covariance sigma2*alpha; the pair determinant is
-    sigma2^2 * (1 + alpha^2 + alpha^4).
-    """
-    return -_evaluate(y, params, "ma1", EstimatorKind.PAIRWISE_ML)
-
-
-def ma1_hyvarinen(y, params: Ma1Params):
-    """MA(1) Hyvarinen score ``0.5 ||P (y-mu)||^2 - tr(P)`` with ``P = Omega^{-1}``.
-
-    In the DST-I basis ``P`` is diagonal with entries ``1/(sigma2 lambda)``:
-    ``(0.5 sum(z^2/lambda^2) - sum(1/lambda)) / sigma2`` with
-    ``z = (y - mu) U / sqrt(sigma2)``; O(T) per series once rotated.
-    """
-    return _evaluate(y, params, "ma1", EstimatorKind.HYV_UNIVARIATE)
-
-
-def score_per_series(series, kind: EstimatorKind, model: str, theta: float):
-    """Per-series objective in minimization orientation (one value per row).
-
-    Log-likelihood kinds are negated so that every estimator minimizes.  The
-    Wishart score is not a per-series sum and is rejected here.
-    """
-    model = canonical_model(model)
-    return _evaluate(series, params_for(model, theta), model, EstimatorKind(kind))
-

@@ -32,19 +32,21 @@ def _check_precision_identity() -> None:
             assert err_ma < 1e-10, f"MA precision identity off by {err_ma}"
 
 
+def _per_series(y, kind: str, model: str, theta: float) -> np.ndarray:
+    # each row's objective from a reduction of that row alone
+    return np.array([scores.series_objective(row, kind, model).total(theta) for row in y])
+
+
 def _check_hyvarinen_closed_forms() -> None:
     rng = np.random.default_rng(7)
     for t_len in (3, 5, 12):
         y = rng.standard_normal((4, t_len))
         for theta in (-0.7, 0.2, 0.6):
-            ar = models.params_for("ar1", theta)
-            direct = scores.ar1_hyvarinen(y, ar)
-            generic = scores.gaussian_hyvarinen(y, models.ar1_precision(ar, t_len))
-            assert np.max(np.abs(direct - generic)) < 1e-8
-            ma = models.params_for("ma1", theta)
-            direct = scores.ma1_hyvarinen(y, ma)
-            generic = scores.gaussian_hyvarinen(y, models.ma1_precision(ma, t_len))
-            assert np.max(np.abs(direct - generic)) < 1e-8
+            for model, precision in (("ar1", models.ar1_precision), ("ma1", models.ma1_precision)):
+                direct = _per_series(y, "hyv", model, theta)
+                generic = scores.gaussian_hyvarinen(
+                    y, precision(models.params_for(model, theta), t_len))
+                assert np.max(np.abs(direct - generic)) < 1e-8
 
 
 def _check_ma1_spectral_objectives() -> None:
@@ -54,17 +56,16 @@ def _check_ma1_spectral_objectives() -> None:
     rng = np.random.default_rng(17)
     t_len = 200
     for alpha in (-0.999, 0.999):
-        ma = models.Ma1Params(0.3, 1.7, alpha)
-        y = ma.mu + rng.standard_normal((4, t_len))
-        d = y - ma.mu
+        ma = models.params_for("ma1", alpha)
+        y = rng.standard_normal((4, t_len))
         cov = models.ma1_covariance(ma, t_len)
-        quad = np.sum(d * np.linalg.solve(cov, d.T).T, axis=1)
-        full = -0.5 * np.linalg.slogdet(cov)[1] - 0.5 * quad
-        hyv = scores.gaussian_hyvarinen(y, models.ma1_precision(ma, t_len), ma.mu)
-        for got, dense in ((scores.ma1_full_loglik(y, ma), full),
-                           (scores.ma1_hyvarinen(y, ma), hyv)):
+        quad = np.sum(y * np.linalg.solve(cov, y.T).T, axis=1)
+        full = 0.5 * np.linalg.slogdet(cov)[1] + 0.5 * quad
+        hyv = scores.gaussian_hyvarinen(y, models.ma1_precision(ma, t_len))
+        for kind, dense in (("full", full), ("hyv", hyv)):
+            got = _per_series(y, kind, "ma1", alpha)
             err = np.max(np.abs(got - dense)) / np.max(np.abs(dense))
-            assert err < 1e-10, f"spectral MA(1) objective off by {err} (relative) at alpha={alpha}"
+            assert err < 1e-10, f"spectral MA(1) {kind} off by {err} (relative) at alpha={alpha}"
 
 
 def _check_exact_derivatives() -> None:
@@ -74,7 +75,7 @@ def _check_exact_derivatives() -> None:
     theta, h = 0.9, 1e-3
 
     def f(th):
-        return scores.score_per_series(y, "hyv", "ma1", th)
+        return _per_series(y, "hyv", "ma1", th)
 
     def d1(step):
         return (f(theta + step) - f(theta - step)) / (2 * step)
@@ -137,16 +138,19 @@ def _check_wishart_j() -> None:
 
 
 def _check_pairwise_closed_form() -> None:
+    # the closed form against the argmax of the pairwise likelihood, each
+    # consecutive pair a bivariate normal with variance tau2 and lag-1
+    # correlation phi, and sigma2 = tau2 (1 - phi^2) profiled out
     y = models.sample_ar1(models.params_for("ar1", 0.5), 200, 50, seed=123)
     phi_hat, sigma2_hat = scores.ar1_pairwise_closed_form(y)
+    pairs = np.stack([y[:, :-1], y[:, 1:]], axis=-1).reshape(-1, 2)
+    paired, cross = float(np.sum(pairs * pairs)), float(np.sum(pairs[:, 0] * pairs[:, 1]))
 
     def profiled(phi: float) -> float:
-        nu, t_len = y.shape
-        paired = float(np.sum(y[:, 1:] ** 2) + np.sum(y[:, :-1] ** 2))
-        cross = float(np.sum(y[:, 1:] * y[:, :-1]))
-        sigma2 = (paired - 2 * phi * cross) / (2 * nu * (t_len - 1))
-        p = models.Ar1Params(0.0, sigma2, phi)
-        return -float(np.sum(scores.ar1_pairwise_loglik(y, p)))
+        sigma2 = (paired - 2 * phi * cross) / (2 * len(pairs))
+        cov = sigma2 / (1 - phi * phi) * np.array([[1.0, phi], [phi, 1.0]])
+        quad = np.einsum("ni,ij,nj->", pairs, np.linalg.inv(cov), pairs)
+        return 0.5 * quad + 0.5 * len(pairs) * np.linalg.slogdet(cov)[1]
 
     f, step = np.vectorize(profiled, otypes=[float]), 1e-5
 

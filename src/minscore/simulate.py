@@ -90,6 +90,8 @@ class ExperimentConfig:
             printed.add(format_float(value))
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mc_b < 1:
             raise ConfigError(f"mc-b must be positive, got {self.mc_b}")
         # mc-b no longer sets any table output (the Wishart sd is exact); its

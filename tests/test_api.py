@@ -30,6 +30,33 @@ def test_all_names_resolve_once(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+PUBLIC_NAMES = {
+    # models
+    "Ar1Params", "Ma1Params", "ar1_covariance", "ar1_precision", "ma1_covariance",
+    "ma1_eigenvalues", "ma1_precision", "ma1_sine_transform", "params_for", "sample_ar1",
+    "sample_ma1", "sample_series", "sum_of_squares",
+    # optimize
+    "MinimizationError", "minimize_lanes",
+    # scores
+    "DegenerateDataError", "EstimatorKind", "ar1_pairwise_closed_form", "gaussian_hyvarinen",
+    "objective_lanes", "series_objective",
+    # wishart
+    "hw_grad_samples", "precision_derivative", "wishart_components", "wishart_context",
+    # inference
+    "EstimateRecord", "SeriesReduction", "are", "check_sample_size", "fit", "fit_lanes",
+    "sample_size_error",
+    # simulate and report
+    "ConfigError", "ExperimentConfig", "ReportRow", "run_experiment", "CSV_HEADER",
+    "emit_are_svg", "emit_csv",
+}
+
+
+def test_package_surface_is_pinned():
+    # a name joins or leaves the package's surface only with an edit here
+    assert len(PUBLIC_NAMES) == 39
+    assert set(minscore.__all__) == PUBLIC_NAMES
+
+
 def _scipy_modules_after(code: str) -> tuple[list[str], str]:
     # run ``code`` in a fresh interpreter and list the scipy modules it loaded
     script = code + (

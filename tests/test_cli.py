@@ -57,6 +57,16 @@ class TestSimulate:
         assert code == 1
         assert "|phi| < 1" in capsys.readouterr().err
 
+    def test_negative_seed_exits_1_names_seed(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = cli_main([
+            "simulate", "--model", "ma1", "--param", "0.5", "--nu", "5",
+            "--t", "8", "--seed", "-1", "--out", str(out),
+        ])
+        assert code == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFit:
     def test_fit_from_file(self, tmp_path, capsys):
@@ -251,6 +261,30 @@ class TestTable:
         assert code == 1
         assert "nu >= 2" in capsys.readouterr().err
         assert fitted == []
+
+    def test_negative_seed_exits_1_before_sampling(self, tmp_path, capsys, monkeypatch):
+        import minscore.simulate as sim
+
+        sampled = []
+        monkeypatch.setattr(sim, "_reduce_replicate", lambda *args: sampled.append(args))
+        code = cli_main(TABLE_ARGS[:-2] + ["--seed", "-3", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
+        assert sampled == []
+
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    def test_empty_estimator_list_exits_1(self, tmp_path, capsys, spelling):
+        # a given but empty list is no request for the default of all four
+        out = tmp_path / "x.csv"
+        if spelling == "flag":
+            argv = TABLE_ARGS + ["--estimators", "", "--out", str(out)]
+        else:
+            cfg = tmp_path / "study.cfg"
+            cfg.write_text(f"model = ar1\ngrid = 0.3\nestimators =\nout = {out}\n")
+            argv = ["table", "--config", str(cfg)]
+        assert cli_main(argv) == 1
+        assert "at least one estimator must be requested" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_workers_flag_overrides_config_file(self, tmp_path, monkeypatch):
         import minscore.cli as cli

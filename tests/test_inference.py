@@ -14,7 +14,6 @@ from minscore import (
     check_sample_size,
     fit,
     fit_lanes,
-    godambe_empirical,
     hw_grad_samples,
     minimize_lanes,
     objective_lanes,
@@ -23,7 +22,6 @@ from minscore import (
     sample_ma1,
     sample_series,
     sample_size_error,
-    score_per_series,
     sum_of_squares,
     wishart_components,
     wishart_context,
@@ -33,86 +31,70 @@ from minscore.scores import min_series_length, series_objective
 
 
 def per_series_moments(y, kind, model, theta):
-    """Gradient/second-derivative samples used to form standard errors of the
-    Godambe components in cross-method comparisons."""
-    h = 1e-5
-    g = (score_per_series(y, kind, model, theta + h)
-         - score_per_series(y, kind, model, theta - h)) / (2 * h)
-    hh = 1e-4
-    k = (score_per_series(y, kind, model, theta + hh)
-         - 2 * score_per_series(y, kind, model, theta)
-         + score_per_series(y, kind, model, theta - hh)) / hh**2
-    return g, k
+    """Exact per-series gradients and second derivatives of the objective at
+    theta: the samples behind the empirical Godambe components."""
+    return series_objective(y, kind, model).derivatives(theta)
+
+
+def godambe(y, kind, model, theta):
+    """Empirical variability J (mean squared gradient) and sensitivity K (mean
+    second derivative) per series at theta."""
+    g, h = per_series_moments(y, kind, model, theta)
+    return np.mean(g * g), np.mean(h)
+
+
+def godambe_sd(y, kind, model, theta, nu):
+    """The asymptotic sd 1 / sqrt(nu G), G = K^2 / J, that fit reports."""
+    j_hat, k_hat = godambe(y, kind, model, theta)
+    return 1.0 / np.sqrt(nu * (k_hat * k_hat / j_hat))
 
 
 class TestGodambeEmpirical:
     def test_information_identity_for_full_ml(self):
         # J ~ K for the log-score at the truth (10% relative at nu=2000)
         y = sample_ar1(params_for("ar1", 0.5), 2000, 50, seed=40)
-        comps = godambe_empirical(y, EstimatorKind.FULL_ML, "ar1", 0.5)
-        assert abs(comps.j_hat - comps.k_hat) / comps.k_hat < 0.10
+        j_hat, k_hat = godambe(y, EstimatorKind.FULL_ML, "ar1", 0.5)
+        assert abs(j_hat - k_hat) / k_hat < 0.10
 
     def test_hyv_univariate_sd_matches_reference(self):
         # G estimated on nu=2000 series; the sd quoted for the reference study
         # size (nu=200) must come out at 0.0101 +/- 0.0005
         y = sample_ar1(params_for("ar1", 0.0), 2000, 50, seed=41)
-        comps = godambe_empirical(y, EstimatorKind.HYV_UNIVARIATE, "ar1", 0.0)
-        assert abs(comps.sd(200) - 0.0101) < 0.0005
+        sd = godambe_sd(y, EstimatorKind.HYV_UNIVARIATE, "ar1", 0.0, 200)
+        assert abs(sd - 0.0101) < 0.0005
 
     def test_repeated_rows_are_degenerate(self):
-        from minscore import minimize_lanes, objective_lanes
-
         rng = np.random.default_rng(42)
         y = np.tile(rng.standard_normal(20), (3, 1))
         # at the shared per-series optimum every per-series gradient vanishes
-        objective = series_objective(y, EstimatorKind.PAIRWISE_ML, "ar1")
-        [theta_hat] = minimize_lanes(objective_lanes([objective]), -0.999, 0.999).theta
         with pytest.raises(DegenerateDataError):
-            godambe_empirical(y, EstimatorKind.PAIRWISE_ML, "ar1", theta_hat)
-
-    def test_wishart_kind_rejected(self):
-        y = sample_ar1(params_for("ar1", 0.1), 30, 8, seed=43)
-        with pytest.raises(ValueError):
-            godambe_empirical(y, EstimatorKind.HYV_WISHART, "ar1", 0.1)
-
-    def test_needs_two_series(self):
-        with pytest.raises(ValueError):
-            godambe_empirical(np.zeros((1, 10)) + 1.0, EstimatorKind.FULL_ML, "ar1", 0.0)
-
-    @pytest.mark.parametrize("model", ["ar1", "ma1"])
-    def test_accepts_the_reduced_objective(self, model):
-        y = sample_series(model, 0.3, 40, 12, seed=44)
-        objective = series_objective(y, "hyv", model)
-        assert godambe_empirical(objective, "hyv", model, 0.3) == \
-            godambe_empirical(y, "hyv", model, 0.3)
-        with pytest.raises(ValueError, match="objective is for"):
-            godambe_empirical(objective, "full", model, 0.3)
+            fit(y, EstimatorKind.PAIRWISE_ML, "ma1")
 
     def test_invariant_g_formula(self):
+        # the fitted sd is 1 / sqrt(nu G) with G = K^2 / J > 0 at the estimate
         y = sample_ma1(params_for("ma1", 0.3), 500, 20, seed=44)
-        comps = godambe_empirical(y, EstimatorKind.PAIRWISE_ML, "ma1", 0.3)
-        npt.assert_allclose(comps.g_hat, comps.k_hat**2 / comps.j_hat, rtol=1e-12)
-        assert comps.g_hat > 0
+        record = fit(y, EstimatorKind.PAIRWISE_ML, "ma1")
+        j_hat, k_hat = godambe(y, EstimatorKind.PAIRWISE_ML, "ma1", record.estimate)
+        npt.assert_allclose(500 * record.sd**2, j_hat / k_hat**2, rtol=1e-12)
+        assert j_hat > 0 and k_hat > 0
 
 
 class TestGodambeMonteCarlo:
-    """Per-series components from fresh draws at theta go through
-    godambe_empirical; Wishart ones from hw_grad_samples and the sensitivity."""
+    """Per-series components from the observed series and from fresh draws at
+    theta; Wishart ones from hw_grad_samples and the sensitivity."""
 
     def test_agrees_with_empirical(self):
         # within 3 combined MC standard errors, component by component
         theta0 = 0.5
         nu = 3000
         y = sample_ar1(params_for("ar1", theta0), nu, 30, seed=45)
-        emp = godambe_empirical(y, EstimatorKind.HYV_UNIVARIATE, "ar1", theta0)
         draws = sample_ar1(params_for("ar1", theta0), nu, 30, seed=46)
-        mc = godambe_empirical(draws, EstimatorKind.HYV_UNIVARIATE, "ar1", theta0)
         g_emp, k_emp = per_series_moments(y, EstimatorKind.HYV_UNIVARIATE, "ar1", theta0)
         g_mc, k_mc = per_series_moments(draws, EstimatorKind.HYV_UNIVARIATE, "ar1", theta0)
         se_j = np.sqrt(np.var(g_emp**2, ddof=1) / nu + np.var(g_mc**2, ddof=1) / nu)
         se_k = np.sqrt(np.var(k_emp, ddof=1) / nu + np.var(k_mc, ddof=1) / nu)
-        assert abs(emp.j_hat - mc.j_hat) < 3 * se_j
-        assert abs(emp.k_hat - mc.k_hat) < 3 * se_k
+        assert abs(np.mean(g_emp**2) - np.mean(g_mc**2)) < 3 * se_j
+        assert abs(np.mean(k_emp) - np.mean(k_mc)) < 3 * se_k
 
     def test_wishart_k_is_analytic(self):
         # AR(1): K = (T - 1 + 2 phi^2 (T - 2)) / 2
@@ -149,14 +131,14 @@ class TestFisherInformation:
     def test_ar1_at_zero(self):
         # I = T - 1 = 49 per series; sd at nu=200 is 1/sqrt(200*49) = 0.0101
         y = sample_series("ar1", 0.0, 4000, 50, seed=51)
-        info = godambe_empirical(y, EstimatorKind.FULL_ML, "ar1", 0.0).g_hat
+        j_hat, k_hat = godambe(y, EstimatorKind.FULL_ML, "ar1", 0.0)
+        info = k_hat * k_hat / j_hat
         assert abs(1.0 / np.sqrt(200 * info) - 0.0101) < 0.0005
         assert abs(info - 49.0) < 3.0
 
     def test_ma1_at_zero(self):
         y = sample_series("ma1", 0.0, 4000, 50, seed=52)
-        info = godambe_empirical(y, EstimatorKind.FULL_ML, "ma1", 0.0).g_hat
-        assert abs(1.0 / np.sqrt(200 * info) - 0.0101) < 0.0005
+        assert abs(godambe_sd(y, EstimatorKind.FULL_ML, "ma1", 0.0, 200) - 0.0101) < 0.0005
 
 
 class TestAre:
@@ -202,8 +184,8 @@ class TestFit:
         assert self_rel == 1.0
         # the Godambe sd from 4000 fresh draws at the estimate agrees
         draws = sample_series("ar1", record.estimate, 4000, 30, seed=59)
-        mc = godambe_empirical(draws, EstimatorKind.FULL_ML, "ar1", record.estimate)
-        assert abs(are(record.sd, mc.sd(400)) - 1.0) < 0.05
+        mc_sd = godambe_sd(draws, EstimatorKind.FULL_ML, "ar1", record.estimate, 400)
+        assert abs(are(record.sd, mc_sd) - 1.0) < 0.05
 
     def test_boundary_flag_from_closed_form(self):
         y = np.tile([1.0, 1.0, 1.0], (3, 1))
@@ -238,7 +220,7 @@ class TestFit:
     def test_per_series_sd_is_empirical(self, model, kind):
         y = sample_series(model, 0.4, 60, 12, seed=70)
         record = fit(y, kind, model)
-        assert record.sd == godambe_empirical(y, kind, model, record.estimate).sd(60)
+        assert record.sd == godambe_sd(y, kind, model, record.estimate, 60)
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     @pytest.mark.parametrize("kind", ["full", "pairwise", "hyv"])

@@ -251,6 +251,8 @@ class TestRunExperiment:
             ExperimentConfig(model="ar1", param_grid=(1.5,)).validate()
         with pytest.raises(ConfigError, match="replicates"):
             ExperimentConfig(model="ar1", param_grid=(0.1,), replicates=0).validate()
+        with pytest.raises(ConfigError, match=r"seed must be >= 0, got -3"):
+            ExperimentConfig(model="ar1", param_grid=(0.1,), seed=-3).validate()
         with pytest.raises(ConfigError, match="nu >= t"):
             ExperimentConfig(model="ar1", param_grid=(0.1,), nu=10, t_len=20).validate()
         with pytest.raises(ConfigError, match="mc-b"):
@@ -308,7 +310,8 @@ class TestRunExperiment:
             model="ar1", param_grid=(0.2,), nu=20, t_len=5, replicates=20,
             mc_b=50, seed=12, estimators=(EstimatorKind.FULL_ML,),
         )
-        rows = run_experiment(cfg)
+        with pytest.warns(RuntimeWarning, match="1/20 replicates failed"):
+            rows = run_experiment(cfg)
         assert rows[0].n_replicates == 19
 
     def test_failure_messages_name_the_first_cause_of_each_type(self, monkeypatch):
