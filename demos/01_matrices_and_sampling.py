@@ -1,25 +1,18 @@
 """Covariance and precision structure of the two models, plus sampling.
 
-Builds the AR(1) and MA(1) covariance matrices, verifies the closed-form
-precision matrices against dense inversion, and checks sample moments of the
-replicated-series samplers against the analytic covariances.
+Builds the AR(1) and MA(1) covariance matrices (unit innovation variance; the
+dense builders live with the oracles in ``minscore.selfcheck``), verifies the
+closed-form precision matrices against dense inversion, and checks sample
+moments of the replicated-series samplers against the analytic covariances.
 """
 
 import numpy as np
 
-from minscore import (
-    ar1_covariance,
-    ar1_precision,
-    ma1_covariance,
-    ma1_precision,
-    params_for,
-    sample_ar1,
-    sample_ma1,
-)
+from minscore import sample_ar1, sample_ma1
+from minscore.selfcheck import ar1_covariance, ar1_precision, ma1_covariance, ma1_precision
 
 T = 6
-ar = params_for("ar1", 0.6)
-ma = params_for("ma1", 0.6)
+ar = ma = 0.6  # phi and alpha
 
 print("AR(1) covariance (phi=0.6, T=6), first row:")
 print(np.round(ar1_covariance(ar, T)[0], 4))
@@ -35,13 +28,13 @@ err = np.max(np.abs(ma1_precision(ma, T) @ ma1_covariance(ma, T) - np.eye(T)))
 print(f"max |P@Cov - I| for MA(1): {err:.2e}")
 
 print("\nSampling 5000 AR(1) series of length 10 and comparing moments:")
-y = sample_ar1(params_for("ar1", 0.5), 5000, 10, seed=42)
+y = sample_ar1(0.5, 5000, 10, seed=42)
 sample_cov = y.T @ y / 5000
-target = ar1_covariance(params_for("ar1", 0.5), 10)
+target = ar1_covariance(0.5, 10)
 print(f"  lag-0 sample {sample_cov[3, 3]:.4f} vs analytic {target[3, 3]:.4f}")
 print(f"  lag-1 sample {sample_cov[3, 4]:.4f} vs analytic {target[3, 4]:.4f}")
 
-y = sample_ma1(params_for("ma1", 0.5), 5000, 10, seed=42)
+y = sample_ma1(0.5, 5000, 10, seed=42)
 print("MA(1), alpha=0.5:")
 print(f"  lag-1 sample {np.mean(y[:, 1:] * y[:, :-1]):.4f} vs analytic 0.5")
 print(f"  lag-2 sample {np.mean(y[:, 2:] * y[:, :-2]):.4f} vs analytic 0.0")

@@ -8,12 +8,8 @@ the density's normalizing constant.
 
 import numpy as np
 
-from minscore import (
-    EstimatorKind,
-    gaussian_hyvarinen,
-    sample_series,
-    series_objective,
-)
+from minscore import EstimatorKind, sample_series, series_objective
+from minscore.selfcheck import gaussian_hyvarinen
 
 TRUTH = 0.5
 GRID = np.linspace(-0.9, 0.9, 19)

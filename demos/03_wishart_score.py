@@ -11,17 +11,16 @@ import numpy as np
 
 from minscore import (
     fit,
-    hw_grad_samples,
-    params_for,
     sample_ar1,
     sum_of_squares,
     wishart_components,
     wishart_context,
 )
+from minscore.selfcheck import hw_grad_samples
 
 NU, T, PHI = 200, 50, 0.5
 
-y = sample_ar1(params_for("ar1", PHI), NU, T, seed=11)
+y = sample_ar1(PHI, NU, T, seed=11)
 ctx = wishart_context(sum_of_squares(y), nu=NU, model="ar1")
 
 print(f"objective over phi (truth {PHI}):")

@@ -5,39 +5,22 @@ maximum likelihood, consecutive-pairwise likelihood, univariate Hyvarinen
 score matching, and Hyvarinen score matching on the Wishart law of the pooled
 sum-of-squares matrix.  Standard errors come from Godambe (sandwich)
 information, and a replicated simulation harness compares the estimators'
-asymptotic relative efficiency across the parameter range.
+asymptotic relative efficiency across the parameter range.  The dense
+matrices and closed forms that check them are in :mod:`minscore.selfcheck`,
+which this package does not import.
 """
 
 from .models import (
-    Ar1Params,
-    Ma1Params,
-    ar1_covariance,
-    ar1_precision,
-    ma1_covariance,
     ma1_eigenvalues,
-    ma1_precision,
     ma1_sine_transform,
-    params_for,
     sample_ar1,
     sample_ma1,
     sample_series,
     sum_of_squares,
 )
 from .optimize import MinimizationError, minimize_lanes
-from .scores import (
-    DegenerateDataError,
-    EstimatorKind,
-    ar1_pairwise_closed_form,
-    gaussian_hyvarinen,
-    objective_lanes,
-    series_objective,
-)
-from .wishart import (
-    hw_grad_samples,
-    precision_derivative,
-    wishart_components,
-    wishart_context,
-)
+from .scores import DegenerateDataError, EstimatorKind, objective_lanes, series_objective
+from .wishart import wishart_components, wishart_context
 from .inference import (
     EstimateRecord,
     SeriesReduction,
@@ -53,15 +36,8 @@ from .report import CSV_HEADER, emit_are_svg, emit_csv
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ar1Params",
-    "Ma1Params",
-    "ar1_covariance",
-    "ar1_precision",
-    "ma1_covariance",
     "ma1_eigenvalues",
-    "ma1_precision",
     "ma1_sine_transform",
-    "params_for",
     "sample_ar1",
     "sample_ma1",
     "sample_series",
@@ -70,12 +46,8 @@ __all__ = [
     "minimize_lanes",
     "DegenerateDataError",
     "EstimatorKind",
-    "ar1_pairwise_closed_form",
-    "gaussian_hyvarinen",
     "objective_lanes",
     "series_objective",
-    "hw_grad_samples",
-    "precision_derivative",
     "wishart_components",
     "wishart_context",
     "EstimateRecord",

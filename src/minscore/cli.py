@@ -26,7 +26,6 @@ from .inference import EstimateRecord, SeriesReduction, check_sample_size, fit
 from .models import sample_series
 from .report import emit_are_svg, emit_csv
 from .scores import EstimatorKind
-from .selfcheck import run_checks
 from .simulate import ConfigError, ExperimentConfig, run_experiment
 
 __all__ = ["cli_main", "main"]
@@ -229,6 +228,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_check() -> int:
+    # the oracles load only for this command, not with every other one
+    from .selfcheck import run_checks
+
     results = run_checks()
     failed = 0
     for name, passed, message in results:

@@ -5,7 +5,10 @@ variability J = E[s^2] and sensitivity K = E[ds/dtheta] combine into the
 Godambe information G = K^2 / J, and the estimator's asymptotic standard
 deviation is 1 / sqrt(nu * G).
 
-Every estimator has one sd route.  The per-series kinds estimate J and K
+Every estimator has one fitting route and one sd route.  Every estimate
+minimizes its kind's objective in theta, the only parameter (mean 0 and unit
+innovation variance are known), so the sd is that of the estimate it is
+reported with.  The per-series kinds estimate J and K
 from the observed series, using the exact per-series gradients and second
 derivatives of their objectives, which a fit reads from the jets its
 minimization ends on.  The Wishart estimator's score acts on the pooled
@@ -29,7 +32,6 @@ from .scores import (
     EstimatorKind,
     SeriesObjective,
     _terms,
-    ar1_pairwise_closed_form,
     min_series_length,
     objective_lanes,
     series_objective,
@@ -109,22 +111,13 @@ class SeriesReduction:
             self._families[model, family] = shared
         return shared if shared.kind is kind else dataclasses.replace(shared, kind=kind)
 
-    def closed_form(self) -> float:
-        """The AR(1) pairwise estimate (:func:`ar1_pairwise_closed_form`)."""
-        if "closed form" not in self._families:
-            self._families["closed form"] = ar1_pairwise_closed_form(self.series)[0]
-        return self._families["closed form"]
-
     def keep_statistics(self, kinds, model: str) -> None:
-        """Compute every family that ``kinds`` read on ``model`` (and the AR(1)
-        pairwise closed form), then drop the series.  If a family fails, the
-        series are kept, and the failure is raised again when its kind reads
-        it."""
+        """Compute every family that ``kinds`` read on ``model``, then drop
+        the series.  If a family fails, the series are kept, and the failure
+        is raised again when its kind reads it."""
         try:
-            for kind in map(EstimatorKind, kinds):
+            for kind in kinds:
                 self.objective(kind, model)
-                if _closed_form(kind, canonical_model(model)):
-                    self.closed_form()
         except Exception:  # noqa: BLE001 - raised again by the reading kind
             return
         self.series = None
@@ -132,18 +125,13 @@ class SeriesReduction:
 
 def retained_floats(kinds, model: str, nu: int, t_len: int) -> int:
     """Floats that a :class:`SeriesReduction` of ``nu`` series of length
-    ``t_len`` keeps for ``kinds`` after dropping its series, closed form included."""
+    ``t_len`` keeps for ``kinds`` after dropping its series."""
     model = canonical_model(model)
-    kinds = set(map(EstimatorKind, kinds))
-    total = sum(_closed_form(k, model) for k in kinds)
-    for family in {_SHARED_STATS.get((model, k), k) for k in kinds}:
+    total = 0
+    for family in {_SHARED_STATS.get((model, k), k) for k in map(EstimatorKind, kinds)}:
         width = _terms(family, model, t_len, 0.0)[0].shape[-1]
         total += width if family is EstimatorKind.HYV_WISHART else (nu + 1) * width
     return total
-
-
-def _closed_form(kind: EstimatorKind, model: str) -> bool:
-    return kind is EstimatorKind.PAIRWISE_ML and model == "ar1"
 
 
 def _usable(j_hat, k_hat):
@@ -241,9 +229,9 @@ def fit_lanes(
 
     Returns, per :class:`SeriesReduction`, its :class:`EstimateRecord` or the
     exception that fitting it raised; one dataset's failure does not touch the
-    others, and no record depends on which datasets share the call.  The
-    AR(1) pairwise estimate is the closed form; every other estimate
-    minimizes the kind's :class:`~minscore.scores.SeriesObjective` over
+    others, and no record depends on which datasets share the call.  Every
+    estimate, of every kind and model, minimizes the kind's
+    :class:`~minscore.scores.SeriesObjective` (theta its only parameter) over
     :data:`SEARCH_BOUNDS`, all datasets as lanes of one
     :func:`~minscore.optimize.minimize_lanes`.  Estimates within 4e-6 of a
     bound are flagged and get no sd.  The sd of a per-series kind is
@@ -260,33 +248,20 @@ def fit_lanes(
     if error is not None:
         return [ValueError(error) for _ in reductions]
     results: list = [None] * len(reductions)
-    live, objectives, closed = [], [], []
+    live, objectives = [], []
     for i, reduction in enumerate(reductions):
         try:
             objectives.append(reduction.objective(kind, model))
-            if _closed_form(kind, model):
-                closed.append(reduction.closed_form())
             live.append(i)
         except Exception as exc:  # noqa: BLE001 - one dataset's failure
             results[i] = exc
     if not live:
         return results
 
-    lanes = objective_lanes(objectives)
     lo, hi = SEARCH_BOUNDS
-    if _closed_form(kind, model):
-        # the closed-form estimates, with the jets there for their sds
-        theta = np.array(closed)
-        boundary = ~((lo < theta) & (theta < hi))
-        coef = np.full((3, len(live), lanes.pooled.shape[1]), np.nan)
-        const = np.full((3, len(live)), np.nan)
-        if compute_sd and not boundary.all():
-            coef[:, ~boundary], const[:, ~boundary] = lanes.terms(theta[~boundary], 2)
-        failed = np.zeros(len(live), dtype=bool)
-    else:
-        found = minimize_lanes(lanes, lo, hi)
-        theta, coef, const, failed = found.theta, found.coef, found.const, ~found.ok
-        boundary = (theta <= lo + _EDGE_MARGIN) | (theta >= hi - _EDGE_MARGIN)
+    found = minimize_lanes(objective_lanes(objectives), lo, hi)
+    theta, coef, const, failed = found.theta, found.coef, found.const, ~found.ok
+    boundary = (theta <= lo + _EDGE_MARGIN) | (theta >= hi - _EDGE_MARGIN)
 
     need_sd = np.flatnonzero(~failed & ~boundary) if compute_sd else []
     nu, t_len = reductions[0].shape

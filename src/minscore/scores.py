@@ -1,8 +1,13 @@
 """Objective functions for the four estimators.
 
-Every objective has mean 0 and unit innovation variance known and is a loss
-(lower is better): the full and consecutive-pairwise kinds are negated
-log-likelihoods, the other two Hyvarinen scores.
+Every objective is a loss (lower is better) in the dependence parameter
+theta alone, with mean 0 and unit innovation variance known: the full and
+consecutive-pairwise kinds are negated log-likelihoods, the other two
+Hyvarinen scores.  Every estimate, AR(1) pairwise included, is the minimizer
+of its objective.  The dense forms that
+check these objectives (the Gaussian Hyvarinen score of a precision matrix,
+the sigma2-profiled AR(1) pairwise closed form) are in
+:mod:`minscore.selfcheck`.
 
 Every objective is a Gaussian quadratic form in the data, so the data enter
 only through a few sufficient statistics, and the value in minimization
@@ -64,8 +69,6 @@ __all__ = [
     "EstimatorKind",
     "DegenerateDataError",
     "SeriesObjective",
-    "ar1_pairwise_closed_form",
-    "gaussian_hyvarinen",
     "series_objective",
     "objective_lanes",
     "min_series_length",
@@ -100,10 +103,9 @@ def min_series_length(kind: EstimatorKind, model: str) -> int:
     return _MIN_SERIES_LENGTH.get(key, _MIN_IDENTIFIED_LENGTH)
 
 
-def _as_series(y, model: str | None = None, kind: EstimatorKind | None = None) -> np.ndarray:
-    # without a model, any length is accepted (the generic Gaussian score)
+def _as_series(y, model: str, kind: EstimatorKind) -> np.ndarray:
     y = np.asarray(y, dtype=float)
-    min_t = 1 if model is None else _MIN_SERIES_LENGTH.get((model, kind), _MIN_IDENTIFIED_LENGTH)
+    min_t = _MIN_SERIES_LENGTH.get((model, kind), _MIN_IDENTIFIED_LENGTH)
     if y.ndim not in (1, 2):
         raise ValueError(f"expected a (T,) or (nu, T) array, got shape {y.shape}")
     if y.shape[-1] < min_t:
@@ -121,7 +123,8 @@ _MA1_PAIR_DET = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
 # u, columns = the statistics of _ar1_sums for s = +1, then for s = -1.  Full
 # is half of P + 2 u Q + u^2 R + u (2 - u) D and pairwise half of
 # P + 2 u Q + 2 u R; hyv is half of u^4 A - 2 u^2 (1-u) B + (1-u)^2 C + u^2 E
-# + 2 u (1-u) F + (1-u)^2 G, the residual sum ||P y||^2 of gaussian_hyvarinen.
+# + 2 u (1-u) F + (1-u)^2 G, the residual sum ||P y||^2 of the Hyvarinen
+# score 0.5 ||P y||^2 - tr(P) with P the precision.
 _AR1_HALF_COEF = {
     EstimatorKind.FULL_ML: 0.5 * np.array(
         [[1, 0, 0, 0], [0, 2, 0, 2], [0, 0, 1, -1], [0] * 4, [0] * 4]),
@@ -334,43 +337,3 @@ def objective_lanes(objectives) -> Lanes:
         np.array([o.scale for o in objectives]),
         np.array([len(o.stats) for o in objectives], dtype=float),
     )
-
-
-def ar1_pairwise_closed_form(series) -> tuple[float, float]:
-    """Closed-form pairwise estimates (phi_hat, sigma2_hat) with mu = 0 known.
-
-    Sums pool over all series and all consecutive pairs:
-    ``phi_hat = 2 * sum(y_t y_{t-1}) / sum(y_t^2 + y_{t-1}^2)`` (Yule-Walker)
-    and ``sigma2_hat = sum(y_t^2 + y_{t-1}^2) / (2 nu (T-1)) * (1 - phi_hat^2)``.
-
-    Boundary values ``|phi_hat| >= 1`` are returned as-is; callers decide how
-    to flag them.  Raises :class:`DegenerateDataError` when every pair is zero.
-    """
-    y = np.atleast_2d(_as_series(series, "ar1", EstimatorKind.PAIRWISE_ML))
-    nu, t_len = y.shape
-    cross = float(np.sum(y[:, 1:] * y[:, :-1]))
-    paired = float(np.sum(y[:, 1:] ** 2) + np.sum(y[:, :-1] ** 2))
-    if paired == 0.0:
-        raise DegenerateDataError("all consecutive pairs are zero")
-    phi_hat = 2.0 * cross / paired
-    sigma2_hat = paired / (2.0 * nu * (t_len - 1)) * (1.0 - phi_hat**2)
-    return phi_hat, sigma2_hat
-
-
-def gaussian_hyvarinen(y, precision, mu: float = 0.0):
-    """Hyvarinen score of a multivariate normal given its precision matrix:
-    ``-trace(P) + 0.5 * ||P (y - mu)||^2``.
-
-    Never references the normalizing constant, so it is invariant under
-    positive rescaling of the density.
-    """
-    prec = np.asarray(precision, dtype=float)
-    if prec.ndim != 2 or prec.shape[0] != prec.shape[1]:
-        raise ValueError(f"precision must be square, got shape {prec.shape}")
-    y = _as_series(y)
-    if y.shape[-1] != prec.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: series length {y.shape[-1]} vs precision {prec.shape[0]}"
-        )
-    r = (y - mu) @ prec
-    return 0.5 * np.sum(r * r, axis=-1) - np.trace(prec)

@@ -1,4 +1,12 @@
-"""Fast consistency oracles for the `check` CLI subcommand.
+"""Fast consistency oracles for the `check` CLI subcommand, and the dense
+forms that they and the tests compare the runtime with.
+
+The runtime modules hold only what a fit or a study runs.  The dense forms
+are here: the covariance and precision matrices of both models at unit
+innovation variance, the generic Gaussian Hyvarinen score of a precision
+matrix, the sigma2-profiled AR(1) pairwise closed form, the Wishart scale
+precision and its derivative, and Monte Carlo draws of the Wishart score
+gradient.  ``import minscore`` does not load this module.
 
 Each check recomputes a quantity through an independent route (dense
 inversion, finite differences, brute-force summation, closed-form argmax) and
@@ -12,22 +20,205 @@ import itertools
 import numpy as np
 
 from . import inference, models, scores, simulate, wishart
+from .models import _check_t, _jet_power, canonical_model, ma1_eigenvalues, ma1_sine_transform
 from .optimize import GRID_POINTS, Lanes, minimize_lanes
+from .scores import DegenerateDataError
 
-__all__ = ["run_checks"]
+__all__ = [
+    "ar1_covariance",
+    "ar1_precision",
+    "ma1_covariance",
+    "ma1_precision",
+    "ma1_geometric_sums",
+    "gaussian_hyvarinen",
+    "ar1_pairwise_closed_form",
+    "scale_precision",
+    "precision_derivative",
+    "hw_grad_samples",
+    "run_checks",
+]
+
+
+def ar1_covariance(phi: float, t_len: int) -> np.ndarray:
+    """Covariance matrix with entry (l, m) = phi**|l-m| / (1 - phi**2)."""
+    t_len = _check_t(t_len, 1)
+    idx = np.arange(t_len)
+    lags = np.abs(np.subtract.outer(idx, idx))
+    return (1.0 / (1.0 - phi**2)) * np.power(phi, lags)
+
+
+def ar1_precision(phi: float, t_len: int) -> np.ndarray:
+    """Tridiagonal inverse of :func:`ar1_covariance`.
+
+    Off-diagonal entries are -phi, diagonal entries 1 + phi**2 except the two
+    corners which are 1.  Requires ``t_len >= 2`` (the corner pattern does
+    not describe the scalar case).
+    """
+    t_len = _check_t(t_len, 2)
+    prec = np.diag(np.full(t_len, 1.0 + phi**2))
+    prec[0, 0] = prec[-1, -1] = 1.0
+    off = np.arange(t_len - 1)
+    prec[off, off + 1] = prec[off + 1, off] = -phi
+    return prec
+
+
+def ma1_covariance(alpha: float, t_len: int) -> np.ndarray:
+    """Tridiagonal covariance: diagonal 1 + alpha**2, first off-diagonal
+    alpha, zero elsewhere."""
+    t_len = _check_t(t_len, 1)
+    cov = np.eye(t_len) * (1.0 + alpha**2)
+    off = np.arange(t_len - 1)
+    cov[off, off + 1] = cov[off + 1, off] = alpha
+    return cov
+
+
+def ma1_precision(alpha: float, t_len: int) -> np.ndarray:
+    """Inverse of :func:`ma1_covariance` in closed form.
+
+    Entry (i, j) for j >= i (1-based) is
+    ``(-alpha)**(j-i) * g[i-1] * g[T-j] / g[T]`` where
+    ``g[k] = 1 + alpha**2 + ... + alpha**(2k)`` (:func:`ma1_geometric_sums`);
+    the lower triangle follows by symmetry.
+    """
+    t_len = _check_t(t_len, 1)
+    g = ma1_geometric_sums(alpha, t_len)
+    idx = np.arange(t_len)
+    lo = np.minimum.outer(idx, idx)
+    hi = np.maximum.outer(idx, idx)
+    powers = np.power(-alpha, idx)
+    return powers[hi - lo] * g[lo] * g[t_len - 1 - hi] / g[t_len]
+
+
+def ma1_geometric_sums(alpha: float, t_len: int) -> np.ndarray:
+    """``g[k] = 1 + alpha**2 + ... + alpha**(2k)`` for ``k = 0, ..., t_len``.
+
+    ``g[t_len]`` is the determinant of the MA(1) covariance of length
+    ``t_len``; the sums are accumulated term by term, which stays stable as
+    ``|alpha|`` approaches 1.
+    """
+    return np.cumsum(np.power(alpha * alpha, np.arange(t_len + 1)))
+
+
+def gaussian_hyvarinen(y, precision, mu: float = 0.0):
+    """Hyvarinen score of a multivariate normal given its precision matrix:
+    ``-trace(P) + 0.5 * ||P (y - mu)||^2`` for one series (T,) or each row
+    of a stack (nu, T).
+
+    Never references the normalizing constant, so it is invariant under
+    positive rescaling of the density.
+    """
+    prec = np.asarray(precision, dtype=float)
+    if prec.ndim != 2 or prec.shape[0] != prec.shape[1]:
+        raise ValueError(f"precision must be square, got shape {prec.shape}")
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2):
+        raise ValueError(f"expected a (T,) or (nu, T) array, got shape {y.shape}")
+    if y.shape[-1] != prec.shape[0]:
+        raise ValueError(
+            f"dimension mismatch: series length {y.shape[-1]} vs precision {prec.shape[0]}"
+        )
+    r = (y - mu) @ prec
+    return 0.5 * np.sum(r * r, axis=-1) - np.trace(prec)
+
+
+def ar1_pairwise_closed_form(series) -> tuple[float, float]:
+    """Closed-form pairwise estimates (phi_hat, sigma2_hat) with mu = 0 known
+    and sigma2 profiled out; the fits keep sigma2 = 1 known instead.
+
+    Sums pool over all series and all consecutive pairs:
+    ``phi_hat = 2 * sum(y_t y_{t-1}) / sum(y_t^2 + y_{t-1}^2)`` (Yule-Walker)
+    and ``sigma2_hat = sum(y_t^2 + y_{t-1}^2) / (2 nu (T-1)) * (1 - phi_hat^2)``.
+
+    Boundary values ``|phi_hat| >= 1`` are returned as-is.  Raises
+    :class:`~minscore.scores.DegenerateDataError` when every pair is zero.
+    """
+    y = np.atleast_2d(np.asarray(series, dtype=float))
+    nu, t_len = y.shape
+    cross = float(np.sum(y[:, 1:] * y[:, :-1]))
+    paired = float(np.sum(y[:, 1:] ** 2) + np.sum(y[:, :-1] ** 2))
+    if paired == 0.0:
+        raise DegenerateDataError("all consecutive pairs are zero")
+    phi_hat = 2.0 * cross / paired
+    sigma2_hat = paired / (2.0 * nu * (t_len - 1)) * (1.0 - phi_hat**2)
+    return phi_hat, sigma2_hat
+
+
+def scale_precision(model: str, lam: float, t_len: int) -> np.ndarray:
+    """Inverse of the unit-variance scale matrix at dependence parameter lam.
+
+    AR(1) with T = 1 is handled directly (the tridiagonal corner pattern only
+    exists for T >= 2): the scale entry is 1/(1-lam^2), so its inverse is
+    1 - lam^2.
+    """
+    if canonical_model(model) == "ma1":
+        return ma1_precision(lam, t_len)
+    return np.array([[1.0 - lam**2]]) if t_len == 1 else ar1_precision(lam, t_len)
+
+
+def precision_derivative(model: str, lam: float, t_len: int) -> np.ndarray:
+    """Elementwise derivative of :func:`scale_precision` in lam, analytic.
+
+    AR(1): off-diagonals -1, interior diagonal 2*lam, corner diagonal 0.
+    MA(1): ``U diag(d(1/lambda_k)/d lam) U`` in the DST-I basis, which equals
+    ``-P Omega' P`` with ``Omega'`` tridiagonal ``(1, 2 lam, 1)``.
+    """
+    if canonical_model(model) == "ma1":
+        d = np.diag(_jet_power(ma1_eigenvalues(lam, t_len, 1), -1)[1])
+        return ma1_sine_transform(ma1_sine_transform(d, axis=0), axis=1)  # U d U
+    if t_len == 1:
+        return np.array([[-2.0 * lam]])
+    deriv = np.zeros((t_len, t_len))
+    idx = np.arange(t_len - 1)
+    deriv[idx, idx + 1] = deriv[idx + 1, idx] = -1.0
+    inner = np.arange(1, t_len - 1)
+    deriv[inner, inner] = 2.0 * lam
+    return deriv
+
+
+def hw_grad_samples(
+    model: str,
+    lam: float,
+    nu: int,
+    t_len: int,
+    n_draws: int,
+    seed,
+    chunk: int = 128,
+) -> np.ndarray:
+    """Wishart score-equation gradients at lam over fresh Wishart draws.
+
+    Each draw is the sum-of-squares matrix of ``nu`` series of length
+    ``t_len`` simulated at parameter lam by the model samplers.  A Monte
+    Carlo check of the J of :func:`~minscore.wishart.wishart_components`.
+    Returns an array of ``n_draws`` gradient values.
+    """
+    model = canonical_model(model)
+    if nu < t_len + 2:
+        raise ValueError(f"Wishart draws need nu >= T + 2; got nu={nu}, T={t_len}")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    prec = scale_precision(model, lam, t_len)
+    dprec = precision_derivative(model, lam, t_len)
+    c = 0.5 * (nu - t_len - 1)
+    grads = np.empty(n_draws)
+    done = 0
+    while done < n_draws:
+        n = min(chunk, n_draws - done)
+        draws = models.sample_series(model, lam, n * nu, t_len, rng).reshape(n, nu, t_len)
+        s = np.matmul(draws.transpose(0, 2, 1), draws)
+        s_inv = np.linalg.inv(s)
+        s_inv = 0.5 * (s_inv + s_inv.transpose(0, 2, 1))
+        resid = c * s_inv - 0.5 * prec
+        grads[done : done + n] = -0.5 * np.einsum("bij,ij->b", resid, dprec)
+        done += n
+    return grads
 
 
 def _check_precision_identity() -> None:
     for t_len in (2, 3, 7, 15):
         for theta in (-0.9, -0.5, 0.0, 0.5, 0.9):
-            ar = models.params_for("ar1", theta)
-            ma = models.params_for("ma1", theta)
-            err_ar = np.max(
-                np.abs(models.ar1_precision(ar, t_len) @ models.ar1_covariance(ar, t_len) - np.eye(t_len))
-            )
-            err_ma = np.max(
-                np.abs(models.ma1_precision(ma, t_len) @ models.ma1_covariance(ma, t_len) - np.eye(t_len))
-            )
+            err_ar = np.max(np.abs(
+                ar1_precision(theta, t_len) @ ar1_covariance(theta, t_len) - np.eye(t_len)))
+            err_ma = np.max(np.abs(
+                ma1_precision(theta, t_len) @ ma1_covariance(theta, t_len) - np.eye(t_len)))
             assert err_ar < 1e-10, f"AR precision identity off by {err_ar}"
             assert err_ma < 1e-10, f"MA precision identity off by {err_ma}"
 
@@ -42,36 +233,35 @@ def _check_hyvarinen_closed_forms() -> None:
     for t_len in (3, 5, 12):
         y = rng.standard_normal((4, t_len))
         for theta in (-0.7, 0.2, 0.6):
-            for model, precision in (("ar1", models.ar1_precision), ("ma1", models.ma1_precision)):
+            for model, precision in (("ar1", ar1_precision), ("ma1", ma1_precision)):
                 direct = _per_series(y, "hyv", model, theta)
-                generic = scores.gaussian_hyvarinen(
-                    y, precision(models.params_for(model, theta), t_len))
+                generic = gaussian_hyvarinen(y, precision(theta, t_len))
                 assert np.max(np.abs(direct - generic)) < 1e-8
 
 
 def _check_ma1_spectral_objectives() -> None:
     # the O(T) MA(1) objectives of the DST-I basis against dense slogdet/solve
     # and the dense precision, at a long series and |alpha| near the
-    # invertibility bound
+    # invertibility bound; each series' error relative to its own objective,
+    # so a term that one large ||P y||^2 dwarfs still counts
     rng = np.random.default_rng(17)
     t_len = 200
     for alpha in (-0.999, 0.999):
-        ma = models.params_for("ma1", alpha)
         y = rng.standard_normal((4, t_len))
-        cov = models.ma1_covariance(ma, t_len)
+        cov = ma1_covariance(alpha, t_len)
         quad = np.sum(y * np.linalg.solve(cov, y.T).T, axis=1)
         full = 0.5 * np.linalg.slogdet(cov)[1] + 0.5 * quad
-        hyv = scores.gaussian_hyvarinen(y, models.ma1_precision(ma, t_len))
+        hyv = gaussian_hyvarinen(y, ma1_precision(alpha, t_len))
         for kind, dense in (("full", full), ("hyv", hyv)):
             got = _per_series(y, kind, "ma1", alpha)
-            err = np.max(np.abs(got - dense)) / np.max(np.abs(dense))
+            err = np.max(np.abs(got - dense) / np.abs(dense))
             assert err < 1e-10, f"spectral MA(1) {kind} off by {err} (relative) at alpha={alpha}"
 
 
 def _check_exact_derivatives() -> None:
     # per-series first and second derivatives of MA(1) hyv near the bound
     # against central differences, Richardson-extrapolated from steps h, h/2
-    y = models.sample_ma1(models.params_for("ma1", 0.9), 4, 50, seed=19)
+    y = models.sample_ma1(0.9, 4, 50, seed=19)
     theta, h = 0.9, 1e-3
 
     def f(th):
@@ -93,7 +283,7 @@ def _check_wishart_k() -> None:
     # K of the closed-form traces against the dense precision derivative
     for model, t_len, lam in itertools.product(("ar1", "ma1"), (3, 10, 50), (-0.8, 0.0, 0.5)):
         k = wishart.wishart_components(model, lam, t_len + 4, t_len)[1]
-        dense = 0.25 * np.sum(wishart.precision_derivative(model, lam, t_len) ** 2)
+        dense = 0.25 * np.sum(precision_derivative(model, lam, t_len) ** 2)
         assert abs(k - dense) <= 1e-10 * max(1.0, dense), (model, t_len, lam, k, dense)
 
 
@@ -116,9 +306,9 @@ def _check_wishart_dense() -> None:
         s = models.sum_of_squares(rng.standard_normal((nu, t_len)))
         ctx = wishart.wishart_context(s, nu=nu, model=model)
         s_inv, c = np.linalg.inv(s), 0.5 * (nu - t_len - 1)
-        resid = c * s_inv - 0.5 * wishart.scale_precision(model, lam, t_len)
+        resid = c * s_inv - 0.5 * scale_precision(model, lam, t_len)
         dense = 0.5 * np.sum(resid * resid) - c * np.sum(np.diag(s_inv) ** 2)
-        grad = -0.5 * np.sum(resid * wishart.precision_derivative(model, lam, t_len))
+        grad = -0.5 * np.sum(resid * precision_derivative(model, lam, t_len))
         for got, want in ((ctx.total(lam), dense), (ctx.derivatives(lam)[0][0], grad)):
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (model, t_len, lam, got, want)
 
@@ -131,37 +321,43 @@ def _check_wishart_j() -> None:
         scalar = 0.36 * 0.64**2 / (2.0 * (nu - 4))
         assert abs(exact - scalar) <= 1e-12 * scalar, (nu, exact, scalar)
     for model in ("ar1", "ma1"):
-        g2 = wishart.hw_grad_samples(model, 0.4, nu=30, t_len=6, n_draws=4000, seed=13) ** 2
+        g2 = hw_grad_samples(model, 0.4, nu=30, t_len=6, n_draws=4000, seed=13) ** 2
         se = np.std(g2, ddof=1) / np.sqrt(len(g2))
         exact = wishart.wishart_components(model, 0.4, 30, 6)[0]
         assert abs(np.mean(g2) - exact) <= 4 * se, (model, float(np.mean(g2)), exact)
 
 
-def _check_pairwise_closed_form() -> None:
-    # the closed form against the argmax of the pairwise likelihood, each
-    # consecutive pair a bivariate normal with variance tau2 and lag-1
-    # correlation phi, and sigma2 = tau2 (1 - phi^2) profiled out
-    y = models.sample_ar1(models.params_for("ar1", 0.5), 200, 50, seed=123)
-    phi_hat, sigma2_hat = scores.ar1_pairwise_closed_form(y)
+def _check_pairwise_argmins() -> None:
+    # the AR(1) pairwise fit (sigma2 = 1 known) and the closed form (sigma2
+    # profiled out) against numeric argmins of the pairwise likelihood, each
+    # consecutive pair a bivariate normal with variance sigma2 / (1 - phi^2)
+    # and lag-1 correlation phi
+    y = models.sample_ar1(0.5, 200, 50, seed=123)
+    phi_hat, sigma2_hat = ar1_pairwise_closed_form(y)
     pairs = np.stack([y[:, :-1], y[:, 1:]], axis=-1).reshape(-1, 2)
     paired, cross = float(np.sum(pairs * pairs)), float(np.sum(pairs[:, 0] * pairs[:, 1]))
 
-    def profiled(phi: float) -> float:
-        sigma2 = (paired - 2 * phi * cross) / (2 * len(pairs))
+    def negloglik(phi: float, sigma2: float) -> float:
         cov = sigma2 / (1 - phi * phi) * np.array([[1.0, phi], [phi, 1.0]])
         quad = np.einsum("ni,ij,nj->", pairs, np.linalg.inv(cov), pairs)
         return 0.5 * quad + 0.5 * len(pairs) * np.linalg.slogdet(cov)[1]
 
-    f, step = np.vectorize(profiled, otypes=[float]), 1e-5
+    def argmin(objective) -> float:
+        f, step = np.vectorize(objective, otypes=[float]), 1e-5
 
-    def jets(theta, order):  # central differences, an independent route
-        mid = f(theta)
-        if not order:  # the grid scan reads values only
-            return mid[None]
-        lo, hi = f(theta - step), f(theta + step)
-        return np.array([mid, (hi - lo) / (2 * step), (hi - 2 * mid + lo) / step**2])
+        def jets(theta, order):  # central differences, an independent route
+            mid = f(theta)
+            if not order:  # the grid scan reads values only
+                return mid[None]
+            lo, hi = f(theta - step), f(theta + step)
+            return np.array([mid, (hi - lo) / (2 * step), (hi - 2 * mid + lo) / step**2])
 
-    phi_num = _minimize_scalar(jets, -0.999, 0.999)
+        return _minimize_scalar(jets, -0.999, 0.999)
+
+    fitted = inference.fit(y, "pairwise", "ar1", compute_sd=False).estimate
+    phi_num = argmin(lambda phi: negloglik(phi, 1.0))
+    assert abs(fitted - phi_num) < 1e-6, (fitted, phi_num)
+    phi_num = argmin(lambda phi: negloglik(phi, (paired - 2 * phi * cross) / (2 * len(pairs))))
     assert abs(phi_hat - phi_num) < 1e-4, (phi_hat, phi_num)
     assert abs(phi_hat - 0.5) < 0.05 and abs(sigma2_hat - 1.0) < 0.05
 
@@ -170,7 +366,7 @@ def _check_batched_grid() -> None:
     # the minimizer's grid in one call against one call per seed, for an AR
     # and an MA objective and the Wishart score
     grid = np.linspace(*inference.SEARCH_BOUNDS, GRID_POINTS + 2)[1:-1]
-    y = models.sample_ma1(models.params_for("ma1", 0.6), 30, 20, seed=23)
+    y = models.sample_ma1(0.6, 30, 20, seed=23)
     ctx = wishart.wishart_context(models.sum_of_squares(y), nu=30, model="ma1")
     for f in (scores.series_objective(y, "hyv", "ar1").total,
               scores.series_objective(y, "full", "ma1").total,
@@ -211,8 +407,8 @@ def _check_shared_reductions() -> None:
 
 
 def _check_sampler_determinism() -> None:
-    a = models.sample_ma1(models.params_for("ma1", 0.3), 8, 12, seed=99)
-    b = models.sample_ma1(models.params_for("ma1", 0.3), 8, 12, seed=99)
+    a = models.sample_ma1(0.3, 8, 12, seed=99)
+    b = models.sample_ma1(0.3, 8, 12, seed=99)
     assert np.array_equal(a, b)
 
 
@@ -244,7 +440,7 @@ CHECKS = (
     ("Wishart objective matches its dense definition", _check_wishart_dense),
     ("exact Wishart variability matches inverse chi-square and Monte Carlo",
      _check_wishart_j),
-    ("pairwise closed form matches numeric argmax", _check_pairwise_closed_form),
+    ("AR(1) pairwise fit and closed form match numeric argmins", _check_pairwise_argmins),
     ("batched grid matches pointwise objective values", _check_batched_grid),
     ("shared reductions, cached grid jets and study lanes match standalone fits",
      _check_shared_reductions),

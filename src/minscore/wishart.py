@@ -26,32 +26,18 @@ The sensitivity of that estimating equation is the deterministic quantity
 ``K = 0.25 * sum_{i,j} (d lam^{ji} / d lambda)^2``, which for AR(1) is
 ``(T - 1 + 2 lam^2 (T - 2)) / 2``.  The derivative is linear in S^{-1},
 which is inverse-Wishart, so its variance J is exact as well; both come from
-:func:`wishart_components`.
+:func:`wishart_components`.  The dense precision, its derivative and a Monte
+Carlo draw of the gradient, which check these, are in :mod:`minscore.selfcheck`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .models import (
-    _jet_power,
-    ar1_precision,
-    canonical_model,
-    ma1_eigenvalues,
-    ma1_precision,
-    ma1_sine_transform,
-    params_for,
-    sample_series,
-)
+from .models import _jet_power, canonical_model, ma1_eigenvalues, ma1_sine_transform
 from .scores import EstimatorKind, SeriesObjective
 
-__all__ = [
-    "wishart_context",
-    "scale_precision",
-    "precision_derivative",
-    "hw_grad_samples",
-    "wishart_components",
-]
+__all__ = ["wishart_context", "wishart_components"]
 
 
 def wishart_context(s, nu: int, model: str) -> SeriesObjective:
@@ -92,50 +78,9 @@ def _inverses(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return l_inv, 0.5 * (s_inv + s_inv.T)
 
 
-def _s_inverse(s: np.ndarray) -> np.ndarray:
-    return _inverses(s)[1]
-
-
-def scale_precision(model: str, lam: float, t_len: int) -> np.ndarray:
-    """Inverse of the unit-variance scale matrix at dependence parameter lam.
-
-    AR(1) with T = 1 is handled directly (the tridiagonal corner pattern only
-    exists for T >= 2): the scale entry is 1/(1-lam^2), so its inverse is
-    1 - lam^2.
-    """
-    model = canonical_model(model)
-    params = params_for(model, lam)
-    if model == "ar1":
-        if t_len == 1:
-            return np.array([[1.0 - lam**2]])
-        return ar1_precision(params, t_len)
-    return ma1_precision(params, t_len)
-
-
-def precision_derivative(model: str, lam: float, t_len: int) -> np.ndarray:
-    """Elementwise derivative of :func:`scale_precision` in lam, analytic.
-
-    AR(1): off-diagonals -1, interior diagonal 2*lam, corner diagonal 0.
-    MA(1): ``U diag(d(1/lambda_k)/d lam) U`` in the DST-I basis, which equals
-    ``-P Omega' P`` with ``Omega'`` tridiagonal ``(1, 2 lam, 1)``.
-    """
-    model = canonical_model(model)
-    if model == "ar1":
-        if t_len == 1:
-            return np.array([[-2.0 * lam]])
-        deriv = np.zeros((t_len, t_len))
-        idx = np.arange(t_len - 1)
-        deriv[idx, idx + 1] = -1.0
-        deriv[idx + 1, idx] = -1.0
-        inner = np.arange(1, t_len - 1)
-        deriv[inner, inner] = 2.0 * lam
-        return deriv
-    d = np.diag(_jet_power(ma1_eigenvalues(lam, t_len, 1), -1)[1])
-    return ma1_sine_transform(ma1_sine_transform(d, axis=0), axis=1)  # U d U
-
-
 def _derivative_traces(model: str, lam: float, t_len: int) -> tuple[float, float, float]:
-    # tr(D P), tr(D P D P) and ||D||_F^2, with P = scale_precision and D its derivative
+    # tr(D P), tr(D P D P) and ||D||_F^2, with P the unit-variance scale
+    # precision at lam and D its derivative in lam
     if model == "ma1":
         p = _jet_power(ma1_eigenvalues(lam, t_len, 1), -1)  # eigenvalues of P and of D
         dp = p[1] * p[0]
@@ -160,8 +105,8 @@ def wishart_components(model: str, lam: float, nu: int, t_len: int) -> tuple[flo
 
     K = 0.25 * ||D||_F^2, with D the precision derivative, is the expected
     second derivative of the score.  The gradient is ``-c/2 * tr(D S^{-1})``
-    plus a constant, and S^{-1} is inverse-Wishart with scale
-    Psi = :func:`scale_precision`.  Its second moments (von Rosen 1988,
+    plus a constant, and S^{-1} is inverse-Wishart with scale Psi, the
+    precision of the unit-variance scale matrix.  Its second moments (von Rosen 1988,
     Scand. J. Statist. 15) give, with n = nu and p = T,
 
         J = c^2/4 * [2 a^2 + 2 (n-p-1) b] / ((n-p) (n-p-1)^2 (n-p-3)),
@@ -178,40 +123,3 @@ def wishart_components(model: str, lam: float, nu: int, t_len: int) -> tuple[flo
     m = nu - t_len
     j = c * c / 4.0 * (2.0 * a * a + 2.0 * (m - 1) * b) / (m * (m - 1) ** 2 * (m - 3))
     return j, 0.25 * d2
-
-
-def hw_grad_samples(
-    model: str,
-    lam: float,
-    nu: int,
-    t_len: int,
-    n_draws: int,
-    seed,
-    chunk: int = 128,
-) -> np.ndarray:
-    """Score-equation gradients at lam over fresh Wishart draws.
-
-    Each draw is the sum-of-squares matrix of ``nu`` series of length
-    ``t_len`` simulated at parameter lam by the model samplers.  A Monte
-    Carlo check of the J of :func:`wishart_components`; no fit calls it.  Returns an
-    array of ``n_draws`` gradient values.
-    """
-    model = canonical_model(model)
-    if nu < t_len + 2:
-        raise ValueError(f"Wishart draws need nu >= T + 2; got nu={nu}, T={t_len}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    prec = scale_precision(model, lam, t_len)
-    dprec = precision_derivative(model, lam, t_len)
-    c = 0.5 * (nu - t_len - 1)
-    grads = np.empty(n_draws)
-    done = 0
-    while done < n_draws:
-        n = min(chunk, n_draws - done)
-        draws = sample_series(model, lam, n * nu, t_len, rng).reshape(n, nu, t_len)
-        s = np.matmul(draws.transpose(0, 2, 1), draws)
-        s_inv = np.linalg.inv(s)
-        s_inv = 0.5 * (s_inv + s_inv.transpose(0, 2, 1))
-        resid = c * s_inv - 0.5 * prec
-        grads[done : done + n] = -0.5 * np.einsum("bij,ij->b", resid, dprec)
-        done += n
-    return grads

@@ -15,15 +15,6 @@ import pytest
 from minscore import (
     EstimatorKind,
     ExperimentConfig,
-    ar1_covariance,
-    ar1_pairwise_closed_form,
-    ar1_precision,
-    gaussian_hyvarinen,
-    hw_grad_samples,
-    ma1_covariance,
-    ma1_precision,
-    params_for,
-    precision_derivative,
     run_experiment,
     sample_ar1,
     sample_series,
@@ -33,6 +24,16 @@ from minscore import (
     wishart_context,
 )
 from minscore.cli import cli_main
+from minscore.selfcheck import (
+    ar1_covariance,
+    ar1_pairwise_closed_form,
+    ar1_precision,
+    gaussian_hyvarinen,
+    hw_grad_samples,
+    ma1_covariance,
+    ma1_precision,
+    precision_derivative,
+)
 
 SEED = 20260808
 NU = 200
@@ -119,12 +120,15 @@ def stationary_covariance(model, theta, t_len):
 
 
 def exact_efficiency(model, kind, theta, t_len=T_LEN):
-    """Exact asymptotic efficiency of a per-series estimator against full ML.
+    """Exact asymptotic efficiency of a per-series estimator against full ML,
+    with the per-series variability J and sensitivity K behind it.
 
     Each estimating function is a quadratic form ``y'A y - c`` with A the
     theta-derivative of the objective's matrix, so its Godambe information is
     K^2 / J with ``J = 2 tr(A S A S)`` and ``K = tr(A S')``; the efficiency
-    divides that by the Fisher information ``I = tr((S^-1 S')^2) / 2``.
+    divides that by the Fisher information ``I = tr((S^-1 S')^2) / 2``, and
+    the estimator's sd from nu series is ``sqrt(J / K^2 / nu)``.  Returns
+    ``(efficiency, J, K)``.
     """
     cov, dcov = stationary_covariance(model, theta, t_len)
     prec = np.linalg.inv(cov)
@@ -145,7 +149,7 @@ def exact_efficiency(model, kind, theta, t_len=T_LEN):
     sensitivity = np.trace(a @ dcov)
     variability = 2.0 * np.trace(a @ cov @ a @ cov)
     fisher = 0.5 * np.trace(prec @ dcov @ prec @ dcov)
-    return sensitivity**2 / (variability * fisher)
+    return sensitivity**2 / (variability * fisher), variability, sensitivity
 
 
 def exact_wishart_efficiency(model, theta, nu=NU, t_len=T_LEN):
@@ -250,13 +254,13 @@ def test_reference_targets_match_exact_efficiency():
         ("ar1", AR_GRID, AR_TARGETS), ("ma1", MA_GRID, MA_TARGETS),
     ):
         for theta in grid:
-            eff = exact_efficiency(model, "full", theta)
+            eff = exact_efficiency(model, "full", theta)[0]
             checks.append((f"{model} full ML efficiency at {theta:+.1f}",
                            abs(eff - 1.0) <= 1e-9, f"{eff:.12f}"))
         for kind in ("pairwise", "hyv"):
             targets, tol = targets_by_kind[kind]
             for theta, target in targets.items():
-                eff = exact_efficiency(model, kind, theta)
+                eff = exact_efficiency(model, kind, theta)[0]
                 checks.append((f"{model} {kind} target at {theta:+.1f}",
                                abs(target - eff) <= tol,
                                f"target {target} vs exact {eff:.4f} +/- {tol}"))
@@ -267,7 +271,7 @@ def test_reference_targets_match_exact_efficiency():
                            abs(target - eff) <= tol,
                            f"target {target} vs exact {eff:.4f} +/- {tol}"))
     for theta in (-0.9, 0.9):
-        eff = round(exact_efficiency("ma1", "hyv", theta), 4)
+        eff = round(exact_efficiency("ma1", "hyv", theta)[0], 4)
         target = MA_TARGETS["hyv"][0][theta]
         checks.append((f"ma1 hyv target at {theta:+.1f} is the exact value",
                        target == eff, f"target {target} vs exact {eff}"))
@@ -287,7 +291,7 @@ def test_criterion_4_oracle_equivalences():
         for theta in (-0.9, -0.4, 0.0, 0.4, 0.9):
             for model, precision in (("ar1", ar1_precision), ("ma1", ma1_precision)):
                 direct = [series_objective(row, "hyv", model).total(theta) for row in y]
-                generic = gaussian_hyvarinen(y, precision(params_for(model, theta), t_len))
+                generic = gaussian_hyvarinen(y, precision(theta, t_len))
                 worst = max(worst, float(np.max(np.abs(direct - generic))))
     checks.append(("Hyvarinen closed forms vs generic Gaussian form",
                    worst <= 1e-8, f"max abs diff {worst:.2e}"))
@@ -296,13 +300,11 @@ def test_criterion_4_oracle_equivalences():
     worst = 0.0
     for t_len in range(2, 21):
         for theta in (-0.9, -0.5, 0.0, 0.5, 0.9):
-            ar = params_for("ar1", theta)
-            ma = params_for("ma1", theta)
             worst = max(worst, float(np.max(np.abs(
-                ar1_precision(ar, t_len) - np.linalg.inv(ar1_covariance(ar, t_len))
+                ar1_precision(theta, t_len) - np.linalg.inv(ar1_covariance(theta, t_len))
             ))))
             worst = max(worst, float(np.max(np.abs(
-                ma1_precision(ma, t_len) - np.linalg.inv(ma1_covariance(ma, t_len))
+                ma1_precision(theta, t_len) - np.linalg.inv(ma1_covariance(theta, t_len))
             ))))
     checks.append(("precision matrices vs dense inversion",
                    worst <= 1e-10, f"max abs diff {worst:.2e}"))
@@ -338,7 +340,7 @@ def test_criterion_4_oracle_equivalences():
                    worst <= 1e-4, f"max rel diff {worst:.2e}"))
 
     # pairwise variance estimate is Monte Carlo consistent at nu=2000
-    y = sample_ar1(params_for("ar1", 0.5), 2000, 50, seed=3)
+    y = sample_ar1(0.5, 2000, 50, seed=3)
     phi_hat, sigma2_hat = ar1_pairwise_closed_form(y)
     checks.append(("closed-form pairwise variance consistency",
                    abs(sigma2_hat - 1.0) <= 0.02, f"sigma2_hat {sigma2_hat:.4f}"))
@@ -451,6 +453,18 @@ class TestStudyInvariants:
                 scatter = np.std(estimates, ddof=1)
                 predicted = np.mean(sds)
                 assert abs(scatter - predicted) / predicted < 0.15, (theta, kind)
+
+    def test_ar1_pairwise_scatter_matches_exact_sd(self, ar1_study):
+        # the scatter of the AR(1) pairwise estimates in each cell against the
+        # exact sd sqrt(J / K^2 / nu) of the sigma2 = 1 pairwise equation, as
+        # a z-score with the standard error sd / sqrt(2 (n - 1)) of a sample sd
+        _, details, _ = ar1_study
+        for theta in AR_GRID:
+            estimates, _ = details[(theta, EstimatorKind.PAIRWISE_ML)]
+            _, j, k = exact_efficiency("ar1", "pairwise", theta)
+            exact = np.sqrt(j / k**2 / NU)
+            z = (np.std(estimates, ddof=1) - exact) / (exact / np.sqrt(2 * (len(estimates) - 1)))
+            assert abs(z) <= 3, (theta, z)
 
     def test_are_ordering(self, ar1_study, ma1_study):
         ar = row_map(ar1_study[0])

@@ -32,16 +32,14 @@ def test_all_names_resolve_once(name):
 
 PUBLIC_NAMES = {
     # models
-    "Ar1Params", "Ma1Params", "ar1_covariance", "ar1_precision", "ma1_covariance",
-    "ma1_eigenvalues", "ma1_precision", "ma1_sine_transform", "params_for", "sample_ar1",
-    "sample_ma1", "sample_series", "sum_of_squares",
+    "ma1_eigenvalues", "ma1_sine_transform", "sample_ar1", "sample_ma1", "sample_series",
+    "sum_of_squares",
     # optimize
     "MinimizationError", "minimize_lanes",
     # scores
-    "DegenerateDataError", "EstimatorKind", "ar1_pairwise_closed_form", "gaussian_hyvarinen",
-    "objective_lanes", "series_objective",
+    "DegenerateDataError", "EstimatorKind", "objective_lanes", "series_objective",
     # wishart
-    "hw_grad_samples", "precision_derivative", "wishart_components", "wishart_context",
+    "wishart_components", "wishart_context",
     # inference
     "EstimateRecord", "SeriesReduction", "are", "check_sample_size", "fit", "fit_lanes",
     "sample_size_error",
@@ -52,16 +50,18 @@ PUBLIC_NAMES = {
 
 
 def test_package_surface_is_pinned():
-    # a name joins or leaves the package's surface only with an edit here
-    assert len(PUBLIC_NAMES) == 39
+    # a name joins or leaves the package's surface only with an edit here;
+    # the dense oracles are in minscore.selfcheck, not on it
+    assert len(PUBLIC_NAMES) == 28
     assert set(minscore.__all__) == PUBLIC_NAMES
 
 
-def _scipy_modules_after(code: str) -> tuple[list[str], str]:
-    # run ``code`` in a fresh interpreter and list the scipy modules it loaded
+def _modules_after(code: str, package: str = "scipy") -> tuple[list[str], str]:
+    # run ``code`` in a fresh interpreter and list the modules of ``package``
+    # it loaded
     script = code + (
         "\nimport sys"
-        "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"\nprint(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     )
     src = os.path.dirname(os.path.dirname(minscore.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -73,13 +73,19 @@ def _scipy_modules_after(code: str) -> tuple[list[str], str]:
 
 
 def test_import_loads_no_scipy():
-    modules, _ = _scipy_modules_after("import minscore, minscore.cli")
+    modules, _ = _modules_after("import minscore, minscore.cli")
     assert modules == []
+
+
+def test_import_loads_no_oracles():
+    # the dense oracles load only with the check command or an explicit import
+    modules, _ = _modules_after("import minscore, minscore.cli", "minscore")
+    assert "minscore.cli" in modules and "minscore.selfcheck" not in modules
 
 
 def test_check_command_loads_no_scipy():
     # what ``python -m minscore check`` runs, with its exit code kept
-    modules, out = _scipy_modules_after(
+    modules, out = _modules_after(
         "import runpy, sys\n"
         "sys.argv = ['minscore', 'check']\n"
         "try:\n"

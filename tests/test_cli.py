@@ -386,3 +386,23 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "all" in out and "passed" in out
         assert "FAIL" not in out
+
+    def test_spectral_check_catches_a_trace_mutation(self, monkeypatch):
+        # scaling the MA(1) hyv trace term by 1 + 1e-7 fails the long-series
+        # spectral check on its own (T = 200, |alpha| = 0.999): its error is
+        # per series and relative, not scaled by the largest |objective|
+        import minscore.scores as scores
+        from minscore import selfcheck
+
+        real = scores._terms
+
+        def mutated(kind, model, t_len, theta, order=0):
+            coef, const = real(kind, model, t_len, theta, order)
+            if (kind, model) == (scores.EstimatorKind.HYV_UNIVARIATE, "ma1"):
+                const = const * (1 + 1e-7)
+            return coef, const
+
+        selfcheck._check_ma1_spectral_objectives()
+        monkeypatch.setattr(scores, "_terms", mutated)
+        with pytest.raises(AssertionError, match="spectral MA.1. hyv"):
+            selfcheck._check_ma1_spectral_objectives()

@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import optimize as sp_optimize
+from scipy import stats
 
 from minscore import (
     ConfigError,
@@ -14,10 +16,8 @@ from minscore import (
     check_sample_size,
     fit,
     fit_lanes,
-    hw_grad_samples,
     minimize_lanes,
     objective_lanes,
-    params_for,
     sample_ar1,
     sample_ma1,
     sample_series,
@@ -28,6 +28,7 @@ from minscore import (
 )
 from minscore.inference import SEARCH_BOUNDS, retained_floats
 from minscore.scores import min_series_length, series_objective
+from minscore.selfcheck import hw_grad_samples
 
 
 def per_series_moments(y, kind, model, theta):
@@ -52,27 +53,28 @@ def godambe_sd(y, kind, model, theta, nu):
 class TestGodambeEmpirical:
     def test_information_identity_for_full_ml(self):
         # J ~ K for the log-score at the truth (10% relative at nu=2000)
-        y = sample_ar1(params_for("ar1", 0.5), 2000, 50, seed=40)
+        y = sample_ar1(0.5, 2000, 50, seed=40)
         j_hat, k_hat = godambe(y, EstimatorKind.FULL_ML, "ar1", 0.5)
         assert abs(j_hat - k_hat) / k_hat < 0.10
 
     def test_hyv_univariate_sd_matches_reference(self):
         # G estimated on nu=2000 series; the sd quoted for the reference study
         # size (nu=200) must come out at 0.0101 +/- 0.0005
-        y = sample_ar1(params_for("ar1", 0.0), 2000, 50, seed=41)
+        y = sample_ar1(0.0, 2000, 50, seed=41)
         sd = godambe_sd(y, EstimatorKind.HYV_UNIVARIATE, "ar1", 0.0, 200)
         assert abs(sd - 0.0101) < 0.0005
 
     def test_repeated_rows_are_degenerate(self):
         rng = np.random.default_rng(42)
-        y = np.tile(rng.standard_normal(20), (3, 1))
         # at the shared per-series optimum every per-series gradient vanishes
-        with pytest.raises(DegenerateDataError):
-            fit(y, EstimatorKind.PAIRWISE_ML, "ma1")
+        for y in (np.tile(rng.standard_normal(20), (3, 1)), np.ones((3, 3))):
+            for model in ("ar1", "ma1"):
+                with pytest.raises(DegenerateDataError):
+                    fit(y, EstimatorKind.PAIRWISE_ML, model)
 
     def test_invariant_g_formula(self):
         # the fitted sd is 1 / sqrt(nu G) with G = K^2 / J > 0 at the estimate
-        y = sample_ma1(params_for("ma1", 0.3), 500, 20, seed=44)
+        y = sample_ma1(0.3, 500, 20, seed=44)
         record = fit(y, EstimatorKind.PAIRWISE_ML, "ma1")
         j_hat, k_hat = godambe(y, EstimatorKind.PAIRWISE_ML, "ma1", record.estimate)
         npt.assert_allclose(500 * record.sd**2, j_hat / k_hat**2, rtol=1e-12)
@@ -87,8 +89,8 @@ class TestGodambeMonteCarlo:
         # within 3 combined MC standard errors, component by component
         theta0 = 0.5
         nu = 3000
-        y = sample_ar1(params_for("ar1", theta0), nu, 30, seed=45)
-        draws = sample_ar1(params_for("ar1", theta0), nu, 30, seed=46)
+        y = sample_ar1(theta0, nu, 30, seed=45)
+        draws = sample_ar1(theta0, nu, 30, seed=46)
         g_emp, k_emp = per_series_moments(y, EstimatorKind.HYV_UNIVARIATE, "ar1", theta0)
         g_mc, k_mc = per_series_moments(draws, EstimatorKind.HYV_UNIVARIATE, "ar1", theta0)
         se_j = np.sqrt(np.var(g_emp**2, ddof=1) / nu + np.var(g_mc**2, ddof=1) / nu)
@@ -106,7 +108,7 @@ class TestGodambeMonteCarlo:
         # the fitted sd, 1/sqrt(nu*g) with J scaled by nu, equals
         # sqrt(Var of the pooled gradient)/K
         nu, t_len = 200, 50
-        record = fit(sample_ar1(params_for("ar1", 0.0), nu, t_len, seed=47),
+        record = fit(sample_ar1(0.0, nu, t_len, seed=47),
                      EstimatorKind.HYV_WISHART, "ar1")
         j_total, k_total = wishart_components("ar1", record.estimate, nu, t_len)
         npt.assert_allclose(record.sd, np.sqrt(j_total) / k_total, rtol=1e-12)
@@ -160,25 +162,25 @@ class TestFit:
         reps = 200
         for rep in range(reps):
             seed = np.random.SeedSequence(entropy=55, spawn_key=(rep,))
-            y = sample_ar1(params_for("ar1", 0.5), 200, 50, seed)
+            y = sample_ar1(0.5, 200, 50, seed)
             for kind in EstimatorKind:
                 sums[kind] += fit(y, kind, "ar1", compute_sd=False).estimate
         for kind, total in sums.items():
             assert abs(total / reps - 0.5) < 0.01, kind
 
     def test_ma_hyv_sd_at_09(self):
-        y = sample_ma1(params_for("ma1", 0.9), 200, 50, seed=56)
+        y = sample_ma1(0.9, 200, 50, seed=56)
         record = fit(y, EstimatorKind.HYV_UNIVARIATE, "ma1")
         assert abs(record.sd - 0.0064) < 0.0008
 
     def test_full_vs_pairwise_at_independence(self):
-        y = sample_ar1(params_for("ar1", 0.0), 200, 50, seed=57)
+        y = sample_ar1(0.0, 200, 50, seed=57)
         full = fit(y, EstimatorKind.FULL_ML, "ar1", compute_sd=False)
         pair = fit(y, EstimatorKind.PAIRWISE_ML, "ar1", compute_sd=False)
         assert abs(full.estimate - pair.estimate) < 1e-3
 
     def test_are_of_full_ml_against_itself(self):
-        y = sample_ar1(params_for("ar1", 0.4), 400, 30, seed=58)
+        y = sample_ar1(0.4, 400, 30, seed=58)
         record = fit(y, EstimatorKind.FULL_ML, "ar1")
         self_rel = are(record.sd, record.sd)
         assert self_rel == 1.0
@@ -187,26 +189,46 @@ class TestFit:
         mc_sd = godambe_sd(draws, EstimatorKind.FULL_ML, "ar1", record.estimate, 400)
         assert abs(are(record.sd, mc_sd) - 1.0) < 0.05
 
-    def test_boundary_flag_from_closed_form(self):
-        y = np.tile([1.0, 1.0, 1.0], (3, 1))
-        record = fit(y, EstimatorKind.PAIRWISE_ML, "ar1")
-        assert record.boundary_flag
-        assert record.estimate == 1.0
-        assert record.sd is None and record.are is None
+    def test_boundary_flag_at_search_bound(self):
+        # series of +-100 pull the sigma2 = 1 pairwise argmin past the search
+        # interval: the fit ends on its bound, flagged and without an sd
+        for sign in (1.0, -1.0):
+            y = np.tile([100.0, sign * 100.0, 100.0], (3, 1))
+            record = fit(y, EstimatorKind.PAIRWISE_ML, "ar1", sd_mle=0.01)
+            assert record.boundary_flag
+            assert abs(record.estimate - sign * SEARCH_BOUNDS[1]) < 4e-6
+            assert record.sd is None and record.are is None
+
+    @pytest.mark.parametrize("phi", [-0.9, -0.5, 0.5, 0.9])
+    def test_ar1_pairwise_is_the_unit_variance_argmin(self, phi):
+        # the argmin of the sigma2 = 1 pairwise likelihood, every consecutive
+        # pair N(0, [[1, phi], [phi, 1]] / (1 - phi^2)), by SciPy's bounded
+        # search; the sigma2-profiled closed form lies about 3e-3 away
+        y = sample_ar1(phi, 200, 50, seed=80)
+        pairs = np.stack([y[:, :-1], y[:, 1:]], axis=-1).reshape(-1, 2)
+
+        def negative(rho):
+            cov = np.array([[1.0, rho], [rho, 1.0]]) / (1.0 - rho * rho)
+            return -float(np.sum(stats.multivariate_normal(cov=cov).logpdf(pairs)))
+
+        argmin = sp_optimize.minimize_scalar(negative, bounds=SEARCH_BOUNDS, method="bounded",
+                                             options={"xatol": 1e-10}).x
+        estimate = fit(y, EstimatorKind.PAIRWISE_ML, "ar1", compute_sd=False).estimate
+        assert abs(estimate - argmin) <= 1e-6
 
     def test_are_filled_when_baseline_given(self):
-        y = sample_ar1(params_for("ar1", 0.5), 200, 50, seed=60)
+        y = sample_ar1(0.5, 200, 50, seed=60)
         baseline = fit(y, EstimatorKind.FULL_ML, "ar1")
         record = fit(y, EstimatorKind.PAIRWISE_ML, "ar1", sd_mle=baseline.sd)
         assert 0.5 < record.are < 1.1
 
     def test_wishart_requires_enough_series(self):
-        y = sample_ar1(params_for("ar1", 0.2), 10, 30, seed=61)
+        y = sample_ar1(0.2, 10, 30, seed=61)
         with pytest.raises(ValueError):
             fit(y, EstimatorKind.HYV_WISHART, "ar1")
 
     def test_wishart_sd_is_exact(self):
-        y = sample_ma1(params_for("ma1", 0.3), 60, 12, seed=65)
+        y = sample_ma1(0.3, 60, 12, seed=65)
         record = fit(y, EstimatorKind.HYV_WISHART, "ma1")
         j_total, k_total = wishart_components("ma1", record.estimate, 60, 12)
         npt.assert_allclose(record.sd, np.sqrt(j_total) / k_total, rtol=1e-12)
@@ -269,7 +291,7 @@ class TestFit:
 
     def test_wishart_sd_needs_four_extra_series(self):
         # the point estimate needs nu >= T + 2, its sd nu >= T + 4
-        y = sample_ar1(params_for("ar1", 0.2), 13, 10, seed=67)
+        y = sample_ar1(0.2, 13, 10, seed=67)
         assert not fit(y, EstimatorKind.HYV_WISHART, "ar1", compute_sd=False).boundary_flag
         with pytest.raises(ValueError, match=r"nu >= T \+ 4"):
             fit(y, EstimatorKind.HYV_WISHART, "ar1")
@@ -287,7 +309,7 @@ class TestFit:
             raise AssertionError("minimized before the bounds were checked")
 
         monkeypatch.setattr(inference, "minimize_lanes", never)
-        y = sample_ar1(params_for("ar1", 0.2), nu, 10, seed=68)
+        y = sample_ar1(0.2, nu, 10, seed=68)
         with pytest.raises(ValueError, match=bound):
             fit(y, kind, "ar1", compute_sd=compute_sd)
 
@@ -320,9 +342,6 @@ class TestFit:
         for kind in EstimatorKind:
             minimizations.clear()
             fit(y, kind, model)
-            if (model, kind) == ("ar1", EstimatorKind.PAIRWISE_ML):
-                assert minimizations == []  # closed form
-                continue
             [shapes] = minimizations
             assert shapes[0] == (64,), kind
             assert len(shapes) > 1 and set(shapes[1:]) == {(1,)}, kind
@@ -427,16 +446,13 @@ class TestFit:
             reduction = SeriesReduction(y)
             reduction.keep_statistics(kinds, model)
             assert reduction.series is None
-            buffers, floats = {}, 0
+            buffers = {}
             for kept in reduction._families.values():
-                if isinstance(kept, float):  # the AR(1) pairwise closed form
-                    floats += 1
-                    continue
                 for array in (kept.stats, kept.pooled):
                     while array.base is not None:
                         array = array.base
                     buffers[id(array)] = array.size
-            assert retained_floats(kinds, model, nu, t_len) == floats + sum(buffers.values())
+            assert retained_floats(kinds, model, nu, t_len) == sum(buffers.values())
 
     def test_reduction_checks_values_once(self):
         y = sample_series("ma1", 0.3, 30, 10, seed=73)
@@ -467,7 +483,7 @@ class TestFit:
         estimates, sds = [], []
         for rep in range(120):
             seed = np.random.SeedSequence(entropy=62, spawn_key=(rep,))
-            y = sample_ar1(params_for("ar1", 0.5), 200, 50, seed)
+            y = sample_ar1(0.5, 200, 50, seed)
             record = fit(y, EstimatorKind.HYV_UNIVARIATE, "ar1")
             estimates.append(record.estimate)
             sds.append(record.sd)
@@ -484,7 +500,7 @@ class TestUnbiasedEstimatingEquations:
     def test_per_series_kinds(self, model, theta0):
         nu = 3000
         sampler = sample_ar1 if model == "ar1" else sample_ma1
-        y = sampler(params_for(model, theta0), nu, 20, seed=63)
+        y = sampler(theta0, nu, 20, seed=63)
         for kind in (EstimatorKind.FULL_ML, EstimatorKind.PAIRWISE_ML,
                      EstimatorKind.HYV_UNIVARIATE):
             g, _ = per_series_moments(y, kind, model, theta0)

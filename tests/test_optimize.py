@@ -14,7 +14,6 @@ from minscore import (
     SeriesReduction,
     minimize_lanes,
     objective_lanes,
-    params_for,
     sample_ar1,
     sample_series,
     series_objective,
@@ -67,7 +66,7 @@ class TestMinimizeScalar:
         assert abs(f(x) - f(x_dense)) < 1e-6
 
     def test_total_hyvarinen_objective(self):
-        y = sample_ar1(params_for("ar1", 0.5), 200, 50, seed=30)
+        y = sample_ar1(0.5, 200, 50, seed=30)
         lanes = objective_lanes([series_objective(y, EstimatorKind.HYV_UNIVARIATE, "ar1")])
         x = minimize_lanes(lanes, -0.999, 0.999).theta[0]
         assert abs(x - 0.5) < 0.05

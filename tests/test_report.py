@@ -21,7 +21,6 @@ from minscore import (
     fit,
     run_experiment,
     sample_ar1,
-    params_for,
 )
 
 
@@ -142,7 +141,7 @@ class TestRunExperiment:
         assert len(rows) == 4  # one per estimator
         seed_root = np.random.SeedSequence(entropy=7, spawn_key=(0, 0))
         sample_seed, mc_seed = seed_root.spawn(2)
-        y = sample_ar1(params_for("ar1", 0.0), 30, 8, sample_seed)
+        y = sample_ar1(0.0, 30, 8, sample_seed)
         by_kind = {row.estimator: row for row in rows}
         direct = fit(y, EstimatorKind.PAIRWISE_ML, "ar1")
         assert by_kind[EstimatorKind.PAIRWISE_ML].mean_est == pytest.approx(

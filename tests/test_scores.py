@@ -7,24 +7,23 @@ from scipy import optimize as sp_optimize
 from scipy import stats
 
 from minscore import (
-    Ar1Params,
-    Ma1Params,
     DegenerateDataError,
     EstimatorKind,
+    minimize_lanes,
+    objective_lanes,
+    sample_ar1,
+    sample_ma1,
+    series_objective,
+)
+from minscore.scores import min_series_length
+from minscore.selfcheck import (
     ar1_covariance,
     ar1_pairwise_closed_form,
     ar1_precision,
     gaussian_hyvarinen,
     ma1_covariance,
     ma1_precision,
-    minimize_lanes,
-    objective_lanes,
-    params_for,
-    sample_ar1,
-    sample_ma1,
-    series_objective,
 )
-from minscore.scores import min_series_length
 
 
 def fd_hyvarinen(y, log_density, h=1e-4):
@@ -78,7 +77,7 @@ class TestAr1FullLoglik:
     def test_matches_dense_gaussian_logdensity(self):
         rng = np.random.default_rng(1)
         y = rng.standard_normal(6)
-        cov = ar1_covariance(params_for("ar1", 0.6), 6)
+        cov = ar1_covariance(0.6, 6)
         # the objective drops the (T/2) log(2 pi) of the negated log-density
         dense = 0.5 * np.linalg.slogdet(cov)[1] + 0.5 * y @ np.linalg.solve(cov, y)
         npt.assert_allclose(objective_total(y, "full", "ar1", 0.6), dense, rtol=0, atol=1e-10)
@@ -121,7 +120,7 @@ class TestAr1PairwiseClosedForm:
         assert sigma2_hat == 0.0
 
     def test_monte_carlo_consistency(self):
-        y = sample_ar1(Ar1Params(0, 1, 0.5), 2000, 50, seed=5)
+        y = sample_ar1(0.5, 2000, 50, seed=5)
         phi_hat, sigma2_hat = ar1_pairwise_closed_form(y)
         assert abs(phi_hat - 0.5) < 0.01
         assert abs(sigma2_hat - 1.0) < 0.02
@@ -133,7 +132,7 @@ class TestAr1PairwiseClosedForm:
     def test_matches_numeric_joint_argmax(self):
         # profile sigma2 out in closed form, then search over phi; every
         # consecutive pair is N(0, sigma2 / (1 - phi^2) [[1, phi], [phi, 1]])
-        y = sample_ar1(Ar1Params(0, 1, 0.5), 200, 50, seed=6)
+        y = sample_ar1(0.5, 200, 50, seed=6)
         nu, t_len = y.shape
         paired = float(np.sum(y[:, 1:] ** 2) + np.sum(y[:, :-1] ** 2))
         cross = float(np.sum(y[:, 1:] * y[:, :-1]))
@@ -210,14 +209,13 @@ class TestAr1Hyvarinen:
         rng = np.random.default_rng(t_len)
         y = rng.standard_normal((3, t_len))
         direct = per_series(y, "hyv", "ar1", phi)
-        generic = gaussian_hyvarinen(y, ar1_precision(params_for("ar1", phi), t_len))
+        generic = gaussian_hyvarinen(y, ar1_precision(phi, t_len))
         npt.assert_allclose(direct, generic, atol=1e-8)
 
     def test_finite_difference_oracle(self):
         rng = np.random.default_rng(10)
         y = rng.standard_normal(5)
-        params = Ar1Params(0.0, 1.0, 0.45)
-        prec = ar1_precision(params, 5)
+        prec = ar1_precision(0.45, 5)
         oracle = fd_hyvarinen(y, lambda v: -0.5 * v @ prec @ v)
         npt.assert_allclose(objective_total(y, "hyv", "ar1", 0.45), oracle, atol=1e-5)
 
@@ -238,8 +236,7 @@ class TestMa1FullLoglik:
     def test_matches_dense_logdensity(self):
         rng = np.random.default_rng(13)
         y = rng.standard_normal(5)
-        params = Ma1Params(0.0, 1.0, 0.3)
-        cov = ma1_covariance(params, 5)
+        cov = ma1_covariance(0.3, 5)
         dense = 0.5 * np.linalg.slogdet(cov)[1] + 0.5 * y @ np.linalg.solve(cov, y)
         npt.assert_allclose(objective_total(y, "full", "ma1", 0.3), dense, atol=1e-10)
 
@@ -272,7 +269,7 @@ class TestMa1Hyvarinen:
 
     def test_at_the_mean(self):
         got = objective_total(np.zeros(4), "hyv", "ma1", 0.5)
-        npt.assert_allclose(got, -np.trace(ma1_precision(params_for("ma1", 0.5), 4)), rtol=1e-12)
+        npt.assert_allclose(got, -np.trace(ma1_precision(0.5, 4)), rtol=1e-12)
 
     @pytest.mark.parametrize("t_len", range(2, 21))
     @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.5, 0.9])
@@ -280,14 +277,13 @@ class TestMa1Hyvarinen:
         rng = np.random.default_rng(100 + t_len)
         y = rng.standard_normal((2, t_len))
         direct = per_series(y, "hyv", "ma1", alpha)
-        generic = gaussian_hyvarinen(y, ma1_precision(params_for("ma1", alpha), t_len))
+        generic = gaussian_hyvarinen(y, ma1_precision(alpha, t_len))
         npt.assert_allclose(direct, generic, atol=1e-8)
 
     def test_finite_difference_oracle(self):
         rng = np.random.default_rng(16)
         y = rng.standard_normal(4)
-        params = Ma1Params(0.0, 1.0, 0.6)
-        prec = ma1_precision(params, 4)
+        prec = ma1_precision(0.6, 4)
         oracle = fd_hyvarinen(y, lambda v: -0.5 * v @ prec @ v)
         npt.assert_allclose(objective_total(y, "hyv", "ma1", 0.6), oracle, atol=1e-5)
 
@@ -299,12 +295,11 @@ class TestMa1BandedObjectives:
     @pytest.mark.parametrize("t_len", [2, 3, 50, 200])
     @pytest.mark.parametrize("alpha", [-0.999, -0.9, 0.0, 0.5, 0.999])
     def test_match_dense_forms(self, t_len, alpha):
-        params = params_for("ma1", alpha)
         y = np.random.default_rng(t_len).standard_normal((4, t_len))
-        cov = ma1_covariance(params, t_len)
+        cov = ma1_covariance(alpha, t_len)
         quad = np.sum(y * np.linalg.solve(cov, y.T).T, axis=1)
         full = 0.5 * np.linalg.slogdet(cov)[1] + 0.5 * quad
-        hyv = gaussian_hyvarinen(y, ma1_precision(params, t_len))
+        hyv = gaussian_hyvarinen(y, ma1_precision(alpha, t_len))
         for kind, dense in (("full", full), ("hyv", hyv)):
             got = per_series(y, kind, "ma1", alpha)
             assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
@@ -325,7 +320,7 @@ class TestTotalScore:
         )
         npt.assert_allclose(
             objective_total(y, EstimatorKind.HYV_UNIVARIATE, "ar1", phi),
-            gaussian_hyvarinen(y, ar1_precision(params_for("ar1", phi), 6)),
+            gaussian_hyvarinen(y, ar1_precision(phi, 6)),
             rtol=1e-14,
         )
 
@@ -372,9 +367,9 @@ class TestPropriety:
     def test_minimizer_near_truth(self, model, kind):
         theta0 = 0.5
         if model == "ar1":
-            y = sample_ar1(params_for("ar1", theta0), 5000, 30, seed=20)
+            y = sample_ar1(theta0, 5000, 30, seed=20)
         else:
-            y = sample_ma1(params_for("ma1", theta0), 5000, 30, seed=20)
+            y = sample_ma1(theta0, 5000, 30, seed=20)
         lanes = objective_lanes([series_objective(y, kind, model)])
         [theta_star] = minimize_lanes(lanes, -0.999, 0.999).theta
         assert abs(theta_star - theta0) < 0.02
@@ -388,9 +383,9 @@ class TestPropriety:
         theta0 = -0.5
         nu = 4000
         if model == "ar1":
-            y = sample_ar1(params_for("ar1", theta0), nu, 20, seed=21)
+            y = sample_ar1(theta0, nu, 20, seed=21)
         else:
-            y = sample_ma1(params_for("ma1", theta0), nu, 20, seed=21)
+            y = sample_ma1(theta0, nu, 20, seed=21)
         grads, _ = series_objective(y, kind, model).derivatives(theta0)
         se = np.std(grads, ddof=1) / np.sqrt(nu)
         assert abs(np.mean(grads)) < 5 * se
@@ -400,8 +395,7 @@ def dense_objective(y, kind, model, theta):
     """Per-series objective (minimization orientation, mu = 0, sigma2 = 1)
     from dense T x T or 2 x 2 linear algebra, independent of the statistics."""
     t_len = y.shape[-1]
-    params = params_for(model, theta)
-    cov = (ar1_covariance if model == "ar1" else ma1_covariance)(params, t_len)
+    cov = (ar1_covariance if model == "ar1" else ma1_covariance)(theta, t_len)
     if kind is EstimatorKind.HYV_UNIVARIATE:
         return gaussian_hyvarinen(y, np.linalg.inv(cov))
     if kind is EstimatorKind.FULL_ML:
@@ -437,8 +431,8 @@ class TestSufficientStatistics:
     @pytest.mark.parametrize("kind", PER_SERIES_KINDS)
     def test_objectives_match_dense_references(self, model, kind):
         for t_len in (min_series_length(kind, model), 50, 200):
-            y = sample_ar1(Ar1Params(0, 1, 0.5), 3, t_len, seed=t_len) if model == "ar1" \
-                else sample_ma1(Ma1Params(0, 1, 0.5), 3, t_len, seed=t_len)
+            y = sample_ar1(0.5, 3, t_len, seed=t_len) if model == "ar1" \
+                else sample_ma1(0.5, 3, t_len, seed=t_len)
             for theta in ORACLE_THETAS:
                 got = per_series(y, kind, model, theta)
                 dense = dense_objective(y, kind, model, theta)
@@ -448,8 +442,8 @@ class TestSufficientStatistics:
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     @pytest.mark.parametrize("kind", PER_SERIES_KINDS)
     def test_derivatives_match_richardson_differences(self, model, kind):
-        y = sample_ar1(Ar1Params(0, 1, 0.4), 5, 50, seed=3) if model == "ar1" \
-            else sample_ma1(Ma1Params(0, 1, 0.4), 5, 50, seed=3)
+        y = sample_ar1(0.4, 5, 50, seed=3) if model == "ar1" \
+            else sample_ma1(0.4, 5, 50, seed=3)
         objective = series_objective(y, kind, model)
         for theta in ORACLE_THETAS:
             grad, hess = objective.derivatives(theta)
@@ -462,7 +456,7 @@ class TestSufficientStatistics:
     @pytest.mark.parametrize("kind", PER_SERIES_KINDS)
     def test_total_matches_total_score(self, model, kind):
         # the total score: the per-series objectives summed over the rows
-        y = sample_ma1(Ma1Params(0, 1, -0.3), 6, 9, seed=4)
+        y = sample_ma1(-0.3, 6, 9, seed=4)
         objective = series_objective(y, kind, model)
         for theta in (-0.7, 0.2):
             npt.assert_allclose(objective.total(theta),
@@ -472,7 +466,7 @@ class TestSufficientStatistics:
     @pytest.mark.parametrize("kind", PER_SERIES_KINDS)
     def test_reads_only_the_statistics(self, model, kind):
         # once reduced, the series can be overwritten: nothing reads them again
-        y = sample_ar1(Ar1Params(0, 1, 0.3), 4, 12, seed=5)
+        y = sample_ar1(0.3, 4, 12, seed=5)
         objective = series_objective(y, kind, model)
         y[:] = np.nan
         grad, hess = objective.derivatives(0.4)
@@ -492,7 +486,7 @@ class TestSufficientStatistics:
         from fractions import Fraction
 
         t_len = 30
-        y = sample_ar1(Ar1Params(0, 1, phi), 4, t_len, seed=8)
+        y = sample_ar1(phi, 4, t_len, seed=8)
         quad = (per_series(y, kind, "ar1", phi)
                 - objective_total(np.zeros(t_len), kind, "ar1", phi))
         p = Fraction(phi)

@@ -5,13 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from minscore import (
-    ar1_covariance,
     fit,
-    hw_grad_samples,
     minimize_lanes,
     objective_lanes,
-    params_for,
-    precision_derivative,
     sample_ar1,
     sample_ma1,
     sample_series,
@@ -20,7 +16,8 @@ from minscore import (
     wishart_context,
 )
 from minscore.inference import SEARCH_BOUNDS
-from minscore.wishart import _s_inverse, scale_precision
+from minscore.selfcheck import ar1_covariance, hw_grad_samples, precision_derivative, scale_precision
+from minscore.wishart import _inverses
 
 
 def make_ctx(s, nu, model="ar1"):
@@ -70,7 +67,7 @@ class TestContext:
         # the S^{-1} that wishart_context reduces to its statistics
         rng = np.random.default_rng(0)
         y = rng.standard_normal((12, 4))
-        s_inv = _s_inverse(sum_of_squares(y))
+        s_inv = _inverses(sum_of_squares(y))[1]
         npt.assert_allclose(s_inv @ sum_of_squares(y), np.eye(4), atol=1e-10)
         assert np.array_equal(s_inv, s_inv.T)
 
@@ -84,7 +81,7 @@ class TestScalarCalculus:
         # is 1/scale, so HW(scale) = -c*s11^2 + 0.5*(c*s11 - 1/(2*scale))^2,
         # with c = (nu - T - 1) / 2 = 4
         c = 4.0
-        s11 = _s_inverse(np.array([[4.0]]))[0, 0]
+        s11 = _inverses(np.array([[4.0]]))[1][0, 0]
         return -c * s11**2 + 0.5 * (c * s11 - 0.5 / scale) ** 2
 
     def test_value_and_minimizer_over_scale(self):
@@ -284,7 +281,7 @@ class TestVariability:
 
 class TestEstimate:
     def test_grid_argmin_monte_carlo(self):
-        y = sample_ar1(params_for("ar1", 0.5), 200, 50, seed=8)
+        y = sample_ar1(0.5, 200, 50, seed=8)
         ctx = make_ctx(sum_of_squares(y), nu=200)
         grid = np.arange(-0.99, 0.99, 0.001)
         vals = [ctx.total(p) for p in grid]
@@ -294,12 +291,12 @@ class TestEstimate:
         assert abs(estimate(y, "ar1") - best) < 1e-3
 
     def test_row_permutation_invariance(self):
-        y = sample_ma1(params_for("ma1", 0.4), 30, 8, seed=9)
+        y = sample_ma1(0.4, 30, 8, seed=9)
         shuffled = y[np.random.default_rng(10).permutation(30)]
         npt.assert_allclose(estimate(y, "ma1"), estimate(shuffled, "ma1"), atol=1e-9)
 
     def test_refuses_small_nu(self):
-        y = sample_ar1(params_for("ar1", 0.2), 8, 7, seed=11)
+        y = sample_ar1(0.2, 8, 7, seed=11)
         with pytest.raises(ValueError):
             estimate(y, "ar1")
 
@@ -308,7 +305,7 @@ class TestEstimate:
         estimates = []
         for rep in range(200):
             seed = np.random.SeedSequence(entropy=12, spawn_key=(rep,))
-            y = sample_ar1(params_for("ar1", 0.9), 200, 50, seed)
+            y = sample_ar1(0.9, 200, 50, seed)
             estimates.append(estimate(y, "ar1"))
         assert abs(np.mean(estimates) - 0.9) < 0.01
 
@@ -316,7 +313,7 @@ class TestEstimate:
         estimates = []
         for rep in range(200):
             seed = np.random.SeedSequence(entropy=13, spawn_key=(rep,))
-            y = sample_ma1(params_for("ma1", 0.0), 200, 50, seed)
+            y = sample_ma1(0.0, 200, 50, seed)
             estimates.append(estimate(y, "ma1"))
         assert abs(np.mean(estimates)) < 0.005
 
@@ -324,7 +321,7 @@ class TestEstimate:
 class TestScalePrecision:
     def test_ar1_t1_special_case(self):
         npt.assert_allclose(scale_precision("ar1", 0.6, 1), [[1 - 0.36]], rtol=1e-14)
-        cov = ar1_covariance(params_for("ar1", 0.6), 1)
+        cov = ar1_covariance(0.6, 1)
         npt.assert_allclose(scale_precision("ar1", 0.6, 1) @ cov, np.eye(1), atol=1e-12)
 
 
@@ -371,7 +368,7 @@ class TestDenseForms:
         nu = t_len + 6
         s = sum_of_squares(rng.standard_normal((nu, t_len)))
         ctx = make_ctx(s, nu=nu, model=model)
-        c, s_inv = 0.5 * (nu - t_len - 1), _s_inverse(s)
+        c, s_inv = 0.5 * (nu - t_len - 1), _inverses(s)[1]
         for lam in (-0.95, -0.3, 0.0, 0.63, 0.95):
             resid = c * s_inv - 0.5 * scale_precision(model, lam, t_len)
             dense = 0.5 * np.sum(resid * resid) - c * np.sum(np.diag(s_inv) ** 2)
@@ -383,7 +380,7 @@ class TestDenseForms:
     def test_score_reads_only_the_statistics(self, model):
         # the context keeps no T x T array, not even as the base of a view,
         # only O(T) statistics of S^{-1}
-        y = sample_ma1(params_for("ma1", 0.3), 20, 6, seed=14)
+        y = sample_ma1(0.3, 20, 6, seed=14)
         ctx = make_ctx(sum_of_squares(y), nu=20, model=model)
         for value in vars(ctx).values():
             assert np.size(value) <= 6 and np.size(getattr(value, "base", None)) <= 6
@@ -419,6 +416,6 @@ def test_s_inverse_against_extended_precision(model, t_len):
         for seed in range(5):
             s = sum_of_squares(sample_series(model, theta, 200, t_len, seed))
             exact = gauss_jordan_inverse(s)
-            err = np.max(np.abs(_s_inverse(s) - exact))
+            err = np.max(np.abs(_inverses(s)[1] - exact))
             worst = max(worst, float(err) / np.spacing(float(np.max(np.abs(exact)))))
     assert worst <= min(2 * t_len + 1, 53)
