@@ -25,7 +25,6 @@ from .inference import (
     EstimateRecord,
     SeriesReduction,
     are,
-    check_sample_size,
     fit,
     fit_lanes,
     sample_size_error,
@@ -53,7 +52,6 @@ __all__ = [
     "EstimateRecord",
     "SeriesReduction",
     "are",
-    "check_sample_size",
     "fit",
     "fit_lanes",
     "sample_size_error",

@@ -22,15 +22,18 @@ import warnings
 
 import numpy as np
 
-from .inference import EstimateRecord, SeriesReduction, check_sample_size, fit
+from .inference import EstimateRecord, SeriesReduction, fit, sample_size_error
 from .models import sample_series
 from .report import emit_are_svg, emit_csv
 from .scores import EstimatorKind
-from .simulate import ConfigError, ExperimentConfig, run_experiment
+from .simulate import ConfigError, ExperimentConfig, format_float, run_experiment
 
 __all__ = ["cli_main", "main"]
 
 FIT_HEADER = "estimator,estimate,sd,are,boundary"
+# the keys of a table config file, "-" read as "_"
+CONFIG_KEYS = ("model", "grid", "nu", "t", "replicates", "mc_b", "seed", "estimators", "out",
+               "svg", "workers")
 
 
 class _UsageError(Exception):
@@ -103,7 +106,11 @@ def _read_config_file(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
                 key, value = line.split("=", 1)
-                entries[key.strip().lower().replace("-", "_")] = value.strip()
+                name = key.strip().lower().replace("-", "_")
+                if name not in CONFIG_KEYS:
+                    raise ConfigError(f"{path}:{lineno}: unknown key {key.strip()!r}; "
+                                      f"known: {', '.join(CONFIG_KEYS)}")
+                entries[name] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     return entries
@@ -174,9 +181,9 @@ def _table_config(args) -> tuple[ExperimentConfig, str, str | None, int]:
 
 
 def _record_line(record: EstimateRecord) -> str:
-    sd = f"{record.sd:.6g}" if record.sd is not None else "nan"
-    rel = f"{record.are:.6g}" if record.are is not None else "nan"
-    return f"{record.kind.value},{record.estimate:.6g},{sd},{rel},{int(record.boundary_flag)}"
+    cells = ["nan" if v is None else format_float(v)
+             for v in (record.estimate, record.sd, record.are)]
+    return ",".join([record.kind.value, *cells, str(int(record.boundary_flag))])
 
 
 def _cmd_simulate(args) -> int:
@@ -202,7 +209,9 @@ def _cmd_fit(args) -> int:
     kind = EstimatorKind(args.estimator)
     # one reduction for both fits; the requested bounds fail before either
     reduction = SeriesReduction(y)
-    check_sample_size(kind, args.model, reduction)
+    error = sample_size_error(kind, args.model, *reduction.shape)
+    if error is not None:
+        raise ValueError(error)
     sd_mle = None
     if kind is not EstimatorKind.FULL_ML:
         sd_mle = fit(reduction, EstimatorKind.FULL_ML, args.model).sd

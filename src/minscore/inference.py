@@ -8,12 +8,12 @@ deviation is 1 / sqrt(nu * G).
 Every estimator has one fitting route and one sd route.  Every estimate
 minimizes its kind's objective in theta, the only parameter (mean 0 and unit
 innovation variance are known), so the sd is that of the estimate it is
-reported with.  The per-series kinds estimate J and K
-from the observed series, using the exact per-series gradients and second
-derivatives of their objectives, which a fit reads from the jets its
-minimization ends on.  The Wishart estimator's score acts on the pooled
-statistic S = Y'Y rather than series by series; its J and K are exact in
-closed form (:func:`~minscore.wishart.wishart_components`), and J is
+reported with.  The per-series kinds estimate J and K from the observed
+series, using the exact per-series gradients and second derivatives of their
+objectives, which a fit reads from the jets at its estimates, evaluated for
+all of its datasets in one call.  The Wishart estimator's score acts on the
+pooled statistic S = Y'Y rather than series by series; its J and K are exact
+in closed form (:func:`~minscore.wishart.wishart_components`), and J is
 rescaled by nu so the one sd formula applies to all four kinds.
 """
 
@@ -42,7 +42,6 @@ __all__ = [
     "EstimateRecord",
     "SeriesReduction",
     "are",
-    "check_sample_size",
     "sample_size_error",
     "fit",
     "fit_lanes",
@@ -175,18 +174,6 @@ def sample_size_error(
     return None
 
 
-def check_sample_size(
-    kind: EstimatorKind, model: str, series, *, compute_sd: bool = True
-) -> None:
-    """Raise ``ValueError`` unless :func:`fit` can fit the (nu, T) series
-    matrix ``series`` (or its :class:`SeriesReduction`):
-    finite values, and the bounds of :func:`sample_size_error`."""
-    nu, t_len = _reduction(series).shape
-    error = sample_size_error(kind, model, nu, t_len, compute_sd=compute_sd)
-    if error is not None:
-        raise ValueError(error)
-
-
 def _reduction(series) -> SeriesReduction:
     return series if isinstance(series, SeriesReduction) else SeriesReduction(series)
 
@@ -205,10 +192,10 @@ def fit(
     that the fits of several estimators to one dataset check its values once
     and share the statistics they have in common.  This is the one-lane case
     of :func:`fit_lanes` and gives the same bits as a fit of the same series
-    among others.  Data that :func:`check_sample_size` rejects (non-finite
-    values, too few or too short series) fail before any minimization, and
-    any other failure is raised as well.  ``are`` is filled when ``sd_mle``
-    is supplied.
+    among others.  Non-finite values and the bounds of
+    :func:`sample_size_error` (too few or too short series) fail before any
+    minimization, and any other failure is raised as well.  ``are`` is
+    filled when ``sd_mle`` is supplied.
     """
     [record] = fit_lanes([_reduction(series)], kind, model, compute_sd=compute_sd)
     if isinstance(record, Exception):
@@ -236,7 +223,7 @@ def fit_lanes(
     :func:`~minscore.optimize.minimize_lanes`.  Estimates within 4e-6 of a
     bound are flagged and get no sd.  The sd of a per-series kind is
     the empirical Godambe information from the per-series derivatives of the
-    jets the minimization ends on; the Wishart kind uses its exact J and K
+    jets at the estimates; the Wishart kind uses its exact J and K
     (:func:`~minscore.wishart.wishart_components`), J scaled by nu.
     """
     kind = EstimatorKind(kind)
@@ -259,8 +246,9 @@ def fit_lanes(
         return results
 
     lo, hi = SEARCH_BOUNDS
-    found = minimize_lanes(objective_lanes(objectives), lo, hi)
-    theta, coef, const, failed = found.theta, found.coef, found.const, ~found.ok
+    lanes = objective_lanes(objectives)
+    theta = minimize_lanes(lanes, lo, hi)
+    failed = np.isnan(theta)
     boundary = (theta <= lo + _EDGE_MARGIN) | (theta >= hi - _EDGE_MARGIN)
 
     need_sd = np.flatnonzero(~failed & ~boundary) if compute_sd else []
@@ -272,10 +260,12 @@ def fit_lanes(
                                      for j in need_sd]).T
             j_hat = nu * j_hat
         else:
-            # the per-series derivatives from the jets at each estimate, a
-            # (lanes, series) array whose rows do not depend on each other
-            g, h = map(np.array, zip(*(objectives[j].jet_derivatives(coef[:, j], const[:, j])
-                                       for j in need_sd)))
+            # the per-series derivatives from the jets at every estimate in
+            # one call, a (lanes, series) array whose rows do not depend on
+            # each other
+            coef, const = lanes.terms(theta[need_sd], 2)
+            g, h = map(np.array, zip(*(objectives[j].jet_derivatives(coef[:, n], const[:, n])
+                                       for n, j in enumerate(need_sd))))
             j_hat, k_hat = np.mean(g * g, axis=-1), np.mean(h, axis=-1)
         usable = _usable(j_hat, k_hat)
         with np.errstate(divide="ignore", invalid="ignore"):

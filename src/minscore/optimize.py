@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Lanes", "LaneMinimum", "MinimizationError", "minimize_lanes"]
+__all__ = ["Lanes", "MinimizationError", "minimize_lanes"]
 
 GRID_POINTS = 64  # interior grid seeds of every minimization
 MAX_STEPS = 100  # Newton or bisection steps per lane; bisection alone needs about 55
@@ -55,19 +55,9 @@ class Lanes:
     rows: np.ndarray  # (R,)
 
 
-@dataclass(frozen=True)
-class LaneMinimum:
-    """Minimizers of the lanes and the order-2 jets there.  ``ok`` is False
-    for a lane that is non-finite at every grid seed; its entries are NaN."""
-
-    theta: np.ndarray  # (R,)
-    ok: np.ndarray  # (R,) bool
-    coef: np.ndarray  # (3, R, m)
-    const: np.ndarray  # (3, R)
-
-
-def minimize_lanes(lanes: Lanes, lo: float, hi: float) -> LaneMinimum:
-    """Minimize every lane on the open interval (lo, hi).
+def minimize_lanes(lanes: Lanes, lo: float, hi: float) -> np.ndarray:
+    """Minimize every lane on the open interval (lo, hi); returns the (R,)
+    minimizers, NaN for a lane that is non-finite at every grid seed.
 
     The grid seeds are scanned for all lanes in one call of ``terms``.  Each
     lane then starts at its best seed x_b and keeps the bracket
@@ -109,8 +99,6 @@ def minimize_lanes(lanes: Lanes, lo: float, hi: float) -> LaneMinimum:
     left = np.where(best > 0, xs[best - 1], lo)
     right = np.where(best < GRID_POINTS - 1, xs[np.minimum(best + 1, GRID_POINTS - 1)], hi)
     theta = np.where(ok, xs[best], np.nan)
-    jet_coef = np.full((3, n_lanes, width), np.nan)
-    jet_const = np.full((3, n_lanes), np.nan)
     value = np.full(n_lanes, np.nan)
 
     # the lanes still stepping, their iterates and brackets
@@ -130,12 +118,8 @@ def minimize_lanes(lanes: Lanes, lo: float, hi: float) -> LaneMinimum:
             side = np.where(finite, g, x - theta[index])
             lft = np.where(side < 0, x, lft)
             rgt = np.where(side > 0, x, rgt)
-            if finite.all():
-                theta[index], value[index], jet_coef[:, index], jet_const[:, index] = x, f, c, k
-            else:
-                at = index[finite]
-                theta[at], value[at] = x[finite], f[finite]
-                jet_coef[:, at], jet_const[:, at] = c[:, finite], k[:, finite]
+            at = index[finite]
+            theta[at], value[at] = x[finite], f[finite]
             newton = x - g / h
             nxt = np.where(finite & (h > 0) & (lft < newton) & (newton < rgt), newton,
                            0.5 * (lft + rgt))
@@ -144,11 +128,9 @@ def minimize_lanes(lanes: Lanes, lo: float, hi: float) -> LaneMinimum:
 
     # the grid guard: a lane that ends above its best seed, or has no finite
     # iterate, returns the seed
-    back = np.flatnonzero(ok & ~(value <= best_value))
-    if back.size:
-        theta[back] = xs[best[back]]
-        jet_coef[:, back], jet_const[:, back] = lanes.terms(theta[back], 2)
-    return LaneMinimum(theta, ok, jet_coef, jet_const)
+    back = ok & ~(value <= best_value)
+    theta[back] = xs[best[back]]
+    return theta
 
 
 def _lane_jets(lanes: Lanes, index, coef, const):

@@ -35,10 +35,10 @@ per-series first and second derivatives at any theta then cost no pass over
 the data, and the derivatives are exact (jets, see :mod:`minscore.models`).
 The total also takes an array of theta and evaluates all of it in one call,
 and :func:`objective_lanes` stacks the objectives of many datasets as the
-lanes of one minimization (:mod:`minscore.optimize`); the grid's jets are
-cached.  Every small contraction in the jets is a product summed along one
-axis (:func:`_contract`), so a theta's jets carry the same bits whatever the
-shape of the array it comes in.
+lanes of one minimization (:mod:`minscore.optimize`).  The jets are
+recomputed at every call.  Every small contraction in them is a product
+summed along one axis (:func:`_contract`), so a theta's jets carry the same
+bits whatever the shape of the array it comes in.
 
 :func:`series_objective` accepts a single series of shape (T,) or a stack of
 series of shape (nu, T).  The log-likelihoods drop their ``log(2 pi)`` terms,
@@ -63,7 +63,7 @@ from .models import (
     ma1_eigenvalues,
     ma1_sine_transform,
 )
-from .optimize import GRID_POINTS, Lanes
+from .optimize import Lanes
 
 __all__ = [
     "EstimatorKind",
@@ -255,28 +255,6 @@ def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):
     return coef, -0.5 * pairs * _jet_log(_contract(u, _TWO_U_MINUS_SQUARE))
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_jets(args: tuple, seeds: bytes) -> tuple:
-    # order-0 jets of the minimizer's grid, read-only as every caller shares them
-    jets = _terms(*args, np.frombuffer(seeds))
-    for jet in jets:
-        jet.flags.writeable = False
-    return jets
-
-
-def _order0_jets(args: tuple, theta) -> tuple:
-    # _terms(*args, theta), cached for the grid of GRID_POINTS seeds that
-    # every fit of one (kind, model, T) scans
-    if isinstance(theta, np.ndarray) and theta.shape == (GRID_POINTS,):
-        return _grid_jets(args, np.asarray(theta, dtype=float).tobytes())
-    return _terms(*args, theta)
-
-
-def _lane_terms(args: tuple, theta, order: int) -> tuple:
-    # the jet function of objective_lanes: the cached grid for order 0
-    return _order0_jets(args, theta) if order == 0 else _terms(*args, theta, order)
-
-
 @dataclass(frozen=True)
 class SeriesObjective:
     """An objective reduced to sufficient statistics (:func:`series_objective`,
@@ -298,7 +276,7 @@ class SeriesObjective:
         """Sum of the objectives of the rows at theta: a float for a scalar
         theta, one value per entry for an array (a whole grid in one call)."""
         theta = np.asarray(theta, dtype=float)
-        coef, const = _order0_jets((self.kind, self.model, self.t_len), np.atleast_1d(theta))
+        coef, const = _terms(self.kind, self.model, self.t_len, np.atleast_1d(theta))
         value = (self.scale * np.sum(self.pooled * coef[0], axis=-1)
                  + len(self.stats) * const[0] + self.offset)
         return value if theta.ndim else float(value[0])
@@ -331,7 +309,7 @@ def objective_lanes(objectives) -> Lanes:
     if len(args) != 1:
         raise ValueError(f"lanes need objectives of one kind, model and length, got {args}")
     return Lanes(
-        functools.partial(_lane_terms, args.pop()),
+        functools.partial(_terms, *args.pop()),
         np.stack([o.pooled for o in objectives]),
         np.array([o.offset for o in objectives]),
         np.array([o.scale for o in objectives]),

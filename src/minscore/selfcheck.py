@@ -379,9 +379,8 @@ def _check_batched_grid() -> None:
 
 def _check_shared_reductions() -> None:
     # a tiny study's replicates fitted as the study fits them (one reduction
-    # shared by all kinds, grid jets from the cache, all replicates as lanes)
-    # and kind by kind, each from the raw series with the grid cache emptied
-    # first
+    # shared by all kinds, all replicates as lanes) and kind by kind, each
+    # from the raw series
     for model in ("ar1", "ma1"):
         cfg = simulate.ExperimentConfig(model=model, param_grid=(-0.4, 0.5), nu=20, t_len=8,
                                         replicates=3, seed=5)
@@ -390,7 +389,6 @@ def _check_shared_reductions() -> None:
             series = [simulate._sample_replicate(cfg, theta0, grid_index, rep)
                       for rep in range(cfg.replicates)]
             for kind in cfg.estimators:
-                scores._grid_jets.cache_clear()
                 alone = [inference.fit(y, kind, model) for y in series]
                 alone = [(r.estimate, r.sd) for r in alone if not r.boundary_flag]
                 study = list(zip(*details[theta0, kind]))
@@ -400,7 +398,6 @@ def _check_shared_reductions() -> None:
             reduction = inference.SeriesReduction(y)
             for kind in scores.EstimatorKind:
                 shared = inference.fit(reduction, kind, model)
-                scores._grid_jets.cache_clear()
                 alone = inference.fit(y, kind, model)
                 assert (shared.estimate, shared.sd) == (alone.estimate, alone.sd), (
                     f"{model} {kind}: shared {shared} vs standalone {alone}")
@@ -425,9 +422,8 @@ def _minimize_scalar(jets, lo: float, hi: float) -> float:
         return (jets(theta, order)[: order + 1, ..., None],
                 np.zeros((order + 1,) + np.shape(theta)))
 
-    found = minimize_lanes(Lanes(terms, np.ones((1, 1)), np.zeros(1), np.ones(1), np.zeros(1)),
-                           lo, hi)
-    return float(found.theta[0])
+    lanes = Lanes(terms, np.ones((1, 1)), np.zeros(1), np.ones(1), np.zeros(1))
+    return float(minimize_lanes(lanes, lo, hi)[0])
 
 
 CHECKS = (
@@ -442,7 +438,7 @@ CHECKS = (
      _check_wishart_j),
     ("AR(1) pairwise fit and closed form match numeric argmins", _check_pairwise_argmins),
     ("batched grid matches pointwise objective values", _check_batched_grid),
-    ("shared reductions, cached grid jets and study lanes match standalone fits",
+    ("shared reductions and study lanes match standalone fits",
      _check_shared_reductions),
     ("samplers are seed-deterministic", _check_sampler_determinism),
     ("scalar minimizer finds quadratic minimum", _check_minimizer),

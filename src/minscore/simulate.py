@@ -27,6 +27,7 @@ import numpy as np
 from .inference import (
     EstimateRecord,
     SeriesReduction,
+    are,
     fit_lanes,
     retained_floats,
     sample_size_error,
@@ -271,7 +272,7 @@ def _aggregate(cfg, kinds, theta0, outcomes, rows: list, details: dict | None) -
                 estimator=kind,
                 mean_est=float(np.mean(cell.estimates)),
                 mean_sd=mean_sd,
-                are=1.0 if kind is EstimatorKind.FULL_ML else (sd_mle / mean_sd) ** 2,
+                are=1.0 if kind is EstimatorKind.FULL_ML else are(sd_mle, mean_sd),
                 n_replicates=cell.n_total,
                 n_boundary=cell.n_boundary,
                 nu=cfg.nu,

@@ -8,6 +8,7 @@ that uses them is marked ``slow``, so ``pytest -m "not slow"`` leaves them out.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from minscore import (
     EstimatorKind,
     ExperimentConfig,
+    emit_csv,
     run_experiment,
     sample_ar1,
     sample_series,
@@ -235,6 +237,17 @@ def test_criterion_3_qualitative_crossover(ar1_study, ma1_study):
          ma_gap >= 0.4, f"gap {ma_gap:.3f}"),
     ]
     report("3: efficiency crossover", checks)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("study", ["ar1_study", "ma1_study"])
+def test_study_csv_is_pinned(study, request, tmp_path):
+    # the whole table of each study, byte for byte, against its committed
+    # reference; a change to any cell must replace the file deliberately
+    path = tmp_path / f"{study}.csv"
+    emit_csv(request.getfixturevalue(study)[0], str(path))
+    reference = Path(__file__).parent / "reference" / f"{study}.csv"
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_reference_targets_match_exact_efficiency():

@@ -345,6 +345,19 @@ class TestTable:
         assert cli_main(["table", "--config", str(cfg), "--out", str(flag_out)]) == 0
         assert (tmp_path / "from_file.csv").read_bytes() == flag_out.read_bytes()
 
+    @pytest.mark.parametrize("line,key", [("replicats = 3", "replicats"), ("sed = 4", "sed")])
+    def test_unknown_config_key_exits_1(self, tmp_path, capsys, monkeypatch, line, key):
+        # a misspelt key is named with its line, not ignored in favour of a default
+        import minscore.cli as cli
+
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("study ran"))
+        cfg = tmp_path / "study.cfg"
+        out = tmp_path / "x.csv"
+        cfg.write_text(f"model = ar1\ngrid = 0.3\n{line}\nout = {out}\n")
+        assert cli_main(["table", "--config", str(cfg)]) == 1
+        assert f"{cfg}:3: unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_out(self, capsys):
         code = cli_main(["table", "--model", "ar1", "--grid", "0.2"])
         assert code == 1

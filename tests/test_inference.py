@@ -13,7 +13,6 @@ from minscore import (
     ExperimentConfig,
     SeriesReduction,
     are,
-    check_sample_size,
     fit,
     fit_lanes,
     minimize_lanes,
@@ -365,7 +364,7 @@ class TestFit:
         # score to the bit
         y = sample_series(model, 0.5, t_len + 9, t_len, seed=t_len)
         ctx = wishart_context(sum_of_squares(y), nu=t_len + 9, model=model)
-        estimate = float(minimize_lanes(objective_lanes([ctx]), *SEARCH_BOUNDS).theta[0])
+        estimate = float(minimize_lanes(objective_lanes([ctx]), *SEARCH_BOUNDS)[0])
         assert fit(y, EstimatorKind.HYV_WISHART, model).estimate == estimate
         assert fit(SeriesReduction(y), EstimatorKind.HYV_WISHART, model).estimate == estimate
 
@@ -474,7 +473,7 @@ class TestFit:
                              estimators=estimators).validate()
         assert str(study.value) == sample_size_error(kind, model, nu, t_len, t_name="t")
         with pytest.raises(ValueError) as data:
-            check_sample_size(kind, model, np.ones((nu, t_len)))
+            fit(np.ones((nu, t_len)), kind, model)
         assert str(data.value) == sample_size_error(kind, model, nu, t_len)
 
     def test_godambe_sd_predicts_sampling_scatter(self):

@@ -371,7 +371,7 @@ class TestPropriety:
         else:
             y = sample_ma1(theta0, 5000, 30, seed=20)
         lanes = objective_lanes([series_objective(y, kind, model)])
-        [theta_star] = minimize_lanes(lanes, -0.999, 0.999).theta
+        [theta_star] = minimize_lanes(lanes, -0.999, 0.999)
         assert abs(theta_star - theta0) < 0.02
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])

@@ -111,9 +111,8 @@ class TestScalarCalculus:
         y = 1.5 * rng.standard_normal((10, 1))
         s = float(np.sum(y * y))
         assert s > 8.0
-        found = minimize_lanes(objective_lanes([make_ctx([[s]], nu=10)]), *SEARCH_BOUNDS)
-        assert found.ok[0]
-        phi_hat = float(found.theta[0])
+        [phi_hat] = minimize_lanes(objective_lanes([make_ctx([[s]], nu=10)]), *SEARCH_BOUNDS)
+        assert np.isfinite(phi_hat)
         npt.assert_allclose(1.0 / (1.0 - phi_hat**2), s / 8.0, rtol=1e-5)
 
     def test_t1_gradient_zero_at_stationary_point(self):
