@@ -23,7 +23,7 @@ for model in ("ar1", "ma1"):
         replicates=40,
         seed=2024,
     )
-    rows = run_experiment(cfg, workers=2)
+    rows = run_experiment(cfg)
     print(f"\n{model}: param  estimator     mean_est  mean_sd   ARE")
     for row in rows:
         print(f"  {row.param_true:+.1f}  {row.estimator.value:12s}"

@@ -88,7 +88,8 @@ def _build_parser() -> _ArgumentParser:
     p_tab.add_argument("--out", help="report CSV path")
     p_tab.add_argument("--svg", default=None, help="optional efficiency chart path")
     p_tab.add_argument("--workers", type=int, default=None,
-                       help="worker threads (default 1)")
+                       help="accepted and validated (>= 1) for compatibility; changes neither "
+                            "output nor speed")
 
     sub.add_parser("check",
                    help="run the built-in consistency oracles")
@@ -97,6 +98,7 @@ def _build_parser() -> _ArgumentParser:
 
 def _read_config_file(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
+    lines: dict[str, int] = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
@@ -110,7 +112,11 @@ def _read_config_file(path: str) -> dict[str, str]:
                 if name not in CONFIG_KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key.strip()!r}; "
                                       f"known: {', '.join(CONFIG_KEYS)}")
+                if name in lines:
+                    raise ConfigError(f"{path}:{lineno}: key {key.strip()!r} repeats "
+                                      f"{path}:{lines[name]}")
                 entries[name] = value.strip()
+                lines[name] = lineno
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     return entries
@@ -175,8 +181,6 @@ def _table_config(args) -> tuple[ExperimentConfig, str, str | None, int]:
     workers = pick(args.workers, "workers", int, 1)
     if out is None:
         raise ConfigError("table needs an output path (--out or out= in the config file)")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     return cfg, out, svg, workers
 
 

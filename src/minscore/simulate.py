@@ -6,20 +6,19 @@ fits every requested estimator plus the full-likelihood baseline to each,
 and aggregates mean estimates and mean asymptotic sds.  Relative efficiency
 is computed from the aggregated mean sds with full ML as the baseline.
 
-Each replicate is sampled and reduced to its sufficient statistics on the
-worker threads, and its series are dropped.  Each estimator is then fitted to
-blocks of consecutive replicates at once, as the lanes of one minimization
+Each replicate is sampled and reduced to its sufficient statistics, and its
+series are dropped.  Each estimator is then fitted to blocks of consecutive
+replicates at once, as the lanes of one minimization
 (:func:`~minscore.inference.fit_lanes`); a block spans grid points and holds
 as many replicates as :data:`RETAINED_FLOATS` floats of statistics allow.
-Replicates use independently derived seeds, the blocks depend on the
-configuration only and no lane's result depends on its block, so worker
-threads never change results; aggregation happens in replicate order.
+Replicates use independently derived seeds and the blocks depend on the
+configuration only, so results are fixed by the configuration; everything
+runs on the calling thread, and aggregation happens in replicate order.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,8 +194,12 @@ def run_experiment(
     study aborts.  Both messages give the failure count and the first message
     of each exception type, in replicate order.  With ``return_details=True``
     also returns the per-replicate estimates and sds keyed by (param,
-    estimator), which the property checks use.
+    estimator), which the property checks use.  ``workers`` (>= 1) is accepted
+    for compatibility and changes neither the output nor the speed: every
+    study runs on the calling thread.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     cfg.validate()
     kinds = _fit_kinds(cfg)
     jobs = [(theta0, grid_index, rep_index)
@@ -214,18 +217,15 @@ def run_experiment(
             return exc
 
     done = 0  # grid points aggregated
-    # one pool for the whole study; map yields in replicate order
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        run = pool.map if workers > 1 else map
-        for start in range(0, len(jobs), per_block):
-            reduced = list(run(reduce, jobs[start:start + per_block]))
-            outcomes.extend(_fit_block(cfg, kinds, reduced))
-            # aggregate every grid point whose replicates are all fitted
-            while len(outcomes) >= (done + 1) * cfg.replicates:
-                _aggregate(cfg, kinds, cfg.param_grid[done],
-                           outcomes[done * cfg.replicates:(done + 1) * cfg.replicates],
-                           rows, details if return_details else None)
-                done += 1
+    for start in range(0, len(jobs), per_block):
+        reduced = [reduce(job) for job in jobs[start:start + per_block]]
+        outcomes.extend(_fit_block(cfg, kinds, reduced))
+        # aggregate every grid point whose replicates are all fitted
+        while len(outcomes) >= (done + 1) * cfg.replicates:
+            _aggregate(cfg, kinds, cfg.param_grid[done],
+                       outcomes[done * cfg.replicates:(done + 1) * cfg.replicates],
+                       rows, details if return_details else None)
+            done += 1
     if return_details:
         return rows, details
     return rows

@@ -407,7 +407,7 @@ def test_criterion_6_cli_determinism(tmp_path):
         outputs.append(path.read_bytes())
     identical = all(blob == outputs[0] for blob in outputs)
     checks = [(
-        "table twice with 1 and 4 worker threads, byte-identical CSV",
+        "table twice with --workers 1 and twice with 4, byte-identical CSV",
         identical, f"{len(outputs)} runs compared",
     )]
     report("6: determinism", checks)

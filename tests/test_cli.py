@@ -358,6 +358,29 @@ class TestTable:
         assert f"{cfg}:3: unknown key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("first,second,key", [
+        ("nu = 20", "nu = 30", "nu"),
+        ("mc-b = 50", "mc_b = 60", "mc_b"),  # one key, spelt two ways
+    ])
+    def test_repeated_config_key_exits_1(self, tmp_path, capsys, monkeypatch, first, second, key):
+        # the last value does not silently win; both lines are named
+        import minscore.cli as cli
+
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("study ran"))
+        cfg = tmp_path / "study.cfg"
+        out = tmp_path / "x.csv"
+        cfg.write_text(f"model = ar1\n{first}\ngrid = 0.3\n{second}\nout = {out}\n")
+        assert cli_main(["table", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:4: key {key!r} repeats {cfg}:2" in err
+        assert not out.exists()
+
+    def test_workers_below_one_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli_main(TABLE_ARGS + ["--out", str(out), "--workers", "0"]) == 1
+        assert "workers must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_out(self, capsys):
         code = cli_main(["table", "--model", "ar1", "--grid", "0.2"])
         assert code == 1

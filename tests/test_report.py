@@ -40,6 +40,16 @@ def make_row(model="ar1", param=0.5, kind=EstimatorKind.PAIRWISE_ML, rel=0.8):
     )
 
 
+def fresh_python(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports minscore from ``src``."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestEmitCsv:
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -220,30 +230,27 @@ class TestRunExperiment:
             "minscore.run_experiment(cfg)\n"
             "print('numpy.fft' in sys.modules)\n"
         )
-        root = Path(__file__).resolve().parent.parent
-        path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [str(loaded)]
+        assert fresh_python(code).split() == [str(loaded)]
 
-    def test_one_thread_pool_per_study(self, monkeypatch):
-        import minscore.simulate as sim
-
-        pools = []
-
-        class Counted(sim.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(sim, "ThreadPoolExecutor", Counted)
-        cfg = ExperimentConfig(
-            model="ar1", param_grid=(-0.3, 0.2, 0.6), nu=20, t_len=6, replicates=3,
-            seed=13, estimators=(EstimatorKind.FULL_ML,),
+    def test_study_runs_on_the_calling_thread(self):
+        # the study starts no thread and loads no pool, whatever ``workers``
+        # says; the import pays for neither the oracles nor SciPy
+        code = (
+            "import sys, threading, minscore\n"
+            "print([m in sys.modules for m in ('scipy', 'minscore.selfcheck')])\n"
+            "cfg = minscore.ExperimentConfig(model='ar1', param_grid=(-0.3, 0.6), nu=20, "
+            "t_len=6, replicates=3, seed=13)\n"
+            "minscore.run_experiment(cfg, workers=2)\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count())\n"
         )
-        assert run_experiment(cfg, workers=2) == run_experiment(cfg, workers=1)
-        assert len(pools) == 2  # one per study, not one per grid point
+        assert fresh_python(code).splitlines() == ["[False, False]", "False 1"]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_is_rejected(self, workers):
+        cfg = ExperimentConfig(model="ar1", param_grid=(0.2,), nu=20, t_len=5, replicates=2,
+                               estimators=(EstimatorKind.FULL_ML,))
+        with pytest.raises(ConfigError, match=rf"^workers must be >= 1, got {workers}$"):
+            run_experiment(cfg, workers=workers)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError, match=r"\(-1, 1\)"):
