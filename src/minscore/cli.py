@@ -15,14 +15,13 @@ file entries.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import re
 import sys
 import warnings
 
 import numpy as np
 
-from .inference import EstimateRecord, SeriesReduction, fit, sample_size_error
+from .inference import EstimateRecord, SeriesReduction, are, fit
 from .models import sample_series
 from .report import emit_are_svg, emit_csv
 from .scores import EstimatorKind
@@ -181,12 +180,18 @@ def _table_config(args) -> tuple[ExperimentConfig, str, str | None, int]:
     workers = pick(args.workers, "workers", int, 1)
     if out is None:
         raise ConfigError("table needs an output path (--out or out= in the config file)")
+    if svg and set(cfg.estimators) == {EstimatorKind.FULL_ML}:
+        # the chart omits the baseline, so it would have no line to draw
+        raise ConfigError("the SVG chart needs an estimator besides full, whose efficiency "
+                          "is 1 by construction and is not plotted")
     return cfg, out, svg, workers
 
 
-def _record_line(record: EstimateRecord) -> str:
+def _record_line(record: EstimateRecord, baseline: EstimateRecord) -> str:
+    # the efficiency is against the full-ML fit of the same data
+    ratio = None if None in (baseline.sd, record.sd) else are(baseline.sd, record.sd)
     cells = ["nan" if v is None else format_float(v)
-             for v in (record.estimate, record.sd, record.are)]
+             for v in (record.estimate, record.sd, ratio)]
     return ",".join([record.kind.value, *cells, str(int(record.boundary_flag))])
 
 
@@ -211,18 +216,11 @@ def _cmd_fit(args) -> int:
     if y.size == 0:
         raise ConfigError(f"data file {args.data!r} holds no series")
     kind = EstimatorKind(args.estimator)
-    # one reduction for both fits; the requested bounds fail before either
-    reduction = SeriesReduction(y)
-    error = sample_size_error(kind, args.model, *reduction.shape)
-    if error is not None:
-        raise ValueError(error)
-    sd_mle = None
-    if kind is not EstimatorKind.FULL_ML:
-        sd_mle = fit(reduction, EstimatorKind.FULL_ML, args.model).sd
-    record = fit(reduction, kind, args.model, sd_mle=sd_mle)
-    if kind is EstimatorKind.FULL_ML and record.sd is not None:
-        record = dataclasses.replace(record, are=1.0)
-    text = FIT_HEADER + "\n" + _record_line(record) + "\n"
+    # one reduction for both fits; the requested kind's bounds fail first
+    reduction = SeriesReduction(y, (kind, EstimatorKind.FULL_ML), args.model)
+    baseline = fit(reduction, EstimatorKind.FULL_ML, args.model)
+    record = fit(reduction, kind, args.model)
+    text = FIT_HEADER + "\n" + _record_line(record, baseline) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -245,7 +243,6 @@ def _cmd_check() -> int:
     from .selfcheck import run_checks
 
     results = run_checks()
-    failed = 0
     for name, passed, message in results:
         status = "ok  " if passed else "FAIL"
         suffix = f"  ({message})" if message else ""

@@ -59,14 +59,12 @@ _EDGE_MARGIN = 4e-6
 
 @dataclass(frozen=True)
 class EstimateRecord:
-    """One fitted estimator: point estimate, asymptotic sd and efficiency
-    relative to full maximum likelihood.  ``sd`` and ``are`` are None when not
-    computed (boundary estimates are never given an sd)."""
+    """One fitted estimator: point estimate and asymptotic sd (None for a
+    boundary estimate, which is never given an sd)."""
 
     kind: EstimatorKind
     estimate: float
     sd: float | None
-    are: float | None
     boundary_flag: bool
 
 
@@ -79,63 +77,59 @@ _SHARED_STATS = {
 
 
 class SeriesReduction:
-    """A (nu, T) series matrix that several estimators fit: its values are
-    checked to be finite once, and each family of sufficient statistics is
-    computed when a kind first reads it, then shared by every kind of the
-    family (AR(1) full and pairwise; MA(1) full and hyv; the Wishart kind
-    reads S = Y'Y).  :meth:`keep_statistics` computes the families a study
-    needs and then drops the series."""
+    """The sufficient statistics of a (nu, T) series matrix for the estimators
+    ``kinds`` on ``model``, computed at construction; the series are not kept.
+    The values are checked to be finite, then the shape against the bounds of
+    :func:`sample_size_error` for each kind in turn.  Each family of
+    statistics is computed once and shared by every kind of the family (AR(1)
+    full and pairwise; MA(1) full and hyv; the Wishart kind reads S = Y'Y),
+    so a family that fails (a singular S) fails here."""
 
-    def __init__(self, series):
-        y = np.atleast_2d(np.asarray(series, dtype=float))
+    def __init__(self, series, kinds, model: str):
+        y = np.asarray(series, dtype=float)
+        if y.ndim not in (1, 2):
+            raise ValueError(f"expected a (T,) or (nu, T) array, got shape {y.shape}")
+        y = np.atleast_2d(y)
         if not np.all(np.isfinite(y)):
             raise ValueError("series contain non-finite values (NaN or inf)")
-        self.series = y
+        kinds = [EstimatorKind(kind) for kind in kinds]
         self.shape = y.shape
-        self._families: dict = {}
+        self.model = canonical_model(model)
+        for kind in kinds:
+            error = sample_size_error(kind, self.model, *self.shape)
+            if error is not None:
+                raise ValueError(error)
+        families: dict = {}
+        self._objectives: dict = {}
+        for kind in kinds:
+            family = _SHARED_STATS.get((self.model, kind), kind)
+            if family not in families:
+                if family is EstimatorKind.HYV_WISHART:
+                    families[family] = wishart_context(sum_of_squares(y), len(y), self.model)
+                else:
+                    families[family] = series_objective(y, family, self.model)
+            self._objectives[kind] = dataclasses.replace(families[family], kind=kind)
 
-    def objective(self, kind: EstimatorKind, model: str) -> SeriesObjective:
-        """The :class:`SeriesObjective` of ``kind`` on ``model``, equal to
+    def objective(self, kind: EstimatorKind) -> SeriesObjective:
+        """The :class:`SeriesObjective` of ``kind``, equal to
         :func:`series_objective` of the series (or :func:`wishart_context` of
         S), from its family's statistics."""
         kind = EstimatorKind(kind)
-        model = canonical_model(model)
-        family = _SHARED_STATS.get((model, kind), kind)
-        shared = self._families.get((model, family))
-        if shared is None:
-            if kind is EstimatorKind.HYV_WISHART:
-                shared = wishart_context(sum_of_squares(self.series), len(self.series), model)
-            else:
-                shared = series_objective(self.series, family, model)
-            self._families[model, family] = shared
-        return shared if shared.kind is kind else dataclasses.replace(shared, kind=kind)
-
-    def keep_statistics(self, kinds, model: str) -> None:
-        """Compute every family that ``kinds`` read on ``model``, then drop
-        the series.  If a family fails, the series are kept, and the failure
-        is raised again when its kind reads it."""
-        try:
-            for kind in kinds:
-                self.objective(kind, model)
-        except Exception:  # noqa: BLE001 - raised again by the reading kind
-            return
-        self.series = None
+        if kind not in self._objectives:
+            held = ", ".join(k.value for k in self._objectives)
+            raise ValueError(f"the reduction was built for {held}, not {kind}")
+        return self._objectives[kind]
 
 
 def retained_floats(kinds, model: str, nu: int, t_len: int) -> int:
     """Floats that a :class:`SeriesReduction` of ``nu`` series of length
-    ``t_len`` keeps for ``kinds`` after dropping its series."""
+    ``t_len`` keeps for ``kinds``."""
     model = canonical_model(model)
     total = 0
     for family in {_SHARED_STATS.get((model, k), k) for k in map(EstimatorKind, kinds)}:
         width = _terms(family, model, t_len, 0.0)[0].shape[-1]
         total += width if family is EstimatorKind.HYV_WISHART else (nu + 1) * width
     return total
-
-
-def _usable(j_hat, k_hat):
-    # whether J is a sampling variance rather than numerically zero
-    return np.isfinite(j_hat) & (j_hat > _DEGENERATE_RATIO * (k_hat * k_hat))
 
 
 def are(sd_mle: float, sd_est: float) -> float:
@@ -146,73 +140,54 @@ def are(sd_mle: float, sd_est: float) -> float:
 
 
 def sample_size_error(
-    kind: EstimatorKind, model: str, nu: int, t_len: int, *,
-    compute_sd: bool = True, t_name: str = "T",
+    kind: EstimatorKind, model: str, nu: int, t_len: int, *, t_name: str = "T",
 ) -> str | None:
     """The first bound of :func:`fit` that ``nu`` series of length ``t_len``
     violate, or None; shape only.  Series no shorter than
     :func:`~minscore.scores.min_series_length` (T >= 2 for every estimator),
-    at least 1 series, 2 when the sd is wanted, and for the Wishart estimate
-    at least T + 2 series, T + 4 with its sd.  The message calls the length
-    ``t_name``: ``T`` for data, ``t`` for a study configuration."""
+    at least 2 series for the sd, and for the Wishart sd at least T + 4.
+    The message calls the length ``t_name``: ``T`` for data, ``t`` for a
+    study configuration."""
     kind = EstimatorKind(kind)
     model = canonical_model(model)
     need = min_series_length(kind, model)
     if t_len < need:
         wanted, got = ("series length", t_len) if t_name == "T" else (t_name, f"{t_name}={t_len}")
         return f"the {kind} estimator on {model} needs {wanted} >= {need}, got {got}"
-    if compute_sd and nu < 2:
+    if nu < 2:
         return f"every sd needs nu >= 2 series; got nu={nu}"
-    if nu < 1:
-        return f"every estimate needs nu >= 1 series; got nu={nu}"
-    if kind is EstimatorKind.HYV_WISHART:
-        extra = 4 if compute_sd else 2
-        if nu < t_len + extra:
-            what = "sd" if compute_sd else "score"
-            return (f"the Wishart {what} needs nu >= {t_name} + {extra}; "
-                    f"got nu={nu}, {t_name}={t_len}")
+    if kind is EstimatorKind.HYV_WISHART and nu < t_len + 4:
+        return f"the Wishart sd needs nu >= {t_name} + 4; got nu={nu}, {t_name}={t_len}"
     return None
 
 
-def _reduction(series) -> SeriesReduction:
-    return series if isinstance(series, SeriesReduction) else SeriesReduction(series)
-
-
-def fit(
-    series,
-    kind: EstimatorKind,
-    model: str,
-    *,
-    sd_mle: float | None = None,
-    compute_sd: bool = True,
-) -> EstimateRecord:
+def fit(series, kind: EstimatorKind, model: str) -> EstimateRecord:
     """Fit one estimator to a (nu, T) series matrix.
 
-    ``series`` may also be a :class:`SeriesReduction`, so
-    that the fits of several estimators to one dataset check its values once
-    and share the statistics they have in common.  This is the one-lane case
-    of :func:`fit_lanes` and gives the same bits as a fit of the same series
-    among others.  Non-finite values and the bounds of
-    :func:`sample_size_error` (too few or too short series) fail before any
-    minimization, and any other failure is raised as well.  ``are`` is
-    filled when ``sd_mle`` is supplied.
+    ``series`` may also be a :class:`SeriesReduction` of ``model`` that holds
+    ``kind``, so that the fits of several estimators to one dataset check its
+    values once and share the statistics they have in common.  This is the
+    one-lane case of :func:`fit_lanes` and gives the same bits as a fit of the
+    same series among others.  Non-finite values and the bounds of
+    :func:`sample_size_error` (too few or too short series) fail when the
+    series are reduced, before any minimization, and any other failure is
+    raised as well.
     """
-    [record] = fit_lanes([_reduction(series)], kind, model, compute_sd=compute_sd)
+    if isinstance(series, SeriesReduction):
+        reduction = series
+        if reduction.model != canonical_model(model):
+            raise ValueError(f"the reduction is of {reduction.model}, not {model}")
+    else:
+        reduction = SeriesReduction(series, [kind], model)
+    [record] = fit_lanes([reduction], kind)
     if isinstance(record, Exception):
         raise record
-    if sd_mle is not None and record.sd is not None:
-        record = dataclasses.replace(record, are=are(sd_mle, record.sd))
     return record
 
 
-def fit_lanes(
-    reductions: Sequence[SeriesReduction],
-    kind: EstimatorKind,
-    model: str,
-    *,
-    compute_sd: bool = True,
-) -> list:
-    """Fit one estimator to each of several datasets of one shape at once.
+def fit_lanes(reductions: Sequence[SeriesReduction], kind: EstimatorKind) -> list:
+    """Fit one estimator to each of several datasets of one shape and model
+    at once.
 
     Returns, per :class:`SeriesReduction`, its :class:`EstimateRecord` or the
     exception that fitting it raised; one dataset's failure does not touch the
@@ -227,33 +202,23 @@ def fit_lanes(
     (:func:`~minscore.wishart.wishart_components`), J scaled by nu.
     """
     kind = EstimatorKind(kind)
-    model = canonical_model(model)
+    if not reductions:
+        return []
     shapes = {r.shape for r in reductions}
     if len(shapes) > 1:
         raise ValueError("lanes need datasets of one shape (nu, T)")
-    error = sample_size_error(kind, model, *shapes.pop(), compute_sd=compute_sd) if shapes else None
-    if error is not None:
-        return [ValueError(error) for _ in reductions]
-    results: list = [None] * len(reductions)
-    live, objectives = [], []
-    for i, reduction in enumerate(reductions):
-        try:
-            objectives.append(reduction.objective(kind, model))
-            live.append(i)
-        except Exception as exc:  # noqa: BLE001 - one dataset's failure
-            results[i] = exc
-    if not live:
-        return results
+    (nu, t_len), model = shapes.pop(), reductions[0].model
+    objectives = [r.objective(kind) for r in reductions]
 
     lo, hi = SEARCH_BOUNDS
-    lanes = objective_lanes(objectives)
+    lanes = objective_lanes(objectives)  # raises for reductions of two models
     theta = minimize_lanes(lanes, lo, hi)
     failed = np.isnan(theta)
     boundary = (theta <= lo + _EDGE_MARGIN) | (theta >= hi - _EDGE_MARGIN)
 
-    need_sd = np.flatnonzero(~failed & ~boundary) if compute_sd else []
-    nu, t_len = reductions[0].shape
-    sds, errors = {}, {}
+    sd = np.full(len(theta), np.nan)
+    degenerate = np.zeros(len(theta), dtype=bool)
+    need_sd = np.flatnonzero(~failed & ~boundary)
     if len(need_sd):
         if kind is EstimatorKind.HYV_WISHART:
             j_hat, k_hat = np.array([wishart_components(model, theta[j], nu, t_len)
@@ -267,20 +232,18 @@ def fit_lanes(
             g, h = map(np.array, zip(*(objectives[j].jet_derivatives(coef[:, n], const[:, n])
                                        for n, j in enumerate(need_sd))))
             j_hat, k_hat = np.mean(g * g, axis=-1), np.mean(h, axis=-1)
-        usable = _usable(j_hat, k_hat)
+        # J is no sampling variance where it is numerically zero
+        degenerate[need_sd] = ~(np.isfinite(j_hat) & (j_hat > _DEGENERATE_RATIO * (k_hat * k_hat)))
         with np.errstate(divide="ignore", invalid="ignore"):
-            sd = 1.0 / np.sqrt(nu * (k_hat * k_hat / j_hat))
-        for n, j in enumerate(need_sd):
-            if usable[n]:
-                sds[j] = float(sd[n])
-            else:
-                errors[j] = DegenerateDataError(_DEGENERATE)
-    for j, i in enumerate(live):
+            sd[need_sd] = 1.0 / np.sqrt(nu * (k_hat * k_hat / j_hat))
+    results: list = []
+    for j, estimate in enumerate(theta):
         if failed[j]:
-            results[i] = MinimizationError("objective is non-finite at every grid seed")
-        elif j in errors:
-            results[i] = errors[j]
+            results.append(MinimizationError("objective is non-finite at every grid seed"))
+        elif degenerate[j]:
+            results.append(DegenerateDataError(_DEGENERATE))
         else:
-            results[i] = EstimateRecord(kind, float(theta[j]), sds.get(j), None,
-                                        bool(boundary[j]))
+            results.append(EstimateRecord(kind, float(estimate),
+                                          None if boundary[j] else float(sd[j]),
+                                          bool(boundary[j])))
     return results

@@ -74,8 +74,8 @@ def _sine_basis(t_len: int) -> np.ndarray:
     return u
 
 
-def ma1_sine_transform(x, axis: int = -1) -> np.ndarray:
-    """Orthonormal DST-I of ``x`` along ``axis``: ``x @ U`` for a length-T axis,
+def ma1_sine_transform(x) -> np.ndarray:
+    """Orthonormal DST-I of ``x`` along its last axis, of length T: ``x @ U``
     with ``U[j, k] = sqrt(2/(T+1)) sin(jk pi/(T+1))``, j, k = 1..T.
 
     ``U`` is symmetric and orthogonal and diagonalizes every MA(1) covariance
@@ -84,16 +84,15 @@ def ma1_sine_transform(x, axis: int = -1) -> np.ndarray:
     cached ``U``, never larger than it; smaller input (one series, fewer than
     T series) takes the FFT of the odd extension, O(T log T) per row.
     """
-    x = np.moveaxis(np.asarray(x, dtype=float), axis, -1)
+    x = np.asarray(x, dtype=float)
     t_len = _check_t(x.shape[-1], 1)
     if x.size >= t_len * t_len:
-        return np.moveaxis(x @ _sine_basis(t_len), -1, axis)
+        return x @ _sine_basis(t_len)
     odd = np.zeros(x.shape[:-1] + (2 * (t_len + 1),))
     odd[..., 1 : t_len + 1] = x
     odd[..., t_len + 2 :] = -x[..., ::-1]
     # the odd extension's DFT is -2i sum_j x_j sin(jk pi/(T+1))
-    z = np.fft.rfft(odd)[..., 1 : t_len + 1].imag * -np.sqrt(0.5 / (t_len + 1))
-    return np.moveaxis(z, -1, axis)
+    return np.fft.rfft(odd)[..., 1 : t_len + 1].imag * -np.sqrt(0.5 / (t_len + 1))
 
 
 def ma1_eigenvalues(alpha, t_len: int, order: int = 0) -> np.ndarray:

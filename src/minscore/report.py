@@ -28,6 +28,7 @@ _COLORS = {
 }
 
 _ARE_MAX = 1.1
+_WIDTH, _HEIGHT = 640, 420  # the chart's size in pixels
 
 
 def _sorted_rows(rows) -> list[ReportRow]:
@@ -62,7 +63,7 @@ def emit_csv(rows, path: str) -> None:
         raise OSError(f"cannot write CSV to {path!r}: {exc}") from exc
 
 
-def emit_are_svg(rows, path: str, width: int = 640, height: int = 420) -> None:
+def emit_are_svg(rows, path: str) -> None:
     """Write a standalone SVG line chart of relative efficiency vs parameter.
 
     Rows must come from a single model.  The efficiency axis is clamped to
@@ -87,8 +88,8 @@ def emit_are_svg(rows, path: str, width: int = 640, height: int = 420) -> None:
         raise ValueError("no non-baseline estimator rows to plot")
 
     margin_l, margin_r, margin_t, margin_b = 60, 130, 40, 50
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _WIDTH - margin_l - margin_r
+    plot_h = _HEIGHT - margin_t - margin_b
     xs = [x for pts in series.values() for x, _ in pts]
     x_lo, x_hi = min(xs), max(xs)
     if x_hi == x_lo:
@@ -102,8 +103,8 @@ def emit_are_svg(rows, path: str, width: int = 640, height: int = 420) -> None:
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{margin_l}" y="24" font-family="sans-serif" font-size="15">'
         f"Relative efficiency vs parameter ({model})</text>",
     ]
@@ -145,7 +146,7 @@ def emit_are_svg(rows, path: str, width: int = 640, height: int = 420) -> None:
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.8" points="{coords}"/>'
         )
-        lx = width - margin_r + 10
+        lx = _WIDTH - margin_r + 10
         parts.append(
             f'<line x1="{lx}" y1="{legend_y}" x2="{lx + 22}" y2="{legend_y}" '
             f'stroke="{color}" stroke-width="1.8"/>'

@@ -164,7 +164,7 @@ def precision_derivative(model: str, lam: float, t_len: int) -> np.ndarray:
     """
     if canonical_model(model) == "ma1":
         d = np.diag(_jet_power(ma1_eigenvalues(lam, t_len, 1), -1)[1])
-        return ma1_sine_transform(ma1_sine_transform(d, axis=0), axis=1)  # U d U
+        return ma1_sine_transform(ma1_sine_transform(d).T)  # U d U, as d and U are symmetric
     if t_len == 1:
         return np.array([[-2.0 * lam]])
     deriv = np.zeros((t_len, t_len))
@@ -354,7 +354,7 @@ def _check_pairwise_argmins() -> None:
 
         return _minimize_scalar(jets, -0.999, 0.999)
 
-    fitted = inference.fit(y, "pairwise", "ar1", compute_sd=False).estimate
+    fitted = inference.fit(y, "pairwise", "ar1").estimate
     phi_num = argmin(lambda phi: negloglik(phi, 1.0))
     assert abs(fitted - phi_num) < 1e-6, (fitted, phi_num)
     phi_num = argmin(lambda phi: negloglik(phi, (paired - 2 * phi * cross) / (2 * len(pairs))))
@@ -395,7 +395,7 @@ def _check_shared_reductions() -> None:
                 assert alone == study, f"{model} {kind} at {theta0}: {study} vs {alone} alone"
         for seed in (0, 1):
             y = models.sample_series(model, 0.5, 20, 8, seed)
-            reduction = inference.SeriesReduction(y)
+            reduction = inference.SeriesReduction(y, scores.EstimatorKind, model)
             for kind in scores.EstimatorKind:
                 shared = inference.fit(reduction, kind, model)
                 alone = inference.fit(y, kind, model)

@@ -6,9 +6,11 @@ fits every requested estimator plus the full-likelihood baseline to each,
 and aggregates mean estimates and mean asymptotic sds.  Relative efficiency
 is computed from the aggregated mean sds with full ML as the baseline.
 
-Each replicate is sampled and reduced to its sufficient statistics, and its
-series are dropped.  Each estimator is then fitted to blocks of consecutive
-replicates at once, as the lanes of one minimization
+Each replicate is sampled and reduced once to the sufficient statistics of
+every fitted estimator (a :class:`~minscore.inference.SeriesReduction`, which
+keeps no series); a replicate whose statistics fail (a singular S) fails
+there.  Each estimator is then fitted to blocks of consecutive replicates at
+once, as the lanes of one minimization
 (:func:`~minscore.inference.fit_lanes`); a block spans grid points and holds
 as many replicates as :data:`RETAINED_FLOATS` floats of statistics allow.
 Replicates use independently derived seeds and the blocks depend on the
@@ -162,19 +164,18 @@ def _sample_replicate(cfg, theta0, grid_index, rep_index) -> np.ndarray:
 def _reduce_replicate(cfg, theta0, grid_index, rep_index, kinds) -> SeriesReduction:
     # one reduction for every kind: each family of statistics is computed
     # once, and only the statistics are kept
-    reduction = SeriesReduction(_sample_replicate(cfg, theta0, grid_index, rep_index))
-    reduction.keep_statistics(kinds, cfg.model)
-    return reduction
+    return SeriesReduction(_sample_replicate(cfg, theta0, grid_index, rep_index), kinds,
+                           cfg.model)
 
 
 def _fit_block(cfg, kinds, reduced: list) -> list:
-    # each replicate's records by kind, or the exception of its first failing
-    # kind (kinds in order, as one replicate fitted alone)
+    # each replicate's records by kind, or the exception of its reduction or
+    # of its first failing kind (kinds in order, as one replicate fitted alone)
     outcomes = list(reduced)
     records: list[dict] = [{} for _ in outcomes]
     for kind in kinds:
         live = [i for i, o in enumerate(outcomes) if not isinstance(o, Exception)]
-        for i, record in zip(live, fit_lanes([outcomes[i] for i in live], kind, cfg.model)):
+        for i, record in zip(live, fit_lanes([outcomes[i] for i in live], kind)):
             if isinstance(record, Exception):
                 outcomes[i] = record
             else:
@@ -272,7 +273,7 @@ def _aggregate(cfg, kinds, theta0, outcomes, rows: list, details: dict | None) -
                 estimator=kind,
                 mean_est=float(np.mean(cell.estimates)),
                 mean_sd=mean_sd,
-                are=1.0 if kind is EstimatorKind.FULL_ML else are(sd_mle, mean_sd),
+                are=are(sd_mle, mean_sd),
                 n_replicates=cell.n_total,
                 n_boundary=cell.n_boundary,
                 nu=cfg.nu,

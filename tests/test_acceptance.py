@@ -504,7 +504,7 @@ class TestStudyInvariants:
                 seed = np.random.SeedSequence(entropy=SEED, spawn_key=(9, rep))
                 y = sample_series("ma1", theta0, 200, 30, seed)
                 for kind in EstimatorKind:
-                    collected[kind].append(fit(y, kind, "ma1", compute_sd=False).estimate)
+                    collected[kind].append(fit(y, kind, "ma1").estimate)
             for kind, estimates in collected.items():
                 se = np.std(estimates, ddof=1) / np.sqrt(len(estimates))
                 assert abs(np.mean(estimates) - theta0) <= 3 * se, (theta0, kind)

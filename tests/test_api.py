@@ -3,6 +3,7 @@ the package loads."""
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -54,6 +55,24 @@ def test_package_surface_is_pinned():
     # the dense oracles are in minscore.selfcheck, not on it
     assert len(PUBLIC_NAMES) == 27
     assert set(minscore.__all__) == PUBLIC_NAMES
+
+
+OPTIONS = {
+    # the parameter names of the calls whose settable values were trimmed:
+    # an option joins one of them only with an edit here
+    "fit": ["series", "kind", "model"],
+    "fit_lanes": ["reductions", "kind"],
+    "sample_size_error": ["kind", "model", "nu", "t_len", "t_name"],
+    "SeriesReduction": ["series", "kinds", "model"],
+    "emit_are_svg": ["rows", "path"],
+    "ma1_sine_transform": ["x"],
+    "run_experiment": ["cfg", "workers", "return_details"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPTIONS))
+def test_option_surface_is_pinned(name):
+    assert list(inspect.signature(getattr(minscore, name)).parameters) == OPTIONS[name]
 
 
 def _modules_after(code: str, package: str = "scipy") -> tuple[list[str], str]:

@@ -103,8 +103,8 @@ class TestFit:
             "--t", "12", "--seed", "9", "--out", str(data),
         ]) == 0
         y = np.loadtxt(data, delimiter=",", ndmin=2)
-        sd_mle = fit(y, EstimatorKind.FULL_ML, "ma1").sd
-        expected = _record_line(fit(y, EstimatorKind.HYV_UNIVARIATE, "ma1", sd_mle=sd_mle))
+        expected = _record_line(fit(y, EstimatorKind.HYV_UNIVARIATE, "ma1"),
+                                fit(y, EstimatorKind.FULL_ML, "ma1"))
         calls = []
         real_dst = scores.ma1_sine_transform
 
@@ -326,6 +326,27 @@ class TestTable:
         ])
         assert code == 0
         assert svg.read_text(encoding="utf-8").startswith("<svg")
+
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    def test_svg_of_baseline_only_exits_1_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                          spelling):
+        # the chart omits full ML, so a study of full alone has nothing to
+        # draw; it once ran the study and wrote the CSV before failing
+        import minscore.simulate as sim
+
+        sampled = []
+        monkeypatch.setattr(sim, "_reduce_replicate", lambda *args: sampled.append(args))
+        out, svg = tmp_path / "t.csv", tmp_path / "t.svg"
+        if spelling == "flag":
+            argv = TABLE_ARGS + ["--estimators", "full", "--out", str(out), "--svg", str(svg)]
+        else:
+            cfg = tmp_path / "study.cfg"
+            cfg.write_text(f"model = ar1\ngrid = 0.3\nestimators = full\nout = {out}\n"
+                           f"svg = {svg}\n")
+            argv = ["table", "--config", str(cfg)]
+        assert cli_main(argv) == 1
+        assert "SVG chart needs an estimator besides full" in capsys.readouterr().err
+        assert sampled == [] and not out.exists() and not svg.exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "study.cfg"

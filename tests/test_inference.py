@@ -1,5 +1,7 @@
 """Godambe estimation, its Monte Carlo references, relative efficiency and fit."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,6 +13,7 @@ from minscore import (
     DegenerateDataError,
     EstimatorKind,
     ExperimentConfig,
+    MinimizationError,
     SeriesReduction,
     are,
     fit,
@@ -163,7 +166,7 @@ class TestFit:
             seed = np.random.SeedSequence(entropy=55, spawn_key=(rep,))
             y = sample_ar1(0.5, 200, 50, seed)
             for kind in EstimatorKind:
-                sums[kind] += fit(y, kind, "ar1", compute_sd=False).estimate
+                sums[kind] += fit(y, kind, "ar1").estimate
         for kind, total in sums.items():
             assert abs(total / reps - 0.5) < 0.01, kind
 
@@ -174,8 +177,8 @@ class TestFit:
 
     def test_full_vs_pairwise_at_independence(self):
         y = sample_ar1(0.0, 200, 50, seed=57)
-        full = fit(y, EstimatorKind.FULL_ML, "ar1", compute_sd=False)
-        pair = fit(y, EstimatorKind.PAIRWISE_ML, "ar1", compute_sd=False)
+        full = fit(y, EstimatorKind.FULL_ML, "ar1")
+        pair = fit(y, EstimatorKind.PAIRWISE_ML, "ar1")
         assert abs(full.estimate - pair.estimate) < 1e-3
 
     def test_are_of_full_ml_against_itself(self):
@@ -193,10 +196,10 @@ class TestFit:
         # interval: the fit ends on its bound, flagged and without an sd
         for sign in (1.0, -1.0):
             y = np.tile([100.0, sign * 100.0, 100.0], (3, 1))
-            record = fit(y, EstimatorKind.PAIRWISE_ML, "ar1", sd_mle=0.01)
+            record = fit(y, EstimatorKind.PAIRWISE_ML, "ar1")
             assert record.boundary_flag
             assert abs(record.estimate - sign * SEARCH_BOUNDS[1]) < 4e-6
-            assert record.sd is None and record.are is None
+            assert record.sd is None
 
     @pytest.mark.parametrize("phi", [-0.9, -0.5, 0.5, 0.9])
     def test_ar1_pairwise_is_the_unit_variance_argmin(self, phi):
@@ -212,14 +215,8 @@ class TestFit:
 
         argmin = sp_optimize.minimize_scalar(negative, bounds=SEARCH_BOUNDS, method="bounded",
                                              options={"xatol": 1e-10}).x
-        estimate = fit(y, EstimatorKind.PAIRWISE_ML, "ar1", compute_sd=False).estimate
+        estimate = fit(y, EstimatorKind.PAIRWISE_ML, "ar1").estimate
         assert abs(estimate - argmin) <= 1e-6
-
-    def test_are_filled_when_baseline_given(self):
-        y = sample_ar1(0.5, 200, 50, seed=60)
-        baseline = fit(y, EstimatorKind.FULL_ML, "ar1")
-        record = fit(y, EstimatorKind.PAIRWISE_ML, "ar1", sd_mle=baseline.sd)
-        assert 0.5 < record.are < 1.1
 
     def test_wishart_requires_enough_series(self):
         y = sample_ar1(0.2, 10, 30, seed=61)
@@ -272,10 +269,10 @@ class TestFit:
     def test_zero_series_rejected(self, model, kind):
         # with no series, full, MA(1) pairwise and hyv once returned the
         # first grid seed as the estimate, without a boundary flag
-        assert sample_size_error(kind, model, 0, 50, compute_sd=False) == (
-            "every estimate needs nu >= 1 series; got nu=0")
-        with pytest.raises(ValueError, match="nu >= 1"):
-            fit(np.zeros((0, 50)), kind, model, compute_sd=False)
+        assert sample_size_error(kind, model, 0, 50) == (
+            "every sd needs nu >= 2 series; got nu=0")
+        with pytest.raises(ValueError, match="nu >= 2"):
+            fit(np.zeros((0, 50)), kind, model)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
@@ -289,19 +286,19 @@ class TestFit:
             fit(y, kind, model)
 
     def test_wishart_sd_needs_four_extra_series(self):
-        # the point estimate needs nu >= T + 2, its sd nu >= T + 4
+        # the Wishart score takes nu >= T + 2 and its estimate is reachable
+        # by the public minimize route; fit, which gives the sd, needs T + 4
         y = sample_ar1(0.2, 13, 10, seed=67)
-        assert not fit(y, EstimatorKind.HYV_WISHART, "ar1", compute_sd=False).boundary_flag
+        ctx = wishart_context(sum_of_squares(y), nu=13, model="ar1")
+        assert np.isfinite(minimize_lanes(objective_lanes([ctx]), *SEARCH_BOUNDS)[0])
         with pytest.raises(ValueError, match=r"nu >= T \+ 4"):
             fit(y, EstimatorKind.HYV_WISHART, "ar1")
 
-    @pytest.mark.parametrize("kind,nu,compute_sd,bound", [
-        ("full", 1, True, "nu >= 2"),
-        ("hyv-wishart", 11, False, r"nu >= T \+ 2"),
-        ("hyv-wishart", 13, True, r"nu >= T \+ 4"),
+    @pytest.mark.parametrize("kind,nu,bound", [
+        ("full", 1, "nu >= 2"),
+        ("hyv-wishart", 13, r"nu >= T \+ 4"),
     ])
-    def test_series_count_checked_before_minimizing(self, monkeypatch, kind, nu,
-                                                    compute_sd, bound):
+    def test_series_count_checked_before_minimizing(self, monkeypatch, kind, nu, bound):
         import minscore.inference as inference
 
         def never(*args, **kwargs):
@@ -310,7 +307,7 @@ class TestFit:
         monkeypatch.setattr(inference, "minimize_lanes", never)
         y = sample_ar1(0.2, nu, 10, seed=68)
         with pytest.raises(ValueError, match=bound):
-            fit(y, kind, "ar1", compute_sd=compute_sd)
+            fit(y, kind, "ar1")
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     def test_each_fit_evaluates_its_grid_in_one_call(self, monkeypatch, model):
@@ -351,7 +348,7 @@ class TestFit:
         # what a study does (one reduction, every kind in turn) against one
         # fit per kind from the raw series
         y = sample_series(model, 0.5, t_len + 9, t_len, seed=t_len)
-        reduction = SeriesReduction(y)
+        reduction = SeriesReduction(y, EstimatorKind, model)
         for kind in EstimatorKind:
             shared, alone = fit(reduction, kind, model), fit(y, kind, model)
             assert shared.sd is not None, kind
@@ -366,7 +363,8 @@ class TestFit:
         ctx = wishart_context(sum_of_squares(y), nu=t_len + 9, model=model)
         estimate = float(minimize_lanes(objective_lanes([ctx]), *SEARCH_BOUNDS)[0])
         assert fit(y, EstimatorKind.HYV_WISHART, model).estimate == estimate
-        assert fit(SeriesReduction(y), EstimatorKind.HYV_WISHART, model).estimate == estimate
+        reduction = SeriesReduction(y, [EstimatorKind.HYV_WISHART], model)
+        assert fit(reduction, EstimatorKind.HYV_WISHART, model).estimate == estimate
 
     @pytest.mark.parametrize("t_len", [3, 50, 201])
     @pytest.mark.parametrize("kind", list(EstimatorKind))
@@ -375,27 +373,49 @@ class TestFit:
         # a study fits blocks of replicates as lanes; each replicate's record
         # must not depend on the block: alone, in blocks of 2, 5 and 12, and
         # in reversed order
-        reductions = [SeriesReduction(sample_series(model, theta, t_len + 9, t_len, seed))
+        reductions = [SeriesReduction(sample_series(model, theta, t_len + 9, t_len, seed),
+                                      [kind], model)
                       for seed, theta in enumerate(np.linspace(-0.95, 0.95, 12))]
-        alone = [fit_lanes([r], kind, model)[0] for r in reductions]
+        alone = [fit_lanes([r], kind)[0] for r in reductions]
         assert all(not isinstance(r, Exception) for r in alone), alone
         for size in (2, 5, 12):
-            blocks = [fit_lanes(reductions[i:i + size], kind, model)
+            blocks = [fit_lanes(reductions[i:i + size], kind)
                       for i in range(0, len(reductions), size)]
             together = [record for block in blocks for record in block]
             assert [(r.estimate, r.sd) for r in together] == [(r.estimate, r.sd) for r in alone]
-        backwards = fit_lanes(reductions[::-1], kind, model)[::-1]
+        backwards = fit_lanes(reductions[::-1], kind)[::-1]
         assert [(r.estimate, r.sd) for r in backwards] == [(r.estimate, r.sd) for r in alone]
 
-    def test_one_lane_fails_alone(self):
-        # a failing dataset gives its exception; the others keep their records
-        good = [SeriesReduction(sample_series("ma1", 0.3, 30, 10, seed)) for seed in (1, 2)]
-        singular = SeriesReduction(np.ones((30, 10)))
-        records = fit_lanes([good[0], singular, good[1]], "hyv-wishart", "ma1")
-        assert isinstance(records[1], ValueError) and "singular" in str(records[1])
-        assert [records[0], records[2]] == [fit(r, "hyv-wishart", "ma1") for r in good]
+    def test_one_lane_fails_alone(self, monkeypatch):
+        # a dataset whose objective is non-finite at every grid seed gives its
+        # MinimizationError; the others keep their records
+        import minscore.inference as inference
+
+        real = inference.objective_lanes
+
+        def nan_second(objectives):
+            lanes = real(objectives)
+            if len(objectives) == 3:
+                lanes.pooled[1] = np.nan
+            return lanes
+
+        monkeypatch.setattr(inference, "objective_lanes", nan_second)
+        for kind in EstimatorKind:
+            reductions = [SeriesReduction(sample_series("ma1", 0.3, 30, 10, seed), [kind], "ma1")
+                          for seed in (1, 2, 3)]
+            records = fit_lanes(reductions, kind)
+            assert isinstance(records[1], MinimizationError), kind
+            assert [records[0], records[2]] == [fit(reductions[i], kind, "ma1") for i in (0, 2)]
+
+    def test_lanes_need_one_shape_and_model(self):
+        y = sample_series("ma1", 0.3, 30, 10, seed=1)
+        reduction = SeriesReduction(y, ["full"], "ma1")
         with pytest.raises(ValueError, match="one shape"):
-            fit_lanes([good[0], SeriesReduction(np.ones((30, 9)))], "full", "ma1")
+            fit_lanes([reduction, SeriesReduction(np.ones((30, 9)), ["full"], "ma1")], "full")
+        with pytest.raises(ValueError, match="one kind, model and length"):
+            fit_lanes([reduction, SeriesReduction(y, ["full"], "ar1")], "full")
+        with pytest.raises(ValueError, match="is of ma1, not ar1"):
+            fit(reduction, "full", "ar1")
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     def test_degenerate_wishart_lane_fails_alone(self, monkeypatch, model):
@@ -403,9 +423,10 @@ class TestFit:
         # whose J is zero gets DegenerateDataError, the others their records
         import minscore.inference as inference
 
-        reductions = [SeriesReduction(sample_series(model, 0.3, 30, 10, seed))
+        reductions = [SeriesReduction(sample_series(model, 0.3, 30, 10, seed), ["hyv-wishart"],
+                                      model)
                       for seed in (1, 2, 3)]
-        before = fit_lanes(reductions, "hyv-wishart", model)
+        before = fit_lanes(reductions, "hyv-wishart")
         real = inference.wishart_components
 
         def zero_j_at_second(m, lam, nu, t_len):
@@ -413,51 +434,61 @@ class TestFit:
             return (0.0, k) if lam == before[1].estimate else (j, k)
 
         monkeypatch.setattr(inference, "wishart_components", zero_j_at_second)
-        after = fit_lanes(reductions, "hyv-wishart", model)
+        after = fit_lanes(reductions, "hyv-wishart")
         assert isinstance(after[1], DegenerateDataError)
         assert [after[0], after[2]] == [before[0], before[2]]
 
     def test_reduction_keeps_statistics_only(self):
-        # a study drops the series once every family is computed; the fits
-        # then read the kept statistics.  A failing family keeps the series,
-        # and its kind raises the failure
+        # a reduction keeps the statistics of its kinds and no series; the
+        # fits read them
         y = sample_series("ar1", 0.3, 14, 10, seed=74)
-        reduction = SeriesReduction(y)
-        reduction.keep_statistics(list(EstimatorKind), "ar1")
-        assert reduction.series is None
+        reduction = SeriesReduction(y, EstimatorKind, "ar1")
+        assert not hasattr(reduction, "series")
         for kind in EstimatorKind:
-            assert fit(reduction, kind, "ar1", compute_sd=False) == fit(
-                y, kind, "ar1", compute_sd=False)
-        singular = SeriesReduction(np.ones((14, 10)))
-        singular.keep_statistics(list(EstimatorKind), "ar1")
-        assert singular.series is not None
+            assert fit(reduction, kind, "ar1") == fit(y, kind, "ar1")
+
+    def test_reduction_fits_only_its_kinds(self):
+        reduction = SeriesReduction(sample_series("ar1", 0.3, 14, 10, seed=74),
+                                    ["full", "hyv"], "ar1")
+        with pytest.raises(ValueError, match="built for full, hyv, not pairwise"):
+            fit(reduction, EstimatorKind.PAIRWISE_ML, "ar1")
+
+    def test_failing_family_fails_at_reduction(self):
+        # a singular S fails when the reduction is built, not at the fit
         with pytest.raises(ValueError, match="singular"):
-            fit(singular, EstimatorKind.HYV_WISHART, "ar1")
+            SeriesReduction(np.ones((14, 10)), EstimatorKind, "ar1")
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     def test_retained_floats_are_the_kept_statistics(self, model):
         # the block size of a study rests on this count: every float a
-        # reduction keeps after dropping its series, each buffer once
+        # reduction keeps, each buffer once
         nu, t_len = 16, 9
         y = sample_series(model, 0.3, nu, t_len, seed=75)
         for mask in range(1, 16):
             kinds = [k for i, k in enumerate(EstimatorKind) if mask >> i & 1]
-            reduction = SeriesReduction(y)
-            reduction.keep_statistics(kinds, model)
-            assert reduction.series is None
+            reduction = SeriesReduction(y, kinds, model)
             buffers = {}
-            for kept in reduction._families.values():
+            for kept in reduction._objectives.values():
                 for array in (kept.stats, kept.pooled):
                     while array.base is not None:
                         array = array.base
                     buffers[id(array)] = array.size
             assert retained_floats(kinds, model, nu, t_len) == sum(buffers.values())
 
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (1, 20, 5)])
+    def test_more_than_two_axes_rejected(self, shape):
+        # a 3-D array once reached the bounds check as three sizes, a TypeError
+        message = f"expected a (T,) or (nu, T) array, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit(np.zeros(shape), "full", "ar1")
+        with pytest.raises(ValueError, match="got shape"):
+            SeriesReduction(np.zeros(shape), EstimatorKind, "ma1")
+
     def test_reduction_checks_values_once(self):
         y = sample_series("ma1", 0.3, 30, 10, seed=73)
         y[2, 3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            SeriesReduction(y)
+            SeriesReduction(y, EstimatorKind, "ma1")
 
     @pytest.mark.parametrize("kind,model,nu,t_len", [
         ("hyv", "ar1", 20, 2),

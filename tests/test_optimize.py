@@ -216,9 +216,9 @@ class TestNewtonMatchesScipy:
                                              ("ma1", -0.4)])
     def test_objectives(self, model, theta, kind):
         seeds = np.linspace(*SEARCH_BOUNDS, GRID_POINTS + 2)[1:-1]
-        reductions = [SeriesReduction(sample_series(model, theta, 60, 20, seed))
+        reductions = [SeriesReduction(sample_series(model, theta, 60, 20, seed), [kind], model)
                       for seed in range(6)]
-        objectives = [r.objective(kind, model) for r in reductions]
+        objectives = [r.objective(kind) for r in reductions]
         found = minimize_lanes(objective_lanes(objectives), *SEARCH_BOUNDS)
         for objective, x in zip(objectives, found):
             best = int(np.argmin(objective.total(seeds)))

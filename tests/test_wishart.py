@@ -30,8 +30,8 @@ def grad(ctx, lam):
 
 
 def estimate(y, model):
-    """The Wishart estimate, as :func:`fit` finds it without its sd."""
-    return fit(y, "hyv-wishart", model, compute_sd=False).estimate
+    """The Wishart estimate, as :func:`fit` finds it."""
+    return fit(y, "hyv-wishart", model).estimate
 
 
 class TestContext:
