@@ -19,8 +19,9 @@ from .models import (
     sum_of_squares,
 )
 from .optimize import MinimizationError, minimize_lanes
-from .scores import DegenerateDataError, EstimatorKind, objective_lanes, series_objective
-from .wishart import wishart_components, wishart_context
+from .scores import (DegenerateDataError, EstimatorKind, objective_lanes, series_objective,
+                     wishart_context)
+from .wishart import wishart_components
 from .inference import (
     EstimateRecord,
     SeriesReduction,

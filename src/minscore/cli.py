@@ -15,6 +15,7 @@ file entries.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 import warnings
@@ -142,49 +143,46 @@ def _parse_estimators(text: str) -> tuple[EstimatorKind, ...]:
     return tuple(kinds)
 
 
-def _table_config(args) -> tuple[ExperimentConfig, str, str | None, int]:
+def _table_config(args) -> tuple[ExperimentConfig, str, str | None, dict]:
     file_entries = _read_config_file(args.config) if args.config else {}
 
-    def pick(flag_value, key, convert, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_entries:
-            try:
-                return convert(file_entries[key])
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"bad config value for {key}: {exc}") from exc
-        return default
+    def given(key, convert=str):
+        # the flag, else the config file entry, else None; a flag or entry
+        # that is still text is converted here
+        value = getattr(args, key)
+        if value is None and key in file_entries:
+            value = file_entries[key]
+        if not isinstance(value, str):
+            return value
+        try:
+            return convert(value)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"bad config value for {key}: {exc}") from exc
 
-    model = pick(args.model, "model", str, None)
-    grid_text = args.grid if args.grid is not None else file_entries.get("grid")
-    if model is None or grid_text is None:
+    # only the fields that the flags or the file give: ExperimentConfig holds
+    # the defaults
+    fields = {field: given(key, convert) for field, key, convert in (
+        ("model", "model", str), ("param_grid", "grid", _parse_grid), ("nu", "nu", int),
+        ("t_len", "t", int), ("replicates", "replicates", int), ("mc_b", "mc_b", int),
+        ("seed", "seed", int), ("estimators", "estimators", _parse_estimators))}
+    if fields["model"] is None or fields["param_grid"] is None:
         raise ConfigError("table needs at least --model and --grid (flags or config file)")
-    estimators_text = (
-        args.estimators if args.estimators is not None else file_entries.get("estimators")
-    )
-    cfg = ExperimentConfig(
-        model=model,
-        param_grid=_parse_grid(grid_text) if isinstance(grid_text, str) else grid_text,
-        nu=pick(args.nu, "nu", int, 200),
-        t_len=pick(args.t, "t", int, 50),
-        replicates=pick(args.replicates, "replicates", int, 200),
-        mc_b=pick(args.mc_b, "mc_b", int, 500),
-        seed=pick(args.seed, "seed", int, 0),
-        estimators=tuple(EstimatorKind) if estimators_text is None else
-        _parse_estimators(estimators_text),
-    )
-    out = pick(args.out, "out", str, None)
-    svg = pick(args.svg, "svg", str, None)
-    workers = pick(args.workers, "workers", int, 1)
+    cfg = ExperimentConfig(**{k: v for k, v in fields.items() if v is not None})
+    out, svg, workers = given("out"), given("svg"), given("workers", int)
     if out is None:
         raise ConfigError("table needs an output path (--out or out= in the config file)")
     if svg and set(cfg.estimators) == {EstimatorKind.FULL_ML}:
         # the chart omits the baseline, so it would have no line to draw
         raise ConfigError("the SVG chart needs an estimator besides full, whose efficiency "
                           "is 1 by construction and is not plotted")
-    return cfg, out, svg, workers
+    for path in filter(None, (out, svg)):
+        # a missing directory fails now, not after the study has run
+        folder = os.path.dirname(path)
+        if folder and not os.path.isdir(folder):
+            raise ConfigError(f"cannot write {path!r}: directory {folder!r} does not exist")
+    return cfg, out, svg, {} if workers is None else {"workers": workers}
 
 
 def _record_line(record: EstimateRecord, baseline: EstimateRecord) -> str:
@@ -230,8 +228,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    cfg, out_path, svg_path, workers = _table_config(args)
-    rows = run_experiment(cfg, workers=workers)
+    cfg, out_path, svg_path, run_options = _table_config(args)
+    rows = run_experiment(cfg, **run_options)
     emit_csv(rows, out_path)
     if svg_path:
         emit_are_svg(rows, svg_path)

@@ -6,7 +6,8 @@ Godambe information G = K^2 / J, and the estimator's asymptotic standard
 deviation is 1 / sqrt(nu * G).
 
 Every estimator has one fitting route and one sd route.  Every estimate
-minimizes its kind's objective in theta, the only parameter (mean 0 and unit
+minimizes its kind's objective (:func:`~minscore.scores.series_objective`,
+for all four kinds) in theta, the only parameter (mean 0 and unit
 innovation variance are known), so the sd is that of the estimate it is
 reported with.  The per-series kinds estimate J and K from the observed
 series, using the exact per-series gradients and second derivatives of their
@@ -25,9 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import canonical_model, sum_of_squares
+from .models import canonical_model
 from .optimize import MinimizationError, minimize_lanes
 from .scores import (
+    _SHARED_STATS,
     DegenerateDataError,
     EstimatorKind,
     SeriesObjective,
@@ -36,7 +38,7 @@ from .scores import (
     objective_lanes,
     series_objective,
 )
-from .wishart import wishart_components, wishart_context
+from .wishart import wishart_components
 
 __all__ = [
     "EstimateRecord",
@@ -68,22 +70,14 @@ class EstimateRecord:
     boundary_flag: bool
 
 
-# kinds whose objectives read the statistics of another kind: AR(1) pairwise
-# reads the first differences of full, MA(1) hyv the DST-I squares of full
-_SHARED_STATS = {
-    ("ar1", EstimatorKind.PAIRWISE_ML): EstimatorKind.FULL_ML,
-    ("ma1", EstimatorKind.HYV_UNIVARIATE): EstimatorKind.FULL_ML,
-}
-
-
 class SeriesReduction:
     """The sufficient statistics of a (nu, T) series matrix for the estimators
     ``kinds`` on ``model``, computed at construction; the series are not kept.
     The values are checked to be finite, then the shape against the bounds of
     :func:`sample_size_error` for each kind in turn.  Each family of
-    statistics is computed once and shared by every kind of the family (AR(1)
-    full and pairwise; MA(1) full and hyv; the Wishart kind reads S = Y'Y),
-    so a family that fails (a singular S) fails here."""
+    statistics is computed once, by :func:`~minscore.scores.series_objective`,
+    and shared by every kind of the family (AR(1) full and pairwise; MA(1)
+    full and hyv), so a family that fails (a singular S) fails here."""
 
     def __init__(self, series, kinds, model: str):
         y = np.asarray(series, dtype=float)
@@ -104,16 +98,12 @@ class SeriesReduction:
         for kind in kinds:
             family = _SHARED_STATS.get((self.model, kind), kind)
             if family not in families:
-                if family is EstimatorKind.HYV_WISHART:
-                    families[family] = wishart_context(sum_of_squares(y), len(y), self.model)
-                else:
-                    families[family] = series_objective(y, family, self.model)
+                families[family] = series_objective(y, family, self.model)
             self._objectives[kind] = dataclasses.replace(families[family], kind=kind)
 
     def objective(self, kind: EstimatorKind) -> SeriesObjective:
         """The :class:`SeriesObjective` of ``kind``, equal to
-        :func:`series_objective` of the series (or :func:`wishart_context` of
-        S), from its family's statistics."""
+        :func:`series_objective` of the series, from its family's statistics."""
         kind = EstimatorKind(kind)
         if kind not in self._objectives:
             held = ", ".join(k.value for k in self._objectives)

@@ -27,11 +27,13 @@ orientation is ``stats @ coef(theta) + const(theta)``:
   (:func:`~minscore.models.ma1_sine_transform`); with eigenvalues ``lambda``,
   full is ``0.5 * sum(z^2/lambda + log lambda)`` and ``hyv`` is
   ``0.5 * sum(z^2/lambda^2) - sum(1/lambda)``, O(T) per series and theta.
-- The Wishart score (``hyv-wishart``) is no sum over series: it reads one row
-  of statistics of S^{-1}, S = Y'Y (see :mod:`minscore.wishart`).
+- The Wishart score (``hyv-wishart``, see :mod:`minscore.wishart`) is no sum
+  over series: it reads one row of statistics of S^{-1}, S = Y'Y
+  (:func:`wishart_context`), for AR(1) its trace, interior-diagonal sum and
+  first off-diagonal sum, for MA(1) the diagonal of ``U S^{-1} U``.
 
-:func:`series_objective` reduces the series once; its total and the
-per-series first and second derivatives at any theta then cost no pass over
+:func:`series_objective` reduces the series once, for any kind; its total and
+the per-series first and second derivatives at any theta then cost no pass over
 the data, and the derivatives are exact (jets, see :mod:`minscore.models`).
 The total also takes an array of theta and evaluates all of it in one call,
 and :func:`objective_lanes` stacks the objectives of many datasets as the
@@ -62,6 +64,7 @@ from .models import (
     canonical_model,
     ma1_eigenvalues,
     ma1_sine_transform,
+    sum_of_squares,
 )
 from .optimize import Lanes
 
@@ -70,6 +73,7 @@ __all__ = [
     "DegenerateDataError",
     "SeriesObjective",
     "series_objective",
+    "wishart_context",
     "objective_lanes",
     "min_series_length",
 ]
@@ -105,13 +109,20 @@ def min_series_length(kind: EstimatorKind, model: str) -> int:
 
 def _as_series(y, model: str, kind: EstimatorKind) -> np.ndarray:
     y = np.asarray(y, dtype=float)
-    min_t = _MIN_SERIES_LENGTH.get((model, kind), _MIN_IDENTIFIED_LENGTH)
+    min_t = min_series_length(kind, model)
     if y.ndim not in (1, 2):
         raise ValueError(f"expected a (T,) or (nu, T) array, got shape {y.shape}")
     if y.shape[-1] < min_t:
         raise ValueError(f"need series length >= {min_t}, got {y.shape[-1]}")
     return y
 
+
+# kinds whose objectives read the statistics of another kind: AR(1) pairwise
+# reads the first differences of full, MA(1) hyv the DST-I squares of full
+_SHARED_STATS = {
+    ("ar1", EstimatorKind.PAIRWISE_ML): EstimatorKind.FULL_ML,
+    ("ma1", EstimatorKind.HYV_UNIVARIATE): EstimatorKind.FULL_ML,
+}
 
 # MA(1) pairwise: the numerator of
 # (0.5 (1+alpha^2) (q0 + q_int) - alpha c1) / (1 + alpha^2 + alpha^4), rows =
@@ -196,24 +207,6 @@ def _ar1_sums(d: np.ndarray, kind: EstimatorKind) -> np.ndarray:
     return np.concatenate(halves, axis=-1)
 
 
-def _spectral(model: str, kind: EstimatorKind) -> bool:
-    return model == "ma1" and kind in (EstimatorKind.FULL_ML, EstimatorKind.HYV_UNIVARIATE)
-
-
-def _series_stats(y, kind: EstimatorKind, model: str) -> np.ndarray:
-    # sufficient statistics of each series for the objective: shape (m,) for
-    # one series, (nu, m) for a stack
-    if kind is EstimatorKind.HYV_WISHART:
-        raise ValueError("the Wishart score is not a per-series objective; see minscore.wishart")
-    y = _as_series(y, model, kind)
-    if _spectral(model, kind):
-        z = ma1_sine_transform(y)
-        return z * z
-    if model == "ar1":
-        return _ar1_sums(y, kind)
-    return _lag_sums(y)
-
-
 def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):
     # jets (coef, const) of one series' objective, minimization orientation,
     # mu = 0 and sigma2 = 1: row r (order + 1 rows) is the r-th theta
@@ -230,7 +223,7 @@ def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):
         # inside, 0 at the two ends and -1 when T = 1, and off-diagonal -theta
         norm = _contract(x, np.array([t_len, 0.0, 4.0 * t_len - 6.0, 0.0, abs(t_len - 2.0)]))
         return _contract(x[..., :3], _AR1_PRECISION_COEF), 0.125 * norm
-    if _spectral(model, kind):
+    if model == "ma1" and kind is not EstimatorKind.PAIRWISE_ML:
         lam = ma1_eigenvalues(theta, t_len, order)
         if kind is EstimatorKind.FULL_ML:
             return 0.5 * _jet_power(lam, -1), 0.5 * _jet_log(lam).sum(axis=-1)
@@ -258,7 +251,7 @@ def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):
 @dataclass(frozen=True)
 class SeriesObjective:
     """An objective reduced to sufficient statistics (:func:`series_objective`,
-    :func:`~minscore.wishart.wishart_context`); no method reads the data.  Row
+    :func:`wishart_context`); no method reads the data.  Row
     i has r-th derivative ``scale * (stats[i] . coef[r]) + const[r]`` and the
     total adds ``offset``; per-series kinds keep ``offset = 0, scale = 1``.
     The methods do the arithmetic of one lane of :func:`objective_lanes`, so
@@ -294,12 +287,61 @@ class SeriesObjective:
 
 def series_objective(series, kind: EstimatorKind, model: str) -> SeriesObjective:
     """Reduce a (nu, T) series matrix, or one series, to its sufficient
-    statistics for the objective (one pass over the data)."""
+    statistics for the objective (one pass over the data); for the Wishart
+    kind, :func:`wishart_context` of S = Y'Y."""
     kind = EstimatorKind(kind)
     model = canonical_model(model)
-    stats = np.atleast_2d(_series_stats(series, kind, model))
-    t_len = np.shape(series)[-1]
-    return SeriesObjective(kind, model, t_len, stats, np.sum(stats, axis=0))
+    y = _as_series(series, model, kind)
+    if kind is EstimatorKind.HYV_WISHART:
+        y2 = np.atleast_2d(y)
+        return wishart_context(sum_of_squares(y2), len(y2), model)
+    if model == "ar1":
+        stats = _ar1_sums(y, kind)
+    elif kind is EstimatorKind.PAIRWISE_ML:
+        stats = _lag_sums(y)
+    else:
+        z = ma1_sine_transform(y)
+        stats = z * z
+    stats = np.atleast_2d(stats)
+    return SeriesObjective(kind, model, y.shape[-1], stats, np.sum(stats, axis=0))
+
+
+def wishart_context(s, nu: int, model: str) -> SeriesObjective:
+    """The Wishart score of the sum-of-squares matrix S of ``nu`` >= T + 2
+    series: a :class:`SeriesObjective` of kind ``hyv-wishart`` holding the
+    statistics of S^{-1} and, as its offset, the part of the score free of
+    theta; no T x T array is kept."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ValueError(f"S must be a square matrix, got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("sum-of-squares matrix contains non-finite values (NaN or inf)")
+    l_inv, s_inv = _inverses(s)
+    nu, t_len, model = int(nu), s.shape[0], canonical_model(model)
+    if nu < t_len + 2:
+        raise ValueError(f"Wishart score needs nu >= T + 2; got nu={nu}, T={t_len}")
+    c = 0.5 * (nu - t_len - 1)
+    offset = 0.5 * c * c * np.sum(s_inv**2) - c * np.sum(np.diag(s_inv) ** 2)
+    # the statistics of S^{-1} with <S^{-1}, P(theta)> = stats @ coef(theta)
+    if model == "ma1":
+        # diag(U S^{-1} U) = diag((L^{-1} U)' (L^{-1} U)), one rotation of L^{-1}
+        stats = np.sum(ma1_sine_transform(l_inv) ** 2, axis=0)
+    else:
+        # interior = trace - both ends, so -s^{11} at T = 1, where P = 1 - theta^2
+        diag = np.diag(s_inv)
+        stats = np.array([diag.sum(), diag.sum() - diag[0] - diag[-1], np.trace(s_inv, 1)])
+    return SeriesObjective(EstimatorKind.HYV_WISHART, model, t_len, stats[None], stats,
+                           offset=float(offset), scale=-0.5 * c)
+
+
+def _inverses(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # L^{-1} of the Cholesky factor S = L L', and S^{-1} = L^{-T} L^{-1} symmetrized
+    try:
+        l_inv = np.linalg.inv(np.linalg.cholesky(s))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"singular sum-of-squares matrix: {exc}") from exc
+    s_inv = l_inv.T @ l_inv
+    return l_inv, 0.5 * (s_inv + s_inv.T)
 
 
 def objective_lanes(objectives) -> Lanes:

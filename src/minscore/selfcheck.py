@@ -290,7 +290,7 @@ def _check_wishart_k() -> None:
 def _check_wishart_gradient() -> None:
     rng = np.random.default_rng(11)
     y = rng.standard_normal((20, 5))
-    ctx = wishart.wishart_context(models.sum_of_squares(y), nu=20, model="ar1")
+    ctx = scores.wishart_context(models.sum_of_squares(y), nu=20, model="ar1")
     for phi in (-0.5, 0.0, 0.5):
         step = 1e-5
         fd = (ctx.total(phi + step) - ctx.total(phi - step)) / (2 * step)
@@ -304,7 +304,7 @@ def _check_wishart_dense() -> None:
     for model, t_len, lam in itertools.product(("ar1", "ma1"), (2, 10), (-0.9, 0.0, 0.6)):
         nu = t_len + 6
         s = models.sum_of_squares(rng.standard_normal((nu, t_len)))
-        ctx = wishart.wishart_context(s, nu=nu, model=model)
+        ctx = scores.wishart_context(s, nu=nu, model=model)
         s_inv, c = np.linalg.inv(s), 0.5 * (nu - t_len - 1)
         resid = c * s_inv - 0.5 * scale_precision(model, lam, t_len)
         dense = 0.5 * np.sum(resid * resid) - c * np.sum(np.diag(s_inv) ** 2)
@@ -367,7 +367,7 @@ def _check_batched_grid() -> None:
     # and an MA objective and the Wishart score
     grid = np.linspace(*inference.SEARCH_BOUNDS, GRID_POINTS + 2)[1:-1]
     y = models.sample_ma1(0.6, 30, 20, seed=23)
-    ctx = wishart.wishart_context(models.sum_of_squares(y), nu=30, model="ma1")
+    ctx = scores.wishart_context(models.sum_of_squares(y), nu=30, model="ma1")
     for f in (scores.series_objective(y, "hyv", "ar1").total,
               scores.series_objective(y, "full", "ma1").total,
               ctx.total):

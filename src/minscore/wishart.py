@@ -14,13 +14,10 @@ in the scalar dependence parameter is
     -0.5 * sum_{i,j} (c * s^{ji} - 0.5 * lam^{ji}) * d lam^{ji} / d lambda.
 
 Expanding the square, the score is ``-(c/2) <S^{-1}, P> + ||P||_F^2 / 8`` plus
-a term free of lambda, with ``P`` the scale precision, so S enters through a
-few statistics of S^{-1} computed once per fit (:func:`wishart_context`):
-for AR(1) its trace, interior-diagonal sum and first off-diagonal sum, for
-MA(1) the diagonal of ``U S^{-1} U`` in the DST-I basis that diagonalizes P.
-The score is the ``hyv-wishart`` kind of the one sufficient-statistic
-objective of :mod:`minscore.scores`.  Each evaluation costs O(1) (AR) or O(T)
-(MA), and the derivatives are exact.
+a term free of lambda, with ``P`` the scale precision: the ``hyv-wishart``
+kind of the one sufficient-statistic objective, which
+:func:`~minscore.scores.wishart_context` builds from a few statistics of S^{-1}.
+This module holds the exact information of its estimating equation.
 
 The sensitivity of that estimating equation is the deterministic quantity
 ``K = 0.25 * sum_{i,j} (d lam^{ji} / d lambda)^2``, which for AR(1) is
@@ -34,48 +31,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .models import _jet_power, canonical_model, ma1_eigenvalues, ma1_sine_transform
-from .scores import EstimatorKind, SeriesObjective
+from .models import _jet_power, canonical_model, ma1_eigenvalues
 
-__all__ = ["wishart_context", "wishart_components"]
-
-
-def wishart_context(s, nu: int, model: str) -> SeriesObjective:
-    """The Wishart score of the sum-of-squares matrix S of ``nu`` >= T + 2
-    series: a :class:`~minscore.scores.SeriesObjective` of kind
-    ``hyv-wishart`` holding the statistics of S^{-1} and, as its offset, the
-    part of the score free of lam; no T x T array is kept."""
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"S must be a square matrix, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("sum-of-squares matrix contains non-finite values (NaN or inf)")
-    l_inv, s_inv = _inverses(s)
-    nu, t_len, model = int(nu), s.shape[0], canonical_model(model)
-    if nu < t_len + 2:
-        raise ValueError(f"Wishart score needs nu >= T + 2; got nu={nu}, T={t_len}")
-    c = 0.5 * (nu - t_len - 1)
-    offset = 0.5 * c * c * np.sum(s_inv**2) - c * np.sum(np.diag(s_inv) ** 2)
-    # the statistics of S^{-1} with <S^{-1}, P(lam)> = stats @ coef(lam)
-    if model == "ma1":
-        # diag(U S^{-1} U) = diag((L^{-1} U)' (L^{-1} U)), one rotation of L^{-1}
-        stats = np.sum(ma1_sine_transform(l_inv) ** 2, axis=0)
-    else:
-        # interior = trace - both ends, so -s^{11} at T = 1, where P = 1 - lam^2
-        diag = np.diag(s_inv)
-        stats = np.array([diag.sum(), diag.sum() - diag[0] - diag[-1], np.trace(s_inv, 1)])
-    return SeriesObjective(EstimatorKind.HYV_WISHART, model, t_len, stats[None], stats,
-                           offset=float(offset), scale=-0.5 * c)
-
-
-def _inverses(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # L^{-1} of the Cholesky factor S = L L', and S^{-1} = L^{-T} L^{-1} symmetrized
-    try:
-        l_inv = np.linalg.inv(np.linalg.cholesky(s))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular sum-of-squares matrix: {exc}") from exc
-    s_inv = l_inv.T @ l_inv
-    return l_inv, 0.5 * (s_inv + s_inv.T)
+__all__ = ["wishart_components"]
 
 
 def _derivative_traces(model: str, lam: float, t_len: int) -> tuple[float, float, float]:

@@ -31,6 +31,25 @@ def test_all_names_resolve_once(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+def _tracer_layers() -> list[str]:
+    # the LAYERS of the benchmark tracer, read without importing it
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "tracing.py")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    [value] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and any(getattr(target, "id", None) == "LAYERS" for target in node.targets)]
+    return list(ast.literal_eval(value))
+
+
+@pytest.mark.parametrize("layer", _tracer_layers())
+def test_tracer_layers_resolve(layer):
+    # the traced benchmark run imports minscore.<layer> and wraps the
+    # functions its __all__ names, so a moved or renamed module fails here
+    module = importlib.import_module(f"minscore.{layer}")
+    assert module.__all__ and [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
 PUBLIC_NAMES = {
     # models
     "ma1_eigenvalues", "ma1_sine_transform", "sample_ar1", "sample_ma1", "sample_series",
@@ -39,8 +58,9 @@ PUBLIC_NAMES = {
     "MinimizationError", "minimize_lanes",
     # scores
     "DegenerateDataError", "EstimatorKind", "objective_lanes", "series_objective",
+    "wishart_context",
     # wishart
-    "wishart_components", "wishart_context",
+    "wishart_components",
     # inference
     "EstimateRecord", "SeriesReduction", "are", "fit", "fit_lanes",
     "sample_size_error",

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from minscore import sample_series
-from minscore.cli import cli_main
+from minscore import ExperimentConfig, sample_series
+from minscore.cli import _build_parser, _table_config, cli_main
 
 TABLE_ARGS = [
     "table", "--model", "ar1", "--grid", "0.3", "--nu", "25", "--t", "6",
@@ -401,6 +401,28 @@ class TestTable:
         assert cli_main(TABLE_ARGS + ["--out", str(out), "--workers", "0"]) == 1
         assert "workers must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["out", "svg"])
+    def test_missing_output_directory_exits_1_before_sampling(self, tmp_path, capsys,
+                                                              monkeypatch, missing):
+        # it once ran the whole study and then exited 2 (for --svg, after
+        # writing the CSV)
+        import minscore.simulate as sim
+
+        sampled = []
+        monkeypatch.setattr(sim, "_reduce_replicate", lambda *args: sampled.append(args))
+        paths = {"out": tmp_path / "t.csv", "svg": tmp_path / "t.svg"}
+        paths[missing] = tmp_path / "no" / "such" / paths[missing].name
+        argv = TABLE_ARGS + ["--out", str(paths["out"]), "--svg", str(paths["svg"])]
+        assert cli_main(argv) == 1
+        assert f"cannot write {str(paths[missing])!r}" in capsys.readouterr().err
+        assert sampled == [] and not paths["out"].exists()
+
+    def test_unset_values_keep_the_config_defaults(self, tmp_path):
+        out = str(tmp_path / "t.csv")
+        args = _build_parser().parse_args(["table", "--model", "ar1", "--grid", "0.5",
+                                           "--out", out])
+        assert _table_config(args) == (ExperimentConfig("ar1", (0.5,)), out, None, {})
 
     def test_requires_out(self, capsys):
         code = cli_main(["table", "--model", "ar1", "--grid", "0.2"])

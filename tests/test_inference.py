@@ -241,7 +241,7 @@ class TestFit:
         assert record.sd == godambe_sd(y, kind, model, record.estimate, 60)
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
-    @pytest.mark.parametrize("kind", ["full", "pairwise", "hyv"])
+    @pytest.mark.parametrize("kind", ["full", "pairwise", "hyv", "hyv-wishart"])
     def test_each_series_reduced_once(self, monkeypatch, model, kind):
         import minscore.inference as inference
 

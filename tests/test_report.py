@@ -187,17 +187,19 @@ class TestRunExperiment:
         assert all(row.n_replicates == 20 for row in rows)
 
     @pytest.mark.parametrize("model,kinds,reductions", [
-        # the DST-I rotation, once for full and hyv
-        ("ma1", ("full", "hyv"), ["ma1_sine_transform"]),
+        # the DST-I rotation once for full and hyv, the Cholesky inverse of S
+        # and its rotation for the Wishart kind
+        ("ma1", tuple(EstimatorKind), ["ma1_sine_transform", "_inverses", "ma1_sine_transform"]),
         # first differences once for full and pairwise, second for hyv
-        ("ar1", ("full", "pairwise", "hyv"), ["_ar1_sums full", "_ar1_sums hyv"]),
+        ("ar1", tuple(EstimatorKind), ["_ar1_sums full", "_ar1_sums hyv", "_inverses"]),
     ])
     def test_replicate_reduces_each_family_once(self, monkeypatch, model, kinds, reductions):
         import minscore.scores as scores
         import minscore.simulate as sim
 
         calls = []
-        real_dst, real_sums = scores.ma1_sine_transform, scores._ar1_sums
+        real_dst, real_sums, real_inverses = (scores.ma1_sine_transform, scores._ar1_sums,
+                                              scores._inverses)
 
         def dst(x, *args, **kwargs):
             calls.append("ma1_sine_transform")
@@ -207,8 +209,13 @@ class TestRunExperiment:
             calls.append(f"_ar1_sums {kind}")
             return real_sums(d, kind)
 
+        def inverses(s):
+            calls.append("_inverses")
+            return real_inverses(s)
+
         monkeypatch.setattr(scores, "ma1_sine_transform", dst)
         monkeypatch.setattr(scores, "_ar1_sums", sums)
+        monkeypatch.setattr(scores, "_inverses", inverses)
         cfg = ExperimentConfig(model=model, param_grid=(0.4,), nu=20, t_len=8,
                                replicates=1, estimators=kinds)
         reduction = sim._reduce_replicate(cfg, 0.4, 0, 0, sim._fit_kinds(cfg))

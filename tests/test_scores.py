@@ -13,7 +13,10 @@ from minscore import (
     objective_lanes,
     sample_ar1,
     sample_ma1,
+    sample_series,
     series_objective,
+    sum_of_squares,
+    wishart_context,
 )
 from minscore.scores import min_series_length
 from minscore.selfcheck import (
@@ -473,9 +476,16 @@ class TestSufficientStatistics:
         assert np.isfinite(objective.total(0.4))
         assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
 
-    def test_wishart_kind_rejected(self):
-        with pytest.raises(ValueError, match="not a per-series objective"):
-            series_objective(np.zeros((3, 4)), EstimatorKind.HYV_WISHART, "ma1")
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    @pytest.mark.parametrize("t_len", [2, 10])
+    def test_wishart_kind_is_the_wishart_context_of_s(self, model, t_len):
+        # the Wishart kind reduces the series through S = Y'Y, to the bit
+        y = sample_series(model, 0.4, t_len + 6, t_len, seed=t_len)
+        got = series_objective(y, EstimatorKind.HYV_WISHART, model)
+        want = wishart_context(sum_of_squares(y), len(y), model)
+        assert (got.kind, got.model, got.t_len) == (want.kind, want.model, want.t_len)
+        assert np.all(got.stats == want.stats) and np.all(got.pooled == want.pooled)
+        assert got.offset == want.offset and got.scale == want.scale
 
     @pytest.mark.parametrize("kind", PER_SERIES_KINDS)
     @pytest.mark.parametrize("phi", [-0.995, 0.995])

@@ -17,7 +17,7 @@ from minscore import (
 )
 from minscore.inference import SEARCH_BOUNDS
 from minscore.selfcheck import ar1_covariance, hw_grad_samples, precision_derivative, scale_precision
-from minscore.wishart import _inverses
+from minscore.scores import _inverses
 
 
 def make_ctx(s, nu, model="ar1"):
