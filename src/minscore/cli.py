@@ -177,11 +177,16 @@ def _table_config(args) -> tuple[ExperimentConfig, str, str | None, dict]:
         # the chart omits the baseline, so it would have no line to draw
         raise ConfigError("the SVG chart needs an estimator besides full, whose efficiency "
                           "is 1 by construction and is not plotted")
+    if svg and os.path.realpath(svg) == os.path.realpath(out):
+        raise ConfigError(f"--out {out!r} and --svg {svg!r} name the same file; the chart "
+                          "would overwrite the table")
     for path in filter(None, (out, svg)):
-        # a missing directory fails now, not after the study has run
+        # a path that cannot be written fails now, not after the study has run
         folder = os.path.dirname(path)
         if folder and not os.path.isdir(folder):
             raise ConfigError(f"cannot write {path!r}: directory {folder!r} does not exist")
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path!r}: it is a directory")
     return cfg, out, svg, {} if workers is None else {"workers": workers}
 
 

@@ -8,9 +8,10 @@ reproducible.
 Every MA(1) covariance of length T is tridiagonal Toeplitz, so one fixed
 orthogonal basis, the DST-I sine basis, diagonalizes all of them; only the
 eigenvalues (:func:`ma1_eigenvalues`) depend on alpha.  Data are rotated into
-it (:func:`ma1_sine_transform`) by a cached T x T matrix when they hold at
-least T^2 floats, and by an FFT otherwise.  The objectives built on these
-carry their parameter dependence as *jets*: arrays whose leading axis holds
+it (:func:`ma1_sine_transform`) by a cached T x T matrix when it fits in
+``BASIS_FLOATS`` (T <= 256) or the data hold at least T^2 floats, and by an
+FFT otherwise.  The objectives built on these carry their parameter
+dependence as *jets*: arrays whose leading axis holds
 a value and its first and second derivatives in the dependence parameter,
 combined by the private ``_jet_*`` helpers here, so the estimators get exact
 derivatives without finite differences.  The jets of an array of parameter
@@ -37,6 +38,8 @@ __all__ = [
 SeedLike = int | np.random.SeedSequence | np.random.Generator
 
 MODELS = ("ar1", "ma1")
+
+BASIS_FLOATS = 2**16  # a DST-I basis up to 512 KB (T <= 256) is used for any input size
 
 
 def canonical_model(model: str) -> str:
@@ -66,10 +69,12 @@ def _half_angle_sin2(t_len: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _sine_basis(t_len: int) -> np.ndarray:
-    # U of ma1_sine_transform, read-only as every caller shares it
+    # U of ma1_sine_transform, read-only as every caller shares it; jk is
+    # reduced mod 2(T+1) in integers, which keeps U orthogonal to rounding and
+    # lets a table of 2T + 2 sines fill all T^2 entries
+    table = np.sqrt(2.0 / (t_len + 1)) * np.sin(np.arange(2 * t_len + 2) * (np.pi / (t_len + 1)))
     k = np.arange(1, t_len + 1)
-    jk = np.outer(k, k) % (2 * t_len + 2)  # exact, which keeps U orthogonal to rounding
-    u = np.sqrt(2.0 / (t_len + 1)) * np.sin(jk * (np.pi / (t_len + 1)))
+    u = table[np.outer(k, k) % (2 * t_len + 2)]
     u.flags.writeable = False
     return u
 
@@ -80,13 +85,16 @@ def ma1_sine_transform(x) -> np.ndarray:
 
     ``U`` is symmetric and orthogonal and diagonalizes every MA(1) covariance
     of length T: ``Omega = U diag(lambda) U`` with ``lambda`` from
-    :func:`ma1_eigenvalues`.  Input of at least T^2 floats is multiplied by a
-    cached ``U``, never larger than it; smaller input (one series, fewer than
-    T series) takes the FFT of the odd extension, O(T log T) per row.
+    :func:`ma1_eigenvalues`.  ``x`` is multiplied by a cached ``U`` when ``U``
+    fits in ``BASIS_FLOATS`` floats (T <= 256), so there a series takes the
+    same route alone and in any stack (the BLAS kernels of one row and of a
+    stack may differ by rounding); a longer series takes ``U`` only when
+    ``x`` holds at least T^2 floats, else the FFT of the odd extension,
+    O(T log T) per row.
     """
     x = np.asarray(x, dtype=float)
     t_len = _check_t(x.shape[-1], 1)
-    if x.size >= t_len * t_len:
+    if t_len * t_len <= max(x.size, BASIS_FLOATS):
         return x @ _sine_basis(t_len)
     odd = np.zeros(x.shape[:-1] + (2 * (t_len + 1),))
     odd[..., 1 : t_len + 1] = x

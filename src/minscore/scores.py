@@ -23,7 +23,7 @@ orientation is ``stats @ coef(theta) + const(theta)``:
   products); the coefficients are ratios of polynomials in alpha.
 - MA(1) full and ``hyv``: the squared coordinates ``z = y U`` of each series
   in the DST-I basis that diagonalizes every MA(1) covariance, one product
-  with a cached U for nu >= T series, else an FFT per series
+  with a cached U for T <= 256 or nu >= T series, else an FFT per series
   (:func:`~minscore.models.ma1_sine_transform`); with eigenvalues ``lambda``,
   full is ``0.5 * sum(z^2/lambda + log lambda)`` and ``hyv`` is
   ``0.5 * sum(z^2/lambda^2) - sum(1/lambda)``, O(T) per series and theta.

@@ -241,12 +241,13 @@ def _check_hyvarinen_closed_forms() -> None:
 
 def _check_ma1_spectral_objectives() -> None:
     # the O(T) MA(1) objectives of the DST-I basis against dense slogdet/solve
-    # and the dense precision, at a long series and |alpha| near the
+    # and the dense precision, at long series and |alpha| near the
     # invertibility bound; each series' error relative to its own objective,
-    # so a term that one large ||P y||^2 dwarfs still counts
+    # so a term that one large ||P y||^2 dwarfs still counts.  Four series of
+    # T = 200 rotate by the cached basis, of T = 300 (T^2 > BASIS_FLOATS) by
+    # the FFT
     rng = np.random.default_rng(17)
-    t_len = 200
-    for alpha in (-0.999, 0.999):
+    for t_len, alpha in itertools.product((200, 300), (-0.999, 0.999)):
         y = rng.standard_normal((4, t_len))
         cov = ma1_covariance(alpha, t_len)
         quad = np.sum(y * np.linalg.solve(cov, y.T).T, axis=1)
@@ -255,7 +256,8 @@ def _check_ma1_spectral_objectives() -> None:
         for kind, dense in (("full", full), ("hyv", hyv)):
             got = _per_series(y, kind, "ma1", alpha)
             err = np.max(np.abs(got - dense) / np.abs(dense))
-            assert err < 1e-10, f"spectral MA(1) {kind} off by {err} (relative) at alpha={alpha}"
+            assert err < 1e-10, (f"spectral MA(1) {kind} off by {err} (relative) at "
+                                 f"T={t_len}, alpha={alpha}")
 
 
 def _check_exact_derivatives() -> None:

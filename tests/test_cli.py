@@ -418,6 +418,36 @@ class TestTable:
         assert f"cannot write {str(paths[missing])!r}" in capsys.readouterr().err
         assert sampled == [] and not paths["out"].exists()
 
+    @pytest.mark.parametrize("folder", ["out", "svg"])
+    def test_output_path_naming_a_directory_exits_1_before_sampling(self, tmp_path, capsys,
+                                                                   monkeypatch, folder):
+        # it once ran the whole study and then exited 2 ("Is a directory")
+        import minscore.simulate as sim
+
+        sampled = []
+        monkeypatch.setattr(sim, "_reduce_replicate", lambda *args: sampled.append(args))
+        paths = {"out": tmp_path / "t.csv", "svg": tmp_path / "t.svg"}
+        paths[folder] = tmp_path / "outdir"
+        paths[folder].mkdir()
+        argv = TABLE_ARGS + ["--out", str(paths["out"]), "--svg", str(paths["svg"])]
+        assert cli_main(argv) == 1
+        assert f"cannot write {str(paths[folder])!r}: it is a directory" in capsys.readouterr().err
+        assert sampled == [] and not paths["out"].is_file()
+
+    def test_out_and_svg_naming_one_file_exits_1_before_sampling(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # the chart once overwrote the table and the exit code was 0
+        import minscore.simulate as sim
+
+        sampled = []
+        monkeypatch.setattr(sim, "_reduce_replicate", lambda *args: sampled.append(args))
+        (tmp_path / "t").mkdir()
+        out, svg = tmp_path / "t" / "same", tmp_path / "t" / ".." / "t" / "same"
+        assert cli_main(TABLE_ARGS + ["--out", str(out), "--svg", str(svg)]) == 1
+        err = capsys.readouterr().err
+        assert f"--out {str(out)!r} and --svg {str(svg)!r} name the same file" in err
+        assert sampled == [] and not out.exists()
+
     def test_unset_values_keep_the_config_defaults(self, tmp_path):
         out = str(tmp_path / "t.csv")
         args = _build_parser().parse_args(["table", "--model", "ar1", "--grid", "0.5",

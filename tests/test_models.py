@@ -213,17 +213,18 @@ class TestMa1Spectrum:
         npt.assert_allclose(ma1_sine_transform(x), x @ u, atol=1e-13)
         npt.assert_allclose(ma1_sine_transform(x[0]), x[0] @ u, atol=1e-13)
 
-    @pytest.mark.parametrize("t_len", [3, 8, 50, 201])
-    @pytest.mark.parametrize("shape,dense", [
+    @pytest.mark.parametrize("t_len", [3, 8, 50, 201, 300])
+    @pytest.mark.parametrize("shape,at_t2", [
         (lambda t: (t - 1, t), False),
         (lambda t: (t, t), True),
         (lambda t: (t,), False),
         (lambda t: (2, (t + 1) // 2, t), True),
         (lambda t: (2, (t - 1) // 2, t), False),
     ], ids=["T-1 rows", "T rows", "one series", "3-D at T^2", "3-D below T^2"])
-    def test_size_rule(self, monkeypatch, t_len, shape, dense):
-        # the basis is used exactly when x holds at least T^2 floats; both
-        # sides are the dense basis to rounding
+    def test_size_rule(self, monkeypatch, t_len, shape, at_t2):
+        # the basis is used exactly when it fits in BASIS_FLOATS (T <= 256)
+        # or x holds at least T^2 floats; both sides are the dense basis to
+        # rounding
         import minscore.models as models
 
         built = []
@@ -237,14 +238,41 @@ class TestMa1Spectrum:
         x = np.random.default_rng(t_len).standard_normal(shape(t_len))
         u = self.dense_basis(t_len)
         npt.assert_allclose(ma1_sine_transform(x), x @ u, atol=1e-13)
-        assert built == ([t_len] if dense else [])
+        assert built == ([t_len] if at_t2 or t_len * t_len <= models.BASIS_FLOATS else [])
 
-    @pytest.mark.parametrize("t_len", [2, 7, 50, 201])
+    @pytest.mark.parametrize("t_len", [2, 7, 50, 201, 300])
     def test_dense_and_fft_sides_agree(self, t_len):
         # one (T, T) matrix takes the basis, each of its rows alone the FFT
+        # once T^2 exceeds BASIS_FLOATS (T = 300)
         x = np.random.default_rng(t_len + 1).standard_normal((t_len, t_len))
         by_rows = np.array([ma1_sine_transform(row) for row in x])
         npt.assert_allclose(ma1_sine_transform(x), by_rows, atol=1e-13)
+
+    @pytest.mark.parametrize("t_len", [7, 50, 201, 256])
+    def test_row_and_stack_take_one_basis(self, t_len):
+        # while the basis fits in BASIS_FLOATS the route depends on T alone:
+        # a row and its stack of T - 1 rows are both products with the cached
+        # U.  The BLAS matrix-vector kernel of one row may round differently
+        # from the matrix-matrix kernel of a stack, so they agree to rounding.
+        import minscore.models as models
+
+        u = models._sine_basis(t_len)
+        x = np.random.default_rng(t_len + 2).standard_normal((t_len - 1, t_len))
+        stacked = ma1_sine_transform(x)
+        assert np.array_equal(stacked, x @ u)
+        for i in (0, t_len // 2, t_len - 2):
+            assert np.array_equal(ma1_sine_transform(x[i]), x[i] @ u)
+            npt.assert_allclose(ma1_sine_transform(x[i]), stacked[i], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("t_len", [1, 2, 7, 50, 200, 201, 256])
+    def test_basis_is_the_direct_sines(self, t_len):
+        # the 2T + 2 entry sine table gives the bits of one sine per entry
+        import minscore.models as models
+
+        k = np.arange(1, t_len + 1)
+        jk = np.outer(k, k) % (2 * t_len + 2)
+        direct = np.sqrt(2.0 / (t_len + 1)) * np.sin(jk * (np.pi / (t_len + 1)))
+        assert np.array_equal(models._sine_basis(t_len), direct)
 
     def test_basis_cache_is_bounded_and_read_only(self):
         import minscore.models as models

@@ -223,17 +223,20 @@ class TestRunExperiment:
         assert set(records) == set(map(EstimatorKind, kinds))
         assert calls == reductions
 
-    @pytest.mark.parametrize("nu,estimators,loaded", [
-        (12, "full,pairwise,hyv,hyv-wishart", False),  # nu >= T: the cached basis
-        (6, "full,pairwise,hyv", True),  # nu < T: the FFT
+    @pytest.mark.parametrize("nu,estimators,t_len,loaded", [
+        (12, "full,pairwise,hyv,hyv-wishart", 8, False),  # nu >= T: the cached basis
+        (6, "full,pairwise,hyv", 8, False),  # nu < T <= 256: the cached basis still
+        (6, "full,pairwise,hyv", 300, True),  # T^2 > BASIS_FLOATS and nu < T: the FFT
     ])
-    def test_fft_is_loaded_only_below_the_basis_size(self, nu, estimators, loaded):
-        # numpy loads numpy.fft on first use; a study whose series hold at
-        # least T^2 floats rotates them by the basis and never pays for it
+    def test_fft_is_loaded_only_below_the_basis_size(self, nu, estimators, t_len, loaded):
+        # numpy loads numpy.fft on first use; a study whose basis fits in
+        # BASIS_FLOATS, or whose series hold at least T^2 floats, rotates
+        # them by the basis and never pays for it
         code = (
             "import sys, minscore\n"
             f"cfg = minscore.ExperimentConfig(model='ma1', param_grid=(0.4,), nu={nu}, "
-            f"t_len=8, replicates=2, mc_b=50, seed=3, estimators='{estimators}'.split(','))\n"
+            f"t_len={t_len}, replicates=2, mc_b=50, seed=3, "
+            f"estimators='{estimators}'.split(','))\n"
             "minscore.run_experiment(cfg)\n"
             "print('numpy.fft' in sys.modules)\n"
         )
