@@ -143,6 +143,17 @@ def _parse_estimators(text: str) -> tuple[EstimatorKind, ...]:
     return tuple(kinds)
 
 
+def _check_outputs(*paths) -> None:
+    # a path that cannot be written fails now, not after the work has run;
+    # None or an empty path names no file and is left to the caller
+    for path in filter(None, paths):
+        folder = os.path.dirname(path)
+        if folder and not os.path.isdir(folder):
+            raise ConfigError(f"cannot write {path!r}: directory {folder!r} does not exist")
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path!r}: it is a directory")
+
+
 def _table_config(args) -> tuple[ExperimentConfig, str, str | None, dict]:
     file_entries = _read_config_file(args.config) if args.config else {}
 
@@ -171,7 +182,7 @@ def _table_config(args) -> tuple[ExperimentConfig, str, str | None, dict]:
         raise ConfigError("table needs at least --model and --grid (flags or config file)")
     cfg = ExperimentConfig(**{k: v for k, v in fields.items() if v is not None})
     out, svg, workers = given("out"), given("svg"), given("workers", int)
-    if out is None:
+    if not out:
         raise ConfigError("table needs an output path (--out or out= in the config file)")
     if svg and set(cfg.estimators) == {EstimatorKind.FULL_ML}:
         # the chart omits the baseline, so it would have no line to draw
@@ -180,13 +191,7 @@ def _table_config(args) -> tuple[ExperimentConfig, str, str | None, dict]:
     if svg and os.path.realpath(svg) == os.path.realpath(out):
         raise ConfigError(f"--out {out!r} and --svg {svg!r} name the same file; the chart "
                           "would overwrite the table")
-    for path in filter(None, (out, svg)):
-        # a path that cannot be written fails now, not after the study has run
-        folder = os.path.dirname(path)
-        if folder and not os.path.isdir(folder):
-            raise ConfigError(f"cannot write {path!r}: directory {folder!r} does not exist")
-        if os.path.isdir(path):
-            raise ConfigError(f"cannot write {path!r}: it is a directory")
+    _check_outputs(out, svg)
     return cfg, out, svg, {} if workers is None else {"workers": workers}
 
 
@@ -199,6 +204,9 @@ def _record_line(record: EstimateRecord, baseline: EstimateRecord) -> str:
 
 
 def _cmd_simulate(args) -> int:
+    if not args.out:
+        raise ConfigError("simulate needs a non-empty --out path")
+    _check_outputs(args.out)
     y = sample_series(args.model, args.param, args.nu, args.t, args.seed)
     lines = [",".join(f"{v:.17g}" for v in row) for row in y]
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -207,6 +215,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    _check_outputs(args.out)
     try:
         with warnings.catch_warnings():
             # an empty file is rejected below, without numpy's warning

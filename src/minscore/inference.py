@@ -33,7 +33,6 @@ from .scores import (
     DegenerateDataError,
     EstimatorKind,
     SeriesObjective,
-    _terms,
     min_series_length,
     objective_lanes,
     series_objective,
@@ -77,7 +76,8 @@ class SeriesReduction:
     :func:`sample_size_error` for each kind in turn.  Each family of
     statistics is computed once, by :func:`~minscore.scores.series_objective`,
     and shared by every kind of the family (AR(1) full and pairwise; MA(1)
-    full and hyv), so a family that fails (a singular S) fails here."""
+    full and hyv), so a family that fails (a singular S) fails here.
+    ``floats`` counts the floats of statistics it keeps."""
 
     def __init__(self, series, kinds, model: str):
         y = np.asarray(series, dtype=float)
@@ -100,6 +100,10 @@ class SeriesReduction:
             if family not in families:
                 families[family] = series_objective(y, family, self.model)
             self._objectives[kind] = dataclasses.replace(families[family], kind=kind)
+        # the floats of statistics kept, each buffer once (the Wishart
+        # family's stats are a view of its pooled row)
+        self.floats = sum(o.pooled.size + (0 if np.shares_memory(o.stats, o.pooled)
+                                           else o.stats.size) for o in families.values())
 
     def objective(self, kind: EstimatorKind) -> SeriesObjective:
         """The :class:`SeriesObjective` of ``kind``, equal to
@@ -109,17 +113,6 @@ class SeriesReduction:
             held = ", ".join(k.value for k in self._objectives)
             raise ValueError(f"the reduction was built for {held}, not {kind}")
         return self._objectives[kind]
-
-
-def retained_floats(kinds, model: str, nu: int, t_len: int) -> int:
-    """Floats that a :class:`SeriesReduction` of ``nu`` series of length
-    ``t_len`` keeps for ``kinds``."""
-    model = canonical_model(model)
-    total = 0
-    for family in {_SHARED_STATS.get((model, k), k) for k in map(EstimatorKind, kinds)}:
-        width = _terms(family, model, t_len, 0.0)[0].shape[-1]
-        total += width if family is EstimatorKind.HYV_WISHART else (nu + 1) * width
-    return total
 
 
 def are(sd_mle: float, sd_est: float) -> float:

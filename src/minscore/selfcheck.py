@@ -386,14 +386,14 @@ def _check_shared_reductions() -> None:
     for model in ("ar1", "ma1"):
         cfg = simulate.ExperimentConfig(model=model, param_grid=(-0.4, 0.5), nu=20, t_len=8,
                                         replicates=3, seed=5)
-        _, details = simulate.run_experiment(cfg, return_details=True)
+        rows = {(row.param_true, row.estimator): row for row in simulate.run_experiment(cfg)}
         for grid_index, theta0 in enumerate(cfg.param_grid):
             series = [simulate._sample_replicate(cfg, theta0, grid_index, rep)
                       for rep in range(cfg.replicates)]
             for kind in cfg.estimators:
                 alone = [inference.fit(y, kind, model) for y in series]
                 alone = [(r.estimate, r.sd) for r in alone if not r.boundary_flag]
-                study = list(zip(*details[theta0, kind]))
+                study = list(zip(rows[theta0, kind].estimates, rows[theta0, kind].sds))
                 assert alone == study, f"{model} {kind} at {theta0}: {study} vs {alone} alone"
         for seed in (0, 1):
             y = models.sample_series(model, 0.5, 20, 8, seed)

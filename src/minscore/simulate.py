@@ -11,39 +11,30 @@ every fitted estimator (a :class:`~minscore.inference.SeriesReduction`, which
 keeps no series); a replicate whose statistics fail (a singular S) fails
 there.  Each estimator is then fitted to blocks of consecutive replicates at
 once, as the lanes of one minimization
-(:func:`~minscore.inference.fit_lanes`); a block spans grid points and holds
-as many replicates as :data:`RETAINED_FLOATS` floats of statistics allow.
-Replicates use independently derived seeds and the blocks depend on the
-configuration only, so results are fixed by the configuration; everything
-runs on the calling thread, and aggregation happens in replicate order.
+(:func:`~minscore.inference.fit_lanes`); a block spans grid points and is
+fitted once the statistics its reductions keep reach :data:`RETAINED_FLOATS`
+floats.  No lane depends on the others in its block, and replicates use
+independently derived seeds, so results are fixed by the configuration;
+everything runs on the calling thread, and aggregation happens in replicate
+order.  Each report row carries the estimates and sds of its replicates,
+which the CSV leaves out.
 """
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inference import (
-    EstimateRecord,
-    SeriesReduction,
-    are,
-    fit_lanes,
-    retained_floats,
-    sample_size_error,
-)
+from .inference import SeriesReduction, are, fit_lanes, sample_size_error
 from .models import canonical_model, sample_series
 from .scores import EstimatorKind
 
 __all__ = ["ExperimentConfig", "ReportRow", "ConfigError", "run_experiment"]
 
-ALL_ESTIMATORS = (
-    EstimatorKind.FULL_ML,
-    EstimatorKind.PAIRWISE_ML,
-    EstimatorKind.HYV_UNIVARIATE,
-    EstimatorKind.HYV_WISHART,
-)
+ALL_ESTIMATORS = tuple(EstimatorKind)
 
 MAX_FAILURE_FRACTION = 0.10
 RETAINED_FLOATS = 2**20  # statistics of one block of replicates fitted together
@@ -77,6 +68,10 @@ class ExperimentConfig:
         self.estimators = tuple(EstimatorKind(e) for e in self.estimators)
 
     def validate(self) -> None:
+        for name in ("nu", "t_len", "replicates", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not self.param_grid:
             raise ConfigError("param_grid must contain at least one value")
         printed = set()
@@ -127,24 +122,10 @@ class ReportRow:
     nu: int
     t_len: int
     seed: int
-
-
-@dataclass
-class _CellStats:
-    """Per-estimator accumulation across replicates of one grid point."""
-
-    estimates: list = field(default_factory=list)
-    sds: list = field(default_factory=list)
-    n_boundary: int = 0
-    n_total: int = 0
-
-    def add(self, record: EstimateRecord) -> None:
-        self.n_total += 1
-        if record.boundary_flag:
-            self.n_boundary += 1
-            return
-        self.estimates.append(record.estimate)
-        self.sds.append(record.sd)
+    # the kept replicates' estimates and sds in replicate order, boundary
+    # hits left out; the CSV leaves them out too
+    estimates: tuple[float, ...] = field(default=(), repr=False)
+    sds: tuple[float, ...] = field(default=(), repr=False)
 
 
 def _fit_kinds(cfg: ExperimentConfig) -> tuple[EstimatorKind, ...]:
@@ -168,7 +149,7 @@ def _reduce_replicate(cfg, theta0, grid_index, rep_index, kinds) -> SeriesReduct
                            cfg.model)
 
 
-def _fit_block(cfg, kinds, reduced: list) -> list:
+def _fit_block(kinds, reduced: list) -> list:
     # each replicate's records by kind, or the exception of its reduction or
     # of its first failing kind (kinds in order, as one replicate fitted alone)
     outcomes = list(reduced)
@@ -183,21 +164,16 @@ def _fit_block(cfg, kinds, reduced: list) -> list:
     return [o if isinstance(o, Exception) else r for o, r in zip(outcomes, records)]
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    workers: int = 1,
-    return_details: bool = False,
-):
-    """Run the full study; returns one report row per grid value x estimator.
+def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ReportRow]:
+    """Run the full study; returns one report row per grid value x estimator,
+    each carrying its replicates' estimates and sds.
 
     Individual replicate failures are tolerated up to 10% per grid point, each
     grid point with failures emitting one ``RuntimeWarning``; beyond that the
     study aborts.  Both messages give the failure count and the first message
-    of each exception type, in replicate order.  With ``return_details=True``
-    also returns the per-replicate estimates and sds keyed by (param,
-    estimator), which the property checks use.  ``workers`` (>= 1) is accepted
-    for compatibility and changes neither the output nor the speed: every
-    study runs on the calling thread.
+    of each exception type, in replicate order.  ``workers`` (>= 1) is
+    accepted for compatibility and changes neither the output nor the speed:
+    every study runs on the calling thread.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -206,80 +182,76 @@ def run_experiment(
     jobs = [(theta0, grid_index, rep_index)
             for grid_index, theta0 in enumerate(cfg.param_grid)
             for rep_index in range(cfg.replicates)]
-    per_block = max(1, RETAINED_FLOATS // retained_floats(kinds, cfg.model, cfg.nu, cfg.t_len))
     rows: list[ReportRow] = []
-    details: dict = {}
-    outcomes: list = []
-
-    def reduce(job):
+    outcomes: list = []  # fitted replicates of the grid points not yet aggregated
+    block: list = []
+    held = 0  # floats of statistics that the block's reductions keep
+    for count, job in enumerate(jobs, start=1):
         try:
-            return _reduce_replicate(cfg, *job, kinds)
+            reduced = _reduce_replicate(cfg, *job, kinds)
+            held += reduced.floats
         except Exception as exc:  # noqa: BLE001 - replicate isolation
-            return exc
-
-    done = 0  # grid points aggregated
-    for start in range(0, len(jobs), per_block):
-        reduced = [reduce(job) for job in jobs[start:start + per_block]]
-        outcomes.extend(_fit_block(cfg, kinds, reduced))
+            reduced = exc
+        block.append(reduced)
+        if held < RETAINED_FLOATS and count < len(jobs):
+            continue
+        outcomes.extend(_fit_block(kinds, block))
+        block, held = [], 0
         # aggregate every grid point whose replicates are all fitted
-        while len(outcomes) >= (done + 1) * cfg.replicates:
-            _aggregate(cfg, kinds, cfg.param_grid[done],
-                       outcomes[done * cfg.replicates:(done + 1) * cfg.replicates],
-                       rows, details if return_details else None)
-            done += 1
-    if return_details:
-        return rows, details
+        while len(outcomes) >= cfg.replicates:
+            theta0 = cfg.param_grid[len(rows) // len(kinds)]  # one row per kind
+            rows.extend(_aggregate(cfg, kinds, theta0, outcomes[:cfg.replicates]))
+            del outcomes[:cfg.replicates]
     return rows
 
 
-def _aggregate(cfg, kinds, theta0, outcomes, rows: list, details: dict | None) -> None:
+def _aggregate(cfg, kinds, theta0, outcomes) -> list[ReportRow]:
     # the rows of one grid point from its replicates' outcomes, in order
-    stats = {kind: _CellStats() for kind in kinds}
-    failures = 0
-    first_causes: dict[str, str] = {}
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            failures += 1
-            first_causes.setdefault(type(outcome).__name__, str(outcome))
-            continue
-        for kind in kinds:
-            stats[kind].add(outcome[kind])
-    if failures:
+    failed = [o for o in outcomes if isinstance(o, Exception)]
+    fitted = [o for o in outcomes if not isinstance(o, Exception)]
+    if failed:
+        first_causes: dict[str, str] = {}
+        for exc in failed:
+            first_causes.setdefault(type(exc).__name__, str(exc))
         causes = "".join(f"; first {name}: {text}" for name, text in first_causes.items())
         summary = (
-            f"{failures}/{cfg.replicates} replicates failed at "
+            f"{len(failed)}/{cfg.replicates} replicates failed at "
             f"{cfg.model} parameter {theta0}{causes}"
         )
-        if failures > MAX_FAILURE_FRACTION * cfg.replicates:
+        if len(failed) > MAX_FAILURE_FRACTION * cfg.replicates:
             raise RuntimeError(summary)
         # stacklevel 3: the caller of run_experiment
         warnings.warn(summary, RuntimeWarning, stacklevel=3)
 
-    cell_mle = stats[EstimatorKind.FULL_ML]
-    if not cell_mle.sds:
+    # each kind's (estimate, sd) of the replicates off the boundary
+    kept = {kind: [(o[kind].estimate, o[kind].sd) for o in fitted if not o[kind].boundary_flag]
+            for kind in kinds}
+    if not kept[EstimatorKind.FULL_ML]:
         raise RuntimeError(f"no usable full-ML baseline at parameter {theta0}")
-    sd_mle = float(np.mean(cell_mle.sds))
+    sd_mle = float(np.mean([sd for _, sd in kept[EstimatorKind.FULL_ML]]))
+    rows = []
     for kind in kinds:
-        cell = stats[kind]
-        if not cell.estimates:
+        if not kept[kind]:
             raise RuntimeError(
                 f"estimator {kind} produced no usable replicates at parameter {theta0}"
             )
-        mean_sd = float(np.mean(cell.sds))
+        estimates, sds = zip(*kept[kind])
+        mean_sd = float(np.mean(sds))
         rows.append(
             ReportRow(
                 model=cfg.model,
                 param_true=theta0,
                 estimator=kind,
-                mean_est=float(np.mean(cell.estimates)),
+                mean_est=float(np.mean(estimates)),
                 mean_sd=mean_sd,
                 are=are(sd_mle, mean_sd),
-                n_replicates=cell.n_total,
-                n_boundary=cell.n_boundary,
+                n_replicates=len(fitted),
+                n_boundary=len(fitted) - len(kept[kind]),
                 nu=cfg.nu,
                 t_len=cfg.t_len,
                 seed=cfg.seed,
+                estimates=estimates,
+                sds=sds,
             )
         )
-        if details is not None:
-            details[(theta0, kind)] = (np.array(cell.estimates), np.array(cell.sds))
+    return rows

@@ -74,8 +74,8 @@ def ar1_study():
         replicates=200, mc_b=500, seed=SEED,
     )
     start = time.perf_counter()
-    rows, details = run_experiment(cfg, return_details=True)
-    return rows, details, time.perf_counter() - start
+    rows = run_experiment(cfg)
+    return rows, details_of(rows), time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +85,14 @@ def ma1_study():
         replicates=200, mc_b=500, seed=SEED,
     )
     start = time.perf_counter()
-    rows, details = run_experiment(cfg, return_details=True)
-    return rows, details, time.perf_counter() - start
+    rows = run_experiment(cfg)
+    return rows, details_of(rows), time.perf_counter() - start
+
+
+def details_of(rows):
+    # each cell's kept estimates and sds as arrays, keyed by (param, estimator)
+    return {(row.param_true, row.estimator): (np.array(row.estimates), np.array(row.sds))
+            for row in rows}
 
 
 def row_map(rows):

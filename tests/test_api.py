@@ -86,7 +86,7 @@ OPTIONS = {
     "SeriesReduction": ["series", "kinds", "model"],
     "emit_are_svg": ["rows", "path"],
     "ma1_sine_transform": ["x"],
-    "run_experiment": ["cfg", "workers", "return_details"],
+    "run_experiment": ["cfg", "workers"],
 }
 
 

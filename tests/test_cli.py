@@ -19,6 +19,14 @@ def run(argv, capsys=None):
     return code
 
 
+def unwritable_path(tmp_path, where: str):
+    # a file in a directory that does not exist, or a directory
+    if where == "missing":
+        return tmp_path / "no" / "such" / "x.csv"
+    (tmp_path / "outdir").mkdir()
+    return tmp_path / "outdir"
+
+
 class TestSimulate:
     def test_writes_expected_shape(self, tmp_path):
         out = tmp_path / "series.csv"
@@ -67,8 +75,53 @@ class TestSimulate:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unwritable_out_exits_1_before_sampling(self, tmp_path, capsys, monkeypatch, where):
+        # it once sampled the series and then exited 2 ("[Errno 2]", "[Errno 21]")
+        import minscore.cli as cli
+
+        sampled = []
+        monkeypatch.setattr(cli, "sample_series", lambda *args: sampled.append(args))
+        out = unwritable_path(tmp_path, where)
+        code = cli_main([
+            "simulate", "--model", "ar1", "--param", "0.5", "--nu", "5",
+            "--t", "8", "--seed", "1", "--out", str(out),
+        ])
+        assert code == 1
+        assert f"cannot write {str(out)!r}" in capsys.readouterr().err
+        assert sampled == []
+
+    def test_empty_out_exits_1_before_sampling(self, capsys, monkeypatch):
+        import minscore.cli as cli
+
+        sampled = []
+        monkeypatch.setattr(cli, "sample_series", lambda *args: sampled.append(args))
+        code = cli_main(["simulate", "--model", "ar1", "--param", "0.5", "--out", ""])
+        assert code == 1
+        assert "non-empty --out" in capsys.readouterr().err
+        assert sampled == []
+
 
 class TestFit:
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unwritable_out_exits_1_before_fitting(self, tmp_path, capsys, monkeypatch, where):
+        # it once fitted the data and then exited 2 ("[Errno 2]", "[Errno 21]")
+        import minscore.cli as cli
+
+        data = tmp_path / "data.csv"
+        assert cli_main([
+            "simulate", "--model", "ar1", "--param", "0.5", "--nu", "20",
+            "--t", "6", "--seed", "5", "--out", str(data),
+        ]) == 0
+        reduced = []
+        monkeypatch.setattr(cli, "SeriesReduction", lambda *args: reduced.append(args))
+        out = unwritable_path(tmp_path, where)
+        code = cli_main(["fit", "--data", str(data), "--model", "ar1", "--estimator", "hyv",
+                         "--out", str(out)])
+        assert code == 1
+        assert f"cannot write {str(out)!r}" in capsys.readouterr().err
+        assert reduced == []
+
     def test_fit_from_file(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         assert cli_main([
@@ -458,6 +511,23 @@ class TestTable:
         code = cli_main(["table", "--model", "ar1", "--grid", "0.2"])
         assert code == 1
         assert "output path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_out_exits_1_before_sampling(self, tmp_path, capsys, monkeypatch, source):
+        # it once ran the whole study and then exited 2 ("cannot write CSV to ''")
+        import minscore.simulate as sim
+
+        sampled = []
+        monkeypatch.setattr(sim, "_reduce_replicate", lambda *args: sampled.append(args))
+        if source == "flag":
+            argv = TABLE_ARGS + ["--out", ""]
+        else:
+            cfg = tmp_path / "study.cfg"
+            cfg.write_text("out =\n")
+            argv = TABLE_ARGS + ["--config", str(cfg)]
+        assert cli_main(argv) == 1
+        assert "table needs an output path" in capsys.readouterr().err
+        assert sampled == []
 
     def test_estimator_subset_keeps_baseline_row(self, tmp_path):
         out = tmp_path / "sub.csv"

@@ -28,7 +28,7 @@ from minscore import (
     wishart_components,
     wishart_context,
 )
-from minscore.inference import SEARCH_BOUNDS, retained_floats
+from minscore.inference import SEARCH_BOUNDS
 from minscore.scores import min_series_length, series_objective
 from minscore.selfcheck import hw_grad_samples
 
@@ -459,7 +459,7 @@ class TestFit:
             SeriesReduction(np.ones((14, 10)), EstimatorKind, "ar1")
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
-    def test_retained_floats_are_the_kept_statistics(self, model):
+    def test_floats_are_the_kept_statistics(self, model):
         # the block size of a study rests on this count: every float a
         # reduction keeps, each buffer once
         nu, t_len = 16, 9
@@ -473,7 +473,7 @@ class TestFit:
                     while array.base is not None:
                         array = array.base
                     buffers[id(array)] = array.size
-            assert retained_floats(kinds, model, nu, t_len) == sum(buffers.values())
+            assert reduction.floats == sum(buffers.values())
 
     @pytest.mark.parametrize("shape", [(2, 3, 4), (1, 20, 5)])
     def test_more_than_two_axes_rejected(self, shape):

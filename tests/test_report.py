@@ -1,6 +1,7 @@
 """CSV schema, SVG chart structure, and run_experiment aggregation."""
 
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -51,6 +52,12 @@ def fresh_python(code: str) -> str:
 
 
 class TestEmitCsv:
+    def test_header_is_the_row_fields_but_the_replicates(self):
+        # the replicate tuples never reach the CSV
+        names = [f.name for f in dataclasses.fields(ReportRow)]
+        assert CSV_HEADER.split(",") == [n for n in names if n not in ("estimates", "sds")]
+        assert names[-2:] == ["estimates", "sds"]
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         emit_csv([], path)
@@ -219,7 +226,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(model=model, param_grid=(0.4,), nu=20, t_len=8,
                                replicates=1, estimators=kinds)
         reduction = sim._reduce_replicate(cfg, 0.4, 0, 0, sim._fit_kinds(cfg))
-        [records] = sim._fit_block(cfg, sim._fit_kinds(cfg), [reduction])
+        [records] = sim._fit_block(sim._fit_kinds(cfg), [reduction])
         assert set(records) == set(map(EstimatorKind, kinds))
         assert calls == reductions
 
@@ -301,15 +308,79 @@ class TestRunExperiment:
             estimators=(EstimatorKind.FULL_ML,),
         ).validate()
 
-    def test_details_returned_on_request(self):
+    @pytest.mark.parametrize("name,value", [
+        ("nu", 20.0), ("nu", 20.7), ("t_len", 5.5), ("replicates", 2.0), ("seed", 1.5),
+    ])
+    def test_config_rejects_non_integer_sizes(self, name, value):
+        # nu=20.7, t_len=5.5 once sampled 20 series of length 5 and printed
+        # the fractions in the CSV; replicates=2.0 and seed=1.5 failed at run time
+        cfg = ExperimentConfig(model="ar1", param_grid=(0.2,), nu=20, t_len=5, replicates=2,
+                               estimators=(EstimatorKind.FULL_ML,))
+        setattr(cfg, name, value)
+        with pytest.raises(ConfigError, match=rf"^{name} must be an integer, got {value}$"):
+            run_experiment(cfg)
+        # numpy integers are integers
+        setattr(cfg, name, np.int64(getattr(ExperimentConfig("ar1", (0.2,)), name)))
+        cfg.validate()
+
+    def test_rows_carry_their_replicates(self):
         cfg = ExperimentConfig(
-            model="ar1", param_grid=(0.2,), nu=25, t_len=6, replicates=5,
-            mc_b=50, seed=11, estimators=(EstimatorKind.FULL_ML,),
+            model="ar1", param_grid=(0.2, 0.95), nu=25, t_len=6, replicates=5,
+            mc_b=50, seed=11,
         )
-        rows, details = run_experiment(cfg, return_details=True)
-        estimates, sds = details[(0.2, EstimatorKind.FULL_ML)]
-        assert len(estimates) == len(sds) == 5
-        assert rows[0].mean_est == pytest.approx(float(np.mean(estimates)))
+        rows = run_experiment(cfg)
+        for row in rows:
+            assert isinstance(row.estimates, tuple) and isinstance(row.sds, tuple)
+            assert len(row.estimates) == len(row.sds)
+            assert row.n_replicates == len(row.estimates) + row.n_boundary == 5
+            assert row.mean_est == float(np.mean(row.estimates))
+            assert row.mean_sd == float(np.mean(row.sds))
+        assert any(row.n_boundary for row in rows)
+        assert len({hash(row) for row in rows}) == len(rows)
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    def test_rows_do_not_depend_on_the_block_size(self, monkeypatch, model):
+        # a block of one replicate and blocks that split a grid point give the
+        # rows, replicate tuples included, of one block holding the whole study
+        import minscore.simulate as sim
+
+        cfg = ExperimentConfig(model=model, param_grid=(-0.4, 0.5), nu=12, t_len=6,
+                               replicates=10, seed=14)
+        default = sim.RETAINED_FLOATS
+        floats = sim._reduce_replicate(cfg, 0.5, 0, 0, sim._fit_kinds(cfg)).floats
+        sizes = []
+        real_fit_block = sim._fit_block
+
+        def fit_block(kinds, reduced):
+            sizes.append(len(reduced))
+            return real_fit_block(kinds, reduced)
+
+        def study(budget, fail=False):
+            monkeypatch.setattr(sim, "RETAINED_FLOATS", budget)
+            sizes.clear()
+            if not fail:
+                return run_experiment(cfg), list(sizes)
+            with pytest.warns(RuntimeWarning, match="1/10 replicates failed"):
+                return run_experiment(cfg), list(sizes)
+
+        monkeypatch.setattr(sim, "_fit_block", fit_block)
+        whole = study(default)
+        assert whole[1] == [20]
+        assert {row.estimator for row in whole[0]} == set(EstimatorKind)
+        assert study(1) == (whole[0], [1] * 20)
+        assert study(3 * floats) == (whole[0], [3] * 6 + [2])
+        # a failed replicate holds no statistics, so its block takes one more
+        real_reduce = sim._reduce_replicate
+
+        def reduce(cfg, theta0, grid_index, rep_index, kinds):
+            if (grid_index, rep_index) == (0, 4):
+                raise RuntimeError("synthetic replicate failure")
+            return real_reduce(cfg, theta0, grid_index, rep_index, kinds)
+
+        monkeypatch.setattr(sim, "_reduce_replicate", reduce)
+        failing = study(default, fail=True)
+        assert failing[1] == [20]
+        assert study(3 * floats, fail=True) == (failing[0], [3, 4, 3, 3, 3, 3, 1])
 
     def test_scattered_failures_tolerated(self, monkeypatch):
         import minscore.simulate as sim
