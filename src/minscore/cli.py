@@ -215,6 +215,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if args.out == "":
+        raise ConfigError("fit needs a non-empty --out path")
     _check_outputs(args.out)
     try:
         with warnings.catch_warnings():

@@ -28,7 +28,9 @@ __all__ = ["Lanes", "MinimizationError", "minimize_lanes"]
 
 GRID_POINTS = 64  # interior grid seeds of every minimization
 MAX_STEPS = 100  # Newton or bisection steps per lane; bisection alone needs about 55
-GRID_FLOATS = 2**16  # products held at once by the grid scan (512 KB)
+# products held at once by the grid scan (64 KB, cache-sized); a chunk holds
+# at least one lane, so a lane of more than 64 statistics is scanned alone
+GRID_FLOATS = 2**13
 _STOP = 1e-13  # a lane stops at |g| <= _STOP * |h|, a Newton step below 1e-13
 
 
@@ -90,9 +92,11 @@ def minimize_lanes(lanes: Lanes, lo: float, hi: float) -> np.ndarray:
                          f"({GRID_POINTS}, {width}), got {np.shape(coef)[1:]}")
     # (R, GRID_POINTS) values, a chunk of lanes at a time
     chunk = max(1, GRID_FLOATS // (GRID_POINTS * width))
-    fs = np.concatenate([_lane_jets(lanes, (slice(i, i + chunk), None), coef[0], const[0])
-                         for i in range(0, n_lanes, chunk)]) + lanes.offset[:, None]
-    fs = np.where(np.isfinite(fs), fs, np.inf)
+    fs = np.empty((n_lanes, GRID_POINTS))
+    for i in range(0, n_lanes, chunk):
+        fs[i:i + chunk] = _lane_jets(lanes, (slice(i, i + chunk), None), coef[0], const[0])
+    fs += lanes.offset[:, None]
+    fs[~np.isfinite(fs)] = np.inf
     best = np.argmin(fs, axis=1)
     best_value = fs[np.arange(n_lanes), best]
     ok = np.isfinite(best_value)

@@ -473,17 +473,27 @@ class TestStudyInvariants:
                 predicted = np.mean(sds)
                 assert abs(scatter - predicted) / predicted < 0.15, (theta, kind)
 
-    def test_ar1_pairwise_scatter_matches_exact_sd(self, ar1_study):
-        # the scatter of the AR(1) pairwise estimates in each cell against the
-        # exact sd sqrt(J / K^2 / nu) of the sigma2 = 1 pairwise equation, as
-        # a z-score with the standard error sd / sqrt(2 (n - 1)) of a sample sd
-        _, details, _ = ar1_study
-        for theta in AR_GRID:
-            estimates, _ = details[(theta, EstimatorKind.PAIRWISE_ML)]
-            _, j, k = exact_efficiency("ar1", "pairwise", theta)
-            exact = np.sqrt(j / k**2 / NU)
-            z = (np.std(estimates, ddof=1) - exact) / (exact / np.sqrt(2 * (len(estimates) - 1)))
-            assert abs(z) <= 3, (theta, z)
+    def test_scatter_matches_exact_sd(self, ar1_study, ma1_study):
+        # the scatter of the estimates in every cell of both studies against
+        # the cell's exact sd, as a z-score with the standard error
+        # sd / sqrt(2 (n - 1)) of a sample sd: a per-series kind has the sd
+        # sqrt(J / K^2 / nu) of its sigma2 = 1 estimating equation, and
+        # hyv-wishart the exact full-ML sd over the root of its exact efficiency
+        for model, (_, details, _), grid in (("ar1", ar1_study, AR_GRID),
+                                             ("ma1", ma1_study, MA_GRID)):
+            for theta in grid:
+                _, j, k = exact_efficiency(model, "full", theta)
+                full_sd = np.sqrt(j / k**2 / NU)
+                for kind in EstimatorKind:
+                    if kind is EstimatorKind.HYV_WISHART:
+                        exact = full_sd / np.sqrt(exact_wishart_efficiency(model, theta))
+                    else:
+                        _, j, k = exact_efficiency(model, kind.value, theta)
+                        exact = np.sqrt(j / k**2 / NU)
+                    estimates, _ = details[(theta, kind)]
+                    z = ((np.std(estimates, ddof=1) - exact)
+                         / (exact / np.sqrt(2 * (len(estimates) - 1))))
+                    assert abs(z) <= 3, (model, theta, kind, z)
 
     def test_are_ordering(self, ar1_study, ma1_study):
         ar = row_map(ar1_study[0])

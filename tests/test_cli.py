@@ -103,6 +103,16 @@ class TestSimulate:
 
 
 class TestFit:
+    def test_empty_out_exits_1_before_reading(self, tmp_path, capsys):
+        # it once wrote the record to stdout and exited 0; the data file does
+        # not exist, so reading it first would fail with another message
+        code = cli_main(["fit", "--data", str(tmp_path / "absent.csv"), "--model", "ar1",
+                         "--estimator", "hyv", "--out", ""])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "fit needs a non-empty --out path" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("where", ["missing", "directory"])
     def test_unwritable_out_exits_1_before_fitting(self, tmp_path, capsys, monkeypatch, where):
         # it once fitted the data and then exited 2 ("[Errno 2]", "[Errno 21]")

@@ -2,6 +2,7 @@
 objective gradient."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,46 @@ class TestMinimizeScalar:
         lanes = Lanes(terms, np.zeros((1, 1)), np.zeros(1), np.ones(1), np.ones(1))
         with pytest.raises(ValueError, match=got):
             minimize_lanes(lanes, -1.0, 1.0)
+
+    def test_no_lanes(self):
+        # an empty block of objectives has no minimizers, as fit_lanes([]) has
+        # no records; numpy once failed to concatenate no grid chunks
+        def terms(theta, order):
+            shape = (order + 1,) + np.shape(theta)
+            return np.zeros(shape + (3,)), np.zeros(shape)
+
+        lanes = Lanes(terms, np.zeros((0, 3)), np.zeros(0), np.zeros(0), np.zeros(0))
+        found = minimize_lanes(lanes, -1.0, 1.0)
+        assert isinstance(found, np.ndarray) and found.shape == (0,)
+
+    def test_grid_scan_holds_a_few_lanes(self):
+        # 8 lanes of m = 200 statistics, lane i the quadratic
+        # sum_j pooled[i, j] (theta - c_j)^2: the grid product of one lane,
+        # 64 * m floats (100 KB), exceeds GRID_FLOATS, so the scan holds one
+        # lane's product at a time besides the grid jets, not several lanes'
+        n, m = 8, 200
+        centers = np.linspace(-0.5, 0.5, m)
+        pooled = np.random.default_rng(4).uniform(0.5, 1.5, (n, m))
+
+        def terms(theta, order):
+            # the jets d^2, 2d, 2 of d = theta - c_j, no more than asked for
+            d = np.subtract.outer(theta, centers)
+            coef = np.empty((order + 1,) + d.shape)
+            np.multiply(d, d, out=coef[0])
+            if order:
+                np.multiply(d, 2.0, out=coef[1])
+                coef[2] = 2.0
+            return coef, np.zeros((order + 1,) + np.shape(theta))
+
+        lanes = Lanes(terms, pooled, np.zeros(n), np.ones(n), np.zeros(n))
+        tracemalloc.start()
+        try:
+            found = minimize_lanes(lanes, -1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * GRID_POINTS * m * 8, peak
+        np.testing.assert_allclose(found, pooled @ centers / pooled.sum(axis=1), atol=1e-12)
 
     def test_multimodal_returns_best_grid_basin(self):
         # two wells; the deeper one must win regardless of the local basin
