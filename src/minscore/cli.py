@@ -143,15 +143,20 @@ def _parse_estimators(text: str) -> tuple[EstimatorKind, ...]:
     return tuple(kinds)
 
 
-def _check_outputs(*paths) -> None:
-    # a path that cannot be written fails now, not after the work has run;
-    # None or an empty path names no file and is left to the caller
+def _check_outputs(*paths, inputs=()) -> None:
+    # a path that cannot be written, or that names one of the ``inputs`` the
+    # command reads, fails now, not after the work has run; None or an empty
+    # path names no file and is left to the caller
     for path in filter(None, paths):
         folder = os.path.dirname(path)
         if folder and not os.path.isdir(folder):
             raise ConfigError(f"cannot write {path!r}: directory {folder!r} does not exist")
         if os.path.isdir(path):
             raise ConfigError(f"cannot write {path!r}: it is a directory")
+        for source in filter(None, inputs):
+            if os.path.realpath(path) == os.path.realpath(source):
+                raise ConfigError(f"output {path!r} and input {source!r} name the same file; "
+                                  "writing would overwrite the input")
 
 
 def _table_config(args) -> tuple[ExperimentConfig, str, str | None, dict]:
@@ -191,7 +196,7 @@ def _table_config(args) -> tuple[ExperimentConfig, str, str | None, dict]:
     if svg and os.path.realpath(svg) == os.path.realpath(out):
         raise ConfigError(f"--out {out!r} and --svg {svg!r} name the same file; the chart "
                           "would overwrite the table")
-    _check_outputs(out, svg)
+    _check_outputs(out, svg, inputs=(args.config,))
     return cfg, out, svg, {} if workers is None else {"workers": workers}
 
 
@@ -217,7 +222,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     if args.out == "":
         raise ConfigError("fit needs a non-empty --out path")
-    _check_outputs(args.out)
+    _check_outputs(args.out, inputs=(args.data,))
     try:
         with warnings.catch_warnings():
             # an empty file is rejected below, without numpy's warning

@@ -2,8 +2,9 @@
 
 The objectives of a study's replicates differ only in their data, so they are
 minimized together as *lanes* (:class:`Lanes`): every lane is
-``offset + scale * (pooled . coef(theta)) + rows * const(theta)`` with its own
-pooled statistics and one shared jet function for ``coef`` and ``const``.  A
+``pooled . coef(theta) + rows * const(theta)`` with its own pooled statistics
+and row count and one shared jet function for ``coef`` and ``const``.  A
+term free of theta cannot move a minimizer, so no lane carries one.  A
 coarse grid of :data:`GRID_POINTS` seeds, scanned for all lanes in one call,
 guards against the mild multimodality of the MA(1) objectives at large
 coefficient values; safeguarded Newton steps on the exact first and second
@@ -46,14 +47,11 @@ class Lanes:
     ``theta``: ``coef`` of shape ``(order + 1, *theta.shape, m)`` and
     ``const`` of shape ``(order + 1, *theta.shape)``, row r the r-th
     derivative.  Lane i then has r-th derivative
-    ``scale[i] * (pooled[i] . coef[r]) + rows[i] * const[r]`` and adds
-    ``offset[i]`` to its value.
+    ``pooled[i] . coef[r] + rows[i] * const[r]``.
     """
 
     terms: Callable
     pooled: np.ndarray  # (R, m)
-    offset: np.ndarray  # (R,)
-    scale: np.ndarray  # (R,)
     rows: np.ndarray  # (R,)
 
 
@@ -95,7 +93,6 @@ def minimize_lanes(lanes: Lanes, lo: float, hi: float) -> np.ndarray:
     fs = np.empty((n_lanes, GRID_POINTS))
     for i in range(0, n_lanes, chunk):
         fs[i:i + chunk] = _lane_jets(lanes, (slice(i, i + chunk), None), coef[0], const[0])
-    fs += lanes.offset[:, None]
     fs[~np.isfinite(fs)] = np.inf
     best = np.argmin(fs, axis=1)
     best_value = fs[np.arange(n_lanes), best]
@@ -114,7 +111,6 @@ def minimize_lanes(lanes: Lanes, lo: float, hi: float) -> np.ndarray:
                 break
             c, k = lanes.terms(x, 2)
             f, g, h = _lane_jets(lanes, index, c, k)
-            f += lanes.offset[index]
             finite = np.isfinite(f) & np.isfinite(g) & np.isfinite(h)
             # a finite point is the lane's new iterate and the sign of g
             # narrows its bracket; a non-finite one ends the bracket on its
@@ -138,9 +134,7 @@ def minimize_lanes(lanes: Lanes, lo: float, hi: float) -> np.ndarray:
 
 
 def _lane_jets(lanes: Lanes, index, coef, const):
-    # the jets of the lanes ``index`` without their offsets, each lane at its
-    # own theta (or, for index (slice, None), at every point of a grid): a
-    # product summed along the statistics axis, in one order whatever the
-    # number of lanes
-    dot = np.sum(lanes.pooled[index] * coef, axis=-1)
-    return lanes.scale[index] * dot + lanes.rows[index] * const
+    # the jets of the lanes ``index``, each lane at its own theta (or, for
+    # index (slice, None), at every point of a grid): a product summed along
+    # the statistics axis, in one order whatever the number of lanes
+    return np.sum(lanes.pooled[index] * coef, axis=-1) + lanes.rows[index] * const

@@ -30,7 +30,8 @@ orientation is ``stats @ coef(theta) + const(theta)``:
 - The Wishart score (``hyv-wishart``, see :mod:`minscore.wishart`) is no sum
   over series: it reads one row of statistics of S^{-1}, S = Y'Y
   (:func:`wishart_context`), for AR(1) its trace, interior-diagonal sum and
-  first off-diagonal sum, for MA(1) the diagonal of ``U S^{-1} U``.
+  first off-diagonal sum, for MA(1) the diagonal of ``U S^{-1} U``, each
+  times -c/2 with c = (nu - T - 1)/2, and adds a term free of theta.
 
 :func:`series_objective` reduces the series once, for any kind; its total and
 the per-series first and second derivatives at any theta then cost no pass over
@@ -213,21 +214,23 @@ def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):
     # derivative, so the objective's r-th derivative is stats @ coef[r] + const[r].
     # An array theta adds its shape after the jet axis, so a whole grid of
     # theta costs one call: coef[r] is then (*theta.shape, m).  The Wishart
-    # coef gives <S^{-1}, P(theta)>, P the scale precision; const is ||P||_F^2 / 8.
+    # coef gives <M, P(theta)> from the statistics of M = -c/2 S^{-1}, P the
+    # scale precision; const is ||P||_F^2 / 8.
+    if model == "ma1" and kind is not EstimatorKind.PAIRWISE_ML:
+        # full and hyv hold no inverse jet while building another (peak memory)
+        lam = ma1_eigenvalues(theta, t_len, order)
+        if kind is EstimatorKind.FULL_ML:
+            return 0.5 * _jet_power(lam, -1), 0.5 * _jet_log(lam).sum(axis=-1)
+        if kind is EstimatorKind.HYV_UNIVARIATE:
+            return 0.5 * _jet_power(lam, -2), -_jet_power(lam, -1).sum(axis=-1)
+        p = _jet_power(lam, -1)  # the eigenvalues of P
+        return p, 0.125 * _jet_product(p, p).sum(axis=-1)
     if kind is EstimatorKind.HYV_WISHART:
-        if model == "ma1":
-            p = _jet_power(ma1_eigenvalues(theta, t_len, order), -1)  # eigenvalues of P
-            return p, 0.125 * _jet_product(p, p).sum(axis=-1)
         x = _power_jets(theta, order)
         # the AR(1) precision has diagonal 1 + theta^2 i_t, with i_t = 1
         # inside, 0 at the two ends and -1 when T = 1, and off-diagonal -theta
         norm = _contract(x, np.array([t_len, 0.0, 4.0 * t_len - 6.0, 0.0, abs(t_len - 2.0)]))
         return _contract(x[..., :3], _AR1_PRECISION_COEF), 0.125 * norm
-    if model == "ma1" and kind is not EstimatorKind.PAIRWISE_ML:
-        lam = ma1_eigenvalues(theta, t_len, order)
-        if kind is EstimatorKind.FULL_ML:
-            return 0.5 * _jet_power(lam, -1), 0.5 * _jet_log(lam).sum(axis=-1)
-        return 0.5 * _jet_power(lam, -2), -_jet_power(lam, -1).sum(axis=-1)
     if model == "ma1":
         x = _power_jets(theta, order)
         det = _contract(x, _MA1_PAIR_DET)
@@ -251,11 +254,12 @@ def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):
 @dataclass(frozen=True)
 class SeriesObjective:
     """An objective reduced to sufficient statistics (:func:`series_objective`,
-    :func:`wishart_context`); no method reads the data.  Row
-    i has r-th derivative ``scale * (stats[i] . coef[r]) + const[r]`` and the
-    total adds ``offset``; per-series kinds keep ``offset = 0, scale = 1``.
-    The methods do the arithmetic of one lane of :func:`objective_lanes`, so
-    they give the values a fit sees to the bit."""
+    :func:`wishart_context`); no method reads the data.  Row i has r-th
+    derivative ``stats[i] . coef[r] + const[r]``, and :meth:`total` adds
+    ``offset``, a term free of theta that only the Wishart kind sets and no fit
+    reads.  The derivatives and the total without its offset do the arithmetic
+    of one lane of :func:`objective_lanes`, so they give the values a fit sees
+    to the bit."""
 
     kind: EstimatorKind
     model: str
@@ -263,15 +267,13 @@ class SeriesObjective:
     stats: np.ndarray  # (nu, m)
     pooled: np.ndarray  # (m,), summed over the rows
     offset: float = 0.0
-    scale: float = 1.0
 
     def total(self, theta):
         """Sum of the objectives of the rows at theta: a float for a scalar
         theta, one value per entry for an array (a whole grid in one call)."""
         theta = np.asarray(theta, dtype=float)
         coef, const = _terms(self.kind, self.model, self.t_len, np.atleast_1d(theta))
-        value = (self.scale * np.sum(self.pooled * coef[0], axis=-1)
-                 + len(self.stats) * const[0] + self.offset)
+        value = np.sum(self.pooled * coef[0], axis=-1) + len(self.stats) * const[0] + self.offset
         return value if theta.ndim else float(value[0])
 
     def derivatives(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +284,7 @@ class SeriesObjective:
     def jet_derivatives(self, coef: np.ndarray, const: np.ndarray):
         """First and second derivatives of each row's objective from the
         order-2 jets ``(coef, const)`` of one theta, of shapes (3, m) and (3,)."""
-        return tuple(self.scale * (self.stats @ coef[r]) + const[r] for r in (1, 2))
+        return tuple(self.stats @ coef[r] + const[r] for r in (1, 2))
 
 
 def series_objective(series, kind: EstimatorKind, model: str) -> SeriesObjective:
@@ -308,20 +310,21 @@ def series_objective(series, kind: EstimatorKind, model: str) -> SeriesObjective
 
 def wishart_context(s, nu: int, model: str) -> SeriesObjective:
     """The Wishart score of the sum-of-squares matrix S of ``nu`` >= T + 2
-    series: a :class:`SeriesObjective` of kind ``hyv-wishart`` holding the
-    statistics of S^{-1} and, as its offset, the part of the score free of
-    theta; no T x T array is kept."""
+    series: a :class:`SeriesObjective` of kind ``hyv-wishart`` whose one row
+    of statistics is those of S^{-1} times -c/2, c = (nu - T - 1)/2, and whose
+    offset is the part of the score free of theta; no T x T array is kept.
+    S is inverted only once it and nu pass their bounds."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"S must be a square matrix, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError("sum-of-squares matrix contains non-finite values (NaN or inf)")
-    l_inv, s_inv = _inverses(s)
     nu, t_len, model = int(nu), s.shape[0], canonical_model(model)
     if nu < t_len + 2:
         raise ValueError(f"Wishart score needs nu >= T + 2; got nu={nu}, T={t_len}")
+    l_inv, s_inv = _inverses(s)
     c = 0.5 * (nu - t_len - 1)
-    offset = 0.5 * c * c * np.sum(s_inv**2) - c * np.sum(np.diag(s_inv) ** 2)
+    offset = float(0.5 * c * c * np.sum(s_inv**2) - c * np.sum(np.diag(s_inv) ** 2))
     # the statistics of S^{-1} with <S^{-1}, P(theta)> = stats @ coef(theta)
     if model == "ma1":
         # diag(U S^{-1} U) = diag((L^{-1} U)' (L^{-1} U)), one rotation of L^{-1}
@@ -330,8 +333,8 @@ def wishart_context(s, nu: int, model: str) -> SeriesObjective:
         # interior = trace - both ends, so -s^{11} at T = 1, where P = 1 - theta^2
         diag = np.diag(s_inv)
         stats = np.array([diag.sum(), diag.sum() - diag[0] - diag[-1], np.trace(s_inv, 1)])
-    return SeriesObjective(EstimatorKind.HYV_WISHART, model, t_len, stats[None], stats,
-                           offset=float(offset), scale=-0.5 * c)
+    stats = -0.5 * c * stats  # the score is -c/2 <S^{-1}, P> + ||P||_F^2 / 8 + offset
+    return SeriesObjective(EstimatorKind.HYV_WISHART, model, t_len, stats[None], stats, offset)
 
 
 def _inverses(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -346,14 +349,10 @@ def _inverses(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def objective_lanes(objectives) -> Lanes:
     """The :class:`~minscore.optimize.Lanes` of :class:`SeriesObjective` s of
-    one kind, model and series length: lane i is ``objectives[i].total``."""
+    one kind, model and series length: lane i is ``objectives[i].total``
+    without its offset, which cannot move the minimizer."""
     args = {(o.kind, o.model, o.t_len) for o in objectives}
     if len(args) != 1:
         raise ValueError(f"lanes need objectives of one kind, model and length, got {args}")
-    return Lanes(
-        functools.partial(_terms, *args.pop()),
-        np.stack([o.pooled for o in objectives]),
-        np.array([o.offset for o in objectives]),
-        np.array([o.scale for o in objectives]),
-        np.array([len(o.stats) for o in objectives], dtype=float),
-    )
+    return Lanes(functools.partial(_terms, *args.pop()), np.stack([o.pooled for o in objectives]),
+                 np.array([len(o.stats) for o in objectives], dtype=float))

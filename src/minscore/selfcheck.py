@@ -424,7 +424,7 @@ def _minimize_scalar(jets, lo: float, hi: float) -> float:
         return (jets(theta, order)[: order + 1, ..., None],
                 np.zeros((order + 1,) + np.shape(theta)))
 
-    lanes = Lanes(terms, np.ones((1, 1)), np.zeros(1), np.ones(1), np.zeros(1))
+    lanes = Lanes(terms, np.ones((1, 1)), np.zeros(1))
     return float(minimize_lanes(lanes, lo, hi)[0])
 
 

@@ -182,6 +182,33 @@ def exact_wishart_efficiency(model, theta, nu=NU, t_len=T_LEN):
     return sensitivity**2 / (nu * variability * fisher)
 
 
+def exact_sd(model, kind, theta, nu=NU, t_len=T_LEN):
+    """Exact asymptotic sd of an estimator from nu series: ``sqrt(J / K^2 /
+    nu)`` for a per-series kind, and for hyv-wishart the full-ML sd over the
+    root of its exact efficiency."""
+    if kind == "hyv-wishart":
+        return (exact_sd(model, "full", theta, nu, t_len)
+                / np.sqrt(exact_wishart_efficiency(model, theta, nu, t_len)))
+    _, j, k = exact_efficiency(model, kind, theta, t_len)
+    return np.sqrt(j / k**2 / nu)
+
+
+def sd_allowance(row, exact):
+    """How far a cell's mean sd may lie from the exact sd, as a share of it.
+
+    Two parts, neither fitted to a study: its sampling error, three standard
+    errors ``sd(sds) / sqrt(n)`` of the mean of the cell's n per-replicate
+    sds; and 1/nu for their bias.  A sandwich sd is biased low by O(1/nu)
+    (Kauermann & Carroll 2001, JASA 96): -1/(2 nu) from the one fitted
+    parameter, as from the leverages of a one-parameter linear model, plus
+    terms of the same order from the estimate plugged into J and K and from
+    the mean of roots; 1/nu allows twice the leading term.  The Wishart sd,
+    exact J and K at the estimate, has only the plug-in part.
+    """
+    sds = np.array(row.sds)
+    return 3 * np.std(sds, ddof=1) / np.sqrt(len(sds)) / exact + 1 / row.nu
+
+
 @pytest.mark.slow
 def test_criterion_1_ar1_table(ar1_study):
     rows, _, elapsed = ar1_study
@@ -494,6 +521,35 @@ class TestStudyInvariants:
                     z = ((np.std(estimates, ddof=1) - exact)
                          / (exact / np.sqrt(2 * (len(estimates) - 1))))
                     assert abs(z) <= 3, (model, theta, kind, z)
+
+    def test_mean_sd_matches_exact_sd(self, ar1_study, ma1_study):
+        # every cell of both studies: the mean sd within its allowance of the
+        # exact sd
+        for model, (rows, _, _), grid in (("ar1", ar1_study, AR_GRID),
+                                          ("ma1", ma1_study, MA_GRID)):
+            rmap = row_map(rows)
+            for theta in grid:
+                for kind in KINDS:
+                    row, exact = rmap[(theta, kind)], exact_sd(model, kind, theta)
+                    off = row.mean_sd / exact - 1
+                    assert abs(off) <= sd_allowance(row, exact), (model, theta, kind, off)
+
+    def test_are_matches_exact_efficiency(self, ar1_study, ma1_study):
+        # are = (full mean sd / kind mean sd)^2, and the exact efficiency is
+        # the same ratio of exact sds, so are lies where the two mean sds'
+        # allowances put it
+        for model, (rows, _, _), grid in (("ar1", ar1_study, AR_GRID),
+                                          ("ma1", ma1_study, MA_GRID)):
+            rmap = row_map(rows)
+            for theta in grid:
+                full = sd_allowance(rmap[(theta, "full")], exact_sd(model, "full", theta))
+                for kind in KINDS:
+                    row = rmap[(theta, kind)]
+                    own = sd_allowance(row, exact_sd(model, kind, theta))
+                    eff = (exact_wishart_efficiency(model, theta) if kind == "hyv-wishart"
+                           else exact_efficiency(model, kind, theta)[0])
+                    lo, hi = eff * (1 - full)**2 / (1 + own)**2, eff * (1 + full)**2 / (1 - own)**2
+                    assert lo <= row.are <= hi, (model, theta, kind, row.are, eff)
 
     def test_are_ordering(self, ar1_study, ma1_study):
         ar = row_map(ar1_study[0])

@@ -2,6 +2,7 @@
 the package loads."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -13,6 +14,8 @@ from collections import Counter
 import pytest
 
 import minscore
+from minscore.optimize import Lanes
+from minscore.scores import SeriesObjective
 
 MODULES = ["minscore"] + [
     f"minscore.{info.name}"
@@ -93,6 +96,20 @@ OPTIONS = {
 @pytest.mark.parametrize("name", sorted(OPTIONS))
 def test_option_surface_is_pinned(name):
     assert list(inspect.signature(getattr(minscore, name)).parameters) == OPTIONS[name]
+
+
+FIELDS = {
+    # the fields of the lane data model: every lane is
+    # pooled . coef(theta) + rows * const(theta), so a per-lane field joins
+    # only with an edit here
+    Lanes: ["terms", "pooled", "rows"],
+    SeriesObjective: ["kind", "model", "t_len", "stats", "pooled", "offset"],
+}
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
+def test_lane_fields_are_pinned(cls):
+    assert [field.name for field in dataclasses.fields(cls)] == FIELDS[cls]
 
 
 def _modules_after(code: str, package: str = "scipy") -> tuple[list[str], str]:

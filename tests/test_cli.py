@@ -132,6 +132,26 @@ class TestFit:
         assert f"cannot write {str(out)!r}" in capsys.readouterr().err
         assert reduced == []
 
+    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    def test_out_naming_the_data_exits_1_before_reading(self, tmp_path, capsys, monkeypatch,
+                                                        spelling):
+        # the record once overwrote the data file and the exit code was 0
+        import minscore.cli as cli
+
+        data = tmp_path / "data.csv"
+        assert cli_main(["simulate", "--model", "ar1", "--param", "0.5", "--nu", "20",
+                         "--t", "6", "--seed", "5", "--out", str(data)]) == 0
+        before = data.read_bytes()
+        read = []
+        monkeypatch.setattr(cli.np, "loadtxt", lambda *args, **kwargs: read.append(args))
+        out = data if spelling == "same" else tmp_path / "." / "data.csv"
+        code = cli_main(["fit", "--data", str(data), "--model", "ar1", "--estimator", "hyv",
+                         "--out", str(out)])
+        assert code == 1
+        assert (f"output {str(out)!r} and input {str(data)!r} name the same file"
+                in capsys.readouterr().err)
+        assert read == [] and data.read_bytes() == before
+
     def test_fit_from_file(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         assert cli_main([
@@ -428,6 +448,25 @@ class TestTable:
         flag_out = tmp_path / "override.csv"
         assert cli_main(["table", "--config", str(cfg), "--out", str(flag_out)]) == 0
         assert (tmp_path / "from_file.csv").read_bytes() == flag_out.read_bytes()
+
+    @pytest.mark.parametrize("key", ["out", "svg"])
+    def test_output_naming_the_config_exits_1_before_sampling(self, tmp_path, capsys,
+                                                              monkeypatch, key):
+        # the table or chart once overwrote the config file and the exit code was 0
+        import minscore.simulate as sim
+
+        sampled = []
+        monkeypatch.setattr(sim, "_reduce_replicate", lambda *args: sampled.append(args))
+        cfg = tmp_path / "study.cfg"
+        paths = {"out": tmp_path / "t.csv", "svg": tmp_path / "t.svg", key: cfg}
+        cfg.write_text("model = ar1\ngrid = 0.3\nnu = 25\nt = 6\nreplicates = 6\n"
+                       f"out = {paths['out']}\nsvg = {paths['svg']}\n")
+        before = cfg.read_bytes()
+        assert cli_main(["table", "--config", str(cfg)]) == 1
+        assert (f"output {str(cfg)!r} and input {str(cfg)!r} name the same file"
+                in capsys.readouterr().err)
+        assert sampled == [] and cfg.read_bytes() == before
+        assert not any(p.exists() for p in paths.values() if p != cfg)
 
     @pytest.mark.parametrize("line,key", [("replicats = 3", "replicats"), ("sed = 4", "sed")])
     def test_unknown_config_key_exits_1(self, tmp_path, capsys, monkeypatch, line, key):

@@ -32,7 +32,7 @@ def scalar_lanes(*functions):
         return jets[: order + 1], np.zeros((order + 1,) + np.shape(theta))
 
     n = len(functions)
-    return Lanes(terms, np.eye(n), np.zeros(n), np.ones(n), np.zeros(n))
+    return Lanes(terms, np.eye(n), np.zeros(n))
 
 
 def quadratic(center, floor=0.0):
@@ -70,10 +70,11 @@ class TestMinimizeScalar:
         assert abs(x - 0.5) < 0.05
 
     def test_all_grid_seeds_nonfinite(self):
-        # the lane fails alone; the other lane is still minimized
+        # a NaN statistic makes lane 0 NaN at every seed: the lane fails
+        # alone; the other lane is still minimized
         lanes = scalar_lanes(quadratic(0.1), quadratic(0.2))
-        found = minimize_lanes(dataclasses.replace(lanes, offset=np.array([np.nan, 0.0])),
-                               -1.0, 1.0)
+        lanes.pooled[0, 0] = np.nan
+        found = minimize_lanes(lanes, -1.0, 1.0)
         assert isinstance(found, np.ndarray) and found.shape == (2,)
         assert np.isnan(found[0]) and abs(found[1] - 0.2) <= 1e-12
 
@@ -113,7 +114,7 @@ class TestMinimizeScalar:
             rows = np.concatenate([value[None], np.zeros((order,) + value.shape)])
             return np.zeros(rows.shape + (1,)), rows
 
-        lanes = Lanes(terms, np.zeros((1, 1)), np.zeros(1), np.ones(1), np.ones(1))
+        lanes = Lanes(terms, np.zeros((1, 1)), np.ones(1))
         with pytest.raises(ValueError, match=rf"expected shape \(64,\), got {got}"):
             minimize_lanes(lanes, -1.0, 1.0)
 
@@ -125,7 +126,7 @@ class TestMinimizeScalar:
         def terms(theta, order):
             return jets(theta)[: order + 1], np.zeros((order + 1,) + np.shape(theta))
 
-        lanes = Lanes(terms, np.zeros((1, 1)), np.zeros(1), np.ones(1), np.ones(1))
+        lanes = Lanes(terms, np.zeros((1, 1)), np.ones(1))
         with pytest.raises(ValueError, match=got):
             minimize_lanes(lanes, -1.0, 1.0)
 
@@ -136,7 +137,7 @@ class TestMinimizeScalar:
             shape = (order + 1,) + np.shape(theta)
             return np.zeros(shape + (3,)), np.zeros(shape)
 
-        lanes = Lanes(terms, np.zeros((0, 3)), np.zeros(0), np.zeros(0), np.zeros(0))
+        lanes = Lanes(terms, np.zeros((0, 3)), np.zeros(0))
         found = minimize_lanes(lanes, -1.0, 1.0)
         assert isinstance(found, np.ndarray) and found.shape == (0,)
 
@@ -159,7 +160,7 @@ class TestMinimizeScalar:
                 coef[2] = 2.0
             return coef, np.zeros((order + 1,) + np.shape(theta))
 
-        lanes = Lanes(terms, pooled, np.zeros(n), np.ones(n), np.zeros(n))
+        lanes = Lanes(terms, pooled, np.zeros(n))
         tracemalloc.start()
         try:
             found = minimize_lanes(lanes, -1.0, 1.0)

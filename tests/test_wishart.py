@@ -11,6 +11,7 @@ from minscore import (
     sample_ar1,
     sample_ma1,
     sample_series,
+    series_objective,
     sum_of_squares,
     wishart_components,
     wishart_context,
@@ -42,8 +43,18 @@ class TestContext:
         wishart_context(s, nu=5, model="ar1")
 
     def test_singular_s_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="singular"):
             wishart_context(np.zeros((2, 2)), nu=10, model="ar1")
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    def test_nu_bound_comes_before_inverting_s(self, model):
+        # nu = 5 series of length T = 10 give a singular S; it once failed
+        # with "singular sum-of-squares matrix" instead of the bound on nu
+        y = sample_series(model, 0.4, 5, 10, seed=3)
+        with pytest.raises(ValueError, match=r"Wishart score needs nu >= T \+ 2; got nu=5, T=10"):
+            wishart_context(sum_of_squares(y), nu=5, model=model)
+        with pytest.raises(ValueError, match=r"Wishart score needs nu >= T \+ 2; got nu=5, T=10"):
+            series_objective(y, "hyv-wishart", model)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_s_rejected(self, bad):
@@ -55,11 +66,12 @@ class TestContext:
     @pytest.mark.parametrize("s,message", [
         (np.ones((2, 3)), "square"),
         (np.full((3, 3), np.nan), "non-finite"),
-        (np.zeros((3, 3)), "singular"),
+        (np.zeros((3, 3)), r"nu >= T \+ 2"),  # singular too, but not yet inverted
         (np.eye(3), r"nu >= T \+ 2"),
     ])
     def test_checks_in_order(self, s, message):
-        # each S also fails every later check, since nu = 2 < T + 2
+        # each S also fails every later check, since nu = 2 < T + 2; S is
+        # inverted last (test_singular_s_rejected)
         with pytest.raises(ValueError, match=message):
             wishart_context(s, nu=2, model="ar1")
 
