@@ -12,7 +12,10 @@ innovation variance are known), so the sd is that of the estimate it is
 reported with.  The per-series kinds estimate J and K from the observed
 series, using the exact per-series gradients and second derivatives of their
 objectives, which a fit reads from the jets at its estimates, evaluated for
-all of its datasets in one call.  The Wishart estimator's score acts on the
+all of its datasets in one call.  Each per-series gradient is linear in the
+series' m statistics, so J is a quadratic form in their m x m second
+moments, and a reduction of more series than statistics keeps those moments
+instead of the per-series statistics.  The Wishart estimator's score acts on the
 pooled statistic S = Y'Y rather than series by series; its J and K are exact
 in closed form (:func:`~minscore.wishart.wishart_components`), and J is
 rescaled by nu so the one sd formula applies to all four kinds.
@@ -27,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import canonical_model
-from .optimize import MinimizationError, minimize_lanes
+from .optimize import GRID_POINTS, MinimizationError, minimize_lanes
 from .scores import (
     _SHARED_STATS,
     DegenerateDataError,
@@ -56,6 +59,9 @@ _DEGENERATE_RATIO = 1e-8
 _DEGENERATE = "score variability is numerically zero; data carry no sampling variance"
 # an estimate this close to a search bound is flagged as a boundary hit
 _EDGE_MARGIN = 4e-6
+# floats per statistic that the jets of a fit and their products hold per lane
+# (at most 20 measured, for AR(1) full and MA(1) pairwise)
+_JET_FLOATS = 24
 
 
 @dataclass(frozen=True)
@@ -76,8 +82,13 @@ class SeriesReduction:
     :func:`sample_size_error` for each kind in turn.  Each family of
     statistics is computed once, by :func:`~minscore.scores.series_objective`,
     and shared by every kind of the family (AR(1) full and pairwise; MA(1)
-    full and hyv), so a family that fails (a singular S) fails here.
-    ``floats`` counts the floats of statistics it keeps."""
+    full and hyv), so a family that fails (a singular S) fails here.  Of a
+    family's m statistics per row it keeps the pooled sums, the row count and
+    whichever holds fewer floats: the rows, or their m x m second moments
+    when there are more rows than m, which is all a fit reads.
+    ``floats`` counts the floats of statistics it keeps, and ``fit_floats``
+    bounds those a fit of one of its kinds holds per lane besides: the grid
+    values, the stacked moments or the rows' derivatives, and the jets."""
 
     def __init__(self, series, kinds, model: str):
         y = np.asarray(series, dtype=float)
@@ -98,12 +109,20 @@ class SeriesReduction:
         for kind in kinds:
             family = _SHARED_STATS.get((self.model, kind), kind)
             if family not in families:
-                families[family] = series_objective(y, family, self.model)
+                kept = series_objective(y, family, self.model)
+                if kept.rows > kept.pooled.size:
+                    kept = dataclasses.replace(kept, stats=None,
+                                               moments=kept.stats.T @ kept.stats)
+                families[family] = kept
             self._objectives[kind] = dataclasses.replace(families[family], kind=kind)
         # the floats of statistics kept, each buffer once (the Wishart
-        # family's stats are a view of its pooled row)
-        self.floats = sum(o.pooled.size + (0 if np.shares_memory(o.stats, o.pooled)
+        # family's one row is a view of its pooled row)
+        self.floats = sum(o.pooled.size + (o.moments.size if o.stats is None
+                                           else 0 if np.shares_memory(o.stats, o.pooled)
                                            else o.stats.size) for o in families.values())
+        self.fit_floats = max(GRID_POINTS + _JET_FLOATS * o.pooled.size
+                              + (o.moments.size if o.stats is None else 4 * o.rows)
+                              for o in families.values())
 
     def objective(self, kind: EstimatorKind) -> SeriesObjective:
         """The :class:`SeriesObjective` of ``kind``, equal to
@@ -209,12 +228,17 @@ def fit_lanes(reductions: Sequence[SeriesReduction], kind: EstimatorKind) -> lis
             j_hat = nu * j_hat
         else:
             # the per-series derivatives from the jets at every estimate in
-            # one call, a (lanes, series) array whose rows do not depend on
-            # each other
+            # one call, a (lanes, m) array for each order whose rows do not
+            # depend on each other
             coef, const = lanes.terms(theta[need_sd], 2)
-            g, h = map(np.array, zip(*(objectives[j].jet_derivatives(coef[:, n], const[:, n])
-                                       for n, j in enumerate(need_sd))))
-            j_hat, k_hat = np.mean(g * g, axis=-1), np.mean(h, axis=-1)
+            kept = [objectives[j] for j in need_sd]
+            if kept[0].stats is None:  # one shape, so every lane keeps moments
+                j_hat, k_hat = _moment_godambe(kept, lanes.pooled[need_sd],
+                                               lanes.rows[need_sd], coef, const)
+            else:
+                g, h = map(np.array, zip(*(o.jet_derivatives(coef[:, n], const[:, n])
+                                           for n, o in enumerate(kept))))
+                j_hat, k_hat = np.mean(g * g, axis=-1), np.mean(h, axis=-1)
         # J is no sampling variance where it is numerically zero
         degenerate[need_sd] = ~(np.isfinite(j_hat) & (j_hat > _DEGENERATE_RATIO * (k_hat * k_hat)))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -230,3 +254,17 @@ def fit_lanes(reductions: Sequence[SeriesReduction], kind: EstimatorKind) -> lis
                                           None if boundary[j] else float(sd[j]),
                                           bool(boundary[j])))
     return results
+
+
+def _moment_godambe(objectives, pooled, rows, coef, const):
+    # J = mean g_i^2 and K = mean h_i of the lanes' rows from their second
+    # moments G: with g_i = s_i . c1 + k1, sum g_i^2 = c1' G c1 + 2 k1 (pooled
+    # . c1) + rows k1^2, and sum h_i = pooled . c2 + rows k2; every lane is
+    # products summed along fixed axes, whatever the number of lanes
+    (_, c1, c2), (_, k1, k2) = coef, const
+    gc = np.stack([o.moments for o in objectives])
+    gc *= c1[:, None, :]
+    sum_g2 = (np.sum(np.sum(gc, axis=-1) * c1, axis=-1)
+              + 2.0 * k1 * np.sum(pooled * c1, axis=-1) + rows * k1 * k1)
+    sum_h = np.sum(pooled * c2, axis=-1) + rows * k2
+    return sum_g2 / rows, sum_h / rows

@@ -25,7 +25,6 @@ import functools
 import numpy as np
 
 __all__ = [
-    "SeedLike",
     "ma1_sine_transform",
     "ma1_eigenvalues",
     "sample_ar1",
@@ -34,8 +33,6 @@ __all__ = [
     "sum_of_squares",
     "canonical_model",
 ]
-
-SeedLike = int | np.random.SeedSequence | np.random.Generator
 
 MODELS = ("ar1", "ma1")
 

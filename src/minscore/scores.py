@@ -254,18 +254,24 @@ def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):
 @dataclass(frozen=True)
 class SeriesObjective:
     """An objective reduced to sufficient statistics (:func:`series_objective`,
-    :func:`wishart_context`); no method reads the data.  Row i has r-th
-    derivative ``stats[i] . coef[r] + const[r]``, and :meth:`total` adds
-    ``offset``, a term free of theta that only the Wishart kind sets and no fit
-    reads.  The derivatives and the total without its offset do the arithmetic
-    of one lane of :func:`objective_lanes`, so they give the values a fit sees
-    to the bit."""
+    :func:`wishart_context`); no method reads the data.  It sums the
+    objectives of ``rows`` rows of statistics, row i with r-th derivative
+    ``stats[i] . coef[r] + const[r]``, and :meth:`total` adds ``offset``, a
+    term free of theta that only the Wishart kind sets and no fit reads.  A
+    :class:`~minscore.inference.SeriesReduction` of more rows than statistics
+    keeps their second moments ``moments = stats' stats`` in place of
+    ``stats``: they give the total and the Godambe sums of a fit, but no
+    per-row derivatives.  The derivatives and the total without its offset do
+    the arithmetic of one lane of :func:`objective_lanes`, so they give the
+    values a fit sees to the bit."""
 
     kind: EstimatorKind
     model: str
     t_len: int
-    stats: np.ndarray  # (nu, m)
+    stats: np.ndarray | None  # (rows, m), None where only the moments are kept
     pooled: np.ndarray  # (m,), summed over the rows
+    rows: int
+    moments: np.ndarray | None = None  # (m, m), the sum of each row's outer product
     offset: float = 0.0
 
     def total(self, theta):
@@ -273,7 +279,7 @@ class SeriesObjective:
         theta, one value per entry for an array (a whole grid in one call)."""
         theta = np.asarray(theta, dtype=float)
         coef, const = _terms(self.kind, self.model, self.t_len, np.atleast_1d(theta))
-        value = np.sum(self.pooled * coef[0], axis=-1) + len(self.stats) * const[0] + self.offset
+        value = np.sum(self.pooled * coef[0], axis=-1) + self.rows * const[0] + self.offset
         return value if theta.ndim else float(value[0])
 
     def derivatives(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -284,6 +290,10 @@ class SeriesObjective:
     def jet_derivatives(self, coef: np.ndarray, const: np.ndarray):
         """First and second derivatives of each row's objective from the
         order-2 jets ``(coef, const)`` of one theta, of shapes (3, m) and (3,)."""
+        if self.stats is None:
+            raise ValueError(f"per-row derivatives need the rows, and this objective keeps "
+                             f"only the second moments of its {self.rows} rows (fewer floats); "
+                             f"series_objective of the series keeps them")
         return tuple(self.stats @ coef[r] + const[r] for r in (1, 2))
 
 
@@ -305,7 +315,7 @@ def series_objective(series, kind: EstimatorKind, model: str) -> SeriesObjective
         z = ma1_sine_transform(y)
         stats = z * z
     stats = np.atleast_2d(stats)
-    return SeriesObjective(kind, model, y.shape[-1], stats, np.sum(stats, axis=0))
+    return SeriesObjective(kind, model, y.shape[-1], stats, np.sum(stats, axis=0), len(stats))
 
 
 def wishart_context(s, nu: int, model: str) -> SeriesObjective:
@@ -334,7 +344,8 @@ def wishart_context(s, nu: int, model: str) -> SeriesObjective:
         diag = np.diag(s_inv)
         stats = np.array([diag.sum(), diag.sum() - diag[0] - diag[-1], np.trace(s_inv, 1)])
     stats = -0.5 * c * stats  # the score is -c/2 <S^{-1}, P> + ||P||_F^2 / 8 + offset
-    return SeriesObjective(EstimatorKind.HYV_WISHART, model, t_len, stats[None], stats, offset)
+    return SeriesObjective(EstimatorKind.HYV_WISHART, model, t_len, stats[None], stats, 1,
+                           offset=offset)
 
 
 def _inverses(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -355,4 +366,4 @@ def objective_lanes(objectives) -> Lanes:
     if len(args) != 1:
         raise ValueError(f"lanes need objectives of one kind, model and length, got {args}")
     return Lanes(functools.partial(_terms, *args.pop()), np.stack([o.pooled for o in objectives]),
-                 np.array([len(o.stats) for o in objectives], dtype=float))
+                 np.array([o.rows for o in objectives], dtype=float))

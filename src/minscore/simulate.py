@@ -8,15 +8,16 @@ is computed from the aggregated mean sds with full ML as the baseline.
 
 Each replicate is sampled and reduced once to the sufficient statistics of
 every fitted estimator (a :class:`~minscore.inference.SeriesReduction`, which
-keeps no series); a replicate whose statistics fail (a singular S) fails
-there.  Each estimator is then fitted to blocks of consecutive replicates at
-once, as the lanes of one minimization
-(:func:`~minscore.inference.fit_lanes`); a block spans grid points and is
-fitted once the statistics its reductions keep reach :data:`RETAINED_FLOATS`
-floats.  No lane depends on the others in its block, and replicates use
-independently derived seeds, so results are fixed by the configuration;
-everything runs on the calling thread, and aggregation happens in replicate
-order.  Each report row carries the estimates and sds of its replicates,
+keeps no series, and of a family with more series than statistics only the
+pooled statistics and their second moments, from which the fit reads J); a
+replicate whose statistics fail (a singular S) fails there.  Each estimator
+is then fitted to blocks of consecutive replicates at once, as the lanes of
+one minimization (:func:`~minscore.inference.fit_lanes`); a block spans grid
+points and is fitted once the floats its reductions keep, and those its fit
+holds per lane, reach :data:`RETAINED_FLOATS`.  No lane depends on the
+others in its block, and replicates use independently derived seeds, so
+results are fixed by the configuration; everything runs on the calling
+thread, and aggregation happens in replicate order.  Each report row carries the estimates and sds of its replicates,
 which the CSV leaves out.
 """
 
@@ -37,7 +38,7 @@ __all__ = ["ExperimentConfig", "ReportRow", "ConfigError", "run_experiment"]
 ALL_ESTIMATORS = tuple(EstimatorKind)
 
 MAX_FAILURE_FRACTION = 0.10
-RETAINED_FLOATS = 2**20  # statistics of one block of replicates fitted together
+RETAINED_FLOATS = 2**20  # statistics and fit work of one block of replicates fitted together
 
 
 def format_float(value: float) -> str:
@@ -136,10 +137,10 @@ def _fit_kinds(cfg: ExperimentConfig) -> tuple[EstimatorKind, ...]:
 
 
 def _sample_replicate(cfg, theta0, grid_index, rep_index) -> np.ndarray:
-    root = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(grid_index, rep_index))
-    # the data come from the first spawned child, as in the reference tables
-    (sample_seed,) = root.spawn(1)
-    return sample_series(cfg.model, theta0, cfg.nu, cfg.t_len, sample_seed)
+    # the first child that SeedSequence(entropy=seed, spawn_key=(grid_index,
+    # rep_index)).spawn(1) returns, as in the reference tables, built directly
+    seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(grid_index, rep_index, 0))
+    return sample_series(cfg.model, theta0, cfg.nu, cfg.t_len, seed)
 
 
 def _reduce_replicate(cfg, theta0, grid_index, rep_index, kinds) -> SeriesReduction:
@@ -185,11 +186,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ReportRow]:
     rows: list[ReportRow] = []
     outcomes: list = []  # fitted replicates of the grid points not yet aggregated
     block: list = []
-    held = 0  # floats of statistics that the block's reductions keep
+    held = 0  # floats the block's reductions keep and its fit holds
     for count, job in enumerate(jobs, start=1):
         try:
             reduced = _reduce_replicate(cfg, *job, kinds)
-            held += reduced.floats
+            held += reduced.floats + reduced.fit_floats
         except Exception as exc:  # noqa: BLE001 - replicate isolation
             reduced = exc
         block.append(reduced)

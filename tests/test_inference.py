@@ -1,5 +1,6 @@
 """Godambe estimation, its Monte Carlo references, relative efficiency and fit."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -29,7 +30,7 @@ from minscore import (
     wishart_context,
 )
 from minscore.inference import SEARCH_BOUNDS
-from minscore.scores import min_series_length, series_objective
+from minscore.scores import _SHARED_STATS, min_series_length, series_objective
 from minscore.selfcheck import hw_grad_samples
 
 
@@ -236,9 +237,18 @@ class TestFit:
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     @pytest.mark.parametrize("kind", ["full", "pairwise", "hyv"])
     def test_per_series_sd_is_empirical(self, model, kind):
+        # with no more rows than statistics a reduction keeps the rows, and
+        # the sd is that of the per-row derivatives to the bit; with more, it
+        # keeps their second moments, which move the sd by at most 7.5e-14
+        # relative (both acceptance studies, the benchmark shapes and
+        # |theta| = 0.99); 1e-12 leaves a margin of 13
+        y = sample_series(model, 0.4, 3, 12, seed=70)
+        record = fit(y, kind, model)
+        assert record.sd == godambe_sd(y, kind, model, record.estimate, 3)
         y = sample_series(model, 0.4, 60, 12, seed=70)
         record = fit(y, kind, model)
-        assert record.sd == godambe_sd(y, kind, model, record.estimate, 60)
+        assert record.sd == pytest.approx(godambe_sd(y, kind, model, record.estimate, 60),
+                                          rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     @pytest.mark.parametrize("kind", ["full", "pairwise", "hyv", "hyv-wishart"])
@@ -461,19 +471,42 @@ class TestFit:
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     def test_floats_are_the_kept_statistics(self, model):
         # the block size of a study rests on this count: every float a
-        # reduction keeps, each buffer once
-        nu, t_len = 16, 9
-        y = sample_series(model, 0.3, nu, t_len, seed=75)
-        for mask in range(1, 16):
-            kinds = [k for i, k in enumerate(EstimatorKind) if mask >> i & 1]
-            reduction = SeriesReduction(y, kinds, model)
-            buffers = {}
-            for kept in reduction._objectives.values():
-                for array in (kept.stats, kept.pooled):
-                    while array.base is not None:
-                        array = array.base
-                    buffers[id(array)] = array.size
-            assert reduction.floats == sum(buffers.values())
+        # reduction keeps, each buffer once; a family keeps its rows, or their
+        # second moments where it has more rows than statistics (at 12 x 8,
+        # AR(1) hyv has 12 of each)
+        for nu, t_len in ((16, 9), (12, 8)):
+            y = sample_series(model, 0.3, nu, t_len, seed=75)
+            for mask in range(1, 16):
+                kinds = [k for i, k in enumerate(EstimatorKind) if mask >> i & 1]
+                reduction = SeriesReduction(y, kinds, model)
+                buffers = {}
+                for kept in reduction._objectives.values():
+                    assert (kept.stats is None) == (kept.rows > kept.pooled.size)
+                    for array in (kept.stats, kept.moments, kept.pooled):
+                        if array is None:
+                            continue
+                        while array.base is not None:
+                            array = array.base
+                        buffers[id(array)] = array.size
+                assert reduction.floats == sum(buffers.values())
+
+    @pytest.mark.parametrize("model,nu,t_len,kinds,moments,floats", [
+        # the benchmark's desk shapes keep the m x m second moments of every
+        # family: MA(1) full 50 + 50^2, pairwise 3 + 3^2, and the Wishart
+        # row of 50; AR(1) full 8 + 8^2, hyv 12 + 12^2 and the Wishart 3
+        ("ma1", 200, 50, list(EstimatorKind), {"full", "pairwise"}, 2550 + 12 + 50),
+        ("ar1", 200, 50, list(EstimatorKind), {"full", "hyv"}, 72 + 156 + 3),
+        # the long shape keeps the 100 x 200 rows of MA(1) full, 200 + 100 * 200
+        ("ma1", 100, 200, ["full", "pairwise", "hyv"], {"pairwise"}, 20200 + 12),
+    ])
+    def test_benchmark_shapes_keep_the_fewer_floats(self, model, nu, t_len, kinds, moments,
+                                                    floats):
+        reduction = SeriesReduction(sample_series(model, 0.3, nu, t_len, seed=76), kinds, model)
+        for kind in kinds:
+            kept = reduction.objective(kind)
+            family = _SHARED_STATS.get((model, EstimatorKind(kind)), EstimatorKind(kind))
+            assert (kept.stats is None) == (family.value in moments), kind
+        assert reduction.floats == floats
 
     @pytest.mark.parametrize("shape", [(2, 3, 4), (1, 20, 5)])
     def test_more_than_two_axes_rejected(self, shape):
@@ -543,3 +576,111 @@ class TestUnbiasedEstimatingEquations:
         grads = hw_grad_samples(model, theta0, nu=50, t_len=10, n_draws=1000, seed=64)
         se = np.std(grads, ddof=1) / np.sqrt(len(grads))
         assert abs(np.mean(grads)) < 5 * se
+
+
+class TestMomentRoute:
+    """J and K of a reduction that keeps second moments against mean g^2 and
+    mean h of the per-row derivatives (series_objective), at the estimate and
+    at the true theta.  The route sums c1' G c1, 2 k1 (pooled . c1) and
+    rows k1^2, which cancel to J (at the estimate pooled . c1 = -rows k1), so
+    its rounding is bounded by the size of the products it sums, each taken
+    in absolute value: the largest error measured here is 6.7e-16 of that
+    size, and 1e-14 leaves a margin of 15."""
+
+    @pytest.mark.parametrize("t_len", [3, 5, 50, 201])
+    @pytest.mark.parametrize("kind", ["full", "pairwise", "hyv"])
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    def test_moments_give_the_per_row_godambe_sums(self, model, kind, t_len):
+        from minscore.inference import _moment_godambe
+
+        m = _statistics_per_row(kind, model, t_len)
+        rng = np.random.default_rng([t_len, m])
+        for theta in (-0.999, -0.9, 0.0, 0.5, 0.99, 0.999):
+            # both sides of the rule: the moments of up to m rows are built here
+            for nu in (max(2, m // 2), m + 1, 4 * m + 10):
+                y = sample_series(model, theta, nu, t_len, int(rng.integers(1 << 30)))
+                kept = SeriesReduction(y, [kind], model).objective(kind)
+                assert (kept.stats is None) == (nu > m)
+                if kept.stats is not None:
+                    kept = dataclasses.replace(kept, stats=None,
+                                               moments=kept.stats.T @ kept.stats)
+                for at in (fit(y, kind, model).estimate, theta):
+                    coef, const = objective_lanes([kept]).terms(np.array([at]), 2)
+                    [j_hat], [k_hat] = _moment_godambe([kept], kept.pooled[None],
+                                                       np.array([float(nu)]), coef, const)
+                    rows = series_objective(y, kind, model)
+                    g, h = rows.derivatives(at)
+                    # the sizes of the terms summed, each product taken in
+                    # absolute value
+                    (_, c1, c2), (_, k1, k2) = np.abs(coef[:, 0]), np.abs(const[:, 0])
+                    size_g = np.abs(rows.stats) @ c1
+                    size_j = np.mean(size_g ** 2) + 2 * k1 * np.mean(size_g) + k1 * k1
+                    size_k = np.mean(np.abs(rows.stats) @ c2) + k2
+                    assert abs(j_hat - np.mean(g * g)) <= 1e-14 * size_j, (nu, theta, at)
+                    assert abs(k_hat - np.mean(h)) <= 1e-14 * size_k, (nu, theta, at)
+
+    def test_reduction_without_rows_has_no_per_row_derivatives(self):
+        y = sample_series("ma1", 0.3, 30, 10, seed=1)
+        kept = SeriesReduction(y, ["full"], "ma1").objective("full")
+        assert kept.stats is None and kept.moments.shape == (10, 10) and kept.rows == 30
+        with pytest.raises(ValueError, match="only the second moments of its 30 rows"):
+            kept.derivatives(0.3)
+        assert kept.total(0.3) == series_objective(y, "full", "ma1").total(0.3)
+
+
+def _statistics_per_row(kind, model, t_len):
+    # m, the statistics per row of the kind's family: a reduction keeps the
+    # rows up to m rows and their second moments beyond
+    return {"hyv": 12}.get(kind, 8) if model == "ar1" else 3 if kind == "pairwise" else t_len
+
+
+def _random_shapes(model, kind, side, count=4):
+    # (nu, T, theta, seed) on one side of the rows/moments rule
+    rng = np.random.default_rng([("ar1", "ma1").index(model), list(EstimatorKind).index(
+        EstimatorKind(kind)), ("rows", "moments").index(side)])
+    shapes = []
+    while len(shapes) < count:
+        t_len = int(rng.integers(3, 31))
+        m = _statistics_per_row(kind, model, t_len)
+        if kind == "hyv-wishart":
+            nu = int(rng.integers(t_len + 4, t_len + 40))
+        elif side == "rows":
+            nu = int(rng.integers(2, m + 1))
+        else:
+            nu = int(rng.integers(m + 1, m + 60))
+        shapes.append((nu, t_len, float(rng.uniform(-0.95, 0.95)), int(rng.integers(1 << 30))))
+    return shapes
+
+
+# the largest deviation measured over 60 random shapes per model and kind is
+# 1.1e-13 (MA(1) hyv-wishart; 2.1e-14 or less for the AR(1) per-series kinds),
+# so 1e-12 leaves a margin of 9
+SYMMETRY_TOL = 1e-12
+
+
+class TestSymmetries:
+    """The stationary AR(1) and MA(1) laws are persymmetric, and Sigma(-theta)
+    = D Sigma(theta) D with D = diag((-1)^t), so every estimator is unchanged by
+    reversing time and changes sign under alternating signs, with the same sd
+    and boundary flag."""
+
+    @pytest.mark.parametrize("model,kind,side", [
+        (model, kind, side) for model in ("ar1", "ma1") for kind in EstimatorKind
+        for side in (("moments",) if kind is EstimatorKind.HYV_WISHART else ("rows", "moments"))
+    ])
+    def test_reversal_and_sign_alternation(self, model, kind, side):
+        for nu, t_len, theta, seed in _random_shapes(model, kind, side):
+            y = sample_series(model, theta, nu, t_len, seed)
+            if kind is not EstimatorKind.HYV_WISHART:
+                kept = SeriesReduction(y, [kind], model).objective(kind)
+                assert (kept.stats is None) == (side == "moments")
+            record = fit(y, kind, model)
+            alternating = (-1.0) ** np.arange(t_len)
+            for mirror, sign in ((y[:, ::-1], 1.0), (y * alternating, -1.0)):
+                other = fit(mirror, kind, model)
+                assert other.boundary_flag == record.boundary_flag
+                assert abs(other.estimate - sign * record.estimate) <= SYMMETRY_TOL
+                if record.sd is None:
+                    assert other.sd is None
+                else:
+                    assert abs(other.sd / record.sd - 1.0) <= SYMMETRY_TOL

@@ -166,6 +166,26 @@ class TestRunExperiment:
         )
         assert by_kind[EstimatorKind.FULL_ML].are == 1.0
 
+    @pytest.mark.parametrize("seed,grid_index,rep_index",
+                             [(0, 0, 0), (7, 2, 13), (20260808, 4, 199)])
+    def test_replicate_seed_is_the_first_spawned_child(self, monkeypatch, seed, grid_index,
+                                                       rep_index):
+        # the replicate's seed is built directly as the first child that the
+        # spawn of its (grid point, replicate) key returned, which the
+        # reference tables were drawn from
+        import minscore.simulate as sim
+
+        drawn = []
+        real_sample = sim.sample_series
+        monkeypatch.setattr(sim, "sample_series",
+                            lambda *args: drawn.append(args[-1]) or real_sample(*args))
+        cfg = ExperimentConfig(model="ar1", param_grid=(0.1,), nu=4, t_len=3, seed=seed)
+        sim._sample_replicate(cfg, 0.1, grid_index, rep_index)
+        (child,) = np.random.SeedSequence(entropy=seed,
+                                          spawn_key=(grid_index, rep_index)).spawn(1)
+        assert np.array_equal(drawn[0].generate_state(8), child.generate_state(8))
+        assert drawn[0].spawn_key == child.spawn_key
+
     def test_baseline_always_run(self):
         cfg = ExperimentConfig(
             model="ma1", param_grid=(0.2,), nu=20, t_len=6, replicates=2,
@@ -347,7 +367,8 @@ class TestRunExperiment:
         cfg = ExperimentConfig(model=model, param_grid=(-0.4, 0.5), nu=12, t_len=6,
                                replicates=10, seed=14)
         default = sim.RETAINED_FLOATS
-        floats = sim._reduce_replicate(cfg, 0.5, 0, 0, sim._fit_kinds(cfg)).floats
+        reduced = sim._reduce_replicate(cfg, 0.5, 0, 0, sim._fit_kinds(cfg))
+        floats = reduced.floats + reduced.fit_floats
         sizes = []
         real_fit_block = sim._fit_block
 
