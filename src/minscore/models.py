@@ -2,8 +2,8 @@
 the MA(1) spectrum, derivative jets and replicated-series sampling.
 
 The one parameter is the dependence parameter theta (phi or alpha).  Samplers
-are pure functions of ``(theta, seed)`` so replicate-level parallelism is
-reproducible.
+are pure functions of ``(theta, seed)``, so a study's replicate draws the same
+series whichever replicates are sampled, reduced and fitted with it.
 
 Every MA(1) covariance of length T is tridiagonal Toeplitz, so one fixed
 orthogonal basis, the DST-I sine basis, diagonalizes all of them; only the
@@ -71,7 +71,9 @@ def _sine_basis(t_len: int) -> np.ndarray:
     # lets a table of 2T + 2 sines fill all T^2 entries
     table = np.sqrt(2.0 / (t_len + 1)) * np.sin(np.arange(2 * t_len + 2) * (np.pi / (t_len + 1)))
     k = np.arange(1, t_len + 1)
-    u = table[np.outer(k, k) % (2 * t_len + 2)]
+    jk = np.outer(k, k)
+    jk %= 2 * t_len + 2
+    u = table[jk]
     u.flags.writeable = False
     return u
 
@@ -117,8 +119,11 @@ def ma1_eigenvalues(alpha, t_len: int, order: int = 0) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)[..., None]
     a = np.abs(alpha)
     gap = 1.0 - a
-    half = np.where(alpha < 0, s2, c2)
-    rows = [gap * gap + 4.0 * a * half]
+    # (1 - |alpha|)^2 + 4 |alpha| half, built in the one array it returns
+    lam = np.where(alpha < 0, s2, c2)
+    lam *= 4.0 * a
+    lam += gap * gap
+    rows = [lam]
     if order >= 1:
         rows.append(2.0 * (alpha + (c2 - s2)))
     if order >= 2:

@@ -5,9 +5,10 @@ minimized together as *lanes* (:class:`Lanes`): every lane is
 ``pooled . coef(theta) + rows * const(theta)`` with its own pooled statistics
 and row count and one shared jet function for ``coef`` and ``const``.  A
 term free of theta cannot move a minimizer, so no lane carries one.  A
-coarse grid of :data:`GRID_POINTS` seeds, scanned for all lanes in one call,
-guards against the mild multimodality of the MA(1) objectives at large
-coefficient values; safeguarded Newton steps on the exact first and second
+coarse grid of :data:`GRID_POINTS` seeds, scanned for all lanes together in
+blocks of at most :data:`GRID_FLOATS` floats of jets and of products, guards
+against the mild multimodality of the MA(1) objectives at large coefficient
+values; safeguarded Newton steps on the exact first and second
 derivatives then refine the best grid basin of every lane together
 (``rtsafe``, Press et al., *Numerical Recipes* 9.4).
 
@@ -29,8 +30,9 @@ __all__ = ["Lanes", "MinimizationError", "minimize_lanes"]
 
 GRID_POINTS = 64  # interior grid seeds of every minimization
 MAX_STEPS = 100  # Newton or bisection steps per lane; bisection alone needs about 55
-# products held at once by the grid scan (64 KB, cache-sized); a chunk holds
-# at least one lane, so a lane of more than 64 statistics is scanned alone
+# jets, and products, held at once by the grid scan (64 KB each, cache-sized):
+# it takes at most GRID_FLOATS // m grid points a call and the lanes whose
+# products at them fit, but never less than one point and one lane
 GRID_FLOATS = 2**13
 _STOP = 1e-13  # a lane stops at |g| <= _STOP * |h|, a Newton step below 1e-13
 
@@ -59,7 +61,9 @@ def minimize_lanes(lanes: Lanes, lo: float, hi: float) -> np.ndarray:
     """Minimize every lane on the open interval (lo, hi); returns the (R,)
     minimizers, NaN for a lane that is non-finite at every grid seed.
 
-    The grid seeds are scanned for all lanes in one call of ``terms``.  Each
+    The grid seeds are scanned for all lanes, in one call of ``terms`` for
+    m <= 128 statistics and in chunks of ``GRID_FLOATS // m`` seeds beyond
+    (:data:`GRID_FLOATS`); a seed's value has the same bits in any chunk.  Each
     lane then starts at its best seed x_b and keeps the bracket
     [x_{b-1}, x_{b+1}] (the interval's ends for the outer seeds), which the
     sign of its gradient narrows.  A lane takes the Newton step
@@ -81,18 +85,12 @@ def minimize_lanes(lanes: Lanes, lo: float, hi: float) -> np.ndarray:
         raise ValueError(f"need finite lo < hi, got ({lo}, {hi})")
     xs = np.linspace(lo, hi, GRID_POINTS + 2)[1:-1]
     n_lanes, width = lanes.pooled.shape
-    coef, const = lanes.terms(xs, 0)
-    if np.shape(const)[1:] != (GRID_POINTS,):
-        raise ValueError(f"terms must be vectorized over theta: expected shape "
-                         f"({GRID_POINTS},), got {np.shape(const)[1:]}")
-    if np.shape(coef)[1:] != (GRID_POINTS, width):
-        raise ValueError(f"terms must be vectorized over theta: expected shape "
-                         f"({GRID_POINTS}, {width}), got {np.shape(coef)[1:]}")
-    # (R, GRID_POINTS) values, a chunk of lanes at a time
-    chunk = max(1, GRID_FLOATS // (GRID_POINTS * width))
+    # (R, GRID_POINTS) values, a chunk of grid points and of lanes at a time
+    points = min(GRID_POINTS, max(1, GRID_FLOATS // width))
+    chunk = max(1, GRID_FLOATS // (points * width))
     fs = np.empty((n_lanes, GRID_POINTS))
-    for i in range(0, n_lanes, chunk):
-        fs[i:i + chunk] = _lane_jets(lanes, (slice(i, i + chunk), None), coef[0], const[0])
+    for p in range(0, GRID_POINTS, points):
+        _scan(lanes, xs[p:p + points], chunk, fs[:, p:p + points])
     fs[~np.isfinite(fs)] = np.inf
     best = np.argmin(fs, axis=1)
     best_value = fs[np.arange(n_lanes), best]
@@ -131,6 +129,21 @@ def minimize_lanes(lanes: Lanes, lo: float, hi: float) -> np.ndarray:
     back = ok & ~(value <= best_value)
     theta[back] = xs[best[back]]
     return theta
+
+
+def _scan(lanes: Lanes, seeds, chunk: int, out) -> None:
+    # the values of every lane at the grid seeds into ``out``, ``chunk`` lanes
+    # at a time; the seeds' jets are freed before the next seeds' are taken
+    coef, const = lanes.terms(seeds, 0)
+    shape = (len(seeds), lanes.pooled.shape[1])
+    if np.shape(const)[1:] != shape[:1]:
+        raise ValueError(f"terms must be vectorized over theta: expected shape "
+                         f"{shape[:1]}, got {np.shape(const)[1:]}")
+    if np.shape(coef)[1:] != shape:
+        raise ValueError(f"terms must be vectorized over theta: expected shape "
+                         f"{shape}, got {np.shape(coef)[1:]}")
+    for i in range(0, len(out), chunk):
+        out[i:i + chunk] = _lane_jets(lanes, (slice(i, i + chunk), None), coef[0], const[0])
 
 
 def _lane_jets(lanes: Lanes, index, coef, const):

@@ -132,7 +132,7 @@ _MA1_PAIR_COEF = np.array([[0.5, 0.5, 0], [0, 0, -1], [0.5, 0.5, 0], [0] * 3, [0
 _MA1_PAIR_DET = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
 
 # AR(1) objectives in u = 1 - s phi, with s = sign(phi); rows = powers 0..4 of
-# u, columns = the statistics of _ar1_sums for s = +1, then for s = -1.  Full
+# u, columns = the statistics of one half of _ar1_sums, the half of s.  Full
 # is half of P + 2 u Q + u^2 R + u (2 - u) D and pairwise half of
 # P + 2 u Q + 2 u R; hyv is half of u^4 A - 2 u^2 (1-u) B + (1-u)^2 C + u^2 E
 # + 2 u (1-u) F + (1-u)^2 G, the residual sum ||P y||^2 of the Hyvarinen
@@ -149,10 +149,6 @@ _AR1_HALF_COEF = {
         [0, 2, 0, 0, 0, 0],
         [1, 0, 0, 0, 0, 0],
     ]),
-}
-_AR1_COEF = {
-    (kind, sign): np.concatenate([half, 0 * half] if sign > 0 else [0 * half, half], axis=1)
-    for kind, half in _AR1_HALF_COEF.items() for sign in (1, -1)
 }
 _TWO_U_MINUS_SQUARE = np.array([0.0, 2.0, -1.0, 0.0, 0.0])  # 1 - phi^2 = u (2 - u)
 
@@ -217,14 +213,18 @@ def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):
     # coef gives <M, P(theta)> from the statistics of M = -c/2 S^{-1}, P the
     # scale precision; const is ||P||_F^2 / 8.
     if model == "ma1" and kind is not EstimatorKind.PAIRWISE_ML:
-        # full and hyv hold no inverse jet while building another (peak memory)
+        # full and hyv take their constant before their coefficients and scale
+        # those in place: one jet besides lambda is held at a time (peak memory)
         lam = ma1_eigenvalues(theta, t_len, order)
+        if kind is EstimatorKind.HYV_WISHART:
+            p = _jet_power(lam, -1)  # the eigenvalues of P
+            return p, 0.125 * _jet_product(p, p).sum(axis=-1)
         if kind is EstimatorKind.FULL_ML:
-            return 0.5 * _jet_power(lam, -1), 0.5 * _jet_log(lam).sum(axis=-1)
-        if kind is EstimatorKind.HYV_UNIVARIATE:
-            return 0.5 * _jet_power(lam, -2), -_jet_power(lam, -1).sum(axis=-1)
-        p = _jet_power(lam, -1)  # the eigenvalues of P
-        return p, 0.125 * _jet_product(p, p).sum(axis=-1)
+            const, coef = 0.5 * _jet_log(lam).sum(axis=-1), _jet_power(lam, -1)
+        else:
+            const, coef = -_jet_power(lam, -1).sum(axis=-1), _jet_power(lam, -2)
+        coef *= 0.5
+        return coef, const
     if kind is EstimatorKind.HYV_WISHART:
         x = _power_jets(theta, order)
         # the AR(1) precision has diagonal 1 + theta^2 i_t, with i_t = 1
@@ -241,8 +241,13 @@ def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):
     if order:
         # the jets are in theta, and du/dtheta = -sign(theta)
         u[1::2] *= np.where(negative, 1.0, -1.0)[..., None]
-    coef = np.where(negative[..., None], _contract(u, _AR1_COEF[kind, -1]),
-                    _contract(u, _AR1_COEF[kind, 1]))
+    # one contraction, placed in the statistics of each theta's own sign; the
+    # other sign's half stays 0
+    half = _contract(u, _AR1_HALF_COEF[kind])
+    width = half.shape[-1]
+    coef = np.zeros(half.shape[:-1] + (2 * width,))
+    np.copyto(coef[..., :width], half, where=~negative[..., None])
+    np.copyto(coef[..., width:], half, where=negative[..., None])
     if kind is EstimatorKind.HYV_UNIVARIATE:
         # the trace of the precision, 2 + (T-2) (1 + phi^2), with 1 + phi^2 = 2 - 2u + u^2
         trace = np.array([2.0 * t_len - 2.0, 4.0 - 2.0 * t_len, t_len - 2.0, 0, 0])
@@ -312,8 +317,8 @@ def series_objective(series, kind: EstimatorKind, model: str) -> SeriesObjective
     elif kind is EstimatorKind.PAIRWISE_ML:
         stats = _lag_sums(y)
     else:
-        z = ma1_sine_transform(y)
-        stats = z * z
+        stats = ma1_sine_transform(y)
+        stats *= stats  # the squared coordinates, in the transform's array
     stats = np.atleast_2d(stats)
     return SeriesObjective(kind, model, y.shape[-1], stats, np.sum(stats, axis=0), len(stats))
 

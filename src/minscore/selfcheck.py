@@ -405,6 +405,27 @@ def _check_shared_reductions() -> None:
                     f"{model} {kind}: shared {shared} vs standalone {alone}")
 
 
+def _check_symmetries() -> None:
+    # both laws are persymmetric and Sigma(-theta) = D Sigma(theta) D with D =
+    # diag((-1)^t), so reversing time leaves every fit unchanged and
+    # alternating the signs maps theta_hat to -theta_hat with the same sd; to
+    # the tolerance of the test suite's symmetry oracle (1e-12, 9x the largest
+    # deviation measured over random shapes)
+    for model in ("ar1", "ma1"):
+        y = models.sample_series(model, 0.6, 30, 8, seed=37)
+        mirrors = (("reversed", y[:, ::-1], 1.0),
+                   ("sign-alternated", y * (-1.0) ** np.arange(y.shape[1]), -1.0))
+        for kind in scores.EstimatorKind:
+            record = inference.fit(y, kind, model)
+            for name, mirror, sign in mirrors:
+                other = inference.fit(mirror, kind, model)
+                where = f"{model} {kind} {name}: {other} vs {record}"
+                assert other.boundary_flag == record.boundary_flag, where
+                assert abs(other.estimate - sign * record.estimate) <= 1e-12, where
+                assert (other.sd is None) == (record.sd is None), where
+                assert record.sd is None or abs(other.sd / record.sd - 1.0) <= 1e-12, where
+
+
 def _check_sampler_determinism() -> None:
     a = models.sample_ma1(0.3, 8, 12, seed=99)
     b = models.sample_ma1(0.3, 8, 12, seed=99)
@@ -442,6 +463,8 @@ CHECKS = (
     ("batched grid matches pointwise objective values", _check_batched_grid),
     ("shared reductions and study lanes match standalone fits",
      _check_shared_reductions),
+    ("fits are unchanged by time reversal and mirrored by alternating signs",
+     _check_symmetries),
     ("samplers are seed-deterministic", _check_sampler_determinism),
     ("scalar minimizer finds quadratic minimum", _check_minimizer),
 )

@@ -634,3 +634,23 @@ class TestCheck:
         monkeypatch.setattr(scores, "_terms", mutated)
         with pytest.raises(AssertionError, match="spectral MA.1. hyv"):
             selfcheck._check_ma1_spectral_objectives()
+
+    def test_symmetry_check_catches_a_dropped_sign(self, monkeypatch):
+        # Q = sum e_t s d_{t-1} of the phi < 0 half without its sign s = -1:
+        # the fit of the sign-alternated data no longer mirrors the fit of the
+        # data, whose estimate reads the phi > 0 half
+        import minscore.scores as scores
+        from minscore import selfcheck
+
+        real = scores._ar1_sums
+
+        def mutated(d, kind):
+            stats = real(d, kind)
+            if kind is not scores.EstimatorKind.HYV_UNIVARIATE:
+                stats[..., 5] *= -1.0
+            return stats
+
+        selfcheck._check_symmetries()
+        monkeypatch.setattr(scores, "_ar1_sums", mutated)
+        with pytest.raises(AssertionError, match="ar1 full sign-alternated"):
+            selfcheck._check_symmetries()

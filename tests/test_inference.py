@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -30,6 +31,7 @@ from minscore import (
     wishart_context,
 )
 from minscore.inference import SEARCH_BOUNDS
+from minscore.optimize import GRID_POINTS
 from minscore.scores import _SHARED_STATS, min_series_length, series_objective
 from minscore.selfcheck import hw_grad_samples
 
@@ -626,6 +628,40 @@ class TestMomentRoute:
         with pytest.raises(ValueError, match="only the second moments of its 30 rows"):
             kept.derivatives(0.3)
         assert kept.total(0.3) == series_objective(y, "full", "ma1").total(0.3)
+
+
+class TestFitMemory:
+    """What a fit holds per lane: the slope of the tracemalloc peak of
+    fit_lanes between 40 and 160 AR(1) datasets (nu = 200, T = 50, so the
+    reductions keep moments), in floats."""
+
+    @pytest.mark.parametrize("kind", ["full", "hyv"])
+    def test_ar1_jets_take_one_sign_half_per_lane(self, kind):
+        # m = 2h statistics, h of each sign (h = 4 full, 6 hyv).  At a Newton
+        # step a lane holds its 64 grid values and m pooled statistics, the 15
+        # floats of the power jets of u, the 3 * h * 5 products of its own
+        # half's contraction and their 3h sums, and 3m floats each of
+        # coefficient jets and of their products with its statistics: 207
+        # floats (full) and 271 (hyv) counted as held at once.  The moment
+        # step holds less (m^2 moments, 3m jets and 3m sums and products:
+        # 112 and 216).  Both halves contracted for every lane and one picked,
+        # as the jets once were, held 280 and 382; measured now 163 and 234
+        h = {"full": 4, "hyv": 6}[kind]
+        m = 2 * h
+        bound = GRID_POINTS + m + 15 + 3 * h * 5 + 3 * h + 2 * 3 * m
+        reductions = [SeriesReduction(sample_ar1(0.5, 200, 50, seed), [kind], "ar1")
+                      for seed in range(160)]
+        fit_lanes(reductions[:4], kind)  # caches and lazy imports
+        peaks = []
+        for count in (40, 160):
+            tracemalloc.start()
+            try:
+                fit_lanes(reductions[:count], kind)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_lane = (peaks[1] - peaks[0]) / 120 / 8
+        assert per_lane <= bound, (per_lane, bound)
 
 
 def _statistics_per_row(kind, model, t_len):

@@ -19,7 +19,7 @@ from minscore import (
     sum_of_squares,
     wishart_context,
 )
-from minscore.optimize import GRID_POINTS, MAX_STEPS, Lanes
+from minscore.optimize import GRID_FLOATS, GRID_POINTS, MAX_STEPS, Lanes
 from minscore.inference import SEARCH_BOUNDS
 
 
@@ -143,9 +143,13 @@ class TestMinimizeScalar:
 
     def test_grid_scan_holds_a_few_lanes(self):
         # 8 lanes of m = 200 statistics, lane i the quadratic
-        # sum_j pooled[i, j] (theta - c_j)^2: the grid product of one lane,
-        # 64 * m floats (100 KB), exceeds GRID_FLOATS, so the scan holds one
-        # lane's product at a time besides the grid jets, not several lanes'
+        # sum_j pooled[i, j] (theta - c_j)^2: the jets or the product of one
+        # lane on the whole grid, 64 * m floats (100 KB), exceed GRID_FLOATS,
+        # so the scan takes GRID_FLOATS // m = 40 seeds a call and one lane's
+        # product at a time.  It holds at most four arrays of a chunk's 8000
+        # floats: d and coef inside terms, then coef, one lane's product and a
+        # numpy ufunc buffer (at most 8192 floats); the (8, 64) values and the
+        # Newton jets of 8 lanes (3 * 8 * m floats) are smaller
         n, m = 8, 200
         centers = np.linspace(-0.5, 0.5, m)
         pooled = np.random.default_rng(4).uniform(0.5, 1.5, (n, m))
@@ -167,8 +171,31 @@ class TestMinimizeScalar:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * GRID_POINTS * m * 8, peak
+        assert peak <= 4 * GRID_FLOATS * 8, peak
         np.testing.assert_allclose(found, pooled @ centers / pooled.sum(axis=1), atol=1e-12)
+
+    @pytest.mark.parametrize("t_len", [200, 1000])
+    @pytest.mark.parametrize("kind", ["full", "hyv"])
+    def test_ma1_lanes_hold_no_grid_of_jets(self, kind, t_len):
+        # two MA(1) lanes of m = T statistics: the jets of the whole grid,
+        # 64 * m floats, are 1.6 (T = 200) and 7.8 (T = 1000) times
+        # GRID_FLOATS, and the scan takes GRID_FLOATS // m seeds a call
+        # instead.  Of a chunk's size it holds at most four arrays at once
+        # (lambda and two np.where buffers inside terms; then the
+        # coefficients, one lane's product and a ufunc buffer), and the Newton
+        # jets of two lanes, 3 * 2 * m floats each, stay within the same
+        # 4 * GRID_FLOATS floats (measured 3.1 and 3.5; 5.7 and 24.5 with the
+        # whole grid's jets in one call)
+        lanes = objective_lanes([series_objective(sample_series("ma1", 0.5, 20, t_len, seed),
+                                                  kind, "ma1") for seed in (1, 2)])
+        minimize_lanes(lanes, *SEARCH_BOUNDS)  # the cached half angles
+        tracemalloc.start()
+        try:
+            minimize_lanes(lanes, *SEARCH_BOUNDS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * GRID_FLOATS * 8, peak
 
     def test_multimodal_returns_best_grid_basin(self):
         # two wells; the deeper one must win regardless of the local basin

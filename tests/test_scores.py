@@ -18,7 +18,10 @@ from minscore import (
     sum_of_squares,
     wishart_context,
 )
-from minscore.scores import min_series_length
+from minscore.inference import SEARCH_BOUNDS
+from minscore.models import _power_jets
+from minscore.optimize import GRID_FLOATS, GRID_POINTS
+from minscore.scores import _AR1_HALF_COEF, _contract, _terms, min_series_length
 from minscore.selfcheck import (
     ar1_covariance,
     ar1_pairwise_closed_form,
@@ -514,3 +517,51 @@ class TestSufficientStatistics:
                 exact = sum(r * r for r in resid + [d[0] - p * d[1], d[-1] - p * d[-2]])
             exact /= 2
             assert abs(float(Fraction(float(got)) - exact) / float(exact)) <= 1e-14
+
+
+# The AR(1) coefficients as both sign halves were once taken: every theta
+# contracted with the coefficients of each sign, zero in the other sign's
+# statistics, and one of the two picked by np.where; the oracle of the route
+# that contracts once and places the result in its theta's own half.
+_TWO_HALF_COEF = {
+    (kind, sign): np.concatenate([half, 0 * half] if sign > 0 else [0 * half, half], axis=1)
+    for kind, half in _AR1_HALF_COEF.items() for sign in (1, -1)
+}
+
+
+def two_half_ar1_coef(kind, theta, order):
+    negative = np.asarray(theta) < 0
+    u = _power_jets(1.0 - np.abs(theta), order)
+    if order:
+        u[1::2] *= np.where(negative, 1.0, -1.0)[..., None]
+    return np.where(negative[..., None], _contract(u, _TWO_HALF_COEF[kind, -1]),
+                    _contract(u, _TWO_HALF_COEF[kind, 1]))
+
+
+class TestJetRoutes:
+    """The jets the minimizer takes carry the bits of the routes they replaced."""
+
+    @pytest.mark.parametrize("t_len", [50, 128, 129, 200, 300])
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    def test_grid_chunks_match_one_call(self, model, kind, t_len):
+        # the grid scan takes GRID_FLOATS // m seeds a call (all 64 for m <=
+        # 128); in those chunks, and one seed at a time, every seed's jets are
+        # those of the whole grid in one call
+        xs = np.linspace(*SEARCH_BOUNDS, GRID_POINTS + 2)[1:-1]
+        for order in (0, 2):
+            coef, const = _terms(kind, model, t_len, xs, order)
+            points = min(GRID_POINTS, GRID_FLOATS // coef.shape[-1])
+            for step in (points, 1):
+                chunks = [_terms(kind, model, t_len, xs[p:p + step], order)
+                          for p in range(0, GRID_POINTS, step)]
+                assert np.array_equal(np.concatenate([c for c, _ in chunks], axis=1), coef)
+                assert np.array_equal(np.concatenate([k for _, k in chunks], axis=1), const)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("kind", PER_SERIES_KINDS)
+    def test_ar1_sign_halves_match_both_halves(self, kind, order):
+        thetas = np.array([-0.999, -0.6, -1e-9, -0.0, 0.0, 1e-9, 0.3, 0.999])
+        for theta in (thetas, thetas.reshape(2, 4), -0.4, 0.4):
+            coef = _terms(kind, "ar1", 20, theta, order)[0]
+            assert np.array_equal(coef, two_half_ar1_coef(kind, theta, order))
