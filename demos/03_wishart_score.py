@@ -16,17 +16,22 @@ from minscore import (
     wishart_components,
     wishart_context,
 )
-from minscore.selfcheck import hw_grad_samples
+from minscore.selfcheck import hw_grad_samples, wishart_score
 
 NU, T, PHI = 200, 50, 0.5
 
 y = sample_ar1(PHI, NU, T, seed=11)
-ctx = wishart_context(sum_of_squares(y), nu=NU, model="ar1")
+s = sum_of_squares(y)
+ctx = wishart_context(s, nu=NU, model="ar1")
 
-print(f"objective over phi (truth {PHI}):")
+# the objective is the score HW less its part free of phi, which cannot move
+# the estimate; the whole score comes from the dense form in selfcheck
+print(f"Wishart score over phi (truth {PHI}); its part free of phi is "
+      f"{wishart_score(s, NU, 'ar1', None):.4f}:")
 for phi in (-0.5, 0.0, 0.3, 0.5, 0.7):
     grad = ctx.derivatives(phi)[0][0]
-    print(f"  phi={phi:+.1f}: HW={ctx.total(phi):12.2f}  gradient={grad:+10.2f}")
+    print(f"  phi={phi:+.1f}: objective={ctx.total(phi):12.4f}  "
+          f"HW={wishart_score(s, NU, 'ar1', phi):12.4f}  gradient={grad:+10.2f}")
 
 record = fit(y, "hyv-wishart", "ar1")
 phi_hat = record.estimate

@@ -102,6 +102,8 @@ class SeriesReduction:
         if not np.all(np.isfinite(y)):
             raise ValueError("series contain non-finite values (NaN or inf)")
         kinds = [EstimatorKind(kind) for kind in kinds]
+        if not kinds:
+            raise ValueError("a reduction needs at least one estimator kind; kinds is empty")
         self.shape = y.shape
         self.model = canonical_model(model)
         for kind in kinds:

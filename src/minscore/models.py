@@ -21,6 +21,7 @@ values carry its shape after that leading axis, so one call covers a grid.
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 
@@ -47,11 +48,13 @@ def canonical_model(model: str) -> str:
     return name
 
 
-def _check_t(t_len: int, minimum: int) -> int:
-    t_len = int(t_len)
-    if t_len < minimum:
-        raise ValueError(f"series length must be >= {minimum}, got {t_len}")
-    return t_len
+def _check_size(value, minimum: int, name: str = "series length") -> int:
+    # a number of time points or series, never truncated from a float
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 @functools.lru_cache(maxsize=16)
@@ -92,7 +95,7 @@ def ma1_sine_transform(x) -> np.ndarray:
     O(T log T) per row.
     """
     x = np.asarray(x, dtype=float)
-    t_len = _check_t(x.shape[-1], 1)
+    t_len = _check_size(x.shape[-1], 1)
     if t_len * t_len <= max(x.size, BASIS_FLOATS):
         return x @ _sine_basis(t_len)
     odd = np.zeros(x.shape[:-1] + (2 * (t_len + 1),))
@@ -112,7 +115,7 @@ def ma1_eigenvalues(alpha, t_len: int, order: int = 0) -> np.ndarray:
     nothing cancels as ``|alpha| -> 1``.  Derivatives in alpha:
     ``2 (alpha + cos(k pi/(T+1)))`` and 2.
     """
-    s2 = _half_angle_sin2(_check_t(t_len, 1))
+    s2 = _half_angle_sin2(_check_size(t_len, 1))
     c2 = s2[::-1]
     # the eigenvalue axis goes last; a scalar alpha takes the array path, so
     # it gets the bits of the same alpha inside an array
@@ -203,14 +206,6 @@ def _generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _check_shape(nu: int, t_len: int) -> tuple[int, int]:
-    nu = int(nu)
-    t_len = _check_t(t_len, 1)
-    if nu < 1:
-        raise ValueError(f"nu must be >= 1, got {nu}")
-    return nu, t_len
-
-
 def sample_ar1(phi: float, nu: int, t_len: int, seed) -> np.ndarray:
     """Sample ``nu`` independent stationary AR(1) paths of length ``t_len``.
 
@@ -221,7 +216,7 @@ def sample_ar1(phi: float, nu: int, t_len: int, seed) -> np.ndarray:
     phi = float(phi)
     if not abs(phi) < 1:
         raise ValueError(f"stationarity requires |phi| < 1, got {phi}")
-    nu, t_len = _check_shape(nu, t_len)
+    nu, t_len = _check_size(nu, 1, "nu"), _check_size(t_len, 1)
     y = _generator(seed).standard_normal((nu, t_len))
     y[:, 0] /= np.sqrt(1.0 - phi**2)
     scratch = np.empty(nu)
@@ -237,7 +232,7 @@ def sample_ma1(alpha: float, nu: int, t_len: int, seed) -> np.ndarray:
     alpha = float(alpha)
     if not abs(alpha) < 1:
         raise ValueError(f"invertibility requires |alpha| < 1, got {alpha}")
-    nu, t_len = _check_shape(nu, t_len)
+    nu, t_len = _check_size(nu, 1, "nu"), _check_size(t_len, 1)
     z = _generator(seed).standard_normal((nu, t_len + 1))
     y = alpha * z[:, :-1]
     y += z[:, 1:]

@@ -24,7 +24,6 @@ _COLORS = {
     EstimatorKind.PAIRWISE_ML: "#d62728",
     EstimatorKind.HYV_UNIVARIATE: "#1f77b4",
     EstimatorKind.HYV_WISHART: "#2ca02c",
-    EstimatorKind.FULL_ML: "#7f7f7f",
 }
 
 _ARE_MAX = 1.1
@@ -39,23 +38,10 @@ def emit_csv(rows, path: str) -> None:
     """Write report rows as UTF-8 CSV (header always present)."""
     lines = [CSV_HEADER]
     for row in _sorted_rows(rows):
-        lines.append(
-            ",".join(
-                [
-                    row.model,
-                    _fmt(row.param_true),
-                    row.estimator.value,
-                    _fmt(row.mean_est),
-                    _fmt(row.mean_sd),
-                    _fmt(row.are),
-                    str(row.n_replicates),
-                    str(row.n_boundary),
-                    str(row.nu),
-                    str(row.t_len),
-                    str(row.seed),
-                ]
-            )
-        )
+        cells = [row.model, _fmt(row.param_true), row.estimator.value,
+                 *map(_fmt, (row.mean_est, row.mean_sd, row.are)),
+                 *map(str, (row.n_replicates, row.n_boundary, row.nu, row.t_len, row.seed))]
+        lines.append(",".join(cells))
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write("\n".join(lines) + "\n")

@@ -31,7 +31,7 @@ orientation is ``stats @ coef(theta) + const(theta)``:
   over series: it reads one row of statistics of S^{-1}, S = Y'Y
   (:func:`wishart_context`), for AR(1) its trace, interior-diagonal sum and
   first off-diagonal sum, for MA(1) the diagonal of ``U S^{-1} U``, each
-  times -c/2 with c = (nu - T - 1)/2, and adds a term free of theta.
+  times -c/2 with c = (nu - T - 1)/2.
 
 :func:`series_objective` reduces the series once, for any kind; its total and
 the per-series first and second derivatives at any theta then cost no pass over
@@ -44,9 +44,10 @@ summed along one axis (:func:`_contract`), so a theta's jets carry the same
 bits whatever the shape of the array it comes in.
 
 :func:`series_objective` accepts a single series of shape (T,) or a stack of
-series of shape (nu, T).  The log-likelihoods drop their ``log(2 pi)`` terms,
-so objective values are comparable within one estimator but not across
-estimators.
+series of shape (nu, T).  Every objective omits its terms free of theta, which
+cannot move the estimate: ``log(2 pi)`` of the log-likelihoods and the part of
+the Wishart score that reads S alone (:func:`minscore.selfcheck.wishart_score`).
+So every total is ``pooled @ coef(theta) + rows * const(theta)``.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from enum import Enum
 import numpy as np
 
 from .models import (
+    _check_size,
     _jet_log,
     _jet_power,
     _jet_product,
@@ -261,14 +263,13 @@ class SeriesObjective:
     """An objective reduced to sufficient statistics (:func:`series_objective`,
     :func:`wishart_context`); no method reads the data.  It sums the
     objectives of ``rows`` rows of statistics, row i with r-th derivative
-    ``stats[i] . coef[r] + const[r]``, and :meth:`total` adds ``offset``, a
-    term free of theta that only the Wishart kind sets and no fit reads.  A
+    ``stats[i] . coef[r] + const[r]``.  A
     :class:`~minscore.inference.SeriesReduction` of more rows than statistics
     keeps their second moments ``moments = stats' stats`` in place of
     ``stats``: they give the total and the Godambe sums of a fit, but no
-    per-row derivatives.  The derivatives and the total without its offset do
-    the arithmetic of one lane of :func:`objective_lanes`, so they give the
-    values a fit sees to the bit."""
+    per-row derivatives.  The total and the derivatives do the arithmetic of
+    one lane of :func:`objective_lanes`, so they give the values a fit sees to
+    the bit."""
 
     kind: EstimatorKind
     model: str
@@ -277,14 +278,13 @@ class SeriesObjective:
     pooled: np.ndarray  # (m,), summed over the rows
     rows: int
     moments: np.ndarray | None = None  # (m, m), the sum of each row's outer product
-    offset: float = 0.0
 
     def total(self, theta):
-        """Sum of the objectives of the rows at theta: a float for a scalar
+        """``pooled . coef[0] + rows * const[0]`` at theta: a float for a scalar
         theta, one value per entry for an array (a whole grid in one call)."""
         theta = np.asarray(theta, dtype=float)
         coef, const = _terms(self.kind, self.model, self.t_len, np.atleast_1d(theta))
-        value = np.sum(self.pooled * coef[0], axis=-1) + self.rows * const[0] + self.offset
+        value = np.sum(self.pooled * coef[0], axis=-1) + self.rows * const[0]
         return value if theta.ndim else float(value[0])
 
     def derivatives(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -325,48 +325,50 @@ def series_objective(series, kind: EstimatorKind, model: str) -> SeriesObjective
 
 def wishart_context(s, nu: int, model: str) -> SeriesObjective:
     """The Wishart score of the sum-of-squares matrix S of ``nu`` >= T + 2
-    series: a :class:`SeriesObjective` of kind ``hyv-wishart`` whose one row
-    of statistics is those of S^{-1} times -c/2, c = (nu - T - 1)/2, and whose
-    offset is the part of the score free of theta; no T x T array is kept.
-    S is inverted only once it and nu pass their bounds."""
+    series, less its part free of theta: a :class:`SeriesObjective` of kind
+    ``hyv-wishart`` whose one row of statistics is those of S^{-1} times
+    -c/2, c = (nu - T - 1)/2; no T x T array is kept.  S is inverted only
+    once it and nu pass their bounds."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"S must be a square matrix, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError("sum-of-squares matrix contains non-finite values (NaN or inf)")
-    nu, t_len, model = int(nu), s.shape[0], canonical_model(model)
+    nu, t_len, model = _check_size(nu, 1, "nu"), s.shape[0], canonical_model(model)
     if nu < t_len + 2:
         raise ValueError(f"Wishart score needs nu >= T + 2; got nu={nu}, T={t_len}")
-    l_inv, s_inv = _inverses(s)
-    c = 0.5 * (nu - t_len - 1)
-    offset = float(0.5 * c * c * np.sum(s_inv**2) - c * np.sum(np.diag(s_inv) ** 2))
     # the statistics of S^{-1} with <S^{-1}, P(theta)> = stats @ coef(theta)
     if model == "ma1":
         # diag(U S^{-1} U) = diag((L^{-1} U)' (L^{-1} U)), one rotation of L^{-1}
-        stats = np.sum(ma1_sine_transform(l_inv) ** 2, axis=0)
+        stats = np.sum(ma1_sine_transform(_cholesky_inverse(s)) ** 2, axis=0)
     else:
         # interior = trace - both ends, so -s^{11} at T = 1, where P = 1 - theta^2
+        s_inv = _s_inverse(s)
         diag = np.diag(s_inv)
         stats = np.array([diag.sum(), diag.sum() - diag[0] - diag[-1], np.trace(s_inv, 1)])
-    stats = -0.5 * c * stats  # the score is -c/2 <S^{-1}, P> + ||P||_F^2 / 8 + offset
-    return SeriesObjective(EstimatorKind.HYV_WISHART, model, t_len, stats[None], stats, 1,
-                           offset=offset)
+    # the score is -c/2 <S^{-1}, P> + ||P||_F^2 / 8, c = (nu - T - 1)/2, and terms free of theta
+    stats = -0.25 * (nu - t_len - 1) * stats
+    return SeriesObjective(EstimatorKind.HYV_WISHART, model, t_len, stats[None], stats, 1)
 
 
-def _inverses(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # L^{-1} of the Cholesky factor S = L L', and S^{-1} = L^{-T} L^{-1} symmetrized
+def _cholesky_inverse(s: np.ndarray) -> np.ndarray:
+    # L^{-1} of the Cholesky factor S = L L'
     try:
-        l_inv = np.linalg.inv(np.linalg.cholesky(s))
+        return np.linalg.inv(np.linalg.cholesky(s))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular sum-of-squares matrix: {exc}") from exc
+
+
+def _s_inverse(s: np.ndarray) -> np.ndarray:
+    # S^{-1} = L^{-T} L^{-1}, symmetrized
+    l_inv = _cholesky_inverse(s)
     s_inv = l_inv.T @ l_inv
-    return l_inv, 0.5 * (s_inv + s_inv.T)
+    return 0.5 * (s_inv + s_inv.T)
 
 
 def objective_lanes(objectives) -> Lanes:
     """The :class:`~minscore.optimize.Lanes` of :class:`SeriesObjective` s of
-    one kind, model and series length: lane i is ``objectives[i].total``
-    without its offset, which cannot move the minimizer."""
+    one kind, model and series length: lane i is ``objectives[i].total``."""
     args = {(o.kind, o.model, o.t_len) for o in objectives}
     if len(args) != 1:
         raise ValueError(f"lanes need objectives of one kind, model and length, got {args}")

@@ -5,8 +5,8 @@ The runtime modules hold only what a fit or a study runs.  The dense forms
 are here: the covariance and precision matrices of both models at unit
 innovation variance, the generic Gaussian Hyvarinen score of a precision
 matrix, the sigma2-profiled AR(1) pairwise closed form, the Wishart scale
-precision and its derivative, and Monte Carlo draws of the Wishart score
-gradient.  ``import minscore`` does not load this module.
+precision and its derivative, the whole Wishart score, and Monte Carlo draws
+of the Wishart score gradient.  ``import minscore`` does not load this module.
 
 Each check recomputes a quantity through an independent route (dense
 inversion, finite differences, brute-force summation, closed-form argmax) and
@@ -20,7 +20,7 @@ import itertools
 import numpy as np
 
 from . import inference, models, scores, simulate, wishart
-from .models import _check_t, _jet_power, canonical_model, ma1_eigenvalues, ma1_sine_transform
+from .models import _check_size, _jet_power, canonical_model, ma1_eigenvalues, ma1_sine_transform
 from .optimize import GRID_POINTS, Lanes, minimize_lanes
 from .scores import DegenerateDataError
 
@@ -34,6 +34,7 @@ __all__ = [
     "ar1_pairwise_closed_form",
     "scale_precision",
     "precision_derivative",
+    "wishart_score",
     "hw_grad_samples",
     "run_checks",
 ]
@@ -41,7 +42,7 @@ __all__ = [
 
 def ar1_covariance(phi: float, t_len: int) -> np.ndarray:
     """Covariance matrix with entry (l, m) = phi**|l-m| / (1 - phi**2)."""
-    t_len = _check_t(t_len, 1)
+    t_len = _check_size(t_len, 1)
     idx = np.arange(t_len)
     lags = np.abs(np.subtract.outer(idx, idx))
     return (1.0 / (1.0 - phi**2)) * np.power(phi, lags)
@@ -54,7 +55,7 @@ def ar1_precision(phi: float, t_len: int) -> np.ndarray:
     corners which are 1.  Requires ``t_len >= 2`` (the corner pattern does
     not describe the scalar case).
     """
-    t_len = _check_t(t_len, 2)
+    t_len = _check_size(t_len, 2)
     prec = np.diag(np.full(t_len, 1.0 + phi**2))
     prec[0, 0] = prec[-1, -1] = 1.0
     off = np.arange(t_len - 1)
@@ -65,7 +66,7 @@ def ar1_precision(phi: float, t_len: int) -> np.ndarray:
 def ma1_covariance(alpha: float, t_len: int) -> np.ndarray:
     """Tridiagonal covariance: diagonal 1 + alpha**2, first off-diagonal
     alpha, zero elsewhere."""
-    t_len = _check_t(t_len, 1)
+    t_len = _check_size(t_len, 1)
     cov = np.eye(t_len) * (1.0 + alpha**2)
     off = np.arange(t_len - 1)
     cov[off, off + 1] = cov[off + 1, off] = alpha
@@ -80,7 +81,7 @@ def ma1_precision(alpha: float, t_len: int) -> np.ndarray:
     ``g[k] = 1 + alpha**2 + ... + alpha**(2k)`` (:func:`ma1_geometric_sums`);
     the lower triangle follows by symmetry.
     """
-    t_len = _check_t(t_len, 1)
+    t_len = _check_size(t_len, 1)
     g = ma1_geometric_sums(alpha, t_len)
     idx = np.arange(t_len)
     lo = np.minimum.outer(idx, idx)
@@ -173,6 +174,16 @@ def precision_derivative(model: str, lam: float, t_len: int) -> np.ndarray:
     inner = np.arange(1, t_len - 1)
     deriv[inner, inner] = 2.0 * lam
     return deriv
+
+
+def wishart_score(s, nu: int, model: str, lam) -> float:
+    """The Wishart score ``0.5 ||c S^{-1} - P/2||_F^2 - c sum_i (s^{ii})^2`` of
+    the sum-of-squares matrix S of ``nu`` series, c = (nu - T - 1)/2, from
+    dense S^{-1} and P the :func:`scale_precision` at lam.  ``lam=None`` takes
+    P = 0, which leaves the part free of lam that the runtime omits."""
+    s_inv, c = np.linalg.inv(s), 0.5 * (nu - len(s) - 1)
+    resid = c * s_inv - (0.0 if lam is None else 0.5 * scale_precision(model, lam, len(s)))
+    return float(0.5 * np.sum(resid * resid) - c * np.sum(np.diag(s_inv) ** 2))
 
 
 def hw_grad_samples(
@@ -301,15 +312,16 @@ def _check_wishart_gradient() -> None:
 
 
 def _check_wishart_dense() -> None:
-    # HW(S, Lambda) and its gradient from dense S^{-1}, precision and derivative
+    # HW(S, Lambda) less its part free of Lambda, and its gradient, from dense
+    # S^{-1}, precision and derivative
     rng = np.random.default_rng(29)
     for model, t_len, lam in itertools.product(("ar1", "ma1"), (2, 10), (-0.9, 0.0, 0.6)):
         nu = t_len + 6
         s = models.sum_of_squares(rng.standard_normal((nu, t_len)))
         ctx = scores.wishart_context(s, nu=nu, model=model)
-        s_inv, c = np.linalg.inv(s), 0.5 * (nu - t_len - 1)
-        resid = c * s_inv - 0.5 * scale_precision(model, lam, t_len)
-        dense = 0.5 * np.sum(resid * resid) - c * np.sum(np.diag(s_inv) ** 2)
+        dense = wishart_score(s, nu, model, lam) - wishart_score(s, nu, model, None)
+        c = 0.5 * (nu - t_len - 1)
+        resid = c * np.linalg.inv(s) - 0.5 * scale_precision(model, lam, t_len)
         grad = -0.5 * np.sum(resid * precision_derivative(model, lam, t_len))
         for got, want in ((ctx.total(lam), dense), (ctx.derivatives(lam)[0][0], grad)):
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (model, t_len, lam, got, want)

@@ -103,7 +103,7 @@ FIELDS = {
     # pooled . coef(theta) + rows * const(theta), so a per-lane field joins
     # only with an edit here
     Lanes: ["terms", "pooled", "rows"],
-    SeriesObjective: ["kind", "model", "t_len", "stats", "pooled", "rows", "moments", "offset"],
+    SeriesObjective: ["kind", "model", "t_len", "stats", "pooled", "rows", "moments"],
 }
 
 

@@ -654,3 +654,76 @@ class TestCheck:
         monkeypatch.setattr(scores, "_ar1_sums", mutated)
         with pytest.raises(AssertionError, match="ar1 full sign-alternated"):
             selfcheck._check_symmetries()
+
+
+class TestExitPaths:
+    """Each failure of the command line: its exit code and its one line of stderr."""
+
+    def test_config_line_without_equals_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("model = ar1\ngrid 0.3\n")
+        assert cli_main(["table", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: expected key=value, got 'grid 0.3'\n"
+
+    def test_unreadable_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.cfg"
+        assert cli_main(["table", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {str(cfg)!r}: ")
+        assert "No such file or directory" in err and err.count("\n") == 1
+
+    def test_bad_grid_value_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli_main(["table", "--model", "ar1", "--grid", "0.3,abc", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: bad grid value in '0.3,abc': could not convert string to float: 'abc'\n")
+        assert not out.exists()
+
+    def test_bad_config_value_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "study.cfg"
+        out = tmp_path / "x.csv"
+        cfg.write_text(f"model = ar1\ngrid = 0.3\nnu = ten\nout = {out}\n")
+        assert cli_main(["table", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: bad config value for nu: invalid literal for int() with base 10: 'ten'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given", [["--model", "ar1"], ["--grid", "0.3"], []])
+    def test_table_without_model_or_grid_exits_1(self, tmp_path, capsys, given):
+        assert cli_main(["table", *given, "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: table needs at least --model and --grid (flags or config file)\n")
+
+    def test_unparsable_data_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text("0.1,0.2,0.3\n0.4,abc,0.6\n")
+        assert cli_main(["fit", "--data", str(data), "--model", "ar1",
+                         "--estimator", "full"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse data file {str(data)!r}: ")
+        assert "abc" in err and err.count("\n") == 1
+
+    def test_failing_check_exits_2(self, capsys, monkeypatch):
+        from minscore import selfcheck
+
+        def broken():
+            raise AssertionError("synthetic mismatch")
+
+        monkeypatch.setattr(selfcheck, "CHECKS", (("passes", lambda: None), ("fails", broken)))
+        assert cli_main(["check"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ("ok    passes\nFAIL  fails  (synthetic mismatch)\n"
+                                "1/2 checks failed\n")
+        assert captured.err == ""
+
+    def test_runtime_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        import minscore.cli as cli
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("synthetic study failure")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        out = tmp_path / "x.csv"
+        assert cli_main(TABLE_ARGS + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == "runtime failure: synthetic study failure\n"
+        assert not out.exists()

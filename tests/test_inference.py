@@ -465,6 +465,16 @@ class TestFit:
         with pytest.raises(ValueError, match="built for full, hyv, not pairwise"):
             fit(reduction, EstimatorKind.PAIRWISE_ML, "ar1")
 
+    def test_reduction_needs_a_kind(self):
+        # no kinds once failed on the fit bound, as max() of an empty sequence
+        y = sample_series("ar1", 0.3, 14, 10, seed=74)
+        message = "a reduction needs at least one estimator kind; kinds is empty"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SeriesReduction(y, [], "ar1")
+
+    def test_no_lanes_fit_nothing(self):
+        assert fit_lanes([], "hyv-wishart") == []
+
     def test_failing_family_fails_at_reduction(self):
         # a singular S fails when the reduction is built, not at the fit
         with pytest.raises(ValueError, match="singular"):

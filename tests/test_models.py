@@ -28,6 +28,22 @@ class TestParams:
                 with pytest.raises(ValueError, match=re.escape(bound)):
                     sampler(theta, 3, 5, seed=1)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: sample_series("ma1", 0.5, 3, 4.7, 1),
+         "series length must be an integer, got 4.7"),
+        (lambda: sample_ar1(0.5, 3, 4.7, 1), "series length must be an integer, got 4.7"),
+        (lambda: sample_ma1(0.5, 2.9, 4, 1), "nu must be an integer, got 2.9"),
+        (lambda: ma1_eigenvalues(0.3, 4.9), "series length must be an integer, got 4.9"),
+    ], ids=["sample_series", "sample_ar1", "sample_ma1", "ma1_eigenvalues"])
+    def test_non_integral_sizes_rejected(self, call, message):
+        # each was once truncated, to T = 4 or nu = 2, without a word
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert sample_ar1(0.5, np.int64(3), np.int32(4), 1).shape == (3, 4)
+        assert ma1_eigenvalues(0.3, np.int64(4)).shape == (1, 4)
+
     def test_sample_series_dispatch(self):
         npt.assert_array_equal(sample_series("ar1", 0.2, 3, 5, seed=1),
                                sample_ar1(0.2, 3, 5, seed=1))

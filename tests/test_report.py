@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -147,6 +148,30 @@ class TestEmitSvg:
         with pytest.raises(ValueError):
             emit_are_svg(rows, tmp_path / "mixed.svg")
 
+    def test_baseline_only_rejected(self, tmp_path):
+        rows = [make_row(param=p, kind=EstimatorKind.FULL_ML) for p in (-0.5, 0.5)]
+        with pytest.raises(ValueError, match="^no non-baseline estimator rows to plot$"):
+            emit_are_svg(rows, tmp_path / "baseline.svg")
+        assert not (tmp_path / "baseline.svg").exists()
+
+    def test_single_value_is_centred(self, tmp_path):
+        # one true value spans no range; the axis runs half a unit either side
+        path = tmp_path / "one.svg"
+        emit_are_svg([make_row(param=0.3, rel=0.8)], path)
+        ns = {"svg": "http://www.w3.org/2000/svg"}
+        root = ET.parse(path).getroot()
+        [polyline] = root.findall(".//svg:polyline", ns)
+        x, _ = polyline.attrib["points"].split(",")
+        assert float(x) == 60 + 0.5 * (640 - 60 - 130)  # the middle of the plot area
+        x_labels = [t.text for t in root.findall(".//svg:text", ns)
+                    if t.get("text-anchor") == "middle"]
+        assert x_labels == ["-0.2", "0.8"]
+
+    def test_unwritable_svg_names_the_path(self, tmp_path):
+        path = tmp_path / "no" / "such" / "x.svg"
+        with pytest.raises(OSError, match=f"^cannot write SVG to {re.escape(repr(str(path)))}: "):
+            emit_are_svg([make_row()], str(path))
+
 
 class TestRunExperiment:
     def test_single_replicate_aggregation_identity(self):
@@ -214,11 +239,12 @@ class TestRunExperiment:
         assert all(row.n_replicates == 20 for row in rows)
 
     @pytest.mark.parametrize("model,kinds,reductions", [
-        # the DST-I rotation once for full and hyv, the Cholesky inverse of S
-        # and its rotation for the Wishart kind
-        ("ma1", tuple(EstimatorKind), ["ma1_sine_transform", "_inverses", "ma1_sine_transform"]),
+        # the DST-I rotation once for full and hyv, the inverse Cholesky factor
+        # of S and its rotation for the Wishart kind
+        ("ma1", tuple(EstimatorKind),
+         ["ma1_sine_transform", "_cholesky_inverse", "ma1_sine_transform"]),
         # first differences once for full and pairwise, second for hyv
-        ("ar1", tuple(EstimatorKind), ["_ar1_sums full", "_ar1_sums hyv", "_inverses"]),
+        ("ar1", tuple(EstimatorKind), ["_ar1_sums full", "_ar1_sums hyv", "_cholesky_inverse"]),
     ])
     def test_replicate_reduces_each_family_once(self, monkeypatch, model, kinds, reductions):
         import minscore.scores as scores
@@ -226,7 +252,7 @@ class TestRunExperiment:
 
         calls = []
         real_dst, real_sums, real_inverses = (scores.ma1_sine_transform, scores._ar1_sums,
-                                              scores._inverses)
+                                              scores._cholesky_inverse)
 
         def dst(x, *args, **kwargs):
             calls.append("ma1_sine_transform")
@@ -237,12 +263,12 @@ class TestRunExperiment:
             return real_sums(d, kind)
 
         def inverses(s):
-            calls.append("_inverses")
+            calls.append("_cholesky_inverse")
             return real_inverses(s)
 
         monkeypatch.setattr(scores, "ma1_sine_transform", dst)
         monkeypatch.setattr(scores, "_ar1_sums", sums)
-        monkeypatch.setattr(scores, "_inverses", inverses)
+        monkeypatch.setattr(scores, "_cholesky_inverse", inverses)
         cfg = ExperimentConfig(model=model, param_grid=(0.4,), nu=20, t_len=8,
                                replicates=1, estimators=kinds)
         reduction = sim._reduce_replicate(cfg, 0.4, 0, 0, sim._fit_kinds(cfg))
@@ -464,6 +490,60 @@ class TestRunExperiment:
             for theta in (0.2, 0.4)
         ]
         assert [row.n_replicates for row in rows] == [9, 9]
+
+    def test_lane_fit_failure_fails_its_replicate_alone(self, monkeypatch):
+        # an exception that fit_lanes returns for a lane is that replicate's
+        # outcome: its other kinds are dropped with it, the others are kept
+        import minscore.simulate as sim
+
+        real = sim.fit_lanes
+
+        def fit_lanes(reductions, kind):
+            records = real(reductions, kind)
+            if kind is EstimatorKind.PAIRWISE_ML:
+                records[1] = RuntimeError("synthetic lane failure")
+            return records
+
+        monkeypatch.setattr(sim, "fit_lanes", fit_lanes)
+        cfg = ExperimentConfig(model="ar1", param_grid=(0.2,), nu=20, t_len=5, replicates=20,
+                               seed=14, estimators=("full", "pairwise"))
+        with pytest.warns(RuntimeWarning) as caught:
+            rows = run_experiment(cfg)
+        assert [str(w.message) for w in caught] == [
+            "1/20 replicates failed at ar1 parameter 0.2; "
+            "first RuntimeError: synthetic lane failure"]
+        assert [row.n_replicates for row in rows] == [19, 19]
+        monkeypatch.setattr(sim, "fit_lanes", real)
+        full = run_experiment(cfg)[0].estimates
+        assert rows[0].estimates == full[:1] + full[2:]
+
+    @pytest.mark.parametrize("kind,message", [
+        ("full", "no usable full-ML baseline at parameter 0.2"),
+        ("pairwise", "estimator pairwise produced no usable replicates at parameter 0.2"),
+    ])
+    def test_all_boundary_hits_abort(self, monkeypatch, kind, message):
+        # a kind whose every replicate hits the search bound has no row to give
+        import minscore.simulate as sim
+
+        real = sim.fit_lanes
+
+        def fit_lanes(reductions, fitted):
+            records = real(reductions, fitted)
+            if fitted is EstimatorKind(kind):
+                records = [dataclasses.replace(r, sd=None, boundary_flag=True) for r in records]
+            return records
+
+        monkeypatch.setattr(sim, "fit_lanes", fit_lanes)
+        cfg = ExperimentConfig(model="ar1", param_grid=(0.2,), nu=20, t_len=5, replicates=4,
+                               seed=15, estimators=("full", "pairwise"))
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            run_experiment(cfg)
+
+    def test_config_rejects_an_empty_grid_and_mc_b_below_one(self):
+        with pytest.raises(ConfigError, match="^param_grid must contain at least one value$"):
+            ExperimentConfig(model="ar1", param_grid=()).validate()
+        with pytest.raises(ConfigError, match="^mc-b must be positive, got 0$"):
+            ExperimentConfig(model="ar1", param_grid=(0.1,), mc_b=0).validate()
 
     def test_widespread_failures_abort(self, monkeypatch):
         import minscore.simulate as sim

@@ -469,6 +469,26 @@ class TestSufficientStatistics:
                                 np.sum(per_series(y, kind, model, theta)), rtol=1e-13)
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_total_is_the_lane_formula(self, model, kind):
+        # every kind, the Wishart one included, totals pooled . coef + rows * const,
+        # one lane of objective_lanes, with no term besides
+        y = sample_series(model, 0.4, 16, 8, seed=9)
+        objective = series_objective(y, kind, model)
+        lanes = objective_lanes([objective])
+        theta = np.linspace(-0.95, 0.95, 21)
+        coef, const = lanes.terms(theta, 0)
+        lane = np.sum(lanes.pooled[0] * coef[0], axis=-1) + lanes.rows[0] * const[0]
+        assert np.array_equal(objective.total(theta), lane)
+        assert [objective.total(t) for t in theta] == list(lane)
+
+    def test_three_axes_rejected(self):
+        y = np.zeros((2, 3, 4))
+        with pytest.raises(ValueError,
+                           match=r"^expected a \(T,\) or \(nu, T\) array, got shape \(2, 3, 4\)$"):
+            series_objective(y, EstimatorKind.FULL_ML, "ar1")
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
     @pytest.mark.parametrize("kind", PER_SERIES_KINDS)
     def test_reads_only_the_statistics(self, model, kind):
         # once reduced, the series can be overwritten: nothing reads them again
@@ -488,7 +508,6 @@ class TestSufficientStatistics:
         want = wishart_context(sum_of_squares(y), len(y), model)
         assert (got.kind, got.model, got.t_len) == (want.kind, want.model, want.t_len)
         assert np.all(got.stats == want.stats) and np.all(got.pooled == want.pooled)
-        assert got.offset == want.offset
 
     @pytest.mark.parametrize("kind", PER_SERIES_KINDS)
     @pytest.mark.parametrize("phi", [-0.995, 0.995])

@@ -18,7 +18,7 @@ from minscore import (
 )
 from minscore.inference import SEARCH_BOUNDS
 from minscore.selfcheck import ar1_covariance, hw_grad_samples, precision_derivative, scale_precision
-from minscore.scores import _inverses
+from minscore.scores import _s_inverse
 
 
 def make_ctx(s, nu, model="ar1"):
@@ -41,6 +41,11 @@ class TestContext:
         with pytest.raises(ValueError):
             wishart_context(s, nu=4, model="ar1")
         wishart_context(s, nu=5, model="ar1")
+
+    def test_non_integral_nu_rejected(self):
+        # nu = 20.7 was once read as nu = 20
+        with pytest.raises(ValueError, match=r"^nu must be an integer, got 20\.7$"):
+            wishart_context(np.eye(3) * 5.0, 20.7, "ar1")
 
     def test_singular_s_rejected(self):
         with pytest.raises(ValueError, match="singular"):
@@ -76,10 +81,10 @@ class TestContext:
             wishart_context(s, nu=2, model="ar1")
 
     def test_s_inv_cached_and_symmetric(self):
-        # the S^{-1} that wishart_context reduces to its statistics
+        # the S^{-1} that wishart_context reduces to its AR(1) statistics
         rng = np.random.default_rng(0)
         y = rng.standard_normal((12, 4))
-        s_inv = _inverses(sum_of_squares(y))[1]
+        s_inv = _s_inverse(sum_of_squares(y))
         npt.assert_allclose(s_inv @ sum_of_squares(y), np.eye(4), atol=1e-10)
         assert np.array_equal(s_inv, s_inv.T)
 
@@ -93,8 +98,12 @@ class TestScalarCalculus:
         # is 1/scale, so HW(scale) = -c*s11^2 + 0.5*(c*s11 - 1/(2*scale))^2,
         # with c = (nu - T - 1) / 2 = 4
         c = 4.0
-        s11 = _inverses(np.array([[4.0]]))[1][0, 0]
+        s11 = _s_inverse(np.array([[4.0]]))[0, 0]
         return -c * s11**2 + 0.5 * (c * s11 - 0.5 / scale) ** 2
+
+    # the part of hw_of_scale free of the scale, 0.5 c^2 s11^2 - c s11^2,
+    # which the library's score omits
+    FREE_PART = 0.5 * 4.0**2 * 0.25**2 - 4.0 * 0.25**2
 
     def test_value_and_minimizer_over_scale(self):
         # c = (nu-T-1)/2 = 4, s^{11} = 1/4: HW(scale) = -4/16 + 0.5*(1 - 1/(2*scale))^2,
@@ -108,11 +117,13 @@ class TestScalarCalculus:
 
     def test_library_score_agrees_via_ar1_map(self):
         # for T = 1 the AR(1) map gives scale 1/(1-phi^2); the score must
-        # equal the hand formula evaluated at that scale
+        # equal the hand formula evaluated at that scale, less its part free
+        # of the scale
         ctx = make_ctx([[4.0]], nu=10)
         for phi in (-0.7, 0.0, 0.6):
             npt.assert_allclose(
-                ctx.total(phi), self.hw_of_scale(1.0 / (1.0 - phi**2)), rtol=1e-12
+                ctx.total(phi), self.hw_of_scale(1.0 / (1.0 - phi**2)) - self.FREE_PART,
+                rtol=1e-12,
             )
 
     def test_t1_estimate_matches_closed_form(self):
@@ -379,11 +390,13 @@ class TestDenseForms:
         nu = t_len + 6
         s = sum_of_squares(rng.standard_normal((nu, t_len)))
         ctx = make_ctx(s, nu=nu, model=model)
-        c, s_inv = 0.5 * (nu - t_len - 1), _inverses(s)[1]
+        c, s_inv = 0.5 * (nu - t_len - 1), _s_inverse(s)
+        # the score's part free of lam, which the context omits
+        free = 0.5 * c * c * np.sum(s_inv**2) - c * np.sum(np.diag(s_inv) ** 2)
         for lam in (-0.95, -0.3, 0.0, 0.63, 0.95):
             resid = c * s_inv - 0.5 * scale_precision(model, lam, t_len)
             dense = 0.5 * np.sum(resid * resid) - c * np.sum(np.diag(s_inv) ** 2)
-            npt.assert_allclose(ctx.total(lam), dense, rtol=1e-12, atol=1e-12)
+            npt.assert_allclose(ctx.total(lam), dense - free, rtol=1e-12, atol=1e-12)
             dense_grad = -0.5 * np.sum(resid * dense_precision_derivative(model, lam, t_len))
             npt.assert_allclose(grad(ctx, lam), dense_grad, rtol=1e-12, atol=1e-12)
 
@@ -427,6 +440,6 @@ def test_s_inverse_against_extended_precision(model, t_len):
         for seed in range(5):
             s = sum_of_squares(sample_series(model, theta, 200, t_len, seed))
             exact = gauss_jordan_inverse(s)
-            err = np.max(np.abs(_inverses(s)[1] - exact))
+            err = np.max(np.abs(_s_inverse(s) - exact))
             worst = max(worst, float(err) / np.spacing(float(np.max(np.abs(exact)))))
     assert worst <= min(2 * t_len + 1, 53)
