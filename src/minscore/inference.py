@@ -23,13 +23,12 @@ rescaled by nu so the one sd formula applies to all four kinds.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .models import canonical_model
+from .models import _check_size, canonical_model
 from .optimize import GRID_POINTS, MinimizationError, minimize_lanes
 from .scores import (
     _SHARED_STATS,
@@ -117,10 +116,12 @@ class SeriesReduction:
             if family not in families:
                 kept = series_objective(y, family, self.model)
                 if kept.rows > kept.pooled.size:
-                    kept = dataclasses.replace(kept, stats=None,
-                                               moments=kept.stats.T @ kept.stats)
+                    kept = SeriesObjective(family, self.model, kept.t_len, None, kept.pooled,
+                                           kept.rows, kept.stats.T @ kept.stats)
                 families[family] = kept
-            self._objectives[kind] = dataclasses.replace(families[family], kind=kind)
+            o = families[family]
+            self._objectives[kind] = SeriesObjective(kind, o.model, o.t_len, o.stats, o.pooled,
+                                                     o.rows, o.moments)
         # the floats of statistics kept, each buffer once (the Wishart
         # family's one row is a view of its pooled row)
         self.floats = sum(o.pooled.size + (o.moments.size if o.stats is None
@@ -155,9 +156,10 @@ def sample_size_error(
     :func:`~minscore.scores.min_series_length` (T >= 2 for every estimator),
     at least 2 series for the sd, and for the Wishart sd at least T + 4.
     The message calls the length ``t_name``: ``T`` for data, ``t`` for a
-    study configuration."""
+    study configuration.  Non-integral or negative sizes raise ValueError."""
     kind = EstimatorKind(kind)
     model = canonical_model(model)
+    nu, t_len = _check_size(nu, 0, "nu"), _check_size(t_len, 0)
     need = min_series_length(kind, model)
     if t_len < need:
         wanted, got = ("series length", t_len) if t_name == "T" else (t_name, f"{t_name}={t_len}")

@@ -58,13 +58,14 @@ def _check_size(value, minimum: int, name: str = "series length") -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _half_angle_sin2(t_len: int) -> np.ndarray:
-    # sin^2(k pi / (2 (T + 1))) for k = 1..T; reversed, the same array holds
-    # cos^2 of those half angles without cancellation
+def _half_angles(t_len: int) -> np.ndarray:
+    # rows cos^2 and sin^2 of the half angles k pi / (2 (T + 1)), k = 1..T,
+    # read-only; cos^2 is sin^2 reversed, so neither row cancels
     k = np.arange(1, t_len + 1)
     s2 = np.sin(k * (np.pi / (2 * (t_len + 1)))) ** 2
-    s2.flags.writeable = False
-    return s2
+    table = np.stack([s2[::-1], s2])
+    table.flags.writeable = False
+    return table
 
 
 @functools.lru_cache(maxsize=4)
@@ -115,15 +116,17 @@ def ma1_eigenvalues(alpha, t_len: int, order: int = 0) -> np.ndarray:
     nothing cancels as ``|alpha| -> 1``.  Derivatives in alpha:
     ``2 (alpha + cos(k pi/(T+1)))`` and 2.
     """
-    s2 = _half_angle_sin2(_check_size(t_len, 1))
-    c2 = s2[::-1]
+    table = _half_angles(_check_size(t_len, 1))
+    c2, s2 = table
     # the eigenvalue axis goes last; a scalar alpha takes the array path, so
     # it gets the bits of the same alpha inside an array
     alpha = np.asarray(alpha, dtype=float)[..., None]
     a = np.abs(alpha)
     gap = 1.0 - a
-    # (1 - |alpha|)^2 + 4 |alpha| half, built in the one array it returns
-    lam = np.where(alpha < 0, s2, c2)
+    # (1 - |alpha|)^2 + 4 |alpha| half, built in the one array it returns: the
+    # row of sin^2 for alpha < 0, else of cos^2, taken by index (a copy even
+    # for a scalar alpha, whose 0-d index would otherwise give a view)
+    lam = np.take(table, (alpha[..., 0] < 0).astype(np.intp), axis=0)
     lam *= 4.0 * a
     lam += gap * gap
     rows = [lam]
@@ -219,10 +222,12 @@ def sample_ar1(phi: float, nu: int, t_len: int, seed) -> np.ndarray:
     nu, t_len = _check_size(nu, 1, "nu"), _check_size(t_len, 1)
     y = _generator(seed).standard_normal((nu, t_len))
     y[:, 0] /= np.sqrt(1.0 - phi**2)
+    # the recursion over the column views, in place, one product buffer
     scratch = np.empty(nu)
-    for t in range(1, t_len):
-        np.multiply(y[:, t - 1], phi, out=scratch)
-        y[:, t] += scratch
+    columns = list(y.T)
+    for prev, column in zip(columns, columns[1:]):
+        np.multiply(prev, phi, out=scratch)
+        np.add(column, scratch, out=column)
     return y
 
 

@@ -187,23 +187,31 @@ def _ar1_sums(d: np.ndarray, kind: EstimatorKind) -> np.ndarray:
     # both ends, g_t = d_t - s d_(neighbour), so hyv reads the sums of d^2,
     # d h and h^2 inside (A, B, C) and of d^2, d g and g^2 at the ends (E, F,
     # G).  For s = sign(phi) no term outgrows the objective as |phi| -> 1,
-    # where plain lag sums grow as 1/(1 - phi^2) and cancel.
+    # where plain lag sums grow as 1/(1 - phi^2) and cancel.  The s = -1 half
+    # is written over the buffers of the s = +1 half: x - (-y) = x + y and
+    # (-w) - v = -(w + v) are exact in round-to-nearest (up to the sign of a
+    # zero), so each half has the bits it would have alone.
     inner, ends, prev = d[..., 1:-1], d[..., [0, -1]], d[..., :-1]
-    hyv = kind is EstimatorKind.HYV_UNIVARIATE
-    # the sums free of s: A and E for hyv, R and D for full and pairwise
-    squares = (_dot(inner, inner), _dot(ends, ends)) if hyv else (_dot(prev, prev), d[..., 0] ** 2)
-    halves = []
-    for s in (1.0, -1.0):
-        if hyv:
-            h = s * (d[..., :-2] + d[..., 2:]) - 2.0 * inner
-            g = ends - s * d[..., [1, -2]]
-            stats = [squares[0], _dot(inner, h), _dot(h, h),
-                     squares[1], _dot(ends, g), _dot(g, g)]
-        else:
-            e = d[..., 1:] - s * prev
-            stats = [_dot(e, e), s * _dot(e, prev), *squares]
-        halves.append(np.stack(stats, axis=-1))
-    return np.concatenate(halves, axis=-1)
+    if kind is EstimatorKind.HYV_UNIVARIATE:
+        # h = w - 2 d (s = +1), then -h = w + 2 d (s = -1), w = d_{t-1} + d_{t+1}
+        w = d[..., :-2] + d[..., 2:]
+        h = 2.0 * inner
+        np.subtract(w, h, out=h)
+        neighbours = d[..., [1, -2]]
+        g = ends - neighbours
+        plus = [_dot(inner, inner), _dot(inner, h), _dot(h, h),
+                _dot(ends, ends), _dot(ends, g), _dot(g, g)]
+        np.multiply(inner, 2.0, out=h)
+        np.add(w, h, out=h)
+        np.add(ends, neighbours, out=g)
+        minus = [plus[0], -_dot(inner, h), _dot(h, h), plus[3], _dot(ends, g), _dot(g, g)]
+    else:
+        e = d[..., 1:] - prev
+        squares = [_dot(prev, prev), d[..., 0] ** 2]  # R and D, free of s
+        plus = [_dot(e, e), _dot(e, prev), *squares]
+        np.add(d[..., 1:], prev, out=e)
+        minus = [_dot(e, e), -_dot(e, prev), *squares]
+    return np.stack(plus + minus, axis=-1)
 
 
 def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):

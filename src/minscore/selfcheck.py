@@ -271,6 +271,25 @@ def _check_ma1_spectral_objectives() -> None:
                                  f"T={t_len}, alpha={alpha}")
 
 
+def _check_ar1_objectives() -> None:
+    # the AR(1) full and hyv objectives of the sign-half statistics against
+    # dense slogdet/solve and the dense precision, on series drawn at each phi
+    # out to |phi| = 0.999, where the per-sign differences keep every
+    # statistic at the size of the objective; each series' error relative to
+    # its own objective
+    for t_len, phi in itertools.product((3, 50), (-0.999, -0.5, 0.5, 0.999)):
+        y = models.sample_ar1(phi, 4, t_len, seed=t_len)
+        cov = ar1_covariance(phi, t_len)
+        quad = np.sum(y * np.linalg.solve(cov, y.T).T, axis=1)
+        full = 0.5 * np.linalg.slogdet(cov)[1] + 0.5 * quad
+        hyv = gaussian_hyvarinen(y, ar1_precision(phi, t_len))
+        for kind, dense in (("full", full), ("hyv", hyv)):
+            got = _per_series(y, kind, "ar1", phi)
+            err = np.max(np.abs(got - dense) / np.abs(dense))
+            assert err < 1e-10, (f"AR(1) {kind} off by {err} (relative) at "
+                                 f"T={t_len}, phi={phi}")
+
+
 def _check_exact_derivatives() -> None:
     # per-series first and second derivatives of MA(1) hyv near the bound
     # against central differences, Richardson-extrapolated from steps h, h/2
@@ -442,6 +461,17 @@ def _check_sampler_determinism() -> None:
     a = models.sample_ma1(0.3, 8, 12, seed=99)
     b = models.sample_ma1(0.3, 8, 12, seed=99)
     assert np.array_equal(a, b)
+    # the AR(1) recursion against one in Python floats over the same draws
+    for phi in (-0.999, 0.5):
+        z = np.random.default_rng(99).standard_normal((8, 12)).tolist()
+        scalar = []
+        for row in z:
+            path = [row[0] / float(np.sqrt(1.0 - phi**2))]
+            for value in row[1:]:
+                path.append(value + phi * path[-1])
+            scalar.append(path)
+        ar = models.sample_ar1(phi, 8, 12, seed=99)
+        assert np.array_equal(ar, scalar), f"AR(1) recursion off its scalar form at phi={phi}"
 
 
 def _check_minimizer() -> None:
@@ -465,6 +495,7 @@ CHECKS = (
     ("precision matrices invert covariances", _check_precision_identity),
     ("closed-form Hyvarinen scores match generic Gaussian form", _check_hyvarinen_closed_forms),
     ("spectral MA(1) objectives match dense linear algebra", _check_ma1_spectral_objectives),
+    ("AR(1) sign-half objectives match dense linear algebra", _check_ar1_objectives),
     ("exact objective derivatives match central differences", _check_exact_derivatives),
     ("Wishart sensitivity matches dense precision derivative", _check_wishart_k),
     ("Wishart score gradient matches finite differences", _check_wishart_gradient),

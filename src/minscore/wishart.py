@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .models import _jet_power, canonical_model, ma1_eigenvalues
+from .models import _check_size, _jet_power, canonical_model, ma1_eigenvalues
 
 __all__ = ["wishart_components"]
 
@@ -72,6 +72,7 @@ def wishart_components(model: str, lam: float, nu: int, t_len: int) -> tuple[flo
     ``a = tr(D Psi)`` and ``b = tr(D Psi D Psi)``; the gradient has mean zero,
     so J is also its mean square.  Finite only for nu >= T + 4.
     """
+    nu, t_len = _check_size(nu, 0, "nu"), _check_size(t_len, 1)
     if nu < t_len + 4:
         raise ValueError(
             f"the Wishart sd needs nu >= T + 4; got nu={nu}, T={t_len}"

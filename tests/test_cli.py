@@ -635,6 +635,26 @@ class TestCheck:
         with pytest.raises(AssertionError, match="spectral MA.1. hyv"):
             selfcheck._check_ma1_spectral_objectives()
 
+    @pytest.mark.parametrize("kind,column", [("full", 5), ("hyv", 7)])
+    def test_ar1_check_catches_a_sign_slip(self, monkeypatch, kind, column):
+        # the phi < 0 half's cross sum (Q of full, B of hyv) without its sign:
+        # the statistics of every series at phi < 0 are off
+        import minscore.scores as scores
+        from minscore import selfcheck
+
+        real = scores._ar1_sums
+
+        def mutated(d, family):
+            stats = real(d, family)
+            if family == kind:
+                stats[..., column] *= -1.0
+            return stats
+
+        selfcheck._check_ar1_objectives()
+        monkeypatch.setattr(scores, "_ar1_sums", mutated)
+        with pytest.raises(AssertionError, match=f"AR.1. {kind} off by .* phi=-"):
+            selfcheck._check_ar1_objectives()
+
     def test_symmetry_check_catches_a_dropped_sign(self, monkeypatch):
         # Q = sum e_t s d_{t-1} of the phi < 0 half without its sign s = -1:
         # the fit of the sign-alternated data no longer mirrors the fit of the

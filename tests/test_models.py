@@ -153,6 +153,25 @@ class TestSamplers:
     def test_ma1_seed_determinism(self):
         npt.assert_array_equal(sample_ma1(-0.4, 5, 7, seed=42), sample_ma1(-0.4, 5, 7, seed=42))
 
+    @pytest.mark.parametrize("nu,t_len", [(1, 1), (1, 2), (3, 7), (200, 50)])
+    @pytest.mark.parametrize("phi", [-0.999, -0.5, 0.0, 0.5, 0.999])
+    def test_ar1_recursion_keeps_the_column_slicing_bits(self, phi, nu, t_len):
+        # the recursion over the column views of y against the loop that
+        # sliced y[:, t - 1] and y[:, t] at every step: the same products and
+        # sums, so the same bits, from an integer seed and a study's seed
+        def sliced(seed):
+            y = np.random.default_rng(seed).standard_normal((nu, t_len))
+            y[:, 0] /= np.sqrt(1.0 - phi**2)
+            scratch = np.empty(nu)
+            for t in range(1, t_len):
+                np.multiply(y[:, t - 1], phi, out=scratch)
+                y[:, t] += scratch
+            return y
+
+        for seed in (5, np.random.SeedSequence(entropy=20260808, spawn_key=(1, 2, 0))):
+            got, want = sample_ar1(phi, nu, t_len, seed), sliced(seed)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_ar1_iid_variance(self):
         y = sample_ar1(0.0, 200, 50, seed=7)
         assert abs(np.var(y) - 1.0) < 0.02
@@ -310,6 +329,41 @@ class TestMa1Spectrum:
         npt.assert_allclose(u @ np.diag(lam) @ u, ma1_covariance(alpha, t_len),
                             atol=1e-13)
         assert np.all(lam > 0)
+
+    @staticmethod
+    def where_eigenvalues(alpha, t_len):
+        # the jet as np.where once picked each half-angle row
+        k = np.arange(1, t_len + 1)
+        s2 = np.sin(k * (np.pi / (2 * (t_len + 1)))) ** 2
+        c2 = s2[::-1]
+        alpha = np.asarray(alpha, dtype=float)[..., None]
+        a = np.abs(alpha)
+        gap = 1.0 - a
+        lam = np.where(alpha < 0, s2, c2)
+        lam *= 4.0 * a
+        lam += gap * gap
+        return np.array([lam, 2.0 * (alpha + (c2 - s2)), np.full(lam.shape, 2.0)])
+
+    @pytest.mark.parametrize("t_len", [1, 2, 50, 200])
+    def test_eigenvalue_rows_are_picked_by_index(self, t_len):
+        # the half-angle row indexed by alpha < 0 carries the bits of np.where
+        rng = np.random.default_rng(t_len)
+        for alpha in (0.0, -0.0, 0.999, -0.999, 0.3, -0.3, np.array([0.0, -0.0, 0.999, -0.999]),
+                      rng.uniform(-1, 1, 40), rng.uniform(-1, 1, (2, 3))):
+            got, want = ma1_eigenvalues(alpha, t_len, 2), self.where_eigenvalues(alpha, t_len)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_scalar_alpha_leaves_the_cached_table_alone(self):
+        # a scalar alpha indexes the cached table with a 0-d index, which
+        # would give a view that the eigenvalues are then scaled in
+        import minscore.models as models
+
+        table = models._half_angles(7)
+        before = table.copy()
+        for alpha in (-0.4, 0.4, -0.0):
+            lam = ma1_eigenvalues(alpha, 7)
+            assert not np.shares_memory(lam, table)
+        assert not table.flags.writeable and table.tobytes() == before.tobytes()
 
     def test_eigenvalue_derivatives(self):
         jet = ma1_eigenvalues(0.7, 9, order=2)

@@ -21,7 +21,7 @@ from minscore import (
 from minscore.inference import SEARCH_BOUNDS
 from minscore.models import _power_jets
 from minscore.optimize import GRID_FLOATS, GRID_POINTS
-from minscore.scores import _AR1_HALF_COEF, _contract, _terms, min_series_length
+from minscore.scores import _AR1_HALF_COEF, _ar1_sums, _contract, _dot, _terms, min_series_length
 from minscore.selfcheck import (
     ar1_covariance,
     ar1_pairwise_closed_form,
@@ -584,3 +584,43 @@ class TestJetRoutes:
         for theta in (thetas, thetas.reshape(2, 4), -0.4, 0.4):
             coef = _terms(kind, "ar1", 20, theta, order)[0]
             assert np.array_equal(coef, two_half_ar1_coef(kind, theta, order))
+
+
+def per_sign_ar1_sums(d, kind):
+    # the AR(1) statistics as each sign's half was once computed: its own
+    # differences h = s (d_{t-1} + d_{t+1}) - 2 d_t, g = d_t - s d_(neighbour)
+    # and e = d_t - s d_{t-1}, each in fresh arrays
+    inner, ends, prev = d[..., 1:-1], d[..., [0, -1]], d[..., :-1]
+    hyv = kind is EstimatorKind.HYV_UNIVARIATE
+    squares = (_dot(inner, inner), _dot(ends, ends)) if hyv else (_dot(prev, prev), d[..., 0] ** 2)
+    halves = []
+    for s in (1.0, -1.0):
+        if hyv:
+            h = s * (d[..., :-2] + d[..., 2:]) - 2.0 * inner
+            g = ends - s * d[..., [1, -2]]
+            stats = [squares[0], _dot(inner, h), _dot(h, h),
+                     squares[1], _dot(ends, g), _dot(g, g)]
+        else:
+            e = d[..., 1:] - s * prev
+            stats = [_dot(e, e), s * _dot(e, prev), *squares]
+        halves.append(np.stack(stats, axis=-1))
+    return np.concatenate(halves, axis=-1)
+
+
+class TestAr1SumsBits:
+    """Both sign halves of the AR(1) statistics come from shared buffers, the
+    s = -1 half by exact sign identities; every statistic keeps the bits of
+    the per-sign formula."""
+
+    @pytest.mark.parametrize("nu", [1, 3, 200])
+    @pytest.mark.parametrize("kind,t_len", [
+        (kind, t_len) for kind in (EstimatorKind.FULL_ML, EstimatorKind.HYV_UNIVARIATE)
+        for t_len in (2, 3, 4, 50) if t_len >= min_series_length(kind, "ar1")])
+    def test_shared_buffers_keep_the_per_sign_bits(self, kind, t_len, nu):
+        rng = np.random.default_rng([nu, t_len])
+        draws = [rng.standard_normal((nu, t_len)) * scale for scale in (1e-3, 1.0, 1e3)]
+        draws += [sample_ar1(phi, nu, t_len, seed=nu + t_len) for phi in (-0.999, 0.999)]
+        for y in draws:
+            for d in (y, y[0]):  # a stack and one series
+                got, want = _ar1_sums(d, kind), per_sign_ar1_sums(d, kind)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -1,5 +1,7 @@
 """Wishart score: calculus oracles, gradient checks, estimator consistency."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -299,6 +301,17 @@ class TestVariability:
         assert wishart_components("ar1", 0.3, 14, 10)[0] > 0
         with pytest.raises(ValueError, match=r"nu >= T \+ 4"):
             wishart_components("ar1", 0.3, 13, 10)
+
+    @pytest.mark.parametrize("nu,t_len,message", [
+        (20.7, 5, "nu must be an integer, got 20.7"),
+        (20, 5.0, "series length must be an integer, got 5.0"),
+    ])
+    def test_non_integral_sizes_rejected(self, nu, t_len, message):
+        # wishart_components("ar1", 0.5, 20.7, 5) once returned J = 0.378
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            wishart_components("ar1", 0.5, nu, t_len)
+        assert wishart_components("ar1", 0.5, np.int64(20), np.int32(5)) == (
+            wishart_components("ar1", 0.5, 20, 5))
 
 
 class TestEstimate:
