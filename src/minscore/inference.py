@@ -231,8 +231,7 @@ def fit_lanes(reductions: Sequence[SeriesReduction], kind: EstimatorKind) -> lis
     need_sd = np.flatnonzero(~failed & ~boundary)
     if len(need_sd):
         if kind is EstimatorKind.HYV_WISHART:
-            j_hat, k_hat = np.array([wishart_components(model, theta[j], nu, t_len)
-                                     for j in need_sd]).T
+            j_hat, k_hat = wishart_components(model, theta[need_sd], nu, t_len)
             j_hat = nu * j_hat
         else:
             # the per-series derivatives from the jets at every estimate in

@@ -251,7 +251,10 @@ def sample_series(model: str, theta: float, nu: int, t_len: int, seed) -> np.nda
 
 
 def sum_of_squares(series: np.ndarray) -> np.ndarray:
-    """Sum-of-squares-and-products matrix S = Y'Y of a (nu, T) series matrix."""
+    """Sum-of-squares-and-products matrix S = Y'Y of a (nu, T) series matrix,
+    exactly symmetric: numpy forms one triangle and mirrors it (BLAS syrk) for
+    an aligned y with a unit stride, so other layouts are copied first."""
     y = np.atleast_2d(np.asarray(series, dtype=float))
-    s = y.T @ y
-    return 0.5 * (s + s.T)
+    if not y.flags.aligned or y.itemsize not in y.strides:
+        y = y.copy()
+    return y.T @ y

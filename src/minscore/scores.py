@@ -28,10 +28,10 @@ orientation is ``stats @ coef(theta) + const(theta)``:
   full is ``0.5 * sum(z^2/lambda + log lambda)`` and ``hyv`` is
   ``0.5 * sum(z^2/lambda^2) - sum(1/lambda)``, O(T) per series and theta.
 - The Wishart score (``hyv-wishart``, see :mod:`minscore.wishart`) is no sum
-  over series: it reads one row of statistics of S^{-1}, S = Y'Y
-  (:func:`wishart_context`), for AR(1) its trace, interior-diagonal sum and
-  first off-diagonal sum, for MA(1) the diagonal of ``U S^{-1} U``, each
-  times -c/2 with c = (nu - T - 1)/2.
+  over series: its data term ``-(c/2) <S^{-1}, P>``, c = (nu - T - 1)/2, is
+  -c times the full objective's ``0.5 w P w'`` summed over the rows w of
+  L^{-1}, S = Y'Y = L L', so it reads their full statistics, summed, and the
+  full coefficients (:func:`wishart_context`); no S^{-1} is formed.
 
 :func:`series_objective` reduces the series once, for any kind; its total and
 the per-series first and second derivatives at any theta then cost no pass over
@@ -152,11 +152,9 @@ _AR1_HALF_COEF = {
         [1, 0, 0, 0, 0, 0],
     ]),
 }
+# the Wishart kind reads the full statistics, of the rows of L^{-1}
+_AR1_HALF_COEF[EstimatorKind.HYV_WISHART] = _AR1_HALF_COEF[EstimatorKind.FULL_ML]
 _TWO_U_MINUS_SQUARE = np.array([0.0, 2.0, -1.0, 0.0, 0.0])  # 1 - phi^2 = u (2 - u)
-
-# Wishart score on AR(1): <M, P(phi)> = trace + phi^2 * interior - 2 phi *
-# off-diagonal, rows = powers 0..2 of phi, columns = those statistics of M
-_AR1_PRECISION_COEF = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -2.0], [0.0, 1.0, 0.0]])
 
 
 def _dot(a, b):
@@ -191,8 +189,9 @@ def _ar1_sums(d: np.ndarray, kind: EstimatorKind) -> np.ndarray:
     # is written over the buffers of the s = +1 half: x - (-y) = x + y and
     # (-w) - v = -(w + v) are exact in round-to-nearest (up to the sign of a
     # zero), so each half has the bits it would have alone.
-    inner, ends, prev = d[..., 1:-1], d[..., [0, -1]], d[..., :-1]
+    prev = d[..., :-1]
     if kind is EstimatorKind.HYV_UNIVARIATE:
+        inner, ends = d[..., 1:-1], d[..., [0, -1]]
         # h = w - 2 d (s = +1), then -h = w + 2 d (s = -1), w = d_{t-1} + d_{t+1}
         w = d[..., :-2] + d[..., 2:]
         h = 2.0 * inner
@@ -220,27 +219,22 @@ def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):
     # derivative, so the objective's r-th derivative is stats @ coef[r] + const[r].
     # An array theta adds its shape after the jet axis, so a whole grid of
     # theta costs one call: coef[r] is then (*theta.shape, m).  The Wishart
-    # coef gives <M, P(theta)> from the statistics of M = -c/2 S^{-1}, P the
-    # scale precision; const is ||P||_F^2 / 8.
+    # statistics are the full family's (wishart_context), so its coef is the
+    # full coef; its const is ||P||_F^2 / 8, P the scale precision.
     if model == "ma1" and kind is not EstimatorKind.PAIRWISE_ML:
         # full and hyv take their constant before their coefficients and scale
         # those in place: one jet besides lambda is held at a time (peak memory)
         lam = ma1_eigenvalues(theta, t_len, order)
         if kind is EstimatorKind.HYV_WISHART:
-            p = _jet_power(lam, -1)  # the eigenvalues of P
-            return p, 0.125 * _jet_product(p, p).sum(axis=-1)
+            coef = _jet_power(lam, -1)
+            coef *= 0.5  # the eigenvalues of P are 2 coef
+            return coef, 0.5 * _jet_product(coef, coef).sum(axis=-1)
         if kind is EstimatorKind.FULL_ML:
             const, coef = 0.5 * _jet_log(lam).sum(axis=-1), _jet_power(lam, -1)
         else:
             const, coef = -_jet_power(lam, -1).sum(axis=-1), _jet_power(lam, -2)
         coef *= 0.5
         return coef, const
-    if kind is EstimatorKind.HYV_WISHART:
-        x = _power_jets(theta, order)
-        # the AR(1) precision has diagonal 1 + theta^2 i_t, with i_t = 1
-        # inside, 0 at the two ends and -1 when T = 1, and off-diagonal -theta
-        norm = _contract(x, np.array([t_len, 0.0, 4.0 * t_len - 6.0, 0.0, abs(t_len - 2.0)]))
-        return _contract(x[..., :3], _AR1_PRECISION_COEF), 0.125 * norm
     if model == "ma1":
         x = _power_jets(theta, order)
         det = _contract(x, _MA1_PAIR_DET)
@@ -262,6 +256,11 @@ def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):
         # the trace of the precision, 2 + (T-2) (1 + phi^2), with 1 + phi^2 = 2 - 2u + u^2
         trace = np.array([2.0 * t_len - 2.0, 4.0 - 2.0 * t_len, t_len - 2.0, 0, 0])
         return coef, -_contract(u, trace)
+    if kind is EstimatorKind.HYV_WISHART:
+        # ||P||_F^2 = T + a phi^2 + b phi^4 ((1 - phi^2)^2 at T = 1), phi^2 = (1 - u)^2
+        a, b = 4.0 * t_len - 6.0, abs(t_len - 2.0)
+        norm = np.array([t_len + a + b, -2.0 * a - 4.0 * b, a + 6.0 * b, -4.0 * b, b])
+        return coef, 0.125 * _contract(u, norm)
     pairs = 1 if kind is EstimatorKind.FULL_ML else t_len - 1
     return coef, -0.5 * pairs * _jet_log(_contract(u, _TWO_U_MINUS_SQUARE))
 
@@ -320,6 +319,12 @@ def series_objective(series, kind: EstimatorKind, model: str) -> SeriesObjective
     if kind is EstimatorKind.HYV_WISHART:
         y2 = np.atleast_2d(y)
         return wishart_context(sum_of_squares(y2), len(y2), model)
+    stats = _family_stats(y, kind, model)
+    return SeriesObjective(kind, model, y.shape[-1], stats, np.sum(stats, axis=0), len(stats))
+
+
+def _family_stats(y: np.ndarray, kind: EstimatorKind, model: str) -> np.ndarray:
+    # the (rows, m) statistics of a per-series kind, one row per series of y
     if model == "ar1":
         stats = _ar1_sums(y, kind)
     elif kind is EstimatorKind.PAIRWISE_ML:
@@ -327,35 +332,29 @@ def series_objective(series, kind: EstimatorKind, model: str) -> SeriesObjective
     else:
         stats = ma1_sine_transform(y)
         stats *= stats  # the squared coordinates, in the transform's array
-    stats = np.atleast_2d(stats)
-    return SeriesObjective(kind, model, y.shape[-1], stats, np.sum(stats, axis=0), len(stats))
+    return np.atleast_2d(stats)
 
 
 def wishart_context(s, nu: int, model: str) -> SeriesObjective:
-    """The Wishart score of the sum-of-squares matrix S of ``nu`` >= T + 2
-    series, less its part free of theta: a :class:`SeriesObjective` of kind
-    ``hyv-wishart`` whose one row of statistics is those of S^{-1} times
-    -c/2, c = (nu - T - 1)/2; no T x T array is kept.  S is inverted only
-    once it and nu pass their bounds."""
+    """The Wishart score of the symmetric sum-of-squares matrix S of ``nu``
+    >= T + 2 series, less its part free of theta: a :class:`SeriesObjective`
+    of kind ``hyv-wishart`` whose one row is the full family's statistics of
+    the rows of L^{-1}, S = L L', summed and times -c, c = (nu - T - 1)/2.  It
+    forms no S^{-1} and keeps no T x T array; S is factored only once S and
+    nu pass their checks."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"S must be a square matrix, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError("sum-of-squares matrix contains non-finite values (NaN or inf)")
+    if not np.array_equal(s, s.T):
+        raise ValueError(f"S must be symmetric; the largest |S - S'| is {abs(s - s.T).max():g}")
     nu, t_len, model = _check_size(nu, 1, "nu"), s.shape[0], canonical_model(model)
     if nu < t_len + 2:
         raise ValueError(f"Wishart score needs nu >= T + 2; got nu={nu}, T={t_len}")
-    # the statistics of S^{-1} with <S^{-1}, P(theta)> = stats @ coef(theta)
-    if model == "ma1":
-        # diag(U S^{-1} U) = diag((L^{-1} U)' (L^{-1} U)), one rotation of L^{-1}
-        stats = np.sum(ma1_sine_transform(_cholesky_inverse(s)) ** 2, axis=0)
-    else:
-        # interior = trace - both ends, so -s^{11} at T = 1, where P = 1 - theta^2
-        s_inv = _s_inverse(s)
-        diag = np.diag(s_inv)
-        stats = np.array([diag.sum(), diag.sum() - diag[0] - diag[-1], np.trace(s_inv, 1)])
-    # the score is -c/2 <S^{-1}, P> + ||P||_F^2 / 8, c = (nu - T - 1)/2, and terms free of theta
-    stats = -0.25 * (nu - t_len - 1) * stats
+    # -(c/2) <S^{-1}, P> = -c sum over the rows w of L^{-1} of 0.5 w P w'
+    stats = np.sum(_family_stats(_cholesky_inverse(s), EstimatorKind.FULL_ML, model), axis=0)
+    stats *= -0.5 * (nu - t_len - 1)
     return SeriesObjective(EstimatorKind.HYV_WISHART, model, t_len, stats[None], stats, 1)
 
 
@@ -365,13 +364,6 @@ def _cholesky_inverse(s: np.ndarray) -> np.ndarray:
         return np.linalg.inv(np.linalg.cholesky(s))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular sum-of-squares matrix: {exc}") from exc
-
-
-def _s_inverse(s: np.ndarray) -> np.ndarray:
-    # S^{-1} = L^{-T} L^{-1}, symmetrized
-    l_inv = _cholesky_inverse(s)
-    s_inv = l_inv.T @ l_inv
-    return 0.5 * (s_inv + s_inv.T)
 
 
 def objective_lanes(objectives) -> Lanes:

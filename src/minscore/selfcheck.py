@@ -332,9 +332,9 @@ def _check_wishart_gradient() -> None:
 
 def _check_wishart_dense() -> None:
     # HW(S, Lambda) less its part free of Lambda, and its gradient, from dense
-    # S^{-1}, precision and derivative
+    # S^{-1}, precision and derivative, at T = 1 and 2 and the search bound
     rng = np.random.default_rng(29)
-    for model, t_len, lam in itertools.product(("ar1", "ma1"), (2, 10), (-0.9, 0.0, 0.6)):
+    for model, t_len, lam in itertools.product(("ar1", "ma1"), (1, 2, 10), (-.999, 0, .6, .999)):
         nu = t_len + 6
         s = models.sum_of_squares(rng.standard_normal((nu, t_len)))
         ctx = scores.wishart_context(s, nu=nu, model=model)

@@ -16,7 +16,8 @@ in the scalar dependence parameter is
 Expanding the square, the score is ``-(c/2) <S^{-1}, P> + ||P||_F^2 / 8`` plus
 a term free of lambda, with ``P`` the scale precision: the ``hyv-wishart``
 kind of the one sufficient-statistic objective, which
-:func:`~minscore.scores.wishart_context` builds from a few statistics of S^{-1}.
+:func:`~minscore.scores.wishart_context` builds from the full likelihood's
+statistics of the rows w of L^{-1}, S = L L', as ``<S^{-1}, P> = sum_w w P w'``.
 This module holds the exact information of its estimating equation.
 
 The sensitivity of that estimating equation is the deterministic quantity
@@ -36,13 +37,13 @@ from .models import _check_size, _jet_power, canonical_model, ma1_eigenvalues
 __all__ = ["wishart_components"]
 
 
-def _derivative_traces(model: str, lam: float, t_len: int) -> tuple[float, float, float]:
-    # tr(D P), tr(D P D P) and ||D||_F^2, with P the unit-variance scale
-    # precision at lam and D its derivative in lam
+def _derivative_traces(model: str, lam: np.ndarray, t_len: int):
+    # tr(D P), tr(D P D P) and ||D||_F^2 at each entry of lam, with P the
+    # unit-variance scale precision at lam and D its derivative in lam
     if model == "ma1":
         p = _jet_power(ma1_eigenvalues(lam, t_len, 1), -1)  # eigenvalues of P and of D
         dp = p[1] * p[0]
-        return float(np.sum(dp)), float(dp @ dp), float(p[1] @ p[1])
+        return np.sum(dp, axis=-1), np.sum(dp * dp, axis=-1), np.sum(p[1] * p[1], axis=-1)
     # AR(1) in closed form: D has -1 off the diagonal and 2 lam inside it
     lam2, t = lam * lam, t_len
     if t == 1:  # P = 1 - lam^2, D = -2 lam
@@ -56,10 +57,11 @@ def _derivative_traces(model: str, lam: float, t_len: int) -> tuple[float, float
     return trace, square, 2.0 * (t - 1) + 4.0 * lam2 * (t - 2)
 
 
-def wishart_components(model: str, lam: float, nu: int, t_len: int) -> tuple[float, float]:
+def wishart_components(model: str, lam, nu: int, t_len: int):
     """Exact variability J and sensitivity K of the Wishart score equation at
     lam when S is Wishart at lam, from one computation of the
-    precision-derivative traces they share.
+    precision-derivative traces they share, for a number lam or elementwise
+    for an array (the lanes of a fit); every entry needs |lam| < 1.
 
     K = 0.25 * ||D||_F^2, with D the precision derivative, is the expected
     second derivative of the score.  The gradient is ``-c/2 * tr(D S^{-1})``
@@ -74,9 +76,11 @@ def wishart_components(model: str, lam: float, nu: int, t_len: int) -> tuple[flo
     """
     nu, t_len = _check_size(nu, 0, "nu"), _check_size(t_len, 1)
     if nu < t_len + 4:
-        raise ValueError(
-            f"the Wishart sd needs nu >= T + 4; got nu={nu}, T={t_len}"
-        )
+        raise ValueError(f"the Wishart sd needs nu >= T + 4; got nu={nu}, T={t_len}")
+    lam = np.asarray(lam, dtype=float)
+    inside = np.abs(lam) < 1  # False for NaN too
+    if not np.all(inside):
+        raise ValueError(f"the Wishart information needs |lam| < 1, got {lam[~inside].flat[0]}")
     c = 0.5 * (nu - t_len - 1)
     a, b, d2 = _derivative_traces(canonical_model(model), lam, t_len)
     m = nu - t_len

@@ -453,8 +453,9 @@ class TestFit:
         real = inference.wishart_components
 
         def zero_j_at_second(m, lam, nu, t_len):
+            # every lane's J and K in one call, J zeroed at the second estimate
             j, k = real(m, lam, nu, t_len)
-            return (0.0, k) if lam == before[1].estimate else (j, k)
+            return np.where(lam == before[1].estimate, 0.0, j), k
 
         monkeypatch.setattr(inference, "wishart_components", zero_j_at_second)
         after = fit_lanes(reductions, "hyv-wishart")
@@ -516,9 +517,10 @@ class TestFit:
     @pytest.mark.parametrize("model,nu,t_len,kinds,moments,floats", [
         # the benchmark's desk shapes keep the m x m second moments of every
         # family: MA(1) full 50 + 50^2, pairwise 3 + 3^2, and the Wishart
-        # row of 50; AR(1) full 8 + 8^2, hyv 12 + 12^2 and the Wishart 3
+        # row of 50; AR(1) full 8 + 8^2, hyv 12 + 12^2 and the Wishart row of
+        # the 8 full statistics
         ("ma1", 200, 50, list(EstimatorKind), {"full", "pairwise"}, 2550 + 12 + 50),
-        ("ar1", 200, 50, list(EstimatorKind), {"full", "hyv"}, 72 + 156 + 3),
+        ("ar1", 200, 50, list(EstimatorKind), {"full", "hyv"}, 72 + 156 + 8),
         # the long shape keeps the 100 x 200 rows of MA(1) full, 200 + 100 * 200
         ("ma1", 100, 200, ["full", "pairwise", "hyv"], {"pairwise"}, 20200 + 12),
     ])

@@ -234,6 +234,36 @@ class TestSumOfSquares:
         s = sum_of_squares(rng.standard_normal((50, 12)))
         assert np.array_equal(s, s.T)
 
+    @staticmethod
+    def layouts(nu, t_len, seed):
+        base = np.random.default_rng(seed).standard_normal((2 * nu + 1, 2 * t_len + 1))
+        packed = bytearray(1) + bytearray(base[:nu, :t_len].tobytes())
+        return {
+            "C": base[:nu, :t_len].copy(),
+            "F": np.asfortranarray(base[:nu, :t_len]),
+            "row view": base[:nu, :t_len],
+            "column view": np.asfortranarray(base)[:nu, :t_len],
+            "strided": base[::2, ::2][:nu, :t_len],
+            "reversed": base[:nu, :t_len][::-1, ::-1],
+            "unaligned": np.frombuffer(packed, offset=1).reshape(nu, t_len),
+        }
+
+    @pytest.mark.parametrize("nu,t_len", [(1, 1), (20, 5), (200, 50), (265, 78), (292, 70)])
+    def test_symmetric_on_every_layout(self, nu, t_len):
+        # S is Y'Y with no symmetrizing pass.  An aligned layout with a unit
+        # stride goes to BLAS as it is and gives the symmetrized product to the
+        # bit; the others are copied first (numpy's own product of the strided
+        # and reversed views at 265 x 78 and 292 x 70 is asymmetric by ~6e-14)
+        for name, y in self.layouts(nu, t_len, seed=nu).items():
+            s = sum_of_squares(y)
+            assert np.array_equal(s, s.T), name
+            if y.flags.aligned and y.itemsize in y.strides:
+                raw = y.T @ y
+                assert np.array_equal(s, 0.5 * (raw + raw.T)), name
+            else:
+                c = y.copy()  # C order and aligned
+                assert np.array_equal(s, c.T @ c), name
+
 
 class TestMa1Spectrum:
     @staticmethod

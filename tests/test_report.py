@@ -243,8 +243,10 @@ class TestRunExperiment:
         # of S and its rotation for the Wishart kind
         ("ma1", tuple(EstimatorKind),
          ["ma1_sine_transform", "_cholesky_inverse", "ma1_sine_transform"]),
-        # first differences once for full and pairwise, second for hyv
-        ("ar1", tuple(EstimatorKind), ["_ar1_sums full", "_ar1_sums hyv", "_cholesky_inverse"]),
+        # first differences once for full and pairwise, second for hyv, and
+        # those of full on the rows of the inverse Cholesky factor of S
+        ("ar1", tuple(EstimatorKind),
+         ["_ar1_sums full", "_ar1_sums hyv", "_cholesky_inverse", "_ar1_sums full"]),
     ])
     def test_replicate_reduces_each_family_once(self, monkeypatch, model, kinds, reductions):
         import minscore.scores as scores

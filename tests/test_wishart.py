@@ -7,7 +7,9 @@ import numpy.testing as npt
 import pytest
 
 from minscore import (
+    SeriesReduction,
     fit,
+    fit_lanes,
     minimize_lanes,
     objective_lanes,
     sample_ar1,
@@ -19,8 +21,13 @@ from minscore import (
     wishart_context,
 )
 from minscore.inference import SEARCH_BOUNDS
-from minscore.selfcheck import ar1_covariance, hw_grad_samples, precision_derivative, scale_precision
-from minscore.scores import _s_inverse
+from minscore.selfcheck import (
+    ar1_covariance,
+    hw_grad_samples,
+    precision_derivative,
+    scale_precision,
+    wishart_score,
+)
 
 
 def make_ctx(s, nu, model="ar1"):
@@ -72,23 +79,27 @@ class TestContext:
 
     @pytest.mark.parametrize("s,message", [
         (np.ones((2, 3)), "square"),
-        (np.full((3, 3), np.nan), "non-finite"),
-        (np.zeros((3, 3)), r"nu >= T \+ 2"),  # singular too, but not yet inverted
+        (np.full((3, 3), np.nan), "non-finite"),  # and not symmetric, as NaN != NaN
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), "must be symmetric"),
+        (np.zeros((3, 3)), r"nu >= T \+ 2"),  # singular too, but not yet factored
         (np.eye(3), r"nu >= T \+ 2"),
     ])
     def test_checks_in_order(self, s, message):
         # each S also fails every later check, since nu = 2 < T + 2; S is
-        # inverted last (test_singular_s_rejected)
+        # factored last (test_singular_s_rejected)
         with pytest.raises(ValueError, match=message):
             wishart_context(s, nu=2, model="ar1")
 
-    def test_s_inv_cached_and_symmetric(self):
-        # the S^{-1} that wishart_context reduces to its AR(1) statistics
-        rng = np.random.default_rng(0)
-        y = rng.standard_normal((12, 4))
-        s_inv = _s_inverse(sum_of_squares(y))
-        npt.assert_allclose(s_inv @ sum_of_squares(y), np.eye(4), atol=1e-10)
-        assert np.array_equal(s_inv, s_inv.T)
+    def test_non_symmetric_s_rejected(self):
+        # the Cholesky factor reads one triangle, so [[2, 5], [0, 2]] was once
+        # read as diag(2, 2) without a word
+        message = r"^S must be symmetric; the largest \|S - S'\| is 5$"
+        with pytest.raises(ValueError, match=message):
+            wishart_context([[2.0, 5.0], [0.0, 2.0]], 10, "ar1")
+        s = sum_of_squares(np.random.default_rng(0).standard_normal((12, 4)))
+        s[3, 1] = np.nextafter(s[3, 1], np.inf)  # one ulp off
+        with pytest.raises(ValueError, match="must be symmetric"):
+            wishart_context(s, 12, "ma1")
 
 
 class TestScalarCalculus:
@@ -99,8 +110,7 @@ class TestScalarCalculus:
         # score as a function of the scale entry itself: the precision entry
         # is 1/scale, so HW(scale) = -c*s11^2 + 0.5*(c*s11 - 1/(2*scale))^2,
         # with c = (nu - T - 1) / 2 = 4
-        c = 4.0
-        s11 = _s_inverse(np.array([[4.0]]))[0, 0]
+        c, s11 = 4.0, 0.25
         return -c * s11**2 + 0.5 * (c * s11 - 0.5 / scale) ** 2
 
     # the part of hw_of_scale free of the scale, 0.5 c^2 s11^2 - c s11^2,
@@ -297,6 +307,42 @@ class TestVariability:
             npt.assert_allclose(wishart._derivative_traces("ar1", phi, t_len), dense,
                                 rtol=1e-13, atol=1e-13)
 
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    @pytest.mark.parametrize("lam", [1.0, -1.0, 1.5, np.nan, np.inf])
+    def test_lam_outside_the_samplers_bound_rejected(self, model, lam):
+        # ("ar1", 1.0, 20, 5) once returned (2.26, 5.0) for a singular scale
+        # precision, and NaN returned NaN; one bad entry fails an array
+        message = f"the Wishart information needs |lam| < 1, got {lam}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            wishart_components(model, lam, 20, 5)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            wishart_components(model, np.array([[0.3, 0.999], [lam, -0.2]]), 20, 5)
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    @pytest.mark.parametrize("t_len", [1, 2, 3, 50])
+    def test_array_lam_gives_each_entry_its_own_bits(self, model, t_len):
+        # fit_lanes reads every lane's J and K in one call; a lane's values do
+        # not depend on the others
+        lam = np.linspace(-0.999, 0.999, 12).reshape(3, 4)
+        j, k = wishart_components(model, lam, t_len + 10, t_len)
+        assert j.shape == k.shape == (3, 4)
+        for index, entry in np.ndenumerate(lam):
+            assert (j[index], k[index]) == wishart_components(model, entry, t_len + 10, t_len)
+
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    def test_lanes_take_one_call(self, monkeypatch, model):
+        import minscore.wishart as wishart
+
+        reductions = [SeriesReduction(sample_series(model, 0.6, 30, 10, seed), ["hyv-wishart"],
+                                      model) for seed in range(5)]
+        calls = []
+        real = wishart._derivative_traces
+        monkeypatch.setattr(wishart, "_derivative_traces",
+                            lambda *args: calls.append(args) or real(*args))
+        records = fit_lanes(reductions, "hyv-wishart")
+        assert len(calls) == 1 and calls[0][1].shape == (5,)
+        assert records == [fit(r, "hyv-wishart", model) for r in reductions]
+
     def test_needs_four_extra_dof(self):
         assert wishart_components("ar1", 0.3, 14, 10)[0] > 0
         with pytest.raises(ValueError, match=r"nu >= T \+ 4"):
@@ -403,7 +449,7 @@ class TestDenseForms:
         nu = t_len + 6
         s = sum_of_squares(rng.standard_normal((nu, t_len)))
         ctx = make_ctx(s, nu=nu, model=model)
-        c, s_inv = 0.5 * (nu - t_len - 1), _s_inverse(s)
+        c, s_inv = 0.5 * (nu - t_len - 1), np.linalg.inv(s)  # a dense reference
         # the score's part free of lam, which the context omits
         free = 0.5 * c * c * np.sum(s_inv**2) - c * np.sum(np.diag(s_inv) ** 2)
         for lam in (-0.95, -0.3, 0.0, 0.63, 0.95):
@@ -416,11 +462,14 @@ class TestDenseForms:
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     def test_score_reads_only_the_statistics(self, model):
         # the context keeps no T x T array, not even as the base of a view,
-        # only O(T) statistics of S^{-1}
+        # only the full family's statistics of the rows of L^{-1}: the T = 6
+        # squared DST-I coordinates (MA(1)) or the 8 sums of both AR(1) sign halves
         y = sample_ma1(0.3, 20, 6, seed=14)
         ctx = make_ctx(sum_of_squares(y), nu=20, model=model)
+        width = 6 if model == "ma1" else 8
+        assert ctx.pooled.shape == (width,)
         for value in vars(ctx).values():
-            assert np.size(value) <= 6 and np.size(getattr(value, "base", None)) <= 6
+            assert np.size(value) <= width and np.size(getattr(value, "base", None)) <= width
         assert np.isfinite(ctx.total(0.4)) and np.isfinite(grad(ctx, 0.4))
 
 
@@ -440,19 +489,41 @@ def gauss_jordan_inverse(s):
     return inv
 
 
+@pytest.mark.parametrize("model", ["ar1", "ma1"])
+@pytest.mark.parametrize("t_len", [1, 2, 3, 10, 50])
+def test_total_is_the_dense_score_less_its_free_part(model, t_len):
+    # the statistics of L^{-1}'s rows against the dense score of S^{-1}, up
+    # to the search bound, T = 1 (P = 1 - phi^2) and T = 2 (no interior) included
+    s = sum_of_squares(sample_series(model, 0.5, t_len + 40, t_len, seed=t_len))
+    ctx = make_ctx(s, nu=t_len + 40, model=model)
+    free = wishart_score(s, t_len + 40, model, None)
+    for theta in (-0.999, -0.95, 0.0, 0.6, 0.95, 0.999):
+        want = wishart_score(s, t_len + 40, model, theta) - free
+        npt.assert_allclose(ctx.total(theta), want, rtol=1e-12)
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
                     reason="the oracle needs a long double wider than double")
 @pytest.mark.parametrize("model", ["ar1", "ma1"])
 @pytest.mark.parametrize("t_len", [1, 2, 10, 50])
 def test_s_inverse_against_extended_precision(model, t_len):
-    # worst error over the cases, in ulps of the largest entry of S^{-1}; the
-    # earlier LAPACK Cholesky solve (potrf/potrs) met the same bound on this
-    # grid: 2.0, 3.0, 17.1 and 52.4 ulps at T = 1, 2, 10 and 50
+    # the total against -(c/2) <S^{-1}, P> + ||P||_F^2 / 8 with S^{-1} from
+    # long-double Gauss-Jordan; the worst error over the cases, in ulps of
+    # the sum of the magnitudes of the terms.  At T = 1, 2, 10 and 50 it is
+    # 13.2, 4.3, 5.4 and 4.9 for AR(1) (12.0, 2.9, 3.2 and 5.3 when the
+    # statistics were read from a dense S^{-1}) and 2.0, 2.4, 13.8 and 29.2
+    # for MA(1)
     worst = 0.0
     for theta in (-0.9, 0.0, 0.5, 0.9):
         for seed in range(5):
             s = sum_of_squares(sample_series(model, theta, 200, t_len, seed))
-            exact = gauss_jordan_inverse(s)
-            err = np.max(np.abs(_s_inverse(s) - exact))
-            worst = max(worst, float(err) / np.spacing(float(np.max(np.abs(exact)))))
-    assert worst <= min(2 * t_len + 1, 53)
+            ctx = make_ctx(s, nu=200, model=model)
+            s_inv, c = gauss_jordan_inverse(s), 0.5 * (200 - t_len - 1)
+            for lam in (-0.95, 0.0, 0.6, 0.95):
+                p = scale_precision(model, lam, t_len).astype(np.longdouble)
+                terms = -0.5 * c * s_inv * p
+                exact = np.sum(terms) + np.sum(p * p) / 8
+                scale = np.sum(np.abs(terms)) + np.sum(p * p) / 8
+                err = abs(ctx.total(lam) - exact) / np.spacing(float(scale))
+                worst = max(worst, float(err))
+    assert worst <= 2 * t_len + 20, worst
