@@ -80,9 +80,9 @@ class TestContext:
     @pytest.mark.parametrize("s,message", [
         (np.ones((2, 3)), "square"),
         (np.full((3, 3), np.nan), "non-finite"),  # and not symmetric, as NaN != NaN
-        (np.array([[1.0, 1.0], [0.0, 1.0]]), "must be symmetric"),
         (np.zeros((3, 3)), r"nu >= T \+ 2"),  # singular too, but not yet factored
         (np.eye(3), r"nu >= T \+ 2"),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), "must be symmetric"),
     ])
     def test_checks_in_order(self, s, message):
         # each S also fails every later check, since nu = 2 < T + 2; S is
