@@ -35,6 +35,7 @@ from .scores import (
     DegenerateDataError,
     EstimatorKind,
     SeriesObjective,
+    _real_series,
     min_series_length,
     objective_lanes,
     series_objective,
@@ -81,7 +82,9 @@ class EstimateRecord:
 class SeriesReduction:
     """The sufficient statistics of a (nu, T) series matrix for the estimators
     ``kinds`` on ``model``, computed at construction; the series are not kept.
-    The values are checked to be finite, then the shape against the bounds of
+    They are read as real floats in C order, so every memory layout of the same
+    values gives the same bits (complex input is rejected).  The values are
+    checked to be finite, then the shape against the bounds of
     :func:`sample_size_error` for each kind in turn.  Each family of
     statistics is computed once, by :func:`~minscore.scores.series_objective`,
     and shared by every kind of the family (AR(1) full and pairwise; MA(1)
@@ -94,10 +97,7 @@ class SeriesReduction:
     values, the stacked moments or the rows' derivatives, and the jets."""
 
     def __init__(self, series, kinds, model: str):
-        y = np.asarray(series, dtype=float)
-        if y.ndim not in (1, 2):
-            raise ValueError(f"expected a (T,) or (nu, T) array, got shape {y.shape}")
-        y = np.atleast_2d(y)
+        y = np.atleast_2d(_real_series(series))
         if not np.all(np.isfinite(y)):
             raise ValueError("series contain non-finite values (NaN or inf)")
         kinds = [EstimatorKind(kind) for kind in kinds]

@@ -4,14 +4,15 @@ Every objective is a loss (lower is better) in the dependence parameter
 theta alone, with mean 0 and unit innovation variance known: the full and
 consecutive-pairwise kinds are negated log-likelihoods, the other two
 Hyvarinen scores.  Every estimate, AR(1) pairwise included, is the minimizer
-of its objective.  The dense forms that
-check these objectives (the Gaussian Hyvarinen score of a precision matrix,
-the sigma2-profiled AR(1) pairwise closed form) are in
-:mod:`minscore.selfcheck`.
+of its objective.  The dense forms that check these objectives (the Gaussian
+Hyvarinen score of a precision matrix, the sigma2-profiled AR(1) pairwise
+closed form) are in :mod:`minscore.selfcheck`.
 
 Every objective is a Gaussian quadratic form in the data, so the data enter
 only through a few sufficient statistics, and the value in minimization
-orientation is ``stats @ coef(theta) + const(theta)``:
+orientation is ``stats @ coef(theta) + const(theta)``.  One recipe per model
+and kind gives the jets of coef and const, read by one of two evaluators, a
+polynomial one (AR(1), MA(1) pairwise) and a spectral one (the other MA(1)):
 
 - AR(1), every kind: sums of squares and products of each series and of its
   first (full, pairwise) or second (``hyv``) differences, ``d_t - d_{t-1}``
@@ -44,10 +45,12 @@ summed along one axis (:func:`_contract`), so a theta's jets carry the same
 bits whatever the shape of the array it comes in.
 
 :func:`series_objective` accepts a single series of shape (T,) or a stack of
-series of shape (nu, T).  Every objective omits its terms free of theta, which
-cannot move the estimate: ``log(2 pi)`` of the log-likelihoods and the part of
-the Wishart score that reads S alone (:func:`minscore.selfcheck.wishart_score`).
-So every total is ``pooled @ coef(theta) + rows * const(theta)``.
+series of shape (nu, T), real, and reads it in C order, so every layout of the
+same values gives the same bits.  Every objective omits its terms free of
+theta, which cannot move the estimate: ``log(2 pi)`` of the log-likelihoods
+and the part of the Wishart score that reads S alone
+(:func:`minscore.selfcheck.wishart_score`).  So every total is
+``pooled @ coef(theta) + rows * const(theta)``.
 """
 
 from __future__ import annotations
@@ -110,14 +113,14 @@ def min_series_length(kind: EstimatorKind, model: str) -> int:
     return _MIN_SERIES_LENGTH.get(key, _MIN_IDENTIFIED_LENGTH)
 
 
-def _as_series(y, model: str, kind: EstimatorKind) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    min_t = min_series_length(kind, model)
+def _real_series(series) -> np.ndarray:
+    # a (T,) or (nu, T) float array in C order: any layout gives the same bits
+    y = np.asarray(series)
+    if np.iscomplexobj(y):
+        raise ValueError(f"series must be real, got dtype {y.dtype}")
     if y.ndim not in (1, 2):
         raise ValueError(f"expected a (T,) or (nu, T) array, got shape {y.shape}")
-    if y.shape[-1] < min_t:
-        raise ValueError(f"need series length >= {min_t}, got {y.shape[-1]}")
-    return y
+    return np.ascontiguousarray(y, dtype=float)
 
 
 # kinds whose objectives read the statistics of another kind: AR(1) pairwise
@@ -126,36 +129,6 @@ _SHARED_STATS = {
     ("ar1", EstimatorKind.PAIRWISE_ML): EstimatorKind.FULL_ML,
     ("ma1", EstimatorKind.HYV_UNIVARIATE): EstimatorKind.FULL_ML,
 }
-
-# MA(1) pairwise: the numerator of
-# (0.5 (1+alpha^2) (q0 + q_int) - alpha c1) / (1 + alpha^2 + alpha^4), rows =
-# powers 0..4 of alpha, columns = the statistics of _lag_sums.
-_MA1_PAIR_COEF = np.array([[0.5, 0.5, 0], [0, 0, -1], [0.5, 0.5, 0], [0] * 3, [0] * 3])
-_MA1_PAIR_DET = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
-
-# AR(1) objectives in u = 1 - s phi, with s = sign(phi); rows = powers 0..4 of
-# u, columns = the statistics of one half of _ar1_sums, the half of s.  Full
-# is half of P + 2 u Q + u^2 R + u (2 - u) D and pairwise half of
-# P + 2 u Q + 2 u R; hyv is half of u^4 A - 2 u^2 (1-u) B + (1-u)^2 C + u^2 E
-# + 2 u (1-u) F + (1-u)^2 G, the residual sum ||P y||^2 of the Hyvarinen
-# score 0.5 ||P y||^2 - tr(P) with P the precision.
-_AR1_HALF_COEF = {
-    EstimatorKind.FULL_ML: 0.5 * np.array(
-        [[1, 0, 0, 0], [0, 2, 0, 2], [0, 0, 1, -1], [0] * 4, [0] * 4]),
-    EstimatorKind.PAIRWISE_ML: 0.5 * np.array(
-        [[1, 0, 0, 0], [0, 2, 2, 0], [0] * 4, [0] * 4, [0] * 4]),
-    EstimatorKind.HYV_UNIVARIATE: 0.5 * np.array([
-        [0, 0, 1, 0, 0, 1],
-        [0, 0, -2, 0, 2, -2],
-        [0, -2, 1, 1, -2, 1],
-        [0, 2, 0, 0, 0, 0],
-        [1, 0, 0, 0, 0, 0],
-    ]),
-}
-# the Wishart kind reads the full statistics, of the rows of L^{-1}
-_AR1_HALF_COEF[EstimatorKind.HYV_WISHART] = _AR1_HALF_COEF[EstimatorKind.FULL_ML]
-_TWO_U_MINUS_SQUARE = np.array([0.0, 2.0, -1.0, 0.0, 0.0])  # 1 - phi^2 = u (2 - u)
-
 
 def _dot(a, b):
     return np.einsum("...t,...t->...", a, b)
@@ -213,56 +186,80 @@ def _ar1_sums(d: np.ndarray, kind: EstimatorKind) -> np.ndarray:
     return np.stack(plus + minus, axis=-1)
 
 
+def _frobenius_square(t_len: int) -> np.ndarray:
+    # ||P||_F^2 = T + a phi^2 + b phi^4 ((1 - phi^2)^2 at T = 1), phi^2 = (1 - u)^2
+    a, b = 4.0 * t_len - 6.0, abs(t_len - 2.0)
+    return np.array([t_len + a + b, -2.0 * a - 4.0 * b, a + 6.0 * b, -4.0 * b, b])
+
+
+# The jets of each (model, kind), read by one of two evaluators (_terms).  A
+# spectral row (p, w, f) gives coef = lambda^p / 2 and const = w sum f(lambda)
+# over the MA(1) eigenvalues lambda.  A polynomial row (N, w(T), q(T), log)
+# works over the powers 0..4 of x: u = 1 - |phi| in AR(1), coef = N x placed
+# in the half of _ar1_sums of phi's sign, or alpha in MA(1) pairwise, coef =
+# N x / q x with q x its determinant; const = w log(q x), or w (q x) where log
+# is False.  MA(1) pairwise is (0.5 (1+alpha^2) (q0 + q_int) - alpha c1) / q x.
+# AR(1) full is half of P + 2 u Q + u^2 R + u (2 - u) D, pairwise half of
+# P + 2 u Q + 2 u R, with 1 - phi^2 = u (2 - u); hyv is half of u^4 A - 2 u^2
+# (1-u) B + (1-u)^2 C + u^2 E + 2 u (1-u) F + (1-u)^2 G, the ||P y||^2 of the
+# Hyvarinen score 0.5 ||P y||^2 - tr(P), tr(P) = 2 + (T-2) (2 - 2u + u^2).  The
+# Wishart kind takes the full coef and ||P||_F^2 / 8 (P's eigenvalues 1/lambda).
+_MA1_PAIR_DET = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+_TWO_U_MINUS_SQUARE = np.array([0.0, 2.0, -1.0, 0.0, 0.0])
+_AR1_FULL = 0.5 * np.array([[1, 0, 0, 0], [0, 2, 0, 2], [0, 0, 1, -1], [0] * 4, [0] * 4])
+_RECIPES = {
+    ("ma1", EstimatorKind.FULL_ML): (-1, 0.5, _jet_log),
+    ("ma1", EstimatorKind.HYV_UNIVARIATE): (-2, -1.0, functools.partial(_jet_power, p=-1)),
+    ("ma1", EstimatorKind.HYV_WISHART): (
+        -1, 0.125, lambda lam: _jet_product(*2 * [_jet_power(lam, -1)])),
+    ("ma1", EstimatorKind.PAIRWISE_ML): (
+        np.array([[0.5, 0.5, 0], [0, 0, -1], [0.5, 0.5, 0], [0] * 3, [0] * 3]),
+        lambda t_len: 0.5 * (t_len - 1), lambda t_len: _MA1_PAIR_DET, True),
+    ("ar1", EstimatorKind.FULL_ML): (
+        _AR1_FULL, lambda t_len: -0.5, lambda t_len: _TWO_U_MINUS_SQUARE, True),
+    ("ar1", EstimatorKind.PAIRWISE_ML): (
+        0.5 * np.array([[1, 0, 0, 0], [0, 2, 2, 0], [0] * 4, [0] * 4, [0] * 4]),
+        lambda t_len: -0.5 * (t_len - 1), lambda t_len: _TWO_U_MINUS_SQUARE, True),
+    ("ar1", EstimatorKind.HYV_UNIVARIATE): (
+        0.5 * np.array([[0, 0, 1, 0, 0, 1], [0, 0, -2, 0, 2, -2], [0, -2, 1, 1, -2, 1],
+                        [0, 2, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]]), lambda t_len: -1.0,
+        lambda t_len: np.array([2.0 * t_len - 2.0, 4.0 - 2.0 * t_len, t_len - 2.0, 0, 0]), False),
+    ("ar1", EstimatorKind.HYV_WISHART): (_AR1_FULL, lambda t_len: 0.125, _frobenius_square, False),
+}
+_AR1_HALF_COEF = {kind: _RECIPES["ar1", kind][0] for kind in EstimatorKind}
+
+
 def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):
-    # jets (coef, const) of one series' objective, minimization orientation,
-    # mu = 0 and sigma2 = 1: row r (order + 1 rows) is the r-th theta
-    # derivative, so the objective's r-th derivative is stats @ coef[r] + const[r].
-    # An array theta adds its shape after the jet axis, so a whole grid of
-    # theta costs one call: coef[r] is then (*theta.shape, m).  The Wishart
-    # statistics are the full family's (wishart_context), so its coef is the
-    # full coef; its const is ||P||_F^2 / 8, P the scale precision.
-    if model == "ma1" and kind is not EstimatorKind.PAIRWISE_ML:
-        # full and hyv take their constant before their coefficients and scale
-        # those in place: one jet besides lambda is held at a time (peak memory)
+    # jets (coef, const) of one series' objective from its recipe, minimization
+    # orientation, mu = 0 and sigma2 = 1: row r (order + 1 rows) is the r-th
+    # theta derivative, stats @ coef[r] + const[r].  An array theta adds its
+    # shape after the jet axis, so a whole grid costs one call.
+    recipe = _RECIPES[model, kind]
+    if len(recipe) == 3:  # spectral
+        # const first, coef scaled in place: one jet besides lambda at a time
+        power, weight, f = recipe
         lam = ma1_eigenvalues(theta, t_len, order)
-        if kind is EstimatorKind.HYV_WISHART:
-            coef = _jet_power(lam, -1)
-            coef *= 0.5  # the eigenvalues of P are 2 coef
-            return coef, 0.5 * _jet_product(coef, coef).sum(axis=-1)
-        if kind is EstimatorKind.FULL_ML:
-            const, coef = 0.5 * _jet_log(lam).sum(axis=-1), _jet_power(lam, -1)
-        else:
-            const, coef = -_jet_power(lam, -1).sum(axis=-1), _jet_power(lam, -2)
+        const, coef = weight * f(lam).sum(axis=-1), _jet_power(lam, power)
         coef *= 0.5
         return coef, const
-    if model == "ma1":
+    num, weight, poly, log = recipe
+    if model == "ar1":
+        negative = np.asarray(theta) < 0
+        x = _power_jets(1.0 - np.abs(theta), order)
+        if order:  # the jets are in theta, and du/dtheta = -sign(theta)
+            x[1::2] *= np.where(negative, 1.0, -1.0)[..., None]
+        q = _contract(x, poly(t_len))
+        # one contraction, placed in the half of theta's sign; the other is 0
+        half = _contract(x, num)
+        width = half.shape[-1]
+        coef = np.zeros(half.shape[:-1] + (2 * width,))
+        np.copyto(coef[..., :width], half, where=~negative[..., None])
+        np.copyto(coef[..., width:], half, where=negative[..., None])
+    else:  # MA(1) pairwise, over its determinant q x
         x = _power_jets(theta, order)
-        det = _contract(x, _MA1_PAIR_DET)
-        return (_jet_product(_contract(x, _MA1_PAIR_COEF), _jet_power(det, -1)[..., None]),
-                0.5 * (t_len - 1) * _jet_log(det))
-    negative = np.asarray(theta) < 0
-    u = _power_jets(1.0 - np.abs(theta), order)
-    if order:
-        # the jets are in theta, and du/dtheta = -sign(theta)
-        u[1::2] *= np.where(negative, 1.0, -1.0)[..., None]
-    # one contraction, placed in the statistics of each theta's own sign; the
-    # other sign's half stays 0
-    half = _contract(u, _AR1_HALF_COEF[kind])
-    width = half.shape[-1]
-    coef = np.zeros(half.shape[:-1] + (2 * width,))
-    np.copyto(coef[..., :width], half, where=~negative[..., None])
-    np.copyto(coef[..., width:], half, where=negative[..., None])
-    if kind is EstimatorKind.HYV_UNIVARIATE:
-        # the trace of the precision, 2 + (T-2) (1 + phi^2), with 1 + phi^2 = 2 - 2u + u^2
-        trace = np.array([2.0 * t_len - 2.0, 4.0 - 2.0 * t_len, t_len - 2.0, 0, 0])
-        return coef, -_contract(u, trace)
-    if kind is EstimatorKind.HYV_WISHART:
-        # ||P||_F^2 = T + a phi^2 + b phi^4 ((1 - phi^2)^2 at T = 1), phi^2 = (1 - u)^2
-        a, b = 4.0 * t_len - 6.0, abs(t_len - 2.0)
-        norm = np.array([t_len + a + b, -2.0 * a - 4.0 * b, a + 6.0 * b, -4.0 * b, b])
-        return coef, 0.125 * _contract(u, norm)
-    pairs = 1 if kind is EstimatorKind.FULL_ML else t_len - 1
-    return coef, -0.5 * pairs * _jet_log(_contract(u, _TWO_U_MINUS_SQUARE))
+        q = _contract(x, poly(t_len))
+        coef = _jet_product(_contract(x, num), _jet_power(q, -1)[..., None])
+    return coef, weight(t_len) * (_jet_log(q) if log else q)
 
 
 @dataclass(frozen=True)
@@ -315,7 +312,9 @@ def series_objective(series, kind: EstimatorKind, model: str) -> SeriesObjective
     kind, :func:`wishart_context` of S = Y'Y."""
     kind = EstimatorKind(kind)
     model = canonical_model(model)
-    y = _as_series(series, model, kind)
+    y, min_t = _real_series(series), min_series_length(kind, model)
+    if y.shape[-1] < min_t:
+        raise ValueError(f"need series length >= {min_t}, got {y.shape[-1]}")
     if kind is EstimatorKind.HYV_WISHART:
         y2 = np.atleast_2d(y)
         return wishart_context(sum_of_squares(y2), len(y2), model)

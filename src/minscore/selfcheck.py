@@ -15,6 +15,7 @@ compares.  Everything here runs in under a second.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -223,6 +224,13 @@ def hw_grad_samples(
     return grads
 
 
+def _require(passed, message) -> None:
+    # a check's verdict, raised whether or not Python strips assert
+    # statements (python -O)
+    if not passed:
+        raise AssertionError(message)
+
+
 def _check_precision_identity() -> None:
     for t_len in (2, 3, 7, 15):
         for theta in (-0.9, -0.5, 0.0, 0.5, 0.9):
@@ -230,8 +238,8 @@ def _check_precision_identity() -> None:
                 ar1_precision(theta, t_len) @ ar1_covariance(theta, t_len) - np.eye(t_len)))
             err_ma = np.max(np.abs(
                 ma1_precision(theta, t_len) @ ma1_covariance(theta, t_len) - np.eye(t_len)))
-            assert err_ar < 1e-10, f"AR precision identity off by {err_ar}"
-            assert err_ma < 1e-10, f"MA precision identity off by {err_ma}"
+            _require(err_ar < 1e-10, f"AR precision identity off by {err_ar}")
+            _require(err_ma < 1e-10, f"MA precision identity off by {err_ma}")
 
 
 def _per_series(y, kind: str, model: str, theta: float) -> np.ndarray:
@@ -247,7 +255,8 @@ def _check_hyvarinen_closed_forms() -> None:
             for model, precision in (("ar1", ar1_precision), ("ma1", ma1_precision)):
                 direct = _per_series(y, "hyv", model, theta)
                 generic = gaussian_hyvarinen(y, precision(theta, t_len))
-                assert np.max(np.abs(direct - generic)) < 1e-8
+                err = np.max(np.abs(direct - generic))
+                _require(err < 1e-8, f"{model} hyv off by {err} from the generic form")
 
 
 def _check_ma1_spectral_objectives() -> None:
@@ -267,8 +276,8 @@ def _check_ma1_spectral_objectives() -> None:
         for kind, dense in (("full", full), ("hyv", hyv)):
             got = _per_series(y, kind, "ma1", alpha)
             err = np.max(np.abs(got - dense) / np.abs(dense))
-            assert err < 1e-10, (f"spectral MA(1) {kind} off by {err} (relative) at "
-                                 f"T={t_len}, alpha={alpha}")
+            _require(err < 1e-10, f"spectral MA(1) {kind} off by {err} (relative) at "
+                                  f"T={t_len}, alpha={alpha}")
 
 
 def _check_ar1_objectives() -> None:
@@ -286,29 +295,30 @@ def _check_ar1_objectives() -> None:
         for kind, dense in (("full", full), ("hyv", hyv)):
             got = _per_series(y, kind, "ar1", phi)
             err = np.max(np.abs(got - dense) / np.abs(dense))
-            assert err < 1e-10, (f"AR(1) {kind} off by {err} (relative) at "
-                                 f"T={t_len}, phi={phi}")
+            _require(err < 1e-10, f"AR(1) {kind} off by {err} (relative) at "
+                                  f"T={t_len}, phi={phi}")
 
 
 def _check_exact_derivatives() -> None:
-    # per-series first and second derivatives of MA(1) hyv near the bound
-    # against central differences, Richardson-extrapolated from steps h, h/2
-    y = models.sample_ma1(0.9, 4, 50, seed=19)
-    theta, h = 0.9, 1e-3
-
-    def f(th):
-        return _per_series(y, "hyv", "ma1", th)
-
-    def d1(step):
-        return (f(theta + step) - f(theta - step)) / (2 * step)
-
-    def d2(step):
-        return (f(theta + step) - 2 * f(theta) + f(theta - step)) / step**2
-
-    grad, hess = scores.series_objective(y, "hyv", "ma1").derivatives(theta)
-    for exact, diff in ((grad, (4 * d1(h / 2) - d1(h)) / 3), (hess, (4 * d2(h / 2) - d2(h)) / 3)):
-        err = np.max(np.abs(exact - diff)) / np.max(np.abs(exact))
-        assert err < 1e-7, f"exact derivative off by {err} (relative) from differences"
+    # each row's exact first and second derivatives, for every kind of both
+    # models, against central differences of its objective, Richardson-
+    # extrapolated from steps h, h/2; AR(1) at a theta of each sign, and the
+    # Wishart kind's one row that of wishart_context(S, nu, model), S = Y'Y
+    h = 1e-3
+    for model, theta in (("ar1", -0.6), ("ar1", 0.9), ("ma1", 0.9)):
+        y = models.sample_series(model, theta, 24, 20, seed=19)
+        for kind in scores.EstimatorKind:
+            objective = scores.series_objective(y, kind, model)
+            rows = [dataclasses.replace(objective, stats=None, pooled=s, rows=1)
+                    for s in objective.stats]
+            lo, lo2, mid, hi2, hi = np.transpose([row.total(theta + np.array(
+                [-h, -h / 2, 0.0, h / 2, h])) for row in rows])
+            d1 = (4 * (hi2 - lo2) / h - (hi - lo) / (2 * h)) / 3
+            d2 = (16 * (hi2 - 2 * mid + lo2) / h**2 - (hi - 2 * mid + lo) / h**2) / 3
+            for order, exact, diff in zip((1, 2), objective.derivatives(theta), (d1, d2)):
+                err = np.max(np.abs(exact - diff)) / np.max(np.abs(exact))
+                _require(err < 1e-7, f"{model} {kind} derivative {order} off by {err} "
+                                     f"(relative) from differences at theta={theta}")
 
 
 def _check_wishart_k() -> None:
@@ -316,7 +326,7 @@ def _check_wishart_k() -> None:
     for model, t_len, lam in itertools.product(("ar1", "ma1"), (3, 10, 50), (-0.8, 0.0, 0.5)):
         k = wishart.wishart_components(model, lam, t_len + 4, t_len)[1]
         dense = 0.25 * np.sum(precision_derivative(model, lam, t_len) ** 2)
-        assert abs(k - dense) <= 1e-10 * max(1.0, dense), (model, t_len, lam, k, dense)
+        _require(abs(k - dense) <= 1e-10 * max(1.0, dense), (model, t_len, lam, k, dense))
 
 
 def _check_wishart_gradient() -> None:
@@ -327,7 +337,7 @@ def _check_wishart_gradient() -> None:
         step = 1e-5
         fd = (ctx.total(phi + step) - ctx.total(phi - step)) / (2 * step)
         analytic = ctx.derivatives(phi)[0][0]
-        assert abs(analytic - fd) <= 1e-4 * max(1.0, abs(fd)), (analytic, fd)
+        _require(abs(analytic - fd) <= 1e-4 * max(1.0, abs(fd)), (analytic, fd))
 
 
 def _check_wishart_dense() -> None:
@@ -343,7 +353,8 @@ def _check_wishart_dense() -> None:
         resid = c * np.linalg.inv(s) - 0.5 * scale_precision(model, lam, t_len)
         grad = -0.5 * np.sum(resid * precision_derivative(model, lam, t_len))
         for got, want in ((ctx.total(lam), dense), (ctx.derivatives(lam)[0][0], grad)):
-            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (model, t_len, lam, got, want)
+            _require(abs(got - want) <= 1e-10 * max(1.0, abs(want)),
+                     (model, t_len, lam, got, want))
 
 
 def _check_wishart_j() -> None:
@@ -352,12 +363,12 @@ def _check_wishart_j() -> None:
     for nu in (5, 30):
         exact = wishart.wishart_components("ar1", 0.6, nu, 1)[0]
         scalar = 0.36 * 0.64**2 / (2.0 * (nu - 4))
-        assert abs(exact - scalar) <= 1e-12 * scalar, (nu, exact, scalar)
+        _require(abs(exact - scalar) <= 1e-12 * scalar, (nu, exact, scalar))
     for model in ("ar1", "ma1"):
         g2 = hw_grad_samples(model, 0.4, nu=30, t_len=6, n_draws=4000, seed=13) ** 2
         se = np.std(g2, ddof=1) / np.sqrt(len(g2))
         exact = wishart.wishart_components(model, 0.4, 30, 6)[0]
-        assert abs(np.mean(g2) - exact) <= 4 * se, (model, float(np.mean(g2)), exact)
+        _require(abs(np.mean(g2) - exact) <= 4 * se, (model, float(np.mean(g2)), exact))
 
 
 def _check_pairwise_argmins() -> None:
@@ -389,10 +400,11 @@ def _check_pairwise_argmins() -> None:
 
     fitted = inference.fit(y, "pairwise", "ar1").estimate
     phi_num = argmin(lambda phi: negloglik(phi, 1.0))
-    assert abs(fitted - phi_num) < 1e-6, (fitted, phi_num)
+    _require(abs(fitted - phi_num) < 1e-6, (fitted, phi_num))
     phi_num = argmin(lambda phi: negloglik(phi, (paired - 2 * phi * cross) / (2 * len(pairs))))
-    assert abs(phi_hat - phi_num) < 1e-4, (phi_hat, phi_num)
-    assert abs(phi_hat - 0.5) < 0.05 and abs(sigma2_hat - 1.0) < 0.05
+    _require(abs(phi_hat - phi_num) < 1e-4, (phi_hat, phi_num))
+    _require(abs(phi_hat - 0.5) < 0.05 and abs(sigma2_hat - 1.0) < 0.05,
+             (phi_hat, sigma2_hat))
 
 
 def _check_batched_grid() -> None:
@@ -406,8 +418,8 @@ def _check_batched_grid() -> None:
               ctx.total):
         batch, point = f(grid), np.array([f(x) for x in grid])
         err = np.max(np.abs(batch - point)) / np.max(np.abs(point))
-        assert err < 1e-13, f"batched grid off by {err} (relative) from pointwise values"
-        assert np.argmin(batch) == np.argmin(point), "batched grid moved the best seed"
+        _require(err < 1e-13, f"batched grid off by {err} (relative) from pointwise values")
+        _require(np.argmin(batch) == np.argmin(point), "batched grid moved the best seed")
 
 
 def _check_shared_reductions() -> None:
@@ -425,15 +437,15 @@ def _check_shared_reductions() -> None:
                 alone = [inference.fit(y, kind, model) for y in series]
                 alone = [(r.estimate, r.sd) for r in alone if not r.boundary_flag]
                 study = list(zip(rows[theta0, kind].estimates, rows[theta0, kind].sds))
-                assert alone == study, f"{model} {kind} at {theta0}: {study} vs {alone} alone"
+                _require(alone == study, f"{model} {kind} at {theta0}: {study} vs {alone} alone")
         for seed in (0, 1):
             y = models.sample_series(model, 0.5, 20, 8, seed)
             reduction = inference.SeriesReduction(y, scores.EstimatorKind, model)
             for kind in scores.EstimatorKind:
                 shared = inference.fit(reduction, kind, model)
                 alone = inference.fit(y, kind, model)
-                assert (shared.estimate, shared.sd) == (alone.estimate, alone.sd), (
-                    f"{model} {kind}: shared {shared} vs standalone {alone}")
+                _require((shared.estimate, shared.sd) == (alone.estimate, alone.sd),
+                         f"{model} {kind}: shared {shared} vs standalone {alone}")
 
 
 def _check_symmetries() -> None:
@@ -451,16 +463,16 @@ def _check_symmetries() -> None:
             for name, mirror, sign in mirrors:
                 other = inference.fit(mirror, kind, model)
                 where = f"{model} {kind} {name}: {other} vs {record}"
-                assert other.boundary_flag == record.boundary_flag, where
-                assert abs(other.estimate - sign * record.estimate) <= 1e-12, where
-                assert (other.sd is None) == (record.sd is None), where
-                assert record.sd is None or abs(other.sd / record.sd - 1.0) <= 1e-12, where
+                _require(other.boundary_flag == record.boundary_flag, where)
+                _require(abs(other.estimate - sign * record.estimate) <= 1e-12, where)
+                _require((other.sd is None) == (record.sd is None), where)
+                _require(record.sd is None or abs(other.sd / record.sd - 1.0) <= 1e-12, where)
 
 
 def _check_sampler_determinism() -> None:
     a = models.sample_ma1(0.3, 8, 12, seed=99)
     b = models.sample_ma1(0.3, 8, 12, seed=99)
-    assert np.array_equal(a, b)
+    _require(np.array_equal(a, b), "MA(1) draws differ between two calls of one seed")
     # the AR(1) recursion against one in Python floats over the same draws
     for phi in (-0.999, 0.5):
         z = np.random.default_rng(99).standard_normal((8, 12)).tolist()
@@ -471,13 +483,13 @@ def _check_sampler_determinism() -> None:
                 path.append(value + phi * path[-1])
             scalar.append(path)
         ar = models.sample_ar1(phi, 8, 12, seed=99)
-        assert np.array_equal(ar, scalar), f"AR(1) recursion off its scalar form at phi={phi}"
+        _require(np.array_equal(ar, scalar), f"AR(1) recursion off its scalar form at phi={phi}")
 
 
 def _check_minimizer() -> None:
     x = _minimize_scalar(lambda t, order: np.array([(t - 0.3) ** 2, 2 * (t - 0.3), 2 + 0 * t]),
                          -1.0, 1.0)
-    assert abs(x - 0.3) < 1e-6, x
+    _require(abs(x - 0.3) < 1e-6, x)
 
 
 def _minimize_scalar(jets, lo: float, hi: float) -> float:

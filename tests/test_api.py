@@ -7,6 +7,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -110,6 +111,23 @@ FIELDS = {
 @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
 def test_lane_fields_are_pinned(cls):
     assert [field.name for field in dataclasses.fields(cls)] == FIELDS[cls]
+
+
+# a line that branches on the model or the kind (ROADMAP aim 2)
+DISPATCH = re.compile(r'model == "|kind is EstimatorKind|kind in \(EstimatorKind|_spectral\(')
+
+
+def test_dispatch_sites_are_pinned():
+    # the model/kind branches of the runtime modules (all but the oracles of
+    # selfcheck): one joins only with an edit here, like a name or an option
+    package = os.path.dirname(minscore.__file__)
+    sites = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "selfcheck.py":
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                sites += [f"{name}:{n}" for n, line in enumerate(handle, 1)
+                          if DISPATCH.search(line)]
+    assert len(sites) <= 8, sites
 
 
 def _modules_after(code: str, package: str = "scipy") -> tuple[list[str], str]:

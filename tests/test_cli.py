@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import minscore
 from minscore import ExperimentConfig, sample_series
 from minscore.cli import _build_parser, _table_config, cli_main
 
@@ -674,6 +678,55 @@ class TestCheck:
         monkeypatch.setattr(scores, "_ar1_sums", mutated)
         with pytest.raises(AssertionError, match="ar1 full sign-alternated"):
             selfcheck._check_symmetries()
+
+    def test_derivative_check_catches_a_product_rule_slip(self, monkeypatch):
+        # the a0 b2 term of the product rule's second row with its sign
+        # flipped: the MA(1) pairwise second derivatives, and so its sd, move
+        # (0.01554 to 0.00327 at nu = 200, T = 50, alpha = 0.9) while the
+        # values do not, so only the exact-derivative check sees it
+        import minscore.models as models
+        import minscore.scores as scores
+        from minscore import selfcheck
+
+        def mutated(a, b):
+            rows = [a[0] * b[0]]
+            if len(a) > 1:
+                rows.append(a[1] * b[0] + a[0] * b[1])
+            if len(a) > 2:
+                rows.append(a[2] * b[0] + 2.0 * a[1] * b[1] - a[0] * b[2])
+            return models._stack(rows)
+
+        monkeypatch.setattr(models, "_jet_product", mutated)
+        monkeypatch.setattr(scores, "_jet_product", mutated)
+        failed = [(name, message) for name, passed, message in selfcheck.run_checks()
+                  if not passed]
+        assert [name for name, _ in failed] == [
+            "exact objective derivatives match central differences"]
+        assert failed[0][1].startswith("ma1 pairwise derivative 2 off by")
+
+    def test_check_fails_a_broken_check_under_optimize(self):
+        # python -O strips assert statements; a check whose MA(1) hyv constant
+        # is off by 1e-3 must still be reported as failed
+        script = (
+            "import sys\n"
+            "import minscore.scores as scores\n"
+            "from minscore.cli import cli_main\n"
+            "real = scores._terms\n"
+            "def mutated(kind, model, t_len, theta, order=0):\n"
+            "    coef, const = real(kind, model, t_len, theta, order)\n"
+            "    if (kind, model) == (scores.EstimatorKind.HYV_UNIVARIATE, 'ma1'):\n"
+            "        const = const * (1 + 1e-3)\n"
+            "    return coef, const\n"
+            "scores._terms = mutated\n"
+            "sys.exit(cli_main(['check']))\n"
+        )
+        src = os.path.dirname(os.path.dirname(minscore.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stdout + done.stderr
+        assert "FAIL  spectral MA(1) objectives match dense linear algebra" in done.stdout
 
 
 class TestExitPaths:

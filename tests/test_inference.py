@@ -548,6 +548,33 @@ class TestFit:
         with pytest.raises(ValueError, match="non-finite"):
             SeriesReduction(y, EstimatorKind, "ma1")
 
+    def test_fits_do_not_depend_on_the_memory_layout(self):
+        # the same values in F order, as a strided view or with negative
+        # strides once gave other last bits than in C order (an AR(1) full sd
+        # by 4.7e-15, relative), as numpy sums each layout in another order
+        for model in ("ar1", "ma1"):
+            y = sample_series(model, 0.6, 200, 50, seed=5)
+            wide = np.zeros((400, 100))
+            wide[::2, ::2] = y
+            layouts = {"F order": np.asfortranarray(y), "strided": wide[::2, ::2],
+                       "negative strides": np.ascontiguousarray(y[::-1, ::-1])[::-1, ::-1]}
+            for kind in EstimatorKind:
+                record = fit(y, kind, model)
+                for name, view in layouts.items():
+                    assert np.array_equal(view, y) and not view.flags.c_contiguous
+                    assert fit(view, kind, model) == record, (model, kind, name)
+                    assert fit(SeriesReduction(view, [kind], model), kind, model) == record
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_complex_series_rejected(self, dtype):
+        # the imaginary parts were once dropped with a ComplexWarning
+        y = sample_series("ar1", 0.3, 20, 10, seed=71).astype(dtype)
+        for kind in EstimatorKind:
+            with pytest.raises(ValueError, match=f"real, got dtype {np.dtype(dtype)}"):
+                fit(y, kind, "ar1")
+            with pytest.raises(ValueError, match=f"real, got dtype {np.dtype(dtype)}"):
+                series_objective(y, kind, "ar1")
+
     @pytest.mark.parametrize("kind,model,nu,t_len", [
         ("hyv", "ar1", 20, 2),
         ("full", "ma1", 20, 1),
