@@ -23,7 +23,7 @@ rescaled by nu so the one sd formula applies to all four kinds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,14 +31,14 @@ import numpy as np
 from .models import _check_size, canonical_model
 from .optimize import GRID_POINTS, MinimizationError, minimize_lanes
 from .scores import (
-    _SHARED_STATS,
     DegenerateDataError,
     EstimatorKind,
     SeriesObjective,
+    _objective,
     _real_series,
+    _reducer,
     min_series_length,
     objective_lanes,
-    series_objective,
 )
 from .wishart import wishart_components
 
@@ -86,9 +86,9 @@ class SeriesReduction:
     values gives the same bits (complex input is rejected).  The values are
     checked to be finite, then the shape against the bounds of
     :func:`sample_size_error` for each kind in turn.  Each family of
-    statistics is computed once, by :func:`~minscore.scores.series_objective`,
-    and shared by every kind of the family (AR(1) full and pairwise; MA(1)
-    full and hyv), so a family that fails (a singular S) fails here.  Of a
+    statistics is computed once, by the reducer its kinds name, and shared by
+    every kind of the family (AR(1) full and pairwise; MA(1) full and hyv),
+    so a family that fails (a singular S) fails here.  Of a
     family's m statistics per row it keeps the pooled sums, the row count and
     whichever holds fewer floats: the rows, or their m x m second moments
     when there are more rows than m, which is all a fit reads.
@@ -112,18 +112,14 @@ class SeriesReduction:
         families: dict = {}
         self._objectives: dict = {}
         for kind in kinds:
-            family = _SHARED_STATS.get((self.model, kind), kind)
-            if family not in families:
-                kept = series_objective(y, family, self.model)
-                if kept.rows > kept.pooled.size:
-                    kept = SeriesObjective(family, self.model, kept.t_len, None, kept.pooled,
-                                           kept.rows, kept.stats.T @ kept.stats)
-                families[family] = kept
-            o = families[family]
-            self._objectives[kind] = SeriesObjective(kind, o.model, o.t_len, o.stats, o.pooled,
-                                                     o.rows, o.moments)
-        # the floats of statistics kept, each buffer once (the Wishart
-        # family's one row is a view of its pooled row)
+            reduce = _reducer(kind, self.model)
+            if reduce not in families:
+                o = _objective(kind, self.model, self.shape[1], reduce(y))
+                families[reduce] = o if o.rows <= o.pooled.size else replace(
+                    o, stats=None, moments=o.stats.T @ o.stats)
+            self._objectives[kind] = replace(families[reduce], kind=kind)
+        # the floats of statistics kept, each buffer once (a one-row family,
+        # the Wishart kind's, keeps its row as its pooled row)
         self.floats = sum(o.pooled.size + (o.moments.size if o.stats is None
                                            else 0 if np.shares_memory(o.stats, o.pooled)
                                            else o.stats.size) for o in families.values())

@@ -11,8 +11,10 @@ closed form) are in :mod:`minscore.selfcheck`.
 Every objective is a Gaussian quadratic form in the data, so the data enter
 only through a few sufficient statistics, and the value in minimization
 orientation is ``stats @ coef(theta) + const(theta)``.  One recipe per model
-and kind gives the jets of coef and const, read by one of two evaluators, a
-polynomial one (AR(1), MA(1) pairwise) and a spectral one (the other MA(1)):
+and kind names the reducer of its statistics, shared by the kinds that read
+the same ones, and gives the jets of coef and const, read by one of two
+evaluators, a polynomial one (AR(1), MA(1) pairwise) and a spectral one (the
+other MA(1)):
 
 - AR(1), every kind: sums of squares and products of each series and of its
   first (full, pairwise) or second (``hyv``) differences, ``d_t - d_{t-1}``
@@ -101,16 +103,9 @@ class DegenerateDataError(ValueError):
     """Data carries no information for the requested estimate."""
 
 
-# Every estimator needs T >= 2: at T = 1 the law depends on phi or alpha only
-# through its square, so the sign is not identified.  Longer minimums:
-_MIN_SERIES_LENGTH = {("ar1", EstimatorKind.HYV_UNIVARIATE): 3}
-_MIN_IDENTIFIED_LENGTH = 2
-
-
 def min_series_length(kind: EstimatorKind, model: str) -> int:
     """Shortest series length the estimator accepts for the model."""
-    key = (canonical_model(model), EstimatorKind(kind))
-    return _MIN_SERIES_LENGTH.get(key, _MIN_IDENTIFIED_LENGTH)
+    return _RECIPES[canonical_model(model), EstimatorKind(kind)][1]
 
 
 def _real_series(series) -> np.ndarray:
@@ -122,13 +117,6 @@ def _real_series(series) -> np.ndarray:
         raise ValueError(f"expected a (T,) or (nu, T) array, got shape {y.shape}")
     return np.ascontiguousarray(y, dtype=float)
 
-
-# kinds whose objectives read the statistics of another kind: AR(1) pairwise
-# reads the first differences of full, MA(1) hyv the DST-I squares of full
-_SHARED_STATS = {
-    ("ar1", EstimatorKind.PAIRWISE_ML): EstimatorKind.FULL_ML,
-    ("ma1", EstimatorKind.HYV_UNIVARIATE): EstimatorKind.FULL_ML,
-}
 
 def _dot(a, b):
     return np.einsum("...t,...t->...", a, b)
@@ -149,41 +137,68 @@ def _lag_sums(d: np.ndarray) -> np.ndarray:
     return np.stack([_dot(d, d), _dot(inner, inner), _dot(d[..., 1:], d[..., :-1])], axis=-1)
 
 
-def _ar1_sums(d: np.ndarray, kind: EstimatorKind) -> np.ndarray:
-    # One half per sign s (+1 first).  With u = 1 - s phi, the innovations
-    # are d_t - phi d_{t-1} = e_t + s u d_{t-1}, e_t = d_t - s d_{t-1}, so full
-    # and pairwise read P = sum e_t^2, Q = sum e_t s d_{t-1}, R = sum over
-    # t < T of d_t^2 and D = d_1^2.  The residuals of P y are u^2 d_t - (1-u) h_t
-    # inside, h_t = s (d_{t-1} + d_{t+1}) - 2 d_t, and u d_t + (1-u) g_t at
-    # both ends, g_t = d_t - s d_(neighbour), so hyv reads the sums of d^2,
-    # d h and h^2 inside (A, B, C) and of d^2, d g and g^2 at the ends (E, F,
-    # G).  For s = sign(phi) no term outgrows the objective as |phi| -> 1,
-    # where plain lag sums grow as 1/(1 - phi^2) and cancel.  The s = -1 half
-    # is written over the buffers of the s = +1 half: x - (-y) = x + y and
-    # (-w) - v = -(w + v) are exact in round-to-nearest (up to the sign of a
-    # zero), so each half has the bits it would have alone.
+# The AR(1) statistics, one half per sign s (+1 first).  With u = 1 - s phi,
+# the innovations are d_t - phi d_{t-1} = e_t + s u d_{t-1}, e_t = d_t - s
+# d_{t-1}, so full and pairwise read P = sum e_t^2, Q = sum e_t s d_{t-1}, R =
+# sum over t < T of d_t^2 and D = d_1^2 (_ar1_full).  The residuals of P y are
+# u^2 d_t - (1-u) h_t inside, h_t = s (d_{t-1} + d_{t+1}) - 2 d_t, and u d_t +
+# (1-u) g_t at both ends, g_t = d_t - s d_(neighbour), so hyv reads the sums of
+# d^2, d h and h^2 inside (A, B, C) and of d^2, d g and g^2 at the ends (E, F,
+# G; _ar1_hyv).  The s = -1 half is written over the buffers of the s = +1
+# half: x - (-y) = x + y and (-w) - v = -(w + v) are exact in round-to-nearest
+# (up to the sign of a zero), so each half has the bits it would have alone.
+def _ar1_full(d: np.ndarray) -> np.ndarray:
     prev = d[..., :-1]
-    if kind is EstimatorKind.HYV_UNIVARIATE:
-        inner, ends = d[..., 1:-1], d[..., [0, -1]]
-        # h = w - 2 d (s = +1), then -h = w + 2 d (s = -1), w = d_{t-1} + d_{t+1}
-        w = d[..., :-2] + d[..., 2:]
-        h = 2.0 * inner
-        np.subtract(w, h, out=h)
-        neighbours = d[..., [1, -2]]
-        g = ends - neighbours
-        plus = [_dot(inner, inner), _dot(inner, h), _dot(h, h),
-                _dot(ends, ends), _dot(ends, g), _dot(g, g)]
-        np.multiply(inner, 2.0, out=h)
-        np.add(w, h, out=h)
-        np.add(ends, neighbours, out=g)
-        minus = [plus[0], -_dot(inner, h), _dot(h, h), plus[3], _dot(ends, g), _dot(g, g)]
-    else:
-        e = d[..., 1:] - prev
-        squares = [_dot(prev, prev), d[..., 0] ** 2]  # R and D, free of s
-        plus = [_dot(e, e), _dot(e, prev), *squares]
-        np.add(d[..., 1:], prev, out=e)
-        minus = [_dot(e, e), -_dot(e, prev), *squares]
+    e = d[..., 1:] - prev
+    squares = [_dot(prev, prev), d[..., 0] ** 2]  # R and D, free of s
+    plus = [_dot(e, e), _dot(e, prev), *squares]
+    np.add(d[..., 1:], prev, out=e)
+    return np.stack(plus + [_dot(e, e), -_dot(e, prev), *squares], axis=-1)
+
+
+def _ar1_hyv(d: np.ndarray) -> np.ndarray:
+    inner, ends = d[..., 1:-1], d[..., [0, -1]]
+    # h = w - 2 d (s = +1), then -h = w + 2 d (s = -1), w = d_{t-1} + d_{t+1}
+    w = d[..., :-2] + d[..., 2:]
+    h = 2.0 * inner
+    np.subtract(w, h, out=h)
+    neighbours = d[..., [1, -2]]
+    g = ends - neighbours
+    plus = [_dot(inner, inner), _dot(inner, h), _dot(h, h),
+            _dot(ends, ends), _dot(ends, g), _dot(g, g)]
+    np.multiply(inner, 2.0, out=h)
+    np.add(w, h, out=h)
+    np.add(ends, neighbours, out=g)
+    minus = [plus[0], -_dot(inner, h), _dot(h, h), plus[3], _dot(ends, g), _dot(g, g)]
     return np.stack(plus + minus, axis=-1)
+
+
+def _dst_squares(y: np.ndarray) -> np.ndarray:
+    z = ma1_sine_transform(y)
+    return np.multiply(z, z, out=z)  # the squared coordinates, in the transform's array
+
+
+def _wishart_series(y: np.ndarray, model: str) -> np.ndarray:
+    y = np.atleast_2d(y)
+    return _wishart_row(sum_of_squares(y), len(y), model)
+
+
+def _wishart_row(s: np.ndarray, nu, model: str) -> np.ndarray:
+    # the one row of the Wishart score of a real square S, checks shared
+    if not np.all(np.isfinite(s)):
+        raise ValueError("sum-of-squares matrix contains non-finite values (NaN or inf)")
+    if not np.array_equal(s, s.T):
+        raise ValueError(f"S must be symmetric; the largest |S - S'| is {abs(s - s.T).max():g}")
+    nu, t_len, model = _check_size(nu, 1, "nu"), s.shape[0], canonical_model(model)
+    if nu < t_len + 2:
+        raise ValueError(f"Wishart score needs nu >= T + 2; got nu={nu}, T={t_len}")
+    try:  # L^{-1} of the Cholesky factor S = L L'
+        inverse = np.linalg.inv(np.linalg.cholesky(s))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"singular sum-of-squares matrix: {exc}") from exc
+    # -(c/2) <S^{-1}, P> = -c sum over the rows w of L^{-1} of 0.5 w P w'
+    stats = _reducer(EstimatorKind.FULL_ML, model)(inverse)
+    return np.sum(stats, axis=0) * (-0.5 * (nu - t_len - 1))
 
 
 def _frobenius_square(t_len: int) -> np.ndarray:
@@ -192,41 +207,48 @@ def _frobenius_square(t_len: int) -> np.ndarray:
     return np.array([t_len + a + b, -2.0 * a - 4.0 * b, a + 6.0 * b, -4.0 * b, b])
 
 
-# The jets of each (model, kind), read by one of two evaluators (_terms).  A
+# Each (model, kind) row names the reducer that turns a checked (nu, T) array
+# into the kind's rows of statistics, the shortest series it accepts (T >= 2:
+# at T = 1 the law depends on theta only through its square, so the sign is
+# not identified), and its jets, read by one of two evaluators (_terms).  A
 # spectral row (p, w, f) gives coef = lambda^p / 2 and const = w sum f(lambda)
 # over the MA(1) eigenvalues lambda.  A polynomial row (N, w(T), q(T), log)
 # works over the powers 0..4 of x: u = 1 - |phi| in AR(1), coef = N x placed
-# in the half of _ar1_sums of phi's sign, or alpha in MA(1) pairwise, coef =
-# N x / q x with q x its determinant; const = w log(q x), or w (q x) where log
-# is False.  MA(1) pairwise is (0.5 (1+alpha^2) (q0 + q_int) - alpha c1) / q x.
-# AR(1) full is half of P + 2 u Q + u^2 R + u (2 - u) D, pairwise half of
-# P + 2 u Q + 2 u R, with 1 - phi^2 = u (2 - u); hyv is half of u^4 A - 2 u^2
-# (1-u) B + (1-u)^2 C + u^2 E + 2 u (1-u) F + (1-u)^2 G, the ||P y||^2 of the
-# Hyvarinen score 0.5 ||P y||^2 - tr(P), tr(P) = 2 + (T-2) (2 - 2u + u^2).  The
-# Wishart kind takes the full coef and ||P||_F^2 / 8 (P's eigenvalues 1/lambda).
+# in the half of phi's sign, or alpha in MA(1) pairwise, coef = N x / q x with
+# q x its determinant; const = w log(q x), or w (q x) where log is False.
+# MA(1) pairwise is (0.5 (1+alpha^2) (q0 + q_int) - alpha c1) / q x.  AR(1)
+# full is half of P + 2 u Q + u^2 R + u (2 - u) D, pairwise half of P + 2 u Q +
+# 2 u R, with 1 - phi^2 = u (2 - u); hyv is half of u^4 A - 2 u^2 (1-u) B +
+# (1-u)^2 C + u^2 E + 2 u (1-u) F + (1-u)^2 G, the ||P y||^2 of the Hyvarinen
+# score 0.5 ||P y||^2 - tr(P), tr(P) = 2 + (T-2) (2 - 2u + u^2).  The Wishart
+# kind takes the full coef and ||P||_F^2 / 8 (P's eigenvalues 1/lambda).
 _MA1_PAIR_DET = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
 _TWO_U_MINUS_SQUARE = np.array([0.0, 2.0, -1.0, 0.0, 0.0])
 _AR1_FULL = 0.5 * np.array([[1, 0, 0, 0], [0, 2, 0, 2], [0, 0, 1, -1], [0] * 4, [0] * 4])
+_AR1_HYV = 0.5 * np.array([[0, 0, 1, 0, 0, 1], [0, 0, -2, 0, 2, -2], [0, -2, 1, 1, -2, 1],
+                           [0, 2, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]])
 _RECIPES = {
-    ("ma1", EstimatorKind.FULL_ML): (-1, 0.5, _jet_log),
-    ("ma1", EstimatorKind.HYV_UNIVARIATE): (-2, -1.0, functools.partial(_jet_power, p=-1)),
+    ("ma1", EstimatorKind.FULL_ML): (_dst_squares, 2, -1, 0.5, _jet_log),
+    ("ma1", EstimatorKind.HYV_UNIVARIATE): (
+        _dst_squares, 2, -2, -1.0, functools.partial(_jet_power, p=-1)),
     ("ma1", EstimatorKind.HYV_WISHART): (
-        -1, 0.125, lambda lam: _jet_product(*2 * [_jet_power(lam, -1)])),
+        functools.partial(_wishart_series, model="ma1"), 2, -1, 0.125,
+        lambda lam: _jet_product(*2 * [_jet_power(lam, -1)])),
     ("ma1", EstimatorKind.PAIRWISE_ML): (
-        np.array([[0.5, 0.5, 0], [0, 0, -1], [0.5, 0.5, 0], [0] * 3, [0] * 3]),
+        _lag_sums, 2, np.array([[0.5, 0.5, 0], [0, 0, -1], [0.5, 0.5, 0], [0] * 3, [0] * 3]),
         lambda t_len: 0.5 * (t_len - 1), lambda t_len: _MA1_PAIR_DET, True),
     ("ar1", EstimatorKind.FULL_ML): (
-        _AR1_FULL, lambda t_len: -0.5, lambda t_len: _TWO_U_MINUS_SQUARE, True),
+        _ar1_full, 2, _AR1_FULL, lambda t_len: -0.5, lambda t_len: _TWO_U_MINUS_SQUARE, True),
     ("ar1", EstimatorKind.PAIRWISE_ML): (
-        0.5 * np.array([[1, 0, 0, 0], [0, 2, 2, 0], [0] * 4, [0] * 4, [0] * 4]),
+        _ar1_full, 2, 0.5 * np.array([[1, 0, 0, 0], [0, 2, 2, 0], [0] * 4, [0] * 4, [0] * 4]),
         lambda t_len: -0.5 * (t_len - 1), lambda t_len: _TWO_U_MINUS_SQUARE, True),
     ("ar1", EstimatorKind.HYV_UNIVARIATE): (
-        0.5 * np.array([[0, 0, 1, 0, 0, 1], [0, 0, -2, 0, 2, -2], [0, -2, 1, 1, -2, 1],
-                        [0, 2, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]]), lambda t_len: -1.0,
+        _ar1_hyv, 3, _AR1_HYV, lambda t_len: -1.0,
         lambda t_len: np.array([2.0 * t_len - 2.0, 4.0 - 2.0 * t_len, t_len - 2.0, 0, 0]), False),
-    ("ar1", EstimatorKind.HYV_WISHART): (_AR1_FULL, lambda t_len: 0.125, _frobenius_square, False),
+    ("ar1", EstimatorKind.HYV_WISHART): (
+        functools.partial(_wishart_series, model="ar1"), 2, _AR1_FULL, lambda t_len: 0.125,
+        _frobenius_square, False),
 }
-_AR1_HALF_COEF = {kind: _RECIPES["ar1", kind][0] for kind in EstimatorKind}
 
 
 def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):
@@ -234,7 +256,7 @@ def _terms(kind: EstimatorKind, model: str, t_len: int, theta, order: int = 0):
     # orientation, mu = 0 and sigma2 = 1: row r (order + 1 rows) is the r-th
     # theta derivative, stats @ coef[r] + const[r].  An array theta adds its
     # shape after the jet axis, so a whole grid costs one call.
-    recipe = _RECIPES[model, kind]
+    recipe = _RECIPES[model, kind][2:]
     if len(recipe) == 3:  # spectral
         # const first, coef scaled in place: one jet besides lambda at a time
         power, weight, f = recipe
@@ -306,63 +328,44 @@ class SeriesObjective:
         return tuple(self.stats @ coef[r] + const[r] for r in (1, 2))
 
 
+def _reducer(kind: EstimatorKind, model: str):
+    return _RECIPES[model, kind][0]  # one object for every kind of a family
+
+
+def _objective(kind: EstimatorKind, model: str, t_len: int, stats) -> SeriesObjective:
+    # the objective of a reducer's rows; one row is its own pooled sum
+    stats = np.atleast_2d(stats)
+    pooled = stats[0] if len(stats) == 1 else np.sum(stats, axis=0)
+    return SeriesObjective(kind, model, t_len, stats, pooled, len(stats))
+
+
 def series_objective(series, kind: EstimatorKind, model: str) -> SeriesObjective:
     """Reduce a (nu, T) series matrix, or one series, to its sufficient
     statistics for the objective (one pass over the data); for the Wishart
-    kind, :func:`wishart_context` of S = Y'Y."""
+    kind, those of :func:`wishart_context` of S = Y'Y, with its checks."""
     kind = EstimatorKind(kind)
     model = canonical_model(model)
     y, min_t = _real_series(series), min_series_length(kind, model)
     if y.shape[-1] < min_t:
         raise ValueError(f"need series length >= {min_t}, got {y.shape[-1]}")
-    if kind is EstimatorKind.HYV_WISHART:
-        y2 = np.atleast_2d(y)
-        return wishart_context(sum_of_squares(y2), len(y2), model)
-    stats = _family_stats(y, kind, model)
-    return SeriesObjective(kind, model, y.shape[-1], stats, np.sum(stats, axis=0), len(stats))
-
-
-def _family_stats(y: np.ndarray, kind: EstimatorKind, model: str) -> np.ndarray:
-    # the (rows, m) statistics of a per-series kind, one row per series of y
-    if model == "ar1":
-        stats = _ar1_sums(y, kind)
-    elif kind is EstimatorKind.PAIRWISE_ML:
-        stats = _lag_sums(y)
-    else:
-        stats = ma1_sine_transform(y)
-        stats *= stats  # the squared coordinates, in the transform's array
-    return np.atleast_2d(stats)
+    return _objective(kind, model, y.shape[-1], _reducer(kind, model)(y))
 
 
 def wishart_context(s, nu: int, model: str) -> SeriesObjective:
-    """The Wishart score of the symmetric sum-of-squares matrix S of ``nu``
-    >= T + 2 series, less its part free of theta: a :class:`SeriesObjective`
-    of kind ``hyv-wishart`` whose one row is the full family's statistics of
-    the rows of L^{-1}, S = L L', summed and times -c, c = (nu - T - 1)/2.  It
-    forms no S^{-1} and keeps no T x T array; S is factored only once S and
-    nu pass their checks."""
+    """The Wishart score of the real symmetric sum-of-squares matrix S of
+    ``nu`` >= T + 2 series, less its part free of theta: a
+    :class:`SeriesObjective` of kind ``hyv-wishart`` whose one row is the
+    full family's statistics of the rows of L^{-1}, S = L L', summed and times
+    -c, c = (nu - T - 1)/2.  It forms no S^{-1} and keeps no T x T array; S is
+    factored only once S and nu pass their checks."""
+    s = np.asarray(s)
+    if np.iscomplexobj(s):
+        raise ValueError(f"S must be real, got dtype {s.dtype}")
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"S must be a square matrix, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("sum-of-squares matrix contains non-finite values (NaN or inf)")
-    if not np.array_equal(s, s.T):
-        raise ValueError(f"S must be symmetric; the largest |S - S'| is {abs(s - s.T).max():g}")
-    nu, t_len, model = _check_size(nu, 1, "nu"), s.shape[0], canonical_model(model)
-    if nu < t_len + 2:
-        raise ValueError(f"Wishart score needs nu >= T + 2; got nu={nu}, T={t_len}")
-    # -(c/2) <S^{-1}, P> = -c sum over the rows w of L^{-1} of 0.5 w P w'
-    stats = np.sum(_family_stats(_cholesky_inverse(s), EstimatorKind.FULL_ML, model), axis=0)
-    stats *= -0.5 * (nu - t_len - 1)
-    return SeriesObjective(EstimatorKind.HYV_WISHART, model, t_len, stats[None], stats, 1)
-
-
-def _cholesky_inverse(s: np.ndarray) -> np.ndarray:
-    # L^{-1} of the Cholesky factor S = L L'
-    try:
-        return np.linalg.inv(np.linalg.cholesky(s))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular sum-of-squares matrix: {exc}") from exc
+    row = _wishart_row(s, nu, model)
+    return _objective(EstimatorKind.HYV_WISHART, canonical_model(model), len(s), row)
 
 
 def objective_lanes(objectives) -> Lanes:

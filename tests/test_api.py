@@ -114,7 +114,8 @@ def test_lane_fields_are_pinned(cls):
 
 
 # a line that branches on the model or the kind (ROADMAP aim 2)
-DISPATCH = re.compile(r'model == "|kind is EstimatorKind|kind in \(EstimatorKind|_spectral\(')
+DISPATCH = re.compile(r'model == "|== "(ar1|ma1)"|is EstimatorKind\.|EstimatorKind\.\w+ in '
+                      r'|== \{EstimatorKind|kind in \(EstimatorKind|_spectral\(')
 
 
 def test_dispatch_sites_are_pinned():

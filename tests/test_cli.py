@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -29,6 +30,15 @@ def unwritable_path(tmp_path, where: str):
         return tmp_path / "no" / "such" / "x.csv"
     (tmp_path / "outdir").mkdir()
     return tmp_path / "outdir"
+
+
+def source_mutant(module, name: str, old: str, new: str):
+    # ``module.name`` recompiled with its one ``old`` replaced by ``new``
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    return namespace[name]
 
 
 class TestSimulate:
@@ -640,42 +650,40 @@ class TestCheck:
             selfcheck._check_ma1_spectral_objectives()
 
     @pytest.mark.parametrize("kind,column", [("full", 5), ("hyv", 7)])
-    def test_ar1_check_catches_a_sign_slip(self, monkeypatch, kind, column):
+    def test_ar1_check_catches_a_sign_slip(self, replace_reducer, kind, column):
         # the phi < 0 half's cross sum (Q of full, B of hyv) without its sign:
         # the statistics of every series at phi < 0 are off
         import minscore.scores as scores
         from minscore import selfcheck
 
-        real = scores._ar1_sums
+        real = scores._reducer(kind, "ar1")
 
-        def mutated(d, family):
-            stats = real(d, family)
-            if family == kind:
-                stats[..., column] *= -1.0
+        def mutated(d):
+            stats = real(d)
+            stats[..., column] *= -1.0
             return stats
 
         selfcheck._check_ar1_objectives()
-        monkeypatch.setattr(scores, "_ar1_sums", mutated)
+        replace_reducer(real, mutated)
         with pytest.raises(AssertionError, match=f"AR.1. {kind} off by .* phi=-"):
             selfcheck._check_ar1_objectives()
 
-    def test_symmetry_check_catches_a_dropped_sign(self, monkeypatch):
+    def test_symmetry_check_catches_a_dropped_sign(self, replace_reducer):
         # Q = sum e_t s d_{t-1} of the phi < 0 half without its sign s = -1:
         # the fit of the sign-alternated data no longer mirrors the fit of the
         # data, whose estimate reads the phi > 0 half
         import minscore.scores as scores
         from minscore import selfcheck
 
-        real = scores._ar1_sums
+        real = scores._reducer("full", "ar1")
 
-        def mutated(d, kind):
-            stats = real(d, kind)
-            if kind is not scores.EstimatorKind.HYV_UNIVARIATE:
-                stats[..., 5] *= -1.0
+        def mutated(d):
+            stats = real(d)
+            stats[..., 5] *= -1.0
             return stats
 
         selfcheck._check_symmetries()
-        monkeypatch.setattr(scores, "_ar1_sums", mutated)
+        replace_reducer(real, mutated)
         with pytest.raises(AssertionError, match="ar1 full sign-alternated"):
             selfcheck._check_symmetries()
 
@@ -703,6 +711,38 @@ class TestCheck:
         assert [name for name, _ in failed] == [
             "exact objective derivatives match central differences"]
         assert failed[0][1].startswith("ma1 pairwise derivative 2 off by")
+
+    def test_trace_check_catches_a_scaled_trace_term(self, monkeypatch):
+        # the 2 (T - 1) term of the AR(1) tr(D P D P) scaled by 1 + 1e-6 moves
+        # the Wishart J, which the T = 1 and Monte Carlo checks of J miss
+        import minscore.wishart as wishart
+        from minscore import selfcheck
+
+        mutated = source_mutant(wishart, "_derivative_traces", "square = (2.0 * (t - 1) +",
+                                "square = (2.0 * (t - 1) * (1 + 1e-6) +")
+        monkeypatch.setattr(wishart, "_derivative_traces", mutated)
+        failed = [(name, message) for name, passed, message in selfcheck.run_checks()
+                  if not passed]
+        assert [name for name, _ in failed] == [
+            "Wishart derivative traces and sensitivity match the dense precision derivative"]
+        assert failed[0][1].startswith("ar1 tr(D P D P) off by")
+
+    def test_basin_check_catches_a_wide_left_bracket(self, monkeypatch):
+        # x_{b-2} for x_{b-1} as the left end of a lane's bracket: at the
+        # second seed the bracket wraps to the last seed, and the lane falls
+        # back to its seed instead of the minimum of its basin
+        import minscore.inference as inference
+        import minscore.optimize as optimize
+        from minscore import selfcheck
+
+        mutated = source_mutant(optimize, "minimize_lanes", "xs[best - 1]", "xs[best - 2]")
+        for module in (optimize, inference, selfcheck):
+            monkeypatch.setattr(module, "minimize_lanes", mutated)
+        failed = [(name, message) for name, passed, message in selfcheck.run_checks()
+                  if not passed]
+        assert [name for name, _ in failed] == [
+            "every lane ends at the minimum of its best grid basin"]
+        assert "misses the minimum" in failed[0][1]
 
     def test_check_fails_a_broken_check_under_optimize(self):
         # python -O strips assert statements; a check whose MA(1) hyv constant

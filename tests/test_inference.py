@@ -32,7 +32,7 @@ from minscore import (
 )
 from minscore.inference import SEARCH_BOUNDS
 from minscore.optimize import GRID_POINTS
-from minscore.scores import _SHARED_STATS, min_series_length, series_objective
+from minscore.scores import _reducer, min_series_length, series_objective
 from minscore.selfcheck import hw_grad_samples
 
 
@@ -254,18 +254,18 @@ class TestFit:
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     @pytest.mark.parametrize("kind", ["full", "pairwise", "hyv", "hyv-wishart"])
-    def test_each_series_reduced_once(self, monkeypatch, model, kind):
-        import minscore.inference as inference
+    def test_each_series_reduced_once(self, replace_reducer, model, kind):
+        # the kind's reducer runs once, on the series, and no other route
+        # reduces them again
+        real, shapes = _reducer(kind, model), []
 
-        calls = []
+        def counted(y):
+            shapes.append(y.shape)
+            return real(y)
 
-        def counted(*args, **kwargs):
-            calls.append(args[1:])
-            return series_objective(*args, **kwargs)
-
-        monkeypatch.setattr(inference, "series_objective", counted)
+        replace_reducer(real, counted)
         record = fit(sample_series(model, 0.4, 60, 12, seed=70), kind, model)
-        assert record.sd is not None and len(calls) == 1
+        assert record.sd is not None and shapes == [(60, 12)]
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     @pytest.mark.parametrize("kind", list(EstimatorKind))
@@ -529,8 +529,9 @@ class TestFit:
         reduction = SeriesReduction(sample_series(model, 0.3, nu, t_len, seed=76), kinds, model)
         for kind in kinds:
             kept = reduction.objective(kind)
-            family = _SHARED_STATS.get((model, EstimatorKind(kind)), EstimatorKind(kind))
-            assert (kept.stats is None) == (family.value in moments), kind
+            # the first kind listed that reads the same statistics
+            family = next(k for k in kinds if _reducer(k, model) is _reducer(kind, model))
+            assert (kept.stats is None) == (EstimatorKind(family).value in moments), kind
         assert reduction.floats == floats
 
     @pytest.mark.parametrize("shape", [(2, 3, 4), (1, 20, 5)])

@@ -242,35 +242,30 @@ class TestRunExperiment:
         # the DST-I rotation once for full and hyv, the inverse Cholesky factor
         # of S and its rotation for the Wishart kind
         ("ma1", tuple(EstimatorKind),
-         ["ma1_sine_transform", "_cholesky_inverse", "ma1_sine_transform"]),
+         ["ma1_sine_transform", "cholesky", "ma1_sine_transform"]),
         # first differences once for full and pairwise, second for hyv, and
         # those of full on the rows of the inverse Cholesky factor of S
         ("ar1", tuple(EstimatorKind),
-         ["_ar1_sums full", "_ar1_sums hyv", "_cholesky_inverse", "_ar1_sums full"]),
+         ["_ar1_full", "_ar1_hyv", "cholesky", "_ar1_full"]),
     ])
-    def test_replicate_reduces_each_family_once(self, monkeypatch, model, kinds, reductions):
+    def test_replicate_reduces_each_family_once(self, monkeypatch, replace_reducer, model, kinds,
+                                                reductions):
         import minscore.scores as scores
         import minscore.simulate as sim
 
         calls = []
-        real_dst, real_sums, real_inverses = (scores.ma1_sine_transform, scores._ar1_sums,
-                                              scores._cholesky_inverse)
 
-        def dst(x, *args, **kwargs):
-            calls.append("ma1_sine_transform")
-            return real_dst(x, *args, **kwargs)
+        def recorded(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
 
-        def sums(d, kind):
-            calls.append(f"_ar1_sums {kind}")
-            return real_sums(d, kind)
-
-        def inverses(s):
-            calls.append("_cholesky_inverse")
-            return real_inverses(s)
-
-        monkeypatch.setattr(scores, "ma1_sine_transform", dst)
-        monkeypatch.setattr(scores, "_ar1_sums", sums)
-        monkeypatch.setattr(scores, "_cholesky_inverse", inverses)
+        monkeypatch.setattr(scores, "ma1_sine_transform",
+                            recorded("ma1_sine_transform", scores.ma1_sine_transform))
+        monkeypatch.setattr(np.linalg, "cholesky", recorded("cholesky", np.linalg.cholesky))
+        for name in ("_ar1_full", "_ar1_hyv"):  # one wrapper per shared reducer
+            replace_reducer(getattr(scores, name), recorded(name, getattr(scores, name)))
         cfg = ExperimentConfig(model=model, param_grid=(0.4,), nu=20, t_len=8,
                                replicates=1, estimators=kinds)
         reduction = sim._reduce_replicate(cfg, 0.4, 0, 0, sim._fit_kinds(cfg))

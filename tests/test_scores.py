@@ -21,7 +21,7 @@ from minscore import (
 from minscore.inference import SEARCH_BOUNDS
 from minscore.models import _power_jets
 from minscore.optimize import GRID_FLOATS, GRID_POINTS
-from minscore.scores import _AR1_HALF_COEF, _ar1_sums, _contract, _dot, _terms, min_series_length
+from minscore.scores import _RECIPES, _contract, _dot, _reducer, _terms, min_series_length
 from minscore.selfcheck import (
     ar1_covariance,
     ar1_pairwise_closed_form,
@@ -544,7 +544,7 @@ class TestSufficientStatistics:
 # that contracts once and places the result in its theta's own half.
 _TWO_HALF_COEF = {
     (kind, sign): np.concatenate([half, 0 * half] if sign > 0 else [0 * half, half], axis=1)
-    for kind, half in _AR1_HALF_COEF.items() for sign in (1, -1)
+    for kind in EstimatorKind for half in [_RECIPES["ar1", kind][2]] for sign in (1, -1)
 }
 
 
@@ -622,5 +622,5 @@ class TestAr1SumsBits:
         draws += [sample_ar1(phi, nu, t_len, seed=nu + t_len) for phi in (-0.999, 0.999)]
         for y in draws:
             for d in (y, y[0]):  # a stack and one series
-                got, want = _ar1_sums(d, kind), per_sign_ar1_sums(d, kind)
+                got, want = _reducer(kind, "ar1")(d), per_sign_ar1_sums(d, kind)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -90,6 +90,14 @@ class TestContext:
         with pytest.raises(ValueError, match=message):
             wishart_context(s, nu=2, model="ar1")
 
+    def test_complex_s_rejected(self):
+        # the imaginary part was once dropped with only a ComplexWarning; the
+        # dtype is checked first, as for series
+        with pytest.raises(ValueError, match=r"^S must be real, got dtype complex128$"):
+            wishart_context(np.eye(3) * 10 + 1j, 10, "ar1")
+        with pytest.raises(ValueError, match="must be real"):
+            wishart_context(np.ones((2, 3), dtype=complex), 2, "ar1")
+
     def test_non_symmetric_s_rejected(self):
         # the Cholesky factor reads one triangle, so [[2, 5], [0, 2]] was once
         # read as diag(2, 2) without a word
