@@ -100,7 +100,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     lines: dict[str, int] = {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:

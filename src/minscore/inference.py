@@ -12,13 +12,15 @@ innovation variance are known), so the sd is that of the estimate it is
 reported with.  The per-series kinds estimate J and K from the observed
 series, using the exact per-series gradients and second derivatives of their
 objectives, which a fit reads from the jets at its estimates, evaluated for
-all of its datasets in one call.  Each per-series gradient is linear in the
-series' m statistics, so J is a quadratic form in their m x m second
-moments, and a reduction of more series than statistics keeps those moments
-instead of the per-series statistics.  The Wishart estimator's score acts on the
-pooled statistic S = Y'Y rather than series by series; its J and K are exact
-in closed form (:func:`~minscore.wishart.wishart_components`), and J is
-rescaled by nu so the one sd formula applies to all four kinds.
+all of its datasets in one call.  Each per-series derivative is linear in
+the series' m statistics, so K, the mean second derivative, is read from
+their pooled sums for every fit, and J, the mean squared gradient, is a
+quadratic form in their m x m second moments; a reduction of more series
+than statistics keeps those moments instead of the per-series statistics.
+The Wishart estimator's score acts on the pooled statistic S = Y'Y rather
+than series by series; its J and K are exact in closed form
+(:func:`~minscore.wishart.wishart_components`), and J is rescaled by nu so
+the one sd formula applies to all four kinds.
 """
 
 from __future__ import annotations
@@ -204,8 +206,9 @@ def fit_lanes(reductions: Sequence[SeriesReduction], kind: EstimatorKind) -> lis
     :func:`~minscore.optimize.minimize_lanes`.  Estimates within 4e-6 of a
     bound are flagged and get no sd.  The sd of a per-series kind is
     the empirical Godambe information from the per-series derivatives of the
-    jets at the estimates; the Wishart kind uses its exact J and K
-    (:func:`~minscore.wishart.wishart_components`), J scaled by nu.
+    jets at the estimates, K from the pooled statistics; the Wishart kind
+    uses its exact J and K (:func:`~minscore.wishart.wishart_components`), J
+    scaled by nu.
     """
     kind = EstimatorKind(kind)
     if not reductions:
@@ -230,18 +233,24 @@ def fit_lanes(reductions: Sequence[SeriesReduction], kind: EstimatorKind) -> lis
             j_hat, k_hat = wishart_components(model, theta[need_sd], nu, t_len)
             j_hat = nu * j_hat
         else:
-            # the per-series derivatives from the jets at every estimate in
-            # one call, a (lanes, m) array for each order whose rows do not
-            # depend on each other
-            coef, const = lanes.terms(theta[need_sd], 2)
+            # the jets at every estimate in one call; row i of a lane has
+            # g_i = s_i . c1 + k1 and h_i = s_i . c2 + k2, so K = mean h_i is
+            # read from the pooled sums, and J = mean g_i^2 from the rows or,
+            # where the lanes keep second moments G (one shape, so all or
+            # none), as (c1' G c1 + 2 k1 (pooled . c1) + rows k1^2) / rows;
+            # every lane is products summed along fixed axes
+            (_, c1, c2), (_, k1, k2) = lanes.terms(theta[need_sd], 2)
             kept = [objectives[j] for j in need_sd]
-            if kept[0].stats is None:  # one shape, so every lane keeps moments
-                j_hat, k_hat = _moment_godambe(kept, lanes.pooled[need_sd],
-                                               lanes.rows[need_sd], coef, const)
+            pooled, rows = lanes.pooled[need_sd], lanes.rows[need_sd]
+            if kept[0].stats is None:
+                gc = np.stack([o.moments for o in kept])
+                gc *= c1[:, None, :]
+                j_hat = (np.sum(np.sum(gc, axis=-1) * c1, axis=-1)
+                         + 2.0 * k1 * np.sum(pooled * c1, axis=-1) + rows * k1 * k1) / rows
             else:
-                g, h = map(np.array, zip(*(o.jet_derivatives(coef[:, n], const[:, n])
-                                           for n, o in enumerate(kept))))
-                j_hat, k_hat = np.mean(g * g, axis=-1), np.mean(h, axis=-1)
+                g = np.array([o.stats @ c1[n] + k1[n] for n, o in enumerate(kept)])
+                j_hat = np.mean(g * g, axis=-1)
+            k_hat = (np.sum(pooled * c2, axis=-1) + rows * k2) / rows
         # J is no sampling variance where it is numerically zero
         degenerate[need_sd] = ~(np.isfinite(j_hat) & (j_hat > _DEGENERATE_RATIO * (k_hat * k_hat)))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -257,17 +266,3 @@ def fit_lanes(reductions: Sequence[SeriesReduction], kind: EstimatorKind) -> lis
                                           None if boundary[j] else float(sd[j]),
                                           bool(boundary[j])))
     return results
-
-
-def _moment_godambe(objectives, pooled, rows, coef, const):
-    # J = mean g_i^2 and K = mean h_i of the lanes' rows from their second
-    # moments G: with g_i = s_i . c1 + k1, sum g_i^2 = c1' G c1 + 2 k1 (pooled
-    # . c1) + rows k1^2, and sum h_i = pooled . c2 + rows k2; every lane is
-    # products summed along fixed axes, whatever the number of lanes
-    (_, c1, c2), (_, k1, k2) = coef, const
-    gc = np.stack([o.moments for o in objectives])
-    gc *= c1[:, None, :]
-    sum_g2 = (np.sum(np.sum(gc, axis=-1) * c1, axis=-1)
-              + 2.0 * k1 * np.sum(pooled * c1, axis=-1) + rows * k1 * k1)
-    sum_h = np.sum(pooled * c2, axis=-1) + rows * k2
-    return sum_g2 / rows, sum_h / rows

@@ -49,8 +49,9 @@ def canonical_model(model: str) -> str:
 
 
 def _check_size(value, minimum: int, name: str = "series length") -> int:
-    # a number of time points or series, never truncated from a float
-    if not isinstance(value, numbers.Integral):
+    # a number of time points or series, never truncated from a float nor
+    # read from a bool (an Integral, True counting 1)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")

@@ -292,10 +292,10 @@ class SeriesObjective:
     ``stats[i] . coef[r] + const[r]``.  A
     :class:`~minscore.inference.SeriesReduction` of more rows than statistics
     keeps their second moments ``moments = stats' stats`` in place of
-    ``stats``: they give the total and the Godambe sums of a fit, but no
-    per-row derivatives.  The total and the derivatives do the arithmetic of
-    one lane of :func:`objective_lanes`, so they give the values a fit sees to
-    the bit."""
+    ``stats``: they give a fit's J (its K reads ``pooled`` alone either way),
+    but no per-row derivatives.  The total and the derivatives do the
+    arithmetic of one lane of :func:`objective_lanes`, so they give the
+    values a fit sees to the bit."""
 
     kind: EstimatorKind
     model: str
@@ -315,17 +315,12 @@ class SeriesObjective:
 
     def derivatives(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         """Exact first and second theta-derivatives of each row's objective."""
-        coef, const = _terms(self.kind, self.model, self.t_len, np.atleast_1d(float(theta)), 2)
-        return self.jet_derivatives(coef[:, 0], const[:, 0])
-
-    def jet_derivatives(self, coef: np.ndarray, const: np.ndarray):
-        """First and second derivatives of each row's objective from the
-        order-2 jets ``(coef, const)`` of one theta, of shapes (3, m) and (3,)."""
         if self.stats is None:
             raise ValueError(f"per-row derivatives need the rows, and this objective keeps "
                              f"only the second moments of its {self.rows} rows (fewer floats); "
                              f"series_objective of the series keeps them")
-        return tuple(self.stats @ coef[r] + const[r] for r in (1, 2))
+        coef, const = _terms(self.kind, self.model, self.t_len, np.atleast_1d(float(theta)), 2)
+        return tuple(self.stats @ coef[r, 0] + const[r, 0] for r in (1, 2))
 
 
 def _reducer(kind: EstimatorKind, model: str):

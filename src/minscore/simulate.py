@@ -71,7 +71,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         for name in ("nu", "t_len", "replicates", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not self.param_grid:
             raise ConfigError("param_grid must contain at least one value")

@@ -463,6 +463,19 @@ class TestTable:
         assert cli_main(["table", "--config", str(cfg), "--out", str(flag_out)]) == 0
         assert (tmp_path / "from_file.csv").read_bytes() == flag_out.read_bytes()
 
+    def test_config_file_with_byte_order_mark(self, tmp_path, capsys):
+        # an editor's UTF-8 byte-order mark once became part of the first key
+        # and the file exited 1 with unknown key '\ufeffmodel'
+        tables = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            cfg, out = tmp_path / f"{encoding}.cfg", tmp_path / f"{encoding}.csv"
+            cfg.write_text("model = ar1\ngrid = 0.3\nnu = 25\nt = 6\nreplicates = 6\n"
+                           f"out = {out}\n", encoding=encoding)
+            assert cli_main(["table", "--config", str(cfg)]) == 0, capsys.readouterr().err
+            tables.append(out.read_bytes())
+        assert cfg.read_bytes().startswith(b"\xef\xbb\xbfmodel")
+        assert tables[0] == tables[1]
+
     @pytest.mark.parametrize("key", ["out", "svg"])
     def test_output_naming_the_config_exits_1_before_sampling(self, tmp_path, capsys,
                                                               monkeypatch, key):

@@ -1,6 +1,5 @@
 """Godambe estimation, its Monte Carlo references, relative efficiency and fit."""
 
-import dataclasses
 import re
 import tracemalloc
 
@@ -240,17 +239,16 @@ class TestFit:
     @pytest.mark.parametrize("kind", ["full", "pairwise", "hyv"])
     def test_per_series_sd_is_empirical(self, model, kind):
         # with no more rows than statistics a reduction keeps the rows, and
-        # the sd is that of the per-row derivatives to the bit; with more, it
-        # keeps their second moments, which move the sd by at most 7.5e-14
-        # relative (both acceptance studies, the benchmark shapes and
-        # |theta| = 0.99); 1e-12 leaves a margin of 13
-        y = sample_series(model, 0.4, 3, 12, seed=70)
-        record = fit(y, kind, model)
-        assert record.sd == godambe_sd(y, kind, model, record.estimate, 3)
-        y = sample_series(model, 0.4, 60, 12, seed=70)
-        record = fit(y, kind, model)
-        assert record.sd == pytest.approx(godambe_sd(y, kind, model, record.estimate, 60),
-                                          rel=1e-12, abs=0)
+        # the sd is that of the per-row derivatives but for K, read from the
+        # pooled sums, which moves it by at most 9.8e-15 relative (3365 lanes
+        # of up to m rows, |theta| up to 0.999); with more, it keeps their
+        # second moments, which move the sd by at most 7.5e-14 relative (both
+        # acceptance studies, the benchmark shapes and |theta| = 0.99)
+        for nu, rel in ((3, 1e-13), (60, 1e-12)):
+            y = sample_series(model, 0.4, nu, 12, seed=70)
+            record = fit(y, kind, model)
+            assert record.sd == pytest.approx(godambe_sd(y, kind, model, record.estimate, nu),
+                                              rel=rel, abs=0)
 
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     @pytest.mark.parametrize("kind", ["full", "pairwise", "hyv", "hyv-wishart"])
@@ -632,45 +630,51 @@ class TestUnbiasedEstimatingEquations:
 
 
 class TestMomentRoute:
-    """J and K of a reduction that keeps second moments against mean g^2 and
-    mean h of the per-row derivatives (series_objective), at the estimate and
-    at the true theta.  The route sums c1' G c1, 2 k1 (pooled . c1) and
-    rows k1^2, which cancel to J (at the estimate pooled . c1 = -rows k1), so
-    its rounding is bounded by the size of the products it sums, each taken
-    in absolute value: the largest error measured here is 6.7e-16 of that
-    size, and 1e-14 leaves a margin of 15."""
+    """The sd of fit_lanes against that of mean g^2 and mean h of the per-row
+    derivatives (series_objective), at the estimate and at the true theta,
+    on both sides of the rows/moments rule.  K is the pooled sums' (pooled .
+    c2 + rows k2) / rows for every lane, and J beyond m rows sums c1' G c1,
+    2 k1 (pooled . c1) and rows k1^2, which cancel to J (at the estimate
+    pooled . c1 = -rows k1); up to m rows J is mean g^2 itself.  Each
+    rounding is bounded by 1e-14 of the size of the products it sums, each
+    taken in absolute value, and the sd's relative error by half J's plus
+    K's: the largest error measured here is 4.9e-16 of that bound's unit,
+    so 1e-14 leaves a margin of 20."""
 
     @pytest.mark.parametrize("t_len", [3, 5, 50, 201])
     @pytest.mark.parametrize("kind", ["full", "pairwise", "hyv"])
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
-    def test_moments_give_the_per_row_godambe_sums(self, model, kind, t_len):
-        from minscore.inference import _moment_godambe
+    def test_moments_give_the_per_row_godambe_sums(self, monkeypatch, model, kind, t_len):
+        import minscore.inference as inference
 
         m = _statistics_per_row(kind, model, t_len)
         rng = np.random.default_rng([t_len, m])
-        for theta in (-0.999, -0.9, 0.0, 0.5, 0.99, 0.999):
-            # both sides of the rule: the moments of up to m rows are built here
+        for theta in (-0.998, -0.9, 0.0, 0.5, 0.99, 0.998):
             for nu in (max(2, m // 2), m + 1, 4 * m + 10):
                 y = sample_series(model, theta, nu, t_len, int(rng.integers(1 << 30)))
-                kept = SeriesReduction(y, [kind], model).objective(kind)
-                assert (kept.stats is None) == (nu > m)
-                if kept.stats is not None:
-                    kept = dataclasses.replace(kept, stats=None,
-                                               moments=kept.stats.T @ kept.stats)
-                for at in (fit(y, kind, model).estimate, theta):
-                    coef, const = objective_lanes([kept]).terms(np.array([at]), 2)
-                    [j_hat], [k_hat] = _moment_godambe([kept], kept.pooled[None],
-                                                       np.array([float(nu)]), coef, const)
-                    rows = series_objective(y, kind, model)
-                    g, h = rows.derivatives(at)
+                reduction = SeriesReduction(y, [kind], model)
+                assert (reduction.objective(kind).stats is None) == (nu > m)
+                # two lanes of one reduction, at the estimate and the truth
+                at = np.array([fit(reduction, kind, model).estimate, theta])
+                monkeypatch.setattr(inference, "minimize_lanes", lambda *_: at.copy())
+                records = fit_lanes([reduction, reduction], kind)
+                monkeypatch.undo()
+                rows = series_objective(y, kind, model)
+                for point, record in zip(at, records):
+                    if record.boundary_flag:  # an estimate at a bound has no sd
+                        continue
+                    g, h = rows.derivatives(point)
+                    j_hat, k_hat = np.mean(g * g), np.mean(h)
                     # the sizes of the terms summed, each product taken in
                     # absolute value
+                    coef, const = objective_lanes([rows]).terms(np.array([point]), 2)
                     (_, c1, c2), (_, k1, k2) = np.abs(coef[:, 0]), np.abs(const[:, 0])
                     size_g = np.abs(rows.stats) @ c1
                     size_j = np.mean(size_g ** 2) + 2 * k1 * np.mean(size_g) + k1 * k1
                     size_k = np.mean(np.abs(rows.stats) @ c2) + k2
-                    assert abs(j_hat - np.mean(g * g)) <= 1e-14 * size_j, (nu, theta, at)
-                    assert abs(k_hat - np.mean(h)) <= 1e-14 * size_k, (nu, theta, at)
+                    bound = 1e-14 * (0.5 * size_j / j_hat + size_k / abs(k_hat))
+                    want = 1.0 / np.sqrt(nu * (k_hat * k_hat / j_hat))
+                    assert abs(record.sd / want - 1.0) <= bound, (nu, theta, point)
 
     def test_reduction_without_rows_has_no_per_row_derivatives(self):
         y = sample_series("ma1", 0.3, 30, 10, seed=1)

@@ -34,9 +34,11 @@ class TestParams:
         (lambda: sample_ar1(0.5, 3, 4.7, 1), "series length must be an integer, got 4.7"),
         (lambda: sample_ma1(0.5, 2.9, 4, 1), "nu must be an integer, got 2.9"),
         (lambda: ma1_eigenvalues(0.3, 4.9), "series length must be an integer, got 4.9"),
-    ], ids=["sample_series", "sample_ar1", "sample_ma1", "ma1_eigenvalues"])
+        (lambda: sample_ar1(0.5, True, 10, 0), "nu must be an integer, got True"),
+    ], ids=["sample_series", "sample_ar1", "sample_ma1", "ma1_eigenvalues", "sample_ar1_bool"])
     def test_non_integral_sizes_rejected(self, call, message):
-        # each was once truncated, to T = 4 or nu = 2, without a word
+        # each was once truncated, to T = 4 or nu = 2, without a word; nu = True
+        # once sampled one series
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 

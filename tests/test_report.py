@@ -353,10 +353,12 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("name,value", [
         ("nu", 20.0), ("nu", 20.7), ("t_len", 5.5), ("replicates", 2.0), ("seed", 1.5),
+        ("replicates", True), ("seed", False),
     ])
     def test_config_rejects_non_integer_sizes(self, name, value):
         # nu=20.7, t_len=5.5 once sampled 20 series of length 5 and printed
-        # the fractions in the CSV; replicates=2.0 and seed=1.5 failed at run time
+        # the fractions in the CSV; replicates=2.0 and seed=1.5 failed at run
+        # time, and replicates=True ran a one-replicate study
         cfg = ExperimentConfig(model="ar1", param_grid=(0.2,), nu=20, t_len=5, replicates=2,
                                estimators=(EstimatorKind.FULL_ML,))
         setattr(cfg, name, value)
