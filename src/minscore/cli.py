@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from .inference import EstimateRecord, SeriesReduction, are, fit
-from .models import sample_series
+from .models import MODELS, sample_series
 from .report import emit_are_svg, emit_csv
 from .scores import EstimatorKind
 from .simulate import ConfigError, ExperimentConfig, format_float, run_experiment
@@ -56,7 +56,7 @@ def _build_parser() -> _ArgumentParser:
 
     p_sim = sub.add_parser("simulate",
                            help="sample series and write them as CSV")
-    p_sim.add_argument("--model", required=True, choices=["ar1", "ma1"])
+    p_sim.add_argument("--model", required=True, choices=MODELS)
     p_sim.add_argument("--param", required=True, type=float,
                        help="dependence parameter (phi or alpha) in (-1, 1)")
     p_sim.add_argument("--nu", type=int, default=200, help="number of series")
@@ -67,7 +67,7 @@ def _build_parser() -> _ArgumentParser:
     p_fit = sub.add_parser("fit",
                            help="fit one estimator to a dataset CSV")
     p_fit.add_argument("--data", required=True, help="numeric CSV, one series per row")
-    p_fit.add_argument("--model", required=True, choices=["ar1", "ma1"])
+    p_fit.add_argument("--model", required=True, choices=MODELS)
     p_fit.add_argument("--estimator", required=True,
                        choices=[k.value for k in EstimatorKind])
     p_fit.add_argument("--out", default=None, help="write the record here instead of stdout")
@@ -75,7 +75,7 @@ def _build_parser() -> _ArgumentParser:
     p_tab = sub.add_parser("table",
                            help="run a replicated efficiency study")
     p_tab.add_argument("--config", default=None, help="key=value config file")
-    p_tab.add_argument("--model", choices=["ar1", "ma1"])
+    p_tab.add_argument("--model", choices=MODELS)
     p_tab.add_argument("--grid", help="comma-separated true parameter values")
     p_tab.add_argument("--nu", type=int)
     p_tab.add_argument("--t", type=int)

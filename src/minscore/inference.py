@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import _check_size, canonical_model
-from .optimize import GRID_POINTS, MinimizationError, minimize_lanes
+from .optimize import GRID_POINTS, MinimizationError, _lane_jets, minimize_lanes
 from .scores import (
     DegenerateDataError,
     EstimatorKind,
@@ -100,8 +100,6 @@ class SeriesReduction:
 
     def __init__(self, series, kinds, model: str):
         y = np.atleast_2d(_real_series(series))
-        if not np.all(np.isfinite(y)):
-            raise ValueError("series contain non-finite values (NaN or inf)")
         kinds = [EstimatorKind(kind) for kind in kinds]
         if not kinds:
             raise ValueError("a reduction needs at least one estimator kind; kinds is empty")
@@ -250,7 +248,7 @@ def fit_lanes(reductions: Sequence[SeriesReduction], kind: EstimatorKind) -> lis
             else:
                 g = np.array([o.stats @ c1[n] + k1[n] for n, o in enumerate(kept)])
                 j_hat = np.mean(g * g, axis=-1)
-            k_hat = (np.sum(pooled * c2, axis=-1) + rows * k2) / rows
+            k_hat = _lane_jets(pooled, rows, c2, k2) / rows
         # J is no sampling variance where it is numerically zero
         degenerate[need_sd] = ~(np.isfinite(j_hat) & (j_hat > _DEGENERATE_RATIO * (k_hat * k_hat)))
         with np.errstate(divide="ignore", invalid="ignore"):

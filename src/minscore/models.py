@@ -58,6 +58,15 @@ def _check_size(value, minimum: int, name: str = "series length") -> int:
     return int(value)
 
 
+def _real(x, name: str) -> np.ndarray:
+    # x as floats; complex input fails, naming its dtype, where a float
+    # conversion would drop the imaginary part with only a ComplexWarning
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError(f"{name} must be real, got dtype {x.dtype}")
+    return np.asarray(x, dtype=float)
+
+
 @functools.lru_cache(maxsize=16)
 def _half_angles(t_len: int) -> np.ndarray:
     # rows cos^2 and sin^2 of the half angles k pi / (2 (T + 1)), k = 1..T,
@@ -94,9 +103,9 @@ def ma1_sine_transform(x) -> np.ndarray:
     same route alone and in any stack (the BLAS kernels of one row and of a
     stack may differ by rounding); a longer series takes ``U`` only when
     ``x`` holds at least T^2 floats, else the FFT of the odd extension,
-    O(T log T) per row.
+    O(T log T) per row.  Complex input raises ``ValueError``.
     """
-    x = np.asarray(x, dtype=float)
+    x = _real(x, "x")
     t_len = _check_size(x.shape[-1], 1)
     if t_len * t_len <= max(x.size, BASIS_FLOATS):
         return x @ _sine_basis(t_len)
@@ -254,8 +263,9 @@ def sample_series(model: str, theta: float, nu: int, t_len: int, seed) -> np.nda
 def sum_of_squares(series: np.ndarray) -> np.ndarray:
     """Sum-of-squares-and-products matrix S = Y'Y of a (nu, T) series matrix,
     exactly symmetric: numpy forms one triangle and mirrors it (BLAS syrk) for
-    an aligned y with a unit stride, so other layouts are copied first."""
-    y = np.atleast_2d(np.asarray(series, dtype=float))
+    an aligned y with a unit stride, so other layouts are copied first.
+    Complex input raises ``ValueError``."""
+    y = np.atleast_2d(_real(series, "series"))
     if not y.flags.aligned or y.itemsize not in y.strides:
         y = y.copy()
     return y.T @ y

@@ -108,7 +108,7 @@ def minimize_lanes(lanes: Lanes, lo: float, hi: float) -> np.ndarray:
             if not index.size:
                 break
             c, k = lanes.terms(x, 2)
-            f, g, h = _lane_jets(lanes, index, c, k)
+            f, g, h = _lane_jets(lanes.pooled[index], lanes.rows[index], c, k)
             finite = np.isfinite(f) & np.isfinite(g) & np.isfinite(h)
             # a finite point is the lane's new iterate and the sign of g
             # narrows its bracket; a non-finite one ends the bracket on its
@@ -143,11 +143,12 @@ def _scan(lanes: Lanes, seeds, chunk: int, out) -> None:
         raise ValueError(f"terms must be vectorized over theta: expected shape "
                          f"{shape}, got {np.shape(coef)[1:]}")
     for i in range(0, len(out), chunk):
-        out[i:i + chunk] = _lane_jets(lanes, (slice(i, i + chunk), None), coef[0], const[0])
+        block = slice(i, i + chunk), None  # each lane at every seed
+        out[i:i + chunk] = _lane_jets(lanes.pooled[block], lanes.rows[block], coef[0], const[0])
 
 
-def _lane_jets(lanes: Lanes, index, coef, const):
-    # the jets of the lanes ``index``, each lane at its own theta (or, for
-    # index (slice, None), at every point of a grid): a product summed along
-    # the statistics axis, in one order whatever the number of lanes
-    return np.sum(lanes.pooled[index] * coef, axis=-1) + lanes.rows[index] * const
+def _lane_jets(pooled, rows, coef, const):
+    # pooled . coef + rows * const, the one formula of every lane's value and
+    # derivatives (and of SeriesObjective.total and a fit's K): a product
+    # summed along the statistics axis, in one order whatever the number of lanes
+    return np.sum(pooled * coef, axis=-1) + rows * const

@@ -47,10 +47,10 @@ summed along one axis (:func:`_contract`), so a theta's jets carry the same
 bits whatever the shape of the array it comes in.
 
 :func:`series_objective` accepts a single series of shape (T,) or a stack of
-series of shape (nu, T), real, and reads it in C order, so every layout of the
-same values gives the same bits.  Every objective omits its terms free of
-theta, which cannot move the estimate: ``log(2 pi)`` of the log-likelihoods
-and the part of the Wishart score that reads S alone
+series of shape (nu, T), real and finite, and reads it in C order, so every
+layout of the same values gives the same bits.  Every objective omits its
+terms free of theta, which cannot move the estimate: ``log(2 pi)`` of the
+log-likelihoods and the part of the Wishart score that reads S alone
 (:func:`minscore.selfcheck.wishart_score`).  So every total is
 ``pooled @ coef(theta) + rows * const(theta)``.
 """
@@ -69,12 +69,13 @@ from .models import (
     _jet_power,
     _jet_product,
     _power_jets,
+    _real,
     canonical_model,
     ma1_eigenvalues,
     ma1_sine_transform,
     sum_of_squares,
 )
-from .optimize import Lanes
+from .optimize import Lanes, _lane_jets
 
 __all__ = [
     "EstimatorKind",
@@ -109,13 +110,13 @@ def min_series_length(kind: EstimatorKind, model: str) -> int:
 
 
 def _real_series(series) -> np.ndarray:
-    # a (T,) or (nu, T) float array in C order: any layout gives the same bits
-    y = np.asarray(series)
-    if np.iscomplexobj(y):
-        raise ValueError(f"series must be real, got dtype {y.dtype}")
+    # a finite (T,) or (nu, T) float array in C order: any layout gives the same bits
+    y = _real(series, "series")
     if y.ndim not in (1, 2):
         raise ValueError(f"expected a (T,) or (nu, T) array, got shape {y.shape}")
-    return np.ascontiguousarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("series contain non-finite values (NaN or inf)")
+    return np.ascontiguousarray(y)
 
 
 def _dot(a, b):
@@ -233,7 +234,7 @@ _RECIPES = {
         _dst_squares, 2, -2, -1.0, functools.partial(_jet_power, p=-1)),
     ("ma1", EstimatorKind.HYV_WISHART): (
         functools.partial(_wishart_series, model="ma1"), 2, -1, 0.125,
-        lambda lam: _jet_product(*2 * [_jet_power(lam, -1)])),
+        functools.partial(_jet_power, p=-2)),
     ("ma1", EstimatorKind.PAIRWISE_ML): (
         _lag_sums, 2, np.array([[0.5, 0.5, 0], [0, 0, -1], [0.5, 0.5, 0], [0] * 3, [0] * 3]),
         lambda t_len: 0.5 * (t_len - 1), lambda t_len: _MA1_PAIR_DET, True),
@@ -310,7 +311,7 @@ class SeriesObjective:
         theta, one value per entry for an array (a whole grid in one call)."""
         theta = np.asarray(theta, dtype=float)
         coef, const = _terms(self.kind, self.model, self.t_len, np.atleast_1d(theta))
-        value = np.sum(self.pooled * coef[0], axis=-1) + self.rows * const[0]
+        value = _lane_jets(self.pooled, self.rows, coef[0], const[0])
         return value if theta.ndim else float(value[0])
 
     def derivatives(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -353,10 +354,7 @@ def wishart_context(s, nu: int, model: str) -> SeriesObjective:
     full family's statistics of the rows of L^{-1}, S = L L', summed and times
     -c, c = (nu - T - 1)/2.  It forms no S^{-1} and keeps no T x T array; S is
     factored only once S and nu pass their checks."""
-    s = np.asarray(s)
-    if np.iscomplexobj(s):
-        raise ValueError(f"S must be real, got dtype {s.dtype}")
-    s = np.asarray(s, dtype=float)
+    s = _real(s, "S")
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"S must be a square matrix, got shape {s.shape}")
     row = _wishart_row(s, nu, model)

@@ -23,14 +23,13 @@ which the CSV leaves out.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .inference import SeriesReduction, are, fit_lanes, sample_size_error
-from .models import canonical_model, sample_series
+from .models import _check_size, canonical_model, sample_series
 from .scores import EstimatorKind
 
 __all__ = ["ExperimentConfig", "ReportRow", "ConfigError", "run_experiment"]
@@ -50,6 +49,13 @@ class ConfigError(ValueError):
     """An experiment configuration violates its invariants."""
 
 
+def _check_config_size(value, minimum: int, name: str) -> None:
+    try:
+        _check_size(value, minimum, name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 @dataclass
 class ExperimentConfig:
     """Settings for one simulation study (one model, a grid of true values)."""
@@ -59,7 +65,7 @@ class ExperimentConfig:
     nu: int = 200
     t_len: int = 50
     replicates: int = 200
-    mc_b: int = 500
+    mc_b: int = 500  # inert (the Wishart sd is exact); any positive integer validates
     seed: int = 0
     estimators: tuple[EstimatorKind, ...] = ALL_ESTIMATORS
 
@@ -69,10 +75,8 @@ class ExperimentConfig:
         self.estimators = tuple(EstimatorKind(e) for e in self.estimators)
 
     def validate(self) -> None:
-        for name in ("nu", "t_len", "replicates", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name, least in (("nu", 0), ("t_len", 0), ("replicates", 1), ("seed", 0), ("mc_b", 1)):
+            _check_config_size(getattr(self, name), least, name)
         if not self.param_grid:
             raise ConfigError("param_grid must contain at least one value")
         printed = set()
@@ -86,18 +90,6 @@ class ExperimentConfig:
                     "6 significant digits"
                 )
             printed.add(format_float(value))
-        if self.replicates < 1:
-            raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.mc_b < 1:
-            raise ConfigError(f"mc-b must be positive, got {self.mc_b}")
-        # mc-b no longer sets any table output (the Wishart sd is exact); its
-        # bounds are kept so that existing configurations validate as before
-        if EstimatorKind.HYV_WISHART in self.estimators and self.mc_b < 50:
-            raise ConfigError(
-                f"mc-b must be >= 50 when hyv-wishart is requested, got {self.mc_b}"
-            )
         if not self.estimators:
             raise ConfigError("at least one estimator must be requested")
         # the bounds fit checks on data; t >= 2 for every estimator, so this
@@ -172,12 +164,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ReportRow]:
     Individual replicate failures are tolerated up to 10% per grid point, each
     grid point with failures emitting one ``RuntimeWarning``; beyond that the
     study aborts.  Both messages give the failure count and the first message
-    of each exception type, in replicate order.  ``workers`` (>= 1) is
-    accepted for compatibility and changes neither the output nor the speed:
-    every study runs on the calling thread.
+    of each exception type, in replicate order.  ``workers`` (an integer
+    >= 1) is accepted for compatibility and changes neither the output nor
+    the speed: every study runs on the calling thread.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    _check_config_size(workers, 1, "workers")
     cfg.validate()
     kinds = _fit_kinds(cfg)
     jobs = [(theta0, grid_index, rep_index)

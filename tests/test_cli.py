@@ -525,6 +525,14 @@ class TestTable:
         assert f"{cfg}:4: key {key!r} repeats {cfg}:2" in err
         assert not out.exists()
 
+    def test_mc_b_below_50_runs_hyv_wishart(self, tmp_path):
+        # mc-b had to be >= 50 with hyv-wishart, although it sets no output
+        args = ["table", "--model", "ma1", "--grid", "0.3", "--nu", "25", "--t", "6",
+                "--replicates", "3", "--seed", "42", "--estimators", "hyv-wishart"]
+        for mc_b in ("10", "500"):
+            assert cli_main(args + ["--mc-b", mc_b, "--out", str(tmp_path / f"{mc_b}.csv")]) == 0
+        assert (tmp_path / "10.csv").read_bytes() == (tmp_path / "500.csv").read_bytes()
+
     def test_workers_below_one_exits_1(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert cli_main(TABLE_ARGS + ["--out", str(out), "--workers", "0"]) == 1

@@ -42,6 +42,15 @@ class TestParams:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
+    @pytest.mark.parametrize("helper,name", [(sum_of_squares, "series"),
+                                             (ma1_sine_transform, "x")])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_complex_input_rejected(self, helper, name, dtype):
+        # the imaginary parts were once dropped with only a ComplexWarning
+        message = f"^{name} must be real, got dtype {np.dtype(dtype)}$"
+        with pytest.raises(ValueError, match=message):
+            helper(np.ones((3, 4), dtype=dtype))
+
     def test_numpy_integer_sizes_accepted(self):
         assert sample_ar1(0.5, np.int64(3), np.int32(4), 1).shape == (3, 4)
         assert ma1_eigenvalues(0.3, np.int64(4)).shape == (1, 4)

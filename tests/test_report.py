@@ -312,6 +312,15 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match=rf"^workers must be >= 1, got {workers}$"):
             run_experiment(cfg, workers=workers)
 
+    @pytest.mark.parametrize("workers", [True, 1.5, "2"])
+    def test_non_integer_workers_rejected(self, workers):
+        # True and 1.5 once ran a study and "2" raised a bare TypeError
+        cfg = ExperimentConfig(model="ar1", param_grid=(0.2,), nu=20, t_len=5, replicates=2,
+                               estimators=(EstimatorKind.FULL_ML,))
+        with pytest.raises(ConfigError,
+                           match=f"^workers must be an integer, got {re.escape(repr(workers))}$"):
+            run_experiment(cfg, workers=workers)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError, match=r"\(-1, 1\)"):
             ExperimentConfig(model="ar1", param_grid=(1.5,)).validate()
@@ -321,9 +330,6 @@ class TestRunExperiment:
             ExperimentConfig(model="ar1", param_grid=(0.1,), seed=-3).validate()
         with pytest.raises(ConfigError, match="nu >= t"):
             ExperimentConfig(model="ar1", param_grid=(0.1,), nu=10, t_len=20).validate()
-        with pytest.raises(ConfigError, match="mc-b"):
-            ExperimentConfig(model="ar1", param_grid=(0.1,), nu=52, t_len=50,
-                             mc_b=10).validate()
         # without the Wishart estimator a small nu is fine
         ExperimentConfig(
             model="ar1", param_grid=(0.1,), nu=10, t_len=20,
@@ -353,7 +359,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("name,value", [
         ("nu", 20.0), ("nu", 20.7), ("t_len", 5.5), ("replicates", 2.0), ("seed", 1.5),
-        ("replicates", True), ("seed", False),
+        ("replicates", True), ("seed", False), ("mc_b", 50.5), ("mc_b", True),
     ])
     def test_config_rejects_non_integer_sizes(self, name, value):
         # nu=20.7, t_len=5.5 once sampled 20 series of length 5 and printed
@@ -541,7 +547,7 @@ class TestRunExperiment:
     def test_config_rejects_an_empty_grid_and_mc_b_below_one(self):
         with pytest.raises(ConfigError, match="^param_grid must contain at least one value$"):
             ExperimentConfig(model="ar1", param_grid=()).validate()
-        with pytest.raises(ConfigError, match="^mc-b must be positive, got 0$"):
+        with pytest.raises(ConfigError, match="^mc_b must be >= 1, got 0$"):
             ExperimentConfig(model="ar1", param_grid=(0.1,), mc_b=0).validate()
 
     def test_widespread_failures_abort(self, monkeypatch):

@@ -488,6 +488,17 @@ class TestSufficientStatistics:
                            match=r"^expected a \(T,\) or \(nu, T\) array, got shape \(2, 3, 4\)$"):
             series_objective(y, EstimatorKind.FULL_ML, "ar1")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("model", ["ar1", "ma1"])
+    @pytest.mark.parametrize("kind", PER_SERIES_KINDS)
+    def test_non_finite_series_rejected(self, model, kind, bad):
+        # the objective of such a series was once NaN or inf where fit rejected it
+        y = sample_ar1(0.3, 4, 12, seed=5)
+        y[1, 3] = bad
+        with pytest.raises(ValueError,
+                           match=r"^series contain non-finite values \(NaN or inf\)$"):
+            series_objective(y, kind, model)
+
     @pytest.mark.parametrize("model", ["ar1", "ma1"])
     @pytest.mark.parametrize("kind", PER_SERIES_KINDS)
     def test_reads_only_the_statistics(self, model, kind):
