@@ -152,10 +152,10 @@ def sample_size_error(
     :func:`~minscore.scores.min_series_length` (T >= 2 for every estimator),
     at least 2 series for the sd, and for the Wishart sd at least T + 4.
     The message calls the length ``t_name``: ``T`` for data, ``t`` for a
-    study configuration.  Non-integral or negative sizes raise ValueError."""
+    study configuration.  Only non-integral sizes raise ValueError."""
     kind = EstimatorKind(kind)
     model = canonical_model(model)
-    nu, t_len = _check_size(nu, 0, "nu"), _check_size(t_len, 0)
+    nu, t_len = _check_size(nu, None, "nu"), _check_size(t_len, None)
     need = min_series_length(kind, model)
     if t_len < need:
         wanted, got = ("series length", t_len) if t_name == "T" else (t_name, f"{t_name}={t_len}")

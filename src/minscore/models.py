@@ -48,12 +48,12 @@ def canonical_model(model: str) -> str:
     return name
 
 
-def _check_size(value, minimum: int, name: str = "series length") -> int:
+def _check_size(value, minimum: int | None, name: str = "series length") -> int:
     # a number of time points or series, never truncated from a float nor
-    # read from a bool (an Integral, True counting 1)
+    # read from a bool (an Integral, True counting 1); no floor if minimum is None
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 

@@ -10,7 +10,9 @@ of the Wishart score gradient.  ``import minscore`` does not load this module.
 
 Each check recomputes a quantity through an independent route (dense
 inversion, finite differences, brute-force summation, closed-form argmax) and
-compares.  Everything here runs in under a second.
+compares.  One of them compares the objective of every (model, kind) with its
+dense form from the covariance (:data:`_DENSE_OBJECTIVES`).  Everything here
+runs in under a second.
 """
 
 from __future__ import annotations
@@ -242,61 +244,51 @@ def _check_precision_identity() -> None:
             _require(err_ma < 1e-10, f"MA precision identity off by {err_ma}")
 
 
-def _per_series(y, kind: str, model: str, theta: float) -> np.ndarray:
-    # each row's objective from a reduction of that row alone
-    return np.array([scores.series_objective(row, kind, model).total(theta) for row in y])
+def _dense_full(y, cov) -> np.ndarray:
+    # 0.5 log det cov + 0.5 y cov^{-1} y' of each row y of a (..., T) array
+    solved = np.linalg.solve(cov, y.reshape(-1, len(cov)).T).T.reshape(y.shape)
+    return 0.5 * np.linalg.slogdet(cov)[1] + 0.5 * np.sum(y * solved, axis=-1)
 
 
-def _check_hyvarinen_closed_forms() -> None:
-    rng = np.random.default_rng(7)
-    for t_len in (3, 5, 12):
-        y = rng.standard_normal((4, t_len))
-        for theta in (-0.7, 0.2, 0.6):
-            for model, precision in (("ar1", ar1_precision), ("ma1", ma1_precision)):
-                direct = _per_series(y, "hyv", model, theta)
-                generic = gaussian_hyvarinen(y, precision(theta, t_len))
-                err = np.max(np.abs(direct - generic))
-                _require(err < 1e-8, f"{model} hyv off by {err} from the generic form")
+_COVARIANCES = {"ar1": ar1_covariance, "ma1": ma1_covariance}
+# each kind's objective of every row of a (n, T) array at theta, from the
+# dense covariance Sigma(theta) and the closed-form precision: pairwise sums
+# the full form of each consecutive pair under Sigma's leading 2 x 2 block,
+# and the Wishart kind's one row is the whole array, S = Y'Y
+_DENSE_OBJECTIVES = {
+    "full": lambda y, model, theta: _dense_full(y, _COVARIANCES[model](theta, y.shape[1])),
+    "hyv": lambda y, model, theta: gaussian_hyvarinen(
+        y, scale_precision(model, theta, y.shape[1])),
+    "pairwise": lambda y, model, theta: np.sum(_dense_full(
+        np.lib.stride_tricks.sliding_window_view(y, 2, axis=1),
+        _COVARIANCES[model](theta, y.shape[1])[:2, :2]), axis=1),
+    "hyv-wishart": lambda y, model, theta: (wishart_score(y.T @ y, len(y), model, theta)
+                                            - wishart_score(y.T @ y, len(y), model, None)),
+}
 
 
-def _check_ma1_spectral_objectives() -> None:
-    # the O(T) MA(1) objectives of the DST-I basis against dense slogdet/solve
-    # and the dense precision, at long series and |alpha| near the
-    # invertibility bound; each series' error relative to its own objective,
-    # so a term that one large ||P y||^2 dwarfs still counts.  Four series of
-    # T = 200 rotate by the cached basis, of T = 300 (T^2 > BASIS_FLOATS) by
-    # the FFT
-    rng = np.random.default_rng(17)
-    for t_len, alpha in itertools.product((200, 300), (-0.999, 0.999)):
-        y = rng.standard_normal((4, t_len))
-        cov = ma1_covariance(alpha, t_len)
-        quad = np.sum(y * np.linalg.solve(cov, y.T).T, axis=1)
-        full = 0.5 * np.linalg.slogdet(cov)[1] + 0.5 * quad
-        hyv = gaussian_hyvarinen(y, ma1_precision(alpha, t_len))
-        for kind, dense in (("full", full), ("hyv", hyv)):
-            got = _per_series(y, kind, "ma1", alpha)
-            err = np.max(np.abs(got - dense) / np.abs(dense))
-            _require(err < 1e-10, f"spectral MA(1) {kind} off by {err} (relative) at "
-                                  f"T={t_len}, alpha={alpha}")
-
-
-def _check_ar1_objectives() -> None:
-    # the AR(1) full and hyv objectives of the sign-half statistics against
-    # dense slogdet/solve and the dense precision, on series drawn at each phi
-    # out to |phi| = 0.999, where the per-sign differences keep every
-    # statistic at the size of the objective; each series' error relative to
-    # its own objective
-    for t_len, phi in itertools.product((3, 50), (-0.999, -0.5, 0.5, 0.999)):
-        y = models.sample_ar1(phi, 4, t_len, seed=t_len)
-        cov = ar1_covariance(phi, t_len)
-        quad = np.sum(y * np.linalg.solve(cov, y.T).T, axis=1)
-        full = 0.5 * np.linalg.slogdet(cov)[1] + 0.5 * quad
-        hyv = gaussian_hyvarinen(y, ar1_precision(phi, t_len))
-        for kind, dense in (("full", full), ("hyv", hyv)):
-            got = _per_series(y, kind, "ar1", phi)
-            err = np.max(np.abs(got - dense) / np.abs(dense))
-            _require(err < 1e-10, f"AR(1) {kind} off by {err} (relative) at "
-                                  f"T={t_len}, phi={phi}")
+def _check_dense_objectives() -> None:
+    # every (model, kind)'s objective against its dense form, each series
+    # relative to its own value, on four series drawn at theta out to the
+    # search bound, where the AR(1) per-sign differences keep every statistic
+    # at the size of the objective.  The per-series MA(1) kinds also run at
+    # T = 200, whose series rotate by the cached DST-I basis, and T = 300
+    # (T^2 > BASIS_FLOATS), by the FFT; the Wishart row rotates the T rows of
+    # L^{-1} by the basis at any T.  It reads nu = 4T series: at nu = T + 6,
+    # T = 50 and |theta| = 0.999 the dense S^{-1} itself is off by 7e-11
+    shapes = list(itertools.product((3, 12, 50), (-0.999, -0.5, 0.3, 0.999)))
+    long = list(itertools.product((200, 300), (-0.999, 0.999)))
+    for model, kind in itertools.product(models.MODELS, scores.EstimatorKind):
+        wishart_row = kind is scores.EstimatorKind.HYV_WISHART
+        for t_len, theta in shapes + (long if model == "ma1" and not wishart_row else []):
+            y = models.sample_series(model, theta, 4 * t_len if wishart_row else 4, t_len,
+                                     seed=t_len)
+            got = np.array([scores.series_objective(row, kind, model).total(theta)
+                            for row in ([y] if wishart_row else y)])
+            want = _DENSE_OBJECTIVES[kind](y, model, theta)
+            err = np.max(np.abs(got - want) / np.abs(want))
+            _require(err < 1e-10, f"{model} {kind} off by {err:.3g} (relative) from its "
+                                  f"dense form at T={t_len}, theta={theta}")
 
 
 def _check_exact_derivatives() -> None:
@@ -336,17 +328,6 @@ def _check_wishart_traces() -> None:
         k = wishart.wishart_components(model, lam, t_len + 4, t_len)[1]
         dense = 0.25 * np.sum(precision_derivative(model, lam, t_len) ** 2)
         _require(abs(k - dense) <= 1e-10 * max(1.0, dense), (model, t_len, lam, k, dense))
-
-
-def _check_wishart_gradient() -> None:
-    rng = np.random.default_rng(11)
-    y = rng.standard_normal((20, 5))
-    ctx = scores.wishart_context(models.sum_of_squares(y), nu=20, model="ar1")
-    for phi in (-0.5, 0.0, 0.5):
-        step = 1e-5
-        fd = (ctx.total(phi + step) - ctx.total(phi - step)) / (2 * step)
-        analytic = ctx.derivatives(phi)[0][0]
-        _require(abs(analytic - fd) <= 1e-4 * max(1.0, abs(fd)), (analytic, fd))
 
 
 def _check_wishart_dense() -> None:
@@ -540,13 +521,10 @@ def _minimize_scalar(jets, lo: float, hi: float) -> float:
 
 CHECKS = (
     ("precision matrices invert covariances", _check_precision_identity),
-    ("closed-form Hyvarinen scores match generic Gaussian form", _check_hyvarinen_closed_forms),
-    ("spectral MA(1) objectives match dense linear algebra", _check_ma1_spectral_objectives),
-    ("AR(1) sign-half objectives match dense linear algebra", _check_ar1_objectives),
+    ("every objective matches its dense form from the covariance", _check_dense_objectives),
     ("exact objective derivatives match central differences", _check_exact_derivatives),
     ("Wishart derivative traces and sensitivity match the dense precision derivative",
      _check_wishart_traces),
-    ("Wishart score gradient matches finite differences", _check_wishart_gradient),
     ("Wishart objective matches its dense definition", _check_wishart_dense),
     ("exact Wishart variability matches inverse chi-square and Monte Carlo",
      _check_wishart_j),

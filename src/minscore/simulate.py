@@ -75,7 +75,8 @@ class ExperimentConfig:
         self.estimators = tuple(EstimatorKind(e) for e in self.estimators)
 
     def validate(self) -> None:
-        for name, least in (("nu", 0), ("t_len", 0), ("replicates", 1), ("seed", 0), ("mc_b", 1)):
+        for name, least in (("nu", None), ("t_len", None), ("replicates", 1), ("seed", 0),
+                            ("mc_b", 1)):
             _check_config_size(getattr(self, name), least, name)
         if not self.param_grid:
             raise ConfigError("param_grid must contain at least one value")
@@ -92,8 +93,7 @@ class ExperimentConfig:
             printed.add(format_float(value))
         if not self.estimators:
             raise ConfigError("at least one estimator must be requested")
-        # the bounds fit checks on data; t >= 2 for every estimator, so this
-        # also rejects t < 1
+        # the bounds fit checks on data, the floors of nu and t_len among them
         for kind in _fit_kinds(self):
             error = sample_size_error(kind, self.model, self.nu, self.t_len, t_name="t")
             if error is not None:

@@ -131,6 +131,31 @@ def test_dispatch_sites_are_pinned():
     assert len(sites) <= 7, sites
 
 
+CHECKS = [
+    # the oracles of ``minscore check``, in order: one joins or leaves only
+    # with an edit here, so a deleted check cannot go unnoticed
+    "precision matrices invert covariances",
+    "every objective matches its dense form from the covariance",
+    "exact objective derivatives match central differences",
+    "Wishart derivative traces and sensitivity match the dense precision derivative",
+    "Wishart objective matches its dense definition",
+    "exact Wishart variability matches inverse chi-square and Monte Carlo",
+    "AR(1) pairwise fit and closed form match numeric argmins",
+    "batched grid matches pointwise objective values",
+    "shared reductions and study lanes match standalone fits",
+    "fits are unchanged by time reversal and mirrored by alternating signs",
+    "samplers are seed-deterministic",
+    "every lane ends at the minimum of its best grid basin",
+    "scalar minimizer finds quadratic minimum",
+]
+
+
+def test_check_list_is_pinned():
+    from minscore import selfcheck
+
+    assert [name for name, _ in selfcheck.CHECKS] == CHECKS
+
+
 def _modules_after(code: str, package: str = "scipy") -> tuple[list[str], str]:
     # run ``code`` in a fresh interpreter and list the modules of ``package``
     # it loaded

@@ -369,6 +369,20 @@ class TestTable:
         assert "seed must be >= 0, got -3" in capsys.readouterr().err
         assert sampled == []
 
+    @pytest.mark.parametrize("nu,t,message", [
+        # once "nu must be >= 0, got -1" and "t_len must be >= 0, got -3",
+        # bounds below the real ones, the latter under the config's name
+        ("-1", "5", "every sd needs nu >= 2 series; got nu=-1"),
+        ("20", "-3", "the full estimator on ar1 needs t >= 2, got t=-3"),
+    ], ids=["nu", "t"])
+    def test_negative_size_names_its_bound(self, tmp_path, capsys, nu, t, message):
+        out = tmp_path / "x.csv"
+        code = cli_main(["table", "--model", "ar1", "--grid", "0.3", "--nu", nu, "--t", t,
+                         "--replicates", "2", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("spelling", ["flag", "config"])
     def test_empty_estimator_list_exits_1(self, tmp_path, capsys, spelling):
         # a given but empty list is no request for the default of all four
@@ -651,9 +665,9 @@ class TestCheck:
         assert "FAIL" not in out
 
     def test_spectral_check_catches_a_trace_mutation(self, monkeypatch):
-        # scaling the MA(1) hyv trace term by 1 + 1e-7 fails the long-series
-        # spectral check on its own (T = 200, |alpha| = 0.999): its error is
-        # per series and relative, not scaled by the largest |objective|
+        # scaling the MA(1) hyv trace term by 1 + 1e-7 fails the dense
+        # objective check: its error is per series and relative, not scaled
+        # by the largest |objective|
         import minscore.scores as scores
         from minscore import selfcheck
 
@@ -665,10 +679,10 @@ class TestCheck:
                 const = const * (1 + 1e-7)
             return coef, const
 
-        selfcheck._check_ma1_spectral_objectives()
+        selfcheck._check_dense_objectives()
         monkeypatch.setattr(scores, "_terms", mutated)
-        with pytest.raises(AssertionError, match="spectral MA.1. hyv"):
-            selfcheck._check_ma1_spectral_objectives()
+        with pytest.raises(AssertionError, match="ma1 hyv off by .* dense form"):
+            selfcheck._check_dense_objectives()
 
     @pytest.mark.parametrize("kind,column", [("full", 5), ("hyv", 7)])
     def test_ar1_check_catches_a_sign_slip(self, replace_reducer, kind, column):
@@ -684,10 +698,35 @@ class TestCheck:
             stats[..., column] *= -1.0
             return stats
 
-        selfcheck._check_ar1_objectives()
+        selfcheck._check_dense_objectives()
         replace_reducer(real, mutated)
-        with pytest.raises(AssertionError, match=f"AR.1. {kind} off by .* phi=-"):
-            selfcheck._check_ar1_objectives()
+        with pytest.raises(AssertionError, match=f"ar1 {kind} off by .* theta=-"):
+            selfcheck._check_dense_objectives()
+
+    @pytest.mark.parametrize("model,index,mutant", [
+        # the MA(1) coefficient of q_int in the alpha^0 row, 0.5 -> 0.5 (1 + 1e-6)
+        ("ma1", 2, np.array([[0.5, 0.5 * (1 + 1e-6), 0], [0, 0, -1], [0.5, 0.5, 0],
+                             [0] * 3, [0] * 3])),
+        # the log weight 0.5 (T - 1) of MA(1) and -0.5 (T - 1) of AR(1), shifted
+        ("ma1", 3, lambda t_len: 0.5 * (t_len - 0.999)),
+        ("ar1", 3, lambda t_len: -0.5 * (t_len - 1 + 1e-4)),
+    ], ids=["ma1-q_int", "ma1-log-weight", "ar1-log-weight"])
+    def test_dense_check_catches_a_pairwise_value_slip(self, monkeypatch, model, index, mutant):
+        # a pairwise value a little off: no derivative, fit or symmetry check
+        # sees it (the AR(1) fit moves by 6.1e-7, inside the argmin check's
+        # 1e-6), only the dense form of the value
+        import minscore.scores as scores
+        from minscore import selfcheck
+
+        key = (model, scores.EstimatorKind.PAIRWISE_ML)
+        row = list(scores._RECIPES[key])
+        row[index] = mutant
+        monkeypatch.setitem(scores._RECIPES, key, tuple(row))
+        failed = [(name, message) for name, passed, message in selfcheck.run_checks()
+                  if not passed]
+        assert [name for name, _ in failed] == [
+            "every objective matches its dense form from the covariance"]
+        assert failed[0][1].startswith(f"{model} pairwise off by")
 
     def test_symmetry_check_catches_a_dropped_sign(self, replace_reducer):
         # Q = sum e_t s d_{t-1} of the phi < 0 half without its sign s = -1:
@@ -787,7 +826,7 @@ class TestCheck:
         done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 2, done.stdout + done.stderr
-        assert "FAIL  spectral MA(1) objectives match dense linear algebra" in done.stdout
+        assert "FAIL  every objective matches its dense form from the covariance" in done.stdout
 
 
 class TestExitPaths:
